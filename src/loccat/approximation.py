@@ -32,7 +32,6 @@ from .axioms import (
 from .equivalence import (
     GzSetting,
     STwoArrow,
-    _fill_survey,
     prepare,
     solve_fill,
 )
@@ -123,7 +122,7 @@ def total_replacement_functor(f: FunctorData,
     functoriality on every composable pair of materialized words.
     """
     setting = setting or prepare(f, limits)
-    no_fill, ambiguous, arrows = _fill_survey(setting)
+    no_fill, ambiguous, arrows = setting.fill_survey()
     if no_fill is not None:
         raise PreconditionError("functor is not relatively full",
                                 witness=no_fill)
@@ -518,7 +517,7 @@ def verify_approximation(f: FunctorData,
     if not enough:
         raise PreconditionError("not enough replacements along the functor",
                                 witness=enough_wit)
-    no_fill, ambiguous, arrows = _fill_survey(setting)
+    no_fill, ambiguous, arrows = setting.fill_survey()
     if no_fill is not None:
         raise PreconditionError("functor is not relatively full",
                                 witness=no_fill)

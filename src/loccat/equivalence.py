@@ -14,7 +14,7 @@ enumeration of the finitely presented hom-sets.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .axioms import validate_functor, word_json
 from .gz import LocalisedCategory, gz_compose, induced_functor, loc_map
@@ -86,12 +86,19 @@ class GzSetting:
     lc_src: LocalisedCategory
     lc_tgt: LocalisedCategory
     gz_f: FunctorData
+    _survey: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def decidability_status(self) -> str:
         systems = (self.rs_src, self.rs_tgt, self.lc_src.rs, self.lc_tgt.rs)
         return COMPLETE if all(rs.status == COMPLETE for rs in systems) \
             else BOUNDED_INCOMPLETE
+
+    def fill_survey(self) -> tuple[dict | None, dict | None, int]:
+        """:func:`_fill_survey` of this setting, run once on first use."""
+        if self._survey is None:
+            self._survey = _fill_survey(self)
+        return self._survey
 
 
 def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSetting:
@@ -177,7 +184,7 @@ def check_s_full(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
                  setting: GzSetting | None = None) -> CheckReport:
     """Does every 2-arrow admit a fill?"""
     setting = setting or prepare(f, limits)
-    no_fill, _, count = _fill_survey(setting)
+    no_fill, _, count = setting.fill_survey()
     return CheckReport(
         check="s-full", verdict=no_fill is None, witness=no_fill,
         bounds_used=_bounds(limits),
@@ -189,7 +196,7 @@ def check_s_faithful(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
                      setting: GzSetting | None = None) -> CheckReport:
     """Does every 2-arrow admit at most one fill?"""
     setting = setting or prepare(f, limits)
-    _, ambiguous, count = _fill_survey(setting)
+    _, ambiguous, count = setting.fill_survey()
     return CheckReport(
         check="s-faithful", verdict=ambiguous is None, witness=ambiguous,
         bounds_used=_bounds(limits),

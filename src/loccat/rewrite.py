@@ -11,14 +11,18 @@ word equality, hom-set enumeration and invertibility are decidable.
 On a ``BOUNDED_INCOMPLETE`` system equal normal forms still certify
 equality, but differing ones are inconclusive and queries raise
 :class:`LimitExceeded` instead of guessing.
+
+Each :class:`RewriteSystem` owns its rule index, hom-set and normal-form
+tables and frees them with itself; nothing is cached at module level.
+The tables hold only results that were computed without raising, so a
+query that exceeds its limits raises on every call.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .presentation import (
     CatPresentation,
@@ -54,11 +58,29 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """A completed (or bound-truncated) rewriting system."""
+    """A completed (or bound-truncated) rewriting system.
+
+    Besides its rules the system carries the tables its queries fill:
+    the rules indexed by first letter, normal forms by letter tuple
+    (they depend on the letters only), the normal forms reachable from
+    an object per ``(x, limits)`` and the sorted hom-sets per
+    ``(x, y, limits)``.  The tables take no part in equality, hashing or
+    ``repr``.
+    """
 
     presentation: CatPresentation
     rules: tuple[RewriteRule, ...]
     status: str
+    _rules_by_first: dict = field(init=False, repr=False, compare=False)
+    _normal_forms: dict = field(init=False, repr=False, compare=False)
+    _reachable: dict = field(init=False, repr=False, compare=False)
+    _homsets: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rules_by_first", _index_rules(self.rules))
+        object.__setattr__(self, "_normal_forms", {})
+        object.__setattr__(self, "_reachable", {})
+        object.__setattr__(self, "_homsets", {})
 
     @property
     def is_complete(self) -> bool:
@@ -92,10 +114,16 @@ def _normalize_letters(rules_by_first: dict, letters: tuple[str, ...]) -> tuple[
     return tuple(buf)
 
 
+def _normal_letters(rs: RewriteSystem, letters: tuple[str, ...]) -> tuple[str, ...]:
+    nf = rs._normal_forms.get(letters)
+    if nf is None:
+        nf = rs._normal_forms[letters] = _normalize_letters(rs._rules_by_first, letters)
+    return nf
+
+
 def normalize(rs: RewriteSystem, w: PathWord) -> PathWord:
     """Leftmost-innermost normal form of ``w``; canonical iff complete."""
-    nf = _normalize_letters(_index_rules(rs.rules), w.letters)
-    return PathWord(w.src, w.dst, nf)
+    return PathWord(w.src, w.dst, _normal_letters(rs, w.letters))
 
 
 def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
@@ -128,12 +156,6 @@ def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
     for i in range(len(a) - len(b) + 1):
         if a[i:i + len(b)] == b:
             yield a, r1.rhs.letters, a[:i] + r2.rhs.letters + a[i + len(b):]
-
-
-def _letters_endpoints(p: CatPresentation, letters: tuple[str, ...],
-                       src: str, dst: str) -> PathWord:
-    # endpoints carried explicitly: rewriting preserves them
-    return PathWord(src, dst, letters)
 
 
 def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> RewriteSystem:
@@ -171,8 +193,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         if len(rules) >= limits.max_rules:
             status = BOUNDED_INCOMPLETE
             break
-        new_rule = RewriteRule(_letters_endpoints(p, u, src, dst),
-                               _letters_endpoints(p, v, src, dst))
+        # endpoints carried explicitly: rewriting preserves them
+        new_rule = RewriteRule(PathWord(src, dst, u), PathWord(src, dst, v))
 
         # interreduce: rules whose lhs now reduces go back to the queue,
         # right hand sides are kept normal
@@ -188,7 +210,7 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         for r in kept:
             nf_rhs = _normalize_letters(by_first, r.rhs.letters)
             if nf_rhs != r.rhs.letters:
-                r = RewriteRule(r.lhs, _letters_endpoints(p, nf_rhs, r.lhs.src, r.lhs.dst))
+                r = RewriteRule(r.lhs, PathWord(r.lhs.src, r.lhs.dst, nf_rhs))
             reduced_kept.append(r)
         rules = reduced_kept
         for old in requeued:
@@ -210,7 +232,6 @@ def _peak_endpoints(p: CatPresentation, letters: tuple[str, ...]) -> tuple[str, 
     return p.gen_by_name[letters[0]].src, p.gen_by_name[letters[-1]].dst
 
 
-@lru_cache(maxsize=None)
 def _reachable_normal_forms(rs: RewriteSystem, x: str,
                             limits: ResourceLimits) -> frozenset[PathWord]:
     """All normal forms with source ``x``, by breadth-first extension.
@@ -219,8 +240,10 @@ def _reachable_normal_forms(rs: RewriteSystem, x: str,
     normal forms one generator at a time and normalizing reaches every
     normal form out of ``x``.
     """
+    found = rs._reachable.get((x, limits))
+    if found is not None:
+        return found
     p = rs.presentation
-    by_first = _index_rules(rs.rules)
     out_gens: dict[str, list] = {}
     for g in p.generators:
         out_gens.setdefault(g.src, []).append(g)
@@ -230,7 +253,7 @@ def _reachable_normal_forms(rs: RewriteSystem, x: str,
         nxt: list[PathWord] = []
         for w in frontier:
             for g in out_gens.get(w.dst, ()):
-                letters = _normalize_letters(by_first, w.letters + (g.name,))
+                letters = _normal_letters(rs, w.letters + (g.name,))
                 if len(letters) > limits.max_word_len:
                     raise LimitExceeded(
                         "max_word_len",
@@ -244,18 +267,23 @@ def _reachable_normal_forms(rs: RewriteSystem, x: str,
                             f"more than {limits.max_homset} morphisms out of {x!r}")
                     nxt.append(cand)
         frontier = nxt
-    return frozenset(seen)
+    found = rs._reachable[(x, limits)] = frozenset(seen)
+    return found
 
 
 def homset(rs: RewriteSystem, x: str, y: str,
            limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[PathWord, ...]:
     """All morphisms ``x -> y`` as normal forms, in shortlex order."""
+    words = rs._homsets.get((x, y, limits))
+    if words is not None:
+        return words
     p = rs.presentation
     if x not in p.obj_index or y not in p.obj_index:
         raise ValidationError(f"unknown object in homset query: {x!r}, {y!r}")
-    words = [w for w in _reachable_normal_forms(rs, x, limits) if w.dst == y]
-    words.sort(key=p.shortlex_key)
-    return tuple(words)
+    words = rs._homsets[(x, y, limits)] = tuple(sorted(
+        (w for w in _reachable_normal_forms(rs, x, limits) if w.dst == y),
+        key=p.shortlex_key))
+    return words
 
 
 def find_inverse(rs: RewriteSystem, w: PathWord,
@@ -316,6 +344,7 @@ class DenomDecider:
                 closure |= fresh
                 frontier = fresh
         self._closure = frozenset(closure)
+        self._between: dict[tuple[str, str], tuple[PathWord, ...]] = {}
 
     def is_denominator(self, w: PathWord) -> bool:
         return normalize(self.rs, w) in self._closure
@@ -327,5 +356,9 @@ class DenomDecider:
 
     def denominators_between(self, x: str, y: str) -> tuple[PathWord, ...]:
         """Denominators ``x -> y`` among the enumerated hom-set."""
-        return tuple(w for w in homset(self.rs, x, y, self.limits)
-                     if self.is_denominator(w))
+        between = self._between.get((x, y))
+        if between is None:
+            between = self._between[(x, y)] = tuple(
+                w for w in homset(self.rs, x, y, self.limits)
+                if self.is_denominator(w))
+        return between

@@ -3,7 +3,8 @@
 import corpus
 from loccat import (DEFAULT_LIMITS, check_s_dense, check_s_equivalence,
                     check_s_faithful, check_s_full, classical_equivalence,
-                    enumerate_s_two_arrows, solve_fill)
+                    enumerate_s_two_arrows, prepare, solve_fill)
+from loccat import equivalence
 
 
 class TestSDense:
@@ -89,6 +90,21 @@ class TestSEquivalence:
         assert d["target_multiplicative"] is True
         assert d["s_full"] is True and d["s_faithful"] is True
         assert d["characterisation_agrees"] is True
+
+    def test_fill_survey_runs_once_per_setting(self, monkeypatch):
+        runs = []
+        survey = equivalence._fill_survey
+
+        def counted(setting):
+            runs.append(setting)
+            return survey(setting)
+
+        monkeypatch.setattr(equivalence, "_fill_survey", counted)
+        setting = prepare(corpus.fun("E7"), DEFAULT_LIMITS)
+        report = check_s_equivalence(setting.f, DEFAULT_LIMITS, setting)
+        assert report.details["s_full"] and report.details["s_faithful"]
+        assert check_s_full(setting.f, DEFAULT_LIMITS, setting).verdict
+        assert len(runs) == 1
 
     def test_gz_details_present(self):
         report = check_s_equivalence(corpus.fun("E2"), DEFAULT_LIMITS)

@@ -1,12 +1,17 @@
 """Completion, normalization, hom-set enumeration, denominator decisions."""
 
+import ast
+import gc
+import weakref
+from pathlib import Path
+
 import pytest
 
 import corpus
 from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     DenomDecider, GenArrow, LimitExceeded, PathWord, Relation,
-                    ResourceLimits, complete, equal, find_inverse, homset,
-                    is_isomorphism, normalize)
+                    DEFAULT_LIMITS, ResourceLimits, ValidationError, complete,
+                    equal, find_inverse, homset, is_isomorphism, normalize)
 
 TIGHT = ResourceLimits(max_word_len=4, max_rules=3, max_homset=4)
 
@@ -76,9 +81,11 @@ class TestNormalize:
         assert nf.letters == ("d",)
 
     def test_identity_normalizes_to_itself(self):
+        # normal forms are memoised by letters; endpoints come from the word
         rs = corpus.rs("E1")
         c = corpus.cat("E1").cat
-        assert normalize(rs, c.identity("a")) == c.identity("a")
+        for x in c.objects:
+            assert normalize(rs, c.identity(x)) == c.identity(x)
 
 
 class TestEqual:
@@ -209,3 +216,52 @@ class TestDenomDecider:
         dec = DenomDecider(c, corpus.rs("E7bD"))
         between = dec.denominators_between("tl", "bl")
         assert [w.letters for w in between] == [("v_left",), ("v_left2",)]
+
+
+class TestSystemTables:
+    """Each system owns its query tables; nothing outlives it."""
+
+    def test_system_freed_after_queries(self):
+        # a presentation no other test completes, so no equal system is
+        # held anywhere else
+        p = CatPresentation(objects=("p", "q"), generators=(
+            GenArrow("s", "p", "q"), GenArrow("t", "p", "q")), relations=(
+            Relation(PathWord("p", "q", ("s",)), PathWord("p", "q", ("t",))),))
+        rs = complete(p, DEFAULT_LIMITS)
+        assert len(homset(rs, "p", "q")) == 1
+        ref = weakref.ref(rs)
+        del rs
+        gc.collect()
+        assert ref() is None
+
+    def test_no_module_level_cache_decorator(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "loccat"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for dec in node.decorator_list:
+                        target = dec.func if isinstance(dec, ast.Call) else dec
+                        name = getattr(target, "attr", getattr(target, "id", None))
+                        if name in ("lru_cache", "cache"):
+                            found.append(f"{path.name}:{node.name}")
+        assert found == []
+
+    def test_limits_kept_per_call(self):
+        p = corpus.cat("E7bD").cat
+        rs = complete(p, DEFAULT_LIMITS)
+        # seven morphisms leave tl, so a bound of two cannot enumerate them
+        tight = ResourceLimits(max_word_len=16, max_rules=512, max_homset=2)
+        for _ in range(2):
+            with pytest.raises(LimitExceeded):
+                homset(rs, "tl", "bl", tight)
+        words = homset(rs, "tl", "bl", DEFAULT_LIMITS)
+        assert words == homset(complete(p, DEFAULT_LIMITS), "tl", "bl")
+        assert homset(rs, "tl", "bl", DEFAULT_LIMITS) is words
+        # a result stored under generous limits does not answer tight ones
+        with pytest.raises(LimitExceeded):
+            homset(rs, "tl", "bl", tight)
+        with pytest.raises(ValidationError):
+            homset(rs, "tl", "nope")
+        with pytest.raises(ValidationError):
+            homset(rs, "nope", "bl")
