@@ -74,8 +74,8 @@ class PathWord:
     letters: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.letters:
-            assert self.src == self.dst, "empty word must be an endo word"
+        if not self.letters and self.src != self.dst:
+            raise ValidationError("empty word must be an endo word")
 
     @property
     def is_identity_word(self) -> bool:
@@ -93,8 +93,8 @@ class Relation:
     rhs: PathWord
 
     def __post_init__(self):
-        assert self.lhs.src == self.rhs.src and self.lhs.dst == self.rhs.dst, \
-            "relation sides must be parallel"
+        if self.lhs.src != self.rhs.src or self.lhs.dst != self.rhs.dst:
+            raise ValidationError("relation sides must be parallel")
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ class CatPresentation:
         return {g.name: i for i, g in enumerate(self.generators)}
 
     def identity(self, obj: str) -> PathWord:
-        assert obj in self.obj_index, f"unknown object {obj!r}"
+        if obj not in self.obj_index:
+            raise ValidationError(f"unknown object {obj!r}")
         return PathWord(obj, obj, ())
 
     def word(self, letters, src: str | None = None, dst: str | None = None) -> PathWord:
@@ -217,7 +218,8 @@ class FunctorData:
 
     def then(self, other: "FunctorData") -> "FunctorData":
         """Composite functor, ``self`` applied first."""
-        assert self.target is other.source or self.target == other.source
+        if self.target is not other.source and self.target != other.source:
+            raise ValidationError("functors do not compose: target != source")
         return FunctorData(
             source=self.source,
             target=other.target,

@@ -12,7 +12,24 @@ On a ``BOUNDED_INCOMPLETE`` system equal normal forms still certify
 equality, but differing ones are inconclusive and queries raise
 :class:`LimitExceeded` instead of guessing.
 
-Each :class:`RewriteSystem` owns its rule index, hom-set and normal-form
+The kernel rewrites encoded strings, not letter tuples: each generator
+is one character, with code points that increase in declaration order,
+so ``(len(s), s)`` orders encoded words exactly as shortlex orders their
+letters.  Completion runs on encoded words from end to end and decodes
+only the final rules.
+
+Completion and :class:`RewriteSystem` rewrite with one matcher,
+:class:`RuleIndex`.  Its strategy is fixed: the leftmost position and,
+there, the first rule in list order.  Since completion's path depends
+on that strategy, the matcher has two scans that give the same answer:
+a first-letter dict with ``str.startswith``, which costs nothing to
+build, and one ``re`` alternation of the left sides in list order, which
+is fast on long words but costs a compile that grows with the pattern.
+A matcher starts with the first and switches to the second once the
+letters it has scanned exceed the total length of its left sides, so
+the compile is paid only after scanning has cost about as much.
+
+Each :class:`RewriteSystem` owns its matcher, hom-set and normal-form
 tables and frees them with itself; nothing is cached at module level.
 The tables hold only results that were computed without raising, so a
 query that exceeds its limits raises on every call.
@@ -22,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from .presentation import (
@@ -56,28 +74,108 @@ class RewriteRule:
     rhs: PathWord
 
 
+class RuleIndex:
+    """Rewrites encoded words with a list of ``(lhs, rhs)`` rules.
+
+    Keeps the first rule for each left side.  Every step rewrites at
+    the leftmost position and, there, with the first rule in list
+    order; both scans below implement that one strategy.
+    ``normal_form`` uses the scan until the letters it has scanned
+    exceed the total length of the left sides, then the regex.
+    """
+
+    def __init__(self, rules):
+        self._rhs: dict[str, str] = {}
+        for lhs, rhs in rules:
+            self._rhs.setdefault(lhs, rhs)
+        self._by_first: dict[str, list[str]] = {}
+        for lhs in self._rhs:
+            self._by_first.setdefault(lhs[0], []).append(lhs)
+        self._back = max(map(len, self._rhs), default=1) - 1
+        self._lhs_letters = sum(map(len, self._rhs))
+        self._scanned = 0
+        self._regex = None
+
+    def normal_form(self, s: str) -> str:
+        if self._regex is None and self._scanned <= self._lhs_letters:
+            return self.normal_form_by_scan(s)
+        return self.normal_form_by_regex(s)
+
+    # After a rewrite at i the scan resumes at i - (longest lhs - 1): no
+    # match started before i, and the letters before i did not change,
+    # so a new match must reach into the rewritten part.
+
+    def normal_form_by_scan(self, s: str) -> str:
+        by_first, rhs, back = self._by_first, self._rhs, self._back
+        i = scanned = 0
+        while i < len(s):
+            scanned += 1
+            for lhs in by_first.get(s[i], ()):
+                if s.startswith(lhs, i):
+                    s = s[:i] + rhs[lhs] + s[i + len(lhs):]
+                    i = max(0, i - back)
+                    break
+            else:
+                i += 1
+        self._scanned += scanned
+        return s
+
+    def normal_form_by_regex(self, s: str) -> str:
+        if not self._rhs:
+            return s
+        if self._regex is None:
+            # re takes the leftmost match and, there, the first alternative
+            self._regex = re.compile("|".join(map(re.escape, self._rhs)))
+        search, rhs, back = self._regex.search, self._rhs, self._back
+        m = search(s)
+        while m:
+            i = m.start()
+            s = s[:i] + rhs[m.group()] + s[m.end():]
+            m = search(s, max(0, i - back))
+        return s
+
+
+def _alphabet(p: CatPresentation) -> tuple[dict[str, str], dict[str, str]]:
+    """Letter-to-character and character-to-letter tables of ``p``."""
+    code = {g.name: chr(0x100 + i) for i, g in enumerate(p.generators)}
+    return code, {c: x for x, c in code.items()}
+
+
+def _encode(code: dict[str, str], letters: tuple[str, ...]) -> str:
+    return "".join(map(code.__getitem__, letters))
+
+
+def _decode(names: dict[str, str], s: str) -> tuple[str, ...]:
+    return tuple(map(names.__getitem__, s))
+
+
 @dataclass(frozen=True)
 class RewriteSystem:
     """A completed (or bound-truncated) rewriting system.
 
-    Besides its rules the system carries the tables its queries fill:
-    the rules indexed by first letter, normal forms by letter tuple
-    (they depend on the letters only), the normal forms reachable from
-    an object per ``(x, limits)`` and the sorted hom-sets per
-    ``(x, y, limits)``.  The tables take no part in equality, hashing or
-    ``repr``.
+    Besides its rules the system carries its encoding, its matcher and
+    the tables its queries fill: normal forms by letter tuple (they
+    depend on the letters only), the normal forms reachable from an
+    object per ``(x, limits)`` and the sorted hom-sets per
+    ``(x, y, limits)``.  None of them takes part in equality, hashing
+    or ``repr``.
     """
 
     presentation: CatPresentation
     rules: tuple[RewriteRule, ...]
     status: str
-    _rules_by_first: dict = field(init=False, repr=False, compare=False)
+    _codec: tuple = field(init=False, repr=False, compare=False)
+    _index: RuleIndex = field(init=False, repr=False, compare=False)
     _normal_forms: dict = field(init=False, repr=False, compare=False)
     _reachable: dict = field(init=False, repr=False, compare=False)
     _homsets: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rules_by_first", _index_rules(self.rules))
+        code, names = _alphabet(self.presentation)
+        object.__setattr__(self, "_codec", (code, names))
+        object.__setattr__(self, "_index", RuleIndex(
+            (_encode(code, r.lhs.letters), _encode(code, r.rhs.letters))
+            for r in self.rules))
         object.__setattr__(self, "_normal_forms", {})
         object.__setattr__(self, "_reachable", {})
         object.__setattr__(self, "_homsets", {})
@@ -87,37 +185,12 @@ class RewriteSystem:
         return self.status == COMPLETE
 
 
-def _reduce_once(rules_by_first: dict, letters: list[str]) -> bool:
-    # leftmost position, first matching rule in list order
-    n = len(letters)
-    for i in range(n):
-        for rule in rules_by_first.get(letters[i], ()):
-            pat = rule.lhs.letters
-            k = len(pat)
-            if i + k <= n and tuple(letters[i:i + k]) == pat:
-                letters[i:i + k] = rule.rhs.letters
-                return True
-    return False
-
-
-def _index_rules(rules) -> dict:
-    by_first: dict[str, list[RewriteRule]] = {}
-    for r in rules:
-        by_first.setdefault(r.lhs.letters[0], []).append(r)
-    return by_first
-
-
-def _normalize_letters(rules_by_first: dict, letters: tuple[str, ...]) -> tuple[str, ...]:
-    buf = list(letters)
-    while _reduce_once(rules_by_first, buf):
-        pass
-    return tuple(buf)
-
-
 def _normal_letters(rs: RewriteSystem, letters: tuple[str, ...]) -> tuple[str, ...]:
     nf = rs._normal_forms.get(letters)
     if nf is None:
-        nf = rs._normal_forms[letters] = _normalize_letters(rs._rules_by_first, letters)
+        code, names = rs._codec
+        nf = rs._normal_forms[letters] = _decode(
+            names, rs._index.normal_form(_encode(code, letters)))
     return nf
 
 
@@ -140,52 +213,54 @@ def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
     return same
 
 
-def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
+def _critical_pairs(r1: tuple, r2: tuple):
     """Peaks where the left hand sides of ``r1`` and ``r2`` overlap.
 
-    Yields ``(peak, left, right)`` letter tuples: ``peak`` rewrites to
-    ``left`` via ``r1`` and to ``right`` via ``r2``.
+    Rules are encoded ``(lhs, rhs, src, dst)``.  Yields
+    ``(left, right, src, dst)``: the peak runs from ``src`` to ``dst``
+    and rewrites to ``left`` via ``r1`` and to ``right`` via ``r2``.
     """
-    a, b = r1.lhs.letters, r2.lhs.letters
-    # nonempty proper suffix of a equals prefix of b
+    a, a_rhs, src, dst = r1
+    b, b_rhs, _, b_dst = r2
+    # nonempty proper suffix of a equals prefix of b: the peak a + b[k:]
+    # starts where a starts and ends where b ends
     for k in range(1, min(len(a), len(b))):
-        if a[len(a) - k:] == b[:k]:
-            peak = a + b[k:]
-            yield peak, r1.rhs.letters + b[k:], a[:len(a) - k] + r2.rhs.letters
-    # b contained in a
-    for i in range(len(a) - len(b) + 1):
-        if a[i:i + len(b)] == b:
-            yield a, r1.rhs.letters, a[:i] + r2.rhs.letters + a[i + len(b):]
+        if a.endswith(b[:k]):
+            yield a_rhs + b[k:], a[:len(a) - k] + b_rhs, src, b_dst
+    # b contained in a: the peak is a
+    i = a.find(b)
+    while i >= 0:
+        yield a_rhs, a[:i] + b_rhs + a[i + len(b):], src, dst
+        i = a.find(b, i + 1)
 
 
 def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> RewriteSystem:
     """Run Knuth-Bendix completion on the relations of ``p``."""
-
-    def key(letters: tuple[str, ...]) -> tuple:
-        return (len(letters), tuple(p.gen_index[x] for x in letters))
-
+    code, names = _alphabet(p)
     counter = itertools.count()
     heap: list = []
 
-    def push(u: tuple, v: tuple, src: str, dst: str):
-        ku, kv = key(u), key(v)
-        prio = (max(ku, kv), min(ku, kv))
-        heapq.heappush(heap, (prio, next(counter), u, v, src, dst))
+    def push(u: str, v: str, src: str, dst: str):
+        ku, kv = (len(u), u), (len(v), v)
+        heapq.heappush(heap, ((max(ku, kv), min(ku, kv)), next(counter), u, v, src, dst))
 
     for rel in p.relations:
-        push(rel.lhs.letters, rel.rhs.letters, rel.lhs.src, rel.lhs.dst)
+        push(_encode(code, rel.lhs.letters), _encode(code, rel.rhs.letters),
+             rel.lhs.src, rel.lhs.dst)
 
-    rules: list[RewriteRule] = []
+    # encoded (lhs, rhs, src, dst); endpoints carried explicitly since
+    # rewriting preserves them
+    rules: list[tuple] = []
+    index = RuleIndex(())
     status = COMPLETE
 
     while heap:
         _, _, u, v, src, dst = heapq.heappop(heap)
-        by_first = _index_rules(rules)
-        u = _normalize_letters(by_first, u)
-        v = _normalize_letters(by_first, v)
+        u = index.normal_form(u)
+        v = index.normal_form(v)
         if u == v:
             continue
-        if key(u) < key(v):
+        if (len(u), u) < (len(v), v):
             u, v = v, u
         if len(u) > limits.max_word_len:
             status = BOUNDED_INCOMPLETE
@@ -193,43 +268,34 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         if len(rules) >= limits.max_rules:
             status = BOUNDED_INCOMPLETE
             break
-        # endpoints carried explicitly: rewriting preserves them
-        new_rule = RewriteRule(PathWord(src, dst, u), PathWord(src, dst, v))
+        new_rule = (u, v, src, dst)
 
-        # interreduce: rules whose lhs now reduces go back to the queue,
-        # right hand sides are kept normal
-        kept: list[RewriteRule] = [new_rule]
-        requeued: list[RewriteRule] = []
+        # interreduce: rules whose lhs contains u go back to the queue,
+        # right hand sides are kept normal.  Each one is normal for the
+        # rules before u came, so only one that contains u can reduce.
+        kept = [new_rule]
+        requeued = []
         for old in rules:
-            if _normalize_letters(_index_rules([new_rule]), old.lhs.letters) != old.lhs.letters:
-                requeued.append(old)
-            else:
-                kept.append(old)
-        by_first = _index_rules(kept)
-        reduced_kept = []
-        for r in kept:
-            nf_rhs = _normalize_letters(by_first, r.rhs.letters)
-            if nf_rhs != r.rhs.letters:
-                r = RewriteRule(r.lhs, PathWord(r.lhs.src, r.lhs.dst, nf_rhs))
-            reduced_kept.append(r)
-        rules = reduced_kept
+            (requeued if u in old[0] else kept).append(old)
+        kept_index = RuleIndex((lhs, rhs) for lhs, rhs, _, _ in kept)
+        rules = [(lhs, kept_index.normal_form(rhs) if u in rhs else rhs, s, d)
+                 for lhs, rhs, s, d in kept]
+        index = RuleIndex((lhs, rhs) for lhs, rhs, _, _ in rules)
         for old in requeued:
-            push(old.lhs.letters, old.rhs.letters, old.lhs.src, old.lhs.dst)
+            push(*old)
 
-        for other in rules:
-            for peak, left, right in itertools.chain(
-                    _critical_pairs(new_rule, other),
-                    _critical_pairs(other, new_rule) if other is not new_rule else ()):
+        for i, other in enumerate(rules):
+            pairs = _critical_pairs(new_rule, other)
+            if i:
+                pairs = itertools.chain(pairs, _critical_pairs(other, new_rule))
+            for left, right, s, d in pairs:
                 if left != right:
-                    s, d = _peak_endpoints(p, peak)
                     push(left, right, s, d)
 
-    rules.sort(key=lambda r: (key(r.lhs.letters), key(r.rhs.letters)))
-    return RewriteSystem(presentation=p, rules=tuple(rules), status=status)
-
-
-def _peak_endpoints(p: CatPresentation, letters: tuple[str, ...]) -> tuple[str, str]:
-    return p.gen_by_name[letters[0]].src, p.gen_by_name[letters[-1]].dst
+    rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
+    return RewriteSystem(presentation=p, status=status, rules=tuple(
+        RewriteRule(PathWord(s, d, _decode(names, lhs)), PathWord(s, d, _decode(names, rhs)))
+        for lhs, rhs, s, d in rules))
 
 
 def _reachable_normal_forms(rs: RewriteSystem, x: str,

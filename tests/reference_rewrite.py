@@ -1,0 +1,142 @@
+"""Reference tuple-based rewriting kernel, kept for equivalence tests.
+
+This is the letter-tuple normaliser and Knuth-Bendix completion that
+``loccat.rewrite`` used before it moved to encoded strings and a
+rule-index matcher.  It is kept unchanged so tests can check that the
+fast kernel takes the same rewriting steps: the same normal form for
+every word and rule list, and the same completed rules and status for
+every presentation and bound.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+
+from loccat.presentation import CatPresentation, PathWord
+from loccat.rewrite import (BOUNDED_INCOMPLETE, COMPLETE, DEFAULT_LIMITS,
+                            ResourceLimits, RewriteRule, RewriteSystem)
+
+
+def _reduce_once(rules_by_first: dict, letters: list[str]) -> bool:
+    # leftmost position, first matching rule in list order
+    n = len(letters)
+    for i in range(n):
+        for rule in rules_by_first.get(letters[i], ()):
+            pat = rule.lhs.letters
+            k = len(pat)
+            if i + k <= n and tuple(letters[i:i + k]) == pat:
+                letters[i:i + k] = rule.rhs.letters
+                return True
+    return False
+
+
+def _index_rules(rules) -> dict:
+    by_first: dict[str, list[RewriteRule]] = {}
+    for r in rules:
+        by_first.setdefault(r.lhs.letters[0], []).append(r)
+    return by_first
+
+
+def _normalize_letters(rules_by_first: dict, letters: tuple[str, ...]) -> tuple[str, ...]:
+    buf = list(letters)
+    while _reduce_once(rules_by_first, buf):
+        pass
+    return tuple(buf)
+
+
+def normalize_letters(rules, letters: tuple[str, ...]) -> tuple[str, ...]:
+    """Normal form of ``letters`` under ``rules`` (a list of ``RewriteRule``)."""
+    return _normalize_letters(_index_rules(rules), letters)
+
+
+def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
+    """Peaks where the left hand sides of ``r1`` and ``r2`` overlap.
+
+    Yields ``(peak, left, right)`` letter tuples: ``peak`` rewrites to
+    ``left`` via ``r1`` and to ``right`` via ``r2``.
+    """
+    a, b = r1.lhs.letters, r2.lhs.letters
+    # nonempty proper suffix of a equals prefix of b
+    for k in range(1, min(len(a), len(b))):
+        if a[len(a) - k:] == b[:k]:
+            peak = a + b[k:]
+            yield peak, r1.rhs.letters + b[k:], a[:len(a) - k] + r2.rhs.letters
+    # b contained in a
+    for i in range(len(a) - len(b) + 1):
+        if a[i:i + len(b)] == b:
+            yield a, r1.rhs.letters, a[:i] + r2.rhs.letters + a[i + len(b):]
+
+
+def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> RewriteSystem:
+    """Run Knuth-Bendix completion on the relations of ``p``."""
+
+    def key(letters: tuple[str, ...]) -> tuple:
+        return (len(letters), tuple(p.gen_index[x] for x in letters))
+
+    counter = itertools.count()
+    heap: list = []
+
+    def push(u: tuple, v: tuple, src: str, dst: str):
+        ku, kv = key(u), key(v)
+        prio = (max(ku, kv), min(ku, kv))
+        heapq.heappush(heap, (prio, next(counter), u, v, src, dst))
+
+    for rel in p.relations:
+        push(rel.lhs.letters, rel.rhs.letters, rel.lhs.src, rel.lhs.dst)
+
+    rules: list[RewriteRule] = []
+    status = COMPLETE
+
+    while heap:
+        _, _, u, v, src, dst = heapq.heappop(heap)
+        by_first = _index_rules(rules)
+        u = _normalize_letters(by_first, u)
+        v = _normalize_letters(by_first, v)
+        if u == v:
+            continue
+        if key(u) < key(v):
+            u, v = v, u
+        if len(u) > limits.max_word_len:
+            status = BOUNDED_INCOMPLETE
+            continue
+        if len(rules) >= limits.max_rules:
+            status = BOUNDED_INCOMPLETE
+            break
+        # endpoints carried explicitly: rewriting preserves them
+        new_rule = RewriteRule(PathWord(src, dst, u), PathWord(src, dst, v))
+
+        # interreduce: rules whose lhs now reduces go back to the queue,
+        # right hand sides are kept normal
+        kept: list[RewriteRule] = [new_rule]
+        requeued: list[RewriteRule] = []
+        for old in rules:
+            if _normalize_letters(_index_rules([new_rule]), old.lhs.letters) != old.lhs.letters:
+                requeued.append(old)
+            else:
+                kept.append(old)
+        by_first = _index_rules(kept)
+        reduced_kept = []
+        for r in kept:
+            nf_rhs = _normalize_letters(by_first, r.rhs.letters)
+            if nf_rhs != r.rhs.letters:
+                r = RewriteRule(r.lhs, PathWord(r.lhs.src, r.lhs.dst, nf_rhs))
+            reduced_kept.append(r)
+        rules = reduced_kept
+        for old in requeued:
+            push(old.lhs.letters, old.rhs.letters, old.lhs.src, old.lhs.dst)
+
+        for other in rules:
+            for peak, left, right in itertools.chain(
+                    _critical_pairs(new_rule, other),
+                    _critical_pairs(other, new_rule) if other is not new_rule else ()):
+                if left != right:
+                    s, d = _peak_endpoints(p, peak)
+                    push(left, right, s, d)
+
+    rules.sort(key=lambda r: (key(r.lhs.letters), key(r.rhs.letters)))
+    return RewriteSystem(presentation=p, rules=tuple(rules), status=status)
+
+
+def _peak_endpoints(p: CatPresentation, letters: tuple[str, ...]) -> tuple[str, str]:
+    return p.gen_by_name[letters[0]].src, p.gen_by_name[letters[-1]].dst

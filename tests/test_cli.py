@@ -191,6 +191,20 @@ class TestDeterminism:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["verdict"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-approximation", corpus.fun_path("E7")),
+        ("check", "s-faithful", corpus.fun_path("E3")),
+        ("homset", corpus.cat_path("E7bD"), "--src", "tl", "--dst", "z"),
+    ])
+    def test_same_report_under_optimize_flag(self, argv):
+        # no check may live in an assert, which -O strips
+        runs = [subprocess.run([sys.executable, *flags, "-m", "loccat.cli", *argv],
+                               capture_output=True)
+                for flags in ((), ("-O",))]
+        assert runs[0].stdout
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].returncode == runs[1].returncode
+
 
 class TestLimitsProfile:
     def test_profile_env(self, capsys, monkeypatch):

@@ -21,7 +21,7 @@ class TestPathWord:
         assert w.is_identity_word and len(w) == 0
 
     def test_empty_word_needs_matching_endpoints(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValidationError):
             PathWord("a", "b", ())
 
     def test_word_endpoint_inference(self):
@@ -57,6 +57,10 @@ class TestPathWord:
         assert c.concat(c.identity("a"), u) == u
         assert c.concat(u, c.identity("b")) == u
 
+    def test_identity_of_unknown_object_rejected(self):
+        with pytest.raises(ValidationError):
+            chain().identity("nope")
+
 
 class TestShortlex:
     def test_length_dominates(self):
@@ -75,7 +79,7 @@ class TestShortlex:
 class TestRelation:
     def test_relation_must_be_parallel(self):
         c = chain()
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValidationError):
             Relation(c.word(["u"]), c.identity("a"))
 
 
@@ -139,3 +143,9 @@ class TestIdentityFunctor:
         w = c.cat.word(["h_top", "v_right"])
         assert f.apply_word(w) == w
         assert f.then(f).apply_word(w) == w
+
+    def test_then_rejects_mismatched_functors(self):
+        f = identity_functor(corpus.cat("E7D"))
+        g = identity_functor(corpus.cat("E1"))
+        with pytest.raises(ValidationError):
+            f.then(g)

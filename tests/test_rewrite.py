@@ -6,14 +6,39 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
+import reference_rewrite
 from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     DenomDecider, GenArrow, LimitExceeded, PathWord, Relation,
-                    DEFAULT_LIMITS, ResourceLimits, ValidationError, complete,
-                    equal, find_inverse, homset, is_isomorphism, normalize)
+                    DEFAULT_LIMITS, ResourceLimits, RewriteRule,
+                    ValidationError, complete, equal, find_inverse, homset,
+                    is_isomorphism, normalize)
+from loccat.rewrite import RuleIndex
 
 TIGHT = ResourceLimits(max_word_len=4, max_rules=3, max_homset=4)
+
+
+def monoid(gens: str, relations) -> CatPresentation:
+    """One object ``o``, one generator per character of ``gens``."""
+    def w(letters):
+        return PathWord("o", "o", tuple(letters))
+    return CatPresentation(
+        objects=("o",), generators=tuple(GenArrow(g, "o", "o") for g in gens),
+        relations=tuple(Relation(w(lhs), w(rhs)) for lhs, rhs in relations))
+
+
+def dihedral(n: int) -> CatPresentation:
+    """``D_n``: ``a^n = 1``, ``b.b = 1``, ``b.a.b = a^(n-1)``."""
+    return monoid("ab", [("a" * n, ""), ("bb", ""), ("bab", "a" * (n - 1))])
+
+
+# the completions of the braid and the partially commutative monoid do
+# not terminate, so every bound is hit
+FAMILIES = {"D5": dihedral(5), "D12": dihedral(12), "D33": dihedral(33),
+            "braid": monoid("ab", [("aba", "bab")]),
+            "partially-commutative": monoid("abc", [("ab", "ba"), ("bc", "cb")])}
 
 # Hom-set cardinalities computed by the brute-force oracle (congruence
 # saturation over words of length <= 8) and frozen here.
@@ -55,6 +80,24 @@ class TestCompletion:
         assert [(r.lhs.letters, r.rhs.letters) for r in rs.rules] == \
             [(("d", "d"), ())]
 
+    @pytest.mark.parametrize("n", [5, 12, 33])
+    def test_dihedral_family(self, n):
+        limits = ResourceLimits(max_word_len=n + 1)
+        rs = complete(dihedral(n), limits)
+        assert rs.status == COMPLETE
+        assert len(rs.rules) == 6
+        assert len(homset(rs, "o", "o", limits)) == 2 * n
+
+    @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, *FAMILIES])
+    def test_same_rules_as_reference(self, name):
+        p = FAMILIES[name] if name in FAMILIES else corpus.cat(name).cat
+        for word_len in (4, 8, 16):
+            for max_rules in (1, 3, 8, 512):
+                limits = ResourceLimits(max_word_len=word_len, max_rules=max_rules)
+                got = complete(p, limits)
+                want = reference_rewrite.complete(p, limits)
+                assert (got.rules, got.status) == (want.rules, want.status), limits
+
     def test_bounded_incomplete_flagged(self):
         # the localised E7bD presentation needs 10 rules; stop early
         p = corpus.lc("E7bD").presentation
@@ -86,6 +129,45 @@ class TestNormalize:
         c = corpus.cat("E1").cat
         for x in c.objects:
             assert normalize(rs, c.identity(x)) == c.identity(x)
+
+
+@st.composite
+def rules_and_word(draw):
+    """Shortlex-decreasing rules over two or three letters, and a word.
+
+    Left sides come from a small pool, so duplicates and overlaps are
+    common; right sides may be empty.
+    """
+    alphabet = "abc"[:draw(st.integers(2, 3))]
+    pool = draw(st.lists(st.text(alphabet, min_size=1, max_size=4),
+                         min_size=1, max_size=4))
+    rules = []
+    for lhs in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)):
+        rhs = draw(st.text(alphabet, max_size=4))
+        if (len(rhs), rhs) >= (len(lhs), lhs):
+            rhs = rhs[:len(lhs) - 1]
+        rules.append((lhs, rhs))
+    return rules, draw(st.text(alphabet, max_size=12))
+
+
+class TestRuleIndex:
+    @given(rules_and_word())
+    @settings(max_examples=300, deadline=None)
+    def test_both_scans_match_reference(self, case):
+        rules, word = case
+        ref_rules = [RewriteRule(PathWord("o", "o", tuple(lhs)),
+                                 PathWord("o", "o", tuple(rhs)))
+                     for lhs, rhs in rules]
+        want = "".join(reference_rewrite.normalize_letters(ref_rules, tuple(word)))
+        index = RuleIndex(rules)
+        assert index.normal_form_by_scan(word) == want
+        assert index.normal_form_by_regex(word) == want
+
+    def test_no_rules_keeps_word(self):
+        index = RuleIndex(())
+        for _ in range(3):
+            assert index.normal_form("abcab") == "abcab"
+        assert index.normal_form_by_regex("abcab") == "abcab"
 
 
 class TestEqual:
