@@ -94,9 +94,14 @@ def total_value(setting: GzSetting, rc: ReplacementCategory,
 
     ``w`` is a target-category word from the object under triple ``i``
     to the one under triple ``j``; the value solves
-    ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.
+    ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.  Found once per setting
+    and ``(triple, triple, w)``; later calls read the setting's table.
     """
     ti, tj = rc.triples[i], rc.triples[j]
+    key = (ti, tj, w)
+    value = setting._total_values.get(key)
+    if value is not None:
+        return value
     tgt_cat = setting.f.target.cat
     g = normalize(setting.rs_tgt, tgt_cat.concat(ti.q, w))
     fills = solve_fill(setting, STwoArrow(x=ti.source, x_prime=tj.source,
@@ -105,7 +110,16 @@ def total_value(setting: GzSetting, rc: ReplacementCategory,
         raise ConstructionError(
             f"expected exactly one fill between triples {i} and {j}, "
             f"got {len(fills)}")
+    setting._total_values[key] = fills[0]
     return fills[0]
+
+
+def _lifted_value(setting: GzSetting, rc: ReplacementCategory,
+                  w: PathWord) -> GzMorphism:
+    """:func:`total_value` of a lifted word, between its endpoint triples."""
+    return total_value(setting, rc, rc.object_index(w.src),
+                       rc.object_index(w.dst),
+                       normalize(setting.rs_tgt, rc.underlying_word(w)))
 
 
 def total_replacement_functor(f: FunctorData,
@@ -149,12 +163,6 @@ def total_replacement_functor(f: FunctorData,
         if not value.is_identity_word:
             identities_ok = False
 
-    def direct(w: PathWord) -> GzMorphism:
-        i = rc.obj_names.index(w.src)
-        j = rc.obj_names.index(w.dst)
-        return total_value(setting, rc, i, j,
-                           normalize(setting.rs_tgt, rc.underlying_word(w)))
-
     n = len(rc.triples)
     words: dict[tuple[int, int], tuple[PathWord, ...]] = {}
     for i in range(n):
@@ -163,9 +171,11 @@ def total_replacement_functor(f: FunctorData,
                                    setting.limits)
     agreement = 0
     agreement_ok = True
-    for (i, j), ws in words.items():
+    values: dict[PathWord, GzMorphism] = {}
+    for ws in words.values():
         for w in ws:
-            if functor.value_word(w) != direct(w):
+            values[w] = _lifted_value(setting, rc, w)
+            if functor.value_word(w) != values[w]:
                 agreement_ok = False
             agreement += 1
     pairs = 0
@@ -176,8 +186,8 @@ def total_replacement_functor(f: FunctorData,
                 for w1 in words[(i, j)]:
                     for w2 in words[(j, k)]:
                         comp = rc.cwd.cat.concat(w1, w2)
-                        lhs = direct(comp)
-                        rhs = gz_compose(setting.lc_src, direct(w1), direct(w2))
+                        lhs = _lifted_value(setting, rc, comp)
+                        rhs = gz_compose(setting.lc_src, values[w1], values[w2])
                         if lhs != rhs:
                             functorial_ok = False
                         pairs += 1
@@ -266,10 +276,7 @@ def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> di
     checked = 0
     failure = None
     for w in rc.cwd.denoms.explicit:
-        i = rc.obj_names.index(w.src)
-        j = rc.obj_names.index(w.dst)
-        value = total_value(setting, rc, i, j,
-                            normalize(setting.rs_tgt, rc.underlying_word(w)))
+        value = _lifted_value(setting, rc, w)
         checked += 1
         if gz_inverse(setting.lc_src, value) is None and failure is None:
             failure = {"lifted_word": word_json(w), "value": word_json(value)}
@@ -317,8 +324,9 @@ def replacement_functor(f: FunctorData,
 
     words = {(a, b): homset(setting.rs_tgt, a, b, setting.limits)
              for a in tgt_cat.objects for b in tgt_cat.objects}
-    agreement_ok = all(functor.value_word(w) == direct(w)
-                       for ws in words.values() for w in ws)
+    values = {w: direct(w) for ws in words.values() for w in ws}
+    agreement_ok = all(functor.value_word(w) == value
+                       for w, value in values.items())
     pairs = 0
     functorial_ok = True
     for a in tgt_cat.objects:
@@ -327,7 +335,7 @@ def replacement_functor(f: FunctorData,
                 for w1 in words[(a, b)]:
                     for w2 in words[(b, c)]:
                         lhs = direct(tgt_cat.concat(w1, w2))
-                        rhs = gz_compose(setting.lc_src, direct(w1), direct(w2))
+                        rhs = gz_compose(setting.lc_src, values[w1], values[w2])
                         if lhs != rhs:
                             functorial_ok = False
                         pairs += 1
@@ -698,11 +706,7 @@ def verify_approximation(f: FunctorData,
     for g in rc.cwd.cat.generators:
         rf_hat_gen_map[g.name] = total.gen_values[g.name]
     for name, base_word in lc_rc.fresh_defs.items():
-        i = rc.obj_names.index(base_word.src)
-        j = rc.obj_names.index(base_word.dst)
-        rf_hat_gen_map[name] = total_value(
-            setting, rc, i, j,
-            normalize(setting.rs_tgt, rc.underlying_word(base_word)))
+        rf_hat_gen_map[name] = _lifted_value(setting, rc, base_word)
     for name, inv_name in lc_rc.inv_of.items():
         image = rf_hat_gen_map[name]
         inverse = gz_inverse(lc_src, image)

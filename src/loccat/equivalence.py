@@ -10,6 +10,11 @@ Relative fullness asks every 2-arrow to have a fill, relative
 faithfulness asks for at most one, relative density asks every target
 object to admit a replacement.  All three are decided by bounded
 enumeration of the finitely presented hom-sets.
+
+Each :class:`GzSetting` keeps a fill table: :func:`solve_fill` solves a
+2-arrow once and answers it from the table after that, so the fill
+survey and every later value of the replacement functors share one
+solution per arrow.
 """
 
 from __future__ import annotations
@@ -76,7 +81,15 @@ class CheckReport:
 
 @dataclass
 class GzSetting:
-    """Completed and localised data for one functor, built once."""
+    """Completed and localised data for one functor, built once.
+
+    It also owns the tables its queries fill: the fill table maps each
+    solved :class:`STwoArrow` to its fills (see :func:`solve_fill`),
+    and the total values map ``(triple, triple, word)`` to the unique
+    fill :func:`loccat.approximation.total_value` found.  Only results
+    are stored, so a query that raised raises again on every call.
+    None of them takes part in equality or ``repr``.
+    """
 
     f: FunctorData
     limits: ResourceLimits
@@ -87,6 +100,10 @@ class GzSetting:
     lc_tgt: LocalisedCategory
     gz_f: FunctorData
     _survey: tuple | None = field(default=None, init=False, repr=False)
+    _fills: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _total_values: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @property
     def decidability_status(self) -> str:
@@ -135,15 +152,19 @@ def solve_fill(setting: GzSetting, arrow: STwoArrow) -> tuple[PathWord, ...]:
     """All localised ``phi: x -> x_prime`` with ``loc g = (GZ F) phi . loc b``.
 
     Returned in shortlex order of the localised source presentation.
+    Solved once per setting; later calls read the setting's fill table.
     """
+    fills = setting._fills.get(arrow)
+    if fills is not None:
+        return fills
     lhs = loc_map(setting.lc_tgt, arrow.g)
     loc_b = loc_map(setting.lc_tgt, arrow.b)
-    fills = []
-    for phi in homset(setting.lc_src.rs, arrow.x, arrow.x_prime, setting.limits):
-        value = gz_compose(setting.lc_tgt, setting.gz_f.apply_word(phi), loc_b)
-        if value == lhs:
-            fills.append(phi)
-    return tuple(fills)
+    fills = tuple(
+        phi for phi in homset(setting.lc_src.rs, arrow.x, arrow.x_prime,
+                              setting.limits)
+        if gz_compose(setting.lc_tgt, setting.gz_f.apply_word(phi), loc_b) == lhs)
+    setting._fills[arrow] = fills
+    return fills
 
 
 def _bounds(limits: ResourceLimits) -> dict:

@@ -178,7 +178,7 @@ def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
     fresh generators to the image of the word they name, and inverse
     generators to the shortlex-least inverse of the image of what they
     invert.  The commuting square with the localisation functors holds
-    on every generator by construction and is asserted.
+    on every generator by construction and is checked.
     """
     gen_map: dict[str, PathWord] = {}
     for g in f.source.cat.generators:
@@ -197,8 +197,9 @@ def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
     ind = FunctorData(source=lc_src.cwd, target=lc_tgt.cwd,
                       object_map=dict(f.object_map), gen_map=gen_map)
     for g in f.source.cat.generators:
-        assert ind.gen_map[g.name] == loc_map(lc_tgt, f.apply_word(
-            f.source.cat.word([g.name]))), "localisation square broken"
+        if ind.gen_map[g.name] != loc_map(lc_tgt, f.apply_word(
+                f.source.cat.word([g.name]))):
+            raise ConstructionError("localisation square broken")
     from .axioms import validate_functor
     problems = validate_functor(ind, lc_src.rs, lc_tgt.rs, limits)
     if problems:
@@ -260,7 +261,7 @@ def zigzag_view(lc: LocalisedCategory, m: GzMorphism) -> ZigzagView:
 
     Fresh composite letters are expanded back to base letters, inverse
     letters become inverted denominator words.  Recomposing the view
-    recovers a word equal to ``m``, which is asserted.
+    recovers a word equal to ``m``, which is checked.
     """
     m = normalize(lc.rs, m)
     inverse_letters = lc.inverse_letters
@@ -298,5 +299,6 @@ def zigzag_view(lc: LocalisedCategory, m: GzMorphism) -> ZigzagView:
                 inv_letter = lc.inv_of[name]
             recomposed = lc.presentation.concat(
                 recomposed, PathWord(w.dst, w.src, (inv_letter,)))
-    assert normalize(lc.rs, recomposed) == m, "zigzag recomposition broken"
+    if normalize(lc.rs, recomposed) != m:
+        raise ConstructionError("zigzag recomposition broken")
     return ZigzagView(src=m.src, dst=m.dst, segments=tuple(segments))

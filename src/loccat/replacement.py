@@ -192,16 +192,28 @@ class ReplacementCategory:
 
     def __post_init__(self):
         self._lookup = {meta: name for name, meta in self.lift_meta.items()}
-        self._canonical = {}
+        over: dict[str, list[int]] = {}
+        self._triple_pos: dict[SReplacement, int] = {}
         for idx, t in enumerate(self.triples):
-            self._canonical.setdefault(t.target, idx)
+            over.setdefault(t.target, []).append(idx)
+            self._triple_pos.setdefault(t, idx)
+        self._over = {y: tuple(idxs) for y, idxs in over.items()}
+        self._canonical = {y: idxs[0] for y, idxs in over.items()}
         self._obj_pos = {name: idx for idx, name in enumerate(self.obj_names)}
 
     def index_of(self, rep: SReplacement) -> int:
-        return self.triples.index(rep)
+        """Position of ``rep`` among the triples; ``ValueError`` if absent."""
+        idx = self._triple_pos.get(rep)
+        if idx is None:
+            raise ValueError(f"{rep!r} is not a replacement triple")
+        return idx
+
+    def object_index(self, name: str) -> int:
+        """Position of the object named ``name`` among the triples."""
+        return self._obj_pos[name]
 
     def triples_over(self, y: str) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.triples) if t.target == y)
+        return self._over.get(y, ())
 
     def canonical_over(self, y: str) -> int:
         if y not in self._canonical:
@@ -218,7 +230,9 @@ class ReplacementCategory:
         return PathWord(y_src, y_dst, tuple(letters))
 
     def lift_word(self, w: PathWord, i: int, j: int) -> PathWord:
-        assert self.triples[i].target == w.src and self.triples[j].target == w.dst
+        if self.triples[i].target != w.src or self.triples[j].target != w.dst:
+            raise ConstructionError(
+                f"word does not run between the objects under triples {i} and {j}")
         return _route_lift(self.functor.target.cat, self.obj_names,
                            self._lookup, self._canonical, w, i, j)
 
@@ -404,7 +418,7 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
     replacement category, together with the comparison transformation
     from ``C_R`` after the forgetful functor to the identity, whose
     components are lifted identities.  The forgetful functor after
-    ``C_R`` is the identity of the target on the nose, asserted here.
+    ``C_R`` is the identity of the target on the nose, checked here.
     """
     validate_choice(rc, choice)
     tgt_cat = rc.functor.target.cat
@@ -421,10 +435,12 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
     u = forgetful(rc)
     round_trip = c_r.then(u)
     ident = identity_functor(rc.functor.target)
-    assert round_trip.object_map == ident.object_map, "U after C_R moves objects"
+    if round_trip.object_map != ident.object_map:
+        raise ConstructionError("U after C_R moves objects")
     for g in tgt_cat.generators:
-        assert round_trip.gen_map[g.name].letters == (g.name,), \
-            "U after C_R is not the identity on generators"
+        if round_trip.gen_map[g.name].letters != (g.name,):
+            raise ConstructionError(
+                "U after C_R is not the identity on generators")
 
     components: dict[str, PathWord] = {}
     for i, t in enumerate(rc.triples):
@@ -447,7 +463,7 @@ def canonical_lift(f: FunctorData, rc: ReplacementCategory,
     """The lift ``X`` to ``(F X, X, identity)`` into the replacement category.
 
     Requires every identity at an image object to be a denominator.
-    The forgetful functor after the lift equals ``f``, asserted here.
+    The forgetful functor after the lift equals ``f``, checked here.
     """
     ok, witness = has_all_trivial(f, rs_tgt, limits)
     if not ok:
@@ -471,9 +487,12 @@ def canonical_lift(f: FunctorData, rc: ReplacementCategory,
         gen_map=gen_map)
     round_trip = lift.then(forgetful(rc))
     for x in src_cat.objects:
-        assert round_trip.object_map[x] == f.object_map[x]
+        if round_trip.object_map[x] != f.object_map[x]:
+            raise ConstructionError(
+                f"forgetful after canonical lift moves object {x!r}")
     for g in src_cat.generators:
-        assert equal(rs_tgt, round_trip.gen_map[g.name],
-                     f.apply_word(src_cat.word([g.name]))), \
-            "forgetful after canonical lift differs from the functor"
+        if not equal(rs_tgt, round_trip.gen_map[g.name],
+                     f.apply_word(src_cat.word([g.name]))):
+            raise ConstructionError(
+                "forgetful after canonical lift differs from the functor")
     return lift

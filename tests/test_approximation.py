@@ -1,14 +1,19 @@
 """The componentwise approximation-theorem verifier."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
 import corpus
-from loccat import (DEFAULT_LIMITS, PreconditionError, auto_choice,
-                    build_replacement_category, choice_independence,
-                    load_choice, total_replacement_functor, total_value,
-                    verify_approximation)
+from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
+                    ConstructionError, DenomSet, FunctorData, GenArrow,
+                    PathWord, PreconditionError, Relation, auto_choice,
+                    build_replacement_category, choice_independence, homset,
+                    load_choice, prepare, total_replacement_functor,
+                    total_value, verify_approximation)
+from loccat import approximation, equivalence
 
 SECTION_NAMES = ["preconditions", "total_functor", "shortening",
                  "denominator_values", "choice", "choice_functor",
@@ -60,6 +65,83 @@ class TestTotalFunctor:
         tgt = s.f.target.cat
         w = tgt.word(["v_left", "h_bot"])
         assert total_value(s, rc, 0, 3, w) == total_value(s, rc, 0, 3, w)
+
+
+def ladder(n):
+    """E7 made longer: the free top row ``x0 -> .. -> xn`` included in the
+    grid ``[n] x [1]`` with squares ``h_i . v_i = v_{i-1} . k_i`` and the
+    verticals ``v_i`` as denominators."""
+    t = [f"t{i}" for i in range(n + 1)]
+    b = [f"b{i}" for i in range(n + 1)]
+    x = [f"x{i}" for i in range(n + 1)]
+    steps = range(1, n + 1)
+    gens = ([GenArrow(f"h{i}", t[i - 1], t[i]) for i in steps]
+            + [GenArrow(f"v{i}", t[i], b[i]) for i in range(n + 1)]
+            + [GenArrow(f"k{i}", b[i - 1], b[i]) for i in steps])
+    squares = [Relation(PathWord(t[i - 1], b[i], (f"h{i}", f"v{i}")),
+                        PathWord(t[i - 1], b[i], (f"v{i - 1}", f"k{i}")))
+               for i in steps]
+    verticals = tuple(PathWord(t[i], b[i], (f"v{i}",)) for i in range(n + 1))
+    target = CatWithDenoms(
+        CatPresentation(tuple(t + b), tuple(gens), tuple(squares)),
+        DenomSet(verticals, True, True))
+    source = CatWithDenoms(
+        CatPresentation(tuple(x), tuple(GenArrow(f"f{i}", x[i - 1], x[i])
+                                        for i in steps), ()),
+        DenomSet((), True, False))
+    return FunctorData(source, target, dict(zip(x, t)),
+                       {f"f{i}": PathWord(t[i - 1], t[i], (f"h{i}",))
+                        for i in steps})
+
+
+class TestFillTables:
+    @pytest.mark.parametrize("f", [corpus.fun("E7"), ladder(3)],
+                             ids=["E7", "L3"])
+    def test_candidates_tried_once_per_arrow(self, monkeypatch, f):
+        # every candidate fill of a 2-arrow costs one gz_compose in
+        # solve_fill; a whole run must pay it once per distinct arrow
+        candidates: dict = {}
+        calls = []
+        solve, compose = equivalence.solve_fill, equivalence.gz_compose
+
+        def counted_solve(setting, arrow):
+            candidates[arrow] = len(homset(setting.lc_src.rs, arrow.x,
+                                           arrow.x_prime, setting.limits))
+            return solve(setting, arrow)
+
+        def counted_compose(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(equivalence, "solve_fill", counted_solve)
+        monkeypatch.setattr(approximation, "solve_fill", counted_solve)
+        monkeypatch.setattr(equivalence, "gz_compose", counted_compose)
+        assert verify_approximation(f, DEFAULT_LIMITS).ok
+        assert candidates
+        assert len(calls) == sum(candidates.values())
+
+    def test_failed_total_value_raises_again(self):
+        # E3 sends f1 and f2 both to g, so the value at g has two fills
+        s = prepare(corpus.fun("E3"), DEFAULT_LIMITS)
+        rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt,
+                                        DEFAULT_LIMITS)
+        g = s.f.target.cat.word(["g"])
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="got 2"):
+                total_value(s, rc, 0, 1, g)
+
+    def test_setting_freed_after_verify(self, monkeypatch):
+        refs = []
+
+        def recorded(*args):
+            setting = prepare(*args)
+            refs.append(weakref.ref(setting))
+            return setting
+
+        monkeypatch.setattr(approximation, "prepare", recorded)
+        assert verify_approximation(corpus.fun("E7"), DEFAULT_LIMITS).ok
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
 
 
 class TestShortening:

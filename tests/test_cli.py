@@ -1,8 +1,10 @@
 """The command-line interface: exit codes, report shape, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +206,14 @@ class TestDeterminism:
         assert runs[0].stdout
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode
+
+    def test_no_assert_statement_in_package(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "loccat"
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestLimitsProfile:

@@ -116,6 +116,18 @@ class TestReplacementCategory:
             "(br|x1|v_right)", "(z|x0|v_left·s)")
         assert rc.triples_over("bl") == (2, 3)
 
+    def test_lookups_match_positions(self):
+        s, rc = rc_for("E7b")
+        for i, (t, name) in enumerate(zip(rc.triples, rc.obj_names)):
+            assert rc.index_of(t) == i
+            assert rc.object_index(name) == i
+        for y in s.f.target.cat.objects:
+            assert rc.triples_over(y) == tuple(
+                i for i, t in enumerate(rc.triples) if t.target == y)
+        missing = SReplacement("bl", "x1", s.f.target.cat.identity("bl"))
+        with pytest.raises(ValueError):
+            rc.index_of(missing)
+
     def test_completion_of_lifted_presentation(self):
         for name in ("E2", "E5", "E7", "E7b"):
             _, rc = rc_for(name)
