@@ -209,15 +209,16 @@ def cmd_check(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict, i
     if kind == "category":
         cwd = load_cat(args.path)
         rs = complete(cwd.cat, limits)
+        dec = DenomDecider(cwd, rs, limits)
         if which == "multiplicative":
-            verdict, witness = check_multiplicative(cwd, rs, limits)
+            verdict, witness = check_multiplicative(cwd, rs, limits, decider=dec)
             details: dict = {}
         elif which == "isosaturated":
-            verdict, witness = check_isosaturated(cwd, rs, limits)
+            verdict, witness = check_isosaturated(cwd, rs, limits, decider=dec)
             details = {}
         else:
-            mult, w_mult = check_multiplicative(cwd, rs, limits)
-            iso, w_iso = check_isosaturated(cwd, rs, limits)
+            mult, w_mult = check_multiplicative(cwd, rs, limits, decider=dec)
+            iso, w_iso = check_isosaturated(cwd, rs, limits, decider=dec)
             verdict = mult and iso
             witness = w_mult if w_mult is not None else w_iso
             details = {"multiplicative": mult, "isosaturated": iso}

@@ -272,10 +272,8 @@ def zigzag_view(lc: LocalisedCategory, m: GzMorphism) -> ZigzagView:
     for letter in m.letters:
         if letter in inverse_letters:
             inverted = lc.inverted_word(letter)
-            fwd_word = lc.base.cat.word(forward) if forward \
-                else lc.base.cat.identity(fwd_src)
             fwd_word = lc.expand_fresh(PathWord(fwd_src, inverted.dst,
-                                                fwd_word.letters))
+                                                tuple(forward)))
             segments.append(ZigzagSegment(forward=fwd_word, inverted=inverted))
             forward = []
             fwd_src = inverted.src

@@ -18,6 +18,13 @@ so ``(len(s), s)`` orders encoded words exactly as shortlex orders their
 letters.  Completion runs on encoded words from end to end and decodes
 only the final rules.
 
+Completion keeps a lazy pair queue: a critical pair is dropped before
+its sides are normalised once one of its two rules has left the system
+(interreduction sent the rule back to the queue as an equation).  Only
+the critical pairs of rules that stay are needed (Huet, *A complete
+proof of correctness of the Knuth-Bendix completion algorithm*, 1981),
+so a run that completes yields the same unique reduced system.
+
 Completion and :class:`RewriteSystem` rewrite with one matcher,
 :class:`RuleIndex`.  Its strategy is fixed: the leftmost position and,
 there, the first rule in list order.  Since completion's path depends
@@ -216,12 +223,12 @@ def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
 def _critical_pairs(r1: tuple, r2: tuple):
     """Peaks where the left hand sides of ``r1`` and ``r2`` overlap.
 
-    Rules are encoded ``(lhs, rhs, src, dst)``.  Yields
+    Rules are encoded ``(lhs, rhs, src, dst, id)``.  Yields
     ``(left, right, src, dst)``: the peak runs from ``src`` to ``dst``
     and rewrites to ``left`` via ``r1`` and to ``right`` via ``r2``.
     """
-    a, a_rhs, src, dst = r1
-    b, b_rhs, _, b_dst = r2
+    a, a_rhs, src, dst, _ = r1
+    b, b_rhs, _, b_dst, _ = r2
     # nonempty proper suffix of a equals prefix of b: the peak a + b[k:]
     # starts where a starts and ends where b ends
     for k in range(1, min(len(a), len(b))):
@@ -235,27 +242,43 @@ def _critical_pairs(r1: tuple, r2: tuple):
 
 
 def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> RewriteSystem:
-    """Run Knuth-Bendix completion on the relations of ``p``."""
+    """Run Knuth-Bendix completion on the relations of ``p``.
+
+    Each rule gets an id when it is added.  A critical pair carries the
+    ids of its two rules and is dropped, unnormalised, once either rule
+    has left the system.  That is sound: a rule leaves only when a newer
+    rule rewrites its left side, its own equation goes back to the
+    queue, and only the critical pairs of rules that stay are needed
+    (Huet 1981).  For a fixed order the reduced complete system is
+    unique, so a run that completes yields the same rules either way;
+    a run stopped by ``max_rules`` may stop at another rule set.
+    """
     code, names = _alphabet(p)
     counter = itertools.count()
     heap: list = []
 
-    def push(u: str, v: str, src: str, dst: str):
+    # relations and requeued rules carry rule ids -1 and are never dropped
+    def push(u: str, v: str, src: str, dst: str, id1: int = -1, id2: int = -1):
         ku, kv = (len(u), u), (len(v), v)
-        heapq.heappush(heap, ((max(ku, kv), min(ku, kv)), next(counter), u, v, src, dst))
+        heapq.heappush(heap, ((max(ku, kv), min(ku, kv)), next(counter),
+                              u, v, src, dst, id1, id2))
 
     for rel in p.relations:
         push(_encode(code, rel.lhs.letters), _encode(code, rel.rhs.letters),
              rel.lhs.src, rel.lhs.dst)
 
-    # encoded (lhs, rhs, src, dst); endpoints carried explicitly since
+    # encoded (lhs, rhs, src, dst, id); endpoints carried explicitly since
     # rewriting preserves them
     rules: list[tuple] = []
+    rule_ids = itertools.count()
+    live: set[int] = set()
     index = RuleIndex(())
     status = COMPLETE
 
     while heap:
-        _, _, u, v, src, dst = heapq.heappop(heap)
+        _, _, u, v, src, dst, id1, id2 = heapq.heappop(heap)
+        if id1 >= 0 and (id1 not in live or id2 not in live):
+            continue
         u = index.normal_form(u)
         v = index.normal_form(v)
         if u == v:
@@ -268,21 +291,25 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         if len(rules) >= limits.max_rules:
             status = BOUNDED_INCOMPLETE
             break
-        new_rule = (u, v, src, dst)
+        new_id = next(rule_ids)
+        live.add(new_id)
+        new_rule = (u, v, src, dst, new_id)
 
         # interreduce: rules whose lhs contains u go back to the queue,
-        # right hand sides are kept normal.  Each one is normal for the
-        # rules before u came, so only one that contains u can reduce.
+        # right hand sides are kept normal (a rule keeps its id, as its
+        # lhs is unchanged).  Each one is normal for the rules before u
+        # came, so only one that contains u can reduce.
         kept = [new_rule]
         requeued = []
         for old in rules:
             (requeued if u in old[0] else kept).append(old)
-        kept_index = RuleIndex((lhs, rhs) for lhs, rhs, _, _ in kept)
-        rules = [(lhs, kept_index.normal_form(rhs) if u in rhs else rhs, s, d)
-                 for lhs, rhs, s, d in kept]
-        index = RuleIndex((lhs, rhs) for lhs, rhs, _, _ in rules)
-        for old in requeued:
-            push(*old)
+        kept_index = RuleIndex((lhs, rhs) for lhs, rhs, *_ in kept)
+        rules = [(lhs, kept_index.normal_form(rhs) if u in rhs else rhs, s, d, i)
+                 for lhs, rhs, s, d, i in kept]
+        index = RuleIndex((lhs, rhs) for lhs, rhs, *_ in rules)
+        for lhs, rhs, s, d, i in requeued:
+            live.remove(i)
+            push(lhs, rhs, s, d)
 
         for i, other in enumerate(rules):
             pairs = _critical_pairs(new_rule, other)
@@ -290,12 +317,12 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
                 pairs = itertools.chain(pairs, _critical_pairs(other, new_rule))
             for left, right, s, d in pairs:
                 if left != right:
-                    push(left, right, s, d)
+                    push(left, right, s, d, new_id, other[4])
 
     rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
     return RewriteSystem(presentation=p, status=status, rules=tuple(
         RewriteRule(PathWord(s, d, _decode(names, lhs)), PathWord(s, d, _decode(names, rhs)))
-        for lhs, rhs, s, d in rules))
+        for lhs, rhs, s, d, _ in rules))
 
 
 def _reachable_normal_forms(rs: RewriteSystem, x: str,

@@ -3,11 +3,12 @@
 import pytest
 
 import corpus
-from loccat import (COMPLETE, ConstructionError, DenomDecider, FunctorData,
-                    PathWord, TransformationData, equal, find_inverse,
-                    gz_compose, gz_identity, gz_inverse, homset,
+from loccat import (COMPLETE, CatPresentation, CatWithDenoms,
+                    ConstructionError, DenomDecider, DenomSet, FunctorData,
+                    GenArrow, PathWord, TransformationData, complete, equal,
+                    find_inverse, gz_compose, gz_identity, gz_inverse, homset,
                     induced_functor, induced_transformation, loc_map,
-                    normalize)
+                    localise, normalize)
 from loccat.gz import zigzag_view
 
 # Localised hom-set cardinalities frozen from the brute-force oracle
@@ -180,6 +181,20 @@ class TestZigzag:
         assert zv.render() == "(d·e)^-1"
         zv2 = zigzag_view(lc, PathWord("b", "b", ("e", "⟨d·e⟩^-1", "d")))
         assert zv2.render() == "e · (d·e)^-1 · d"
+
+    def test_fresh_letter_before_inverse_letter(self):
+        # the forward segment before an inverse letter may hold a fresh
+        # letter, which is no base generator
+        p = CatPresentation(("a", "b", "c"), (
+            GenArrow("d", "a", "b"), GenArrow("e", "b", "c"),
+            GenArrow("s", "a", "c")), ())
+        c = CatWithDenoms(p, DenomSet((PathWord("a", "c", ("d", "e")),
+                                       PathWord("a", "c", ("s",))), True, True))
+        lc = localise(c, complete(p))
+        zv = zigzag_view(lc, PathWord("a", "a", ("⟨d·e⟩", "s^-1")))
+        assert zv.render() == "d·e · (s)^-1"
+        zv2 = zigzag_view(lc, PathWord("c", "c", ("s^-1", "⟨d·e⟩")))
+        assert zv2.render() == "(s)^-1 · d·e"
 
     def test_identity_renders_as_identity(self):
         lc = corpus.lc("E5")
