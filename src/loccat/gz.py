@@ -8,13 +8,23 @@ generators of their own: their inverses are composites of the factor
 inverses.  Words whose normal form is an identity are already
 invertible and are elided.
 
+Completion also gets one seeded relation ``w^-1 = v`` for each inverted
+word ``w`` that already has an inverse ``v`` in the base, as every
+element of a group does.  It follows from the others
+(``w^-1 = v·w·w^-1 = v``), so the congruence is unchanged, and for a
+fixed order the reduced complete system is unique (Book and Otto,
+*String-Rewriting Systems*, 1993): a run that completes yields the same
+rules, without rediscovering ``v`` through critical pairs.  The seeds
+are for completion only; ``lc.cwd`` and ``lc.rs.presentation`` hold the
+unseeded presentation.
+
 Every morphism of the localised category is a zigzag: an alternating
 composite of forward base words and inverted denominators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .presentation import (
     CatPresentation,
@@ -23,6 +33,7 @@ from .presentation import (
     DenomSet,
     FunctorData,
     GenArrow,
+    LimitExceeded,
     PathWord,
     Relation,
     TransformationData,
@@ -93,23 +104,68 @@ def _fresh_name(stem: str, taken: set[str]) -> str:
     return name
 
 
+def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, PathWord],
+                   limits: ResourceLimits) -> tuple[Relation, ...]:
+    """``w^-1 = v`` for each inverted base word ``w`` with a base inverse ``v``.
+
+    ``inverted`` maps inverse letters to the words they invert.  A word
+    whose source cannot be reached from its target in the generator
+    graph has an empty hom-set back, so its search is skipped; a search
+    that exceeds ``limits`` seeds nothing.
+    """
+    out: dict[str, list[str]] = {}
+    for g in rs_base.presentation.generators:
+        out.setdefault(g.src, []).append(g.dst)
+    reach: dict[str, set[str]] = {}
+    seeded: list[Relation] = []
+    for inv_name, w in inverted.items():
+        if w.dst not in reach:
+            seen, todo = {w.dst}, [w.dst]
+            while todo:
+                for y in out.get(todo.pop(), ()):
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            reach[w.dst] = seen
+        if w.src not in reach[w.dst]:
+            continue
+        try:
+            v = find_inverse(rs_base, w, limits)
+        except LimitExceeded:
+            continue
+        if v is not None:
+            seeded.append(Relation(PathWord(w.dst, w.src, (inv_name,)), v))
+    return tuple(seeded)
+
+
 def localise(c: CatWithDenoms, rs_base: RewriteSystem,
              limits: ResourceLimits = DEFAULT_LIMITS) -> LocalisedCategory:
-    """Present the localisation of ``c`` and complete its rewriting system."""
+    """Present the localisation of ``c`` and complete its rewriting system.
+
+    Completion runs on the presentation plus one seeded relation
+    ``w^-1 = v`` for each inverted word ``w`` with an inverse ``v`` in
+    the base (``_base_inverses``).  It follows from ``w·w^-1 = 1`` and
+    ``v·w = 1``, so the congruence, and for a completed run the unique
+    reduced system, are those of the unseeded presentation, which
+    ``lc.cwd`` and ``lc.rs.presentation`` hold.
+    """
     cat = c.cat
     decider = DenomDecider(c, rs_base, limits)
     taken = {g.name for g in cat.generators}
 
     inv_of: dict[str, str] = {}
+    inverted: dict[str, PathWord] = {}
     fresh_defs: dict[str, PathWord] = {}
     inverse_gens: list[GenArrow] = []
     fresh_gens: list[GenArrow] = []
     fresh_relations: list[Relation] = []
     invert_relations: list[Relation] = []
 
-    def add_inverse(name: str, src: str, dst: str):
+    def add_inverse(name: str, w: PathWord):
+        src, dst = w.src, w.dst
         inv_name = _fresh_name(f"{name}^-1", taken)
         inv_of[name] = inv_name
+        inverted[inv_name] = w
         inverse_gens.append(GenArrow(inv_name, dst, src))
         invert_relations.append(Relation(
             PathWord(src, src, (name, inv_name)), PathWord(src, src, ())))
@@ -119,7 +175,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem,
     for g in cat.generators:
         w = PathWord(g.src, g.dst, (g.name,))
         if decider.is_denominator(w) and not normalize(rs_base, w).is_identity_word:
-            add_inverse(g.name, g.src, g.dst)
+            add_inverse(g.name, w)
 
     # one fresh generator per distinct composite explicit denominator
     composite_nfs: list[PathWord] = []
@@ -135,14 +191,16 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem,
         fresh_defs[name] = nf
         fresh_gens.append(GenArrow(name, nf.src, nf.dst))
         fresh_relations.append(Relation(nf, PathWord(nf.src, nf.dst, (name,))))
-        add_inverse(name, nf.src, nf.dst)
+        add_inverse(name, nf)
 
     ext = CatPresentation(
         objects=cat.objects,
         generators=cat.generators + tuple(fresh_gens) + tuple(inverse_gens),
         relations=cat.relations + tuple(fresh_relations) + tuple(invert_relations),
     )
-    rs = complete(ext, limits)
+    seeded = _base_inverses(rs_base, inverted, limits)
+    rs = complete(replace(ext, relations=ext.relations + seeded), limits)
+    rs = replace(rs, presentation=ext)
     cwd = CatWithDenoms(ext, DenomSet((), True, True))
     return LocalisedCategory(base=c, cwd=cwd, rs=rs, inv_of=inv_of,
                              fresh_defs=fresh_defs, limits=limits)

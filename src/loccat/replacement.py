@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .gz import _fresh_name
 from .presentation import (
     CatPresentation,
     CatWithDenoms,
@@ -128,14 +129,6 @@ def compose_replacement(g: FunctorData, outer: SReplacement, inner: SReplacement
                               "letters": list(composite_q.letters)}})
     return SReplacement(target=outer.target, source=inner.source,
                         q=normalize(rs_outer_tgt, composite_q))
-
-
-def _fresh_name(stem: str, taken: set[str]) -> str:
-    name = stem
-    while name in taken:
-        name += "'"
-    taken.add(name)
-    return name
 
 
 def _route_lift(tgt_cat: CatPresentation, obj_names: tuple[str, ...],

@@ -131,6 +131,15 @@ class TestCheck:
                              corpus.cat_path("E2"))
         assert code == 2
 
+    def test_seeded_inverse_decides_at_two_rules(self, capsys):
+        # E5 is d.d = 1: with the seeded d^-1 = d its localisation
+        # completes within two rules, so the verdict is decided
+        code, rep = run_json(capsys, "check", "s-faithful", corpus.fun_path("E5"),
+                             "--limits-rules", "2")
+        assert code == 0
+        assert rep["result"]["verdict"] is True
+        assert rep["result"]["decidability_status"] == "complete"
+
     def test_bounds_recorded_in_report(self, capsys):
         code, rep = run_json(capsys, "check", "s-dense", E2_FUN,
                              "--limits-word-len", "12")

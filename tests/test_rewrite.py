@@ -16,7 +16,9 @@ from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     ResourceLimits, RewriteRule, ValidationError, complete,
                     equal, find_inverse, homset, is_isomorphism, localise,
                     normalize)
+from loccat import rewrite
 from loccat.rewrite import RuleIndex
+from test_approximation import ladder
 
 TIGHT = ResourceLimits(max_word_len=4, max_rules=3, max_homset=4)
 
@@ -35,11 +37,29 @@ def dihedral(n: int) -> CatPresentation:
     return monoid("ab", [("a" * n, ""), ("bb", ""), ("bab", "a" * (n - 1))])
 
 
+def dihedral_denoms(n: int) -> CatWithDenoms:
+    """``D_n`` with ``a`` its denominator generator."""
+    return CatWithDenoms(dihedral(n), DenomSet((PathWord("o", "o", ("a",)),),
+                                               True, True))
+
+
 def localised_dihedral(n: int) -> CatPresentation:
     """``D_n`` with ``a`` inverted."""
-    p = dihedral(n)
-    c = CatWithDenoms(p, DenomSet((PathWord("o", "o", ("a",)),), True, True))
-    return localise(c, complete(p)).presentation
+    c = dihedral_denoms(n)
+    return localise(c, complete(c.cat)).presentation
+
+
+def count_normal_forms(monkeypatch) -> list:
+    """From now on, every ``RuleIndex.normal_form`` call's argument."""
+    calls = []
+    normal_form = RuleIndex.normal_form
+
+    def counted(index, s):
+        calls.append(s)
+        return normal_form(index, s)
+
+    monkeypatch.setattr(RuleIndex, "normal_form", counted)
+    return calls
 
 
 # the completions of the braid and the partially commutative monoid do
@@ -119,17 +139,59 @@ class TestCompletion:
     def test_dead_pairs_not_normalised(self, monkeypatch):
         # a critical pair is dropped unread once one of its rules has
         # left the system: 2,083 normalisations here instead of 5,361
-        calls = []
-        normal_form = RuleIndex.normal_form
-
-        def counted(index, s):
-            calls.append(s)
-            return normal_form(index, s)
-
-        monkeypatch.setattr(RuleIndex, "normal_form", counted)
+        calls = count_normal_forms(monkeypatch)
         rs = complete(dihedral(33), ResourceLimits(max_word_len=34))
         assert rs.status == COMPLETE
         assert len(calls) < 2500
+
+    @pytest.mark.parametrize("name", [*corpus.CAT_NAMES,
+                                      *(f"D{n}" for n in range(3, 17))])
+    def test_seeded_localisation_same_rules(self, name):
+        # a seeded w^-1 = v follows from the other relations, so the
+        # localisation completes to the system of the unseeded presentation
+        if name in corpus.CAT_NAMES:
+            c, bounds = corpus.cat(name), {4, 8, 16}
+        else:
+            n = int(name[1:])
+            c, bounds = dihedral_denoms(n), {4, 8, 16, n + 1}
+        compared = 0
+        for word_len in sorted(bounds):
+            limits = ResourceLimits(max_word_len=word_len, max_rules=512)
+            try:
+                lc = localise(c, complete(c.cat, limits), limits)
+            except LimitExceeded:
+                continue
+            want = complete(lc.presentation, limits)
+            assert (lc.rs.rules, lc.rs.status) == (want.rules, want.status), limits
+            assert lc.rs.presentation == lc.presentation
+            compared += 1
+        assert compared
+
+    def test_seeded_inverse_not_rediscovered(self, monkeypatch):
+        # localised D16 starts from a^-1 = a^15: 745 normalisations
+        # instead of 7,544 without the seed
+        c = dihedral_denoms(16)
+        limits = ResourceLimits(max_word_len=17)
+        rs = complete(c.cat, limits)
+        calls = count_normal_forms(monkeypatch)
+        assert localise(c, rs, limits).rs.status == COMPLETE
+        assert len(calls) < 1500
+
+    def test_no_inverse_search_without_a_way_back(self, monkeypatch):
+        # no morphism leads from a bottom object of a ladder back up, so
+        # no vertical has an inverse to find and no hom-set is enumerated
+        f = ladder(4)
+        rs = complete(f.target.cat)
+        starts = []
+        reachable = rewrite._reachable_normal_forms
+
+        def recorded(rs, x, limits):
+            starts.append(x)
+            return reachable(rs, x, limits)
+
+        monkeypatch.setattr(rewrite, "_reachable_normal_forms", recorded)
+        assert localise(f.target, rs).rs.status == COMPLETE
+        assert starts == []
 
     @pytest.mark.parametrize("name", ["D6", *corpus.CAT_NAMES])
     def test_truncated_rules_hold(self, name):
