@@ -6,18 +6,20 @@ deterministic text rendering.  Reports carry no timestamps or
 environment data, so identical invocations produce identical bytes.
 
 Exit codes: 0 the checked property holds or the command succeeded,
-1 the property fails (a witness is in the report), 2 invalid input or
-a failed precondition, 3 unreadable input, 4 undecided within the
-resource bounds.
+1 the property fails (a witness is in the report), 2 invalid input, a
+failed precondition or a construction error, 3 unreadable input, 4
+undecided within the resource bounds.  A bad command line is exit 2
+too, with the usage and one ``loccat: error:`` line on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from .approximation import verify_approximation
 from .axioms import (
@@ -37,6 +39,7 @@ from .equivalence import (
 from .fileio import ParseError, load_cat, load_choice, load_functor, _read_json
 from .gz import localise, zigzag_view
 from .presentation import (
+    ConstructionError,
     LimitExceeded,
     PreconditionError,
     ValidationError,
@@ -69,7 +72,7 @@ FUNCTOR_CHECKS = ("s-dense", "s-full", "s-faithful", "s-equivalence",
                   "reflects-denominators")
 
 
-def _limits_from(args: argparse.Namespace) -> ResourceLimits:
+def _limits_from(args: SimpleNamespace) -> ResourceLimits:
     profile_name = os.environ.get("LOCCAT_LIMITS_PROFILE", "default")
     profile = PROFILES.get(profile_name)
     if profile is None:
@@ -125,7 +128,7 @@ def _cat_summary(cwd) -> dict:
     }
 
 
-def cmd_validate(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict, int]:
+def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     rows = []
     all_ok = True
     for path in args.paths:
@@ -151,7 +154,7 @@ def cmd_validate(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict
         EXIT_OK if all_ok else EXIT_INVALID
 
 
-def cmd_localise(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict, int]:
+def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     cwd = load_cat(args.path)
     rs = complete(cwd.cat, limits)
     lc = localise(cwd, rs, limits)
@@ -177,7 +180,7 @@ def cmd_localise(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict
     return {"result": result}, EXIT_OK
 
 
-def cmd_homset(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict, int]:
+def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     cwd = load_cat(args.path)
     rs = complete(cwd.cat, limits)
     if args.src not in cwd.cat.obj_index or args.dst not in cwd.cat.obj_index:
@@ -198,7 +201,7 @@ def cmd_homset(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict, 
     return {"result": result}, EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict, int]:
+def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     kind = _sniff_kind(args.path)
     which = args.which
     if which in CATEGORY_CHECKS and kind != "category":
@@ -243,12 +246,12 @@ def cmd_check(args: argparse.Namespace, limits: ResourceLimits) -> tuple[dict, i
     return {"result": report}, EXIT_OK if report["verdict"] else EXIT_FALSE
 
 
-def cmd_verify_approximation(args: argparse.Namespace,
+def cmd_verify_approximation(args: SimpleNamespace,
                              limits: ResourceLimits) -> tuple[dict, int]:
     f = load_functor(args.path)
     choice = None
     compare = None
-    sel = args.choice
+    sel = args.choice or ["auto"]
     if sel == ["auto"]:
         pass
     elif len(sel) == 2 and sel[0] == "from-file":
@@ -264,69 +267,226 @@ def cmd_verify_approximation(args: argparse.Namespace,
     return {"result": report.to_json()}, EXIT_OK if report.ok else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--limits-word-len", type=int, default=None,
-                        metavar="N", help="maximum normal form length")
-    common.add_argument("--limits-rules", type=int, default=None,
-                        metavar="N", help="maximum number of rewrite rules")
-    common.add_argument("--limits-homset", type=int, default=None,
-                        metavar="N", help="maximum enumerated hom-set size")
-    common.add_argument("--format", choices=["json", "text"], default="json")
-
-    parser = argparse.ArgumentParser(
-        prog="loccat",
-        description="Localisation of finitely presented categories with "
-                    "denominators, with replacement machinery checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate category and functor files")
-    p.add_argument("paths", nargs="+")
-
-    p = sub.add_parser("localise", parents=[common],
-                       help="present the localisation of a category")
-    p.add_argument("path")
-
-    p = sub.add_parser("homset", parents=[common],
-                       help="enumerate a hom-set, base or localised")
-    p.add_argument("path")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
-    p.add_argument("--localised", action="store_true")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="run a named decidable check")
-    p.add_argument("which", choices=CATEGORY_CHECKS + FUNCTOR_CHECKS)
-    p.add_argument("path")
-
-    p = sub.add_parser("verify-approximation", parents=[common],
-                       help="verify the approximation theorem componentwise")
-    p.add_argument("path")
-    p.add_argument("--choice", nargs="+", default=["auto"],
-                   metavar=("auto|from-file", "PATH"))
-    p.add_argument("--experimental-no-mult", action="store_true")
-    return parser
-
-
-HANDLERS = {
-    "validate": cmd_validate,
-    "localise": cmd_localise,
-    "homset": cmd_homset,
-    "check": cmd_check,
-    "verify-approximation": cmd_verify_approximation,
+# The command-line grammar.  Each command lists its positionals and its
+# options in order; every command also takes COMMON_OPTIONS.  A spec may
+# give "type" ("bound", a non-negative integer; "flag", no value;
+# "words", one or more values; default one string), "choices",
+# "required", "default", "metavar" and "help".  A positional's field is
+# its name, an option's field its flag without dashes, "-" read as "_".
+COMMON_OPTIONS = {
+    "--limits-word-len": {"type": "bound", "metavar": "N",
+                          "help": "maximum normal form length"},
+    "--limits-rules": {"type": "bound", "metavar": "N",
+                       "help": "maximum number of rewrite rules"},
+    "--limits-homset": {"type": "bound", "metavar": "N",
+                        "help": "maximum enumerated hom-set size"},
+    "--format": {"choices": ("json", "text"), "default": "json",
+                 "help": "report format"},
 }
+
+GRAMMAR = {
+    "validate": {
+        "help": "validate category and functor files",
+        "run": cmd_validate,
+        "positionals": {"paths": {"type": "words"}},
+        "options": {},
+    },
+    "localise": {
+        "help": "present the localisation of a category",
+        "run": cmd_localise,
+        "positionals": {"path": {}},
+        "options": {},
+    },
+    "homset": {
+        "help": "enumerate a hom-set, base or localised",
+        "run": cmd_homset,
+        "positionals": {"path": {}},
+        "options": {
+            "--src": {"required": True, "metavar": "X",
+                      "help": "source object"},
+            "--dst": {"required": True, "metavar": "Y",
+                      "help": "target object"},
+            "--localised": {"type": "flag",
+                            "help": "enumerate in the localisation"},
+        },
+    },
+    "check": {
+        "help": "run a named decidable check",
+        "run": cmd_check,
+        "positionals": {
+            "which": {"choices": CATEGORY_CHECKS + FUNCTOR_CHECKS},
+            "path": {},
+        },
+        "options": {},
+    },
+    "verify-approximation": {
+        "help": "verify the approximation theorem componentwise",
+        "run": cmd_verify_approximation,
+        "positionals": {"path": {}},
+        "options": {
+            "--choice": {"type": "words", "metavar": "auto | from-file PATH",
+                         "help": "the choice of replacements (default auto)"},
+            "--experimental-no-mult": {
+                "type": "flag", "help": "skip the multiplicativity gate"},
+        },
+    },
+}
+
+DESCRIPTION = ("Localisation of finitely presented categories with "
+               "denominators, with replacement machinery checks.")
+HELP_FLAGS = ("-h", "--help")
+
+
+def _field(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _shape(name: str, spec: dict) -> str:
+    """How ``name`` is written: a flag, a flag and its value, or a
+    positional's metavariable."""
+    kind = spec.get("type")
+    if name.startswith("--"):
+        if kind == "flag":
+            return name
+        meta = spec.get("metavar") or "|".join(spec.get("choices", ()))
+        return f"{name} {meta or name[2:].upper()}"
+    meta = "|".join(spec["choices"]) if "choices" in spec else name.upper()
+    return f"{meta}..." if kind == "words" else meta
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: loccat {'|'.join(GRAMMAR)} ..."
+    grammar = GRAMMAR[command]
+    parts = [_shape(n, s) for n, s in grammar["positionals"].items()]
+    for name, spec in {**grammar["options"], **COMMON_OPTIONS}.items():
+        parts.append(_shape(name, spec) if spec.get("required")
+                     else f"[{_shape(name, spec)}]")
+    return f"usage: loccat {command} {' '.join(parts)}"
+
+
+def _help(command: str | None) -> str:
+    def rows(options: dict) -> list[str]:
+        return [f"  {_shape(n, s):<24} {s['help']}"
+                + (" (required)" if s.get("required") else "")
+                for n, s in options.items()]
+
+    if command is None:
+        lines = [_usage(None), "", DESCRIPTION, "", "commands:"]
+        for name, grammar in GRAMMAR.items():
+            lines += [f"  {name:<24} {grammar['help']}",
+                      "    " + _usage(name)[len("usage: "):]]
+    else:
+        grammar = GRAMMAR[command]
+        lines = [_usage(command), "", grammar["help"]]
+        if grammar["options"]:
+            lines += ["", "options:", *rows(grammar["options"])]
+    lines += ["", "options of every command:", *rows(COMMON_OPTIONS),
+              f"  {'-h, --help':<24} show this help and exit"]
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(command: str | None, message: str):
+    sys.stderr.write(f"{_usage(command)}\nloccat: error: {message}\n")
+    raise SystemExit(EXIT_INVALID)
+
+
+def _is_option(arg: str) -> bool:
+    # "-" alone and negative numbers are values, so that a negative bound
+    # reaches the bound check instead of reading as an unknown option
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+
+
+def _convert(command: str, name: str, spec: dict, texts: list[str]):
+    for text in texts:
+        if text not in spec.get("choices", (text,)):
+            _usage_error(command, f"argument {name}: invalid choice: "
+                                  f"{text!r} (choose from "
+                                  f"{', '.join(spec['choices'])})")
+    kind = spec.get("type")
+    if kind == "words":
+        return texts
+    text, = texts
+    if kind == "bound":
+        if not text.isdecimal():
+            _usage_error(command, f"argument {name}: expected a "
+                                  f"non-negative integer, got {text!r}")
+        return int(text)
+    return text
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` against GRAMMAR.  Prints help and raises
+    ``SystemExit(0)`` on ``-h``; on bad input writes the usage and an
+    error line to stderr and raises ``SystemExit(2)``."""
+    if not argv or argv[0] in HELP_FLAGS:
+        if argv:
+            sys.stdout.write(_help(None))
+            raise SystemExit(EXIT_OK)
+        _usage_error(None, "a command is required")
+    command, rest = argv[0], argv[1:]
+    grammar = GRAMMAR.get(command)
+    if grammar is None:
+        _usage_error(None, f"invalid command: {command!r} "
+                           f"(choose from {', '.join(GRAMMAR)})")
+    options = {**grammar["options"], **COMMON_OPTIONS}
+    fields = {}
+    for name, spec in options.items():
+        unset = False if spec.get("type") == "flag" else None
+        fields[_field(name)] = spec.get("default", unset)
+    words: list[str] = []
+    i = 0
+    while i < len(rest):
+        arg = rest[i]
+        i += 1
+        if not _is_option(arg):
+            words.append(arg)
+            continue
+        if arg in HELP_FLAGS:
+            sys.stdout.write(_help(command))
+            raise SystemExit(EXIT_OK)
+        name, eq, inline = arg.partition("=")
+        spec = options.get(name)
+        if spec is None:
+            _usage_error(command, f"unrecognized argument: {arg}")
+        if spec.get("type") == "flag":
+            if eq:
+                _usage_error(command, f"argument {name}: takes no value")
+            fields[_field(name)] = True
+            continue
+        texts = [inline] if eq else []
+        while not eq and i < len(rest) and not _is_option(rest[i]) and \
+                (not texts or spec.get("type") == "words"):
+            texts.append(rest[i])
+            i += 1
+        if not texts:
+            _usage_error(command, f"argument {name}: expected a value")
+        fields[_field(name)] = _convert(command, name, spec, texts)
+    missing = [name for name, spec in options.items()
+               if spec.get("required") and fields[_field(name)] is None]
+    for name, spec in grammar["positionals"].items():
+        if not words:
+            missing.append(name)
+            continue
+        take = len(words) if spec.get("type") == "words" else 1
+        fields[name] = _convert(command, name, spec, words[:take])
+        words = words[take:]
+    if missing:
+        _usage_error(command, "the following arguments are required: "
+                              + ", ".join(missing))
+    if words:
+        _usage_error(command, f"unrecognized arguments: {' '.join(words)}")
+    return SimpleNamespace(command=command, **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     fmt = args.format
     command = args.command
     limits = PROFILES["default"]
     try:
         limits = _limits_from(args)
-        payload, code = HANDLERS[command](args, limits)
+        payload, code = GRAMMAR[command]["run"](args, limits)
     except ParseError as e:
         payload = {"error": {"kind": "parse", "message": str(e)}}
         code = EXIT_PARSE
@@ -336,6 +496,9 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_INVALID
     except ValidationError as e:
         payload = {"error": {"kind": "validation", "message": str(e)}}
+        code = EXIT_INVALID
+    except ConstructionError as e:
+        payload = {"error": {"kind": "construction", "message": str(e)}}
         code = EXIT_INVALID
     except LimitExceeded as e:
         payload = {"error": {"kind": "undecided", "bound": e.bound,

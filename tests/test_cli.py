@@ -1,7 +1,9 @@
-"""The command-line interface: exit codes, report shape, determinism."""
+"""The command-line interface: exit codes, report shape, determinism,
+and the argv grammar."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import corpus
-from loccat.cli import main
+from loccat.cli import main, parse_args
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 E2_FUN = corpus.fun_path("E2")
 E6_FUN = corpus.fun_path("E6")
@@ -148,6 +152,19 @@ class TestCheck:
         assert rep["result"]["bounds_used"]["max_word_len"] == 12
 
 
+def test_construction_error_is_a_report(capsys):
+    # a rule bound of 3 leaves the target localisation without an inverse
+    # of F(e); the failure is reported, never a traceback
+    code, rep = run_json(capsys, "verify-approximation", E6_FUN,
+                         "--limits-rules", "3")
+    assert code == 2
+    assert rep["error"] == {
+        "kind": "construction",
+        "message": "image of denominator 'e' has no inverse in the target "
+                   "localisation"}
+    assert "result" not in rep
+
+
 class TestVerifyApproximation:
     def test_passing_run_exits_zero(self, capsys):
         for name in ("E2", "E5", "E7"):
@@ -255,3 +272,189 @@ class TestTextFormat:
         assert code == 0
         lines = out.splitlines()
         assert any(line.startswith("result.verdict") for line in lines)
+
+
+# Every spelling used by the README, the tests and the benchmark
+# workloads, with the handler fields it must yield.
+GRAMMAR_CASES = [
+    (["validate", "a.cat.json"],
+     {"command": "validate", "paths": ["a.cat.json"]}),
+    (["validate", "a.cat.json", "b.fun.json", "--format", "text"],
+     {"paths": ["a.cat.json", "b.fun.json"], "format": "text"}),
+    (["localise", "E5.cat.json"],
+     {"command": "localise", "path": "E5.cat.json", "format": "json",
+      "limits_word_len": None, "limits_rules": None, "limits_homset": None}),
+    (["localise", "E1.cat.json", "--limits-rules", "0"], {"limits_rules": 0}),
+    (["homset", "E7D.cat.json", "--src", "bl", "--dst", "tr", "--localised"],
+     {"command": "homset", "path": "E7D.cat.json", "src": "bl", "dst": "tr",
+      "localised": True}),
+    (["homset", "--src", "tl", "E7bD.cat.json", "--dst", "z",
+      "--limits-rules", "1"],
+     {"path": "E7bD.cat.json", "src": "tl", "dst": "z", "localised": False,
+      "limits_rules": 1}),
+    (["homset", "D8.cat.json", "--src", "o", "--dst", "o", "--localised",
+      "--limits-word-len", "9"],
+     {"localised": True, "limits_word_len": 9}),
+    (["homset", "E5.cat.json", "--src=•", "--dst=•", "--limits-homset=1"],
+     {"src": "•", "dst": "•", "limits_homset": 1}),
+    (["check", "s-faithful", "E3.fun.json"],
+     {"command": "check", "which": "s-faithful", "path": "E3.fun.json"}),
+    (["check", "s-dense", "E2.fun.json", "--limits-word-len", "12"],
+     {"which": "s-dense", "limits_word_len": 12}),
+    (["check", "--format", "text", "axioms", "E6.cat.json"],
+     {"which": "axioms", "path": "E6.cat.json", "format": "text"}),
+    (["verify-approximation", "E7.fun.json"],
+     {"command": "verify-approximation", "path": "E7.fun.json",
+      "choice": None, "experimental_no_mult": False}),
+    (["verify-approximation", "E7.fun.json", "--choice", "auto"],
+     {"choice": ["auto"]}),
+    (["verify-approximation", "E7b.fun.json", "--choice", "from-file",
+      "E7b-alt.choice.json", "--limits-rules", "2"],
+     {"path": "E7b.fun.json", "choice": ["from-file", "E7b-alt.choice.json"],
+      "limits_rules": 2}),
+    (["verify-approximation", "E6.fun.json", "--experimental-no-mult"],
+     {"experimental_no_mult": True}),
+]
+
+
+@pytest.mark.parametrize("argv,fields", GRAMMAR_CASES)
+def test_grammar_spellings(argv, fields):
+    args = vars(parse_args(argv))
+    assert {k: args[k] for k in fields} == fields
+
+
+E5_CAT = corpus.cat_path("E5")
+USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["bogus", E5_CAT],
+    "unknown flag": ["localise", E5_CAT, "--bogus"],
+    "abbreviated flag": ["localise", E5_CAT, "--limits-r", "3"],
+    "missing --src": ["homset", E5_CAT, "--dst", "•"],
+    "non-integer bound": ["localise", E5_CAT, "--limits-rules", "abc"],
+    "negative bound": ["homset", E5_CAT, "--src", "•", "--dst", "•",
+                       "--limits-rules", "-1"],
+    "unknown check": ["check", "bogus", E5_CAT],
+    "unknown format": ["localise", E5_CAT, "--format", "xml"],
+    "validate without a path": ["validate"],
+    "--choice without a value": ["verify-approximation", E6_FUN, "--choice"],
+    "value on a flag": ["homset", E5_CAT, "--src", "•", "--dst", "•",
+                        "--localised=yes"],
+    "extra positional": ["localise", E5_CAT, E5_CAT],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: loccat ")
+    assert [line for line in lines if line.startswith("loccat: error: ")] \
+        == lines[1:2]
+    assert len(lines) == 2
+
+
+def test_zero_bound_is_allowed(capsys):
+    code, rep = run_json(capsys, "homset", E5_CAT, "--src", "•", "--dst", "•",
+                         "--limits-rules", "0")
+    assert code == 4
+    assert rep["limits"]["max_rules"] == 0
+
+
+COMMON_FLAGS = ("--limits-word-len", "--limits-rules", "--limits-homset",
+                "--format")
+COMMAND_WORDS = {
+    "validate": (),
+    "localise": (),
+    "homset": ("--src", "--dst", "--localised"),
+    "check": ("multiplicative", "isosaturated", "axioms", "s-dense",
+              "s-full", "s-faithful", "s-equivalence",
+              "reflects-denominators"),
+    "verify-approximation": ("--choice", "from-file",
+                             "--experimental-no-mult"),
+}
+
+
+def _help_text(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_help_names_every_command_and_option(capsys):
+    out = _help_text(capsys, ["-h"])
+    assert out == _help_text(capsys, ["--help"])
+    for command, words in COMMAND_WORDS.items():
+        for word in (command, *words, *COMMON_FLAGS):
+            assert word in out
+
+
+@pytest.mark.parametrize("command", COMMAND_WORDS)
+def test_command_help(capsys, command):
+    out = _help_text(capsys, [command, "-h"])
+    assert out.startswith(f"usage: loccat {command} ")
+    for word in (*COMMAND_WORDS[command], *COMMON_FLAGS, "--help"):
+        assert word in out
+    others = set(COMMAND_WORDS) - {command}
+    assert not any(f"loccat {other} " in out for other in others)
+
+
+def _run_module(*args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
+
+
+MODULE_PROBE = """
+import contextlib, io, json, sys
+import loccat.cli
+loaded = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [loccat.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - loaded),
+                  "argparse": "argparse" in loaded,
+                  "gettext": "gettext" in loaded}))
+"""
+
+
+def test_commands_import_nothing():
+    # a command that imports a module pays for it in every cold process
+    argvs = [
+        ["validate", corpus.cat_path("E1"), corpus.fun_path("E7")],
+        ["localise", corpus.cat_path("E8")],
+        ["homset", corpus.cat_path("E2"), "--src", "b", "--dst", "a",
+         "--localised", "--format", "text"],
+        ["check", "s-faithful", corpus.fun_path("E3")],
+        ["verify-approximation", corpus.fun_path("E7")],
+    ]
+    proc = _run_module("-c", MODULE_PROBE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 1, 0], "new": [],
+                                       "argparse": False, "gettext": False}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check", "s-full", E2_FUN], 0),
+    (["check", "s-faithful", corpus.fun_path("E3")], 1),
+    (["verify-approximation", E6_FUN, "--limits-rules", "3"], 2),
+    (["localise"], 2),
+    (["validate", str(corpus.FIXTURES / "missing.cat.json")], 3),
+    (["homset", E5_CAT, "--src", "•", "--dst", "•", "--limits-homset", "1"],
+     4),
+], ids=["holds", "fails", "construction", "usage", "unreadable", "undecided"])
+def test_exit_code_through_module(argv, code):
+    proc = _run_module("-m", "loccat.cli", *argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if argv == ["localise"]:
+        assert proc.stdout == ""
+    else:
+        assert json.loads(proc.stdout)["schema"] == "loccat-report/1"
