@@ -38,6 +38,7 @@ from .gz import (
     LocalisedCategory,
     ZigzagSegment,
     ZigzagView,
+    extend_to_localisation,
     gz_compose,
     gz_identity,
     gz_inverse,
@@ -90,6 +91,7 @@ from .rewrite import (
     RewriteRule,
     RewriteSystem,
     complete,
+    denominators,
     equal,
     find_inverse,
     homset,

@@ -38,6 +38,7 @@ from .equivalence import (
 from .gz import (
     GzMorphism,
     LocalisedCategory,
+    extend_to_localisation,
     gz_compose,
     gz_inverse,
     induced_functor,
@@ -59,6 +60,7 @@ from .replacement import (
     build_replacement_category,
     canonical_lift,
     forgetful,
+    has_enough,
     structure_choice_functor,
     validate_choice,
 )
@@ -66,6 +68,7 @@ from .rewrite import (
     COMPLETE,
     DEFAULT_LIMITS,
     ResourceLimits,
+    RewriteSystem,
     equal,
     homset,
     normalize,
@@ -122,10 +125,90 @@ def _lifted_value(setting: GzSetting, rc: ReplacementCategory,
                        normalize(setting.rs_tgt, rc.underlying_word(w)))
 
 
-def total_replacement_functor(f: FunctorData,
-                              limits: ResourceLimits = DEFAULT_LIMITS,
-                              setting: GzSetting | None = None,
-                              rc: ReplacementCategory | None = None
+def _require_fills(setting: GzSetting) -> int:
+    """The number of 2-arrows surveyed; :class:`PreconditionError` with a
+    witness unless each has exactly one fill."""
+    no_fill, ambiguous, arrows = setting.fill_survey()
+    if no_fill is not None:
+        raise PreconditionError("functor is not relatively full",
+                                witness=no_fill)
+    if ambiguous is not None:
+        raise PreconditionError("functor is not relatively faithful",
+                                witness=ambiguous)
+    return arrows
+
+
+def _functor_checks(functor: LocValuedFunctor, rs: RewriteSystem,
+                    limits: ResourceLimits, value) -> tuple[int, bool, int, bool]:
+    """Direct values ``value(w)`` against ``functor``, on every word.
+
+    Each word of each hom-set of the source (completed as ``rs``) must
+    agree with its letterwise composite, and each composable pair must
+    compose.  Returns the words checked, whether they agree, the pairs
+    checked and whether all compose; every check is evaluated.
+    """
+    cat, lc = functor.source.cat, functor.target_lc
+    words = {(a, b): homset(rs, a, b, limits)
+             for a in cat.objects for b in cat.objects}
+    values: dict[PathWord, GzMorphism] = {}
+    agreement_ok = True
+    for ws in words.values():
+        for w in ws:
+            values[w] = value(w)
+            if functor.value_word(w) != values[w]:
+                agreement_ok = False
+    pairs = 0
+    functorial_ok = True
+    for (a, b), firsts in words.items():
+        for c in cat.objects:
+            for w1 in firsts:
+                for w2 in words[(b, c)]:
+                    lhs = value(cat.concat(w1, w2))
+                    if lhs != gz_compose(lc, values[w1], values[w2]):
+                        functorial_ok = False
+                    pairs += 1
+    return len(values), agreement_ok, pairs, functorial_ok
+
+
+def _mutually_inverse(lc: LocalisedCategory, fwd: GzMorphism,
+                      bwd: GzMorphism) -> bool:
+    """Do both composites of ``fwd`` and ``bwd`` reduce to identities?"""
+    composites = gz_compose(lc, fwd, bwd), gz_compose(lc, bwd, fwd)
+    return all(w.is_identity_word for w in composites)
+
+
+def _components(lc: LocalisedCategory, objects, component
+                ) -> tuple[dict[str, GzMorphism], list[dict], bool]:
+    """The components ``component(x)`` of a comparison transformation, by
+    object, with one report row each and whether all are invertible."""
+    comps: dict[str, GzMorphism] = {}
+    rows = []
+    for x in objects:
+        comps[x] = comp = component(x)
+        rows.append({"object": x, "component": word_json(comp),
+                     "invertible": gz_inverse(lc, comp) is not None})
+    return comps, rows, all(row["invertible"] for row in rows)
+
+
+def _squares(lc: LocalisedCategory, arrows, frm, to,
+             comps: dict[str, GzMorphism]) -> tuple[int, bool]:
+    """Naturality of ``comps`` from ``frm`` to ``to`` on each arrow.
+
+    The square at ``a`` (a generator or a word) is
+    ``frm(a) . comps[dst a] = comps[src a] . to(a)`` in ``lc``.  Returns
+    the squares checked and whether all commute; each is evaluated.
+    """
+    count = 0
+    ok = True
+    for a in arrows:
+        lhs = gz_compose(lc, frm(a), comps[a.dst])
+        if lhs != gz_compose(lc, comps[a.src], to(a)):
+            ok = False
+        count += 1
+    return count, ok
+
+
+def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
                               ) -> tuple[LocValuedFunctor, dict]:
     """The fill-valued functor on the replacement category, verified.
 
@@ -135,67 +218,27 @@ def total_replacement_functor(f: FunctorData,
     letterwise composition on every materialized word, and
     functoriality on every composable pair of materialized words.
     """
-    setting = setting or prepare(f, limits)
-    no_fill, ambiguous, arrows = setting.fill_survey()
-    if no_fill is not None:
-        raise PreconditionError("functor is not relatively full",
-                                witness=no_fill)
-    if ambiguous is not None:
-        raise PreconditionError("functor is not relatively faithful",
-                                witness=ambiguous)
-    rc = rc or build_replacement_category(f, setting.rs_src, setting.rs_tgt,
-                                          setting.limits)
+    arrows = _require_fills(setting)
+    gen_values = {name: total_value(setting, rc, i, j, rc.lifted_underlying[name])
+                  for name, (_, i, j) in rc.lift_meta.items()}
+    functor = LocValuedFunctor(
+        source=rc.cwd, target_lc=setting.lc_src,
+        object_map={name: t.source for name, t in zip(rc.obj_names, rc.triples)},
+        gen_values=gen_values)
 
-    object_map = {rc.obj_names[i]: rc.triples[i].source
-                  for i in range(len(rc.triples))}
-    gen_values: dict[str, GzMorphism] = {}
-    for g in rc.cwd.cat.generators:
-        g_name, i, j = rc.lift_meta[g.name]
-        gen_values[g.name] = total_value(setting, rc, i, j,
-                                         rc.lifted_underlying[g.name])
-    functor = LocValuedFunctor(source=rc.cwd, target_lc=setting.lc_src,
-                               object_map=object_map, gen_values=gen_values)
+    identities = [total_value(setting, rc, i, i,
+                              setting.f.target.cat.identity(t.target))
+                  for i, t in enumerate(rc.triples)]
+    identities_ok = all(w.is_identity_word for w in identities)
 
-    identities_ok = True
-    for i in range(len(rc.triples)):
-        value = total_value(setting, rc, i, i,
-                            setting.f.target.cat.identity(rc.triples[i].target))
-        if not value.is_identity_word:
-            identities_ok = False
-
-    n = len(rc.triples)
-    words: dict[tuple[int, int], tuple[PathWord, ...]] = {}
-    for i in range(n):
-        for j in range(n):
-            words[(i, j)] = homset(rc.rs, rc.obj_names[i], rc.obj_names[j],
-                                   setting.limits)
-    agreement = 0
-    agreement_ok = True
-    values: dict[PathWord, GzMorphism] = {}
-    for ws in words.values():
-        for w in ws:
-            values[w] = _lifted_value(setting, rc, w)
-            if functor.value_word(w) != values[w]:
-                agreement_ok = False
-            agreement += 1
-    pairs = 0
-    functorial_ok = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for w1 in words[(i, j)]:
-                    for w2 in words[(j, k)]:
-                        comp = rc.cwd.cat.concat(w1, w2)
-                        lhs = _lifted_value(setting, rc, comp)
-                        rhs = gz_compose(setting.lc_src, values[w1], values[w2])
-                        if lhs != rhs:
-                            functorial_ok = False
-                        pairs += 1
+    words, agreement_ok, pairs, functorial_ok = _functor_checks(
+        functor, rc.rs, setting.limits,
+        lambda w: _lifted_value(setting, rc, w))
     report = {
         "arrows_surveyed": arrows,
         "fill_cardinality_one": True,
         "identities_ok": identities_ok,
-        "words_checked": agreement,
+        "words_checked": words,
         "letterwise_agreement_ok": agreement_ok,
         "composable_pairs_checked": pairs,
         "functoriality_ok": functorial_ok,
@@ -286,11 +329,8 @@ def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> di
     return out
 
 
-def replacement_functor(f: FunctorData,
-                        limits: ResourceLimits = DEFAULT_LIMITS,
-                        setting: GzSetting | None = None,
-                        rc: ReplacementCategory | None = None,
-                        choice: ReplacementChoice | None = None
+def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
+                        choice: ReplacementChoice
                         ) -> tuple[LocValuedFunctor, dict]:
     """The choice-dependent functor on the target category, verified.
 
@@ -301,10 +341,6 @@ def replacement_functor(f: FunctorData,
     values, and that all comparison fills between coexisting triples
     are mutually inverse isomorphisms.
     """
-    setting = setting or prepare(f, limits)
-    rc = rc or build_replacement_category(f, setting.rs_src, setting.rs_tgt,
-                                          setting.limits)
-    choice = choice or auto_choice(rc)
     validate_choice(rc, choice)
     tgt_cat = setting.f.target.cat
     chosen = {y: rc.index_of(choice.get(y)) for y in tgt_cat.objects}
@@ -322,23 +358,8 @@ def replacement_functor(f: FunctorData,
         return total_value(setting, rc, chosen[w.src], chosen[w.dst],
                            normalize(setting.rs_tgt, w))
 
-    words = {(a, b): homset(setting.rs_tgt, a, b, setting.limits)
-             for a in tgt_cat.objects for b in tgt_cat.objects}
-    values = {w: direct(w) for ws in words.values() for w in ws}
-    agreement_ok = all(functor.value_word(w) == value
-                       for w, value in values.items())
-    pairs = 0
-    functorial_ok = True
-    for a in tgt_cat.objects:
-        for b in tgt_cat.objects:
-            for c in tgt_cat.objects:
-                for w1 in words[(a, b)]:
-                    for w2 in words[(b, c)]:
-                        lhs = direct(tgt_cat.concat(w1, w2))
-                        rhs = gz_compose(setting.lc_src, values[w1], values[w2])
-                        if lhs != rhs:
-                            functorial_ok = False
-                        pairs += 1
+    _, agreement_ok, pairs, functorial_ok = _functor_checks(
+        functor, setting.rs_tgt, setting.limits, direct)
 
     denom_iso_ok = True
     denoms_checked = 0
@@ -356,9 +377,7 @@ def replacement_functor(f: FunctorData,
             fwd = total_value(setting, rc, cy, t, tgt_cat.identity(y))
             bwd = total_value(setting, rc, t, cy, tgt_cat.identity(y))
             comparisons += 1
-            if not gz_compose(setting.lc_src, fwd, bwd).is_identity_word:
-                comparison_ok = False
-            if not gz_compose(setting.lc_src, bwd, fwd).is_identity_word:
+            if not _mutually_inverse(setting.lc_src, fwd, bwd):
                 comparison_ok = False
 
     report = {
@@ -382,36 +401,24 @@ def choice_independence(setting: GzSetting, rc: ReplacementCategory,
     tgt_cat = setting.f.target.cat
     idx1 = {y: rc.index_of(first.get(y)) for y in tgt_cat.objects}
     idx2 = {y: rc.index_of(second.get(y)) for y in tgt_cat.objects}
+    fwds: dict[str, GzMorphism] = {}
     components = []
-    iso_ok = True
     for y in tgt_cat.objects:
-        fwd = total_value(setting, rc, idx1[y], idx2[y], tgt_cat.identity(y))
+        fwd = fwds[y] = total_value(setting, rc, idx1[y], idx2[y],
+                                    tgt_cat.identity(y))
         bwd = total_value(setting, rc, idx2[y], idx1[y], tgt_cat.identity(y))
-        invertible = (gz_compose(setting.lc_src, fwd, bwd).is_identity_word
-                      and gz_compose(setting.lc_src, bwd, fwd).is_identity_word)
-        if not invertible:
-            iso_ok = False
         components.append({"object": y, "component": word_json(fwd),
                            "inverse": word_json(bwd),
-                           "invertible": invertible})
-    naturality_ok = True
-    squares = 0
-    for g in tgt_cat.generators:
-        lhs = gz_compose(
-            setting.lc_src,
-            total_value(setting, rc, idx1[g.src], idx1[g.dst],
-                        tgt_cat.word([g.name])),
-            total_value(setting, rc, idx1[g.dst], idx2[g.dst],
-                        tgt_cat.identity(g.dst)))
-        rhs = gz_compose(
-            setting.lc_src,
-            total_value(setting, rc, idx1[g.src], idx2[g.src],
-                        tgt_cat.identity(g.src)),
-            total_value(setting, rc, idx2[g.src], idx2[g.dst],
-                        tgt_cat.word([g.name])))
-        squares += 1
-        if lhs != rhs:
-            naturality_ok = False
+                           "invertible": _mutually_inverse(setting.lc_src,
+                                                           fwd, bwd)})
+    iso_ok = all(row["invertible"] for row in components)
+    squares, naturality_ok = _squares(
+        setting.lc_src, tgt_cat.generators,
+        lambda g: total_value(setting, rc, idx1[g.src], idx1[g.dst],
+                              tgt_cat.word([g.name])),
+        lambda g: total_value(setting, rc, idx2[g.src], idx2[g.dst],
+                              tgt_cat.word([g.name])),
+        fwds)
     return {"components": components, "isomorphism_ok": iso_ok,
             "squares_checked": squares, "naturality_ok": naturality_ok,
             "ok": iso_ok and naturality_ok}
@@ -432,23 +439,11 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     tgt_cat = setting.f.target.cat
     chosen = {y: rc.index_of(choice.get(y)) for y in tgt_cat.objects}
 
-    gen_map: dict[str, PathWord] = {}
-    for g in tgt_cat.generators:
-        gen_map[g.name] = r_choice.gen_values[g.name]
-    for name, base_word in lc_tgt.fresh_defs.items():
-        gen_map[name] = total_value(setting, rc, chosen[base_word.src],
-                                    chosen[base_word.dst],
-                                    normalize(setting.rs_tgt, base_word))
-    for name, inv_name in lc_tgt.inv_of.items():
-        image = gen_map[name]
-        inverse = gz_inverse(lc_src, image)
-        if inverse is None:
-            raise ConstructionError(
-                f"value of denominator {name!r} is not invertible")
-        gen_map[inv_name] = inverse
-    functor = FunctorData(source=lc_tgt.cwd, target=lc_src.cwd,
-                          object_map=dict(r_choice.object_map),
-                          gen_map=gen_map)
+    functor = extend_to_localisation(
+        lc_tgt, lc_src, r_choice.object_map, r_choice.gen_values,
+        lambda w: total_value(setting, rc, chosen[w.src], chosen[w.dst],
+                              normalize(setting.rs_tgt, w)),
+        setting.limits)
     problems = validate_functor(functor, lc_tgt.rs, lc_src.rs, setting.limits)
     if problems:
         raise ConstructionError(f"induced replacement functor invalid: "
@@ -460,19 +455,13 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
         == r_choice.gen_values[g.name]
         for g in tgt_cat.generators)
 
-    description_ok = True
-    checked = 0
-    for y in tgt_cat.objects:
-        for y2 in tgt_cat.objects:
-            q_y = loc_map(lc_tgt, choice.get(y).q)
-            q_y2 = loc_map(lc_tgt, choice.get(y2).q)
-            for psi in homset(lc_tgt.rs, y, y2, setting.limits):
-                phi = normalize(lc_src.rs, functor.apply_word(psi))
-                lhs = gz_compose(lc_tgt, q_y, psi)
-                rhs = gz_compose(lc_tgt, setting.gz_f.apply_word(phi), q_y2)
-                checked += 1
-                if lhs != rhs:
-                    description_ok = False
+    objects = tgt_cat.objects
+    checked, description_ok = _squares(
+        lc_tgt, (psi for y in objects for y2 in objects
+                 for psi in homset(lc_tgt.rs, y, y2, setting.limits)),
+        lambda psi: setting.gz_f.apply_word(
+            normalize(lc_src.rs, functor.apply_word(psi))),
+        lambda psi: psi, {y: loc_map(lc_tgt, choice.get(y).q) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
               "description_pairs_checked": checked,
               "description_ok": description_ok,
@@ -490,9 +479,7 @@ class ApproximationReport:
     bounds_used: dict
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "sections": self.sections,
-                "decidability_status": self.decidability_status,
-                "bounds_used": self.bounds_used}
+        return asdict(self)
 
 
 def verify_approximation(f: FunctorData,
@@ -515,23 +502,15 @@ def verify_approximation(f: FunctorData,
     adds a choice-independence section.
     """
     setting = prepare(f, limits)
-    mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt, limits,
-                                          setting.dec_tgt)
+    mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt, limits)
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",
                                 witness=mult_wit)
-    from .replacement import has_enough
     enough, enough_wit = has_enough(f, setting.rs_tgt, limits)
     if not enough:
         raise PreconditionError("not enough replacements along the functor",
                                 witness=enough_wit)
-    no_fill, ambiguous, arrows = setting.fill_survey()
-    if no_fill is not None:
-        raise PreconditionError("functor is not relatively full",
-                                witness=no_fill)
-    if ambiguous is not None:
-        raise PreconditionError("functor is not relatively faithful",
-                                witness=ambiguous)
+    arrows = _require_fills(setting)
 
     rc = build_replacement_category(f, setting.rs_src, setting.rs_tgt, limits)
     chosen_choice = choice or auto_choice(rc)
@@ -543,6 +522,7 @@ def verify_approximation(f: FunctorData,
 
     src_cat, tgt_cat = f.source.cat, f.target.cat
     lc_src, lc_tgt = setting.lc_src, setting.lc_tgt
+    gz_f = setting.gz_f
     sections: list[dict] = []
 
     pre = {"name": "preconditions", "multiplicative": mult, "s_dense": True,
@@ -553,7 +533,7 @@ def verify_approximation(f: FunctorData,
         pre["experimental_no_mult"] = True
     sections.append(pre)
 
-    total, total_report = total_replacement_functor(f, limits, setting, rc)
+    total, total_report = total_replacement_functor(setting, rc)
     sections.append({"name": "total_functor", **total_report})
     sections.append({"name": "shortening", **verify_shortening(setting, rc)})
     sections.append({"name": "denominator_values",
@@ -570,12 +550,13 @@ def verify_approximation(f: FunctorData,
                    for y, rep in chosen_choice.assignment],
         "forgetful_valid": not u_problems,
         "forgetful_reflects_denominators": u_reflects,
+        # structure_choice_functor raised ConstructionError unless U after
+        # C_R is the identity and its comparison transformation is natural
         "section_roundtrip_identity": True,
         "comparison_natural": True,
         "ok": not u_problems and u_reflects})
 
-    r_choice, r_report = replacement_functor(f, limits, setting, rc,
-                                             chosen_choice)
+    r_choice, r_report = replacement_functor(setting, rc, chosen_choice)
     sections.append({"name": "choice_functor", **r_report})
 
     induced, induced_report = induced_replacement_functor(
@@ -590,66 +571,42 @@ def verify_approximation(f: FunctorData,
         for x in src_cat.objects}
 
     # alpha: chosen replacement of F X' compared with the trivial one
-    alpha: dict[str, GzMorphism] = {}
-    alpha_rows = []
-    alpha_ok = True
-    for x in src_cat.objects:
-        fx = f.object_map[x]
-        comp = total_value(setting, rc, chosen_idx[fx], trivial_idx[x],
-                           tgt_cat.identity(fx))
-        alpha[x] = comp
-        invertible = gz_inverse(lc_src, comp) is not None
-        if not invertible:
-            alpha_ok = False
-        alpha_rows.append({"object": x, "component": word_json(comp),
-                           "invertible": invertible})
-    alpha_squares = 0
-    for g in lc_src.presentation.generators:
-        phi = lc_src.presentation.word([g.name])
-        round_trip = normalize(lc_src.rs, induced.apply_word(
-            setting.gz_f.apply_word(phi)))
-        lhs = gz_compose(lc_src, round_trip, alpha[g.dst])
-        rhs = gz_compose(lc_src, alpha[g.src], phi)
-        alpha_squares += 1
-        if lhs != rhs:
-            alpha_ok = False
+    p_src, p_tgt = lc_src.presentation, lc_tgt.presentation
+    alpha, alpha_rows, alpha_iso = _components(
+        lc_src, src_cat.objects,
+        lambda x: total_value(setting, rc, chosen_idx[f.object_map[x]],
+                              trivial_idx[x], tgt_cat.identity(f.object_map[x])))
+    alpha_squares, alpha_natural = _squares(
+        lc_src, p_src.generators,
+        lambda g: normalize(lc_src.rs, induced.apply_word(
+            gz_f.apply_word(p_src.word([g.name])))),
+        lambda g: p_src.word([g.name]), alpha)
     objects_match = all(
-        induced.object_map[setting.gz_f.object_map[x]]
+        induced.object_map[gz_f.object_map[x]]
         == rc.triples[chosen_idx[f.object_map[x]]].source
         for x in src_cat.objects)
     sections.append({"name": "alpha", "components": alpha_rows,
                      "squares_checked": alpha_squares,
-                     "round_trip_objects_ok": objects_match, "ok": alpha_ok})
+                     "round_trip_objects_ok": objects_match,
+                     "ok": alpha_iso and alpha_natural})
 
     # beta: localised chosen denominators
-    beta: dict[str, GzMorphism] = {}
-    beta_rows = []
-    beta_ok = True
-    for y in tgt_cat.objects:
-        comp = loc_map(lc_tgt, chosen_choice.get(y).q)
-        beta[y] = comp
-        invertible = gz_inverse(lc_tgt, comp) is not None
-        if not invertible:
-            beta_ok = False
-        beta_rows.append({"object": y, "component": word_json(comp),
-                          "invertible": invertible})
-    beta_squares = 0
-    for g in lc_tgt.presentation.generators:
-        psi = lc_tgt.presentation.word([g.name])
-        round_trip = normalize(lc_tgt.rs, setting.gz_f.apply_word(
-            normalize(lc_src.rs, induced.apply_word(psi))))
-        lhs = gz_compose(lc_tgt, round_trip, beta[g.dst])
-        rhs = gz_compose(lc_tgt, beta[g.src], psi)
-        beta_squares += 1
-        if lhs != rhs:
-            beta_ok = False
+    beta, beta_rows, beta_iso = _components(
+        lc_tgt, tgt_cat.objects,
+        lambda y: loc_map(lc_tgt, chosen_choice.get(y).q))
+    beta_squares, beta_natural = _squares(
+        lc_tgt, p_tgt.generators,
+        lambda g: normalize(lc_tgt.rs, gz_f.apply_word(normalize(
+            lc_src.rs, induced.apply_word(p_tgt.word([g.name]))))),
+        lambda g: p_tgt.word([g.name]), beta)
     sections.append({"name": "beta", "components": beta_rows,
-                     "squares_checked": beta_squares, "ok": beta_ok})
+                     "squares_checked": beta_squares,
+                     "ok": beta_iso and beta_natural})
 
     # whiskering compatibilities linking alpha and beta
     sym_ok = True
     for x in src_cat.objects:
-        image = normalize(lc_tgt.rs, setting.gz_f.apply_word(alpha[x]))
+        image = normalize(lc_tgt.rs, gz_f.apply_word(alpha[x]))
         if image != beta[f.object_map[x]]:
             sym_ok = False
     for y in tgt_cat.objects:
@@ -669,61 +626,40 @@ def verify_approximation(f: FunctorData,
         for g in src_cat.generators) and all(
         total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
+    rc_gens = rc.cwd.cat.generators
     beta_bar = {rc.obj_names[i]: loc_map(lc_tgt, rc.triples[i].q)
                 for i in range(len(rc.triples))}
     part_b_ok = all(gz_inverse(lc_tgt, comp) is not None
                     for comp in beta_bar.values())
-    b_squares = 0
-    for g in rc.cwd.cat.generators:
-        lhs = gz_compose(lc_tgt, normalize(lc_tgt.rs, setting.gz_f.apply_word(
-            total.gen_values[g.name])), beta_bar[g.dst])
-        rhs = gz_compose(lc_tgt, beta_bar[g.src],
-                         loc_map(lc_tgt, rc.lifted_underlying[g.name]))
-        b_squares += 1
-        if lhs != rhs:
-            part_b_ok = False
+    b_squares, b_natural = _squares(
+        lc_tgt, rc_gens,
+        lambda g: normalize(lc_tgt.rs, gz_f.apply_word(total.gen_values[g.name])),
+        lambda g: loc_map(lc_tgt, rc.lifted_underlying[g.name]), beta_bar)
 
     lc_rc = localise(rc.cwd, rc.rs, limits)
     gz_lift = induced_functor(lift, lc_src, lc_rc, limits)
-    beta_bar_c = {}
-    for i, t in enumerate(rc.triples):
-        lifted_q = rc.lift_word(t.q, trivial_idx[t.source], i)
-        beta_bar_c[rc.obj_names[i]] = loc_map(lc_rc, lifted_q)
+    beta_bar_c = {rc.obj_names[i]: loc_map(lc_rc, rc.lift_word(
+        t.q, trivial_idx[t.source], i)) for i, t in enumerate(rc.triples)}
     part_c_ok = all(gz_inverse(lc_rc, comp) is not None
                     for comp in beta_bar_c.values())
-    c_squares = 0
-    for g in rc.cwd.cat.generators:
-        lhs = gz_compose(lc_rc, normalize(lc_rc.rs, gz_lift.apply_word(
-            total.gen_values[g.name])), beta_bar_c[g.dst])
-        rhs = gz_compose(lc_rc, beta_bar_c[g.src],
-                         loc_map(lc_rc, rc.cwd.cat.word([g.name])))
-        c_squares += 1
-        if lhs != rhs:
-            part_c_ok = False
+    c_squares, c_natural = _squares(
+        lc_rc, rc_gens,
+        lambda g: normalize(lc_rc.rs, gz_lift.apply_word(total.gen_values[g.name])),
+        lambda g: loc_map(lc_rc, rc.cwd.cat.word([g.name])), beta_bar_c)
 
     # the total functor through the localised replacement category
-    rf_hat_gen_map: dict[str, PathWord] = {}
-    for g in rc.cwd.cat.generators:
-        rf_hat_gen_map[g.name] = total.gen_values[g.name]
-    for name, base_word in lc_rc.fresh_defs.items():
-        rf_hat_gen_map[name] = _lifted_value(setting, rc, base_word)
-    for name, inv_name in lc_rc.inv_of.items():
-        image = rf_hat_gen_map[name]
-        inverse = gz_inverse(lc_src, image)
-        if inverse is None:
-            raise ConstructionError(
-                f"total value of lifted denominator {name!r} not invertible")
-        rf_hat_gen_map[inv_name] = inverse
-    rf_hat = FunctorData(source=lc_rc.cwd, target=lc_src.cwd,
-                         object_map=dict(total.object_map),
-                         gen_map=rf_hat_gen_map)
+    rf_hat = extend_to_localisation(
+        lc_rc, lc_src, total.object_map, total.gen_values,
+        lambda w: _lifted_value(setting, rc, w), limits)
     rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs, limits)
     retraction_ok = not rf_hat_problems and all(
         normalize(lc_src.rs, rf_hat.apply_word(gz_lift.apply_word(
-            lc_src.presentation.word([g.name]))))
-        == normalize(lc_src.rs, lc_src.presentation.word([g.name]))
-        for g in lc_src.presentation.generators)
+            p_src.word([g.name]))))
+        == normalize(lc_src.rs, p_src.word([g.name]))
+        for g in p_src.generators)
 
+    part_b_ok = part_b_ok and b_natural
+    part_c_ok = part_c_ok and c_natural
     sections.append({
         "name": "canonical_lift",
         "retract_exact_ok": part_a_ok,
@@ -739,22 +675,18 @@ def verify_approximation(f: FunctorData,
     gz_cr = induced_functor(c_r, lc_tgt, lc_rc, limits)
     pair_exact_ok = all(
         normalize(lc_tgt.rs, gz_u.apply_word(gz_cr.apply_word(
-            lc_tgt.presentation.word([g.name]))))
-        == normalize(lc_tgt.rs, lc_tgt.presentation.word([g.name]))
-        for g in lc_tgt.presentation.generators)
+            p_tgt.word([g.name]))))
+        == normalize(lc_tgt.rs, p_tgt.word([g.name]))
+        for g in p_tgt.generators)
+    p_rc = lc_rc.presentation
     loc_abar = {t: loc_map(lc_rc, abar.components[t]) for t in rc.obj_names}
     pair_iso_ok = all(gz_inverse(lc_rc, comp) is not None
                       for comp in loc_abar.values())
-    pair_squares = 0
-    pair_nat_ok = True
-    for g in lc_rc.presentation.generators:
-        w = lc_rc.presentation.word([g.name])
-        lhs = gz_compose(lc_rc, normalize(lc_rc.rs, gz_cr.apply_word(
-            gz_u.apply_word(w))), loc_abar[g.dst])
-        rhs = gz_compose(lc_rc, loc_abar[g.src], w)
-        pair_squares += 1
-        if lhs != rhs:
-            pair_nat_ok = False
+    pair_squares, pair_nat_ok = _squares(
+        lc_rc, p_rc.generators,
+        lambda g: normalize(lc_rc.rs, gz_cr.apply_word(gz_u.apply_word(
+            p_rc.word([g.name])))),
+        lambda g: p_rc.word([g.name]), loc_abar)
     sections.append({
         "name": "forgetful_section_pair",
         "section_then_forgetful_identity_ok": pair_exact_ok,

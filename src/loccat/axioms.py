@@ -18,9 +18,9 @@ from .presentation import (
 )
 from .rewrite import (
     DEFAULT_LIMITS,
-    DenomDecider,
     ResourceLimits,
     RewriteSystem,
+    denominators,
     equal,
     find_inverse,
     homset,
@@ -33,10 +33,10 @@ def word_json(w: PathWord) -> dict:
 
 
 def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem,
-                         limits: ResourceLimits = DEFAULT_LIMITS,
-                         decider: DenomDecider | None = None) -> tuple[bool, dict | None]:
+                         limits: ResourceLimits = DEFAULT_LIMITS
+                         ) -> tuple[bool, dict | None]:
     """Identities and composites of denominators are denominators."""
-    dec = decider or DenomDecider(c, rs, limits)
+    dec = denominators(c, rs, limits)
     for x in c.cat.objects:
         if not dec.is_denominator(c.cat.identity(x)):
             return False, {"kind": "identity-not-denominator", "object": x,
@@ -51,10 +51,10 @@ def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem,
 
 
 def check_isosaturated(c: CatWithDenoms, rs: RewriteSystem,
-                       limits: ResourceLimits = DEFAULT_LIMITS,
-                       decider: DenomDecider | None = None) -> tuple[bool, dict | None]:
+                       limits: ResourceLimits = DEFAULT_LIMITS
+                       ) -> tuple[bool, dict | None]:
     """Every isomorphism is a denominator."""
-    dec = decider or DenomDecider(c, rs, limits)
+    dec = denominators(c, rs, limits)
     for x in c.cat.objects:
         for y in c.cat.objects:
             for w in homset(rs, x, y, limits):
@@ -110,8 +110,8 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSyste
         if not equal(rs_tgt, f.apply_word(rel.lhs), f.apply_word(rel.rhs)):
             problems.append({"kind": "relation-not-preserved", "relation": i,
                              "lhs": word_json(rel.lhs), "rhs": word_json(rel.rhs)})
-    dec_src = DenomDecider(f.source, rs_src, limits)
-    dec_tgt = DenomDecider(f.target, rs_tgt, limits)
+    dec_src = denominators(f.source, rs_src, limits)
+    dec_tgt = denominators(f.target, rs_tgt, limits)
     for w in dec_src.materialized:
         if not dec_tgt.is_denominator(f.apply_word(w)):
             problems.append({"kind": "denominator-not-preserved",
@@ -125,8 +125,8 @@ def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
                                 limits: ResourceLimits = DEFAULT_LIMITS
                                 ) -> tuple[bool, dict | None]:
     """Does ``F w`` denominator imply ``w`` denominator, over all hom-sets?"""
-    dec_src = DenomDecider(f.source, rs_src, limits)
-    dec_tgt = DenomDecider(f.target, rs_tgt, limits)
+    dec_src = denominators(f.source, rs_src, limits)
+    dec_tgt = denominators(f.target, rs_tgt, limits)
     src_cat = f.source.cat
     for x in src_cat.objects:
         for y in src_cat.objects:

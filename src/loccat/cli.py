@@ -30,6 +30,7 @@ from .axioms import (
     word_json,
 )
 from .equivalence import (
+    CheckReport,
     check_s_dense,
     check_s_equivalence,
     check_s_faithful,
@@ -46,9 +47,9 @@ from .presentation import (
     validate_cat_with_denoms,
 )
 from .rewrite import (
-    DenomDecider,
     ResourceLimits,
     complete,
+    denominators,
     find_inverse,
     homset,
 )
@@ -158,7 +159,7 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
     cwd = load_cat(args.path)
     rs = complete(cwd.cat, limits)
     lc = localise(cwd, rs, limits)
-    dec = DenomDecider(cwd, rs, limits)
+    dec = denominators(cwd, rs, limits)
     inverted = []
     for w in dec.materialized:
         inv = find_inverse(lc.rs, lc.presentation.word(
@@ -212,32 +213,28 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
     if kind == "category":
         cwd = load_cat(args.path)
         rs = complete(cwd.cat, limits)
-        dec = DenomDecider(cwd, rs, limits)
         if which == "multiplicative":
-            verdict, witness = check_multiplicative(cwd, rs, limits, decider=dec)
+            verdict, witness = check_multiplicative(cwd, rs, limits)
             details: dict = {}
         elif which == "isosaturated":
-            verdict, witness = check_isosaturated(cwd, rs, limits, decider=dec)
+            verdict, witness = check_isosaturated(cwd, rs, limits)
             details = {}
         else:
-            mult, w_mult = check_multiplicative(cwd, rs, limits, decider=dec)
-            iso, w_iso = check_isosaturated(cwd, rs, limits, decider=dec)
+            mult, w_mult = check_multiplicative(cwd, rs, limits)
+            iso, w_iso = check_isosaturated(cwd, rs, limits)
             verdict = mult and iso
             witness = w_mult if w_mult is not None else w_iso
             details = {"multiplicative": mult, "isosaturated": iso}
-        report = {"check": which, "verdict": verdict, "witness": witness,
-                  "bounds_used": asdict(limits),
-                  "decidability_status": rs.status, "details": details}
+        report = CheckReport(which, verdict, witness, asdict(limits),
+                             rs.status, details).to_json()
     else:
         f = load_functor(args.path)
         setting = prepare(f, limits)
         if which == "reflects-denominators":
             verdict, witness = check_reflects_denominators(
                 f, setting.rs_src, setting.rs_tgt, limits)
-            report = {"check": which, "verdict": verdict, "witness": witness,
-                      "bounds_used": asdict(limits),
-                      "decidability_status": setting.decidability_status,
-                      "details": {}}
+            report = CheckReport(which, verdict, witness, asdict(limits),
+                                 setting.decidability_status, {}).to_json()
         else:
             checker = {"s-dense": check_s_dense, "s-full": check_s_full,
                        "s-faithful": check_s_faithful,

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .axioms import validate_functor, word_json
-from .gz import LocalisedCategory, gz_compose, induced_functor, loc_map
+from .axioms import check_multiplicative, validate_functor, word_json
+from .gz import LocalisedCategory, gz_compose, induced_functor, loc_map, localise
 from .presentation import (
-    CatWithDenoms,
     FunctorData,
     PathWord,
     ValidationError,
@@ -38,6 +37,7 @@ from .rewrite import (
     ResourceLimits,
     RewriteSystem,
     complete,
+    denominators,
     find_inverse,
     homset,
     normalize,
@@ -88,14 +88,14 @@ class GzSetting:
     and the total values map ``(triple, triple, word)`` to the unique
     fill :func:`loccat.approximation.total_value` found.  Only results
     are stored, so a query that raised raises again on every call.
-    None of them takes part in equality or ``repr``.
+    None of them takes part in equality or ``repr``.  The target
+    decider is the one the target system keeps.
     """
 
     f: FunctorData
     limits: ResourceLimits
     rs_src: RewriteSystem
     rs_tgt: RewriteSystem
-    dec_tgt: DenomDecider
     lc_src: LocalisedCategory
     lc_tgt: LocalisedCategory
     gz_f: FunctorData
@@ -111,6 +111,10 @@ class GzSetting:
         return COMPLETE if all(rs.status == COMPLETE for rs in systems) \
             else BOUNDED_INCOMPLETE
 
+    @property
+    def dec_tgt(self) -> DenomDecider:
+        return denominators(self.f.target, self.rs_tgt, self.limits)
+
     def fill_survey(self) -> tuple[dict | None, dict | None, int]:
         """:func:`_fill_survey` of this setting, run once on first use."""
         if self._survey is None:
@@ -120,7 +124,6 @@ class GzSetting:
 
 def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSetting:
     """Complete, localise and induce; raises on an invalid functor."""
-    from .gz import localise
     rs_src = complete(f.source.cat, limits)
     rs_tgt = complete(f.target.cat, limits)
     problems = validate_functor(f, rs_src, rs_tgt, limits)
@@ -130,13 +133,12 @@ def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSettin
     lc_tgt = localise(f.target, rs_tgt, limits)
     gz_f = induced_functor(f, lc_src, lc_tgt, limits)
     return GzSetting(f=f, limits=limits, rs_src=rs_src, rs_tgt=rs_tgt,
-                     dec_tgt=DenomDecider(f.target, rs_tgt, limits),
                      lc_src=lc_src, lc_tgt=lc_tgt, gz_f=gz_f)
 
 
 def enumerate_s_two_arrows(setting: GzSetting):
     """All 2-arrows between materialized hom-sets, in a fixed order."""
-    f = setting.f
+    f, dec = setting.f, setting.dec_tgt
     src_objects = f.source.cat.objects
     tgt_objects = f.target.cat.objects
     for x in src_objects:
@@ -144,7 +146,7 @@ def enumerate_s_two_arrows(setting: GzSetting):
             fx, fx_prime = f.object_map[x], f.object_map[x_prime]
             for y in tgt_objects:
                 for g in homset(setting.rs_tgt, fx, y, setting.limits):
-                    for b in setting.dec_tgt.denominators_between(fx_prime, y):
+                    for b in dec.denominators_between(fx_prime, y):
                         yield STwoArrow(x=x, x_prime=x_prime, g=g, b=b)
 
 
@@ -167,10 +169,6 @@ def solve_fill(setting: GzSetting, arrow: STwoArrow) -> tuple[PathWord, ...]:
     return fills
 
 
-def _bounds(limits: ResourceLimits) -> dict:
-    return asdict(limits)
-
-
 def check_s_dense(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
                   setting: GzSetting | None = None) -> CheckReport:
     """Does every target object admit a replacement along ``f``?"""
@@ -178,7 +176,7 @@ def check_s_dense(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     ok, witness = has_enough(f, setting.rs_tgt, limits)
     return CheckReport(
         check="s-dense", verdict=ok, witness=witness,
-        bounds_used=_bounds(limits),
+        bounds_used=asdict(limits),
         decidability_status=setting.decidability_status,
         details={"objects_checked": len(f.target.cat.objects)})
 
@@ -208,7 +206,7 @@ def check_s_full(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     no_fill, _, count = setting.fill_survey()
     return CheckReport(
         check="s-full", verdict=no_fill is None, witness=no_fill,
-        bounds_used=_bounds(limits),
+        bounds_used=asdict(limits),
         decidability_status=setting.decidability_status,
         details={"arrows_checked": count})
 
@@ -220,7 +218,7 @@ def check_s_faithful(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     _, ambiguous, count = setting.fill_survey()
     return CheckReport(
         check="s-faithful", verdict=ambiguous is None, witness=ambiguous,
-        bounds_used=_bounds(limits),
+        bounds_used=asdict(limits),
         decidability_status=setting.decidability_status,
         details={"arrows_checked": count})
 
@@ -259,15 +257,9 @@ def classical_dense(f: FunctorData, rs_src: RewriteSystem,
                     limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
     """Essential surjectivity on objects."""
     for y in f.target.cat.objects:
-        hit = False
-        for x in f.source.cat.objects:
-            for w in homset(rs_tgt, f.object_map[x], y, limits):
-                if find_inverse(rs_tgt, w, limits) is not None:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
+        if not any(find_inverse(rs_tgt, w, limits) is not None
+                   for x in f.source.cat.objects
+                   for w in homset(rs_tgt, f.object_map[x], y, limits)):
             return False, {"kind": "not-essentially-surjective", "object": y}
     return True, None
 
@@ -310,9 +302,8 @@ def check_s_equivalence(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     details: dict = {"s_dense": dense.verdict, "gz_equivalence": gz_ok,
                      "gz_details": gz_details}
 
-    from .axioms import check_multiplicative
-    mult, _ = check_multiplicative(setting.f.target, setting.rs_tgt, limits,
-                                   setting.dec_tgt)
+    mult, _ = check_multiplicative(setting.f.target, setting.rs_tgt,
+                                   setting.limits)
     details["target_multiplicative"] = mult
     if mult:
         full = check_s_full(f, limits, setting)
@@ -323,6 +314,6 @@ def check_s_equivalence(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
         details["characterisation_agrees"] = threefold == verdict
     return CheckReport(
         check="s-equivalence", verdict=verdict, witness=witness,
-        bounds_used=_bounds(limits),
+        bounds_used=asdict(limits),
         decidability_status=setting.decidability_status,
         details=details)

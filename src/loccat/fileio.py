@@ -21,6 +21,7 @@ from .presentation import (
     Relation,
     ValidationError,
     validate_cat_with_denoms,
+    validate_presentation,
 )
 from .replacement import ReplacementChoice, SReplacement
 from .rewrite import RewriteSystem, normalize
@@ -114,7 +115,6 @@ def load_cat(path: str | Path) -> CatWithDenoms:
     # structural validation below here: failures are semantic, not parse
     bare = CatPresentation(objects=objects, generators=tuple(gens),
                            relations=())
-    from .presentation import validate_presentation
     problems = validate_presentation(bare)
     if problems:
         raise ValidationError(f"{path}: {problems}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .axioms import check_transformation, validate_functor
 from .presentation import (
     CatPresentation,
     CatWithDenoms,
@@ -40,10 +41,10 @@ from .presentation import (
 )
 from .rewrite import (
     DEFAULT_LIMITS,
-    DenomDecider,
     ResourceLimits,
     RewriteSystem,
     complete,
+    denominators,
     find_inverse,
     normalize,
 )
@@ -150,7 +151,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem,
     ``lc.cwd`` and ``lc.rs.presentation`` hold.
     """
     cat = c.cat
-    decider = DenomDecider(c, rs_base, limits)
+    decider = denominators(c, rs_base, limits)
     taken = {g.name for g in cat.generators}
 
     inv_of: dict[str, str] = {}
@@ -227,38 +228,54 @@ def gz_inverse(lc: LocalisedCategory, m: GzMorphism) -> GzMorphism | None:
     return find_inverse(lc.rs, normalize(lc.rs, m), lc.limits)
 
 
-def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
-                    lc_tgt: LocalisedCategory,
-                    limits: ResourceLimits = DEFAULT_LIMITS) -> FunctorData:
-    """The functor between localisations induced by ``f``.
+def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
+                           object_map: dict[str, str],
+                           base_values: dict[str, GzMorphism],
+                           fresh_value, limits: ResourceLimits) -> FunctorData:
+    """The functor ``lc_src -> lc_tgt`` fixed by its values on the base.
 
-    Base generators go to the localised image of their ``f`` image,
-    fresh generators to the image of the word they name, and inverse
-    generators to the shortlex-least inverse of the image of what they
-    invert.  The commuting square with the localisation functors holds
-    on every generator by construction and is checked.
+    Base generators go to ``base_values``, each fresh generator to
+    ``fresh_value`` of the base word it names, and each inverse
+    generator to the shortlex-least inverse of the image of what it
+    inverts.  The images must be normal forms of ``lc_tgt``.  The
+    caller validates the result.
     """
-    gen_map: dict[str, PathWord] = {}
-    for g in f.source.cat.generators:
-        gen_map[g.name] = normalize(lc_tgt.rs, f.apply_word(
-            f.source.cat.word([g.name])))
+    gen_map = dict(base_values)
     for name, base_word in lc_src.fresh_defs.items():
-        gen_map[name] = normalize(lc_tgt.rs, f.apply_word(base_word))
+        gen_map[name] = fresh_value(base_word)
     for name, inv_name in lc_src.inv_of.items():
-        image = gen_map[name]
-        inverse = find_inverse(lc_tgt.rs, image, limits)
+        inverse = find_inverse(lc_tgt.rs, gen_map[name], limits)
         if inverse is None:
             raise ConstructionError(
                 f"image of denominator {name!r} has no inverse in the target "
                 "localisation")
         gen_map[inv_name] = inverse
-    ind = FunctorData(source=lc_src.cwd, target=lc_tgt.cwd,
-                      object_map=dict(f.object_map), gen_map=gen_map)
-    for g in f.source.cat.generators:
+    return FunctorData(source=lc_src.cwd, target=lc_tgt.cwd,
+                       object_map=dict(object_map), gen_map=gen_map)
+
+
+def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
+                    lc_tgt: LocalisedCategory,
+                    limits: ResourceLimits = DEFAULT_LIMITS) -> FunctorData:
+    """The functor between localisations induced by ``f``.
+
+    Base generators and fresh ones go to the localised image of their
+    ``f`` image (:func:`extend_to_localisation`).  The commuting square
+    with the localisation functors holds on every generator by
+    construction and is checked.
+    """
+    def image(w: PathWord) -> GzMorphism:
+        return normalize(lc_tgt.rs, f.apply_word(w))
+
+    src_cat = f.source.cat
+    ind = extend_to_localisation(
+        lc_src, lc_tgt, f.object_map,
+        {g.name: image(src_cat.word([g.name])) for g in src_cat.generators},
+        image, limits)
+    for g in src_cat.generators:
         if ind.gen_map[g.name] != loc_map(lc_tgt, f.apply_word(
-                f.source.cat.word([g.name]))):
+                src_cat.word([g.name]))):
             raise ConstructionError("localisation square broken")
-    from .axioms import validate_functor
     problems = validate_functor(ind, lc_src.rs, lc_tgt.rs, limits)
     if problems:
         raise ConstructionError(f"induced functor invalid: {problems[0]}")
@@ -273,7 +290,6 @@ def induced_transformation(t: TransformationData, lc_src: LocalisedCategory,
     to = induced_functor(t.to, lc_src, lc_tgt, limits)
     comps = {x: loc_map(lc_tgt, w) for x, w in t.components.items()}
     ind = TransformationData(frm=frm, to=to, components=comps)
-    from .axioms import check_transformation
     problems = check_transformation(ind, lc_tgt.rs, limits)
     if problems:
         raise ConstructionError(f"induced transformation not natural: {problems[0]}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .axioms import check_transformation
 from .gz import _fresh_name
 from .presentation import (
     CatPresentation,
@@ -36,11 +37,11 @@ from .presentation import (
 )
 from .rewrite import (
     DEFAULT_LIMITS,
-    DenomDecider,
     LimitExceeded,
     ResourceLimits,
     RewriteSystem,
     complete,
+    denominators,
     equal,
     homset,
     normalize,
@@ -70,14 +71,14 @@ class ReplacementChoice:
 
 
 def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem, y: str,
-                        limits: ResourceLimits = DEFAULT_LIMITS,
-                        decider: DenomDecider | None = None) -> tuple[SReplacement, ...]:
+                        limits: ResourceLimits = DEFAULT_LIMITS
+                        ) -> tuple[SReplacement, ...]:
     """All replacements of ``y`` along ``f``, deterministically ordered.
 
     Ordering: source object declaration order first, then shortlex on
     ``q`` in the target category.
     """
-    dec = decider or DenomDecider(f.target, rs_tgt, limits)
+    dec = denominators(f.target, rs_tgt, limits)
     out: list[SReplacement] = []
     for x in f.source.cat.objects:
         fx = f.object_map[x]
@@ -89,9 +90,8 @@ def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem, y: str,
 def has_enough(f: FunctorData, rs_tgt: RewriteSystem,
                limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
     """Does every object of the target have a replacement along ``f``?"""
-    dec = DenomDecider(f.target, rs_tgt, limits)
     for y in f.target.cat.objects:
-        if not find_s_replacements(f, rs_tgt, y, limits, dec):
+        if not find_s_replacements(f, rs_tgt, y, limits):
             return False, {"kind": "object-without-replacement", "object": y}
     return True, None
 
@@ -99,7 +99,7 @@ def has_enough(f: FunctorData, rs_tgt: RewriteSystem,
 def has_all_trivial(f: FunctorData, rs_tgt: RewriteSystem,
                     limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
     """Is ``(F X, X, identity)`` a replacement for every source object ``X``?"""
-    dec = DenomDecider(f.target, rs_tgt, limits)
+    dec = denominators(f.target, rs_tgt, limits)
     for x in f.source.cat.objects:
         fx = f.object_map[x]
         if not dec.is_denominator(f.target.cat.identity(fx)):
@@ -121,7 +121,7 @@ def compose_replacement(g: FunctorData, outer: SReplacement, inner: SReplacement
         raise ValidationError("replacements do not stack: outer source "
                               f"{outer.source!r} != inner target {inner.target!r}")
     composite_q = g.target.cat.concat(g.apply_word(inner.q), outer.q)
-    dec = DenomDecider(g.target, rs_outer_tgt, limits)
+    dec = denominators(g.target, rs_outer_tgt, limits)
     if not dec.is_denominator(composite_q):
         raise PreconditionError(
             "composite of the two denominators is not a denominator",
@@ -167,13 +167,20 @@ def _route_lift(tgt_cat: CatPresentation, obj_names: tuple[str, ...],
     return PathWord(obj_names[i], obj_names[j], tuple(letters))
 
 
+def _over(triples) -> dict[str, tuple[int, ...]]:
+    """The positions of the triples over each object, in triple order."""
+    over: dict[str, list[int]] = {}
+    for idx, t in enumerate(triples):
+        over.setdefault(t.target, []).append(idx)
+    return {y: tuple(idxs) for y, idxs in over.items()}
+
+
 @dataclass
 class ReplacementCategory:
     """The materialized replacement category of a functor."""
 
     functor: FunctorData
     rs_tgt: RewriteSystem
-    decider: DenomDecider
     triples: tuple[SReplacement, ...]
     obj_names: tuple[str, ...]
     cwd: CatWithDenoms
@@ -185,13 +192,11 @@ class ReplacementCategory:
 
     def __post_init__(self):
         self._lookup = {meta: name for name, meta in self.lift_meta.items()}
-        over: dict[str, list[int]] = {}
         self._triple_pos: dict[SReplacement, int] = {}
         for idx, t in enumerate(self.triples):
-            over.setdefault(t.target, []).append(idx)
             self._triple_pos.setdefault(t, idx)
-        self._over = {y: tuple(idxs) for y, idxs in over.items()}
-        self._canonical = {y: idxs[0] for y, idxs in over.items()}
+        self._over = _over(self.triples)
+        self._canonical = {y: idxs[0] for y, idxs in self._over.items()}
         self._obj_pos = {name: idx for idx, name in enumerate(self.obj_names)}
 
     def index_of(self, rep: SReplacement) -> int:
@@ -235,23 +240,19 @@ def build_replacement_category(f: FunctorData, rs_src: RewriteSystem,
                                limits: ResourceLimits = DEFAULT_LIMITS
                                ) -> ReplacementCategory:
     """Materialize the replacement category of ``f`` as a presentation."""
-    dec = DenomDecider(f.target, rs_tgt, limits)
+    dec = denominators(f.target, rs_tgt, limits)
     tgt_cat = f.target.cat
 
     triples: list[SReplacement] = []
     for y in tgt_cat.objects:
-        triples.extend(find_s_replacements(f, rs_tgt, y, limits, dec))
+        triples.extend(find_s_replacements(f, rs_tgt, y, limits))
         if len(triples) > limits.max_homset:
             raise LimitExceeded("max_homset",
                                 "replacement category has too many objects")
     obj_names = tuple(
         f"({t.target}|{t.source}|{'·'.join(t.q.letters) or '1'})" for t in triples)
-    canonical: dict[str, int] = {}
-    for idx, t in enumerate(triples):
-        canonical.setdefault(t.target, idx)
-    over: dict[str, list[int]] = {}
-    for i, t in enumerate(triples):
-        over.setdefault(t.target, []).append(i)
+    over = _over(triples)
+    canonical = {y: idxs[0] for y, idxs in over.items()}
 
     taken: set[str] = set()
     gens: list[GenArrow] = []
@@ -340,7 +341,7 @@ def build_replacement_category(f: FunctorData, rs_src: RewriteSystem,
                     explicit.append(w)
 
     rc = ReplacementCategory(
-        functor=f, rs_tgt=rs_tgt, decider=dec, triples=tuple(triples),
+        functor=f, rs_tgt=rs_tgt, triples=tuple(triples),
         obj_names=obj_names,
         cwd=CatWithDenoms(pres, DenomSet(tuple(explicit), False, False)),
         rs=rs, lifted_underlying=lifted_underlying, lift_meta=lift_meta,
@@ -442,7 +443,6 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
             tgt_cat.identity(t.target), j, i)
     abar = TransformationData(frm=u.then(c_r), to=identity_functor(rc.cwd),
                               components=components)
-    from .axioms import check_transformation
     problems = check_transformation(abar, rc.rs, rc.limits)
     if problems:
         raise ConstructionError(

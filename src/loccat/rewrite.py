@@ -36,10 +36,11 @@ A matcher starts with the first and switches to the second once the
 letters it has scanned exceed the total length of its left sides, so
 the compile is paid only after scanning has cost about as much.
 
-Each :class:`RewriteSystem` owns its matcher, hom-set and normal-form
-tables and frees them with itself; nothing is cached at module level.
-The tables hold only results that were computed without raising, so a
-query that exceeds its limits raises on every call.
+Each :class:`RewriteSystem` owns its matcher and its normal-form,
+hom-set and decider tables and frees them with itself; nothing is
+cached at module level.  The tables hold only results that were
+computed without raising, so a query that exceeds its limits raises on
+every call.
 """
 
 from __future__ import annotations
@@ -163,9 +164,10 @@ class RewriteSystem:
     Besides its rules the system carries its encoding, its matcher and
     the tables its queries fill: normal forms by letter tuple (they
     depend on the letters only), the normal forms reachable from an
-    object per ``(x, limits)`` and the sorted hom-sets per
-    ``(x, y, limits)``.  None of them takes part in equality, hashing
-    or ``repr``.
+    object per ``(x, limits)``, the sorted hom-sets per
+    ``(x, y, limits)`` and the denominator deciders per
+    ``(denoms, limits)`` (see :func:`denominators`).  None of them takes
+    part in equality, hashing or ``repr``.
     """
 
     presentation: CatPresentation
@@ -176,6 +178,7 @@ class RewriteSystem:
     _normal_forms: dict = field(init=False, repr=False, compare=False)
     _reachable: dict = field(init=False, repr=False, compare=False)
     _homsets: dict = field(init=False, repr=False, compare=False)
+    _deciders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         code, names = _alphabet(self.presentation)
@@ -186,6 +189,7 @@ class RewriteSystem:
         object.__setattr__(self, "_normal_forms", {})
         object.__setattr__(self, "_reachable", {})
         object.__setattr__(self, "_homsets", {})
+        object.__setattr__(self, "_deciders", {})
 
     @property
     def is_complete(self) -> bool:
@@ -401,7 +405,8 @@ class DenomDecider:
     The explicit words are normalized, identities are added when the
     flag says so, and the composition flag saturates the set under
     binary composition up to the resource bounds.  Membership of an
-    arbitrary word is then a normal form lookup.
+    arbitrary word is then a normal form lookup.  :func:`denominators`
+    builds one per system and keeps it.
     """
 
     def __init__(self, c: CatWithDenoms, rs: RewriteSystem,
@@ -455,3 +460,17 @@ class DenomDecider:
                 w for w in homset(self.rs, x, y, self.limits)
                 if self.is_denominator(w))
         return between
+
+
+def denominators(c: CatWithDenoms, rs: RewriteSystem,
+                 limits: ResourceLimits = DEFAULT_LIMITS) -> DenomDecider:
+    """The decider for the denominators of ``c``, built once per system.
+
+    ``rs`` is the system of ``c.cat``; it keeps the decider per
+    ``(c.denoms, limits)``.  A closure that exceeded ``limits`` is not
+    stored, so it raises again on the next call.
+    """
+    dec = rs._deciders.get((c.denoms, limits))
+    if dec is None:
+        dec = rs._deciders[(c.denoms, limits)] = DenomDecider(c, rs, limits)
+    return dec

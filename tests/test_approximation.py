@@ -8,9 +8,10 @@ import pytest
 
 import corpus
 from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
-                    ConstructionError, DenomSet, FunctorData, GenArrow,
-                    PathWord, PreconditionError, Relation, auto_choice,
-                    build_replacement_category, choice_independence, homset,
+                    ConstructionError, DenomDecider, DenomSet, FunctorData,
+                    GenArrow, PathWord, PreconditionError, Relation,
+                    auto_choice, build_replacement_category,
+                    check_s_equivalence, choice_independence, homset,
                     load_choice, prepare, total_replacement_functor,
                     total_value, verify_approximation)
 from loccat import approximation, equivalence
@@ -44,8 +45,7 @@ class TestTotalFunctor:
 
     def test_reports(self):
         for name, frozen in self.FROZEN.items():
-            _, report = total_replacement_functor(corpus.fun(name),
-                                                  DEFAULT_LIMITS)
+            _, report = total_replacement_functor(*rc_for(name))
             assert report["ok"], name
             assert report["fill_cardinality_one"], name
             assert report["identities_ok"], name
@@ -142,6 +142,28 @@ class TestFillTables:
         assert verify_approximation(corpus.fun("E7"), DEFAULT_LIMITS).ok
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None
+
+
+class TestDeciders:
+    @pytest.mark.parametrize("run", [
+        lambda f: verify_approximation(f, DEFAULT_LIMITS).ok,
+        lambda f: check_s_equivalence(f, DEFAULT_LIMITS).verdict,
+    ], ids=["verify-approximation", "s-equivalence"])
+    def test_one_build_per_denominators_and_system(self, monkeypatch, run):
+        # each system keeps its deciders, so no (denoms, system, limits)
+        # is decided twice in one run
+        builds = []
+        init = DenomDecider.__init__
+
+        def counted(self, c, rs, limits):
+            builds.append((c.denoms, rs, limits))
+            init(self, c, rs, limits)
+
+        monkeypatch.setattr(DenomDecider, "__init__", counted)
+        assert run(corpus.fun("E7"))
+        keys = [(denoms, id(rs), limits) for denoms, rs, limits in builds]
+        assert len(keys) > 1
+        assert len(keys) == len(set(keys))
 
 
 class TestShortening:

@@ -241,6 +241,24 @@ class TestDeterminism:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_deciders_built_only_by_the_accessor(self):
+        # every other caller asks rewrite.denominators, which keeps the
+        # decider on its system
+        src = Path(__file__).resolve().parent.parent / "src" / "loccat"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # ast.walk visits outer functions first, so the innermost wins
+            owner = {id(node): fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)}
+            found += [f"{path.name}:{owner.get(id(node))}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and "DenomDecider" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))]
+        assert found == ["rewrite.py:denominators"]
+
 
 class TestLimitsProfile:
     def test_profile_env(self, capsys, monkeypatch):

@@ -14,8 +14,8 @@ from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     CatWithDenoms, DenomDecider, DenomSet, GenArrow,
                     LimitExceeded, PathWord, Relation, DEFAULT_LIMITS,
                     ResourceLimits, RewriteRule, ValidationError, complete,
-                    equal, find_inverse, homset, is_isomorphism, localise,
-                    normalize)
+                    denominators, equal, find_inverse, homset, is_isomorphism,
+                    localise, normalize)
 from loccat import rewrite
 from loccat.rewrite import RuleIndex
 from test_approximation import ladder
@@ -410,6 +410,42 @@ class TestDenomDecider:
         dec = DenomDecider(c, corpus.rs("E7bD"))
         between = dec.denominators_between("tl", "bl")
         assert [w.letters for w in between] == [("v_left",), ("v_left2",)]
+
+
+class TestDeciderTable:
+    """Each system builds the decider of a denominator set once per limits."""
+
+    def test_same_decider_per_limits(self):
+        c = corpus.cat("E7bD")
+        rs = complete(c.cat, DEFAULT_LIMITS)
+        dec = denominators(c, rs, DEFAULT_LIMITS)
+        assert denominators(c, rs, DEFAULT_LIMITS) is dec
+        other = ResourceLimits(max_word_len=12)
+        tight = denominators(c, rs, other)
+        assert tight is not dec
+        assert denominators(c, rs, other) is tight
+        assert tight.materialized == dec.materialized
+        # a system of the same presentation keeps its own table
+        assert denominators(c, complete(c.cat, DEFAULT_LIMITS),
+                            DEFAULT_LIMITS) is not dec
+
+    def test_failed_closure_raises_again(self, monkeypatch):
+        # a free monoid: the composites of a never end
+        c = CatWithDenoms(monoid("a", []),
+                          DenomSet((PathWord("o", "o", ("a",)),), True, True))
+        rs = complete(c.cat, DEFAULT_LIMITS)
+        builds = []
+        init = DenomDecider.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(DenomDecider, "__init__", counted)
+        for _ in range(2):
+            with pytest.raises(LimitExceeded, match="max_word_len"):
+                denominators(c, rs, DEFAULT_LIMITS)
+        assert len(builds) == 2
 
 
 class TestSystemTables:
