@@ -21,7 +21,7 @@ generators of the relevant presentations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .axioms import (
     check_multiplicative,
@@ -77,17 +77,30 @@ from .rewrite import (
 
 @dataclass
 class LocValuedFunctor:
-    """A functor from a presented category into a localisation."""
+    """A functor from a presented category into a localisation.
+
+    The value of a word is composed letter by letter from the identity,
+    and the value of each nonempty prefix is kept, by ``(src, letters)``,
+    so a word extending a word seen before costs one ``gz_compose``.
+    """
 
     source: CatWithDenoms
     target_lc: LocalisedCategory
     object_map: dict[str, str]
     gen_values: dict[str, GzMorphism]
+    _values: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def value_word(self, w: PathWord) -> GzMorphism:
-        out = self.target_lc.presentation.identity(self.object_map[w.src])
-        for letter in w.letters:
-            out = gz_compose(self.target_lc, out, self.gen_values[letter])
+        values, src, letters = self._values, w.src, w.letters
+        k = len(letters)
+        while k and (src, letters[:k]) not in values:
+            k -= 1
+        out = (values[(src, letters[:k])] if k else
+               self.target_lc.presentation.identity(self.object_map[src]))
+        for k in range(k, len(letters)):
+            out = values[(src, letters[:k + 1])] = gz_compose(
+                self.target_lc, out, self.gen_values[letters[k]])
         return out
 
 
@@ -145,7 +158,10 @@ def _functor_checks(functor: LocValuedFunctor, rs: RewriteSystem,
     Each word of each hom-set of the source (completed as ``rs``) must
     agree with its letterwise composite, and each composable pair must
     compose.  Returns the words checked, whether they agree, the pairs
-    checked and whether all compose; every check is evaluated.
+    checked and whether all compose; every check is evaluated.  Many
+    pairs share a composite word and many share their two values, so
+    ``value`` runs once per composite and ``gz_compose`` once per pair
+    of values.
     """
     cat, lc = functor.source.cat, functor.target_lc
     words = {(a, b): homset(rs, a, b, limits)
@@ -157,14 +173,23 @@ def _functor_checks(functor: LocValuedFunctor, rs: RewriteSystem,
             values[w] = value(w)
             if functor.value_word(w) != values[w]:
                 agreement_ok = False
+    composites: dict[PathWord, GzMorphism] = {}
+    composed: dict[tuple, GzMorphism] = {}
     pairs = 0
     functorial_ok = True
     for (a, b), firsts in words.items():
         for c in cat.objects:
             for w1 in firsts:
                 for w2 in words[(b, c)]:
-                    lhs = value(cat.concat(w1, w2))
-                    if lhs != gz_compose(lc, values[w1], values[w2]):
+                    w = cat.concat(w1, w2)
+                    lhs = composites.get(w)
+                    if lhs is None:
+                        lhs = composites[w] = value(w)
+                    key = (values[w1], values[w2])
+                    rhs = composed.get(key)
+                    if rhs is None:
+                        rhs = composed[key] = gz_compose(lc, *key)
+                    if lhs != rhs:
                         functorial_ok = False
                     pairs += 1
     return len(values), agreement_ok, pairs, functorial_ok
@@ -257,53 +282,48 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
     tgt_cat = setting.f.target.cat
     dec = setting.dec_tgt
     rs = setting.rs_tgt
+    objects = tgt_cat.objects
+    # the object pairs joined by a denominator, in row-major order
+    spans = [(y, y_bar, es) for y in objects for y_bar in objects
+             if (es := dec.denominators_between(y, y_bar))]
     quadruples = 0
     mismatch = None
-    for y in tgt_cat.objects:
-        for y_bar in tgt_cat.objects:
-            es = dec.denominators_between(y, y_bar)
-            if not es:
-                continue
-            for y2 in tgt_cat.objects:
-                for y2_bar in tgt_cat.objects:
-                    e2s = dec.denominators_between(y2, y2_bar)
-                    if not e2s:
-                        continue
-                    gs = homset(rs, y, y2, setting.limits)
-                    gts = homset(rs, y_bar, y2_bar, setting.limits)
-                    for e in es:
-                        for e2 in e2s:
-                            for g in gs:
-                                for gt in gts:
-                                    if not equal(rs, tgt_cat.concat(g, e2),
-                                                 tgt_cat.concat(e, gt)):
+    for y, y_bar, es in spans:
+        for y2, y2_bar, e2s in spans:
+            gs = homset(rs, y, y2, setting.limits)
+            gts = homset(rs, y_bar, y2_bar, setting.limits)
+            for e in es:
+                for e2 in e2s:
+                    for g in gs:
+                        for gt in gts:
+                            if not equal(rs, tgt_cat.concat(g, e2),
+                                         tgt_cat.concat(e, gt)):
+                                continue
+                            for i in rc.triples_over(y):
+                                qe = normalize(rs, tgt_cat.concat(
+                                    rc.triples[i].q, e))
+                                try:
+                                    i2 = rc.index_of(SReplacement(
+                                        y_bar, rc.triples[i].source, qe))
+                                except ValueError:
+                                    continue
+                                for j in rc.triples_over(y2):
+                                    q2e = normalize(rs, tgt_cat.concat(
+                                        rc.triples[j].q, e2))
+                                    try:
+                                        j2 = rc.index_of(SReplacement(
+                                            y2_bar, rc.triples[j].source, q2e))
+                                    except ValueError:
                                         continue
-                                    for i in rc.triples_over(y):
-                                        qe = normalize(rs, tgt_cat.concat(
-                                            rc.triples[i].q, e))
-                                        try:
-                                            i2 = rc.index_of(SReplacement(
-                                                y_bar, rc.triples[i].source, qe))
-                                        except ValueError:
-                                            continue
-                                        for j in rc.triples_over(y2):
-                                            q2e = normalize(rs, tgt_cat.concat(
-                                                rc.triples[j].q, e2))
-                                            try:
-                                                j2 = rc.index_of(SReplacement(
-                                                    y2_bar, rc.triples[j].source,
-                                                    q2e))
-                                            except ValueError:
-                                                continue
-                                            a = total_value(setting, rc, i, j, g)
-                                            b = total_value(setting, rc, i2, j2, gt)
-                                            quadruples += 1
-                                            if a != b and mismatch is None:
-                                                mismatch = {
-                                                    "g": word_json(g),
-                                                    "g_shortened": word_json(gt),
-                                                    "e": word_json(e),
-                                                    "e_prime": word_json(e2)}
+                                    a = total_value(setting, rc, i, j, g)
+                                    b = total_value(setting, rc, i2, j2, gt)
+                                    quadruples += 1
+                                    if a != b and mismatch is None:
+                                        mismatch = {
+                                            "g": word_json(g),
+                                            "g_shortened": word_json(gt),
+                                            "e": word_json(e),
+                                            "e_prime": word_json(e2)}
     out = {"quadruples_checked": quadruples, "ok": mismatch is None}
     if mismatch is not None:
         out["witness"] = mismatch

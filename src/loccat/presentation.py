@@ -13,7 +13,8 @@ closure flags (identities, composition).  Membership is decided in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 
@@ -62,27 +63,28 @@ class GenArrow:
     dst: str
 
 
-@dataclass(frozen=True)
-class PathWord:
+class PathWord(namedtuple("PathWord", "src dst letters")):
     """A typed word of generator names from ``src`` to ``dst``.
 
-    The empty word is the identity of ``src`` (== ``dst``).
+    The empty word is the identity of ``src`` (== ``dst``).  A word is
+    the tuple ``(src, dst, letters)``, so building, hashing and
+    comparing one runs in C; it equals that plain tuple and orders
+    like it.
     """
 
-    src: str
-    dst: str
-    letters: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.letters and self.src != self.dst:
+    def __new__(cls, src: str, dst: str, letters: tuple[str, ...] = ()):
+        if not letters and src != dst:
             raise ValidationError("empty word must be an endo word")
+        return tuple.__new__(cls, (src, dst, letters))
 
     @property
     def is_identity_word(self) -> bool:
-        return not self.letters
+        return not self[2]
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self[2])
 
 
 @dataclass(frozen=True)

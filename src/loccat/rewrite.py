@@ -307,17 +307,23 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         requeued = []
         for old in rules:
             (requeued if u in old[0] else kept).append(old)
-        kept_index = RuleIndex((lhs, rhs) for lhs, rhs, *_ in kept)
-        rules = [(lhs, kept_index.normal_form(rhs) if u in rhs else rhs, s, d, i)
-                 for lhs, rhs, s, d, i in kept]
+        if any(u in rhs for _, rhs, *_ in kept):
+            kept_index = RuleIndex((lhs, rhs) for lhs, rhs, *_ in kept)
+            rules = [(lhs, kept_index.normal_form(rhs) if u in rhs else rhs,
+                      s, d, i) for lhs, rhs, s, d, i in kept]
+        else:
+            rules = kept
         index = RuleIndex((lhs, rhs) for lhs, rhs, *_ in rules)
         for lhs, rhs, s, d, i in requeued:
             live.remove(i)
             push(lhs, rhs, s, d)
 
+        # every overlap of u with b, and b inside u, contains b's first
+        # letter in u; the other way round, u's first letter in b
         for i, other in enumerate(rules):
-            pairs = _critical_pairs(new_rule, other)
-            if i:
+            b = other[0]
+            pairs = _critical_pairs(new_rule, other) if b[0] in u else ()
+            if i and u[0] in b:
                 pairs = itertools.chain(pairs, _critical_pairs(other, new_rule))
             for left, right, s, d in pairs:
                 if left != right:

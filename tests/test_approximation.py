@@ -3,16 +3,18 @@
 import gc
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
 import corpus
 from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     ConstructionError, DenomDecider, DenomSet, FunctorData,
-                    GenArrow, PathWord, PreconditionError, Relation,
-                    auto_choice, build_replacement_category,
-                    check_s_equivalence, choice_independence, homset,
-                    load_choice, prepare, total_replacement_functor,
+                    GenArrow, LocValuedFunctor, PathWord, PreconditionError,
+                    Relation, ResourceLimits, auto_choice,
+                    build_replacement_category, check_s_equivalence,
+                    choice_independence, complete, homset, load_choice,
+                    loc_map, localise, prepare, total_replacement_functor,
                     total_value, verify_approximation)
 from loccat import approximation, equivalence
 
@@ -142,6 +144,58 @@ class TestFillTables:
         assert verify_approximation(corpus.fun("E7"), DEFAULT_LIMITS).ok
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None
+
+
+class TestFunctorChecks:
+    def test_wrong_shared_composite_fails(self):
+        # D3 into its localisation; b.a.b is not a normal form, and it is
+        # the composite of both (b, a.b) and (b.a, b).  A value wrong there
+        # alone must fail functoriality, with every pair still counted.
+        def word(letters):
+            return PathWord("o", "o", tuple(letters))
+
+        cat = CatPresentation(("o",), (GenArrow("a", "o", "o"),
+                                       GenArrow("b", "o", "o")),
+                              tuple(Relation(word(lhs), word(rhs)) for lhs, rhs
+                                    in (("aaa", ""), ("bb", ""), ("bab", "aa"))))
+        c = CatWithDenoms(cat, DenomSet((word("a"),), True, True))
+        limits = ResourceLimits(max_word_len=4)
+        rs = complete(cat, limits)
+        lc = localise(c, rs, limits)
+        words = homset(rs, "o", "o", limits)
+        shared = word("bab")
+        assert shared not in words
+        assert Counter(cat.concat(w1, w2) for w1 in words
+                       for w2 in words)[shared] == 2
+
+        def checks(value):
+            functor = LocValuedFunctor(
+                source=c, target_lc=lc, object_map={"o": "o"},
+                gen_values={g: loc_map(lc, word(g)) for g in "ab"})
+            return approximation._functor_checks(functor, rs, limits, value)
+
+        def right(w):
+            return loc_map(lc, w)
+
+        def wrong(w):
+            return lc.presentation.identity("o") if w == shared else right(w)
+
+        assert right(shared) != wrong(shared)
+        assert checks(right) == (6, True, 36, True)
+        assert checks(wrong) == (6, True, 36, False)
+
+    def test_ladder_counts(self):
+        # counted when every pair still computed its own composite
+        report = verify_approximation(ladder(4), DEFAULT_LIMITS)
+        assert report.ok
+        counts = {(name, key): section(report, name)[key]
+                  for name, key in (
+                      ("total_functor", "words_checked"),
+                      ("total_functor", "composable_pairs_checked"),
+                      ("shortening", "quadruples_checked"),
+                      ("choice_functor", "composable_pairs_checked"),
+                      ("induced_functor", "description_pairs_checked"))}
+        assert list(counts.values()) == [45, 140, 90, 140, 60]
 
 
 class TestDeciders:

@@ -1,5 +1,8 @@
 """Core data types: words, relations, presentations, validation, opposite."""
 
+import copy
+import pickle
+
 import pytest
 
 import corpus
@@ -23,6 +26,35 @@ class TestPathWord:
     def test_empty_word_needs_matching_endpoints(self):
         with pytest.raises(ValidationError):
             PathWord("a", "b", ())
+
+    def test_repr(self):
+        assert repr(PathWord("a", "b", ("u",))) == \
+            "PathWord(src='a', dst='b', letters=('u',))"
+
+    def test_hash_is_that_of_the_field_tuple(self):
+        w = PathWord("a", "b", ("u", "v"))
+        assert hash(w) == hash((w.src, w.dst, w.letters))
+
+    def test_equal_words_compare_equal(self):
+        w = PathWord("a", "b", ("u",))
+        assert w == PathWord(src="a", dst="b", letters=("u",))
+        assert w != PathWord("a", "b", ("v",))
+        assert len({w, PathWord("a", "b", ("u",))}) == 1
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_round_trip(self, clone):
+        for w in (PathWord("a", "b", ("u",)), PathWord("a", "a", ())):
+            twin = clone(w)
+            assert type(twin) is PathWord
+            assert twin == w and hash(twin) == hash(w)
+            assert (twin.src, twin.dst, twin.letters) == (w.src, w.dst, w.letters)
+
+    def test_fields_are_read_only(self):
+        w = PathWord("a", "b", ("u",))
+        with pytest.raises(AttributeError):
+            w.src = "c"
 
     def test_word_endpoint_inference(self):
         c = chain()

@@ -49,6 +49,12 @@ def localised_dihedral(n: int) -> CatPresentation:
     return localise(c, complete(c.cat)).presentation
 
 
+def localised_ladder(n: int) -> CatPresentation:
+    """The grid of ``L_n`` with its verticals inverted."""
+    c = ladder(n).target
+    return localise(c, complete(c.cat)).presentation
+
+
 def count_normal_forms(monkeypatch) -> list:
     """From now on, every ``RuleIndex.normal_form`` call's argument."""
     calls = []
@@ -63,8 +69,9 @@ def count_normal_forms(monkeypatch) -> list:
 
 
 # the completions of the braid and the partially commutative monoid do
-# not terminate, so every bound is hit
+# not terminate, so every bound is hit; L4 has thirteen generators
 FAMILIES = {"D5": dihedral(5), "D12": dihedral(12), "D33": dihedral(33),
+            "L4": ladder(4).target.cat,
             "braid": monoid("ab", [("aba", "bab")]),
             "partially-commutative": monoid("abc", [("ab", "ba"), ("bc", "cb")])}
 
@@ -126,10 +133,15 @@ class TestCompletion:
                 want = reference_rewrite.complete(p, limits)
                 assert (got.rules, got.status) == (want.rules, want.status), limits
 
-    @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "D3", "D4", "D5", "D8"])
+    @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "D3", "D4", "D5", "D8",
+                                      "L4"])
     def test_localised_same_rules_as_reference(self, name):
-        p = (corpus.lc(name).presentation if name in corpus.CAT_NAMES
-             else localised_dihedral(int(name[1:])))
+        if name in corpus.CAT_NAMES:
+            p = corpus.lc(name).presentation
+        elif name.startswith("L"):
+            p = localised_ladder(int(name[1:]))
+        else:
+            p = localised_dihedral(int(name[1:]))
         for word_len in (4, 8, 16):
             limits = ResourceLimits(max_word_len=word_len, max_rules=512)
             got = complete(p, limits)
@@ -143,6 +155,23 @@ class TestCompletion:
         rs = complete(dihedral(33), ResourceLimits(max_word_len=34))
         assert rs.status == COMPLETE
         assert len(calls) < 2500
+
+    def test_disjoint_rules_not_paired(self, monkeypatch):
+        # a critical pair needs one left side's first letter inside the
+        # other; localised L8 has 34 rules over 34 letters, and most
+        # pairs share none: 147 calls here instead of 1,636
+        p = localised_ladder(8)
+        calls = []
+        critical_pairs = rewrite._critical_pairs
+
+        def counted(r1, r2):
+            calls.append((r1, r2))
+            return critical_pairs(r1, r2)
+
+        monkeypatch.setattr(rewrite, "_critical_pairs", counted)
+        rs = complete(p)
+        assert rs.status == COMPLETE and len(rs.rules) == 34
+        assert len(calls) < 300
 
     @pytest.mark.parametrize("name", [*corpus.CAT_NAMES,
                                       *(f"D{n}" for n in range(3, 17))])
