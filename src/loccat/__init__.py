@@ -95,7 +95,6 @@ from .rewrite import (
     equal,
     find_inverse,
     homset,
-    is_isomorphism,
     normalize,
 )
 

@@ -152,7 +152,7 @@ def _require_fills(setting: GzSetting) -> int:
 
 
 def _functor_checks(functor: LocValuedFunctor, rs: RewriteSystem,
-                    limits: ResourceLimits, value) -> tuple[int, bool, int, bool]:
+                    value) -> tuple[int, bool, int, bool]:
     """Direct values ``value(w)`` against ``functor``, on every word.
 
     Each word of each hom-set of the source (completed as ``rs``) must
@@ -164,7 +164,7 @@ def _functor_checks(functor: LocValuedFunctor, rs: RewriteSystem,
     of values.
     """
     cat, lc = functor.source.cat, functor.target_lc
-    words = {(a, b): homset(rs, a, b, limits)
+    words = {(a, b): homset(rs, a, b)
              for a in cat.objects for b in cat.objects}
     values: dict[PathWord, GzMorphism] = {}
     agreement_ok = True
@@ -257,8 +257,7 @@ def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
     identities_ok = all(w.is_identity_word for w in identities)
 
     words, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, rc.rs, setting.limits,
-        lambda w: _lifted_value(setting, rc, w))
+        functor, rc.rs, lambda w: _lifted_value(setting, rc, w))
     report = {
         "arrows_surveyed": arrows,
         "fill_cardinality_one": True,
@@ -290,8 +289,8 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
     mismatch = None
     for y, y_bar, es in spans:
         for y2, y2_bar, e2s in spans:
-            gs = homset(rs, y, y2, setting.limits)
-            gts = homset(rs, y_bar, y2_bar, setting.limits)
+            gs = homset(rs, y, y2)
+            gts = homset(rs, y_bar, y2_bar)
             for e in es:
                 for e2 in e2s:
                     for g in gs:
@@ -379,7 +378,7 @@ def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
                            normalize(setting.rs_tgt, w))
 
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, setting.rs_tgt, setting.limits, direct)
+        functor, setting.rs_tgt, direct)
 
     denom_iso_ok = True
     denoms_checked = 0
@@ -462,9 +461,8 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     functor = extend_to_localisation(
         lc_tgt, lc_src, r_choice.object_map, r_choice.gen_values,
         lambda w: total_value(setting, rc, chosen[w.src], chosen[w.dst],
-                              normalize(setting.rs_tgt, w)),
-        setting.limits)
-    problems = validate_functor(functor, lc_tgt.rs, lc_src.rs, setting.limits)
+                              normalize(setting.rs_tgt, w)))
+    problems = validate_functor(functor, lc_tgt.rs, lc_src.rs)
     if problems:
         raise ConstructionError(f"induced replacement functor invalid: "
                                 f"{problems[0]}")
@@ -478,7 +476,7 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     objects = tgt_cat.objects
     checked, description_ok = _squares(
         lc_tgt, (psi for y in objects for y2 in objects
-                 for psi in homset(lc_tgt.rs, y, y2, setting.limits)),
+                 for psi in homset(lc_tgt.rs, y, y2)),
         lambda psi: setting.gz_f.apply_word(
             normalize(lc_src.rs, functor.apply_word(psi))),
         lambda psi: psi, {y: loc_map(lc_tgt, choice.get(y).q) for y in objects})
@@ -522,17 +520,17 @@ def verify_approximation(f: FunctorData,
     adds a choice-independence section.
     """
     setting = prepare(f, limits)
-    mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt, limits)
+    mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt)
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",
                                 witness=mult_wit)
-    enough, enough_wit = has_enough(f, setting.rs_tgt, limits)
+    enough, enough_wit = has_enough(f, setting.rs_tgt)
     if not enough:
         raise PreconditionError("not enough replacements along the functor",
                                 witness=enough_wit)
     arrows = _require_fills(setting)
 
-    rc = build_replacement_category(f, setting.rs_src, setting.rs_tgt, limits)
+    rc = build_replacement_category(f, setting.rs_src, setting.rs_tgt)
     chosen_choice = choice or auto_choice(rc)
     validate_choice(rc, chosen_choice)
     if compare_choice == "auto":
@@ -561,9 +559,8 @@ def verify_approximation(f: FunctorData,
 
     c_r, abar = structure_choice_functor(rc, chosen_choice)
     u = forgetful(rc)
-    u_problems = validate_functor(u, rc.rs, setting.rs_tgt, limits)
-    u_reflects, _ = check_reflects_denominators(u, rc.rs, setting.rs_tgt,
-                                                limits)
+    u_problems = validate_functor(u, rc.rs, setting.rs_tgt)
+    u_reflects, _ = check_reflects_denominators(u, rc.rs, setting.rs_tgt)
     sections.append({
         "name": "choice",
         "chosen": [{"object": y, "source": rep.source, "q": word_json(rep.q)}
@@ -639,7 +636,7 @@ def verify_approximation(f: FunctorData,
 
     # canonical lift: the lift itself, its exact retraction, and the
     # comparison transformations at base and localised level
-    lift = canonical_lift(f, rc, setting.rs_tgt, limits)
+    lift = canonical_lift(f, rc, setting.rs_tgt)
     part_a_ok = all(
         total.value_word(lift.apply_word(src_cat.word([g.name])))
         == loc_map(lc_src, src_cat.word([g.name]))
@@ -656,8 +653,8 @@ def verify_approximation(f: FunctorData,
         lambda g: normalize(lc_tgt.rs, gz_f.apply_word(total.gen_values[g.name])),
         lambda g: loc_map(lc_tgt, rc.lifted_underlying[g.name]), beta_bar)
 
-    lc_rc = localise(rc.cwd, rc.rs, limits)
-    gz_lift = induced_functor(lift, lc_src, lc_rc, limits)
+    lc_rc = localise(rc.cwd, rc.rs)
+    gz_lift = induced_functor(lift, lc_src, lc_rc)
     beta_bar_c = {rc.obj_names[i]: loc_map(lc_rc, rc.lift_word(
         t.q, trivial_idx[t.source], i)) for i, t in enumerate(rc.triples)}
     part_c_ok = all(gz_inverse(lc_rc, comp) is not None
@@ -670,8 +667,8 @@ def verify_approximation(f: FunctorData,
     # the total functor through the localised replacement category
     rf_hat = extend_to_localisation(
         lc_rc, lc_src, total.object_map, total.gen_values,
-        lambda w: _lifted_value(setting, rc, w), limits)
-    rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs, limits)
+        lambda w: _lifted_value(setting, rc, w))
+    rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs)
     retraction_ok = not rf_hat_problems and all(
         normalize(lc_src.rs, rf_hat.apply_word(gz_lift.apply_word(
             p_src.word([g.name]))))
@@ -691,8 +688,8 @@ def verify_approximation(f: FunctorData,
         "ok": part_a_ok and part_b_ok and part_c_ok and retraction_ok})
 
     # localised forgetful and section functors are mutually inverse
-    gz_u = induced_functor(u, lc_rc, lc_tgt, limits)
-    gz_cr = induced_functor(c_r, lc_tgt, lc_rc, limits)
+    gz_u = induced_functor(u, lc_rc, lc_tgt)
+    gz_cr = induced_functor(c_r, lc_tgt, lc_rc)
     pair_exact_ok = all(
         normalize(lc_tgt.rs, gz_u.apply_word(gz_cr.apply_word(
             p_tgt.word([g.name]))))

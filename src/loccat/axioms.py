@@ -17,8 +17,6 @@ from .presentation import (
     ValidationError,
 )
 from .rewrite import (
-    DEFAULT_LIMITS,
-    ResourceLimits,
     RewriteSystem,
     denominators,
     equal,
@@ -32,11 +30,10 @@ def word_json(w: PathWord) -> dict:
     return {"src": w.src, "dst": w.dst, "letters": list(w.letters)}
 
 
-def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem,
-                         limits: ResourceLimits = DEFAULT_LIMITS
+def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
                          ) -> tuple[bool, dict | None]:
     """Identities and composites of denominators are denominators."""
-    dec = denominators(c, rs, limits)
+    dec = denominators(c, rs)
     for x in c.cat.objects:
         if not dec.is_denominator(c.cat.identity(x)):
             return False, {"kind": "identity-not-denominator", "object": x,
@@ -50,22 +47,21 @@ def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem,
     return True, None
 
 
-def check_isosaturated(c: CatWithDenoms, rs: RewriteSystem,
-                       limits: ResourceLimits = DEFAULT_LIMITS
+def check_isosaturated(c: CatWithDenoms, rs: RewriteSystem
                        ) -> tuple[bool, dict | None]:
     """Every isomorphism is a denominator."""
-    dec = denominators(c, rs, limits)
+    dec = denominators(c, rs)
     for x in c.cat.objects:
         for y in c.cat.objects:
-            for w in homset(rs, x, y, limits):
-                if find_inverse(rs, w, limits) is not None and not dec.is_denominator(w):
+            for w in homset(rs, x, y):
+                if find_inverse(rs, w) is not None and not dec.is_denominator(w):
                     return False, {"kind": "isomorphism-not-denominator",
                                    "word": word_json(w)}
     return True, None
 
 
-def validate_functor(f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSystem,
-                     limits: ResourceLimits = DEFAULT_LIMITS) -> list[dict]:
+def validate_functor(f: FunctorData, rs_src: RewriteSystem,
+                     rs_tgt: RewriteSystem) -> list[dict]:
     """Structural and equational validity of a functor presentation.
 
     Checks totality of the maps, well-typedness of generator images,
@@ -110,8 +106,8 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSyste
         if not equal(rs_tgt, f.apply_word(rel.lhs), f.apply_word(rel.rhs)):
             problems.append({"kind": "relation-not-preserved", "relation": i,
                              "lhs": word_json(rel.lhs), "rhs": word_json(rel.rhs)})
-    dec_src = denominators(f.source, rs_src, limits)
-    dec_tgt = denominators(f.target, rs_tgt, limits)
+    dec_src = denominators(f.source, rs_src)
+    dec_tgt = denominators(f.target, rs_tgt)
     for w in dec_src.materialized:
         if not dec_tgt.is_denominator(f.apply_word(w)):
             problems.append({"kind": "denominator-not-preserved",
@@ -121,16 +117,15 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSyste
 
 
 def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
-                                rs_tgt: RewriteSystem,
-                                limits: ResourceLimits = DEFAULT_LIMITS
+                                rs_tgt: RewriteSystem
                                 ) -> tuple[bool, dict | None]:
     """Does ``F w`` denominator imply ``w`` denominator, over all hom-sets?"""
-    dec_src = denominators(f.source, rs_src, limits)
-    dec_tgt = denominators(f.target, rs_tgt, limits)
+    dec_src = denominators(f.source, rs_src)
+    dec_tgt = denominators(f.target, rs_tgt)
     src_cat = f.source.cat
     for x in src_cat.objects:
         for y in src_cat.objects:
-            for w in homset(rs_src, x, y, limits):
+            for w in homset(rs_src, x, y):
                 if dec_tgt.is_denominator(f.apply_word(w)) and not dec_src.is_denominator(w):
                     return False, {"kind": "denominator-not-reflected",
                                    "word": word_json(w),
@@ -138,8 +133,8 @@ def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
     return True, None
 
 
-def check_transformation(t: TransformationData, rs_tgt: RewriteSystem,
-                         limits: ResourceLimits = DEFAULT_LIMITS) -> list[dict]:
+def check_transformation(t: TransformationData,
+                         rs_tgt: RewriteSystem) -> list[dict]:
     """Naturality of ``t`` on every source generator."""
     problems: list[dict] = []
     src_cat = t.frm.source.cat

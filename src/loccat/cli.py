@@ -143,7 +143,7 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
                 f = load_functor(path)
                 rs_src = complete(f.source.cat, limits)
                 rs_tgt = complete(f.target.cat, limits)
-                problems = validate_functor(f, rs_src, rs_tgt, limits)
+                problems = validate_functor(f, rs_src, rs_tgt)
         except ValidationError as e:
             problems = [{"kind": "invalid", "detail": str(e)}]
         row["ok"] = not problems
@@ -158,13 +158,12 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
 def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     cwd = load_cat(args.path)
     rs = complete(cwd.cat, limits)
-    lc = localise(cwd, rs, limits)
-    dec = denominators(cwd, rs, limits)
+    lc = localise(cwd, rs)
+    dec = denominators(cwd, rs)
     inverted = []
     for w in dec.materialized:
         inv = find_inverse(lc.rs, lc.presentation.word(
-            w.letters) if w.letters else lc.presentation.identity(w.src),
-            limits)
+            w.letters) if w.letters else lc.presentation.identity(w.src))
         inverted.append({"denominator": word_json(w),
                          "inverse": word_json(inv) if inv is not None else None})
     result = {
@@ -189,13 +188,13 @@ def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int
             f"unknown object in homset query: {args.src!r} or {args.dst!r}")
     result: dict = {"src": args.src, "dst": args.dst, "status": rs.status}
     if args.localised:
-        lc = localise(cwd, rs, limits)
-        words = homset(lc.rs, args.src, args.dst, limits)
+        lc = localise(cwd, rs)
+        words = homset(lc.rs, args.src, args.dst)
         result["words"] = [list(w.letters) for w in words]
         result["zigzags"] = [zigzag_view(lc, w).render() for w in words]
         result["localised"] = True
     else:
-        words = homset(rs, args.src, args.dst, limits)
+        words = homset(rs, args.src, args.dst)
         result["words"] = [list(w.letters) for w in words]
         result["localised"] = False
     result["count"] = len(words)
@@ -214,14 +213,14 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
         cwd = load_cat(args.path)
         rs = complete(cwd.cat, limits)
         if which == "multiplicative":
-            verdict, witness = check_multiplicative(cwd, rs, limits)
+            verdict, witness = check_multiplicative(cwd, rs)
             details: dict = {}
         elif which == "isosaturated":
-            verdict, witness = check_isosaturated(cwd, rs, limits)
+            verdict, witness = check_isosaturated(cwd, rs)
             details = {}
         else:
-            mult, w_mult = check_multiplicative(cwd, rs, limits)
-            iso, w_iso = check_isosaturated(cwd, rs, limits)
+            mult, w_mult = check_multiplicative(cwd, rs)
+            iso, w_iso = check_isosaturated(cwd, rs)
             verdict = mult and iso
             witness = w_mult if w_mult is not None else w_iso
             details = {"multiplicative": mult, "isosaturated": iso}
@@ -232,7 +231,7 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
         setting = prepare(f, limits)
         if which == "reflects-denominators":
             verdict, witness = check_reflects_denominators(
-                f, setting.rs_src, setting.rs_tgt, limits)
+                f, setting.rs_src, setting.rs_tgt)
             report = CheckReport(which, verdict, witness, asdict(limits),
                                  setting.decidability_status, {}).to_json()
         else:

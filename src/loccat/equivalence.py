@@ -11,6 +11,10 @@ faithfulness asks for at most one, relative density asks every target
 object to admit a replacement.  All three are decided by bounded
 enumeration of the finitely presented hom-sets.
 
+Each check takes ``limits`` only to prepare a :class:`GzSetting` when
+the caller gives none; the ``bounds_used`` it reports are the limits
+the setting's systems were completed under.
+
 Each :class:`GzSetting` keeps a fill table: :func:`solve_fill` solves a
 2-arrow once and answers it from the table after that, so the fill
 survey and every later value of the replacement functors share one
@@ -89,11 +93,11 @@ class GzSetting:
     fill :func:`loccat.approximation.total_value` found.  Only results
     are stored, so a query that raised raises again on every call.
     None of them takes part in equality or ``repr``.  The target
-    decider is the one the target system keeps.
+    decider is the one the target system keeps.  All four systems were
+    completed under the limits given to :func:`prepare`.
     """
 
     f: FunctorData
-    limits: ResourceLimits
     rs_src: RewriteSystem
     rs_tgt: RewriteSystem
     lc_src: LocalisedCategory
@@ -113,7 +117,7 @@ class GzSetting:
 
     @property
     def dec_tgt(self) -> DenomDecider:
-        return denominators(self.f.target, self.rs_tgt, self.limits)
+        return denominators(self.f.target, self.rs_tgt)
 
     def fill_survey(self) -> tuple[dict | None, dict | None, int]:
         """:func:`_fill_survey` of this setting, run once on first use."""
@@ -126,13 +130,13 @@ def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSettin
     """Complete, localise and induce; raises on an invalid functor."""
     rs_src = complete(f.source.cat, limits)
     rs_tgt = complete(f.target.cat, limits)
-    problems = validate_functor(f, rs_src, rs_tgt, limits)
+    problems = validate_functor(f, rs_src, rs_tgt)
     if problems:
         raise ValidationError(f"invalid functor: {problems}")
-    lc_src = localise(f.source, rs_src, limits)
-    lc_tgt = localise(f.target, rs_tgt, limits)
-    gz_f = induced_functor(f, lc_src, lc_tgt, limits)
-    return GzSetting(f=f, limits=limits, rs_src=rs_src, rs_tgt=rs_tgt,
+    lc_src = localise(f.source, rs_src)
+    lc_tgt = localise(f.target, rs_tgt)
+    gz_f = induced_functor(f, lc_src, lc_tgt)
+    return GzSetting(f=f, rs_src=rs_src, rs_tgt=rs_tgt,
                      lc_src=lc_src, lc_tgt=lc_tgt, gz_f=gz_f)
 
 
@@ -145,7 +149,7 @@ def enumerate_s_two_arrows(setting: GzSetting):
         for x_prime in src_objects:
             fx, fx_prime = f.object_map[x], f.object_map[x_prime]
             for y in tgt_objects:
-                for g in homset(setting.rs_tgt, fx, y, setting.limits):
+                for g in homset(setting.rs_tgt, fx, y):
                     for b in dec.denominators_between(fx_prime, y):
                         yield STwoArrow(x=x, x_prime=x_prime, g=g, b=b)
 
@@ -162,8 +166,7 @@ def solve_fill(setting: GzSetting, arrow: STwoArrow) -> tuple[PathWord, ...]:
     lhs = loc_map(setting.lc_tgt, arrow.g)
     loc_b = loc_map(setting.lc_tgt, arrow.b)
     fills = tuple(
-        phi for phi in homset(setting.lc_src.rs, arrow.x, arrow.x_prime,
-                              setting.limits)
+        phi for phi in homset(setting.lc_src.rs, arrow.x, arrow.x_prime)
         if gz_compose(setting.lc_tgt, setting.gz_f.apply_word(phi), loc_b) == lhs)
     setting._fills[arrow] = fills
     return fills
@@ -173,10 +176,10 @@ def check_s_dense(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
                   setting: GzSetting | None = None) -> CheckReport:
     """Does every target object admit a replacement along ``f``?"""
     setting = setting or prepare(f, limits)
-    ok, witness = has_enough(f, setting.rs_tgt, limits)
+    ok, witness = has_enough(f, setting.rs_tgt)
     return CheckReport(
         check="s-dense", verdict=ok, witness=witness,
-        bounds_used=asdict(limits),
+        bounds_used=asdict(setting.rs_src.limits),
         decidability_status=setting.decidability_status,
         details={"objects_checked": len(f.target.cat.objects)})
 
@@ -206,7 +209,7 @@ def check_s_full(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     no_fill, _, count = setting.fill_survey()
     return CheckReport(
         check="s-full", verdict=no_fill is None, witness=no_fill,
-        bounds_used=asdict(limits),
+        bounds_used=asdict(setting.rs_src.limits),
         decidability_status=setting.decidability_status,
         details={"arrows_checked": count})
 
@@ -218,18 +221,18 @@ def check_s_faithful(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     _, ambiguous, count = setting.fill_survey()
     return CheckReport(
         check="s-faithful", verdict=ambiguous is None, witness=ambiguous,
-        bounds_used=asdict(limits),
+        bounds_used=asdict(setting.rs_src.limits),
         decidability_status=setting.decidability_status,
         details={"arrows_checked": count})
 
 
-def classical_full(f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSystem,
-                   limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
+def classical_full(f: FunctorData, rs_src: RewriteSystem,
+                   rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     for x in f.source.cat.objects:
         for x_prime in f.source.cat.objects:
             images = {normalize(rs_tgt, f.apply_word(w))
-                      for w in homset(rs_src, x, x_prime, limits)}
-            for h in homset(rs_tgt, f.object_map[x], f.object_map[x_prime], limits):
+                      for w in homset(rs_src, x, x_prime)}
+            for h in homset(rs_tgt, f.object_map[x], f.object_map[x_prime]):
                 if h not in images:
                     return False, {"kind": "not-full", "x": x, "x_prime": x_prime,
                                    "morphism": word_json(h)}
@@ -237,12 +240,11 @@ def classical_full(f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSystem,
 
 
 def classical_faithful(f: FunctorData, rs_src: RewriteSystem,
-                       rs_tgt: RewriteSystem,
-                       limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
+                       rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     for x in f.source.cat.objects:
         for x_prime in f.source.cat.objects:
             seen: dict[PathWord, PathWord] = {}
-            for w in homset(rs_src, x, x_prime, limits):
+            for w in homset(rs_src, x, x_prime):
                 image = normalize(rs_tgt, f.apply_word(w))
                 if image in seen:
                     return False, {"kind": "not-faithful",
@@ -253,25 +255,22 @@ def classical_faithful(f: FunctorData, rs_src: RewriteSystem,
 
 
 def classical_dense(f: FunctorData, rs_src: RewriteSystem,
-                    rs_tgt: RewriteSystem,
-                    limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
+                    rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     """Essential surjectivity on objects."""
     for y in f.target.cat.objects:
-        if not any(find_inverse(rs_tgt, w, limits) is not None
+        if not any(find_inverse(rs_tgt, w) is not None
                    for x in f.source.cat.objects
-                   for w in homset(rs_tgt, f.object_map[x], y, limits)):
+                   for w in homset(rs_tgt, f.object_map[x], y)):
             return False, {"kind": "not-essentially-surjective", "object": y}
     return True, None
 
 
 def classical_equivalence(f: FunctorData, rs_src: RewriteSystem,
-                          rs_tgt: RewriteSystem,
-                          limits: ResourceLimits = DEFAULT_LIMITS
-                          ) -> tuple[bool, dict]:
+                          rs_tgt: RewriteSystem) -> tuple[bool, dict]:
     """Fullness, faithfulness and essential surjectivity of ``f`` itself."""
-    full, w_full = classical_full(f, rs_src, rs_tgt, limits)
-    faithful, w_faithful = classical_faithful(f, rs_src, rs_tgt, limits)
-    dense, w_dense = classical_dense(f, rs_src, rs_tgt, limits)
+    full, w_full = classical_full(f, rs_src, rs_tgt)
+    faithful, w_faithful = classical_faithful(f, rs_src, rs_tgt)
+    dense, w_dense = classical_dense(f, rs_src, rs_tgt)
     details = {"full": full, "faithful": faithful, "dense": dense}
     for key, witness in (("full_witness", w_full),
                          ("faithful_witness", w_faithful),
@@ -290,9 +289,9 @@ def check_s_equivalence(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     the agreement of the two routes is recorded in the details.
     """
     setting = setting or prepare(f, limits)
-    dense = check_s_dense(f, limits, setting)
+    dense = check_s_dense(f, setting=setting)
     gz_ok, gz_details = classical_equivalence(
-        setting.gz_f, setting.lc_src.rs, setting.lc_tgt.rs, limits)
+        setting.gz_f, setting.lc_src.rs, setting.lc_tgt.rs)
     verdict = dense.verdict and gz_ok
     witness = None
     if not dense.verdict:
@@ -302,18 +301,17 @@ def check_s_equivalence(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     details: dict = {"s_dense": dense.verdict, "gz_equivalence": gz_ok,
                      "gz_details": gz_details}
 
-    mult, _ = check_multiplicative(setting.f.target, setting.rs_tgt,
-                                   setting.limits)
+    mult, _ = check_multiplicative(setting.f.target, setting.rs_tgt)
     details["target_multiplicative"] = mult
     if mult:
-        full = check_s_full(f, limits, setting)
-        faithful = check_s_faithful(f, limits, setting)
+        full = check_s_full(f, setting=setting)
+        faithful = check_s_faithful(f, setting=setting)
         threefold = dense.verdict and full.verdict and faithful.verdict
         details["s_full"] = full.verdict
         details["s_faithful"] = faithful.verdict
         details["characterisation_agrees"] = threefold == verdict
     return CheckReport(
         check="s-equivalence", verdict=verdict, witness=witness,
-        bounds_used=asdict(limits),
+        bounds_used=asdict(setting.rs_src.limits),
         decidability_status=setting.decidability_status,
         details=details)

@@ -40,8 +40,6 @@ from .presentation import (
     TransformationData,
 )
 from .rewrite import (
-    DEFAULT_LIMITS,
-    ResourceLimits,
     RewriteSystem,
     complete,
     denominators,
@@ -63,7 +61,6 @@ class LocalisedCategory:
     rs: RewriteSystem
     inv_of: dict[str, str]
     fresh_defs: dict[str, PathWord]
-    limits: ResourceLimits
 
     def __hash__(self):
         return hash((self.base, self.rs))
@@ -105,14 +102,14 @@ def _fresh_name(stem: str, taken: set[str]) -> str:
     return name
 
 
-def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, PathWord],
-                   limits: ResourceLimits) -> tuple[Relation, ...]:
+def _base_inverses(rs_base: RewriteSystem,
+                   inverted: dict[str, PathWord]) -> tuple[Relation, ...]:
     """``w^-1 = v`` for each inverted base word ``w`` with a base inverse ``v``.
 
     ``inverted`` maps inverse letters to the words they invert.  A word
     whose source cannot be reached from its target in the generator
     graph has an empty hom-set back, so its search is skipped; a search
-    that exceeds ``limits`` seeds nothing.
+    that exceeds the limits of ``rs_base`` seeds nothing.
     """
     out: dict[str, list[str]] = {}
     for g in rs_base.presentation.generators:
@@ -131,7 +128,7 @@ def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, PathWord],
         if w.src not in reach[w.dst]:
             continue
         try:
-            v = find_inverse(rs_base, w, limits)
+            v = find_inverse(rs_base, w)
         except LimitExceeded:
             continue
         if v is not None:
@@ -139,19 +136,18 @@ def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, PathWord],
     return tuple(seeded)
 
 
-def localise(c: CatWithDenoms, rs_base: RewriteSystem,
-             limits: ResourceLimits = DEFAULT_LIMITS) -> LocalisedCategory:
+def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     """Present the localisation of ``c`` and complete its rewriting system.
 
-    Completion runs on the presentation plus one seeded relation
-    ``w^-1 = v`` for each inverted word ``w`` with an inverse ``v`` in
-    the base (``_base_inverses``).  It follows from ``w·w^-1 = 1`` and
-    ``v·w = 1``, so the congruence, and for a completed run the unique
-    reduced system, are those of the unseeded presentation, which
-    ``lc.cwd`` and ``lc.rs.presentation`` hold.
+    Completion runs under the limits of ``rs_base``, on the presentation
+    plus one seeded relation ``w^-1 = v`` for each inverted word ``w``
+    with an inverse ``v`` in the base (``_base_inverses``).  It follows
+    from ``w·w^-1 = 1`` and ``v·w = 1``, so the congruence, and for a
+    completed run the unique reduced system, are those of the unseeded
+    presentation, which ``lc.cwd`` and ``lc.rs.presentation`` hold.
     """
     cat = c.cat
-    decider = denominators(c, rs_base, limits)
+    decider = denominators(c, rs_base)
     taken = {g.name for g in cat.generators}
 
     inv_of: dict[str, str] = {}
@@ -199,12 +195,12 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem,
         generators=cat.generators + tuple(fresh_gens) + tuple(inverse_gens),
         relations=cat.relations + tuple(fresh_relations) + tuple(invert_relations),
     )
-    seeded = _base_inverses(rs_base, inverted, limits)
-    rs = complete(replace(ext, relations=ext.relations + seeded), limits)
+    seeded = _base_inverses(rs_base, inverted)
+    rs = complete(replace(ext, relations=ext.relations + seeded), rs_base.limits)
     rs = replace(rs, presentation=ext)
     cwd = CatWithDenoms(ext, DenomSet((), True, True))
     return LocalisedCategory(base=c, cwd=cwd, rs=rs, inv_of=inv_of,
-                             fresh_defs=fresh_defs, limits=limits)
+                             fresh_defs=fresh_defs)
 
 
 def loc_map(lc: LocalisedCategory, w: PathWord) -> GzMorphism:
@@ -225,13 +221,13 @@ def gz_compose(lc: LocalisedCategory, *morphisms: GzMorphism) -> GzMorphism:
 
 def gz_inverse(lc: LocalisedCategory, m: GzMorphism) -> GzMorphism | None:
     """Shortlex-least two-sided inverse of ``m`` in the localisation."""
-    return find_inverse(lc.rs, normalize(lc.rs, m), lc.limits)
+    return find_inverse(lc.rs, normalize(lc.rs, m))
 
 
 def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
                            object_map: dict[str, str],
                            base_values: dict[str, GzMorphism],
-                           fresh_value, limits: ResourceLimits) -> FunctorData:
+                           fresh_value) -> FunctorData:
     """The functor ``lc_src -> lc_tgt`` fixed by its values on the base.
 
     Base generators go to ``base_values``, each fresh generator to
@@ -244,7 +240,7 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
     for name, base_word in lc_src.fresh_defs.items():
         gen_map[name] = fresh_value(base_word)
     for name, inv_name in lc_src.inv_of.items():
-        inverse = find_inverse(lc_tgt.rs, gen_map[name], limits)
+        inverse = find_inverse(lc_tgt.rs, gen_map[name])
         if inverse is None:
             raise ConstructionError(
                 f"image of denominator {name!r} has no inverse in the target "
@@ -255,8 +251,7 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
 
 
 def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
-                    lc_tgt: LocalisedCategory,
-                    limits: ResourceLimits = DEFAULT_LIMITS) -> FunctorData:
+                    lc_tgt: LocalisedCategory) -> FunctorData:
     """The functor between localisations induced by ``f``.
 
     Base generators and fresh ones go to the localised image of their
@@ -271,26 +266,25 @@ def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
     ind = extend_to_localisation(
         lc_src, lc_tgt, f.object_map,
         {g.name: image(src_cat.word([g.name])) for g in src_cat.generators},
-        image, limits)
+        image)
     for g in src_cat.generators:
         if ind.gen_map[g.name] != loc_map(lc_tgt, f.apply_word(
                 src_cat.word([g.name]))):
             raise ConstructionError("localisation square broken")
-    problems = validate_functor(ind, lc_src.rs, lc_tgt.rs, limits)
+    problems = validate_functor(ind, lc_src.rs, lc_tgt.rs)
     if problems:
         raise ConstructionError(f"induced functor invalid: {problems[0]}")
     return ind
 
 
 def induced_transformation(t: TransformationData, lc_src: LocalisedCategory,
-                           lc_tgt: LocalisedCategory,
-                           limits: ResourceLimits = DEFAULT_LIMITS) -> TransformationData:
+                           lc_tgt: LocalisedCategory) -> TransformationData:
     """The transformation between induced functors, components localised."""
-    frm = induced_functor(t.frm, lc_src, lc_tgt, limits)
-    to = induced_functor(t.to, lc_src, lc_tgt, limits)
+    frm = induced_functor(t.frm, lc_src, lc_tgt)
+    to = induced_functor(t.to, lc_src, lc_tgt)
     comps = {x: loc_map(lc_tgt, w) for x, w in t.components.items()}
     ind = TransformationData(frm=frm, to=to, components=comps)
-    problems = check_transformation(ind, lc_tgt.rs, limits)
+    problems = check_transformation(ind, lc_tgt.rs)
     if problems:
         raise ConstructionError(f"induced transformation not natural: {problems[0]}")
     return ind

@@ -209,9 +209,6 @@ class FunctorData:
     object_map: dict[str, str]
     gen_map: dict[str, PathWord]
 
-    def apply_obj(self, obj: str) -> str:
-        return self.object_map[obj]
-
     def apply_word(self, w: PathWord) -> PathWord:
         out = self.target.cat.identity(self.object_map[w.src])
         for letter in w.letters:

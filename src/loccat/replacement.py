@@ -36,9 +36,7 @@ from .presentation import (
     identity_functor,
 )
 from .rewrite import (
-    DEFAULT_LIMITS,
     LimitExceeded,
-    ResourceLimits,
     RewriteSystem,
     complete,
     denominators,
@@ -70,15 +68,14 @@ class ReplacementChoice:
         raise KeyError(y)
 
 
-def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem, y: str,
-                        limits: ResourceLimits = DEFAULT_LIMITS
-                        ) -> tuple[SReplacement, ...]:
+def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem,
+                        y: str) -> tuple[SReplacement, ...]:
     """All replacements of ``y`` along ``f``, deterministically ordered.
 
     Ordering: source object declaration order first, then shortlex on
     ``q`` in the target category.
     """
-    dec = denominators(f.target, rs_tgt, limits)
+    dec = denominators(f.target, rs_tgt)
     out: list[SReplacement] = []
     for x in f.source.cat.objects:
         fx = f.object_map[x]
@@ -87,19 +84,18 @@ def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem, y: str,
     return tuple(out)
 
 
-def has_enough(f: FunctorData, rs_tgt: RewriteSystem,
-               limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
+def has_enough(f: FunctorData, rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     """Does every object of the target have a replacement along ``f``?"""
     for y in f.target.cat.objects:
-        if not find_s_replacements(f, rs_tgt, y, limits):
+        if not find_s_replacements(f, rs_tgt, y):
             return False, {"kind": "object-without-replacement", "object": y}
     return True, None
 
 
-def has_all_trivial(f: FunctorData, rs_tgt: RewriteSystem,
-                    limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[bool, dict | None]:
+def has_all_trivial(f: FunctorData,
+                    rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     """Is ``(F X, X, identity)`` a replacement for every source object ``X``?"""
-    dec = denominators(f.target, rs_tgt, limits)
+    dec = denominators(f.target, rs_tgt)
     for x in f.source.cat.objects:
         fx = f.object_map[x]
         if not dec.is_denominator(f.target.cat.identity(fx)):
@@ -109,8 +105,7 @@ def has_all_trivial(f: FunctorData, rs_tgt: RewriteSystem,
 
 
 def compose_replacement(g: FunctorData, outer: SReplacement, inner: SReplacement,
-                        rs_outer_tgt: RewriteSystem,
-                        limits: ResourceLimits = DEFAULT_LIMITS) -> SReplacement:
+                        rs_outer_tgt: RewriteSystem) -> SReplacement:
     """Replacement for a composite of functors.
 
     ``inner = (Y, X, q)`` replaces ``Y`` along the inner functor and
@@ -121,7 +116,7 @@ def compose_replacement(g: FunctorData, outer: SReplacement, inner: SReplacement
         raise ValidationError("replacements do not stack: outer source "
                               f"{outer.source!r} != inner target {inner.target!r}")
     composite_q = g.target.cat.concat(g.apply_word(inner.q), outer.q)
-    dec = denominators(g.target, rs_outer_tgt, limits)
+    dec = denominators(g.target, rs_outer_tgt)
     if not dec.is_denominator(composite_q):
         raise PreconditionError(
             "composite of the two denominators is not a denominator",
@@ -187,7 +182,6 @@ class ReplacementCategory:
     rs: RewriteSystem
     lifted_underlying: dict[str, PathWord]
     lift_meta: dict[str, tuple]
-    limits: ResourceLimits
     _lookup: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -213,11 +207,6 @@ class ReplacementCategory:
     def triples_over(self, y: str) -> tuple[int, ...]:
         return self._over.get(y, ())
 
-    def canonical_over(self, y: str) -> int:
-        if y not in self._canonical:
-            raise ConstructionError(f"object {y!r} has no replacement triple")
-        return self._canonical[y]
-
     def underlying_word(self, w: PathWord) -> PathWord:
         """The word of the target category under a lifted word."""
         y_src = self.triples[self._obj_pos[w.src]].target
@@ -236,17 +225,16 @@ class ReplacementCategory:
 
 
 def build_replacement_category(f: FunctorData, rs_src: RewriteSystem,
-                               rs_tgt: RewriteSystem,
-                               limits: ResourceLimits = DEFAULT_LIMITS
-                               ) -> ReplacementCategory:
-    """Materialize the replacement category of ``f`` as a presentation."""
-    dec = denominators(f.target, rs_tgt, limits)
+                               rs_tgt: RewriteSystem) -> ReplacementCategory:
+    """Materialize the replacement category of ``f`` as a presentation,
+    completed under the limits of ``rs_tgt``."""
+    dec = denominators(f.target, rs_tgt)
     tgt_cat = f.target.cat
 
     triples: list[SReplacement] = []
     for y in tgt_cat.objects:
-        triples.extend(find_s_replacements(f, rs_tgt, y, limits))
-        if len(triples) > limits.max_homset:
+        triples.extend(find_s_replacements(f, rs_tgt, y))
+        if len(triples) > rs_tgt.limits.max_homset:
             raise LimitExceeded("max_homset",
                                 "replacement category has too many objects")
     obj_names = tuple(
@@ -327,13 +315,13 @@ def build_replacement_category(f: FunctorData, rs_src: RewriteSystem,
 
     pres = CatPresentation(objects=obj_names, generators=tuple(gens),
                            relations=tuple(relations))
-    rs = complete(pres, limits)
+    rs = complete(pres, rs_tgt.limits)
 
     # lifted denominators: every materialized word over a denominator
     explicit: list[PathWord] = []
     for i in range(len(triples)):
         for j in range(len(triples)):
-            for w in homset(rs, obj_names[i], obj_names[j], limits):
+            for w in homset(rs, obj_names[i], obj_names[j]):
                 under = PathWord(triples[i].target, triples[j].target, tuple(
                     letter for x in w.letters
                     for letter in lifted_underlying[x].letters))
@@ -344,8 +332,7 @@ def build_replacement_category(f: FunctorData, rs_src: RewriteSystem,
         functor=f, rs_tgt=rs_tgt, triples=tuple(triples),
         obj_names=obj_names,
         cwd=CatWithDenoms(pres, DenomSet(tuple(explicit), False, False)),
-        rs=rs, lifted_underlying=lifted_underlying, lift_meta=lift_meta,
-        limits=limits)
+        rs=rs, lifted_underlying=lifted_underlying, lift_meta=lift_meta)
     _verify_hom_bijection(rc)
     return rc
 
@@ -355,9 +342,8 @@ def _verify_hom_bijection(rc: ReplacementCategory):
     n = len(rc.triples)
     for i in range(n):
         for j in range(n):
-            lifted = homset(rc.rs, rc.obj_names[i], rc.obj_names[j], rc.limits)
-            base = homset(rc.rs_tgt, rc.triples[i].target,
-                          rc.triples[j].target, rc.limits)
+            lifted = homset(rc.rs, rc.obj_names[i], rc.obj_names[j])
+            base = homset(rc.rs_tgt, rc.triples[i].target, rc.triples[j].target)
             images = {normalize(rc.rs_tgt, rc.underlying_word(w))
                       for w in lifted}
             if len(images) != len(lifted) or images != set(base):
@@ -443,7 +429,7 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
             tgt_cat.identity(t.target), j, i)
     abar = TransformationData(frm=u.then(c_r), to=identity_functor(rc.cwd),
                               components=components)
-    problems = check_transformation(abar, rc.rs, rc.limits)
+    problems = check_transformation(abar, rc.rs)
     if problems:
         raise ConstructionError(
             f"choice comparison transformation not natural: {problems[0]}")
@@ -451,14 +437,13 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
 
 
 def canonical_lift(f: FunctorData, rc: ReplacementCategory,
-                   rs_tgt: RewriteSystem,
-                   limits: ResourceLimits = DEFAULT_LIMITS) -> FunctorData:
+                   rs_tgt: RewriteSystem) -> FunctorData:
     """The lift ``X`` to ``(F X, X, identity)`` into the replacement category.
 
     Requires every identity at an image object to be a denominator.
     The forgetful functor after the lift equals ``f``, checked here.
     """
-    ok, witness = has_all_trivial(f, rs_tgt, limits)
+    ok, witness = has_all_trivial(f, rs_tgt)
     if not ok:
         raise PreconditionError("canonical lift needs trivial replacements",
                                 witness=witness)

@@ -36,11 +36,13 @@ A matcher starts with the first and switches to the second once the
 letters it has scanned exceed the total length of its left sides, so
 the compile is paid only after scanning has cost about as much.
 
-Each :class:`RewriteSystem` owns its matcher and its normal-form,
-hom-set and decider tables and frees them with itself; nothing is
-cached at module level.  The tables hold only results that were
-computed without raising, so a query that exceeds its limits raises on
-every call.
+Each :class:`RewriteSystem` keeps the limits it was completed under,
+and every query on it reads them: a system answers under one set of
+limits, so no caller passes them again.  It owns its matcher and its
+normal-form, hom-set and decider tables and frees them with itself;
+nothing is cached at module level.  The tables hold only results that
+were computed without raising, so a query that exceeds its limits
+raises on every call.
 """
 
 from __future__ import annotations
@@ -161,18 +163,20 @@ def _decode(names: dict[str, str], s: str) -> tuple[str, ...]:
 class RewriteSystem:
     """A completed (or bound-truncated) rewriting system.
 
-    Besides its rules the system carries its encoding, its matcher and
-    the tables its queries fill: normal forms by letter tuple (they
-    depend on the letters only), the normal forms reachable from an
-    object per ``(x, limits)``, the sorted hom-sets per
-    ``(x, y, limits)`` and the denominator deciders per
-    ``(denoms, limits)`` (see :func:`denominators`).  None of them takes
-    part in equality, hashing or ``repr``.
+    ``limits`` are the bounds :func:`complete` ran under; every query on
+    the system, and every system derived from it, uses them.  Besides
+    its rules the system carries its encoding, its matcher and the
+    tables its queries fill: normal forms by letter tuple, the normal
+    forms reachable from each object, the sorted hom-set per object
+    pair and the denominator decider per denominator set (see
+    :func:`denominators`).  None of the tables takes part in equality,
+    hashing or ``repr``.
     """
 
     presentation: CatPresentation
     rules: tuple[RewriteRule, ...]
     status: str
+    limits: ResourceLimits = DEFAULT_LIMITS
     _codec: tuple = field(init=False, repr=False, compare=False)
     _index: RuleIndex = field(init=False, repr=False, compare=False)
     _normal_forms: dict = field(init=False, repr=False, compare=False)
@@ -330,23 +334,22 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
                     push(left, right, s, d, new_id, other[4])
 
     rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
-    return RewriteSystem(presentation=p, status=status, rules=tuple(
+    return RewriteSystem(presentation=p, status=status, limits=limits, rules=tuple(
         RewriteRule(PathWord(s, d, _decode(names, lhs)), PathWord(s, d, _decode(names, rhs)))
         for lhs, rhs, s, d, _ in rules))
 
 
-def _reachable_normal_forms(rs: RewriteSystem, x: str,
-                            limits: ResourceLimits) -> frozenset[PathWord]:
+def _reachable_normal_forms(rs: RewriteSystem, x: str) -> frozenset[PathWord]:
     """All normal forms with source ``x``, by breadth-first extension.
 
     A prefix of an irreducible word is irreducible, so extending known
     normal forms one generator at a time and normalizing reaches every
     normal form out of ``x``.
     """
-    found = rs._reachable.get((x, limits))
+    found = rs._reachable.get(x)
     if found is not None:
         return found
-    p = rs.presentation
+    p, limits = rs.presentation, rs.limits
     out_gens: dict[str, list] = {}
     for g in p.generators:
         out_gens.setdefault(g.src, []).append(g)
@@ -370,39 +373,32 @@ def _reachable_normal_forms(rs: RewriteSystem, x: str,
                             f"more than {limits.max_homset} morphisms out of {x!r}")
                     nxt.append(cand)
         frontier = nxt
-    found = rs._reachable[(x, limits)] = frozenset(seen)
+    found = rs._reachable[x] = frozenset(seen)
     return found
 
 
-def homset(rs: RewriteSystem, x: str, y: str,
-           limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[PathWord, ...]:
+def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
     """All morphisms ``x -> y`` as normal forms, in shortlex order."""
-    words = rs._homsets.get((x, y, limits))
+    words = rs._homsets.get((x, y))
     if words is not None:
         return words
     p = rs.presentation
     if x not in p.obj_index or y not in p.obj_index:
         raise ValidationError(f"unknown object in homset query: {x!r}, {y!r}")
-    words = rs._homsets[(x, y, limits)] = tuple(sorted(
-        (w for w in _reachable_normal_forms(rs, x, limits) if w.dst == y),
+    words = rs._homsets[(x, y)] = tuple(sorted(
+        (w for w in _reachable_normal_forms(rs, x) if w.dst == y),
         key=p.shortlex_key))
     return words
 
 
-def find_inverse(rs: RewriteSystem, w: PathWord,
-                 limits: ResourceLimits = DEFAULT_LIMITS) -> PathWord | None:
+def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:
     """Shortlex-least two-sided inverse of ``w``, or None."""
     p = rs.presentation
-    for v in homset(rs, w.dst, w.src, limits):
+    for v in homset(rs, w.dst, w.src):
         if (normalize(rs, p.concat(w, v)).is_identity_word
                 and normalize(rs, p.concat(v, w)).is_identity_word):
             return v
     return None
-
-
-def is_isomorphism(rs: RewriteSystem, w: PathWord,
-                   limits: ResourceLimits = DEFAULT_LIMITS) -> bool:
-    return find_inverse(rs, w, limits) is not None
 
 
 class DenomDecider:
@@ -415,11 +411,10 @@ class DenomDecider:
     builds one per system and keeps it.
     """
 
-    def __init__(self, c: CatWithDenoms, rs: RewriteSystem,
-                 limits: ResourceLimits = DEFAULT_LIMITS):
+    def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
         self.cwd = c
         self.rs = rs
-        self.limits = limits
+        limits = rs.limits
         closure: set[PathWord] = set()
         for w in c.denoms.explicit:
             closure.add(normalize(rs, w))
@@ -463,20 +458,19 @@ class DenomDecider:
         between = self._between.get((x, y))
         if between is None:
             between = self._between[(x, y)] = tuple(
-                w for w in homset(self.rs, x, y, self.limits)
+                w for w in homset(self.rs, x, y)
                 if self.is_denominator(w))
         return between
 
 
-def denominators(c: CatWithDenoms, rs: RewriteSystem,
-                 limits: ResourceLimits = DEFAULT_LIMITS) -> DenomDecider:
+def denominators(c: CatWithDenoms, rs: RewriteSystem) -> DenomDecider:
     """The decider for the denominators of ``c``, built once per system.
 
     ``rs`` is the system of ``c.cat``; it keeps the decider per
-    ``(c.denoms, limits)``.  A closure that exceeded ``limits`` is not
-    stored, so it raises again on the next call.
+    ``c.denoms``.  A closure that exceeded ``rs.limits`` is not stored,
+    so it raises again on the next call.
     """
-    dec = rs._deciders.get((c.denoms, limits))
+    dec = rs._deciders.get(c.denoms)
     if dec is None:
-        dec = rs._deciders[(c.denoms, limits)] = DenomDecider(c, rs, limits)
+        dec = rs._deciders[c.denoms] = DenomDecider(c, rs)
     return dec

@@ -42,7 +42,7 @@ def rs(name: str):
 
 @lru_cache(maxsize=None)
 def lc(name: str):
-    return localise(cat(name), rs(name), DEFAULT_LIMITS)
+    return localise(cat(name), rs(name))
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,7 @@ from loccat.cli import main
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt,
-                                         DEFAULT_LIMITS)
+    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt)
 
 
 def run_cli(capsys, *argv):
@@ -101,7 +100,7 @@ def test_criterion_04_replacement_category_suite():
         ok, _ = check_reflects_denominators(u, rc.rs, s.rs_tgt)
         assert ok, name
         hit = set(u.object_map.values())
-        enough, _ = has_enough(s.f, s.rs_tgt, DEFAULT_LIMITS)
+        enough, _ = has_enough(s.f, s.rs_tgt)
         assert (hit == set(s.f.target.cat.objects)) == enough, name
         if enough:
             c_r, _ = structure_choice_functor(rc, auto_choice(rc))
@@ -206,8 +205,7 @@ def test_criterion_09_classical_criterion_consistency():
     for name, want in expected.items():
         s = corpus.setting(name)
         rel = check_s_equivalence(corpus.fun(name), DEFAULT_LIMITS)
-        cls, _ = classical_equivalence(s.f, s.rs_src, s.rs_tgt,
-                                       DEFAULT_LIMITS)
+        cls, _ = classical_equivalence(s.f, s.rs_src, s.rs_tgt)
         assert rel.verdict == cls == want, name
 
 

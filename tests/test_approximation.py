@@ -26,8 +26,7 @@ SECTION_NAMES = ["preconditions", "total_functor", "shortening",
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt,
-                                         DEFAULT_LIMITS)
+    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt)
 
 
 def section(report, name):
@@ -108,7 +107,7 @@ class TestFillTables:
 
         def counted_solve(setting, arrow):
             candidates[arrow] = len(homset(setting.lc_src.rs, arrow.x,
-                                           arrow.x_prime, setting.limits))
+                                           arrow.x_prime))
             return solve(setting, arrow)
 
         def counted_compose(*args):
@@ -125,8 +124,7 @@ class TestFillTables:
     def test_failed_total_value_raises_again(self):
         # E3 sends f1 and f2 both to g, so the value at g has two fills
         s = prepare(corpus.fun("E3"), DEFAULT_LIMITS)
-        rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt,
-                                        DEFAULT_LIMITS)
+        rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt)
         g = s.f.target.cat.word(["g"])
         for _ in range(2):
             with pytest.raises(ConstructionError, match="got 2"):
@@ -159,10 +157,9 @@ class TestFunctorChecks:
                               tuple(Relation(word(lhs), word(rhs)) for lhs, rhs
                                     in (("aaa", ""), ("bb", ""), ("bab", "aa"))))
         c = CatWithDenoms(cat, DenomSet((word("a"),), True, True))
-        limits = ResourceLimits(max_word_len=4)
-        rs = complete(cat, limits)
-        lc = localise(c, rs, limits)
-        words = homset(rs, "o", "o", limits)
+        rs = complete(cat, ResourceLimits(max_word_len=4))
+        lc = localise(c, rs)
+        words = homset(rs, "o", "o")
         shared = word("bab")
         assert shared not in words
         assert Counter(cat.concat(w1, w2) for w1 in words
@@ -172,7 +169,7 @@ class TestFunctorChecks:
             functor = LocValuedFunctor(
                 source=c, target_lc=lc, object_map={"o": "o"},
                 gen_values={g: loc_map(lc, word(g)) for g in "ab"})
-            return approximation._functor_checks(functor, rs, limits, value)
+            return approximation._functor_checks(functor, rs, value)
 
         def right(w):
             return loc_map(lc, w)
@@ -204,18 +201,18 @@ class TestDeciders:
         lambda f: check_s_equivalence(f, DEFAULT_LIMITS).verdict,
     ], ids=["verify-approximation", "s-equivalence"])
     def test_one_build_per_denominators_and_system(self, monkeypatch, run):
-        # each system keeps its deciders, so no (denoms, system, limits)
-        # is decided twice in one run
+        # each system keeps its deciders, so no (denoms, system) is
+        # decided twice in one run
         builds = []
         init = DenomDecider.__init__
 
-        def counted(self, c, rs, limits):
-            builds.append((c.denoms, rs, limits))
-            init(self, c, rs, limits)
+        def counted(self, c, rs):
+            builds.append((c.denoms, rs))
+            init(self, c, rs)
 
         monkeypatch.setattr(DenomDecider, "__init__", counted)
         assert run(corpus.fun("E7"))
-        keys = [(denoms, id(rs), limits) for denoms, rs, limits in builds]
+        keys = [(denoms, id(rs)) for denoms, rs in builds]
         assert len(keys) > 1
         assert len(keys) == len(set(keys))
 

@@ -259,6 +259,24 @@ class TestDeterminism:
                                              getattr(node.func, "attr", None))]
         assert found == ["rewrite.py:denominators"]
 
+    def test_limits_taken_only_where_systems_are_built(self):
+        # every query and construction over a system reads rs.limits;
+        # limits enter only where a system is completed
+        src = Path(__file__).resolve().parent.parent / "src" / "loccat"
+        found = sorted(
+            f"{path.stem}.{node.name}"
+            for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef)
+            and "limits" in [a.arg for a in node.args.args + node.args.kwonlyargs])
+        assert found == [
+            "approximation.verify_approximation",
+            "cli._emit", "cli.cmd_check", "cli.cmd_homset", "cli.cmd_localise",
+            "cli.cmd_validate", "cli.cmd_verify_approximation",
+            "equivalence.check_s_dense", "equivalence.check_s_equivalence",
+            "equivalence.check_s_faithful", "equivalence.check_s_full",
+            "equivalence.prepare", "rewrite.complete"]
+
 
 class TestLimitsProfile:
     def test_profile_env(self, capsys, monkeypatch):

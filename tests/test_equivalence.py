@@ -1,9 +1,14 @@
 """Density/fullness/faithfulness checkers and the classical cross-check."""
 
+from dataclasses import asdict
+
+import pytest
+
 import corpus
-from loccat import (DEFAULT_LIMITS, check_s_dense, check_s_equivalence,
-                    check_s_faithful, check_s_full, classical_equivalence,
-                    enumerate_s_two_arrows, prepare, solve_fill)
+from loccat import (DEFAULT_LIMITS, ResourceLimits, check_s_dense,
+                    check_s_equivalence, check_s_faithful, check_s_full,
+                    classical_equivalence, enumerate_s_two_arrows, prepare,
+                    solve_fill)
 from loccat import equivalence
 
 
@@ -106,6 +111,15 @@ class TestSEquivalence:
         assert check_s_full(setting.f, DEFAULT_LIMITS, setting).verdict
         assert len(runs) == 1
 
+    @pytest.mark.parametrize("check", [check_s_dense, check_s_full,
+                                       check_s_faithful, check_s_equivalence])
+    def test_bounds_used_are_the_setting_limits(self, check):
+        # a given setting was completed under the default limits; other
+        # limits passed alongside it are not the ones the check ran under
+        f = corpus.fun("E7")
+        report = check(f, ResourceLimits(max_word_len=12), corpus.setting("E7"))
+        assert report.bounds_used == asdict(DEFAULT_LIMITS)
+
     def test_gz_details_present(self):
         report = check_s_equivalence(corpus.fun("E2"), DEFAULT_LIMITS)
         assert report.details["gz_details"]["full"] is True
@@ -124,7 +138,7 @@ class TestClassicalCriterion:
         for name in self.VARIANTS:
             s = corpus.setting(name)
             for cwd, rs in ((s.f.source, s.rs_src), (s.f.target, s.rs_tgt)):
-                dec = DenomDecider(cwd, rs, DEFAULT_LIMITS)
+                dec = DenomDecider(cwd, rs)
                 for x in cwd.cat.objects:
                     for y in cwd.cat.objects:
                         for w in homset(rs, x, y):
@@ -136,6 +150,5 @@ class TestClassicalCriterion:
         for name in self.VARIANTS:
             s = corpus.setting(name)
             rel = check_s_equivalence(corpus.fun(name), DEFAULT_LIMITS)
-            cls, _ = classical_equivalence(s.f, s.rs_src, s.rs_tgt,
-                                           DEFAULT_LIMITS)
+            cls, _ = classical_equivalence(s.f, s.rs_src, s.rs_tgt)
             assert rel.verdict == cls == expected[name], name

@@ -15,28 +15,27 @@ from loccat.rewrite import complete
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt,
-                                         DEFAULT_LIMITS)
+    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt)
 
 
 class TestFindReplacements:
     def test_e2_replacements(self):
         s = corpus.setting("E2")
         tgt = s.f.target.cat
-        reps_a = find_s_replacements(s.f, s.rs_tgt, "a", DEFAULT_LIMITS)
-        reps_b = find_s_replacements(s.f, s.rs_tgt, "b", DEFAULT_LIMITS)
+        reps_a = find_s_replacements(s.f, s.rs_tgt, "a")
+        reps_b = find_s_replacements(s.f, s.rs_tgt, "b")
         assert reps_a == (SReplacement("a", "•", tgt.identity("a")),)
         assert reps_b == (SReplacement("b", "•", tgt.word(["d"])),)
 
     def test_e7b_bottom_left_has_two(self):
         s = corpus.setting("E7b")
-        reps = find_s_replacements(s.f, s.rs_tgt, "bl", DEFAULT_LIMITS)
+        reps = find_s_replacements(s.f, s.rs_tgt, "bl")
         assert [(r.source, r.q.letters) for r in reps] == \
             [("x0", ("v_left",)), ("x0", ("v_left2",))]
 
     def test_e4_isolated_object_has_none(self):
         s = corpus.setting("E4")
-        assert find_s_replacements(s.f, s.rs_tgt, "Z", DEFAULT_LIMITS) == ()
+        assert find_s_replacements(s.f, s.rs_tgt, "Z") == ()
 
 
 class TestEnough:
@@ -45,23 +44,22 @@ class TestEnough:
                     "E7": True, "E7b": True, "E1incl": False}
         for name, want in expected.items():
             s = corpus.setting(name)
-            got, witness = has_enough(s.f, s.rs_tgt, DEFAULT_LIMITS)
+            got, witness = has_enough(s.f, s.rs_tgt)
             assert got == want, name
             if not want:
                 assert witness["kind"] == "object-without-replacement"
 
     def test_e4_witness_is_the_isolated_object(self):
         s = corpus.setting("E4")
-        _, witness = has_enough(s.f, s.rs_tgt, DEFAULT_LIMITS)
+        _, witness = has_enough(s.f, s.rs_tgt)
         assert witness["object"] == "Z"
 
     def test_trivial_replacements(self):
         ok, _ = has_all_trivial(corpus.setting("E2").f,
-                                corpus.setting("E2").rs_tgt, DEFAULT_LIMITS)
+                                corpus.setting("E2").rs_tgt)
         assert ok
         ok6, witness6 = has_all_trivial(corpus.setting("E6").f,
-                                        corpus.setting("E6").rs_tgt,
-                                        DEFAULT_LIMITS)
+                                        corpus.setting("E6").rs_tgt)
         assert not ok6
         assert witness6["kind"] == "identity-not-denominator"
 
@@ -172,7 +170,7 @@ class TestForgetful:
             s, rc = rc_for(name)
             u = forgetful(rc)
             hit = set(u.object_map.values())
-            enough, _ = has_enough(s.f, s.rs_tgt, DEFAULT_LIMITS)
+            enough, _ = has_enough(s.f, s.rs_tgt)
             assert (hit == set(s.f.target.cat.objects)) == enough, name
 
 
@@ -254,6 +252,5 @@ class TestCanonicalLift:
         # before any category is built, so reuse E2's category shape
         from loccat import build_replacement_category
         with pytest.raises(PreconditionError):
-            rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt,
-                                            DEFAULT_LIMITS)
+            rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt)
             canonical_lift(s.f, rc, s.rs_tgt)

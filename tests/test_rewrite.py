@@ -13,9 +13,9 @@ import reference_rewrite
 from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     CatWithDenoms, DenomDecider, DenomSet, GenArrow,
                     LimitExceeded, PathWord, Relation, DEFAULT_LIMITS,
-                    ResourceLimits, RewriteRule, ValidationError, complete,
-                    denominators, equal, find_inverse, homset, is_isomorphism,
-                    localise, normalize)
+                    ResourceLimits, RewriteRule, ValidationError,
+                    build_replacement_category, complete, denominators, equal,
+                    find_inverse, homset, localise, normalize)
 from loccat import rewrite
 from loccat.rewrite import RuleIndex
 from test_approximation import ladder
@@ -121,7 +121,7 @@ class TestCompletion:
         rs = complete(dihedral(n), limits)
         assert rs.status == COMPLETE
         assert len(rs.rules) == 6
-        assert len(homset(rs, "o", "o", limits)) == 2 * n
+        assert len(homset(rs, "o", "o")) == 2 * n
 
     @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, *FAMILIES])
     def test_same_rules_as_reference(self, name):
@@ -187,7 +187,7 @@ class TestCompletion:
         for word_len in sorted(bounds):
             limits = ResourceLimits(max_word_len=word_len, max_rules=512)
             try:
-                lc = localise(c, complete(c.cat, limits), limits)
+                lc = localise(c, complete(c.cat, limits))
             except LimitExceeded:
                 continue
             want = complete(lc.presentation, limits)
@@ -203,7 +203,7 @@ class TestCompletion:
         limits = ResourceLimits(max_word_len=17)
         rs = complete(c.cat, limits)
         calls = count_normal_forms(monkeypatch)
-        assert localise(c, rs, limits).rs.status == COMPLETE
+        assert localise(c, rs).rs.status == COMPLETE
         assert len(calls) < 1500
 
     def test_no_inverse_search_without_a_way_back(self, monkeypatch):
@@ -214,9 +214,9 @@ class TestCompletion:
         starts = []
         reachable = rewrite._reachable_normal_forms
 
-        def recorded(rs, x, limits):
+        def recorded(rs, x):
             starts.append(x)
-            return reachable(rs, x, limits)
+            return reachable(rs, x)
 
         monkeypatch.setattr(rewrite, "_reachable_normal_forms", recorded)
         assert localise(f.target, rs).rs.status == COMPLETE
@@ -371,7 +371,7 @@ class TestHomset:
             objects=("x",), generators=(GenArrow("t", "x", "x"),), relations=())
         rs = complete(free_loop, TIGHT)
         with pytest.raises(LimitExceeded):
-            homset(rs, "x", "x", TIGHT)
+            homset(rs, "x", "x")
 
 
 class TestInverses:
@@ -380,13 +380,12 @@ class TestInverses:
         c = corpus.cat("E5").cat
         d = c.word(["d"])
         assert find_inverse(rs, d) == d
-        assert is_isomorphism(rs, d)
+        assert find_inverse(rs, d) is not None
 
     def test_non_isomorphism_has_no_inverse(self):
         rs = corpus.rs("E2")
         c = corpus.cat("E2").cat
         assert find_inverse(rs, c.word(["d"])) is None
-        assert not is_isomorphism(rs, c.word(["d"]))
 
     def test_identity_is_isomorphism(self):
         rs = corpus.rs("E1")
@@ -442,21 +441,20 @@ class TestDenomDecider:
 
 
 class TestDeciderTable:
-    """Each system builds the decider of a denominator set once per limits."""
+    """Each system builds the decider of a denominator set once."""
 
-    def test_same_decider_per_limits(self):
+    def test_same_decider_per_system(self):
         c = corpus.cat("E7bD")
         rs = complete(c.cat, DEFAULT_LIMITS)
-        dec = denominators(c, rs, DEFAULT_LIMITS)
-        assert denominators(c, rs, DEFAULT_LIMITS) is dec
-        other = ResourceLimits(max_word_len=12)
-        tight = denominators(c, rs, other)
+        dec = denominators(c, rs)
+        assert denominators(c, rs) is dec
+        rs_tight = complete(c.cat, ResourceLimits(max_word_len=12))
+        tight = denominators(c, rs_tight)
         assert tight is not dec
-        assert denominators(c, rs, other) is tight
+        assert denominators(c, rs_tight) is tight
         assert tight.materialized == dec.materialized
         # a system of the same presentation keeps its own table
-        assert denominators(c, complete(c.cat, DEFAULT_LIMITS),
-                            DEFAULT_LIMITS) is not dec
+        assert denominators(c, complete(c.cat, DEFAULT_LIMITS)) is not dec
 
     def test_failed_closure_raises_again(self, monkeypatch):
         # a free monoid: the composites of a never end
@@ -473,7 +471,7 @@ class TestDeciderTable:
         monkeypatch.setattr(DenomDecider, "__init__", counted)
         for _ in range(2):
             with pytest.raises(LimitExceeded, match="max_word_len"):
-                denominators(c, rs, DEFAULT_LIMITS)
+                denominators(c, rs)
         assert len(builds) == 2
 
 
@@ -506,21 +504,48 @@ class TestSystemTables:
                             found.append(f"{path.name}:{node.name}")
         assert found == []
 
-    def test_limits_kept_per_call(self):
+    def test_queries_under_the_system_limits(self):
         p = corpus.cat("E7bD").cat
-        rs = complete(p, DEFAULT_LIMITS)
         # seven morphisms leave tl, so a bound of two cannot enumerate them
-        tight = ResourceLimits(max_word_len=16, max_rules=512, max_homset=2)
+        tight = complete(p, ResourceLimits(max_homset=2))
         for _ in range(2):
             with pytest.raises(LimitExceeded):
-                homset(rs, "tl", "bl", tight)
-        words = homset(rs, "tl", "bl", DEFAULT_LIMITS)
+                homset(tight, "tl", "bl")
+        rs = complete(p, DEFAULT_LIMITS)
+        words = homset(rs, "tl", "bl")
         assert words == homset(complete(p, DEFAULT_LIMITS), "tl", "bl")
-        assert homset(rs, "tl", "bl", DEFAULT_LIMITS) is words
-        # a result stored under generous limits does not answer tight ones
+        assert homset(rs, "tl", "bl") is words
+        # the same rules, but each system answers under its own limits
+        assert tight.rules == rs.rules and tight != rs
         with pytest.raises(LimitExceeded):
-            homset(rs, "tl", "bl", tight)
+            homset(tight, "tl", "bl")
         with pytest.raises(ValidationError):
             homset(rs, "tl", "nope")
         with pytest.raises(ValidationError):
             homset(rs, "nope", "bl")
+
+
+class TestDerivedLimits:
+    """A system derived from another is completed under its limits."""
+
+    BOUND = ResourceLimits(max_word_len=12)
+
+    def test_localisation_inherits(self):
+        c = corpus.cat("E7bD")
+        rs = complete(c.cat, self.BOUND)
+        assert localise(c, rs).rs.limits == rs.limits == self.BOUND
+
+    def test_replacement_category_inherits(self):
+        f = corpus.fun("E7")
+        rs_src = complete(f.source.cat, self.BOUND)
+        rs_tgt = complete(f.target.cat, self.BOUND)
+        rc = build_replacement_category(f, rs_src, rs_tgt)
+        assert rc.rs.limits == rs_tgt.limits == self.BOUND
+
+    def test_inverse_search_under_the_system_limits(self):
+        # hom(•, •) of E5 is {1, d}: a bound of one cannot enumerate it
+        p = corpus.cat("E5").cat
+        d = p.word(["d"])
+        with pytest.raises(LimitExceeded, match="max_homset"):
+            find_inverse(complete(p, ResourceLimits(max_homset=1)), d)
+        assert find_inverse(complete(p), d) == d
