@@ -2,7 +2,6 @@
 
 from .approximation import (
     ApproximationReport,
-    LocValuedFunctor,
     choice_independence,
     induced_replacement_functor,
     replacement_functor,
@@ -43,7 +42,6 @@ from .gz import (
     gz_identity,
     gz_inverse,
     induced_functor,
-    induced_transformation,
     loc_map,
     localise,
     zigzag_view,
@@ -74,7 +72,6 @@ from .replacement import (
     auto_choice,
     build_replacement_category,
     canonical_lift,
-    compose_replacement,
     find_s_replacements,
     forgetful,
     has_all_trivial,

@@ -21,7 +21,8 @@ generators of the relevant presentations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from .axioms import (
     check_multiplicative,
@@ -46,7 +47,7 @@ from .gz import (
     localise,
 )
 from .presentation import (
-    CatWithDenoms,
+    CatPresentation,
     ConstructionError,
     FunctorData,
     PathWord,
@@ -61,6 +62,7 @@ from .replacement import (
     canonical_lift,
     forgetful,
     has_enough,
+    positions,
     structure_choice_functor,
     validate_choice,
 )
@@ -73,35 +75,6 @@ from .rewrite import (
     homset,
     normalize,
 )
-
-
-@dataclass
-class LocValuedFunctor:
-    """A functor from a presented category into a localisation.
-
-    The value of a word is composed letter by letter from the identity,
-    and the value of each nonempty prefix is kept, by ``(src, letters)``,
-    so a word extending a word seen before costs one ``gz_compose``.
-    """
-
-    source: CatWithDenoms
-    target_lc: LocalisedCategory
-    object_map: dict[str, str]
-    gen_values: dict[str, GzMorphism]
-    _values: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-
-    def value_word(self, w: PathWord) -> GzMorphism:
-        values, src, letters = self._values, w.src, w.letters
-        k = len(letters)
-        while k and (src, letters[:k]) not in values:
-            k -= 1
-        out = (values[(src, letters[:k])] if k else
-               self.target_lc.presentation.identity(self.object_map[src]))
-        for k in range(k, len(letters)):
-            out = values[(src, letters[:k + 1])] = gz_compose(
-                self.target_lc, out, self.gen_values[letters[k]])
-        return out
 
 
 def total_value(setting: GzSetting, rc: ReplacementCategory,
@@ -138,6 +111,27 @@ def _lifted_value(setting: GzSetting, rc: ReplacementCategory,
                        normalize(setting.rs_tgt, rc.underlying_word(w)))
 
 
+def _chosen_value(setting: GzSetting, rc: ReplacementCategory,
+                  chosen: dict[str, int], w: PathWord) -> GzMorphism:
+    """:func:`total_value` of a target word, between its ``chosen`` triples."""
+    return total_value(setting, rc, chosen[w.src], chosen[w.dst],
+                       normalize(setting.rs_tgt, w))
+
+
+def _through(lc: LocalisedCategory, *functors: FunctorData):
+    """``w`` sent through ``functors`` in turn, normalised in ``lc``."""
+    def image(w: PathWord) -> GzMorphism:
+        for functor in functors:
+            w = functor.apply_word(w)
+        return normalize(lc.rs, w)
+    return image
+
+
+def _generators(p: CatPresentation) -> list[PathWord]:
+    """The one-letter words of the generators of ``p``."""
+    return [p.word([g.name]) for g in p.generators]
+
+
 def _require_fills(setting: GzSetting) -> int:
     """The number of 2-arrows surveyed; :class:`PreconditionError` with a
     witness unless each has exactly one fill."""
@@ -151,28 +145,23 @@ def _require_fills(setting: GzSetting) -> int:
     return arrows
 
 
-def _functor_checks(functor: LocValuedFunctor, rs: RewriteSystem,
-                    value) -> tuple[int, bool, int, bool]:
-    """Direct values ``value(w)`` against ``functor``, on every word.
+def _functor_checks(functor: FunctorData, lc: LocalisedCategory,
+                    rs: RewriteSystem, value) -> tuple[int, bool, int, bool]:
+    """Direct values ``value(w)`` against ``functor`` into ``lc``, on every word.
 
     Each word of each hom-set of the source (completed as ``rs``) must
-    agree with its letterwise composite, and each composable pair must
+    agree with its image under ``functor``, and each composable pair must
     compose.  Returns the words checked, whether they agree, the pairs
     checked and whether all compose; every check is evaluated.  Many
     pairs share a composite word and many share their two values, so
     ``value`` runs once per composite and ``gz_compose`` once per pair
     of values.
     """
-    cat, lc = functor.source.cat, functor.target_lc
+    cat, image = functor.source.cat, _through(lc, functor)
     words = {(a, b): homset(rs, a, b)
              for a in cat.objects for b in cat.objects}
-    values: dict[PathWord, GzMorphism] = {}
-    agreement_ok = True
-    for ws in words.values():
-        for w in ws:
-            values[w] = value(w)
-            if functor.value_word(w) != values[w]:
-                agreement_ok = False
+    values = {w: value(w) for ws in words.values() for w in ws}
+    agreement_ok = all([image(w) == v for w, v in values.items()])
     composites: dict[PathWord, GzMorphism] = {}
     composed: dict[tuple, GzMorphism] = {}
     pairs = 0
@@ -215,41 +204,44 @@ def _components(lc: LocalisedCategory, objects, component
     return comps, rows, all(row["invertible"] for row in rows)
 
 
-def _squares(lc: LocalisedCategory, arrows, frm, to,
-             comps: dict[str, GzMorphism]) -> tuple[int, bool]:
-    """Naturality of ``comps`` from ``frm`` to ``to`` on each arrow.
+def _invertible(lc: LocalisedCategory, comps) -> bool:
+    """Does every component have an inverse in ``lc``?  Stops at the
+    first that has none."""
+    return all(gz_inverse(lc, comp) is not None for comp in comps)
 
-    The square at ``a`` (a generator or a word) is
-    ``frm(a) . comps[dst a] = comps[src a] . to(a)`` in ``lc``.  Returns
-    the squares checked and whether all commute; each is evaluated.
+
+def _squares(lc: LocalisedCategory, words, frm,
+             comps: dict[str, GzMorphism], to=None) -> tuple[int, bool]:
+    """Naturality of ``comps`` from ``frm`` to ``to`` on each word.
+
+    The square at ``w`` is ``frm(w) . comps[dst w] = comps[src w] . to(w)``
+    in ``lc``; ``to`` defaults to the identity.  Returns the squares
+    checked and whether all commute; each is evaluated.
     """
-    count = 0
-    ok = True
-    for a in arrows:
-        lhs = gz_compose(lc, frm(a), comps[a.dst])
-        if lhs != gz_compose(lc, comps[a.src], to(a)):
-            ok = False
-        count += 1
-    return count, ok
+    commute = [gz_compose(lc, frm(w), comps[w.dst])
+               == gz_compose(lc, comps[w.src], w if to is None else to(w))
+               for w in words]
+    return len(commute), all(commute)
 
 
 def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
-                              ) -> tuple[LocValuedFunctor, dict]:
+                              ) -> tuple[FunctorData, dict]:
     """The fill-valued functor on the replacement category, verified.
 
-    Requires relative fullness and faithfulness; raises
-    :class:`PreconditionError` with a witness otherwise.  The report
-    confirms unit fill cardinality, agreement of direct values with
-    letterwise composition on every materialized word, and
-    functoriality on every composable pair of materialized words.
+    It is a functor into the localised source; a lifted generator goes
+    to the fill between the triples it joins.  Requires relative
+    fullness and faithfulness; raises :class:`PreconditionError` with a
+    witness otherwise.  The report confirms unit fill cardinality,
+    agreement of direct values with letterwise composition on every
+    materialized word, and functoriality on every composable pair of
+    materialized words.
     """
     arrows = _require_fills(setting)
-    gen_values = {name: total_value(setting, rc, i, j, rc.lifted_underlying[name])
-                  for name, (_, i, j) in rc.lift_meta.items()}
-    functor = LocValuedFunctor(
-        source=rc.cwd, target_lc=setting.lc_src,
+    functor = FunctorData(
+        source=rc.cwd, target=setting.lc_src.cwd,
         object_map={name: t.source for name, t in zip(rc.obj_names, rc.triples)},
-        gen_values=gen_values)
+        gen_map={name: total_value(setting, rc, i, j, rc.lifted_underlying[name])
+                 for name, (_, i, j) in rc.lift_meta.items()})
 
     identities = [total_value(setting, rc, i, i,
                               setting.f.target.cat.identity(t.target))
@@ -257,7 +249,7 @@ def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
     identities_ok = all(w.is_identity_word for w in identities)
 
     words, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, rc.rs, lambda w: _lifted_value(setting, rc, w))
+        functor, setting.lc_src, rc.rs, partial(_lifted_value, setting, rc))
     report = {
         "arrows_surveyed": arrows,
         "fill_cardinality_one": True,
@@ -285,6 +277,18 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
     # the object pairs joined by a denominator, in row-major order
     spans = [(y, y_bar, es) for y in objects for y_bar in objects
              if (es := dec.denominators_between(y, y_bar))]
+
+    def lengthened(e: PathWord):
+        """Positions of each triple ``(X, q)`` and of its lengthening ``(X, q.e)``."""
+        for i in rc.triples_over(e.src):
+            t = rc.triples[i]
+            qe = normalize(rs, tgt_cat.concat(t.q, e))
+            try:
+                i2 = rc.index_of(SReplacement(e.dst, t.source, qe))
+            except ValueError:
+                continue
+            yield i, i2
+
     quadruples = 0
     mismatch = None
     for y, y_bar, es in spans:
@@ -298,22 +302,8 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
                             if not equal(rs, tgt_cat.concat(g, e2),
                                          tgt_cat.concat(e, gt)):
                                 continue
-                            for i in rc.triples_over(y):
-                                qe = normalize(rs, tgt_cat.concat(
-                                    rc.triples[i].q, e))
-                                try:
-                                    i2 = rc.index_of(SReplacement(
-                                        y_bar, rc.triples[i].source, qe))
-                                except ValueError:
-                                    continue
-                                for j in rc.triples_over(y2):
-                                    q2e = normalize(rs, tgt_cat.concat(
-                                        rc.triples[j].q, e2))
-                                    try:
-                                        j2 = rc.index_of(SReplacement(
-                                            y2_bar, rc.triples[j].source, q2e))
-                                    except ValueError:
-                                        continue
+                            for i, i2 in lengthened(e):
+                                for j, j2 in lengthened(e2):
                                     a = total_value(setting, rc, i, j, g)
                                     b = total_value(setting, rc, i2, j2, gt)
                                     quadruples += 1
@@ -335,14 +325,13 @@ def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> di
     This is the one step that uses closure of the target denominators
     under composition.
     """
-    checked = 0
     failure = None
     for w in rc.cwd.denoms.explicit:
         value = _lifted_value(setting, rc, w)
-        checked += 1
         if gz_inverse(setting.lc_src, value) is None and failure is None:
             failure = {"lifted_word": word_json(w), "value": word_json(value)}
-    out = {"lifted_denominators_checked": checked, "ok": failure is None}
+    out = {"lifted_denominators_checked": len(rc.cwd.denoms.explicit),
+           "ok": failure is None}
     if failure is not None:
         out["witness"] = failure
     return out
@@ -350,7 +339,7 @@ def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> di
 
 def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
                         choice: ReplacementChoice
-                        ) -> tuple[LocValuedFunctor, dict]:
+                        ) -> tuple[FunctorData, dict]:
     """The choice-dependent functor on the target category, verified.
 
     Sends ``Y`` to the chosen source ``X_Y`` and a morphism to the
@@ -360,55 +349,34 @@ def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     values, and that all comparison fills between coexisting triples
     are mutually inverse isomorphisms.
     """
-    validate_choice(rc, choice)
-    tgt_cat = setting.f.target.cat
-    chosen = {y: rc.index_of(choice.get(y)) for y in tgt_cat.objects}
-
-    gen_values = {
-        g.name: total_value(setting, rc, chosen[g.src], chosen[g.dst],
-                            tgt_cat.word([g.name]))
-        for g in tgt_cat.generators}
-    functor = LocValuedFunctor(
-        source=setting.f.target, target_lc=setting.lc_src,
+    tgt_cat, lc_src = setting.f.target.cat, setting.lc_src
+    chosen = positions(rc, choice)
+    functor = FunctorData(
+        source=setting.f.target, target=lc_src.cwd,
         object_map={y: rc.triples[chosen[y]].source for y in tgt_cat.objects},
-        gen_values=gen_values)
-
-    def direct(w: PathWord) -> GzMorphism:
-        return total_value(setting, rc, chosen[w.src], chosen[w.dst],
-                           normalize(setting.rs_tgt, w))
+        gen_map={g.name: total_value(setting, rc, chosen[g.src], chosen[g.dst],
+                                     tgt_cat.word([g.name]))
+                 for g in tgt_cat.generators})
+    direct = partial(_chosen_value, setting, rc, chosen)
 
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, setting.rs_tgt, direct)
-
-    denom_iso_ok = True
-    denoms_checked = 0
-    for w in setting.dec_tgt.materialized:
-        value = direct(w)
-        denoms_checked += 1
-        if gz_inverse(setting.lc_src, value) is None:
-            denom_iso_ok = False
-
-    comparison_ok = True
-    comparisons = 0
-    for y in tgt_cat.objects:
-        cy = chosen[y]
-        for t in rc.triples_over(y):
-            fwd = total_value(setting, rc, cy, t, tgt_cat.identity(y))
-            bwd = total_value(setting, rc, t, cy, tgt_cat.identity(y))
-            comparisons += 1
-            if not _mutually_inverse(setting.lc_src, fwd, bwd):
-                comparison_ok = False
-
+        functor, lc_src, setting.rs_tgt, direct)
+    denom_isos = [gz_inverse(lc_src, direct(w)) is not None
+                  for w in setting.dec_tgt.materialized]
+    comparisons = [
+        _mutually_inverse(
+            lc_src, total_value(setting, rc, chosen[y], t, tgt_cat.identity(y)),
+            total_value(setting, rc, t, chosen[y], tgt_cat.identity(y)))
+        for y in tgt_cat.objects for t in rc.triples_over(y)]
     report = {
         "letterwise_agreement_ok": agreement_ok,
         "composable_pairs_checked": pairs,
         "functoriality_ok": functorial_ok,
-        "denominators_checked": denoms_checked,
-        "denominators_to_isomorphisms_ok": denom_iso_ok,
-        "comparison_isos_checked": comparisons,
-        "comparison_isos_ok": comparison_ok,
-        "ok": (agreement_ok and functorial_ok and denom_iso_ok
-               and comparison_ok),
+        "denominators_checked": len(denom_isos),
+        "denominators_to_isomorphisms_ok": all(denom_isos),
+        "comparison_isos_checked": len(comparisons),
+        "comparison_isos_ok": all(comparisons),
+        "ok": agreement_ok and functorial_ok and all(denom_isos + comparisons),
     }
     return functor, report
 
@@ -418,8 +386,7 @@ def choice_independence(setting: GzSetting, rc: ReplacementCategory,
                         ) -> dict:
     """The two choice functors are isomorphic via unit-indexed fills."""
     tgt_cat = setting.f.target.cat
-    idx1 = {y: rc.index_of(first.get(y)) for y in tgt_cat.objects}
-    idx2 = {y: rc.index_of(second.get(y)) for y in tgt_cat.objects}
+    idx1, idx2 = positions(rc, first), positions(rc, second)
     fwds: dict[str, GzMorphism] = {}
     components = []
     for y in tgt_cat.objects:
@@ -432,12 +399,9 @@ def choice_independence(setting: GzSetting, rc: ReplacementCategory,
                                                            fwd, bwd)})
     iso_ok = all(row["invertible"] for row in components)
     squares, naturality_ok = _squares(
-        setting.lc_src, tgt_cat.generators,
-        lambda g: total_value(setting, rc, idx1[g.src], idx1[g.dst],
-                              tgt_cat.word([g.name])),
-        lambda g: total_value(setting, rc, idx2[g.src], idx2[g.dst],
-                              tgt_cat.word([g.name])),
-        fwds)
+        setting.lc_src, _generators(tgt_cat),
+        lambda w: total_value(setting, rc, idx1[w.src], idx1[w.dst], w),
+        fwds, lambda w: total_value(setting, rc, idx2[w.src], idx2[w.dst], w))
     return {"components": components, "isomorphism_ok": iso_ok,
             "squares_checked": squares, "naturality_ok": naturality_ok,
             "ok": iso_ok and naturality_ok}
@@ -445,7 +409,7 @@ def choice_independence(setting: GzSetting, rc: ReplacementCategory,
 
 def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
                                 choice: ReplacementChoice,
-                                r_choice: LocValuedFunctor
+                                r_choice: FunctorData
                                 ) -> tuple[FunctorData, dict]:
     """The functor on the localised target induced by the choice functor.
 
@@ -456,30 +420,25 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     """
     lc_tgt, lc_src = setting.lc_tgt, setting.lc_src
     tgt_cat = setting.f.target.cat
-    chosen = {y: rc.index_of(choice.get(y)) for y in tgt_cat.objects}
-
     functor = extend_to_localisation(
-        lc_tgt, lc_src, r_choice.object_map, r_choice.gen_values,
-        lambda w: total_value(setting, rc, chosen[w.src], chosen[w.dst],
-                              normalize(setting.rs_tgt, w)))
+        lc_tgt, lc_src, r_choice.object_map, r_choice.gen_map,
+        partial(_chosen_value, setting, rc, positions(rc, choice)))
     problems = validate_functor(functor, lc_tgt.rs, lc_src.rs)
     if problems:
         raise ConstructionError(f"induced replacement functor invalid: "
                                 f"{problems[0]}")
 
+    image = _through(lc_src, functor)
     factorization_ok = all(
-        normalize(lc_src.rs, functor.apply_word(
-            loc_map(lc_tgt, tgt_cat.word([g.name]))))
-        == r_choice.gen_values[g.name]
+        image(loc_map(lc_tgt, tgt_cat.word([g.name]))) == r_choice.gen_map[g.name]
         for g in tgt_cat.generators)
 
     objects = tgt_cat.objects
     checked, description_ok = _squares(
         lc_tgt, (psi for y in objects for y2 in objects
                  for psi in homset(lc_tgt.rs, y, y2)),
-        lambda psi: setting.gz_f.apply_word(
-            normalize(lc_src.rs, functor.apply_word(psi))),
-        lambda psi: psi, {y: loc_map(lc_tgt, choice.get(y).q) for y in objects})
+        lambda psi: setting.gz_f.apply_word(image(psi)),
+        {y: loc_map(lc_tgt, choice.get(y).q) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
               "description_pairs_checked": checked,
               "description_ok": description_ok,
@@ -532,7 +491,7 @@ def verify_approximation(f: FunctorData,
 
     rc = build_replacement_category(f, setting.rs_src, setting.rs_tgt)
     chosen_choice = choice or auto_choice(rc)
-    validate_choice(rc, chosen_choice)
+    chosen_idx = positions(rc, chosen_choice)
     if compare_choice == "auto":
         compare_choice = auto_choice(rc)
     if compare_choice is not None:
@@ -580,12 +539,10 @@ def verify_approximation(f: FunctorData,
         setting, rc, chosen_choice, r_choice)
     sections.append({"name": "induced_functor", **induced_report})
 
-    chosen_idx = {y: rc.index_of(chosen_choice.get(y))
-                  for y in tgt_cat.objects}
-    trivial_idx = {
-        x: rc.index_of(SReplacement(f.object_map[x], x,
-                                    tgt_cat.identity(f.object_map[x])))
-        for x in src_cat.objects}
+    # the canonical lift sends X' to its trivial triple (F X', X', 1)
+    lift = canonical_lift(rc)
+    trivial_idx = {x: rc.object_index(lift.object_map[x])
+                   for x in src_cat.objects}
 
     # alpha: chosen replacement of F X' compared with the trivial one
     p_src, p_tgt = lc_src.presentation, lc_tgt.presentation
@@ -594,10 +551,7 @@ def verify_approximation(f: FunctorData,
         lambda x: total_value(setting, rc, chosen_idx[f.object_map[x]],
                               trivial_idx[x], tgt_cat.identity(f.object_map[x])))
     alpha_squares, alpha_natural = _squares(
-        lc_src, p_src.generators,
-        lambda g: normalize(lc_src.rs, induced.apply_word(
-            gz_f.apply_word(p_src.word([g.name])))),
-        lambda g: p_src.word([g.name]), alpha)
+        lc_src, _generators(p_src), _through(lc_src, gz_f, induced), alpha)
     objects_match = all(
         induced.object_map[gz_f.object_map[x]]
         == rc.triples[chosen_idx[f.object_map[x]]].source
@@ -608,72 +562,57 @@ def verify_approximation(f: FunctorData,
                      "ok": alpha_iso and alpha_natural})
 
     # beta: localised chosen denominators
+    gz_f_image, induced_image = _through(lc_tgt, gz_f), _through(lc_src, induced)
     beta, beta_rows, beta_iso = _components(
         lc_tgt, tgt_cat.objects,
         lambda y: loc_map(lc_tgt, chosen_choice.get(y).q))
     beta_squares, beta_natural = _squares(
-        lc_tgt, p_tgt.generators,
-        lambda g: normalize(lc_tgt.rs, gz_f.apply_word(normalize(
-            lc_src.rs, induced.apply_word(p_tgt.word([g.name]))))),
-        lambda g: p_tgt.word([g.name]), beta)
+        lc_tgt, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
     sections.append({"name": "beta", "components": beta_rows,
                      "squares_checked": beta_squares,
                      "ok": beta_iso and beta_natural})
 
     # whiskering compatibilities linking alpha and beta
-    sym_ok = True
-    for x in src_cat.objects:
-        image = normalize(lc_tgt.rs, gz_f.apply_word(alpha[x]))
-        if image != beta[f.object_map[x]]:
-            sym_ok = False
-    for y in tgt_cat.objects:
-        image = normalize(lc_src.rs, induced.apply_word(beta[y]))
-        if image != alpha[chosen_choice.get(y).source]:
-            sym_ok = False
+    sym_ok = all(
+        [gz_f_image(alpha[x]) == beta[f.object_map[x]] for x in src_cat.objects]
+        + [induced_image(beta[y]) == alpha[chosen_choice.get(y).source]
+           for y in tgt_cat.objects])
     sections.append({"name": "symmetric_relations",
                      "objects_checked": len(src_cat.objects) + len(tgt_cat.objects),
                      "ok": sym_ok})
 
     # canonical lift: the lift itself, its exact retraction, and the
     # comparison transformations at base and localised level
-    lift = canonical_lift(f, rc, setting.rs_tgt)
     part_a_ok = all(
-        total.value_word(lift.apply_word(src_cat.word([g.name])))
-        == loc_map(lc_src, src_cat.word([g.name]))
-        for g in src_cat.generators) and all(
+        _through(lc_src, lift, total)(w) == loc_map(lc_src, w)
+        for w in _generators(src_cat)) and all(
         total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
-    rc_gens = rc.cwd.cat.generators
+    rc_gens = _generators(rc.cwd.cat)
     beta_bar = {rc.obj_names[i]: loc_map(lc_tgt, rc.triples[i].q)
                 for i in range(len(rc.triples))}
-    part_b_ok = all(gz_inverse(lc_tgt, comp) is not None
-                    for comp in beta_bar.values())
+    part_b_ok = _invertible(lc_tgt, beta_bar.values())
     b_squares, b_natural = _squares(
-        lc_tgt, rc_gens,
-        lambda g: normalize(lc_tgt.rs, gz_f.apply_word(total.gen_values[g.name])),
-        lambda g: loc_map(lc_tgt, rc.lifted_underlying[g.name]), beta_bar)
+        lc_tgt, rc_gens, _through(lc_tgt, total, gz_f), beta_bar,
+        _through(lc_tgt, u))
 
     lc_rc = localise(rc.cwd, rc.rs)
     gz_lift = induced_functor(lift, lc_src, lc_rc)
     beta_bar_c = {rc.obj_names[i]: loc_map(lc_rc, rc.lift_word(
         t.q, trivial_idx[t.source], i)) for i, t in enumerate(rc.triples)}
-    part_c_ok = all(gz_inverse(lc_rc, comp) is not None
-                    for comp in beta_bar_c.values())
+    part_c_ok = _invertible(lc_rc, beta_bar_c.values())
     c_squares, c_natural = _squares(
-        lc_rc, rc_gens,
-        lambda g: normalize(lc_rc.rs, gz_lift.apply_word(total.gen_values[g.name])),
-        lambda g: loc_map(lc_rc, rc.cwd.cat.word([g.name])), beta_bar_c)
+        lc_rc, rc_gens, _through(lc_rc, total, gz_lift), beta_bar_c,
+        partial(loc_map, lc_rc))
 
     # the total functor through the localised replacement category
     rf_hat = extend_to_localisation(
-        lc_rc, lc_src, total.object_map, total.gen_values,
-        lambda w: _lifted_value(setting, rc, w))
+        lc_rc, lc_src, total.object_map, total.gen_map,
+        partial(_lifted_value, setting, rc))
     rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs)
     retraction_ok = not rf_hat_problems and all(
-        normalize(lc_src.rs, rf_hat.apply_word(gz_lift.apply_word(
-            p_src.word([g.name]))))
-        == normalize(lc_src.rs, p_src.word([g.name]))
-        for g in p_src.generators)
+        _through(lc_src, gz_lift, rf_hat)(w) == normalize(lc_src.rs, w)
+        for w in _generators(p_src))
 
     part_b_ok = part_b_ok and b_natural
     part_c_ok = part_c_ok and c_natural
@@ -691,19 +630,13 @@ def verify_approximation(f: FunctorData,
     gz_u = induced_functor(u, lc_rc, lc_tgt)
     gz_cr = induced_functor(c_r, lc_tgt, lc_rc)
     pair_exact_ok = all(
-        normalize(lc_tgt.rs, gz_u.apply_word(gz_cr.apply_word(
-            p_tgt.word([g.name]))))
-        == normalize(lc_tgt.rs, p_tgt.word([g.name]))
-        for g in p_tgt.generators)
-    p_rc = lc_rc.presentation
+        _through(lc_tgt, gz_cr, gz_u)(w) == normalize(lc_tgt.rs, w)
+        for w in _generators(p_tgt))
     loc_abar = {t: loc_map(lc_rc, abar.components[t]) for t in rc.obj_names}
-    pair_iso_ok = all(gz_inverse(lc_rc, comp) is not None
-                      for comp in loc_abar.values())
+    pair_iso_ok = _invertible(lc_rc, loc_abar.values())
     pair_squares, pair_nat_ok = _squares(
-        lc_rc, p_rc.generators,
-        lambda g: normalize(lc_rc.rs, gz_cr.apply_word(gz_u.apply_word(
-            p_rc.word([g.name])))),
-        lambda g: p_rc.word([g.name]), loc_abar)
+        lc_rc, _generators(lc_rc.presentation), _through(lc_rc, gz_u, gz_cr),
+        loc_abar)
     sections.append({
         "name": "forgetful_section_pair",
         "section_then_forgetful_identity_ok": pair_exact_ok,

@@ -13,7 +13,8 @@ enumeration of the finitely presented hom-sets.
 
 Each check takes ``limits`` only to prepare a :class:`GzSetting` when
 the caller gives none; the ``bounds_used`` it reports are the limits
-the setting's systems were completed under.
+the setting's systems were completed under.  A setting prepared for
+another functor raises :class:`ValidationError`.
 
 Each :class:`GzSetting` keeps a fill table: :func:`solve_fill` solves a
 2-arrow once and answers it from the table after that, so the fill
@@ -140,6 +141,13 @@ def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSettin
                      lc_src=lc_src, lc_tgt=lc_tgt, gz_f=gz_f)
 
 
+def _setting_of(f: FunctorData, setting: GzSetting) -> GzSetting:
+    """``setting``, checked to have been prepared for ``f``."""
+    if setting.f != f:
+        raise ValidationError("the setting was prepared for another functor")
+    return setting
+
+
 def enumerate_s_two_arrows(setting: GzSetting):
     """All 2-arrows between materialized hom-sets, in a fixed order."""
     f, dec = setting.f, setting.dec_tgt
@@ -175,7 +183,7 @@ def solve_fill(setting: GzSetting, arrow: STwoArrow) -> tuple[PathWord, ...]:
 def check_s_dense(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
                   setting: GzSetting | None = None) -> CheckReport:
     """Does every target object admit a replacement along ``f``?"""
-    setting = setting or prepare(f, limits)
+    setting = _setting_of(f, setting or prepare(f, limits))
     ok, witness = has_enough(f, setting.rs_tgt)
     return CheckReport(
         check="s-dense", verdict=ok, witness=witness,
@@ -205,7 +213,7 @@ def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
 def check_s_full(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
                  setting: GzSetting | None = None) -> CheckReport:
     """Does every 2-arrow admit a fill?"""
-    setting = setting or prepare(f, limits)
+    setting = _setting_of(f, setting or prepare(f, limits))
     no_fill, _, count = setting.fill_survey()
     return CheckReport(
         check="s-full", verdict=no_fill is None, witness=no_fill,
@@ -217,7 +225,7 @@ def check_s_full(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
 def check_s_faithful(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
                      setting: GzSetting | None = None) -> CheckReport:
     """Does every 2-arrow admit at most one fill?"""
-    setting = setting or prepare(f, limits)
+    setting = _setting_of(f, setting or prepare(f, limits))
     _, ambiguous, count = setting.fill_survey()
     return CheckReport(
         check="s-faithful", verdict=ambiguous is None, witness=ambiguous,
@@ -288,7 +296,7 @@ def check_s_equivalence(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     equivalent to relative density, fullness and faithfulness together;
     the agreement of the two routes is recorded in the details.
     """
-    setting = setting or prepare(f, limits)
+    setting = _setting_of(f, setting or prepare(f, limits))
     dense = check_s_dense(f, setting=setting)
     gz_ok, gz_details = classical_equivalence(
         setting.gz_f, setting.lc_src.rs, setting.lc_tgt.rs)

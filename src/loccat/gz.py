@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .axioms import check_transformation, validate_functor
+from .axioms import validate_functor
 from .presentation import (
     CatPresentation,
     CatWithDenoms,
@@ -37,7 +37,6 @@ from .presentation import (
     LimitExceeded,
     PathWord,
     Relation,
-    TransformationData,
 )
 from .rewrite import (
     RewriteSystem,
@@ -274,19 +273,6 @@ def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
     problems = validate_functor(ind, lc_src.rs, lc_tgt.rs)
     if problems:
         raise ConstructionError(f"induced functor invalid: {problems[0]}")
-    return ind
-
-
-def induced_transformation(t: TransformationData, lc_src: LocalisedCategory,
-                           lc_tgt: LocalisedCategory) -> TransformationData:
-    """The transformation between induced functors, components localised."""
-    frm = induced_functor(t.frm, lc_src, lc_tgt)
-    to = induced_functor(t.to, lc_src, lc_tgt)
-    comps = {x: loc_map(lc_tgt, w) for x, w in t.components.items()}
-    ind = TransformationData(frm=frm, to=to, components=comps)
-    problems = check_transformation(ind, lc_tgt.rs)
-    if problems:
-        raise ConstructionError(f"induced transformation not natural: {problems[0]}")
     return ind
 
 

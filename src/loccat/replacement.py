@@ -104,28 +104,6 @@ def has_all_trivial(f: FunctorData,
     return True, None
 
 
-def compose_replacement(g: FunctorData, outer: SReplacement, inner: SReplacement,
-                        rs_outer_tgt: RewriteSystem) -> SReplacement:
-    """Replacement for a composite of functors.
-
-    ``inner = (Y, X, q)`` replaces ``Y`` along the inner functor and
-    ``outer = (Z, Y, r)`` replaces ``Z`` along ``g``; the result
-    ``(Z, X, (g q) . r)`` replaces ``Z`` along the composite.
-    """
-    if outer.source != inner.target:
-        raise ValidationError("replacements do not stack: outer source "
-                              f"{outer.source!r} != inner target {inner.target!r}")
-    composite_q = g.target.cat.concat(g.apply_word(inner.q), outer.q)
-    dec = denominators(g.target, rs_outer_tgt)
-    if not dec.is_denominator(composite_q):
-        raise PreconditionError(
-            "composite of the two denominators is not a denominator",
-            witness={"word": {"src": composite_q.src, "dst": composite_q.dst,
-                              "letters": list(composite_q.letters)}})
-    return SReplacement(target=outer.target, source=inner.source,
-                        q=normalize(rs_outer_tgt, composite_q))
-
-
 def _route_lift(tgt_cat: CatPresentation, obj_names: tuple[str, ...],
                 lookup: dict, canonical: dict[str, int],
                 w: PathWord, i: int, j: int) -> PathWord:
@@ -390,6 +368,12 @@ def validate_choice(rc: ReplacementCategory, choice: ReplacementChoice) -> None:
                 f"choice for {y!r} is not a valid replacement triple")
 
 
+def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, int]:
+    """The position of each object's chosen triple; ``choice`` is validated."""
+    validate_choice(rc, choice)
+    return {y: rc.index_of(choice.get(y)) for y in rc.functor.target.cat.objects}
+
+
 def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
                              ) -> tuple[FunctorData, TransformationData]:
     """The section of the forgetful functor picked by a choice.
@@ -400,9 +384,8 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
     components are lifted identities.  The forgetful functor after
     ``C_R`` is the identity of the target on the nose, checked here.
     """
-    validate_choice(rc, choice)
     tgt_cat = rc.functor.target.cat
-    chosen_idx = {y: rc.index_of(choice.get(y)) for y in tgt_cat.objects}
+    chosen_idx = positions(rc, choice)
     gen_map: dict[str, PathWord] = {}
     for g in tgt_cat.generators:
         gen_map[g.name] = rc.lift_word(tgt_cat.word([g.name]),
@@ -436,13 +419,14 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
     return c_r, abar
 
 
-def canonical_lift(f: FunctorData, rc: ReplacementCategory,
-                   rs_tgt: RewriteSystem) -> FunctorData:
+def canonical_lift(rc: ReplacementCategory) -> FunctorData:
     """The lift ``X`` to ``(F X, X, identity)`` into the replacement category.
 
     Requires every identity at an image object to be a denominator.
-    The forgetful functor after the lift equals ``f``, checked here.
+    The forgetful functor after the lift equals ``F = rc.functor``,
+    checked here.
     """
+    f, rs_tgt = rc.functor, rc.rs_tgt
     ok, witness = has_all_trivial(f, rs_tgt)
     if not ok:
         raise PreconditionError("canonical lift needs trivial replacements",

@@ -10,12 +10,15 @@ import pytest
 import corpus
 from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     ConstructionError, DenomDecider, DenomSet, FunctorData,
-                    GenArrow, LocValuedFunctor, PathWord, PreconditionError,
-                    Relation, ResourceLimits, auto_choice,
+                    GenArrow, PathWord, PreconditionError,
+                    Relation, ReplacementChoice, ResourceLimits,
+                    SReplacement, ValidationError, auto_choice,
                     build_replacement_category, check_s_equivalence,
-                    choice_independence, complete, homset, load_choice,
-                    loc_map, localise, prepare, total_replacement_functor,
-                    total_value, verify_approximation)
+                    choice_independence, complete, homset,
+                    induced_replacement_functor, load_choice, loc_map,
+                    localise, prepare, replacement_functor,
+                    total_replacement_functor, total_value,
+                    verify_approximation)
 from loccat import approximation, equivalence
 
 SECTION_NAMES = ["preconditions", "total_functor", "shortening",
@@ -166,10 +169,10 @@ class TestFunctorChecks:
                        for w2 in words)[shared] == 2
 
         def checks(value):
-            functor = LocValuedFunctor(
-                source=c, target_lc=lc, object_map={"o": "o"},
-                gen_values={g: loc_map(lc, word(g)) for g in "ab"})
-            return approximation._functor_checks(functor, rs, value)
+            functor = FunctorData(
+                source=c, target=lc.cwd, object_map={"o": "o"},
+                gen_map={g: loc_map(lc, word(g)) for g in "ab"})
+            return approximation._functor_checks(functor, lc, rs, value)
 
         def right(w):
             return loc_map(lc, w)
@@ -353,6 +356,22 @@ class TestChoiceIndependence:
         for c_f, c_b in zip(fwd["components"], bwd["components"]):
             assert c_f["inverse"] == c_b["component"]
             assert c_f["component"] == c_b["inverse"]
+
+    def test_choice_naming_no_triple_is_rejected(self):
+        # q_bl runs from F x0, so (bl, x1, q_bl) is no replacement triple
+        s, rc = rc_for("E7b")
+        auto = auto_choice(rc)
+        stray = SReplacement("bl", "x1", auto.get("bl").q)
+        assert stray not in rc.triples
+        bad = ReplacementChoice(tuple((y, stray if y == "bl" else rep)
+                                      for y, rep in auto.assignment))
+        r_choice, _ = replacement_functor(s, rc, auto)
+        with pytest.raises(ValidationError):
+            choice_independence(s, rc, auto, bad)
+        with pytest.raises(ValidationError):
+            choice_independence(s, rc, bad, auto)
+        with pytest.raises(ValidationError):
+            induced_replacement_functor(s, rc, bad, r_choice)
 
     def test_full_run_with_compare(self):
         s, rc = rc_for("E7b")

@@ -198,6 +198,31 @@ class TestVerifyApproximation:
         assert code == 2
         assert rep["error"]["witness"]["kind"] == "object-without-replacement"
 
+    def test_missing_trivial_triple_is_a_report(self, capsys, tmp_path):
+        # d and s are mutually inverse denominators but no identity is
+        # one, so no (F x, x, 1) is a replacement for the canonical lift
+        cat = {"objects": ["a", "b"],
+               "generators": [{"name": "d", "src": "a", "dst": "b"},
+                              {"name": "s", "src": "b", "dst": "a"}],
+               "relations": [{"lhs": ["d", "s"], "rhs": []},
+                             {"lhs": ["s", "d"], "rhs": []}],
+               "denominators": {"words": [["d"], ["s"]],
+                                "include_identities": False,
+                                "close_under_composition": False}}
+        fun = {"source": "iso.cat.json", "target": "iso.cat.json",
+               "object_map": {"a": "a", "b": "b"},
+               "generator_map": {"d": ["d"], "s": ["s"]}}
+        (tmp_path / "iso.cat.json").write_text(json.dumps(cat))
+        (tmp_path / "iso.fun.json").write_text(json.dumps(fun))
+        code, rep = run_json(capsys, "verify-approximation",
+                             str(tmp_path / "iso.fun.json"),
+                             "--experimental-no-mult")
+        assert code == 2
+        assert rep["error"]["kind"] == "precondition"
+        assert rep["error"]["witness"] == {
+            "kind": "identity-not-denominator", "object": "a",
+            "identity_at": "a"}
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):

@@ -5,10 +5,10 @@ from dataclasses import asdict
 import pytest
 
 import corpus
-from loccat import (DEFAULT_LIMITS, ResourceLimits, check_s_dense,
-                    check_s_equivalence, check_s_faithful, check_s_full,
-                    classical_equivalence, enumerate_s_two_arrows, prepare,
-                    solve_fill)
+from loccat import (DEFAULT_LIMITS, ResourceLimits, ValidationError,
+                    check_s_dense, check_s_equivalence, check_s_faithful,
+                    check_s_full, classical_equivalence,
+                    enumerate_s_two_arrows, prepare, solve_fill)
 from loccat import equivalence
 
 
@@ -119,6 +119,13 @@ class TestSEquivalence:
         f = corpus.fun("E7")
         report = check(f, ResourceLimits(max_word_len=12), corpus.setting("E7"))
         assert report.bounds_used == asdict(DEFAULT_LIMITS)
+
+    @pytest.mark.parametrize("check", [check_s_dense, check_s_full,
+                                       check_s_faithful, check_s_equivalence])
+    def test_setting_of_another_functor_is_rejected(self, check):
+        # E2's setting must not answer for E4's functor
+        with pytest.raises(ValidationError):
+            check(corpus.fun("E4"), DEFAULT_LIMITS, corpus.setting("E2"))
 
     def test_gz_details_present(self):
         report = check_s_equivalence(corpus.fun("E2"), DEFAULT_LIMITS)

@@ -5,9 +5,9 @@ import pytest
 import corpus
 from loccat import (COMPLETE, CatPresentation, CatWithDenoms,
                     ConstructionError, DenomDecider, DenomSet, FunctorData,
-                    GenArrow, PathWord, TransformationData, complete, equal,
+                    GenArrow, PathWord, complete, equal,
                     find_inverse, gz_compose, gz_identity, gz_inverse, homset,
-                    induced_functor, induced_transformation, loc_map,
+                    induced_functor, loc_map,
                     localise, normalize)
 from loccat.gz import zigzag_view
 
@@ -149,18 +149,6 @@ class TestInducedFunctor:
         # v_left is not in the image of F, but F's own denominators must map
         for name, img in ind.gen_map.items():
             assert img.src in s.lc_tgt.presentation.obj_index
-
-
-class TestInducedTransformation:
-    def test_identity_transformation_lifts(self):
-        f = corpus.fun("E7")
-        s = corpus.setting("E7")
-        tgt = f.target.cat
-        t = TransformationData(
-            frm=f, to=f,
-            components={"x0": tgt.identity("tl"), "x1": tgt.identity("tr")})
-        lifted = induced_transformation(t, s.lc_src, s.lc_tgt)
-        assert set(lifted.components) == {"x0", "x1"}
 
 
 class TestZigzag:

@@ -6,7 +6,7 @@ import corpus
 from loccat import (DEFAULT_LIMITS, FunctorData, PreconditionError,
                     ReplacementChoice, SReplacement, ValidationError,
                     auto_choice, build_replacement_category, canonical_lift,
-                    check_reflects_denominators, compose_replacement,
+                    check_reflects_denominators,
                     find_s_replacements, forgetful, has_all_trivial,
                     has_enough, structure_choice_functor, validate_choice,
                     validate_functor)
@@ -62,29 +62,6 @@ class TestEnough:
                                         corpus.setting("E6").rs_tgt)
         assert not ok6
         assert witness6["kind"] == "identity-not-denominator"
-
-
-class TestComposeReplacement:
-    def test_stacking_along_identity(self):
-        s = corpus.setting("E2")
-        tgt = s.f.target.cat
-        inner = SReplacement("b", "•", tgt.word(["d"]))
-        outer = SReplacement("b", "b", tgt.identity("b"))
-        ident = corpus.fun("E6")  # any identity-shaped functor won't fit here
-        from loccat import identity_functor
-        composed = compose_replacement(identity_functor(s.f.target),
-                                       outer, inner, s.rs_tgt)
-        assert composed == SReplacement("b", "•", tgt.word(["d"]))
-
-    def test_stacking_rejects_mismatched_triples(self):
-        s = corpus.setting("E2")
-        tgt = s.f.target.cat
-        from loccat import identity_functor
-        inner = SReplacement("b", "•", tgt.word(["d"]))
-        outer = SReplacement("a", "a", tgt.identity("a"))
-        with pytest.raises(ValidationError):
-            compose_replacement(identity_functor(s.f.target), outer, inner,
-                                s.rs_tgt)
 
 
 class TestReplacementCategory:
@@ -232,7 +209,7 @@ class TestCanonicalLift:
     def test_lift_retracts_to_the_functor(self):
         for name in ("E2", "E5", "E7", "E7b"):
             s, rc = rc_for(name)
-            lift = canonical_lift(s.f, rc, s.rs_tgt)
+            lift = canonical_lift(rc)
             u = forgetful(rc)
             back = lift.then(u)
             assert back.object_map == s.f.object_map
@@ -243,7 +220,7 @@ class TestCanonicalLift:
 
     def test_lift_objects_are_trivial_triples(self):
         s, rc = rc_for("E7")
-        lift = canonical_lift(s.f, rc, s.rs_tgt)
+        lift = canonical_lift(rc)
         assert lift.object_map == {"x0": "(tl|x0|1)", "x1": "(tr|x1|1)"}
 
     def test_lift_requires_trivial_replacements(self):
@@ -253,4 +230,4 @@ class TestCanonicalLift:
         from loccat import build_replacement_category
         with pytest.raises(PreconditionError):
             rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt)
-            canonical_lift(s.f, rc, s.rs_tgt)
+            canonical_lift(rc)
