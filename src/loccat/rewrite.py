@@ -23,7 +23,9 @@ its sides are normalised once one of its two rules has left the system
 (interreduction sent the rule back to the queue as an equation).  Only
 the critical pairs of rules that stay are needed (Huet, *A complete
 proof of correctness of the Knuth-Bendix completion algorithm*, 1981),
-so a run that completes yields the same unique reduced system.
+so a run that completes yields the same unique reduced system.  Each
+time the queue has doubled since it was last swept, the pairs of rules
+that have left are swept out of it, so it holds about the live pairs.
 
 Completion and :class:`RewriteSystem` rewrite with one matcher,
 :class:`RuleIndex`.  Its strategy is fixed: the leftmost position and,
@@ -32,9 +34,15 @@ on that strategy, the matcher has two scans that give the same answer:
 a first-letter dict with ``str.startswith``, which costs nothing to
 build, and one ``re`` alternation of the left sides in list order, which
 is fast on long words but costs a compile that grows with the pattern.
-A matcher starts with the first and switches to the second once the
-letters it has scanned exceed the total length of its left sides, so
-the compile is paid only after scanning has cost about as much.
+In the pattern a run of three or more equal letters is one counted
+repeat (``a{25}``), which shortens it and its compile.  A matcher
+starts with the first scan and switches to the second once the
+candidate left sides it has compared exceed their total length, so the
+compile is paid only after scanning has cost about as much.
+Completion keeps one matcher for the whole run and changes it in place
+as rules come, go and have their right sides reduced (Sims,
+*Computation with Finitely Presented Groups*, 1994); a change of the
+left sides drops the compiled pattern and starts the count again.
 
 Each :class:`RewriteSystem` keeps the limits it was completed under,
 and every query on it reads them: a system answers under one set of
@@ -87,27 +95,57 @@ class RewriteRule:
 class RuleIndex:
     """Rewrites encoded words with a list of ``(lhs, rhs)`` rules.
 
-    Keeps the first rule for each left side.  Every step rewrites at
-    the leftmost position and, there, with the first rule in list
-    order; both scans below implement that one strategy.
-    ``normal_form`` uses the scan until the letters it has scanned
-    exceed the total length of the left sides, then the regex.
+    Keeps the first rule for each left side, in the order added.  Every
+    step rewrites at the leftmost position and, there, with the first
+    rule in list order; both scans below implement that one strategy.
+    :meth:`add`, :meth:`remove` and :meth:`set_rhs` change the rules in
+    place, so completion keeps one index for a whole run.
+    ``normal_form`` uses the scan until the candidate left sides it has
+    compared since the left sides last changed exceed their total
+    length, then the regex, compiled once per set of left sides.
     """
 
-    def __init__(self, rules):
+    def __init__(self, rules=()):
         self._rhs: dict[str, str] = {}
-        for lhs, rhs in rules:
-            self._rhs.setdefault(lhs, rhs)
         self._by_first: dict[str, list[str]] = {}
-        for lhs in self._rhs:
+        self._back = 0
+        self._lhs_letters = 0
+        self._compared = 0
+        self._regex = None
+        for lhs, rhs in rules:
+            self.add(lhs, rhs)
+
+    def add(self, lhs: str, rhs: str):
+        """Append ``lhs -> rhs`` unless a rule for ``lhs`` is already here."""
+        if lhs not in self._rhs:
+            self._rhs[lhs] = rhs
             self._by_first.setdefault(lhs[0], []).append(lhs)
-        self._back = max(map(len, self._rhs), default=1) - 1
-        self._lhs_letters = sum(map(len, self._rhs))
-        self._scanned = 0
+            self._back = max(self._back, len(lhs) - 1)
+            self._lhs_changed(len(lhs))
+
+    def remove(self, lhs: str):
+        """Drop the rule for ``lhs``, which must be here."""
+        del self._rhs[lhs]
+        first = self._by_first[lhs[0]]
+        first.remove(lhs)
+        if not first:
+            del self._by_first[lhs[0]]
+        if len(lhs) - 1 == self._back:
+            self._back = max(map(len, self._rhs), default=1) - 1
+        self._lhs_changed(-len(lhs))
+
+    def set_rhs(self, lhs: str, rhs: str):
+        """Rewrite ``lhs`` to ``rhs`` from now on; its place in the list
+        and the compiled regex, which matches left sides only, stay."""
+        self._rhs[lhs] = rhs
+
+    def _lhs_changed(self, letters: int):
+        self._lhs_letters += letters
+        self._compared = 0
         self._regex = None
 
     def normal_form(self, s: str) -> str:
-        if self._regex is None and self._scanned <= self._lhs_letters:
+        if self._regex is None and self._compared <= self._lhs_letters:
             return self.normal_form_by_scan(s)
         return self.normal_form_by_regex(s)
 
@@ -117,17 +155,18 @@ class RuleIndex:
 
     def normal_form_by_scan(self, s: str) -> str:
         by_first, rhs, back = self._by_first, self._rhs, self._back
-        i = scanned = 0
+        i = compared = 0
         while i < len(s):
-            scanned += 1
-            for lhs in by_first.get(s[i], ()):
+            candidates = by_first.get(s[i], ())
+            compared += len(candidates)
+            for lhs in candidates:
                 if s.startswith(lhs, i):
                     s = s[:i] + rhs[lhs] + s[i + len(lhs):]
-                    i = max(0, i - back)
+                    i = i - back if i > back else 0
                     break
             else:
                 i += 1
-        self._scanned += scanned
+        self._compared += compared
         return s
 
     def normal_form_by_regex(self, s: str) -> str:
@@ -135,14 +174,28 @@ class RuleIndex:
             return s
         if self._regex is None:
             # re takes the leftmost match and, there, the first alternative
-            self._regex = re.compile("|".join(map(re.escape, self._rhs)))
+            self._regex = re.compile("|".join(map(_literal_pattern, self._rhs)))
         search, rhs, back = self._regex.search, self._rhs, self._back
         m = search(s)
         while m:
-            i = m.start()
-            s = s[:i] + rhs[m.group()] + s[m.end():]
-            m = search(s, max(0, i - back))
+            i, j = m.span()
+            s = s[:i] + rhs[m.group()] + s[j:]
+            m = search(s, i - back if i > back else 0)
         return s
+
+
+def _literal_pattern(word: str) -> str:
+    """A regex that matches ``word`` and nothing else.
+
+    A run of three or more equal letters is one counted repeat, so
+    ``a^25`` is ``a{25}``: shorter patterns compile faster.
+    """
+    parts = []
+    for letter, run in itertools.groupby(word):
+        n = sum(1 for _ in run)
+        letter = re.escape(letter)
+        parts.append(f"{letter}{{{n}}}" if n >= 3 else letter * n)
+    return "".join(parts)
 
 
 def _alphabet(p: CatPresentation) -> tuple[dict[str, str], dict[str, str]]:
@@ -237,11 +290,16 @@ def _critical_pairs(r1: tuple, r2: tuple):
     """
     a, a_rhs, src, dst, _ = r1
     b, b_rhs, _, b_dst, _ = r2
-    # nonempty proper suffix of a equals prefix of b: the peak a + b[k:]
-    # starts where a starts and ends where b ends
-    for k in range(1, min(len(a), len(b))):
-        if a.endswith(b[:k]):
-            yield a_rhs + b[k:], a[:len(a) - k] + b_rhs, src, b_dst
+    # nonempty proper suffix a[j:] of a equals prefix of b: the peak
+    # a + b[len(a) - j:] starts where a starts and ends where b ends.
+    # Each such suffix starts with b[0]; from the right, so the shortest
+    # overlap comes first.
+    lo = max(1, len(a) - len(b) + 1)
+    j = a.rfind(b[0], lo)
+    while j >= 0:
+        if b.startswith(a[j:]):
+            yield a_rhs + b[len(a) - j:], a[:j] + b_rhs, src, b_dst
+        j = a.rfind(b[0], lo, j)
     # b contained in a: the peak is a
     i = a.find(b)
     while i >= 0:
@@ -280,7 +338,11 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
     rules: list[tuple] = []
     rule_ids = itertools.count()
     live: set[int] = set()
-    index = RuleIndex(())
+    # ``rules`` as one matcher, kept current in place; no left side
+    # contains another, so at most one matches at a position and the
+    # order of the index need not follow ``rules``
+    index = RuleIndex()
+    swept = len(heap)
     status = COMPLETE
 
     while heap:
@@ -306,18 +368,19 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         # interreduce: rules whose lhs contains u go back to the queue,
         # right hand sides are kept normal (a rule keeps its id, as its
         # lhs is unchanged).  Each one is normal for the rules before u
-        # came, so only one that contains u can reduce.
+        # came, so only one that contains u can reduce.  All of them are
+        # reduced before the index takes any new right side.
         kept = [new_rule]
         requeued = []
         for old in rules:
             (requeued if u in old[0] else kept).append(old)
-        if any(u in rhs for _, rhs, *_ in kept):
-            kept_index = RuleIndex((lhs, rhs) for lhs, rhs, *_ in kept)
-            rules = [(lhs, kept_index.normal_form(rhs) if u in rhs else rhs,
-                      s, d, i) for lhs, rhs, s, d, i in kept]
-        else:
-            rules = kept
-        index = RuleIndex((lhs, rhs) for lhs, rhs, *_ in rules)
+        for lhs, *_ in requeued:
+            index.remove(lhs)
+        index.add(u, v)
+        reduced = {lhs: index.normal_form(rhs) for lhs, rhs, *_ in kept if u in rhs}
+        for lhs, rhs in reduced.items():
+            index.set_rhs(lhs, rhs)
+        rules = [(lhs, reduced.get(lhs, rhs), s, d, i) for lhs, rhs, s, d, i in kept]
         for lhs, rhs, s, d, i in requeued:
             live.remove(i)
             push(lhs, rhs, s, d)
@@ -332,6 +395,14 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
             for left, right, s, d in pairs:
                 if left != right:
                     push(left, right, s, d, new_id, other[4])
+
+        # a pair whose rule has left stays dead, and (priority, counter)
+        # orders the entries totally, so dropping the dead ones each time
+        # the heap has doubled leaves every pop unchanged
+        if len(heap) > 2 * swept:
+            heap[:] = [e for e in heap if e[6] < 0 or (e[6] in live and e[7] in live)]
+            heapq.heapify(heap)
+            swept = len(heap)
 
     rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
     return RewriteSystem(presentation=p, status=status, limits=limits, rules=tuple(

@@ -3,7 +3,7 @@
 import corpus
 from loccat import (FunctorData, TransformationData, check_isosaturated,
                     check_multiplicative, check_reflects_denominators,
-                    check_transformation, identity_functor, validate_functor)
+                    check_transformation, validate_functor)
 
 
 class TestMultiplicative:

@@ -1,13 +1,9 @@
 """Localisation: inverse generators, fresh composites, induced maps, zigzags."""
 
-import pytest
-
 import corpus
-from loccat import (COMPLETE, CatPresentation, CatWithDenoms,
-                    ConstructionError, DenomDecider, DenomSet, FunctorData,
-                    GenArrow, PathWord, complete, equal,
-                    find_inverse, gz_compose, gz_identity, gz_inverse, homset,
-                    induced_functor, loc_map,
+from loccat import (COMPLETE, CatPresentation, CatWithDenoms, DenomDecider,
+                    DenomSet, GenArrow, PathWord, complete, equal, gz_compose,
+                    gz_identity, gz_inverse, homset, induced_functor, loc_map,
                     localise, normalize)
 from loccat.gz import zigzag_view
 

@@ -3,14 +3,12 @@
 import pytest
 
 import corpus
-from loccat import (DEFAULT_LIMITS, FunctorData, PreconditionError,
-                    ReplacementChoice, SReplacement, ValidationError,
-                    auto_choice, build_replacement_category, canonical_lift,
-                    check_reflects_denominators,
+from loccat import (PreconditionError, ReplacementChoice, SReplacement,
+                    ValidationError, auto_choice, build_replacement_category,
+                    canonical_lift, check_reflects_denominators,
                     find_s_replacements, forgetful, has_all_trivial,
                     has_enough, structure_choice_functor, validate_choice,
                     validate_functor)
-from loccat.rewrite import complete
 
 
 def rc_for(name):

@@ -2,6 +2,9 @@
 
 import ast
 import gc
+import heapq
+import re
+import types
 import weakref
 from pathlib import Path
 
@@ -156,6 +159,36 @@ class TestCompletion:
         assert rs.status == COMPLETE
         assert len(calls) < 2500
 
+    def test_one_rule_index_per_run(self, monkeypatch):
+        # completion updates one index as rules come and go, and the
+        # system builds its own: 2 indexes here instead of 93
+        builds = []
+        init = RuleIndex.__init__
+
+        def counted(index, *args):
+            builds.append(args)
+            init(index, *args)
+
+        monkeypatch.setattr(RuleIndex, "__init__", counted)
+        rs = complete(dihedral(33), ResourceLimits(max_word_len=34))
+        assert rs.status == COMPLETE
+        assert len(builds) <= 2
+
+    def test_dead_pairs_swept(self, monkeypatch):
+        # dead pairs leave the heap each time it has doubled: it holds
+        # at most 835 entries here instead of 1,299
+        sizes = []
+
+        def counted(heap, item):
+            heapq.heappush(heap, item)
+            sizes.append(len(heap))
+
+        monkeypatch.setattr(rewrite, "heapq", types.SimpleNamespace(
+            heappush=counted, heappop=heapq.heappop, heapify=heapq.heapify))
+        rs = complete(dihedral(33), ResourceLimits(max_word_len=34))
+        assert rs.status == COMPLETE
+        assert max(sizes) <= 1000
+
     def test_disjoint_rules_not_paired(self, monkeypatch):
         # a critical pair needs one left side's first letter inside the
         # other; localised L8 has 34 rules over 34 letters, and most
@@ -291,7 +324,82 @@ def rules_and_word(draw):
     return rules, draw(st.text(alphabet, max_size=12))
 
 
+def critical_pairs_by_length(r1: tuple, r2: tuple):
+    """``rewrite._critical_pairs`` as it was, trying each overlap length."""
+    a, a_rhs, src, dst, _ = r1
+    b, b_rhs, _, b_dst, _ = r2
+    for k in range(1, min(len(a), len(b))):
+        if a.endswith(b[:k]):
+            yield a_rhs + b[k:], a[:len(a) - k] + b_rhs, src, b_dst
+    i = a.find(b)
+    while i >= 0:
+        yield a_rhs, a[:i] + b_rhs + a[i + len(b):], src, dst
+        i = a.find(b, i + 1)
+
+
+@st.composite
+def letter_runs(draw):
+    """A word of 1 to 5 runs, each of 1 to 5 equal letters, some of them
+    regex metacharacters."""
+    runs = draw(st.lists(st.tuples(st.sampled_from("ab.*+?{}()[]\\|^$-\u0100"),
+                                   st.integers(1, 5)), min_size=1, max_size=5))
+    return "".join(letter * n for letter, n in runs)
+
+
 class TestRuleIndex:
+    @given(rules_and_word(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_changed_in_place_matches_reference(self, case, data):
+        # after each add, remove or set_rhs both scans give the normal
+        # form of the current rules in insertion order; each check
+        # compiles the regex, so a change that left it stale would show
+        rules, word = case
+        index, current = RuleIndex(), {}
+        for lhs, rhs in rules:
+            change = data.draw(st.sampled_from(["add", "remove", "set_rhs"]))
+            if change != "add" and current:
+                lhs = data.draw(st.sampled_from(list(current)))
+            if change == "add" or not current:
+                index.add(lhs, rhs)
+                current.setdefault(lhs, rhs)
+            elif change == "remove":
+                index.remove(lhs)
+                del current[lhs]
+            else:
+                if (len(rhs), rhs) >= (len(lhs), lhs):
+                    rhs = rhs[:len(lhs) - 1]
+                index.set_rhs(lhs, rhs)
+                current[lhs] = rhs
+            ref_rules = [RewriteRule(PathWord("o", "o", tuple(lhs)),
+                                     PathWord("o", "o", tuple(rhs)))
+                         for lhs, rhs in current.items()]
+            want = "".join(reference_rewrite.normalize_letters(ref_rules, tuple(word)))
+            assert index.normal_form_by_scan(word) == want
+            assert index.normal_form_by_regex(word) == want
+
+    @given(letter_runs(), letter_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_literal_pattern_matches_its_word_only(self, word, other):
+        pattern = re.compile(rewrite._literal_pattern(word))
+        assert pattern.fullmatch(word)
+        assert bool(pattern.fullmatch(other)) == (other == word)
+        for i in range(len(word)):
+            assert not pattern.fullmatch(word[:i] + word[i + 1:])
+            assert not pattern.fullmatch(word[:i + 1] + word[i:])
+
+    def test_literal_pattern_counts_runs(self):
+        assert rewrite._literal_pattern("aaaaaaab") == "a{7}b"
+        assert rewrite._literal_pattern("aab**") == "aab\\*\\*"
+        assert rewrite._literal_pattern("...") == "\\.{3}"
+
+    @given(st.text("abc", min_size=1, max_size=8), st.text("abc", min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_overlaps_by_rfind(self, a, b):
+        r1, r2 = (a, "x", "s", "t", 0), (b, "yy", "t", "u", 1)
+        for x, y in ((r1, r2), (r2, r1), (r1, r1)):
+            assert list(rewrite._critical_pairs(x, y)) == \
+                list(critical_pairs_by_length(x, y))
+
     @given(rules_and_word())
     @settings(max_examples=300, deadline=None)
     def test_both_scans_match_reference(self, case):
