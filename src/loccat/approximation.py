@@ -489,7 +489,7 @@ def verify_approximation(f: FunctorData,
                                 witness=enough_wit)
     arrows = _require_fills(setting)
 
-    rc = build_replacement_category(f, setting.rs_src, setting.rs_tgt)
+    rc = build_replacement_category(f, setting.rs_tgt)
     chosen_choice = choice or auto_choice(rc)
     chosen_idx = positions(rc, chosen_choice)
     if compare_choice == "auto":

@@ -182,10 +182,10 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
 
 def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     cwd = load_cat(args.path)
-    rs = complete(cwd.cat, limits)
     if args.src not in cwd.cat.obj_index or args.dst not in cwd.cat.obj_index:
         raise ValidationError(
             f"unknown object in homset query: {args.src!r} or {args.dst!r}")
+    rs = complete(cwd.cat, limits)
     result: dict = {"src": args.src, "dst": args.dst, "status": rs.status}
     if args.localised:
         lc = localise(cwd, rs)
@@ -238,7 +238,7 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
             checker = {"s-dense": check_s_dense, "s-full": check_s_full,
                        "s-faithful": check_s_faithful,
                        "s-equivalence": check_s_equivalence}[which]
-            report = checker(f, limits, setting).to_json()
+            report = checker(setting).to_json()
     return {"result": report}, EXIT_OK if report["verdict"] else EXIT_FALSE
 
 

@@ -11,10 +11,10 @@ faithfulness asks for at most one, relative density asks every target
 object to admit a replacement.  All three are decided by bounded
 enumeration of the finitely presented hom-sets.
 
-Each check takes ``limits`` only to prepare a :class:`GzSetting` when
-the caller gives none; the ``bounds_used`` it reports are the limits
-the setting's systems were completed under.  A setting prepared for
-another functor raises :class:`ValidationError`.
+Each check takes a :class:`GzSetting` from :func:`prepare`, which holds
+the functor and its completed and localised systems; the
+``bounds_used`` it reports are the limits those systems were completed
+under.
 
 Each :class:`GzSetting` keeps a fill table: :func:`solve_fill` solves a
 2-arrow once and answers it from the table after that, so the fill
@@ -141,13 +141,6 @@ def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSettin
                      lc_src=lc_src, lc_tgt=lc_tgt, gz_f=gz_f)
 
 
-def _setting_of(f: FunctorData, setting: GzSetting) -> GzSetting:
-    """``setting``, checked to have been prepared for ``f``."""
-    if setting.f != f:
-        raise ValidationError("the setting was prepared for another functor")
-    return setting
-
-
 def enumerate_s_two_arrows(setting: GzSetting):
     """All 2-arrows between materialized hom-sets, in a fixed order."""
     f, dec = setting.f, setting.dec_tgt
@@ -180,16 +173,18 @@ def solve_fill(setting: GzSetting, arrow: STwoArrow) -> tuple[PathWord, ...]:
     return fills
 
 
-def check_s_dense(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
-                  setting: GzSetting | None = None) -> CheckReport:
-    """Does every target object admit a replacement along ``f``?"""
-    setting = _setting_of(f, setting or prepare(f, limits))
-    ok, witness = has_enough(f, setting.rs_tgt)
-    return CheckReport(
-        check="s-dense", verdict=ok, witness=witness,
-        bounds_used=asdict(setting.rs_src.limits),
-        decidability_status=setting.decidability_status,
-        details={"objects_checked": len(f.target.cat.objects)})
+def _report(setting: GzSetting, check: str, verdict: bool,
+            witness: dict | None, details: dict) -> CheckReport:
+    """A report under the limits and status of ``setting``'s systems."""
+    return CheckReport(check, verdict, witness, asdict(setting.rs_src.limits),
+                       setting.decidability_status, details)
+
+
+def check_s_dense(setting: GzSetting) -> CheckReport:
+    """Does every target object admit a replacement along the functor?"""
+    ok, witness = has_enough(setting.f, setting.rs_tgt)
+    return _report(setting, "s-dense", ok, witness,
+                   {"objects_checked": len(setting.f.target.cat.objects)})
 
 
 def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
@@ -210,28 +205,18 @@ def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
     return no_fill_witness, ambiguous_witness, count
 
 
-def check_s_full(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
-                 setting: GzSetting | None = None) -> CheckReport:
+def check_s_full(setting: GzSetting) -> CheckReport:
     """Does every 2-arrow admit a fill?"""
-    setting = _setting_of(f, setting or prepare(f, limits))
     no_fill, _, count = setting.fill_survey()
-    return CheckReport(
-        check="s-full", verdict=no_fill is None, witness=no_fill,
-        bounds_used=asdict(setting.rs_src.limits),
-        decidability_status=setting.decidability_status,
-        details={"arrows_checked": count})
+    return _report(setting, "s-full", no_fill is None, no_fill,
+                   {"arrows_checked": count})
 
 
-def check_s_faithful(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
-                     setting: GzSetting | None = None) -> CheckReport:
+def check_s_faithful(setting: GzSetting) -> CheckReport:
     """Does every 2-arrow admit at most one fill?"""
-    setting = _setting_of(f, setting or prepare(f, limits))
     _, ambiguous, count = setting.fill_survey()
-    return CheckReport(
-        check="s-faithful", verdict=ambiguous is None, witness=ambiguous,
-        bounds_used=asdict(setting.rs_src.limits),
-        decidability_status=setting.decidability_status,
-        details={"arrows_checked": count})
+    return _report(setting, "s-faithful", ambiguous is None, ambiguous,
+                   {"arrows_checked": count})
 
 
 def classical_full(f: FunctorData, rs_src: RewriteSystem,
@@ -288,16 +273,14 @@ def classical_equivalence(f: FunctorData, rs_src: RewriteSystem,
     return full and faithful and dense, details
 
 
-def check_s_equivalence(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
-                        setting: GzSetting | None = None) -> CheckReport:
+def check_s_equivalence(setting: GzSetting) -> CheckReport:
     """Relative density plus equivalence of the induced localised functor.
 
     When the target denominators are multiplicative this is also
     equivalent to relative density, fullness and faithfulness together;
     the agreement of the two routes is recorded in the details.
     """
-    setting = _setting_of(f, setting or prepare(f, limits))
-    dense = check_s_dense(f, setting=setting)
+    dense = check_s_dense(setting)
     gz_ok, gz_details = classical_equivalence(
         setting.gz_f, setting.lc_src.rs, setting.lc_tgt.rs)
     verdict = dense.verdict and gz_ok
@@ -312,14 +295,10 @@ def check_s_equivalence(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS,
     mult, _ = check_multiplicative(setting.f.target, setting.rs_tgt)
     details["target_multiplicative"] = mult
     if mult:
-        full = check_s_full(f, setting=setting)
-        faithful = check_s_faithful(f, setting=setting)
+        full = check_s_full(setting)
+        faithful = check_s_faithful(setting)
         threefold = dense.verdict and full.verdict and faithful.verdict
         details["s_full"] = full.verdict
         details["s_faithful"] = faithful.verdict
         details["characterisation_agrees"] = threefold == verdict
-    return CheckReport(
-        check="s-equivalence", verdict=verdict, witness=witness,
-        bounds_used=asdict(setting.rs_src.limits),
-        decidability_status=setting.decidability_status,
-        details=details)
+    return _report(setting, "s-equivalence", verdict, witness, details)

@@ -202,7 +202,10 @@ def load_choice(path: str | Path, f: FunctorData,
         if entry["x"] not in f.source.cat.obj_index:
             raise ValidationError(f"{path}: unknown source object "
                                   f"{entry['x']!r}")
-        fx = f.object_map[entry["x"]]
+        fx = f.object_map.get(entry["x"])
+        if fx is None:
+            raise ValidationError(f"{path}: source object {entry['x']!r} "
+                                  "is not mapped by the functor")
         if letters:
             q = f.target.cat.word(letters)
             if (q.src, q.dst) != (fx, y):

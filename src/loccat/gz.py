@@ -53,13 +53,20 @@ GzMorphism = PathWord
 
 @dataclass(frozen=True)
 class LocalisedCategory:
-    """A completed presentation of the localisation of ``base``."""
+    """A completed presentation of the localisation of ``base``.
+
+    ``inv_of`` maps each inverted generator (a denominator generator or
+    a fresh composite) to its inverse letter, ``fresh_defs`` each fresh
+    composite to its base word, and ``inverted`` each inverse letter to
+    the base word it inverts.
+    """
 
     base: CatWithDenoms
     cwd: CatWithDenoms
     rs: RewriteSystem
     inv_of: dict[str, str]
     fresh_defs: dict[str, PathWord]
+    inverted: dict[str, PathWord]
 
     def __hash__(self):
         return hash((self.base, self.rs))
@@ -67,20 +74,6 @@ class LocalisedCategory:
     @property
     def presentation(self) -> CatPresentation:
         return self.cwd.cat
-
-    @property
-    def inverse_letters(self) -> set[str]:
-        return set(self.inv_of.values())
-
-    def inverted_word(self, inv_letter: str) -> PathWord:
-        """The base denominator word a given inverse letter inverts."""
-        for name, inv in self.inv_of.items():
-            if inv == inv_letter:
-                if name in self.fresh_defs:
-                    return self.fresh_defs[name]
-                g = self.base.cat.gen_by_name[name]
-                return PathWord(g.src, g.dst, (name,))
-        raise KeyError(inv_letter)
 
     def expand_fresh(self, w: PathWord) -> PathWord:
         """Rewrite fresh composite letters back to base letters."""
@@ -199,12 +192,12 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     rs = replace(rs, presentation=ext)
     cwd = CatWithDenoms(ext, DenomSet((), True, True))
     return LocalisedCategory(base=c, cwd=cwd, rs=rs, inv_of=inv_of,
-                             fresh_defs=fresh_defs)
+                             fresh_defs=fresh_defs, inverted=inverted)
 
 
 def loc_map(lc: LocalisedCategory, w: PathWord) -> GzMorphism:
     """Image of a base word under the localisation functor, normalized."""
-    return normalize(lc.rs, PathWord(w.src, w.dst, w.letters))
+    return normalize(lc.rs, w)
 
 
 def gz_identity(lc: LocalisedCategory, obj: str) -> GzMorphism:
@@ -318,39 +311,22 @@ def zigzag_view(lc: LocalisedCategory, m: GzMorphism) -> ZigzagView:
     recovers a word equal to ``m``, which is checked.
     """
     m = normalize(lc.rs, m)
-    inverse_letters = lc.inverse_letters
     segments: list[ZigzagSegment] = []
-    cursor = m.src
     forward: list[str] = []
-    fwd_src = cursor
+    fwd_src = m.src
     for letter in m.letters:
-        if letter in inverse_letters:
-            inverted = lc.inverted_word(letter)
-            fwd_word = lc.expand_fresh(PathWord(fwd_src, inverted.dst,
-                                                tuple(forward)))
-            segments.append(ZigzagSegment(forward=fwd_word, inverted=inverted))
-            forward = []
-            fwd_src = inverted.src
-        else:
+        inverted = lc.inverted.get(letter)
+        if inverted is None:
             forward.append(letter)
-    tail_dst = m.dst
-    tail = PathWord(fwd_src, tail_dst, tuple(forward))
+            continue
+        fwd_word = lc.expand_fresh(PathWord(fwd_src, inverted.dst,
+                                            tuple(forward)))
+        segments.append(ZigzagSegment(forward=fwd_word, inverted=inverted))
+        forward = []
+        fwd_src = inverted.src
+    tail = PathWord(fwd_src, m.dst, tuple(forward))
     segments.append(ZigzagSegment(forward=lc.expand_fresh(tail), inverted=None))
-
-    recomposed = lc.presentation.identity(m.src)
-    for seg in segments:
-        recomposed = lc.presentation.concat(
-            recomposed, PathWord(seg.forward.src, seg.forward.dst,
-                                 seg.forward.letters))
-        if seg.inverted is not None:
-            w = seg.inverted
-            if len(w.letters) == 1 and w.letters[0] in lc.inv_of:
-                inv_letter = lc.inv_of[w.letters[0]]
-            else:
-                name = next(n for n, d in lc.fresh_defs.items() if d == w)
-                inv_letter = lc.inv_of[name]
-            recomposed = lc.presentation.concat(
-                recomposed, PathWord(w.dst, w.src, (inv_letter,)))
-    if normalize(lc.rs, recomposed) != m:
+    # the segments recompose to m with fresh letters expanded
+    if normalize(lc.rs, lc.expand_fresh(m)) != m:
         raise ConstructionError("zigzag recomposition broken")
     return ZigzagView(src=m.src, dst=m.dst, segments=tuple(segments))

@@ -10,9 +10,12 @@ those of ``D``.
 The replacement category is materialized as a finite presentation:
 one lifted generator per generator of ``D`` and pair of triples over
 its endpoints, plus lifted identity generators connecting distinct
-triples over the same object.  After completion the hom-sets of the
-materialization are checked to biject with the hom-sets of ``D``; the
-construction refuses to hand out a presentation for which this fails.
+triples over the same object.  :class:`ReplacementCategory` builds it
+from the triples in its constructor, together with the lift table,
+the completion and the lifted denominators, and checks that its
+hom-sets biject with the hom-sets of ``D``; the construction refuses
+to hand out a presentation for which this fails.
+:func:`build_replacement_category` collects the triples.
 """
 
 from __future__ import annotations
@@ -104,72 +107,112 @@ def has_all_trivial(f: FunctorData,
     return True, None
 
 
-def _route_lift(tgt_cat: CatPresentation, obj_names: tuple[str, ...],
-                lookup: dict, canonical: dict[str, int],
-                w: PathWord, i: int, j: int) -> PathWord:
-    """Lift a target word to a word from triple ``i`` to triple ``j``.
-
-    Intermediate objects route through their first triple; a word
-    passing through an object without replacements has no lift in this
-    materialization and raises :class:`ConstructionError`.
-    """
-    if not w.letters:
-        if i == j:
-            return PathWord(obj_names[i], obj_names[i], ())
-        name = lookup.get((None, i, j))
-        if name is None:
-            raise ConstructionError(
-                f"no lifted identity between triples {i} and {j}")
-        return PathWord(obj_names[i], obj_names[j], (name,))
-    gens = [tgt_cat.gen_by_name[x] for x in w.letters]
-    stations = [i]
-    for g in gens[:-1]:
-        station = canonical.get(g.dst)
-        if station is None:
-            raise ConstructionError(
-                f"object {g.dst!r} has no replacement triple to route through")
-        stations.append(station)
-    stations.append(j)
-    letters = []
-    for g, a, b in zip(gens, stations, stations[1:]):
-        name = lookup.get((g.name, a, b))
-        if name is None:
-            raise ConstructionError(
-                f"generator {g.name!r} has no lift between triples {a} and {b}")
-        letters.append(name)
-    return PathWord(obj_names[i], obj_names[j], tuple(letters))
-
-
-def _over(triples) -> dict[str, tuple[int, ...]]:
-    """The positions of the triples over each object, in triple order."""
-    over: dict[str, list[int]] = {}
-    for idx, t in enumerate(triples):
-        over.setdefault(t.target, []).append(idx)
-    return {y: tuple(idxs) for y, idxs in over.items()}
-
-
 @dataclass
 class ReplacementCategory:
-    """The materialized replacement category of a functor."""
+    """The materialized replacement category of a functor.
+
+    Built from the triples in one pass: one lifted generator per
+    generator of the target and pair of triples over its endpoints,
+    lifted identities between distinct triples over one object, the
+    relations making them behave, the target relations lifted along
+    canonical routes, the completion under the limits of ``rs_tgt``,
+    and as denominators every lifted word over a denominator.  The
+    hom-sets are then checked to biject with those of the target; a
+    materialization that fails raises :class:`ConstructionError`.
+    """
 
     functor: FunctorData
     rs_tgt: RewriteSystem
     triples: tuple[SReplacement, ...]
-    obj_names: tuple[str, ...]
-    cwd: CatWithDenoms
-    rs: RewriteSystem
-    lifted_underlying: dict[str, PathWord]
-    lift_meta: dict[str, tuple]
-    _lookup: dict = field(init=False, repr=False)
+    obj_names: tuple[str, ...] = field(init=False)
+    cwd: CatWithDenoms = field(init=False)
+    rs: RewriteSystem = field(init=False)
+    lifted_underlying: dict[str, PathWord] = field(init=False)
+    lift_meta: dict[str, tuple] = field(init=False)
 
     def __post_init__(self):
-        self._lookup = {meta: name for name, meta in self.lift_meta.items()}
+        tgt_cat = self.functor.target.cat
+        triples = self.triples
+        self.obj_names = names = tuple(
+            f"({t.target}|{t.source}|{'·'.join(t.q.letters) or '1'})"
+            for t in triples)
+        self._obj_pos = {name: idx for idx, name in enumerate(names)}
         self._triple_pos: dict[SReplacement, int] = {}
-        for idx, t in enumerate(self.triples):
+        over: dict[str, list[int]] = {}
+        for idx, t in enumerate(triples):
             self._triple_pos.setdefault(t, idx)
-        self._over = _over(self.triples)
-        self._canonical = {y: idxs[0] for y, idxs in self._over.items()}
-        self._obj_pos = {name: idx for idx, name in enumerate(self.obj_names)}
+            over.setdefault(t.target, []).append(idx)
+        self._by_target = over = {y: tuple(idxs) for y, idxs in over.items()}
+        self._canonical = {y: idxs[0] for y, idxs in over.items()}
+
+        lifts = [(g.name, tgt_cat.word([g.name]), i, j)
+                 for g in tgt_cat.generators
+                 for i in over.get(g.src, ()) for j in over.get(g.dst, ())]
+        lifts += [(None, tgt_cat.identity(y), i, j) for y in tgt_cat.objects
+                  for i in over.get(y, ()) for j in over.get(y, ()) if i != j]
+        taken: set[str] = set()
+        gens: list[GenArrow] = []
+        self.lift_meta, self.lifted_underlying = {}, {}
+        self._lookup = lookup = {}
+        for g_name, under, i, j in lifts:
+            stem = "1" if g_name is None else g_name
+            name = _fresh_name(f"{stem}@{i}-{j}", taken)
+            gens.append(GenArrow(name, names[i], names[j]))
+            self.lift_meta[name] = (g_name, i, j)
+            lookup[(g_name, i, j)] = name
+            self.lifted_underlying[name] = under
+
+        # a lifted identity composed with a lifted identity or generator
+        # equals the lift of the composite: identities compose like
+        # identities and absorb into lifted generators
+        composites = [(i, k, (lookup[(None, i, j)], lookup[(None, j, k)]))
+                      for y in tgt_cat.objects for i in over.get(y, ())
+                      for j in over.get(y, ()) for k in over.get(y, ())
+                      if i != j and j != k]
+        for name, (g_name, i, j) in self.lift_meta.items():
+            if g_name is not None:
+                composites += [(i2, j, (lookup[(None, i2, i)], name))
+                               for i2 in over[triples[i].target] if i2 != i]
+                composites += [(i, j2, (name, lookup[(None, j, j2)]))
+                               for j2 in over[triples[j].target] if j2 != j]
+        relations: list[Relation] = []
+        for i, j, letters in composites:
+            lhs = PathWord(names[i], names[j], letters)
+            relations.append(Relation(
+                lhs, self.lift_word(self.underlying_word(lhs), i, j)))
+        # relations of the target category, lifted along canonical routes;
+        # unroutable instances are skipped, the hom-set check below is the
+        # backstop that decides whether the materialization is faithful
+        for rel in tgt_cat.relations:
+            for i in over.get(rel.lhs.src, ()):
+                for j in over.get(rel.lhs.dst, ()):
+                    try:
+                        relations.append(Relation(self.lift_word(rel.lhs, i, j),
+                                                  self.lift_word(rel.rhs, i, j)))
+                    except ConstructionError:
+                        continue
+
+        pres = CatPresentation(objects=names, generators=tuple(gens),
+                               relations=tuple(relations))
+        self.rs = rs = complete(pres, self.rs_tgt.limits)
+        # lifted denominators: every materialized word over a denominator
+        dec = denominators(self.functor.target, self.rs_tgt)
+        pairs = [(i, j) for i in range(len(triples))
+                 for j in range(len(triples))]
+        explicit = tuple(w for i, j in pairs
+                         for w in homset(rs, names[i], names[j])
+                         if dec.is_denominator(self.underlying_word(w)))
+        self.cwd = CatWithDenoms(pres, DenomSet(explicit, False, False))
+        # hom-sets of the materialization must biject with the target's
+        for i, j in pairs:
+            lifted = homset(rs, names[i], names[j])
+            base = homset(self.rs_tgt, triples[i].target, triples[j].target)
+            images = {normalize(self.rs_tgt, self.underlying_word(w))
+                      for w in lifted}
+            if len(images) != len(lifted) or images != set(base):
+                raise ConstructionError(
+                    "materialized replacement category does not match the "
+                    f"target hom-set between triples {i} and {j}")
 
     def index_of(self, rep: SReplacement) -> int:
         """Position of ``rep`` among the triples; ``ValueError`` if absent."""
@@ -183,7 +226,7 @@ class ReplacementCategory:
         return self._obj_pos[name]
 
     def triples_over(self, y: str) -> tuple[int, ...]:
-        return self._over.get(y, ())
+        return self._by_target.get(y, ())
 
     def underlying_word(self, w: PathWord) -> PathWord:
         """The word of the target category under a lifted word."""
@@ -195,139 +238,55 @@ class ReplacementCategory:
         return PathWord(y_src, y_dst, tuple(letters))
 
     def lift_word(self, w: PathWord, i: int, j: int) -> PathWord:
+        """Lift a target word to a word from triple ``i`` to triple ``j``.
+
+        Intermediate objects route through their first triple; a word
+        passing through an object without replacements has no lift in
+        this materialization and raises :class:`ConstructionError`.
+        """
         if self.triples[i].target != w.src or self.triples[j].target != w.dst:
             raise ConstructionError(
                 f"word does not run between the objects under triples {i} and {j}")
-        return _route_lift(self.functor.target.cat, self.obj_names,
-                           self._lookup, self._canonical, w, i, j)
+        names = self.obj_names
+        if not w.letters:
+            if i == j:
+                return PathWord(names[i], names[i], ())
+            name = self._lookup.get((None, i, j))
+            if name is None:
+                raise ConstructionError(
+                    f"no lifted identity between triples {i} and {j}")
+            return PathWord(names[i], names[j], (name,))
+        gens = [self.functor.target.cat.gen_by_name[x] for x in w.letters]
+        stations = [i]
+        for g in gens[:-1]:
+            station = self._canonical.get(g.dst)
+            if station is None:
+                raise ConstructionError(
+                    f"object {g.dst!r} has no replacement triple to route through")
+            stations.append(station)
+        stations.append(j)
+        letters = []
+        for g, a, b in zip(gens, stations, stations[1:]):
+            name = self._lookup.get((g.name, a, b))
+            if name is None:
+                raise ConstructionError(
+                    f"generator {g.name!r} has no lift between triples {a} and {b}")
+            letters.append(name)
+        return PathWord(names[i], names[j], tuple(letters))
 
 
-def build_replacement_category(f: FunctorData, rs_src: RewriteSystem,
+def build_replacement_category(f: FunctorData,
                                rs_tgt: RewriteSystem) -> ReplacementCategory:
-    """Materialize the replacement category of ``f`` as a presentation,
-    completed under the limits of ``rs_tgt``."""
-    dec = denominators(f.target, rs_tgt)
-    tgt_cat = f.target.cat
-
+    """The replacement category of ``f``, completed under the limits of
+    ``rs_tgt``; more triples than ``max_homset`` raise
+    :class:`LimitExceeded`."""
     triples: list[SReplacement] = []
-    for y in tgt_cat.objects:
+    for y in f.target.cat.objects:
         triples.extend(find_s_replacements(f, rs_tgt, y))
         if len(triples) > rs_tgt.limits.max_homset:
             raise LimitExceeded("max_homset",
                                 "replacement category has too many objects")
-    obj_names = tuple(
-        f"({t.target}|{t.source}|{'·'.join(t.q.letters) or '1'})" for t in triples)
-    over = _over(triples)
-    canonical = {y: idxs[0] for y, idxs in over.items()}
-
-    taken: set[str] = set()
-    gens: list[GenArrow] = []
-    lift_meta: dict[str, tuple] = {}
-    lifted_underlying: dict[str, PathWord] = {}
-    for g in tgt_cat.generators:
-        for i in over.get(g.src, ()):
-            for j in over.get(g.dst, ()):
-                name = _fresh_name(f"{g.name}@{i}-{j}", taken)
-                gens.append(GenArrow(name, obj_names[i], obj_names[j]))
-                lift_meta[name] = (g.name, i, j)
-                lifted_underlying[name] = tgt_cat.word([g.name])
-    for y in tgt_cat.objects:
-        idxs = over.get(y, ())
-        for i in idxs:
-            for j in idxs:
-                if i != j:
-                    name = _fresh_name(f"1@{i}-{j}", taken)
-                    gens.append(GenArrow(name, obj_names[i], obj_names[j]))
-                    lift_meta[name] = (None, i, j)
-                    lifted_underlying[name] = tgt_cat.identity(y)
-
-    lookup = {meta: name for name, meta in lift_meta.items()}
-
-    def idw(i: int, j: int) -> PathWord:
-        if i == j:
-            return PathWord(obj_names[i], obj_names[i], ())
-        return PathWord(obj_names[i], obj_names[j], (lookup[(None, i, j)],))
-
-    relations: list[Relation] = []
-    # lifted identities compose like identities
-    for y in tgt_cat.objects:
-        idxs = over.get(y, ())
-        for i in idxs:
-            for j in idxs:
-                for k in idxs:
-                    if i != j and j != k:
-                        lhs = PathWord(obj_names[i], obj_names[k],
-                                       idw(i, j).letters + idw(j, k).letters)
-                        relations.append(Relation(lhs, idw(i, k)))
-    # lifted identities absorb into lifted generators
-    for name, (g_name, i, j) in lift_meta.items():
-        if g_name is None:
-            continue
-        g = tgt_cat.gen_by_name[g_name]
-        for i2 in over.get(g.src, ()):
-            if i2 != i:
-                lhs = PathWord(obj_names[i2], obj_names[j],
-                               idw(i2, i).letters + (name,))
-                relations.append(Relation(lhs, PathWord(
-                    obj_names[i2], obj_names[j], (lookup[(g_name, i2, j)],))))
-        for j2 in over.get(g.dst, ()):
-            if j2 != j:
-                lhs = PathWord(obj_names[i], obj_names[j2],
-                               (name,) + idw(j, j2).letters)
-                relations.append(Relation(lhs, PathWord(
-                    obj_names[i], obj_names[j2], (lookup[(g_name, i, j2)],))))
-    # relations of the target category, lifted along canonical routes;
-    # unroutable instances are skipped, the hom-set check below is the
-    # backstop that decides whether the materialization is faithful
-    for rel in tgt_cat.relations:
-        for i in over.get(rel.lhs.src, ()):
-            for j in over.get(rel.lhs.dst, ()):
-                try:
-                    relations.append(Relation(
-                        _route_lift(tgt_cat, obj_names, lookup, canonical,
-                                    rel.lhs, i, j),
-                        _route_lift(tgt_cat, obj_names, lookup, canonical,
-                                    rel.rhs, i, j)))
-                except ConstructionError:
-                    continue
-
-    pres = CatPresentation(objects=obj_names, generators=tuple(gens),
-                           relations=tuple(relations))
-    rs = complete(pres, rs_tgt.limits)
-
-    # lifted denominators: every materialized word over a denominator
-    explicit: list[PathWord] = []
-    for i in range(len(triples)):
-        for j in range(len(triples)):
-            for w in homset(rs, obj_names[i], obj_names[j]):
-                under = PathWord(triples[i].target, triples[j].target, tuple(
-                    letter for x in w.letters
-                    for letter in lifted_underlying[x].letters))
-                if dec.is_denominator(under):
-                    explicit.append(w)
-
-    rc = ReplacementCategory(
-        functor=f, rs_tgt=rs_tgt, triples=tuple(triples),
-        obj_names=obj_names,
-        cwd=CatWithDenoms(pres, DenomSet(tuple(explicit), False, False)),
-        rs=rs, lifted_underlying=lifted_underlying, lift_meta=lift_meta)
-    _verify_hom_bijection(rc)
-    return rc
-
-
-def _verify_hom_bijection(rc: ReplacementCategory):
-    """Hom-sets of the materialization must biject with those of the target."""
-    n = len(rc.triples)
-    for i in range(n):
-        for j in range(n):
-            lifted = homset(rc.rs, rc.obj_names[i], rc.obj_names[j])
-            base = homset(rc.rs_tgt, rc.triples[i].target, rc.triples[j].target)
-            images = {normalize(rc.rs_tgt, rc.underlying_word(w))
-                      for w in lifted}
-            if len(images) != len(lifted) or images != set(base):
-                raise ConstructionError(
-                    "materialized replacement category does not match the "
-                    f"target hom-set between triples {i} and {j}")
+    return ReplacementCategory(f, rs_tgt, tuple(triples))
 
 
 def forgetful(rc: ReplacementCategory) -> FunctorData:

@@ -19,13 +19,14 @@ from loccat import (DEFAULT_LIMITS, DenomDecider, auto_choice,
                     enumerate_s_two_arrows, equal, forgetful, gz_compose,
                     gz_identity, gz_inverse, has_enough, homset,
                     induced_functor, load_choice, loc_map, normalize,
-                    solve_fill, structure_choice_functor, verify_approximation)
+                    prepare, solve_fill, structure_choice_functor,
+                    verify_approximation)
 from loccat.cli import main
 
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt)
+    return s, build_replacement_category(s.f, s.rs_tgt)
 
 
 def run_cli(capsys, *argv):
@@ -122,20 +123,20 @@ def test_criterion_05_checker_verdicts_match_ground_truth():
     }
     for name, (dense, full, faithful) in expected.items():
         f = corpus.fun(name)
-        rep_d = check_s_dense(f, DEFAULT_LIMITS)
+        rep_d = check_s_dense(prepare(f, DEFAULT_LIMITS))
         assert rep_d.verdict == dense and \
             rep_d.decidability_status == "complete", name
         if full is not None:
-            rep_fu = check_s_full(f, DEFAULT_LIMITS)
+            rep_fu = check_s_full(prepare(f, DEFAULT_LIMITS))
             assert rep_fu.verdict == full and \
                 rep_fu.decidability_status == "complete", name
         if faithful is not None:
-            rep_fa = check_s_faithful(f, DEFAULT_LIMITS)
+            rep_fa = check_s_faithful(prepare(f, DEFAULT_LIMITS))
             assert rep_fa.verdict == faithful and \
                 rep_fa.decidability_status == "complete", name
-    assert check_s_dense(corpus.fun("E4"), DEFAULT_LIMITS).witness[
+    assert check_s_dense(prepare(corpus.fun("E4"), DEFAULT_LIMITS)).witness[
         "object"] == "Z"
-    w = check_s_faithful(corpus.fun("E3"), DEFAULT_LIMITS).witness
+    w = check_s_faithful(prepare(corpus.fun("E3"), DEFAULT_LIMITS)).witness
     assert {tuple(w["first"]["letters"]), tuple(w["second"]["letters"])} == \
         {("f1",), ("f2",)}
 
@@ -204,7 +205,7 @@ def test_criterion_09_classical_criterion_consistency():
     expected = {"E1": True, "E1incl": False, "E5": True, "E5term": False}
     for name, want in expected.items():
         s = corpus.setting(name)
-        rel = check_s_equivalence(corpus.fun(name), DEFAULT_LIMITS)
+        rel = check_s_equivalence(prepare(corpus.fun(name), DEFAULT_LIMITS))
         cls, _ = classical_equivalence(s.f, s.rs_src, s.rs_tgt)
         assert rel.verdict == cls == want, name
 

@@ -29,7 +29,7 @@ SECTION_NAMES = ["preconditions", "total_functor", "shortening",
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt)
+    return s, build_replacement_category(s.f, s.rs_tgt)
 
 
 def section(report, name):
@@ -127,7 +127,7 @@ class TestFillTables:
     def test_failed_total_value_raises_again(self):
         # E3 sends f1 and f2 both to g, so the value at g has two fills
         s = prepare(corpus.fun("E3"), DEFAULT_LIMITS)
-        rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt)
+        rc = build_replacement_category(s.f, s.rs_tgt)
         g = s.f.target.cat.word(["g"])
         for _ in range(2):
             with pytest.raises(ConstructionError, match="got 2"):
@@ -201,7 +201,7 @@ class TestFunctorChecks:
 class TestDeciders:
     @pytest.mark.parametrize("run", [
         lambda f: verify_approximation(f, DEFAULT_LIMITS).ok,
-        lambda f: check_s_equivalence(f, DEFAULT_LIMITS).verdict,
+        lambda f: check_s_equivalence(prepare(f, DEFAULT_LIMITS)).verdict,
     ], ids=["verify-approximation", "s-equivalence"])
     def test_one_build_per_denominators_and_system(self, monkeypatch, run):
         # each system keeps its deciders, so no (denoms, system) is

@@ -105,6 +105,18 @@ class TestHomset:
                              "--src", "nope", "--dst", "•")
         assert code == 2
 
+    def test_unknown_object_is_rejected_before_completion(self, capsys,
+                                                          monkeypatch):
+        import loccat.cli
+        calls, complete = [], loccat.cli.complete
+        monkeypatch.setattr(loccat.cli, "complete",
+                            lambda *a: calls.append(a) or complete(*a))
+        code, rep = run_json(capsys, "homset", corpus.cat_path("E5"),
+                             "--src", "•", "--dst", "nope")
+        assert code == 2
+        assert rep["error"]["kind"] == "validation"
+        assert calls == []
+
 
 class TestCheck:
     def test_verdict_true_exits_zero(self, capsys):
@@ -223,6 +235,24 @@ class TestVerifyApproximation:
             "kind": "identity-not-denominator", "object": "a",
             "identity_at": "a"}
 
+    def test_choice_naming_an_unmapped_object_is_a_report(self, capsys,
+                                                          tmp_path):
+        # x1 is an object of the source the functor does not map
+        fun = {"source": corpus.cat_path("E7C"),
+               "target": corpus.cat_path("E7D"),
+               "object_map": {"x0": "tl"}, "generator_map": {}}
+        (tmp_path / "F.fun.json").write_text(json.dumps(fun))
+        (tmp_path / "C.json").write_text(
+            json.dumps({"tl": {"x": "x1", "q": []}}))
+        code, out = run_cli(capsys, "verify-approximation",
+                            str(tmp_path / "F.fun.json"), "--choice",
+                            "from-file", str(tmp_path / "C.json"))
+        assert code == 2
+        assert out.count('"schema"') == 1
+        rep = json.loads(out)
+        assert rep["error"]["kind"] == "validation"
+        assert "'x1'" in rep["error"]["message"]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -266,6 +296,26 @@ class TestDeterminism:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_no_unused_import(self):
+        # every name an import binds is read somewhere in its module;
+        # the package __init__ only re-exports, so it is left out
+        root = Path(__file__).resolve().parent.parent
+        paths = [p for p in sorted((root / "src" / "loccat").glob("*.py"))
+                 if p.name != "__init__.py"]
+        found = []
+        for path in paths + sorted((root / "tests").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            found += [f"{path.name}:{node.lineno}:{bound}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      and getattr(node, "module", None) != "__future__"
+                      for alias in node.names
+                      for bound in [alias.asname or alias.name.split(".")[0]]
+                      if bound not in used]
+        assert found == []
+
     def test_deciders_built_only_by_the_accessor(self):
         # every other caller asks rewrite.denominators, which keeps the
         # decider on its system
@@ -298,8 +348,6 @@ class TestDeterminism:
             "approximation.verify_approximation",
             "cli._emit", "cli.cmd_check", "cli.cmd_homset", "cli.cmd_localise",
             "cli.cmd_validate", "cli.cmd_verify_approximation",
-            "equivalence.check_s_dense", "equivalence.check_s_equivalence",
-            "equivalence.check_s_faithful", "equivalence.check_s_full",
             "equivalence.prepare", "rewrite.complete"]
 
 

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 import corpus
-from loccat import (DEFAULT_LIMITS, ResourceLimits, ValidationError,
+from loccat import (DEFAULT_LIMITS, ResourceLimits,
                     check_s_dense, check_s_equivalence, check_s_faithful,
                     check_s_full, classical_equivalence,
                     enumerate_s_two_arrows, prepare, solve_fill)
@@ -17,12 +17,12 @@ class TestSDense:
         expected = {"E2": True, "E3": True, "E4": False, "E5": True,
                     "E7": True, "E7b": True}
         for name, want in expected.items():
-            report = check_s_dense(corpus.fun(name), DEFAULT_LIMITS)
+            report = check_s_dense(prepare(corpus.fun(name), DEFAULT_LIMITS))
             assert report.verdict == want, name
             assert report.decidability_status == "complete"
 
     def test_e4_witness(self):
-        report = check_s_dense(corpus.fun("E4"), DEFAULT_LIMITS)
+        report = check_s_dense(prepare(corpus.fun("E4"), DEFAULT_LIMITS))
         assert report.witness == {"kind": "object-without-replacement",
                                   "object": "Z"}
 
@@ -32,13 +32,13 @@ class TestSFull:
         expected = {"E2": True, "E3": True, "E4": True, "E5": True,
                     "E7": True, "E7b": True, "E5term": False}
         for name, want in expected.items():
-            report = check_s_full(corpus.fun(name), DEFAULT_LIMITS)
+            report = check_s_full(prepare(corpus.fun(name), DEFAULT_LIMITS))
             assert report.verdict == want, name
 
     def test_no_fill_witness(self):
         # terminal -> E5: the 2-arrow (identity, d) admits no fill because
         # the only candidate is the identity and loc(d) != loc(1)
-        report = check_s_full(corpus.fun("E5term"), DEFAULT_LIMITS)
+        report = check_s_full(prepare(corpus.fun("E5term"), DEFAULT_LIMITS))
         assert report.witness["kind"] == "no-fill"
         assert report.witness["arrow"]["g"]["letters"] == []
         assert report.witness["arrow"]["b"]["letters"] == ["d"]
@@ -49,11 +49,11 @@ class TestSFaithful:
         expected = {"E2": True, "E3": False, "E4": True, "E5": True,
                     "E7": True, "E7b": True}
         for name, want in expected.items():
-            report = check_s_faithful(corpus.fun(name), DEFAULT_LIMITS)
+            report = check_s_faithful(prepare(corpus.fun(name), DEFAULT_LIMITS))
             assert report.verdict == want, name
 
     def test_e3_witness_shows_both_fills(self):
-        report = check_s_faithful(corpus.fun("E3"), DEFAULT_LIMITS)
+        report = check_s_faithful(prepare(corpus.fun("E3"), DEFAULT_LIMITS))
         w = report.witness
         assert w["kind"] == "distinct-fills"
         assert w["first"]["letters"] == ["f1"]
@@ -86,11 +86,11 @@ class TestSEquivalence:
                     "E7": True, "E7b": True, "E5term": False,
                     "E1": True, "E1incl": False}
         for name, want in expected.items():
-            report = check_s_equivalence(corpus.fun(name), DEFAULT_LIMITS)
+            report = check_s_equivalence(prepare(corpus.fun(name), DEFAULT_LIMITS))
             assert report.verdict == want, name
 
     def test_multiplicative_details_include_characterisation(self):
-        report = check_s_equivalence(corpus.fun("E7"), DEFAULT_LIMITS)
+        report = check_s_equivalence(prepare(corpus.fun("E7"), DEFAULT_LIMITS))
         d = report.details
         assert d["target_multiplicative"] is True
         assert d["s_full"] is True and d["s_faithful"] is True
@@ -106,29 +106,21 @@ class TestSEquivalence:
 
         monkeypatch.setattr(equivalence, "_fill_survey", counted)
         setting = prepare(corpus.fun("E7"), DEFAULT_LIMITS)
-        report = check_s_equivalence(setting.f, DEFAULT_LIMITS, setting)
+        report = check_s_equivalence(setting)
         assert report.details["s_full"] and report.details["s_faithful"]
-        assert check_s_full(setting.f, DEFAULT_LIMITS, setting).verdict
+        assert check_s_full(setting).verdict
         assert len(runs) == 1
 
     @pytest.mark.parametrize("check", [check_s_dense, check_s_full,
                                        check_s_faithful, check_s_equivalence])
     def test_bounds_used_are_the_setting_limits(self, check):
-        # a given setting was completed under the default limits; other
-        # limits passed alongside it are not the ones the check ran under
-        f = corpus.fun("E7")
-        report = check(f, ResourceLimits(max_word_len=12), corpus.setting("E7"))
-        assert report.bounds_used == asdict(DEFAULT_LIMITS)
-
-    @pytest.mark.parametrize("check", [check_s_dense, check_s_full,
-                                       check_s_faithful, check_s_equivalence])
-    def test_setting_of_another_functor_is_rejected(self, check):
-        # E2's setting must not answer for E4's functor
-        with pytest.raises(ValidationError):
-            check(corpus.fun("E4"), DEFAULT_LIMITS, corpus.setting("E2"))
+        # the check reports the limits its setting was prepared under
+        limits = ResourceLimits(max_word_len=12)
+        report = check(prepare(corpus.fun("E7"), limits))
+        assert report.bounds_used == asdict(limits)
 
     def test_gz_details_present(self):
-        report = check_s_equivalence(corpus.fun("E2"), DEFAULT_LIMITS)
+        report = check_s_equivalence(prepare(corpus.fun("E2"), DEFAULT_LIMITS))
         assert report.details["gz_details"]["full"] is True
         assert report.details["gz_details"]["faithful"] is True
         assert report.details["gz_details"]["dense"] is True
@@ -156,6 +148,6 @@ class TestClassicalCriterion:
         expected = {"E1": True, "E1incl": False, "E5": True, "E5term": False}
         for name in self.VARIANTS:
             s = corpus.setting(name)
-            rel = check_s_equivalence(corpus.fun(name), DEFAULT_LIMITS)
+            rel = check_s_equivalence(prepare(corpus.fun(name), DEFAULT_LIMITS))
             cls, _ = classical_equivalence(s.f, s.rs_src, s.rs_tgt)
             assert rel.verdict == cls == expected[name], name

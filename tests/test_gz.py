@@ -51,6 +51,17 @@ class TestLocalise:
         assert lc.inv_of == {}
         assert lc.fresh_defs == {}
 
+    def test_inverse_table_matches_the_inverse_letters(self):
+        # each inverse letter inverts its partner's word: the partner
+        # itself, or the base word a fresh composite names
+        for name in corpus.CAT_NAMES:
+            lc = corpus.lc(name)
+            assert set(lc.inverted) == set(lc.inv_of.values()), name
+            for n, inv in lc.inv_of.items():
+                want = lc.fresh_defs[n] if n in lc.fresh_defs \
+                    else lc.presentation.word([n])
+                assert lc.inverted[inv] == want, (name, n)
+
     def test_inverse_generator_naming(self):
         lc = corpus.lc("E2")
         assert [g.name for g in lc.presentation.generators] == ["d", "d^-1"]
@@ -179,6 +190,27 @@ class TestZigzag:
         assert zv.render() == "d·e · (s)^-1"
         zv2 = zigzag_view(lc, PathWord("c", "c", ("s^-1", "⟨d·e⟩")))
         assert zv2.render() == "(s)^-1 · d·e"
+
+    def test_segments_recompose_to_every_localised_word(self):
+        # recompose by a route of the test's own: each forward word, then
+        # the inverse letter of what its segment inverts, found through
+        # inv_of and fresh_defs
+        for name in corpus.CAT_NAMES:
+            lc = corpus.lc(name)
+            fresh_of = {w: n for n, w in lc.fresh_defs.items()}
+            objects = lc.presentation.objects
+            for m in (m for x in objects for y in objects
+                      for m in homset(lc.rs, x, y)):
+                letters: list[str] = []
+                for seg in zigzag_view(lc, m).segments:
+                    letters += seg.forward.letters
+                    w = seg.inverted
+                    if w is not None:
+                        partner = w.letters[0] if len(w.letters) == 1 \
+                            else fresh_of[w]
+                        letters.append(lc.inv_of[partner])
+                assert normalize(lc.rs, PathWord(
+                    m.src, m.dst, tuple(letters))) == m, (name, m)
 
     def test_identity_renders_as_identity(self):
         lc = corpus.lc("E5")

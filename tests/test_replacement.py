@@ -13,7 +13,7 @@ from loccat import (PreconditionError, ReplacementChoice, SReplacement,
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_src, s.rs_tgt)
+    return s, build_replacement_category(s.f, s.rs_tgt)
 
 
 class TestFindReplacements:
@@ -227,5 +227,5 @@ class TestCanonicalLift:
         # before any category is built, so reuse E2's category shape
         from loccat import build_replacement_category
         with pytest.raises(PreconditionError):
-            rc = build_replacement_category(s.f, s.rs_src, s.rs_tgt)
+            rc = build_replacement_category(s.f, s.rs_tgt)
             canonical_lift(rc)

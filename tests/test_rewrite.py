@@ -645,9 +645,8 @@ class TestDerivedLimits:
 
     def test_replacement_category_inherits(self):
         f = corpus.fun("E7")
-        rs_src = complete(f.source.cat, self.BOUND)
         rs_tgt = complete(f.target.cat, self.BOUND)
-        rc = build_replacement_category(f, rs_src, rs_tgt)
+        rc = build_replacement_category(f, rs_tgt)
         assert rc.rs.limits == rs_tgt.limits == self.BOUND
 
     def test_inverse_search_under_the_system_limits(self):
