@@ -127,6 +127,12 @@ def _through(lc: LocalisedCategory, *functors: FunctorData):
     return image
 
 
+def _normalised(choice: ReplacementChoice, rs: RewriteSystem) -> ReplacementChoice:
+    return ReplacementChoice(tuple(
+        (y, SReplacement(rep.target, rep.source, normalize(rs, rep.q)))
+        for y, rep in choice.assignment))
+
+
 def _generators(p: CatPresentation) -> list[PathWord]:
     """The one-letter words of the generators of ``p``."""
     return [p.word([g.name]) for g in p.generators]
@@ -476,9 +482,14 @@ def verify_approximation(f: FunctorData,
 
     ``choice`` defaults to the first replacement of every object;
     ``compare_choice`` (a second choice, or the string ``"auto"``)
-    adds a choice-independence section.
+    adds a choice-independence section.  The ``q`` of a given choice
+    may be any word; it is normalised in the target first.
     """
     setting = prepare(f, limits)
+    if choice is not None:
+        choice = _normalised(choice, setting.rs_tgt)
+    if isinstance(compare_choice, ReplacementChoice):
+        compare_choice = _normalised(compare_choice, setting.rs_tgt)
     mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt)
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",

@@ -251,8 +251,7 @@ def cmd_verify_approximation(args: SimpleNamespace,
     if sel == ["auto"]:
         pass
     elif len(sel) == 2 and sel[0] == "from-file":
-        rs_tgt = complete(f.target.cat, limits)
-        choice = load_choice(sel[1], f, rs_tgt)
+        choice = load_choice(sel[1], f)
         compare = "auto"
     else:
         raise ValidationError(

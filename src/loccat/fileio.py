@@ -24,7 +24,6 @@ from .presentation import (
     validate_presentation,
 )
 from .replacement import ReplacementChoice, SReplacement
-from .rewrite import RewriteSystem, normalize
 
 
 class ParseError(LoccatError):
@@ -186,9 +185,13 @@ def load_functor(path: str | Path) -> FunctorData:
                        object_map=dict(data["object_map"]), gen_map=gen_map)
 
 
-def load_choice(path: str | Path, f: FunctorData,
-                rs_tgt: RewriteSystem) -> ReplacementChoice:
-    """Load a replacement choice file against a functor."""
+def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
+    """Load a replacement choice file against a functor.
+
+    Each ``q`` is checked to run from ``F x`` to its object and kept as
+    written; :func:`~loccat.approximation.verify_approximation`
+    normalises it under the target's completed system.
+    """
     data = _read_json(path)
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
     assignment = []
@@ -216,6 +219,5 @@ def load_choice(path: str | Path, f: FunctorData,
                 raise ValidationError(
                     f"{path}: empty q for {y!r} needs F x == {y!r}")
             q = f.target.cat.identity(y)
-        assignment.append((y, SReplacement(target=y, source=entry["x"],
-                                           q=normalize(rs_tgt, q))))
+        assignment.append((y, SReplacement(target=y, source=entry["x"], q=q)))
     return ReplacementChoice(tuple(assignment))

@@ -32,11 +32,14 @@ Completion and :class:`RewriteSystem` rewrite with one matcher,
 there, the first rule in list order.  Since completion's path depends
 on that strategy, the matcher has two scans that give the same answer:
 a first-letter dict with ``str.startswith``, which costs nothing to
-build, and one ``re`` alternation of the left sides in list order, which
-is fast on long words but costs a compile that grows with the pattern.
-In the pattern a run of three or more equal letters is one counted
-repeat (``a{25}``), which shortens it and its compile.  A matcher
-starts with the first scan and switches to the second once the
+build, and one ``re`` pattern built from the same dict, which is fast on
+long words but costs a compile that grows with the pattern.  The
+pattern has one group per first letter, ``a(?:b|a{3})``, holding the
+tails of that letter's left sides in list order: at each position the
+engine enters only the group of the letter there.  In a tail a run of
+three or more equal letters is one counted repeat (``a{25}``), which
+shortens the pattern and its compile, and each tail is built once.  A
+matcher starts with the first scan and switches to the second once the
 candidate left sides it has compared exceed their total length, so the
 compile is paid only after scanning has cost about as much.
 Completion keeps one matcher for the whole run and changes it in place
@@ -102,11 +105,16 @@ class RuleIndex:
     place, so completion keeps one index for a whole run.
     ``normal_form`` uses the scan until the candidate left sides it has
     compared since the left sides last changed exceed their total
-    length, then the regex, compiled once per set of left sides.
+    length, then the regex, compiled once per set of left sides from
+    the first-letter table the scan uses: one group per first letter,
+    with the tails of its left sides in list order.  Each tail pattern
+    is built the first time a compile needs it and kept until its rule
+    is removed.
     """
 
     def __init__(self, rules=()):
         self._rhs: dict[str, str] = {}
+        self._tails: dict[str, str] = {}
         self._by_first: dict[str, list[str]] = {}
         self._back = 0
         self._lhs_letters = 0
@@ -126,6 +134,7 @@ class RuleIndex:
     def remove(self, lhs: str):
         """Drop the rule for ``lhs``, which must be here."""
         del self._rhs[lhs]
+        self._tails.pop(lhs, None)
         first = self._by_first[lhs[0]]
         first.remove(lhs)
         if not first:
@@ -173,8 +182,7 @@ class RuleIndex:
         if not self._rhs:
             return s
         if self._regex is None:
-            # re takes the leftmost match and, there, the first alternative
-            self._regex = re.compile("|".join(map(_literal_pattern, self._rhs)))
+            self._regex = re.compile(self._pattern())
         search, rhs, back = self._regex.search, self._rhs, self._back
         m = search(s)
         while m:
@@ -182,6 +190,18 @@ class RuleIndex:
             s = s[:i] + rhs[m.group()] + s[j:]
             m = search(s, i - back if i > back else 0)
         return s
+
+    def _pattern(self) -> str:
+        # one group per first letter, its tails in list order: re takes
+        # the leftmost match and, there, the first alternative that
+        # matches, and at a position only the group of its letter can
+        tails = self._tails
+        for lhs in self._rhs:
+            if lhs not in tails:
+                tails[lhs] = _literal_pattern(lhs[1:])
+        return "|".join(
+            re.escape(c) + "(?:" + "|".join(map(tails.__getitem__, group)) + ")"
+            for c, group in self._by_first.items())
 
 
 def _literal_pattern(word: str) -> str:

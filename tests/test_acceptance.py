@@ -186,8 +186,7 @@ def test_criterion_08_choice_independence():
     comparison, componentwise and wordwise."""
     s, rc = rc_for("E7b")
     auto = auto_choice(rc)
-    alt = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"),
-                      s.f, s.rs_tgt)
+    alt = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), s.f)
     assert auto.get("bl") != alt.get("bl")
     fwd = choice_independence(s, rc, auto, alt)
     bwd = choice_independence(s, rc, alt, auto)

@@ -324,9 +324,8 @@ class TestPreconditions:
 
 class TestChoiceIndependence:
     def alt_choice(self, rc):
-        s = corpus.setting("E7b")
         return load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"),
-                           s.f, s.rs_tgt)
+                           corpus.fun("E7b"))
 
     def test_two_choices_differ(self):
         _, rc = rc_for("E7b")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import corpus
+from loccat import cli, equivalence, gz, replacement, rewrite
 from loccat.cli import main, parse_args
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,6 +29,14 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def _run_module(*args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
 
 
 class TestValidate:
@@ -204,6 +213,27 @@ class TestVerifyApproximation:
         names = [s["name"] for s in rep["result"]["sections"]]
         assert names[-1] == "choice_independence"
 
+    def test_choice_from_file_completes_each_category_once(self, capsys,
+                                                          monkeypatch):
+        # the choice file is checked against the functor alone, so the
+        # target is completed once, as without --choice: 6 calls on E7b
+        calls = []
+        complete = rewrite.complete
+
+        def counted(p, *args):
+            calls.append(p)
+            return complete(p, *args)
+
+        for module in (cli, equivalence, gz, replacement, rewrite):
+            monkeypatch.setattr(module, "complete", counted)
+        for choice in ((), ("--choice", "from-file",
+                            str(corpus.FIXTURES / "E7b-alt.choice.json"))):
+            calls.clear()
+            code, _ = run_cli(capsys, "verify-approximation",
+                              corpus.fun_path("E7b"), *choice)
+            assert code == 0
+            assert len(calls) == 6, choice
+
     def test_experimental_flag_changes_failure(self, capsys):
         code, rep = run_json(capsys, "verify-approximation", E6_FUN,
                              "--experimental-no-mult")
@@ -268,9 +298,7 @@ class TestDeterminism:
         assert out.endswith("}\n")
 
     def test_console_script_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "loccat.cli", "check", "s-full", E2_FUN],
-            capture_output=True, text=True)
+        proc = _run_module("-m", "loccat.cli", "check", "s-full", E2_FUN)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["verdict"] is True
 
@@ -281,8 +309,7 @@ class TestDeterminism:
     ])
     def test_same_report_under_optimize_flag(self, argv):
         # no check may live in an assert, which -O strips
-        runs = [subprocess.run([sys.executable, *flags, "-m", "loccat.cli", *argv],
-                               capture_output=True)
+        runs = [_run_module(*flags, "-m", "loccat.cli", *argv)
                 for flags in ((), ("-O",))]
         assert runs[0].stdout
         assert runs[0].stdout == runs[1].stdout
@@ -512,14 +539,6 @@ def test_command_help(capsys, command):
         assert word in out
     others = set(COMMAND_WORDS) - {command}
     assert not any(f"loccat {other} " in out for other in others)
-
-
-def _run_module(*args, **kwargs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, **kwargs)
 
 
 MODULE_PROBE = """

@@ -6,7 +6,7 @@ import pytest
 
 import corpus
 from loccat import (ParseError, ValidationError, load_cat, load_choice,
-                    load_functor)
+                    load_functor, verify_approximation)
 
 
 def write(tmp_path, name, payload):
@@ -112,22 +112,26 @@ class TestLoadFunctor:
 
 class TestLoadChoice:
     def test_alt_choice_loads(self):
-        s = corpus.setting("E7b")
-        choice = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"),
-                             s.f, s.rs_tgt)
+        f = corpus.fun("E7b")
+        choice = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), f)
         assert choice.get("bl").q.letters == ("v_left2",)
 
     def test_choice_with_wrong_source_object_rejected(self, tmp_path):
-        s = corpus.setting("E7b")
+        f = corpus.fun("E7b")
         raw = json.loads((corpus.FIXTURES / "E7b-alt.choice.json").read_text())
         raw["bl"]["x"] = "x1"  # v_left2 does not start at F x1
         path = write(tmp_path, "bad.choice.json", raw)
         with pytest.raises(ValidationError):
-            load_choice(path, s.f, s.rs_tgt)
+            load_choice(path, f)
 
     def test_choice_q_normalized(self, tmp_path):
-        s = corpus.setting("E5")
+        # the file's q is kept as written and normalised by the verifier
+        f = corpus.fun("E5")
         path = write(tmp_path, "e5.choice.json",
                      {"•": {"x": "•", "q": ["d", "d", "d"]}})
-        choice = load_choice(path, s.f, s.rs_tgt)
-        assert choice.get("•").q.letters == ("d",)
+        choice = load_choice(path, f)
+        assert choice.get("•").q.letters == ("d", "d", "d")
+        report = verify_approximation(f, choice=choice)
+        section = next(x for x in report.sections if x["name"] == "choice")
+        assert [c["q"]["letters"] for c in section["chosen"]] == [["d"]]
+        assert report.ok
