@@ -73,6 +73,7 @@ from .rewrite import (
     RewriteSystem,
     equal,
     homset,
+    homsets_from,
     normalize,
 )
 
@@ -164,8 +165,8 @@ def _functor_checks(functor: FunctorData, lc: LocalisedCategory,
     of values.
     """
     cat, image = functor.source.cat, _through(lc, functor)
-    words = {(a, b): homset(rs, a, b)
-             for a in cat.objects for b in cat.objects}
+    words = {(a, b): ws for a in cat.objects
+             for b, ws in homsets_from(rs, a).items()}
     values = {w: value(w) for ws in words.values() for w in ws}
     agreement_ok = all([image(w) == v for w, v in values.items()])
     composites: dict[PathWord, GzMorphism] = {}
@@ -173,9 +174,9 @@ def _functor_checks(functor: FunctorData, lc: LocalisedCategory,
     pairs = 0
     functorial_ok = True
     for (a, b), firsts in words.items():
-        for c in cat.objects:
+        for seconds in homsets_from(rs, b).values():
             for w1 in firsts:
-                for w2 in words[(b, c)]:
+                for w2 in seconds:
                     w = cat.concat(w1, w2)
                     lhs = composites.get(w)
                     if lhs is None:

@@ -45,6 +45,7 @@ from .rewrite import (
     denominators,
     find_inverse,
     homset,
+    homsets_from,
     normalize,
 )
 
@@ -145,12 +146,11 @@ def enumerate_s_two_arrows(setting: GzSetting):
     """All 2-arrows between materialized hom-sets, in a fixed order."""
     f, dec = setting.f, setting.dec_tgt
     src_objects = f.source.cat.objects
-    tgt_objects = f.target.cat.objects
     for x in src_objects:
         for x_prime in src_objects:
             fx, fx_prime = f.object_map[x], f.object_map[x_prime]
-            for y in tgt_objects:
-                for g in homset(setting.rs_tgt, fx, y):
+            for y, gs in homsets_from(setting.rs_tgt, fx).items():
+                for g in gs:
                     for b in dec.denominators_between(fx_prime, y):
                         yield STwoArrow(x=x, x_prime=x_prime, g=g, b=b)
 

@@ -103,19 +103,17 @@ def _base_inverses(rs_base: RewriteSystem,
     graph has an empty hom-set back, so its search is skipped; a search
     that exceeds the limits of ``rs_base`` seeds nothing.
     """
-    out: dict[str, list[str]] = {}
-    for g in rs_base.presentation.generators:
-        out.setdefault(g.src, []).append(g.dst)
+    out_gens = rs_base.presentation.out_gens
     reach: dict[str, set[str]] = {}
     seeded: list[Relation] = []
     for inv_name, w in inverted.items():
         if w.dst not in reach:
             seen, todo = {w.dst}, [w.dst]
             while todo:
-                for y in out.get(todo.pop(), ()):
-                    if y not in seen:
-                        seen.add(y)
-                        todo.append(y)
+                for g in out_gens.get(todo.pop(), ()):
+                    if g.dst not in seen:
+                        seen.add(g.dst)
+                        todo.append(g.dst)
             reach[w.dst] = seen
         if w.src not in reach[w.dst]:
             continue

@@ -124,6 +124,13 @@ class CatPresentation:
     def gen_index(self) -> dict[str, int]:
         return {g.name: i for i, g in enumerate(self.generators)}
 
+    @cached_property
+    def out_gens(self) -> dict[str, list[GenArrow]]:
+        out: dict[str, list[GenArrow]] = {}
+        for g in self.generators:
+            out.setdefault(g.src, []).append(g)
+        return out
+
     def identity(self, obj: str) -> PathWord:
         if obj not in self.obj_index:
             raise ValidationError(f"unknown object {obj!r}")

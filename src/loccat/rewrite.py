@@ -18,6 +18,11 @@ so ``(len(s), s)`` orders encoded words exactly as shortlex orders their
 letters.  Completion runs on encoded words from end to end and decodes
 only the final rules.
 
+Hom-sets are listed without rewriting.  A prefix of an irreducible word
+is irreducible (Book and Otto, *String-Rewriting Systems*, 1993), so one
+search per source object lists its normal forms by length, each an
+extension ``w·g`` of a shorter one that no left side is a suffix of.
+
 Completion keeps a lazy pair queue: a critical pair is dropped before
 its sides are normalised once one of its two rules has left the system
 (interreduction sent the rule back to the queue as an equation).  Only
@@ -239,9 +244,9 @@ class RewriteSystem:
     ``limits`` are the bounds :func:`complete` ran under; every query on
     the system, and every system derived from it, uses them.  Besides
     its rules the system carries its encoding, its matcher and the
-    tables its queries fill: normal forms by letter tuple, the normal
-    forms reachable from each object, the sorted hom-set per object
-    pair and the denominator decider per denominator set (see
+    tables its queries fill: normal forms by letter tuple, the non-empty
+    hom-sets out of each object by target, the hom-set per object pair
+    and the denominator decider per denominator set (see
     :func:`denominators`).  None of the tables takes part in equality,
     hashing or ``repr``.
     """
@@ -273,18 +278,14 @@ class RewriteSystem:
         return self.status == COMPLETE
 
 
-def _normal_letters(rs: RewriteSystem, letters: tuple[str, ...]) -> tuple[str, ...]:
-    nf = rs._normal_forms.get(letters)
-    if nf is None:
-        code, names = rs._codec
-        nf = rs._normal_forms[letters] = _decode(
-            names, rs._index.normal_form(_encode(code, letters)))
-    return nf
-
-
 def normalize(rs: RewriteSystem, w: PathWord) -> PathWord:
     """Leftmost-innermost normal form of ``w``; canonical iff complete."""
-    return PathWord(w.src, w.dst, _normal_letters(rs, w.letters))
+    nf = rs._normal_forms.get(w.letters)
+    if nf is None:
+        code, names = rs._codec
+        nf = rs._normal_forms[w.letters] = _decode(
+            names, rs._index.normal_form(_encode(code, w.letters)))
+    return PathWord(w.src, w.dst, nf)
 
 
 def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
@@ -430,55 +431,57 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         for lhs, rhs, s, d, _ in rules))
 
 
-def _reachable_normal_forms(rs: RewriteSystem, x: str) -> frozenset[PathWord]:
-    """All normal forms with source ``x``, by breadth-first extension.
-
-    A prefix of an irreducible word is irreducible, so extending known
-    normal forms one generator at a time and normalizing reaches every
-    normal form out of ``x``.
-    """
-    found = rs._reachable.get(x)
-    if found is not None:
-        return found
-    p, limits = rs.presentation, rs.limits
-    out_gens: dict[str, list] = {}
-    for g in p.generators:
-        out_gens.setdefault(g.src, []).append(g)
-    seen: set[PathWord] = {p.identity(x)}
-    frontier: list[PathWord] = [p.identity(x)]
-    while frontier:
-        nxt: list[PathWord] = []
-        for w in frontier:
-            for g in out_gens.get(w.dst, ()):
-                letters = _normal_letters(rs, w.letters + (g.name,))
-                if len(letters) > limits.max_word_len:
+def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWord, ...]]:
+    """List the normal forms out of ``x`` (see the module docstring): fill
+    ``rs._homsets[(x, y)]`` for every ``y`` and return the non-empty
+    hom-sets by target, in object order.  Each word extends one shorter
+    word, by generators in declaration order, so each length comes out
+    in shortlex order."""
+    p, limits, lhs = rs.presentation, rs.limits, rs._index._rhs
+    code, lengths = rs._codec[0], sorted(set(map(len, lhs)))
+    by_dst = {x: [p.identity(x)]}
+    level, count = [("", by_dst[x][0])], 1
+    while level:
+        nxt = []
+        for s, w in level:
+            for g in p.out_gens.get(w.dst, ()):
+                t = s + code[g.name]
+                # s is irreducible, so only a suffix of t can be a left side
+                if any(t[-k:] in lhs for k in lengths):
+                    continue
+                if len(t) > limits.max_word_len:
                     raise LimitExceeded(
                         "max_word_len",
                         f"normal form out of {x!r} longer than {limits.max_word_len}")
-                cand = PathWord(x, g.dst, letters)
-                if cand not in seen:
-                    seen.add(cand)
-                    if len(seen) > limits.max_homset:
-                        raise LimitExceeded(
-                            "max_homset",
-                            f"more than {limits.max_homset} morphisms out of {x!r}")
-                    nxt.append(cand)
-        frontier = nxt
-    found = rs._reachable[x] = frozenset(seen)
+                count += 1
+                if count > limits.max_homset:
+                    raise LimitExceeded(
+                        "max_homset",
+                        f"more than {limits.max_homset} morphisms out of {x!r}")
+                v = PathWord(x, g.dst, w.letters + (g.name,))
+                by_dst.setdefault(g.dst, []).append(v)
+                nxt.append((t, v))
+        level = nxt
+    found = rs._reachable[x] = {y: tuple(by_dst[y]) for y in p.objects if y in by_dst}
+    for y in p.objects:
+        rs._homsets[(x, y)] = found.get(y, ())
     return found
+
+
+def homsets_from(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWord, ...]]:
+    """The non-empty hom-sets out of ``x``, by target in object order."""
+    found = rs._reachable.get(x)
+    return found if found is not None else _reachable_normal_forms(rs, x)
 
 
 def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
     """All morphisms ``x -> y`` as normal forms, in shortlex order."""
     words = rs._homsets.get((x, y))
-    if words is not None:
-        return words
-    p = rs.presentation
-    if x not in p.obj_index or y not in p.obj_index:
-        raise ValidationError(f"unknown object in homset query: {x!r}, {y!r}")
-    words = rs._homsets[(x, y)] = tuple(sorted(
-        (w for w in _reachable_normal_forms(rs, x) if w.dst == y),
-        key=p.shortlex_key))
+    if words is None:
+        p = rs.presentation
+        if x not in p.obj_index or y not in p.obj_index:
+            raise ValidationError(f"unknown object in homset query: {x!r}, {y!r}")
+        words = _reachable_normal_forms(rs, x).get(y, ())
     return words
 
 

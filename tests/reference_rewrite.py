@@ -6,6 +6,11 @@ rule-index matcher.  It is kept unchanged so tests can check that the
 fast kernel takes the same rewriting steps: the same normal form for
 every word and rule list, and the same completed rules and status for
 every presentation and bound.
+
+``homset`` is the hom-set enumeration ``loccat.rewrite`` used before it
+listed irreducible words: it normalises every extension of a known
+normal form by a generator, with this normaliser, and raises at the
+same bounds with the same messages.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from loccat.presentation import CatPresentation, PathWord
+from loccat.presentation import CatPresentation, LimitExceeded, PathWord
 from loccat.rewrite import (BOUNDED_INCOMPLETE, COMPLETE, DEFAULT_LIMITS,
                             ResourceLimits, RewriteRule, RewriteSystem)
 
@@ -140,3 +145,38 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
 
 def _peak_endpoints(p: CatPresentation, letters: tuple[str, ...]) -> tuple[str, str]:
     return p.gen_by_name[letters[0]].src, p.gen_by_name[letters[-1]].dst
+
+
+def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
+    """All morphisms ``x -> y`` as normal forms under ``rs.rules``, in
+    shortlex order, by breadth-first extension and normalisation.
+
+    Collects every normal form out of ``x`` whatever its target, under
+    ``rs.limits``, then keeps those ending at ``y`` and sorts them.
+    """
+    p, limits = rs.presentation, rs.limits
+    by_first = _index_rules(rs.rules)
+    out_gens: dict[str, list] = {}
+    for g in p.generators:
+        out_gens.setdefault(g.src, []).append(g)
+    seen: set[PathWord] = {p.identity(x)}
+    frontier: list[PathWord] = [p.identity(x)]
+    while frontier:
+        nxt: list[PathWord] = []
+        for w in frontier:
+            for g in out_gens.get(w.dst, ()):
+                letters = _normalize_letters(by_first, w.letters + (g.name,))
+                if len(letters) > limits.max_word_len:
+                    raise LimitExceeded(
+                        "max_word_len",
+                        f"normal form out of {x!r} longer than {limits.max_word_len}")
+                cand = PathWord(x, g.dst, letters)
+                if cand not in seen:
+                    seen.add(cand)
+                    if len(seen) > limits.max_homset:
+                        raise LimitExceeded(
+                            "max_homset",
+                            f"more than {limits.max_homset} morphisms out of {x!r}")
+                    nxt.append(cand)
+        frontier = nxt
+    return tuple(sorted((w for w in seen if w.dst == y), key=p.shortlex_key))

@@ -14,6 +14,7 @@ from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     Relation, ReplacementChoice, ResourceLimits,
                     SReplacement, ValidationError, auto_choice,
                     build_replacement_category, check_s_equivalence,
+                    check_s_full,
                     choice_independence, complete, homset,
                     induced_replacement_functor, load_choice, loc_map,
                     localise, prepare, replacement_functor,
@@ -185,17 +186,33 @@ class TestFunctorChecks:
         assert checks(wrong) == (6, True, 36, False)
 
     def test_ladder_counts(self):
-        # counted when every pair still computed its own composite
-        report = verify_approximation(ladder(4), DEFAULT_LIMITS)
+        # every counter of the report, counted when every pair still
+        # computed its own composite and every loop ran over all objects,
+        # empty hom-sets included
+        f = ladder(4)
+        report = verify_approximation(f, DEFAULT_LIMITS)
         assert report.ok
-        counts = {(name, key): section(report, name)[key]
-                  for name, key in (
-                      ("total_functor", "words_checked"),
-                      ("total_functor", "composable_pairs_checked"),
-                      ("shortening", "quadruples_checked"),
-                      ("choice_functor", "composable_pairs_checked"),
-                      ("induced_functor", "description_pairs_checked"))}
-        assert list(counts.values()) == [45, 140, 90, 140, 60]
+        counts = {(sec["name"], key): value for sec in report.sections
+                  for key, value in sec.items() if type(value) is int}
+        assert counts == {
+            ("preconditions", "arrows_surveyed"): 30,
+            ("total_functor", "arrows_surveyed"): 30,
+            ("total_functor", "words_checked"): 45,
+            ("total_functor", "composable_pairs_checked"): 140,
+            ("shortening", "quadruples_checked"): 90,
+            ("denominator_values", "lifted_denominators_checked"): 15,
+            ("choice_functor", "composable_pairs_checked"): 140,
+            ("choice_functor", "denominators_checked"): 15,
+            ("choice_functor", "comparison_isos_checked"): 10,
+            ("induced_functor", "description_pairs_checked"): 60,
+            ("alpha", "squares_checked"): 4,
+            ("beta", "squares_checked"): 18,
+            ("symmetric_relations", "objects_checked"): 15,
+            ("canonical_lift", "comparison_to_forgetful_squares"): 13,
+            ("canonical_lift", "localised_comparison_squares"): 13,
+            ("forgetful_section_pair", "comparison_squares_checked"): 18}
+        full = check_s_full(prepare(f, DEFAULT_LIMITS))
+        assert full.verdict and full.details == {"arrows_checked": 30}
 
 
 class TestDeciders:

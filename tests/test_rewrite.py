@@ -484,7 +484,56 @@ class TestEqual:
             equal(rs, c.word(["f1"]), c.word(["f2"]))
 
 
+# the bounds of TestCompletion.test_same_rules_as_reference, then every
+# hom-set bound up to 16 and every word bound up to 4
+HOMSET_BOUNDS = (
+    [ResourceLimits(max_word_len=n, max_rules=r)
+     for n in (4, 8, 16) for r in (1, 3, 8, 512)]
+    + [ResourceLimits(max_homset=h) for h in range(17)]
+    + [ResourceLimits(max_word_len=n) for n in range(5)])
+
+
+def homset_outcome(enumerate_homset, rs, x: str, y: str):
+    """The words ``enumerate_homset`` lists, or the bound it raises at."""
+    try:
+        return enumerate_homset(rs, x, y)
+    except LimitExceeded as e:
+        return e.bound, str(e)
+
+
 class TestHomset:
+    @pytest.mark.parametrize("name", [
+        *corpus.CAT_NAMES, *(f"{n} localised" for n in corpus.CAT_NAMES),
+        "D6", "L4", "braid", "partially-commutative"])
+    def test_same_words_as_reference(self, name):
+        # the search lists the normal forms the old normalise-and-collect
+        # enumeration found, in the same order, or raises at the same bound
+        if name.endswith(" localised"):
+            p = corpus.lc(name.split()[0]).presentation
+        elif name in corpus.CAT_NAMES:
+            p = corpus.cat(name).cat
+        else:
+            p = dihedral(6) if name == "D6" else FAMILIES[name]
+        for limits in HOMSET_BOUNDS:
+            rs = complete(p, limits)
+            for x in p.objects:
+                for y in p.objects:
+                    assert homset_outcome(homset, rs, x, y) == homset_outcome(
+                        reference_rewrite.homset, rs, x, y), (limits, x, y)
+
+    @pytest.mark.parametrize("localised", [False, True])
+    def test_matcher_stays_idle(self, monkeypatch, localised):
+        # listing the irreducible words reads the left sides only: the
+        # matcher rewrites nothing and counts nothing toward its regex
+        p = corpus.lc("E4").presentation if localised else corpus.cat("E4").cat
+        rs = complete(p, ResourceLimits(max_rules=4))
+        calls = count_normal_forms(monkeypatch)
+        for x in p.objects:
+            for y in p.objects:
+                homset(rs, x, y)
+        assert calls == []
+        assert rs._index._compared == 0 and rs._index._regex is None
+
     def test_frozen_counts(self):
         for name, table in BASE_HOM_COUNTS.items():
             rs = corpus.rs(name)
