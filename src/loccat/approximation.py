@@ -64,7 +64,6 @@ from .replacement import (
     has_enough,
     positions,
     structure_choice_functor,
-    validate_choice,
 )
 from .rewrite import (
     COMPLETE,
@@ -129,9 +128,8 @@ def _through(lc: LocalisedCategory, *functors: FunctorData):
 
 
 def _normalised(choice: ReplacementChoice, rs: RewriteSystem) -> ReplacementChoice:
-    return ReplacementChoice(tuple(
-        (y, SReplacement(rep.target, rep.source, normalize(rs, rep.q)))
-        for y, rep in choice.assignment))
+    return {y: SReplacement(rep.target, rep.source, normalize(rs, rep.q))
+            for y, rep in choice.items()}
 
 
 def _generators(p: CatPresentation) -> list[PathWord]:
@@ -445,7 +443,7 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
         lc_tgt, (psi for y in objects for y2 in objects
                  for psi in homset(lc_tgt.rs, y, y2)),
         lambda psi: setting.gz_f.apply_word(image(psi)),
-        {y: loc_map(lc_tgt, choice.get(y).q) for y in objects})
+        {y: loc_map(lc_tgt, choice[y].q) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
               "description_pairs_checked": checked,
               "description_ok": description_ok,
@@ -469,7 +467,6 @@ class ApproximationReport:
 def verify_approximation(f: FunctorData,
                          limits: ResourceLimits = DEFAULT_LIMITS,
                          choice: ReplacementChoice | None = None,
-                         compare_choice: ReplacementChoice | str | None = None,
                          experimental_no_mult: bool = False
                          ) -> ApproximationReport:
     """Recompute and check every statement of the approximation theorem.
@@ -481,16 +478,15 @@ def verify_approximation(f: FunctorData,
     case the report carries the failure and downstream sections run as
     far as they can.
 
-    ``choice`` defaults to the first replacement of every object;
-    ``compare_choice`` (a second choice, or the string ``"auto"``)
-    adds a choice-independence section.  The ``q`` of a given choice
-    may be any word; it is normalised in the target first.
+    ``choice`` defaults to the first replacement of every object
+    (:func:`~loccat.replacement.auto_choice`); a given choice is
+    compared with that one in a choice-independence section.  The ``q``
+    of a given choice may be any word; it is normalised in the target
+    first.
     """
     setting = prepare(f, limits)
     if choice is not None:
         choice = _normalised(choice, setting.rs_tgt)
-    if isinstance(compare_choice, ReplacementChoice):
-        compare_choice = _normalised(compare_choice, setting.rs_tgt)
     mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt)
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",
@@ -502,12 +498,8 @@ def verify_approximation(f: FunctorData,
     arrows = _require_fills(setting)
 
     rc = build_replacement_category(f, setting.rs_tgt)
-    chosen_choice = choice or auto_choice(rc)
+    chosen_choice = auto_choice(rc) if choice is None else choice
     chosen_idx = positions(rc, chosen_choice)
-    if compare_choice == "auto":
-        compare_choice = auto_choice(rc)
-    if compare_choice is not None:
-        validate_choice(rc, compare_choice)
 
     src_cat, tgt_cat = f.source.cat, f.target.cat
     lc_src, lc_tgt = setting.lc_src, setting.lc_tgt
@@ -535,7 +527,7 @@ def verify_approximation(f: FunctorData,
     sections.append({
         "name": "choice",
         "chosen": [{"object": y, "source": rep.source, "q": word_json(rep.q)}
-                   for y, rep in chosen_choice.assignment],
+                   for y, rep in chosen_choice.items()],
         "forgetful_valid": not u_problems,
         "forgetful_reflects_denominators": u_reflects,
         # structure_choice_functor raised ConstructionError unless U after
@@ -577,7 +569,7 @@ def verify_approximation(f: FunctorData,
     gz_f_image, induced_image = _through(lc_tgt, gz_f), _through(lc_src, induced)
     beta, beta_rows, beta_iso = _components(
         lc_tgt, tgt_cat.objects,
-        lambda y: loc_map(lc_tgt, chosen_choice.get(y).q))
+        lambda y: loc_map(lc_tgt, chosen_choice[y].q))
     beta_squares, beta_natural = _squares(
         lc_tgt, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
     sections.append({"name": "beta", "components": beta_rows,
@@ -587,7 +579,7 @@ def verify_approximation(f: FunctorData,
     # whiskering compatibilities linking alpha and beta
     sym_ok = all(
         [gz_f_image(alpha[x]) == beta[f.object_map[x]] for x in src_cat.objects]
-        + [induced_image(beta[y]) == alpha[chosen_choice.get(y).source]
+        + [induced_image(beta[y]) == alpha[chosen_choice[y].source]
            for y in tgt_cat.objects])
     sections.append({"name": "symmetric_relations",
                      "objects_checked": len(src_cat.objects) + len(tgt_cat.objects),
@@ -657,8 +649,8 @@ def verify_approximation(f: FunctorData,
         "comparison_natural_ok": pair_nat_ok,
         "ok": pair_exact_ok and pair_iso_ok and pair_nat_ok})
 
-    if compare_choice is not None:
-        indep = choice_independence(setting, rc, chosen_choice, compare_choice)
+    if choice is not None:
+        indep = choice_independence(setting, rc, chosen_choice, auto_choice(rc))
         sections.append({"name": "choice_independence", **indep})
 
     statuses = [setting.decidability_status, rc.rs.status, lc_rc.rs.status]

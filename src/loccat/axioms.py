@@ -109,10 +109,10 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
     dec_src = denominators(f.source, rs_src)
     dec_tgt = denominators(f.target, rs_tgt)
     for w in dec_src.materialized:
-        if not dec_tgt.is_denominator(f.apply_word(w)):
+        image = f.apply_word(w)
+        if not dec_tgt.is_denominator(image):
             problems.append({"kind": "denominator-not-preserved",
-                             "word": word_json(w),
-                             "image": word_json(f.apply_word(w))})
+                             "word": word_json(w), "image": word_json(image)})
     return problems
 
 
@@ -126,10 +126,10 @@ def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
     for x in src_cat.objects:
         for y in src_cat.objects:
             for w in homset(rs_src, x, y):
-                if dec_tgt.is_denominator(f.apply_word(w)) and not dec_src.is_denominator(w):
+                image = f.apply_word(w)
+                if dec_tgt.is_denominator(image) and not dec_src.is_denominator(w):
                     return False, {"kind": "denominator-not-reflected",
-                                   "word": word_json(w),
-                                   "image": word_json(f.apply_word(w))}
+                                   "word": word_json(w), "image": word_json(image)}
     return True, None
 
 
@@ -151,10 +151,8 @@ def check_transformation(t: TransformationData,
     if problems:
         return problems
     for g in src_cat.generators:
-        lhs = tgt_cat.concat(t.frm.apply_word(src_cat.word([g.name])),
-                             t.components[g.dst])
-        rhs = tgt_cat.concat(t.components[g.src],
-                             t.to.apply_word(src_cat.word([g.name])))
+        lhs = tgt_cat.concat(t.frm.gen_map[g.name], t.components[g.dst])
+        rhs = tgt_cat.concat(t.components[g.src], t.to.gen_map[g.name])
         if not equal(rs_tgt, lhs, rhs):
             problems.append({"kind": "naturality-fails", "generator": g.name,
                              "lhs": word_json(normalize(rs_tgt, lhs)),

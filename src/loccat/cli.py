@@ -37,14 +37,13 @@ from .equivalence import (
     check_s_full,
     prepare,
 )
-from .fileio import ParseError, load_cat, load_choice, load_functor, _read_json
+from .fileio import ParseError, load_cat, load_choice, load_functor, read_json
 from .gz import localise, zigzag_view
 from .presentation import (
     ConstructionError,
     LimitExceeded,
     PreconditionError,
     ValidationError,
-    validate_cat_with_denoms,
 )
 from .rewrite import (
     ResourceLimits,
@@ -113,7 +112,7 @@ def _emit(command: str, limits: ResourceLimits, fmt: str, payload: dict) -> str:
 
 
 def _sniff_kind(path: str) -> str:
-    data = _read_json(path)
+    data = read_json(path)
     if isinstance(data, dict) and "object_map" in data:
         return "functor"
     return "category"
@@ -137,8 +136,8 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
         row: dict = {"path": path, "kind": kind}
         try:
             if kind == "category":
-                cwd = load_cat(path)
-                problems = validate_cat_with_denoms(cwd)
+                load_cat(path)
+                problems = []
             else:
                 f = load_functor(path)
                 rs_src = complete(f.source.cat, limits)
@@ -162,8 +161,7 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
     dec = denominators(cwd, rs)
     inverted = []
     for w in dec.materialized:
-        inv = find_inverse(lc.rs, lc.presentation.word(
-            w.letters) if w.letters else lc.presentation.identity(w.src))
+        inv = find_inverse(lc.rs, w)
         inverted.append({"denominator": word_json(w),
                          "inverse": word_json(inv) if inv is not None else None})
     result = {
@@ -246,18 +244,14 @@ def cmd_verify_approximation(args: SimpleNamespace,
                              limits: ResourceLimits) -> tuple[dict, int]:
     f = load_functor(args.path)
     choice = None
-    compare = None
     sel = args.choice or ["auto"]
-    if sel == ["auto"]:
-        pass
-    elif len(sel) == 2 and sel[0] == "from-file":
+    if len(sel) == 2 and sel[0] == "from-file":
         choice = load_choice(sel[1], f)
-        compare = "auto"
-    else:
+    elif sel != ["auto"]:
         raise ValidationError(
             "--choice expects 'auto' or 'from-file <path>'")
     report = verify_approximation(
-        f, limits, choice=choice, compare_choice=compare,
+        f, limits, choice=choice,
         experimental_no_mult=args.experimental_no_mult)
     return {"result": report.to_json()}, EXIT_OK if report.ok else EXIT_FALSE
 

@@ -79,10 +79,7 @@ class CheckReport:
     details: dict
 
     def to_json(self) -> dict:
-        return {"check": self.check, "verdict": self.verdict,
-                "witness": self.witness, "bounds_used": self.bounds_used,
-                "decidability_status": self.decidability_status,
-                "details": self.details}
+        return asdict(self)
 
 
 @dataclass

@@ -20,7 +20,6 @@ from .presentation import (
     PathWord,
     Relation,
     ValidationError,
-    validate_cat_with_denoms,
     validate_presentation,
 )
 from .replacement import ReplacementChoice, SReplacement
@@ -30,7 +29,7 @@ class ParseError(LoccatError):
     """The input file could not be read as the expected JSON shape."""
 
 
-def _read_json(path: str | Path) -> object:
+def read_json(path: str | Path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -62,18 +61,15 @@ def _relation_side(p: CatPresentation, letters: list[str], other: list[str],
         raise ValidationError(
             f"relation {index} has two empty sides and no endpoints")
     partner = p.word(other)
-    return p.identity(partner.src) if partner.src == partner.dst else \
-        _raise_endpoint(index)
-
-
-def _raise_endpoint(index: int) -> PathWord:
-    raise ValidationError(
-        f"relation {index} equates a non-endo word with an identity")
+    if partner.src != partner.dst:
+        raise ValidationError(
+            f"relation {index} equates a non-endo word with an identity")
+    return p.identity(partner.src)
 
 
 def load_cat(path: str | Path) -> CatWithDenoms:
     """Load a category with denominators from a JSON file."""
-    data = _read_json(path)
+    data = read_json(path)
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
     for key in ("objects", "generators", "relations", "denominators"):
         _expect(key in data, f"{path}: missing key {key!r}")
@@ -136,19 +132,15 @@ def load_cat(path: str | Path) -> CatWithDenoms:
 
     cat = CatPresentation(objects=objects, generators=tuple(gens),
                           relations=tuple(relations))
-    cwd = CatWithDenoms(cat, DenomSet(
+    return CatWithDenoms(cat, DenomSet(
         explicit=tuple(words),
         include_identities=denoms["include_identities"],
         close_under_composition=denoms["close_under_composition"]))
-    problems = validate_cat_with_denoms(cwd)
-    if problems:
-        raise ValidationError(f"{path}: {problems}")
-    return cwd
 
 
 def load_functor(path: str | Path) -> FunctorData:
     """Load a functor; source and target paths resolve relative to the file."""
-    data = _read_json(path)
+    data = read_json(path)
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
     for key in ("source", "target", "object_map", "generator_map"):
         _expect(key in data, f"{path}: missing key {key!r}")
@@ -192,9 +184,9 @@ def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
     written; :func:`~loccat.approximation.verify_approximation`
     normalises it under the target's completed system.
     """
-    data = _read_json(path)
+    data = read_json(path)
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
-    assignment = []
+    choice: ReplacementChoice = {}
     for y, entry in data.items():
         _expect(isinstance(entry, dict) and isinstance(entry.get("x"), str)
                 and isinstance(entry.get("q"), list),
@@ -219,5 +211,5 @@ def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
                 raise ValidationError(
                     f"{path}: empty q for {y!r} needs F x == {y!r}")
             q = f.target.cat.identity(y)
-        assignment.append((y, SReplacement(target=y, source=entry["x"], q=q)))
-    return ReplacementChoice(tuple(assignment))
+        choice[y] = SReplacement(target=y, source=entry["x"], q=q)
+    return choice

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 
 class LoccatError(Exception):
@@ -217,10 +218,11 @@ class FunctorData:
     gen_map: dict[str, PathWord]
 
     def apply_word(self, w: PathWord) -> PathWord:
-        out = self.target.cat.identity(self.object_map[w.src])
-        for letter in w.letters:
-            out = self.target.cat.concat(out, self.gen_map[letter])
-        return out
+        """The image of ``w``, its letters' images joined once, unchecked:
+        :func:`~loccat.axioms.validate_functor`, which ``prepare`` and
+        ``loccat validate`` run first, rejects ill-typed images."""
+        letters = chain.from_iterable(self.gen_map[x].letters for x in w.letters)
+        return PathWord(self.object_map[w.src], self.object_map[w.dst], tuple(letters))
 
     def then(self, other: "FunctorData") -> "FunctorData":
         """Composite functor, ``self`` applied first."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .axioms import check_transformation
-from .gz import _fresh_name
+from .gz import fresh_name
 from .presentation import (
     CatPresentation,
     CatWithDenoms,
@@ -58,17 +58,8 @@ class SReplacement:
     q: PathWord
 
 
-@dataclass(frozen=True)
-class ReplacementChoice:
-    """One chosen replacement per object of the target category."""
-
-    assignment: tuple[tuple[str, SReplacement], ...]
-
-    def get(self, y: str) -> SReplacement:
-        for key, rep in self.assignment:
-            if key == y:
-                return rep
-        raise KeyError(y)
+# One chosen replacement per object of the target category, by object.
+ReplacementChoice = dict[str, SReplacement]
 
 
 def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem,
@@ -133,8 +124,11 @@ class ReplacementCategory:
     def __post_init__(self):
         tgt_cat = self.functor.target.cat
         triples = self.triples
+        # a name can repeat (q = 1 beside a generator "1"): prime the later
+        taken_objs: set[str] = set()
         self.obj_names = names = tuple(
-            f"({t.target}|{t.source}|{'·'.join(t.q.letters) or '1'})"
+            fresh_name(f"({t.target}|{t.source}|{'·'.join(t.q.letters) or '1'})",
+                       taken_objs)
             for t in triples)
         self._obj_pos = {name: idx for idx, name in enumerate(names)}
         self._triple_pos: dict[SReplacement, int] = {}
@@ -156,7 +150,7 @@ class ReplacementCategory:
         self._lookup = lookup = {}
         for g_name, under, i, j in lifts:
             stem = "1" if g_name is None else g_name
-            name = _fresh_name(f"{stem}@{i}-{j}", taken)
+            name = fresh_name(f"{stem}@{i}-{j}", taken)
             gens.append(GenArrow(name, names[i], names[j]))
             self.lift_meta[name] = (g_name, i, j)
             lookup[(g_name, i, j)] = name
@@ -302,24 +296,23 @@ def forgetful(rc: ReplacementCategory) -> FunctorData:
 
 def auto_choice(rc: ReplacementCategory) -> ReplacementChoice:
     """The first replacement of each object, in triple order."""
-    assignment: list[tuple[str, SReplacement]] = []
+    choice: ReplacementChoice = {}
     for y in rc.functor.target.cat.objects:
         over = rc.triples_over(y)
         if not over:
             raise PreconditionError(
                 "not enough replacements for a choice",
                 witness={"kind": "object-without-replacement", "object": y})
-        assignment.append((y, rc.triples[over[0]]))
-    return ReplacementChoice(tuple(assignment))
+        choice[y] = rc.triples[over[0]]
+    return choice
 
 
 def validate_choice(rc: ReplacementCategory, choice: ReplacementChoice) -> None:
     tgt_objects = rc.functor.target.cat.objects
-    keys = [y for y, _ in choice.assignment]
-    if sorted(keys) != sorted(tgt_objects):
+    if sorted(choice) != sorted(tgt_objects):
         raise ValidationError(
             "choice must assign exactly one replacement to every object")
-    for y, rep in choice.assignment:
+    for y, rep in choice.items():
         if rep.target != y:
             raise ValidationError(f"choice for {y!r} replaces {rep.target!r}")
         if rep not in rc.triples:
@@ -330,7 +323,7 @@ def validate_choice(rc: ReplacementCategory, choice: ReplacementChoice) -> None:
 def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, int]:
     """The position of each object's chosen triple; ``choice`` is validated."""
     validate_choice(rc, choice)
-    return {y: rc.index_of(choice.get(y)) for y in rc.functor.target.cat.objects}
+    return {y: rc.index_of(choice[y]) for y in rc.functor.target.cat.objects}
 
 
 def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
@@ -399,7 +392,7 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
         trivial_idx[x] = rc.index_of(rep)
     gen_map: dict[str, PathWord] = {}
     for g in src_cat.generators:
-        image = normalize(rs_tgt, f.apply_word(src_cat.word([g.name])))
+        image = normalize(rs_tgt, f.gen_map[g.name])
         gen_map[g.name] = rc.lift_word(image, trivial_idx[g.src],
                                        trivial_idx[g.dst])
     lift = FunctorData(
@@ -412,8 +405,7 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
             raise ConstructionError(
                 f"forgetful after canonical lift moves object {x!r}")
     for g in src_cat.generators:
-        if not equal(rs_tgt, round_trip.gen_map[g.name],
-                     f.apply_word(src_cat.word([g.name]))):
+        if not equal(rs_tgt, round_trip.gen_map[g.name], f.gen_map[g.name]):
             raise ConstructionError(
                 "forgetful after canonical lift differs from the functor")
     return lift

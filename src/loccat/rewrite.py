@@ -245,8 +245,8 @@ class RewriteSystem:
     the system, and every system derived from it, uses them.  Besides
     its rules the system carries its encoding, its matcher and the
     tables its queries fill: normal forms by letter tuple, the non-empty
-    hom-sets out of each object by target, the hom-set per object pair
-    and the denominator decider per denominator set (see
+    hom-sets out of each object by target (the one hom-set table) and
+    the denominator decider per denominator set (see
     :func:`denominators`).  None of the tables takes part in equality,
     hashing or ``repr``.
     """
@@ -259,7 +259,6 @@ class RewriteSystem:
     _index: RuleIndex = field(init=False, repr=False, compare=False)
     _normal_forms: dict = field(init=False, repr=False, compare=False)
     _reachable: dict = field(init=False, repr=False, compare=False)
-    _homsets: dict = field(init=False, repr=False, compare=False)
     _deciders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -270,7 +269,6 @@ class RewriteSystem:
             for r in self.rules))
         object.__setattr__(self, "_normal_forms", {})
         object.__setattr__(self, "_reachable", {})
-        object.__setattr__(self, "_homsets", {})
         object.__setattr__(self, "_deciders", {})
 
     @property
@@ -432,11 +430,11 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
 
 
 def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWord, ...]]:
-    """List the normal forms out of ``x`` (see the module docstring): fill
-    ``rs._homsets[(x, y)]`` for every ``y`` and return the non-empty
-    hom-sets by target, in object order.  Each word extends one shorter
-    word, by generators in declaration order, so each length comes out
-    in shortlex order."""
+    """List the normal forms out of ``x`` (see the module docstring): store
+    and return the non-empty hom-sets by target, in object order, in
+    ``rs._reachable[x]``.  Each word extends one shorter word, by
+    generators in declaration order, so each length comes out in
+    shortlex order."""
     p, limits, lhs = rs.presentation, rs.limits, rs._index._rhs
     code, lengths = rs._codec[0], sorted(set(map(len, lhs)))
     by_dst = {x: [p.identity(x)]}
@@ -463,8 +461,6 @@ def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWo
                 nxt.append((t, v))
         level = nxt
     found = rs._reachable[x] = {y: tuple(by_dst[y]) for y in p.objects if y in by_dst}
-    for y in p.objects:
-        rs._homsets[(x, y)] = found.get(y, ())
     return found
 
 
@@ -476,13 +472,13 @@ def homsets_from(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWord, ...]]:
 
 def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
     """All morphisms ``x -> y`` as normal forms, in shortlex order."""
-    words = rs._homsets.get((x, y))
-    if words is None:
+    found = rs._reachable.get(x)
+    if found is None or y not in found:
         p = rs.presentation
         if x not in p.obj_index or y not in p.obj_index:
             raise ValidationError(f"unknown object in homset query: {x!r}, {y!r}")
-        words = _reachable_normal_forms(rs, x).get(y, ())
-    return words
+        found = homsets_from(rs, x)
+    return found.get(y, ())
 
 
 def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:

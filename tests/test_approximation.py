@@ -380,7 +380,7 @@ class TestChoiceIndependence:
         stray = SReplacement("bl", "x1", auto.get("bl").q)
         assert stray not in rc.triples
         bad = ReplacementChoice(tuple((y, stray if y == "bl" else rep)
-                                      for y, rep in auto.assignment))
+                                      for y, rep in auto.items()))
         r_choice, _ = replacement_functor(s, rc, auto)
         with pytest.raises(ValidationError):
             choice_independence(s, rc, auto, bad)
@@ -393,7 +393,7 @@ class TestChoiceIndependence:
         s, rc = rc_for("E7b")
         alt = self.alt_choice(rc)
         report = verify_approximation(corpus.fun("E7b"), DEFAULT_LIMITS,
-                                      choice=alt, compare_choice="auto")
+                                      choice=alt)
         assert report.ok
         names = [sec["name"] for sec in report.sections]
         assert names == SECTION_NAMES + ["choice_independence"]

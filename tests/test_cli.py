@@ -13,6 +13,9 @@ import pytest
 import corpus
 from loccat import cli, equivalence, gz, replacement, rewrite
 from loccat.cli import main, parse_args
+from loccat.equivalence import prepare
+from loccat.fileio import load_functor
+from loccat.replacement import build_replacement_category
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,6 +70,45 @@ class TestValidate:
         code, rep = run_json(capsys, "validate", str(bad))
         assert code == 3
         assert rep["error"]["kind"] == "parse"
+
+    @staticmethod
+    def validate_functor_file(capsys, tmp_path, object_map, generator_map):
+        """``loccat validate`` on a functor from a category with objects
+        ``a, b`` and one generator ``u: a -> b`` to itself."""
+        (tmp_path / "c.cat.json").write_text(json.dumps({
+            "objects": ["a", "b"],
+            "generators": [{"name": "u", "src": "a", "dst": "b"}],
+            "relations": [],
+            "denominators": {"words": [], "include_identities": True,
+                             "close_under_composition": True}}))
+        (tmp_path / "f.fun.json").write_text(json.dumps({
+            "source": "c.cat.json", "target": "c.cat.json",
+            "object_map": object_map, "generator_map": generator_map}))
+        code, rep = run_json(capsys, "validate", str(tmp_path / "f.fun.json"))
+        row, = rep["result"]["files"]
+        return code, [problem["kind"] for problem in row.get("problems", ())]
+
+    @pytest.mark.parametrize("object_map,kind", [
+        ({"a": "a"}, "object-not-mapped"),
+        ({"a": "a", "b": "zzz"}, "object-image-unknown"),
+        ({"a": "a", "b": "b", "c": "a"}, "object-map-extra-key"),
+    ])
+    def test_bad_object_map_is_a_problem(self, capsys, tmp_path, object_map,
+                                         kind):
+        code, kinds = self.validate_functor_file(
+            capsys, tmp_path, object_map, {"u": ["u"]})
+        assert code == 2
+        assert kinds[0] == kind
+
+    @pytest.mark.parametrize("image_of_b,code,kinds", [
+        ("a", 0, []),           # u goes to the identity of a
+        ("b", 2, ["invalid"]),  # an identity cannot run from a to b
+    ])
+    def test_empty_generator_image(self, capsys, tmp_path, image_of_b, code,
+                                   kinds):
+        assert self.validate_functor_file(
+            capsys, tmp_path, {"a": "a", "b": image_of_b}, {"u": []}) \
+            == (code, kinds)
 
 
 class TestLocalise:
@@ -284,6 +326,46 @@ class TestVerifyApproximation:
         assert "'x1'" in rep["error"]["message"]
 
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"zz": {"x": "x0", "q": []}}, "unknown target object 'zz'"),
+        ({"tl": {"x": "zz", "q": []}}, "unknown source object 'zz'"),
+    ])
+    def test_choice_naming_an_unknown_object_is_a_report(
+            self, capsys, tmp_path, entry, message):
+        (tmp_path / "C.json").write_text(json.dumps(entry))
+        code, rep = run_json(capsys, "verify-approximation",
+                             corpus.fun_path("E7b"), "--choice", "from-file",
+                             str(tmp_path / "C.json"))
+        assert code == 2
+        assert rep["error"]["kind"] == "validation"
+        assert message in rep["error"]["message"]
+
+    def test_triples_named_alike_get_distinct_objects(self, capsys, tmp_path):
+        # the triple with q = 1_Y and the one with q the generator "1"
+        # would both be named (Y|X|1)
+        (tmp_path / "C.cat.json").write_text(json.dumps({
+            "objects": ["X"], "generators": [], "relations": [],
+            "denominators": {"words": [], "include_identities": True,
+                             "close_under_composition": True}}))
+        (tmp_path / "D.cat.json").write_text(json.dumps({
+            "objects": ["Y"],
+            "generators": [{"name": "1", "src": "Y", "dst": "Y"}],
+            "relations": [{"lhs": ["1", "1"], "rhs": ["1"]}],
+            "denominators": {"words": [["1"]], "include_identities": True,
+                             "close_under_composition": True}}))
+        fun = tmp_path / "F.fun.json"
+        fun.write_text(json.dumps({
+            "source": "C.cat.json", "target": "D.cat.json",
+            "object_map": {"X": "Y"}, "generator_map": {}}))
+        code, rep = run_json(capsys, "verify-approximation", str(fun))
+        assert code == 0
+        assert rep["result"]["ok"] is True
+        f = load_functor(str(fun))
+        rc = build_replacement_category(f, prepare(f).rs_tgt)
+        assert len(rc.triples) == 2
+        assert len(set(rc.obj_names)) == 2
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         outs = set()
@@ -341,6 +423,17 @@ class TestDeterminism:
                       for alias in node.names
                       for bound in [alias.asname or alias.name.split(".")[0]]
                       if bound not in used]
+        assert found == []
+
+    def test_no_private_import_across_modules(self):
+        # a name one module uses from another is public where it lives
+        src = Path(__file__).resolve().parent.parent / "src" / "loccat"
+        found = [f"{path.name}:{node.lineno}:{alias.name}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").startswith("loccat"))
+                 for alias in node.names if alias.name.startswith("_")]
         assert found == []
 
     def test_deciders_built_only_by_the_accessor(self):
@@ -408,6 +501,27 @@ class TestTextFormat:
         assert code == 0
         lines = out.splitlines()
         assert any(line.startswith("result.verdict") for line in lines)
+
+    def test_lists_are_flattened_by_index(self, capsys):
+        code, out = run_cli(capsys, "homset", corpus.cat_path("E7D"),
+                            "--src", "tl", "--dst", "br", "--localised",
+                            "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            'command = "homset"',
+            "limits.max_homset = 1024",
+            "limits.max_rules = 512",
+            "limits.max_word_len = 16",
+            "result.count = 1",
+            'result.dst = "br"',
+            "result.localised = true",
+            'result.src = "tl"',
+            'result.status = "complete"',
+            'result.words[0][0] = "h_top"',
+            'result.words[0][1] = "v_right"',
+            'result.zigzags[0] = "h_top·v_right"',
+            'schema = "loccat-report/1"',
+        ]
 
 
 # Every spelling used by the README, the tests and the benchmark

@@ -9,6 +9,7 @@ import corpus
 from loccat import (CatPresentation, CatWithDenoms, DenomSet, GenArrow,
                     PathWord, Relation, ValidationError, identity_functor,
                     opposite, validate_cat_with_denoms, validate_presentation)
+from loccat.rewrite import DEFAULT_LIMITS, complete, homsets_from
 
 
 def chain():
@@ -181,3 +182,22 @@ class TestIdentityFunctor:
         g = identity_functor(corpus.cat("E1"))
         with pytest.raises(ValidationError):
             f.then(g)
+
+
+def letterwise(f, w):
+    """The image of ``w`` built one generator image at a time."""
+    out = f.target.cat.identity(f.object_map[w.src])
+    for letter in w.letters:
+        out = f.target.cat.concat(out, f.gen_map[letter])
+    return out
+
+
+@pytest.mark.parametrize("name", corpus.FUN_NAMES)
+def test_apply_word_equals_letterwise_images(name):
+    f = corpus.fun(name)
+    rs = complete(f.source.cat, DEFAULT_LIMITS)
+    words = [w for x in f.source.cat.objects
+             for ws in homsets_from(rs, x).values() for w in ws]
+    assert words
+    for w in words:
+        assert f.apply_word(w) == letterwise(f, w)

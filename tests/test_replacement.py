@@ -154,7 +154,7 @@ class TestChoice:
         _, rc = rc_for("E7b")
         choice = auto_choice(rc)
         picked = {y: (rep.source, rep.q.letters)
-                  for y, rep in choice.assignment}
+                  for y, rep in choice.items()}
         assert picked == {"tl": ("x0", ()), "tr": ("x1", ()),
                           "bl": ("x0", ("v_left",)),
                           "br": ("x1", ("v_right",)),
@@ -168,7 +168,7 @@ class TestChoice:
     def test_validate_choice_rejects_partial_assignments(self):
         _, rc = rc_for("E2")
         partial = ReplacementChoice(tuple(
-            (y, rep) for y, rep in auto_choice(rc).assignment if y == "a"))
+            (y, rep) for y, rep in auto_choice(rc).items() if y == "a"))
         with pytest.raises(ValidationError):
             validate_choice(rc, partial)
 
