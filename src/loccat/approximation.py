@@ -22,7 +22,8 @@ generators of the relevant presentations.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import product
 
 from .axioms import (
     check_multiplicative,
@@ -40,10 +41,8 @@ from .gz import (
     GzMorphism,
     LocalisedCategory,
     extend_to_localisation,
-    gz_compose,
     gz_inverse,
     induced_functor,
-    loc_map,
     localise,
 )
 from .presentation import (
@@ -70,10 +69,9 @@ from .rewrite import (
     DEFAULT_LIMITS,
     ResourceLimits,
     RewriteSystem,
-    equal,
-    homset,
-    homsets_from,
+    equal_encoded,
     normalize,
+    words,
 )
 
 
@@ -83,58 +81,46 @@ def total_value(setting: GzSetting, rc: ReplacementCategory,
 
     ``w`` is a target-category word from the object under triple ``i``
     to the one under triple ``j``; the value solves
-    ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.  Found once per setting
-    and ``(triple, triple, w)``; later calls read the setting's table.
+    ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.  See :func:`_value`.
     """
-    ti, tj = rc.triples[i], rc.triples[j]
-    key = (ti, tj, w)
+    setting.f.target.cat.concat(rc.triples[i].q, w)  # raises unless w starts where q_i ends
+    return setting.lc_src.rs.decode(_value(setting, rc, i, j, setting.rs_tgt.encode(w)[2]))
+
+
+def _value(setting: GzSetting, rc: ReplacementCategory,
+           i: int, j: int, s: str) -> tuple[str, str, str]:
+    """:func:`total_value` of the target word encoded ``s``, encoded; found
+    once per setting and ``(i, j, s)``, later calls read the setting's table."""
+    key = (i, j, s)
     value = setting._total_values.get(key)
-    if value is not None:
-        return value
-    tgt_cat = setting.f.target.cat
-    g = normalize(setting.rs_tgt, tgt_cat.concat(ti.q, w))
-    fills = solve_fill(setting, STwoArrow(x=ti.source, x_prime=tj.source,
-                                          g=g, b=tj.q))
-    if len(fills) != 1:
-        raise ConstructionError(
-            f"expected exactly one fill between triples {i} and {j}, "
-            f"got {len(fills)}")
-    setting._total_values[key] = fills[0]
-    return fills[0]
+    if value is None:
+        ti, tj, rs = rc.triples[i], rc.triples[j], setting.rs_tgt
+        g = rs.decode((ti.q.src, tj.target, rs.index[rs.encode(ti.q)[2] + s]))
+        fills = solve_fill(setting, STwoArrow(ti.source, tj.source, g, tj.q))
+        if len(fills) != 1:
+            raise ConstructionError(f"expected exactly one fill between triples {i} "
+                                    f"and {j}, got {len(fills)}")
+        value = setting._total_values[key] = setting.lc_src.rs.encode(fills[0])
+    return value
 
 
-def _lifted_value(setting: GzSetting, rc: ReplacementCategory,
-                  w: PathWord) -> GzMorphism:
-    """:func:`total_value` of a lifted word, between its endpoint triples."""
-    return total_value(setting, rc, rc.object_index(w.src),
-                       rc.object_index(w.dst),
-                       normalize(setting.rs_tgt, rc.underlying_word(w)))
-
-
-def _chosen_value(setting: GzSetting, rc: ReplacementCategory,
-                  chosen: dict[str, int], w: PathWord) -> GzMorphism:
-    """:func:`total_value` of a target word, between its ``chosen`` triples."""
-    return total_value(setting, rc, chosen[w.src], chosen[w.dst],
-                       normalize(setting.rs_tgt, w))
+def _value_of(setting: GzSetting, rc: ReplacementCategory, at, under: dict, w: tuple):
+    """:func:`_value` of the encoded word ``w`` between the triples ``at(src)``
+    and ``at(dst)``; ``under`` maps its letters to target codes, or is ``{}``."""
+    s = setting.rs_tgt.index[w[2].translate(under)]
+    return _value(setting, rc, at(w[0]), at(w[1]), s)
 
 
 def _through(lc: LocalisedCategory, *functors: FunctorData):
-    """``w`` sent through ``functors`` in turn, normalised in ``lc``."""
-    def image(w: PathWord) -> GzMorphism:
-        for functor in functors:
-            w = functor.apply_word(w)
-        return normalize(lc.rs, w)
-    return image
+    """An encoded word sent through ``functors`` in turn, normalised in ``lc``."""
+    functor = reduce(FunctorData.then, functors)
+    omap, table, nf = functor.object_map, functor.translation, lc.rs.index.__getitem__
+    return lambda w: (omap[w[0]], omap[w[1]], nf(w[2].translate(table)))
 
 
-def _normalised(choice: ReplacementChoice, rs: RewriteSystem) -> ReplacementChoice:
-    return {y: SReplacement(rep.target, rep.source, normalize(rs, rep.q))
-            for y, rep in choice.items()}
-
-
-def _generators(p: CatPresentation) -> list[PathWord]:
-    """The one-letter words of the generators of ``p``."""
-    return [p.word([g.name]) for g in p.generators]
+def _generators(p: CatPresentation) -> list[tuple[str, str, str]]:
+    """The encoded one-letter words of the generators of ``p``."""
+    return [(g.src, g.dst, p.codec[0][g.name]) for g in p.generators]
 
 
 def _require_fills(setting: GzSetting) -> int:
@@ -156,76 +142,71 @@ def _functor_checks(functor: FunctorData, lc: LocalisedCategory,
 
     Each word of each hom-set of the source (completed as ``rs``) must
     agree with its image under ``functor``, and each composable pair must
-    compose.  Returns the words checked, whether they agree, the pairs
-    checked and whether all compose; every check is evaluated.  Many
-    pairs share a composite word and many share their two values, so
-    ``value`` runs once per composite and ``gz_compose`` once per pair
-    of values.
+    compose; words and values are encoded ``(src, dst, code)``.  Returns
+    the words checked, whether they agree, the pairs checked and whether
+    all compose; every check is evaluated.  Many pairs share a composite
+    word, so ``value`` runs once per composite.
     """
-    cat, image = functor.source.cat, _through(lc, functor)
-    words = {(a, b): ws for a in cat.objects
-             for b, ws in homsets_from(rs, a).items()}
-    values = {w: value(w) for ws in words.values() for w in ws}
+    cat, image, nf = functor.source.cat, _through(lc, functor), lc.rs.index.__getitem__
+    outs = {a: {b: ws for b in cat.objects if (ws := words(rs, a, b))} for a in cat.objects}
+    values = {(w := (a, b, s)): value(w) for a, out in outs.items()
+              for b, ws in out.items() for s in ws}
     agreement_ok = all([image(w) == v for w, v in values.items()])
-    composites: dict[PathWord, GzMorphism] = {}
-    composed: dict[tuple, GzMorphism] = {}
+    composites: dict[tuple, tuple] = {}
     pairs = 0
     functorial_ok = True
-    for (a, b), firsts in words.items():
-        for seconds in homsets_from(rs, b).values():
-            for w1 in firsts:
-                for w2 in seconds:
-                    w = cat.concat(w1, w2)
-                    lhs = composites.get(w)
-                    if lhs is None:
-                        lhs = composites[w] = value(w)
-                    key = (values[w1], values[w2])
-                    rhs = composed.get(key)
-                    if rhs is None:
-                        rhs = composed[key] = gz_compose(lc, *key)
-                    if lhs != rhs:
-                        functorial_ok = False
-                    pairs += 1
+    for a, out in outs.items():
+        for b, firsts in out.items():
+            for c, seconds in outs[b].items():
+                for s1 in firsts:
+                    v1 = values[a, b, s1][2]
+                    for s2 in seconds:
+                        w = (a, c, s1 + s2)
+                        lhs = composites.get(w)
+                        if lhs is None:
+                            lhs = composites[w] = value(w)
+                        if lhs[2] != nf(v1 + values[b, c, s2][2]):
+                            functorial_ok = False
+                        pairs += 1
     return len(values), agreement_ok, pairs, functorial_ok
 
 
-def _mutually_inverse(lc: LocalisedCategory, fwd: GzMorphism,
-                      bwd: GzMorphism) -> bool:
-    """Do both composites of ``fwd`` and ``bwd`` reduce to identities?"""
-    composites = gz_compose(lc, fwd, bwd), gz_compose(lc, bwd, fwd)
-    return all(w.is_identity_word for w in composites)
+def _mutually_inverse(lc: LocalisedCategory, fwd: tuple, bwd: tuple) -> bool:
+    """Do both composites of encoded ``fwd`` and ``bwd`` reduce to identities?"""
+    return not any([lc.rs.compose(fwd, bwd)[2], lc.rs.compose(bwd, fwd)[2]])
 
 
 def _components(lc: LocalisedCategory, objects, component
-                ) -> tuple[dict[str, GzMorphism], list[dict], bool]:
-    """The components ``component(x)`` of a comparison transformation, by
-    object, with one report row each and whether all are invertible."""
-    comps: dict[str, GzMorphism] = {}
+                ) -> tuple[dict[str, tuple], list[dict], bool]:
+    """The encoded components ``component(x)`` of a comparison transformation,
+    by object, with one report row each and whether all are invertible."""
+    comps: dict[str, tuple] = {}
     rows = []
     for x in objects:
         comps[x] = comp = component(x)
-        rows.append({"object": x, "component": word_json(comp),
-                     "invertible": gz_inverse(lc, comp) is not None})
+        word = lc.rs.decode(comp)
+        rows.append({"object": x, "component": word_json(word),
+                     "invertible": gz_inverse(lc, word) is not None})
     return comps, rows, all(row["invertible"] for row in rows)
 
 
 def _invertible(lc: LocalisedCategory, comps) -> bool:
-    """Does every component have an inverse in ``lc``?  Stops at the
+    """Does every encoded component have an inverse in ``lc``?  Stops at the
     first that has none."""
-    return all(gz_inverse(lc, comp) is not None for comp in comps)
+    return all(gz_inverse(lc, lc.rs.decode(comp)) is not None for comp in comps)
 
 
-def _squares(lc: LocalisedCategory, words, frm,
-             comps: dict[str, GzMorphism], to=None) -> tuple[int, bool]:
-    """Naturality of ``comps`` from ``frm`` to ``to`` on each word.
+def _squares(lc: LocalisedCategory, ws, frm, comps: dict[str, tuple],
+             to=None) -> tuple[int, bool]:
+    """Naturality of ``comps`` from ``frm`` to ``to`` on each encoded word.
 
     The square at ``w`` is ``frm(w) . comps[dst w] = comps[src w] . to(w)``
     in ``lc``; ``to`` defaults to the identity.  Returns the squares
     checked and whether all commute; each is evaluated.
     """
-    commute = [gz_compose(lc, frm(w), comps[w.dst])
-               == gz_compose(lc, comps[w.src], w if to is None else to(w))
-               for w in words]
+    commute = [lc.rs.compose(frm(w), comps[w[1]])
+               == lc.rs.compose(comps[w[0]], w if to is None else to(w))
+               for w in ws]
     return len(commute), all(commute)
 
 
@@ -248,18 +229,17 @@ def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
         gen_map={name: total_value(setting, rc, i, j, rc.lifted_underlying[name])
                  for name, (_, i, j) in rc.lift_meta.items()})
 
-    identities = [total_value(setting, rc, i, i,
-                              setting.f.target.cat.identity(t.target))
-                  for i, t in enumerate(rc.triples)]
-    identities_ok = all(w.is_identity_word for w in identities)
+    identities_ok = not any([_value(setting, rc, i, i, "")[2]
+                             for i in range(len(rc.triples))])
 
-    words, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, setting.lc_src, rc.rs, partial(_lifted_value, setting, rc))
+    checked, agreement_ok, pairs, functorial_ok = _functor_checks(
+        functor, setting.lc_src, rc.rs,
+        partial(_value_of, setting, rc, rc.object_index, rc.underlying))
     report = {
         "arrows_surveyed": arrows,
         "fill_cardinality_one": True,
         "identities_ok": identities_ok,
-        "words_checked": words,
+        "words_checked": checked,
         "letterwise_agreement_ok": agreement_ok,
         "composable_pairs_checked": pairs,
         "functoriality_ok": functorial_ok,
@@ -278,10 +258,6 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
     tgt_cat = setting.f.target.cat
     dec = setting.dec_tgt
     rs = setting.rs_tgt
-    objects = tgt_cat.objects
-    # the object pairs joined by a denominator, in row-major order
-    spans = [(y, y_bar, es) for y in objects for y_bar in objects
-             if (es := dec.denominators_between(y, y_bar))]
 
     def lengthened(e: PathWord):
         """Positions of each triple ``(X, q)`` and of its lengthening ``(X, q.e)``."""
@@ -294,30 +270,27 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
                 continue
             yield i, i2
 
+    # the object pairs joined by a denominator, row-major, with their codes and lengthenings
+    objects = tgt_cat.objects
+    spans = [(y, y_bar, [(e, rs.encode(e)[2], list(lengthened(e))) for e in es])
+             for y in objects for y_bar in objects
+             if (es := dec.denominators_between(y, y_bar))]
     quadruples = 0
     mismatch = None
-    for y, y_bar, es in spans:
-        for y2, y2_bar, e2s in spans:
-            gs = homset(rs, y, y2)
-            gts = homset(rs, y_bar, y2_bar)
-            for e in es:
-                for e2 in e2s:
-                    for g in gs:
-                        for gt in gts:
-                            if not equal(rs, tgt_cat.concat(g, e2),
-                                         tgt_cat.concat(e, gt)):
-                                continue
-                            for i, i2 in lengthened(e):
-                                for j, j2 in lengthened(e2):
-                                    a = total_value(setting, rc, i, j, g)
-                                    b = total_value(setting, rc, i2, j2, gt)
-                                    quadruples += 1
-                                    if a != b and mismatch is None:
-                                        mismatch = {
-                                            "g": word_json(g),
-                                            "g_shortened": word_json(gt),
-                                            "e": word_json(e),
-                                            "e_prime": word_json(e2)}
+    for (y, y_bar, es), (y2, y2_bar, e2s) in product(spans, spans):
+        gs, gts = words(rs, y, y2), words(rs, y_bar, y2_bar)
+        for (e, se, e_long), (e2, se2, e2_long) in product(es, e2s):
+            for g, gt in product(gs, gts):
+                if not equal_encoded(rs, g + se2, se + gt):
+                    continue
+                for (i, i2), (j, j2) in product(e_long, e2_long):
+                    a = _value(setting, rc, i, j, g)
+                    b = _value(setting, rc, i2, j2, gt)
+                    quadruples += 1
+                    if a != b and mismatch is None:
+                        mismatch = {"g": word_json(rs.decode((y, y2, g))),
+                                    "g_shortened": word_json(rs.decode((y_bar, y2_bar, gt))),
+                                    "e": word_json(e), "e_prime": word_json(e2)}
     out = {"quadruples_checked": quadruples, "ok": mismatch is None}
     if mismatch is not None:
         out["witness"] = mismatch
@@ -331,8 +304,9 @@ def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> di
     under composition.
     """
     failure = None
+    lifted = partial(_value_of, setting, rc, rc.object_index, rc.underlying)
     for w in rc.cwd.denoms.explicit:
-        value = _lifted_value(setting, rc, w)
+        value = setting.lc_src.rs.decode(lifted(rc.rs.encode(w)))
         if gz_inverse(setting.lc_src, value) is None and failure is None:
             failure = {"lifted_word": word_json(w), "value": word_json(value)}
     out = {"lifted_denominators_checked": len(rc.cwd.denoms.explicit),
@@ -354,7 +328,7 @@ def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     values, and that all comparison fills between coexisting triples
     are mutually inverse isomorphisms.
     """
-    tgt_cat, lc_src = setting.f.target.cat, setting.lc_src
+    tgt_cat, lc_src, rs = setting.f.target.cat, setting.lc_src, setting.rs_tgt
     chosen = positions(rc, choice)
     functor = FunctorData(
         source=setting.f.target, target=lc_src.cwd,
@@ -362,16 +336,15 @@ def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
         gen_map={g.name: total_value(setting, rc, chosen[g.src], chosen[g.dst],
                                      tgt_cat.word([g.name]))
                  for g in tgt_cat.generators})
-    direct = partial(_chosen_value, setting, rc, chosen)
+    direct = partial(_value_of, setting, rc, chosen.__getitem__, {})
 
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, lc_src, setting.rs_tgt, direct)
-    denom_isos = [gz_inverse(lc_src, direct(w)) is not None
-                  for w in setting.dec_tgt.materialized]
+        functor, lc_src, rs, direct)
+    denom_isos = [gz_inverse(lc_src, lc_src.rs.decode(direct(rs.encode(w))))
+                  is not None for w in setting.dec_tgt.materialized]
     comparisons = [
-        _mutually_inverse(
-            lc_src, total_value(setting, rc, chosen[y], t, tgt_cat.identity(y)),
-            total_value(setting, rc, t, chosen[y], tgt_cat.identity(y)))
+        _mutually_inverse(lc_src, _value(setting, rc, chosen[y], t, ""),
+                          _value(setting, rc, t, chosen[y], ""))
         for y in tgt_cat.objects for t in rc.triples_over(y)]
     report = {
         "letterwise_agreement_ok": agreement_ok,
@@ -390,23 +363,22 @@ def choice_independence(setting: GzSetting, rc: ReplacementCategory,
                         first: ReplacementChoice, second: ReplacementChoice
                         ) -> dict:
     """The two choice functors are isomorphic via unit-indexed fills."""
-    tgt_cat = setting.f.target.cat
+    tgt_cat, lc_src = setting.f.target.cat, setting.lc_src
     idx1, idx2 = positions(rc, first), positions(rc, second)
-    fwds: dict[str, GzMorphism] = {}
+    fwds: dict[str, tuple] = {}
     components = []
     for y in tgt_cat.objects:
-        fwd = fwds[y] = total_value(setting, rc, idx1[y], idx2[y],
-                                    tgt_cat.identity(y))
-        bwd = total_value(setting, rc, idx2[y], idx1[y], tgt_cat.identity(y))
-        components.append({"object": y, "component": word_json(fwd),
-                           "inverse": word_json(bwd),
-                           "invertible": _mutually_inverse(setting.lc_src,
-                                                           fwd, bwd)})
+        fwd = fwds[y] = _value(setting, rc, idx1[y], idx2[y], "")
+        bwd = _value(setting, rc, idx2[y], idx1[y], "")
+        components.append({"object": y,
+                           "component": word_json(lc_src.rs.decode(fwd)),
+                           "inverse": word_json(lc_src.rs.decode(bwd)),
+                           "invertible": _mutually_inverse(lc_src, fwd, bwd)})
     iso_ok = all(row["invertible"] for row in components)
     squares, naturality_ok = _squares(
-        setting.lc_src, _generators(tgt_cat),
-        lambda w: total_value(setting, rc, idx1[w.src], idx1[w.dst], w),
-        fwds, lambda w: total_value(setting, rc, idx2[w.src], idx2[w.dst], w))
+        lc_src, _generators(tgt_cat),
+        lambda w: _value(setting, rc, idx1[w[0]], idx1[w[1]], w[2]),
+        fwds, lambda w: _value(setting, rc, idx2[w[0]], idx2[w[1]], w[2]))
     return {"components": components, "isomorphism_ok": iso_ok,
             "squares_checked": squares, "naturality_ok": naturality_ok,
             "ok": iso_ok and naturality_ok}
@@ -423,11 +395,12 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     ``loc(q_Y) . psi = (GZ F)(phi) . loc(q_Y')`` on every materialized
     localised morphism ``psi``.
     """
-    lc_tgt, lc_src = setting.lc_tgt, setting.lc_src
+    lc_tgt, lc_src, gz_f = setting.lc_tgt, setting.lc_src, setting.gz_f
     tgt_cat = setting.f.target.cat
+    direct = partial(_value_of, setting, rc, positions(rc, choice).__getitem__, {})
     functor = extend_to_localisation(
         lc_tgt, lc_src, r_choice.object_map, r_choice.gen_map,
-        partial(_chosen_value, setting, rc, positions(rc, choice)))
+        lambda w: lc_src.rs.decode(direct(setting.rs_tgt.encode(w))))
     problems = validate_functor(functor, lc_tgt.rs, lc_src.rs)
     if problems:
         raise ConstructionError(f"induced replacement functor invalid: "
@@ -435,15 +408,19 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
 
     image = _through(lc_src, functor)
     factorization_ok = all(
-        image(loc_map(lc_tgt, tgt_cat.word([g.name]))) == r_choice.gen_map[g.name]
+        image(lc_tgt.rs.compose(lc_tgt.rs.encode(tgt_cat.word([g.name]))))
+        == lc_src.rs.encode(r_choice.gen_map[g.name])
         for g in tgt_cat.generators)
+
+    def then_gz_f(psi):  # GZ F of the image of psi, unnormalised
+        src, dst, s = image(psi)
+        return gz_f.object_map[src], gz_f.object_map[dst], s.translate(gz_f.translation)
 
     objects = tgt_cat.objects
     checked, description_ok = _squares(
-        lc_tgt, (psi for y in objects for y2 in objects
-                 for psi in homset(lc_tgt.rs, y, y2)),
-        lambda psi: setting.gz_f.apply_word(image(psi)),
-        {y: loc_map(lc_tgt, choice[y].q) for y in objects})
+        lc_tgt, ((y, y2, psi) for y in objects for y2 in objects
+                 for psi in words(lc_tgt.rs, y, y2)),
+        then_gz_f, {y: lc_tgt.rs.compose(lc_tgt.rs.encode(choice[y].q)) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
               "description_pairs_checked": checked,
               "description_ok": description_ok,
@@ -486,7 +463,8 @@ def verify_approximation(f: FunctorData,
     """
     setting = prepare(f, limits)
     if choice is not None:
-        choice = _normalised(choice, setting.rs_tgt)
+        choice = {y: SReplacement(rep.target, rep.source, normalize(setting.rs_tgt, rep.q))
+                  for y, rep in choice.items()}
     mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt)
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",
@@ -552,8 +530,7 @@ def verify_approximation(f: FunctorData,
     p_src, p_tgt = lc_src.presentation, lc_tgt.presentation
     alpha, alpha_rows, alpha_iso = _components(
         lc_src, src_cat.objects,
-        lambda x: total_value(setting, rc, chosen_idx[f.object_map[x]],
-                              trivial_idx[x], tgt_cat.identity(f.object_map[x])))
+        lambda x: _value(setting, rc, chosen_idx[f.object_map[x]], trivial_idx[x], ""))
     alpha_squares, alpha_natural = _squares(
         lc_src, _generators(p_src), _through(lc_src, gz_f, induced), alpha)
     objects_match = all(
@@ -569,7 +546,7 @@ def verify_approximation(f: FunctorData,
     gz_f_image, induced_image = _through(lc_tgt, gz_f), _through(lc_src, induced)
     beta, beta_rows, beta_iso = _components(
         lc_tgt, tgt_cat.objects,
-        lambda y: loc_map(lc_tgt, chosen_choice[y].q))
+        lambda y: lc_tgt.rs.compose(lc_tgt.rs.encode(chosen_choice[y].q)))
     beta_squares, beta_natural = _squares(
         lc_tgt, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
     sections.append({"name": "beta", "components": beta_rows,
@@ -587,14 +564,13 @@ def verify_approximation(f: FunctorData,
 
     # canonical lift: the lift itself, its exact retraction, and the
     # comparison transformations at base and localised level
-    part_a_ok = all(
-        _through(lc_src, lift, total)(w) == loc_map(lc_src, w)
-        for w in _generators(src_cat)) and all(
-        total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
+    lift_total = _through(lc_src, lift, total)
+    part_a_ok = all(lift_total(w) == lc_src.rs.compose(w) for w in _generators(src_cat)) \
+        and all(total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
     rc_gens = _generators(rc.cwd.cat)
-    beta_bar = {rc.obj_names[i]: loc_map(lc_tgt, rc.triples[i].q)
-                for i in range(len(rc.triples))}
+    beta_bar = {name: lc_tgt.rs.compose(lc_tgt.rs.encode(t.q))
+                for name, t in zip(rc.obj_names, rc.triples)}
     part_b_ok = _invertible(lc_tgt, beta_bar.values())
     b_squares, b_natural = _squares(
         lc_tgt, rc_gens, _through(lc_tgt, total, gz_f), beta_bar,
@@ -602,21 +578,22 @@ def verify_approximation(f: FunctorData,
 
     lc_rc = localise(rc.cwd, rc.rs)
     gz_lift = induced_functor(lift, lc_src, lc_rc)
-    beta_bar_c = {rc.obj_names[i]: loc_map(lc_rc, rc.lift_word(
-        t.q, trivial_idx[t.source], i)) for i, t in enumerate(rc.triples)}
+    beta_bar_c = {rc.obj_names[i]: lc_rc.rs.compose(lc_rc.rs.encode(rc.lift_word(
+        t.q, trivial_idx[t.source], i))) for i, t in enumerate(rc.triples)}
     part_c_ok = _invertible(lc_rc, beta_bar_c.values())
     c_squares, c_natural = _squares(
         lc_rc, rc_gens, _through(lc_rc, total, gz_lift), beta_bar_c,
-        partial(loc_map, lc_rc))
+        lc_rc.rs.compose)
 
     # the total functor through the localised replacement category
+    lifted = partial(_value_of, setting, rc, rc.object_index, rc.underlying)
     rf_hat = extend_to_localisation(
         lc_rc, lc_src, total.object_map, total.gen_map,
-        partial(_lifted_value, setting, rc))
+        lambda w: lc_src.rs.decode(lifted(rc.rs.encode(w))))
     rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs)
+    lift_back = _through(lc_src, gz_lift, rf_hat)
     retraction_ok = not rf_hat_problems and all(
-        _through(lc_src, gz_lift, rf_hat)(w) == normalize(lc_src.rs, w)
-        for w in _generators(p_src))
+        lift_back(w) == lc_src.rs.compose(w) for w in _generators(p_src))
 
     part_b_ok = part_b_ok and b_natural
     part_c_ok = part_c_ok and c_natural
@@ -633,10 +610,10 @@ def verify_approximation(f: FunctorData,
     # localised forgetful and section functors are mutually inverse
     gz_u = induced_functor(u, lc_rc, lc_tgt)
     gz_cr = induced_functor(c_r, lc_tgt, lc_rc)
-    pair_exact_ok = all(
-        _through(lc_tgt, gz_cr, gz_u)(w) == normalize(lc_tgt.rs, w)
-        for w in _generators(p_tgt))
-    loc_abar = {t: loc_map(lc_rc, abar.components[t]) for t in rc.obj_names}
+    cr_u = _through(lc_tgt, gz_cr, gz_u)
+    pair_exact_ok = all(cr_u(w) == lc_tgt.rs.compose(w) for w in _generators(p_tgt))
+    loc_abar = {t: lc_rc.rs.compose(lc_rc.rs.encode(abar.components[t]))
+                for t in rc.obj_names}
     pair_iso_ok = _invertible(lc_rc, loc_abar.values())
     pair_squares, pair_nat_ok = _squares(
         lc_rc, _generators(lc_rc.presentation), _through(lc_rc, gz_u, gz_cr),

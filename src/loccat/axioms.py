@@ -23,6 +23,7 @@ from .rewrite import (
     find_inverse,
     homset,
     normalize,
+    words,
 )
 
 
@@ -91,7 +92,8 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
                              "generator": g.name, "detail": str(e)})
             continue
         want = (f.object_map.get(g.src), f.object_map.get(g.dst))
-        if (rebuilt.src, rebuilt.dst) != want:
+        # an unmapped or unknown endpoint is reported above, once
+        if set(want) <= tgt_cat.obj_index.keys() and (rebuilt.src, rebuilt.dst) != want:
             problems.append({"kind": "generator-image-endpoints",
                              "generator": g.name,
                              "expected": list(want),
@@ -122,14 +124,16 @@ def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
     """Does ``F w`` denominator imply ``w`` denominator, over all hom-sets?"""
     dec_src = denominators(f.source, rs_src)
     dec_tgt = denominators(f.target, rs_tgt)
-    src_cat = f.source.cat
-    for x in src_cat.objects:
-        for y in src_cat.objects:
-            for w in homset(rs_src, x, y):
-                image = f.apply_word(w)
-                if dec_tgt.is_denominator(image) and not dec_src.is_denominator(w):
+    objects, omap = f.source.cat.objects, f.object_map
+    for x in objects:
+        for y in objects:
+            for s in words(rs_src, x, y):
+                # s is irreducible, so it is its own normal form
+                image = rs_tgt.compose((omap[x], omap[y], s.translate(f.translation)))
+                if image in dec_tgt.closure and (x, y, s) not in dec_src.closure:
+                    w = rs_src.decode((x, y, s))
                     return False, {"kind": "denominator-not-reflected",
-                                   "word": word_json(w), "image": word_json(image)}
+                                   "word": word_json(w), "image": word_json(f.apply_word(w))}
     return True, None
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .axioms import check_multiplicative, validate_functor, word_json
-from .gz import LocalisedCategory, gz_compose, induced_functor, loc_map, localise
+from .gz import LocalisedCategory, induced_functor, localise
 from .presentation import (
     FunctorData,
     PathWord,
@@ -43,10 +43,8 @@ from .rewrite import (
     RewriteSystem,
     complete,
     denominators,
-    find_inverse,
     homset,
-    homsets_from,
-    normalize,
+    words,
 )
 
 
@@ -141,14 +139,16 @@ def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSettin
 
 def enumerate_s_two_arrows(setting: GzSetting):
     """All 2-arrows between materialized hom-sets, in a fixed order."""
-    f, dec = setting.f, setting.dec_tgt
+    f, dec, rs = setting.f, setting.dec_tgt, setting.rs_tgt
     src_objects = f.source.cat.objects
     for x in src_objects:
+        fx = f.object_map[x]
+        out = [y for y in f.target.cat.objects if words(rs, fx, y)]
         for x_prime in src_objects:
-            fx, fx_prime = f.object_map[x], f.object_map[x_prime]
-            for y, gs in homsets_from(setting.rs_tgt, fx).items():
-                for g in gs:
-                    for b in dec.denominators_between(fx_prime, y):
+            for y in out:
+                bs = dec.denominators_between(f.object_map[x_prime], y)
+                for g in homset(rs, fx, y) if bs else ():
+                    for b in bs:
                         yield STwoArrow(x=x, x_prime=x_prime, g=g, b=b)
 
 
@@ -161,11 +161,12 @@ def solve_fill(setting: GzSetting, arrow: STwoArrow) -> tuple[PathWord, ...]:
     fills = setting._fills.get(arrow)
     if fills is not None:
         return fills
-    lhs = loc_map(setting.lc_tgt, arrow.g)
-    loc_b = loc_map(setting.lc_tgt, arrow.b)
-    fills = tuple(
-        phi for phi in homset(setting.lc_src.rs, arrow.x, arrow.x_prime)
-        if gz_compose(setting.lc_tgt, setting.gz_f.apply_word(phi), loc_b) == lhs)
+    rs, rs_src, gz_f = setting.lc_tgt.rs, setting.lc_src.rs, setting.gz_f
+    lhs, loc_b = rs.compose(rs.encode(arrow.g)), rs.compose(rs.encode(arrow.b))
+    ends = gz_f.object_map[arrow.x], gz_f.object_map[arrow.x_prime]
+    fills = tuple(rs_src.decode((arrow.x, arrow.x_prime, phi))
+                  for phi in words(rs_src, arrow.x, arrow.x_prime)
+                  if rs.compose((*ends, phi.translate(gz_f.translation)), loc_b) == lhs)
     setting._fills[arrow] = fills
     return fills
 
@@ -220,37 +221,39 @@ def classical_full(f: FunctorData, rs_src: RewriteSystem,
                    rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     for x in f.source.cat.objects:
         for x_prime in f.source.cat.objects:
-            images = {normalize(rs_tgt, f.apply_word(w))
-                      for w in homset(rs_src, x, x_prime)}
-            for h in homset(rs_tgt, f.object_map[x], f.object_map[x_prime]):
+            fx, fy = f.object_map[x], f.object_map[x_prime]
+            images = {rs_tgt.index[w.translate(f.translation)]
+                      for w in words(rs_src, x, x_prime)}
+            for h in words(rs_tgt, fx, fy):
                 if h not in images:
                     return False, {"kind": "not-full", "x": x, "x_prime": x_prime,
-                                   "morphism": word_json(h)}
+                                   "morphism": word_json(rs_tgt.decode((fx, fy, h)))}
     return True, None
 
 
 def classical_faithful(f: FunctorData, rs_src: RewriteSystem,
                        rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     for x in f.source.cat.objects:
-        for x_prime in f.source.cat.objects:
-            seen: dict[PathWord, PathWord] = {}
-            for w in homset(rs_src, x, x_prime):
-                image = normalize(rs_tgt, f.apply_word(w))
+        for y in f.source.cat.objects:
+            seen: dict[str, str] = {}
+            for w in words(rs_src, x, y):
+                image = rs_tgt.index[w.translate(f.translation)]
                 if image in seen:
+                    first, second = map(rs_src.decode, ((x, y, seen[image]), (x, y, w)))
                     return False, {"kind": "not-faithful",
-                                   "first": word_json(seen[image]),
-                                   "second": word_json(w)}
+                                   "first": word_json(first), "second": word_json(second)}
                 seen[image] = w
     return True, None
 
 
 def classical_dense(f: FunctorData, rs_src: RewriteSystem,
                     rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
-    """Essential surjectivity on objects."""
+    """Essential surjectivity on objects: some ``F x -> y`` has an inverse."""
+    nf = rs_tgt.index.__getitem__
     for y in f.target.cat.objects:
-        if not any(find_inverse(rs_tgt, w) is not None
-                   for x in f.source.cat.objects
-                   for w in homset(rs_tgt, f.object_map[x], y)):
+        if not any(not nf(s + v) and not nf(v + s)
+                   for x in f.source.cat.objects for s in words(rs_tgt, f.object_map[x], y)
+                   for v in words(rs_tgt, y, f.object_map[x])):
             return False, {"kind": "not-essentially-surjective", "object": y}
     return True, None
 

@@ -201,10 +201,7 @@ def gz_identity(lc: LocalisedCategory, obj: str) -> GzMorphism:
 
 
 def gz_compose(lc: LocalisedCategory, *morphisms: GzMorphism) -> GzMorphism:
-    out = morphisms[0]
-    for m in morphisms[1:]:
-        out = lc.presentation.concat(out, m)
-    return normalize(lc.rs, out)
+    return lc.rs.decode(lc.rs.compose(*map(lc.rs.encode, morphisms)))
 
 
 def gz_inverse(lc: LocalisedCategory, m: GzMorphism) -> GzMorphism | None:

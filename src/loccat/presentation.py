@@ -16,7 +16,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from operator import attrgetter
 
 
 class LoccatError(Exception):
@@ -126,6 +127,12 @@ class CatPresentation:
         return {g.name: i for i, g in enumerate(self.generators)}
 
     @cached_property
+    def codec(self) -> tuple[dict[str, str], dict[str, str]]:
+        """Generator to code character and back; see :mod:`loccat.rewrite`."""
+        code = dict(zip(map(attrgetter("name"), self.generators), map(chr, count(0x100))))
+        return code, dict(zip(code.values(), code))
+
+    @cached_property
     def out_gens(self) -> dict[str, list[GenArrow]]:
         out: dict[str, list[GenArrow]] = {}
         for g in self.generators:
@@ -223,6 +230,13 @@ class FunctorData:
         ``loccat validate`` run first, rejects ill-typed images."""
         letters = chain.from_iterable(self.gen_map[x].letters for x in w.letters)
         return PathWord(self.object_map[w.src], self.object_map[w.dst], tuple(letters))
+
+    @cached_property
+    def translation(self) -> dict[int, str]:
+        """For ``str.translate``: each source code to the code of its image."""
+        code = self.target.cat.codec[0]
+        return {ord(c): "".join(map(code.__getitem__, self.gen_map[x].letters))
+                for x, c in self.source.cat.codec[0].items()}
 
     def then(self, other: "FunctorData") -> "FunctorData":
         """Composite functor, ``self`` applied first."""

@@ -44,8 +44,8 @@ from .rewrite import (
     complete,
     denominators,
     equal,
-    homset,
     normalize,
+    words,
 )
 
 
@@ -120,6 +120,7 @@ class ReplacementCategory:
     rs: RewriteSystem = field(init=False)
     lifted_underlying: dict[str, PathWord] = field(init=False)
     lift_meta: dict[str, tuple] = field(init=False)
+    underlying: dict[int, str] = field(init=False)
 
     def __post_init__(self):
         tgt_cat = self.functor.target.cat
@@ -159,21 +160,22 @@ class ReplacementCategory:
         # a lifted identity composed with a lifted identity or generator
         # equals the lift of the composite: identities compose like
         # identities and absorb into lifted generators
-        composites = [(i, k, (lookup[(None, i, j)], lookup[(None, j, k)]))
+        composites = [(i, k, (lookup[(None, i, j)], lookup[(None, j, k)]),
+                       tgt_cat.identity(y))
                       for y in tgt_cat.objects for i in over.get(y, ())
                       for j in over.get(y, ()) for k in over.get(y, ())
                       if i != j and j != k]
         for name, (g_name, i, j) in self.lift_meta.items():
             if g_name is not None:
-                composites += [(i2, j, (lookup[(None, i2, i)], name))
+                under = self.lifted_underlying[name]
+                composites += [(i2, j, (lookup[(None, i2, i)], name), under)
                                for i2 in over[triples[i].target] if i2 != i]
-                composites += [(i, j2, (name, lookup[(None, j, j2)]))
+                composites += [(i, j2, (name, lookup[(None, j, j2)]), under)
                                for j2 in over[triples[j].target] if j2 != j]
         relations: list[Relation] = []
-        for i, j, letters in composites:
-            lhs = PathWord(names[i], names[j], letters)
-            relations.append(Relation(
-                lhs, self.lift_word(self.underlying_word(lhs), i, j)))
+        for i, j, letters, under in composites:
+            relations.append(Relation(PathWord(names[i], names[j], letters),
+                                      self.lift_word(under, i, j)))
         # relations of the target category, lifted along canonical routes;
         # unroutable instances are skipped, the hom-set check below is the
         # backstop that decides whether the materialization is faithful
@@ -189,20 +191,24 @@ class ReplacementCategory:
         pres = CatPresentation(objects=names, generators=tuple(gens),
                                relations=tuple(relations))
         self.rs = rs = complete(pres, self.rs_tgt.limits)
+        # the forgetful functor on encoded words: one str.translate
+        self.underlying = table = FunctorData(CatWithDenoms(pres, DenomSet()),
+                                              self.functor.target, {},
+                                              self.lifted_underlying).translation
+        nf = self.rs_tgt.index.__getitem__
         # lifted denominators: every materialized word over a denominator
-        dec = denominators(self.functor.target, self.rs_tgt)
-        pairs = [(i, j) for i in range(len(triples))
-                 for j in range(len(triples))]
-        explicit = tuple(w for i, j in pairs
-                         for w in homset(rs, names[i], names[j])
-                         if dec.is_denominator(self.underlying_word(w)))
+        closure = denominators(self.functor.target, self.rs_tgt).closure
+        pairs = [(i, j) for i in range(len(triples)) for j in range(len(triples))]
+        explicit = tuple(rs.decode((names[i], names[j], w)) for i, j in pairs
+                         for w in words(rs, names[i], names[j])
+                         if (triples[i].target, triples[j].target,
+                             nf(w.translate(table))) in closure)
         self.cwd = CatWithDenoms(pres, DenomSet(explicit, False, False))
         # hom-sets of the materialization must biject with the target's
         for i, j in pairs:
-            lifted = homset(rs, names[i], names[j])
-            base = homset(self.rs_tgt, triples[i].target, triples[j].target)
-            images = {normalize(self.rs_tgt, self.underlying_word(w))
-                      for w in lifted}
+            lifted = words(rs, names[i], names[j])
+            base = words(self.rs_tgt, triples[i].target, triples[j].target)
+            images = {nf(w.translate(table)) for w in lifted}
             if len(images) != len(lifted) or images != set(base):
                 raise ConstructionError(
                     "materialized replacement category does not match the "
@@ -221,15 +227,6 @@ class ReplacementCategory:
 
     def triples_over(self, y: str) -> tuple[int, ...]:
         return self._by_target.get(y, ())
-
-    def underlying_word(self, w: PathWord) -> PathWord:
-        """The word of the target category under a lifted word."""
-        y_src = self.triples[self._obj_pos[w.src]].target
-        y_dst = self.triples[self._obj_pos[w.dst]].target
-        letters: list[str] = []
-        for letter in w.letters:
-            letters.extend(self.lifted_underlying[letter].letters)
-        return PathWord(y_src, y_dst, tuple(letters))
 
     def lift_word(self, w: PathWord, i: int, j: int) -> PathWord:
         """Lift a target word to a word from triple ``i`` to triple ``j``.

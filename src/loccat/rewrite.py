@@ -12,11 +12,15 @@ On a ``BOUNDED_INCOMPLETE`` system equal normal forms still certify
 equality, but differing ones are inconclusive and queries raise
 :class:`LimitExceeded` instead of guessing.
 
-The kernel rewrites encoded strings, not letter tuples: each generator
-is one character, with code points that increase in declaration order,
-so ``(len(s), s)`` orders encoded words exactly as shortlex orders their
-letters.  Completion runs on encoded words from end to end and decodes
-only the final rules.
+Words are encoded inside a system and decoded at the edge.  Each
+generator is one character, with code points that increase in
+declaration order (``CatPresentation.codec``), so ``(len(s), s)`` orders
+encoded words exactly as shortlex orders their letters.  A morphism is
+its endpoints and its code, ``(src, dst, code)``: the normal-form,
+hom-set and denominator tables hold codes, a functor maps codes with one
+``str.translate`` (``FunctorData.translation``), and completion decodes
+only its final rules.  A :class:`PathWord` is built only for reports,
+witnesses and the public API.
 
 Hom-sets are listed without rewriting.  A prefix of an irreducible word
 is irreducible (Book and Otto, *String-Rewriting Systems*, 1993), so one
@@ -100,7 +104,7 @@ class RewriteRule:
     rhs: PathWord
 
 
-class RuleIndex:
+class RuleIndex(dict):
     """Rewrites encoded words with a list of ``(lhs, rhs)`` rules.
 
     Keeps the first rule for each left side, in the order added.  Every
@@ -114,7 +118,8 @@ class RuleIndex:
     the first-letter table the scan uses: one group per first letter,
     with the tails of its left sides in list order.  Each tail pattern
     is built the first time a compile needs it and kept until its rule
-    is removed.
+    is removed.  As a mapping, a system's index is its normal-form table:
+    ``index[s]`` normalises ``s`` on the first lookup and keeps the result.
     """
 
     def __init__(self, rules=()):
@@ -127,6 +132,10 @@ class RuleIndex:
         self._regex = None
         for lhs, rhs in rules:
             self.add(lhs, rhs)
+
+    def __missing__(self, s: str) -> str:
+        nf = self[s] = self.normal_form(s)
+        return nf
 
     def add(self, lhs: str, rhs: str):
         """Append ``lhs -> rhs`` unless a rule for ``lhs`` is already here."""
@@ -223,67 +232,61 @@ def _literal_pattern(word: str) -> str:
     return "".join(parts)
 
 
-def _alphabet(p: CatPresentation) -> tuple[dict[str, str], dict[str, str]]:
-    """Letter-to-character and character-to-letter tables of ``p``."""
-    code = {g.name: chr(0x100 + i) for i, g in enumerate(p.generators)}
-    return code, {c: x for x, c in code.items()}
-
-
-def _encode(code: dict[str, str], letters: tuple[str, ...]) -> str:
-    return "".join(map(code.__getitem__, letters))
-
-
-def _decode(names: dict[str, str], s: str) -> tuple[str, ...]:
-    return tuple(map(names.__getitem__, s))
-
-
 @dataclass(frozen=True)
 class RewriteSystem:
     """A completed (or bound-truncated) rewriting system.
 
     ``limits`` are the bounds :func:`complete` ran under; every query on
     the system, and every system derived from it, uses them.  Besides
-    its rules the system carries its encoding, its matcher and the
-    tables its queries fill: normal forms by letter tuple, the non-empty
-    hom-sets out of each object by target (the one hom-set table) and
-    the denominator decider per denominator set (see
-    :func:`denominators`).  None of the tables takes part in equality,
-    hashing or ``repr``.
+    its rules the system carries its matcher ``index``, also its one
+    normal-form table (``index[s]``), and the tables its queries fill:
+    the encoded hom-sets out of each object by target (the one hom-set
+    table), those :func:`homset` decoded, and the denominator decider
+    per denominator set (see :func:`denominators`).  None of them takes
+    part in equality, hashing or ``repr``.
     """
 
     presentation: CatPresentation
     rules: tuple[RewriteRule, ...]
     status: str
     limits: ResourceLimits = DEFAULT_LIMITS
-    _codec: tuple = field(init=False, repr=False, compare=False)
-    _index: RuleIndex = field(init=False, repr=False, compare=False)
-    _normal_forms: dict = field(init=False, repr=False, compare=False)
+    index: RuleIndex = field(init=False, repr=False, compare=False)
     _reachable: dict = field(init=False, repr=False, compare=False)
+    _homsets: dict = field(init=False, repr=False, compare=False)
     _deciders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        code, names = _alphabet(self.presentation)
-        object.__setattr__(self, "_codec", (code, names))
-        object.__setattr__(self, "_index", RuleIndex(
-            (_encode(code, r.lhs.letters), _encode(code, r.rhs.letters))
-            for r in self.rules))
-        object.__setattr__(self, "_normal_forms", {})
-        object.__setattr__(self, "_reachable", {})
-        object.__setattr__(self, "_deciders", {})
+        object.__setattr__(self, "index", RuleIndex(
+            (self.encode(r.lhs)[2], self.encode(r.rhs)[2]) for r in self.rules))
+        for table in ("_reachable", "_homsets", "_deciders"):
+            object.__setattr__(self, table, {})
 
     @property
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 
+    def encode(self, w: PathWord) -> tuple[str, str, str]:
+        """``w`` as ``(src, dst, code)``: its endpoints and encoded letters."""
+        return w.src, w.dst, "".join(map(self.presentation.codec[0].__getitem__, w.letters))
+
+    def decode(self, word: tuple[str, str, str]) -> PathWord:
+        """The :class:`PathWord` of an encoded ``(src, dst, code)``."""
+        src, dst, s = word
+        return PathWord(src, dst, tuple(map(self.presentation.codec[1].__getitem__, s)))
+
+    def compose(self, *words: tuple) -> tuple[str, str, str]:
+        """The encoded normal form of encoded ``words`` composed in turn."""
+        code = words[0][2]
+        for a, b in zip(words, words[1:]):
+            if a[1] != b[0]:
+                raise ValidationError(f"words do not compose: {a[1]!r} != {b[0]!r}")
+            code += b[2]
+        return words[0][0], words[-1][1], self.index[code]
+
 
 def normalize(rs: RewriteSystem, w: PathWord) -> PathWord:
     """Leftmost-innermost normal form of ``w``; canonical iff complete."""
-    nf = rs._normal_forms.get(w.letters)
-    if nf is None:
-        code, names = rs._codec
-        nf = rs._normal_forms[w.letters] = _decode(
-            names, rs._index.normal_form(_encode(code, w.letters)))
-    return PathWord(w.src, w.dst, nf)
+    return rs.decode((w.src, w.dst, rs.index[rs.encode(w)[2]]))
 
 
 def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
@@ -294,7 +297,12 @@ def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
     """
     if (w1.src, w1.dst) != (w2.src, w2.dst):
         raise ValidationError("equal() needs parallel words")
-    same = normalize(rs, w1) == normalize(rs, w2)
+    return equal_encoded(rs, rs.encode(w1)[2], rs.encode(w2)[2])
+
+
+def equal_encoded(rs: RewriteSystem, s1: str, s2: str) -> bool:
+    """:func:`equal` on the codes of two parallel words."""
+    same = rs.index[s1] == rs.index[s2]
     if not same and not rs.is_complete:
         raise LimitExceeded("completion", "normal forms differ on an incomplete system")
     return same
@@ -338,7 +346,7 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
     unique, so a run that completes yields the same rules either way;
     a run stopped by ``max_rules`` may stop at another rule set.
     """
-    code, names = _alphabet(p)
+    code, names = p.codec
     counter = itertools.count()
     heap: list = []
 
@@ -349,8 +357,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
                               u, v, src, dst, id1, id2))
 
     for rel in p.relations:
-        push(_encode(code, rel.lhs.letters), _encode(code, rel.rhs.letters),
-             rel.lhs.src, rel.lhs.dst)
+        push("".join(map(code.__getitem__, rel.lhs.letters)),
+             "".join(map(code.__getitem__, rel.rhs.letters)), rel.lhs.src, rel.lhs.dst)
 
     # encoded (lhs, rhs, src, dst, id); endpoints carried explicitly since
     # rewriting preserves them
@@ -425,24 +433,24 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
 
     rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
     return RewriteSystem(presentation=p, status=status, limits=limits, rules=tuple(
-        RewriteRule(PathWord(s, d, _decode(names, lhs)), PathWord(s, d, _decode(names, rhs)))
+        RewriteRule(*(PathWord(s, d, tuple(map(names.__getitem__, t))) for t in (lhs, rhs)))
         for lhs, rhs, s, d, _ in rules))
 
 
-def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWord, ...]]:
+def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[str, ...]]:
     """List the normal forms out of ``x`` (see the module docstring): store
-    and return the non-empty hom-sets by target, in object order, in
+    and return the encoded hom-sets by target, in object order, in
     ``rs._reachable[x]``.  Each word extends one shorter word, by
     generators in declaration order, so each length comes out in
     shortlex order."""
-    p, limits, lhs = rs.presentation, rs.limits, rs._index._rhs
-    code, lengths = rs._codec[0], sorted(set(map(len, lhs)))
-    by_dst = {x: [p.identity(x)]}
-    level, count = [("", by_dst[x][0])], 1
+    p, limits, lhs = rs.presentation, rs.limits, rs.index._rhs
+    code, lengths = p.codec[0], sorted(set(map(len, lhs)))
+    by_dst = {x: [""]}
+    level, count = [("", x)], 1
     while level:
         nxt = []
-        for s, w in level:
-            for g in p.out_gens.get(w.dst, ()):
+        for s, dst in level:
+            for g in p.out_gens.get(dst, ()):
                 t = s + code[g.name]
                 # s is irreducible, so only a suffix of t can be a left side
                 if any(t[-k:] in lhs for k in lengths):
@@ -456,38 +464,38 @@ def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWo
                     raise LimitExceeded(
                         "max_homset",
                         f"more than {limits.max_homset} morphisms out of {x!r}")
-                v = PathWord(x, g.dst, w.letters + (g.name,))
-                by_dst.setdefault(g.dst, []).append(v)
-                nxt.append((t, v))
+                by_dst.setdefault(g.dst, []).append(t)
+                nxt.append((t, g.dst))
         level = nxt
-    found = rs._reachable[x] = {y: tuple(by_dst[y]) for y in p.objects if y in by_dst}
+    found = rs._reachable[x] = {y: tuple(by_dst.get(y, ())) for y in p.objects}
     return found
 
 
-def homsets_from(rs: RewriteSystem, x: str) -> dict[str, tuple[PathWord, ...]]:
-    """The non-empty hom-sets out of ``x``, by target in object order."""
-    found = rs._reachable.get(x)
-    return found if found is not None else _reachable_normal_forms(rs, x)
-
-
-def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
-    """All morphisms ``x -> y`` as normal forms, in shortlex order."""
+def words(rs: RewriteSystem, x: str, y: str) -> tuple[str, ...]:
+    """The morphisms ``x -> y`` as encoded normal forms, in shortlex order."""
     found = rs._reachable.get(x)
     if found is None or y not in found:
         p = rs.presentation
         if x not in p.obj_index or y not in p.obj_index:
             raise ValidationError(f"unknown object in homset query: {x!r}, {y!r}")
-        found = homsets_from(rs, x)
+        found = rs._reachable.get(x) or _reachable_normal_forms(rs, x)
     return found.get(y, ())
+
+
+def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
+    """All morphisms ``x -> y`` as normal forms, in shortlex order."""
+    found = rs._homsets.get((x, y))
+    if found is None:
+        found = rs._homsets[(x, y)] = tuple(rs.decode((x, y, s)) for s in words(rs, x, y))
+    return found
 
 
 def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:
     """Shortlex-least two-sided inverse of ``w``, or None."""
-    p = rs.presentation
-    for v in homset(rs, w.dst, w.src):
-        if (normalize(rs, p.concat(w, v)).is_identity_word
-                and normalize(rs, p.concat(v, w)).is_identity_word):
-            return v
+    s, nf = rs.encode(w)[2], rs.index.__getitem__
+    for v in words(rs, w.dst, w.src):
+        if not nf(s + v) and not nf(v + s):
+            return rs.decode((w.dst, w.src, v))
     return None
 
 
@@ -496,32 +504,31 @@ class DenomDecider:
 
     The explicit words are normalized, identities are added when the
     flag says so, and the composition flag saturates the set under
-    binary composition up to the resource bounds.  Membership of an
-    arbitrary word is then a normal form lookup.  :func:`denominators`
-    builds one per system and keeps it.
+    binary composition up to the resource bounds, as encoded normal forms
+    ``(src, dst, code)`` in ``closure``.  Membership of an arbitrary word
+    is then a normal form lookup.  :func:`denominators` builds one per
+    system and keeps it.
     """
 
     def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
         self.cwd = c
         self.rs = rs
         limits = rs.limits
-        closure: set[PathWord] = set()
-        for w in c.denoms.explicit:
-            closure.add(normalize(rs, w))
+        closure = set(map(rs.compose, map(rs.encode, c.denoms.explicit)))
         if c.denoms.include_identities:
             for x in c.cat.objects:
-                closure.add(c.cat.identity(x))
+                closure.add((x, x, ""))
         if c.denoms.close_under_composition:
             frontier = set(closure)
             while frontier:
-                fresh: set[PathWord] = set()
+                fresh: set[tuple[str, str, str]] = set()
                 for u in frontier:
                     for v in closure:
                         for a, b in ((u, v), (v, u)):
-                            if a.dst != b.src:
+                            if a[1] != b[0]:
                                 continue
-                            comp = normalize(rs, c.cat.concat(a, b))
-                            if len(comp.letters) > limits.max_word_len:
+                            comp = rs.compose(a, b)
+                            if len(comp[2]) > limits.max_word_len:
                                 raise LimitExceeded(
                                     "max_word_len",
                                     "denominator closure produced a word over the bound")
@@ -532,24 +539,25 @@ class DenomDecider:
                         "max_homset", "denominator closure larger than the bound")
                 closure |= fresh
                 frontier = fresh
-        self._closure = frozenset(closure)
+        self.closure = frozenset(closure)
         self._between: dict[tuple[str, str], tuple[PathWord, ...]] = {}
 
     def is_denominator(self, w: PathWord) -> bool:
-        return normalize(self.rs, w) in self._closure
+        return (w.src, w.dst, self.rs.index[self.rs.encode(w)[2]]) in self.closure
 
     @property
     def materialized(self) -> tuple[PathWord, ...]:
         """The denominator normal forms, globally sorted."""
-        return tuple(sorted(self._closure, key=self.cwd.cat.word_sort_key))
+        return tuple(sorted(map(self.rs.decode, self.closure),
+                            key=self.cwd.cat.word_sort_key))
 
     def denominators_between(self, x: str, y: str) -> tuple[PathWord, ...]:
         """Denominators ``x -> y`` among the enumerated hom-set."""
         between = self._between.get((x, y))
         if between is None:
             between = self._between[(x, y)] = tuple(
-                w for w in homset(self.rs, x, y)
-                if self.is_denominator(w))
+                self.rs.decode((x, y, s)) for s in words(self.rs, x, y)
+                if (x, y, s) in self.closure)
         return between
 
 

@@ -1,6 +1,8 @@
 """The componentwise approximation-theorem verifier."""
 
 import gc
+import hashlib
+import json
 import time
 import weakref
 from collections import Counter
@@ -17,7 +19,7 @@ from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     check_s_full,
                     choice_independence, complete, homset,
                     induced_replacement_functor, load_choice, loc_map,
-                    localise, prepare, replacement_functor,
+                    localise, normalize, prepare, replacement_functor,
                     total_replacement_functor, total_value,
                     verify_approximation)
 from loccat import approximation, equivalence
@@ -99,31 +101,61 @@ def ladder(n):
                         for i in steps})
 
 
+class TestLadderBytes:
+    """Report bytes of the ladder family at the default limits: SHA-256
+    of ``json.dumps(report.to_json(), sort_keys=True)``, recorded before
+    words were encoded inside each system."""
+
+    DIGESTS = [
+        (2, "1cb387b360c6088655b24dd7972ebeb645bccf834414fc87a1079d0c30801c53",
+         "fddd1c64136fa5cac3aee4de9135849c3aa0b9bef304e16b0ba7339d816a33fe"),
+        (3, "008fba68eb1a4bb1150b9324a4962fc38748a7618a7014b03de4e12c268113d7",
+         "fddd1c64136fa5cac3aee4de9135849c3aa0b9bef304e16b0ba7339d816a33fe"),
+        (4, "305eb0cd3e184ce1900e81f0a5d28d4830cc2074687d43f92aa96cb984da55d4",
+         "fddd1c64136fa5cac3aee4de9135849c3aa0b9bef304e16b0ba7339d816a33fe"),
+        (5, "fc2d6d9581a67f55672d35c3e55d8117f023b5bd8165133575403a8e280a5fcf",
+         "fddd1c64136fa5cac3aee4de9135849c3aa0b9bef304e16b0ba7339d816a33fe"),
+    ]
+
+    @staticmethod
+    def digest(report):
+        text = json.dumps(report.to_json(), sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("n,verify,s_equivalence", DIGESTS,
+                             ids=[f"L{n}" for n, _, _ in DIGESTS])
+    def test_reports_unchanged(self, n, verify, s_equivalence):
+        f = ladder(n)
+        assert self.digest(verify_approximation(f, DEFAULT_LIMITS)) == verify
+        assert self.digest(check_s_equivalence(prepare(f, DEFAULT_LIMITS))) == \
+            s_equivalence
+
+
 class TestFillTables:
     @pytest.mark.parametrize("f", [corpus.fun("E7"), ladder(3)],
                              ids=["E7", "L3"])
     def test_candidates_tried_once_per_arrow(self, monkeypatch, f):
-        # every candidate fill of a 2-arrow costs one gz_compose in
-        # solve_fill; a whole run must pay it once per distinct arrow
-        candidates: dict = {}
-        calls = []
-        solve, compose = equivalence.solve_fill, equivalence.gz_compose
+        # solve_fill lists the candidate fills of a 2-arrow, the hom-set of
+        # the localised source, and tries each one; a whole run must list
+        # them once per distinct arrow
+        arrows, sources, listed = set(), set(), []
+        solve, words = equivalence.solve_fill, equivalence.words
 
         def counted_solve(setting, arrow):
-            candidates[arrow] = len(homset(setting.lc_src.rs, arrow.x,
-                                           arrow.x_prime))
+            arrows.add(arrow)
+            sources.add(id(setting.lc_src.rs))
             return solve(setting, arrow)
 
-        def counted_compose(*args):
-            calls.append(args)
-            return compose(*args)
+        def counted_words(rs, x, y):
+            listed.append(rs)
+            return words(rs, x, y)
 
         monkeypatch.setattr(equivalence, "solve_fill", counted_solve)
         monkeypatch.setattr(approximation, "solve_fill", counted_solve)
-        monkeypatch.setattr(equivalence, "gz_compose", counted_compose)
+        monkeypatch.setattr(equivalence, "words", counted_words)
         assert verify_approximation(f, DEFAULT_LIMITS).ok
-        assert candidates
-        assert len(calls) == sum(candidates.values())
+        assert arrows
+        assert len([rs for rs in listed if id(rs) in sources]) == len(arrows)
 
     def test_failed_total_value_raises_again(self):
         # E3 sends f1 and f2 both to g, so the value at g has two fills
@@ -133,6 +165,20 @@ class TestFillTables:
         for _ in range(2):
             with pytest.raises(ConstructionError, match="got 2"):
                 total_value(s, rc, 0, 1, g)
+
+    def test_identities_keep_their_endpoints(self):
+        # the empty code is the identity of every object: the normal-form
+        # table and the total-value table must not hand one object's
+        # identity to another
+        s, rc = rc_for("E7")
+        p = s.f.target.cat
+        for y in p.objects:
+            assert normalize(s.rs_tgt, p.identity(y)) == p.identity(y)
+        sources = [t.source for t in rc.triples]
+        assert len(set(sources)) > 1
+        for i, t in enumerate(rc.triples):
+            assert total_value(s, rc, i, i, p.identity(t.target)) == \
+                s.lc_src.presentation.identity(t.source)
 
     def test_setting_freed_after_verify(self, monkeypatch):
         refs = []
@@ -175,13 +221,14 @@ class TestFunctorChecks:
                 gen_map={g: loc_map(lc, word(g)) for g in "ab"})
             return approximation._functor_checks(functor, lc, rs, value)
 
+        # values take and give encoded words (src, dst, code)
         def right(w):
-            return loc_map(lc, w)
+            return lc.rs.encode(loc_map(lc, rs.decode(w)))
 
         def wrong(w):
-            return lc.presentation.identity("o") if w == shared else right(w)
+            return ("o", "o", "") if w == rs.encode(shared) else right(w)
 
-        assert right(shared) != wrong(shared)
+        assert right(rs.encode(shared)) != wrong(rs.encode(shared))
         assert checks(right) == (6, True, 36, True)
         assert checks(wrong) == (6, True, 36, False)
 

@@ -98,7 +98,8 @@ class TestValidate:
         code, kinds = self.validate_functor_file(
             capsys, tmp_path, object_map, {"u": ["u"]})
         assert code == 2
-        assert kinds[0] == kind
+        # the generator touching the bad object is not reported again
+        assert kinds == [kind]
 
     @pytest.mark.parametrize("image_of_b,code,kinds", [
         ("a", 0, []),           # u goes to the identity of a

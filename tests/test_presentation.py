@@ -9,7 +9,9 @@ import corpus
 from loccat import (CatPresentation, CatWithDenoms, DenomSet, GenArrow,
                     PathWord, Relation, ValidationError, identity_functor,
                     opposite, validate_cat_with_denoms, validate_presentation)
-from loccat.rewrite import DEFAULT_LIMITS, complete, homsets_from
+from loccat.equivalence import prepare
+from loccat.rewrite import DEFAULT_LIMITS, complete, homset, normalize
+from test_approximation import ladder
 
 
 def chain():
@@ -196,8 +198,37 @@ def letterwise(f, w):
 def test_apply_word_equals_letterwise_images(name):
     f = corpus.fun(name)
     rs = complete(f.source.cat, DEFAULT_LIMITS)
-    words = [w for x in f.source.cat.objects
-             for ws in homsets_from(rs, x).values() for w in ws]
+    objects = f.source.cat.objects
+    words = [w for x in objects for y in objects for w in homset(rs, x, y)]
     assert words
     for w in words:
         assert f.apply_word(w) == letterwise(f, w)
+
+
+def translated(f, rs_src, rs_tgt, w):
+    """The image of ``w`` by ``f.translation``, normalised on codes in
+    ``rs_tgt`` and then decoded."""
+    src, dst, s = rs_src.encode(w)
+    return rs_tgt.decode((f.object_map[src], f.object_map[dst],
+                          rs_tgt.index[s.translate(f.translation)]))
+
+
+def functor_and_systems(name, induced):
+    """A fixture functor or ``L3``, with its source and target systems;
+    with ``induced``, the induced functor of its setting instead."""
+    f = ladder(3) if name == "L3" else corpus.fun(name)
+    if induced:
+        s = prepare(f, DEFAULT_LIMITS)
+        return s.gz_f, s.lc_src.rs, s.lc_tgt.rs
+    return f, complete(f.source.cat, DEFAULT_LIMITS), complete(f.target.cat, DEFAULT_LIMITS)
+
+
+@pytest.mark.parametrize("induced", [False, True], ids=["functor", "gz_f"])
+@pytest.mark.parametrize("name", [*corpus.FUN_NAMES, "L3"])
+def test_translation_equals_normalised_image(name, induced):
+    f, rs_src, rs_tgt = functor_and_systems(name, induced)
+    objects = rs_src.presentation.objects
+    words = [w for x in objects for y in objects for w in homset(rs_src, x, y)]
+    assert words
+    for w in words:
+        assert translated(f, rs_src, rs_tgt, w) == normalize(rs_tgt, f.apply_word(w))

@@ -532,7 +532,7 @@ class TestHomset:
             for y in p.objects:
                 homset(rs, x, y)
         assert calls == []
-        assert rs._index._compared == 0 and rs._index._regex is None
+        assert rs.index._compared == 0 and rs.index._regex is None
 
     def test_frozen_counts(self):
         for name, table in BASE_HOM_COUNTS.items():
