@@ -21,7 +21,6 @@ from .axioms import (
 from .equivalence import (
     CheckReport,
     GzSetting,
-    STwoArrow,
     check_s_dense,
     check_s_equivalence,
     check_s_faithful,
@@ -33,16 +32,11 @@ from .equivalence import (
 )
 from .fileio import ParseError, load_cat, load_choice, load_functor
 from .gz import (
-    GzMorphism,
     LocalisedCategory,
     ZigzagSegment,
     ZigzagView,
     extend_to_localisation,
-    gz_compose,
-    gz_identity,
-    gz_inverse,
     induced_functor,
-    loc_map,
     localise,
     zigzag_view,
 )

@@ -22,7 +22,7 @@ generators of the relevant presentations.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import product
 
 from .axioms import (
@@ -31,19 +31,13 @@ from .axioms import (
     validate_functor,
     word_json,
 )
-from .equivalence import (
-    GzSetting,
-    STwoArrow,
-    prepare,
-    solve_fill,
-)
+from .equivalence import GzSetting, prepare, solve_fill
 from .gz import (
-    GzMorphism,
     LocalisedCategory,
     extend_to_localisation,
-    gz_inverse,
     induced_functor,
     localise,
+    through,
 )
 from .presentation import (
     CatPresentation,
@@ -69,14 +63,16 @@ from .rewrite import (
     DEFAULT_LIMITS,
     ResourceLimits,
     RewriteSystem,
+    denominators,
     equal_encoded,
+    inverse,
     normalize,
     words,
 )
 
 
 def total_value(setting: GzSetting, rc: ReplacementCategory,
-                i: int, j: int, w: PathWord) -> GzMorphism:
+                i: int, j: int, w: PathWord) -> PathWord:
     """The unique fill giving the value of the total functor on ``w``.
 
     ``w`` is a target-category word from the object under triple ``i``
@@ -94,13 +90,13 @@ def _value(setting: GzSetting, rc: ReplacementCategory,
     key = (i, j, s)
     value = setting._total_values.get(key)
     if value is None:
-        ti, tj, rs = rc.triples[i], rc.triples[j], setting.rs_tgt
-        g = rs.decode((ti.q.src, tj.target, rs.index[rs.encode(ti.q)[2] + s]))
-        fills = solve_fill(setting, STwoArrow(ti.source, tj.source, g, tj.q))
+        ti, tj, q = rc.triples[i], rc.triples[j], rc.codes
+        g = setting.rs_tgt.index[q[i] + s]
+        fills = solve_fill(setting, (ti.source, tj.source, tj.target, g, q[j]))
         if len(fills) != 1:
             raise ConstructionError(f"expected exactly one fill between triples {i} "
                                     f"and {j}, got {len(fills)}")
-        value = setting._total_values[key] = setting.lc_src.rs.encode(fills[0])
+        value = setting._total_values[key] = (ti.source, tj.source, fills[0])
     return value
 
 
@@ -111,16 +107,15 @@ def _value_of(setting: GzSetting, rc: ReplacementCategory, at, under: dict, w: t
     return _value(setting, rc, at(w[0]), at(w[1]), s)
 
 
-def _through(lc: LocalisedCategory, *functors: FunctorData):
-    """An encoded word sent through ``functors`` in turn, normalised in ``lc``."""
-    functor = reduce(FunctorData.then, functors)
-    omap, table, nf = functor.object_map, functor.translation, lc.rs.index.__getitem__
-    return lambda w: (omap[w[0]], omap[w[1]], nf(w[2].translate(table)))
-
-
 def _generators(p: CatPresentation) -> list[tuple[str, str, str]]:
     """The encoded one-letter words of the generators of ``p``."""
     return [(g.src, g.dst, p.codec[0][g.name]) for g in p.generators]
+
+
+def _loc_q(lc: LocalisedCategory, rc: ReplacementCategory, i: int) -> tuple:
+    """The denominator ``q`` of triple ``i``, encoded and normalised in ``lc``."""
+    t = rc.triples[i]
+    return lc.rs.compose((t.q.src, t.target, rc.codes[i]))
 
 
 def _require_fills(setting: GzSetting) -> int:
@@ -147,7 +142,7 @@ def _functor_checks(functor: FunctorData, lc: LocalisedCategory,
     all compose; every check is evaluated.  Many pairs share a composite
     word, so ``value`` runs once per composite.
     """
-    cat, image, nf = functor.source.cat, _through(lc, functor), lc.rs.index.__getitem__
+    cat, image, nf = functor.source.cat, through(lc, functor), lc.rs.index.__getitem__
     outs = {a: {b: ws for b in cat.objects if (ws := words(rs, a, b))} for a in cat.objects}
     values = {(w := (a, b, s)): value(w) for a, out in outs.items()
               for b, ws in out.items() for s in ws}
@@ -184,16 +179,15 @@ def _components(lc: LocalisedCategory, objects, component
     rows = []
     for x in objects:
         comps[x] = comp = component(x)
-        word = lc.rs.decode(comp)
-        rows.append({"object": x, "component": word_json(word),
-                     "invertible": gz_inverse(lc, word) is not None})
+        rows.append({"object": x, "component": word_json(lc.rs.decode(comp)),
+                     "invertible": inverse(lc.rs, comp) is not None})
     return comps, rows, all(row["invertible"] for row in rows)
 
 
 def _invertible(lc: LocalisedCategory, comps) -> bool:
     """Does every encoded component have an inverse in ``lc``?  Stops at the
     first that has none."""
-    return all(gz_inverse(lc, lc.rs.decode(comp)) is not None for comp in comps)
+    return all(inverse(lc.rs, comp) is not None for comp in comps)
 
 
 def _squares(lc: LocalisedCategory, ws, frm, comps: dict[str, tuple],
@@ -255,33 +249,27 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
     between ``(X, q), (X', q')`` at ``g`` equals the value between the
     lengthened triples ``(X, q.e), (X', q'.e')`` at ``g~``.
     """
-    tgt_cat = setting.f.target.cat
-    dec = setting.dec_tgt
-    rs = setting.rs_tgt
+    dec, rs = setting.dec_tgt, setting.rs_tgt
 
-    def lengthened(e: PathWord):
+    def lengthened(y: str, y_bar: str, e: str):
         """Positions of each triple ``(X, q)`` and of its lengthening ``(X, q.e)``."""
-        for i in rc.triples_over(e.src):
-            t = rc.triples[i]
-            qe = normalize(rs, tgt_cat.concat(t.q, e))
-            try:
-                i2 = rc.index_of(SReplacement(e.dst, t.source, qe))
-            except ValueError:
-                continue
-            yield i, i2
+        for i in rc.triples_over(y):
+            i2 = rc.position(y_bar, rc.triples[i].source, rs.index[rc.codes[i] + e])
+            if i2 is not None:
+                yield i, i2
 
-    # the object pairs joined by a denominator, row-major, with their codes and lengthenings
-    objects = tgt_cat.objects
-    spans = [(y, y_bar, [(e, rs.encode(e)[2], list(lengthened(e))) for e in es])
+    # the object pairs joined by a denominator, row-major, with their lengthenings
+    objects = setting.f.target.cat.objects
+    spans = [(y, y_bar, [(e, list(lengthened(y, y_bar, e))) for e in es])
              for y in objects for y_bar in objects
              if (es := dec.denominators_between(y, y_bar))]
     quadruples = 0
     mismatch = None
     for (y, y_bar, es), (y2, y2_bar, e2s) in product(spans, spans):
         gs, gts = words(rs, y, y2), words(rs, y_bar, y2_bar)
-        for (e, se, e_long), (e2, se2, e2_long) in product(es, e2s):
+        for (e, e_long), (e2, e2_long) in product(es, e2s):
             for g, gt in product(gs, gts):
-                if not equal_encoded(rs, g + se2, se + gt):
+                if not equal_encoded(rs, g + e2, e + gt):
                     continue
                 for (i, i2), (j, j2) in product(e_long, e2_long):
                     a = _value(setting, rc, i, j, g)
@@ -290,7 +278,8 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
                     if a != b and mismatch is None:
                         mismatch = {"g": word_json(rs.decode((y, y2, g))),
                                     "g_shortened": word_json(rs.decode((y_bar, y2_bar, gt))),
-                                    "e": word_json(e), "e_prime": word_json(e2)}
+                                    "e": word_json(rs.decode((y, y_bar, e))),
+                                    "e_prime": word_json(rs.decode((y2, y2_bar, e2)))}
     out = {"quadruples_checked": quadruples, "ok": mismatch is None}
     if mismatch is not None:
         out["witness"] = mismatch
@@ -303,14 +292,15 @@ def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> di
     This is the one step that uses closure of the target denominators
     under composition.
     """
-    failure = None
+    failure, rs = None, setting.lc_src.rs
     lifted = partial(_value_of, setting, rc, rc.object_index, rc.underlying)
-    for w in rc.cwd.denoms.explicit:
-        value = setting.lc_src.rs.decode(lifted(rc.rs.encode(w)))
-        if gz_inverse(setting.lc_src, value) is None and failure is None:
-            failure = {"lifted_word": word_json(w), "value": word_json(value)}
-    out = {"lifted_denominators_checked": len(rc.cwd.denoms.explicit),
-           "ok": failure is None}
+    closure = denominators(rc.cwd, rc.rs).closure
+    for w in closure:
+        value = lifted(w)
+        if inverse(rs, value) is None and failure is None:
+            failure = {"lifted_word": word_json(rc.rs.decode(w)),
+                       "value": word_json(rs.decode(value))}
+    out = {"lifted_denominators_checked": len(closure), "ok": failure is None}
     if failure is not None:
         out["witness"] = failure
     return out
@@ -340,8 +330,7 @@ def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
 
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
         functor, lc_src, rs, direct)
-    denom_isos = [gz_inverse(lc_src, lc_src.rs.decode(direct(rs.encode(w))))
-                  is not None for w in setting.dec_tgt.materialized]
+    denom_isos = [inverse(lc_src.rs, direct(w)) is not None for w in setting.dec_tgt.closure]
     comparisons = [
         _mutually_inverse(lc_src, _value(setting, rc, chosen[y], t, ""),
                           _value(setting, rc, t, chosen[y], ""))
@@ -396,21 +385,17 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     localised morphism ``psi``.
     """
     lc_tgt, lc_src, gz_f = setting.lc_tgt, setting.lc_src, setting.gz_f
-    tgt_cat = setting.f.target.cat
-    direct = partial(_value_of, setting, rc, positions(rc, choice).__getitem__, {})
-    functor = extend_to_localisation(
-        lc_tgt, lc_src, r_choice.object_map, r_choice.gen_map,
-        lambda w: lc_src.rs.decode(direct(setting.rs_tgt.encode(w))))
+    tgt_cat, chosen = setting.f.target.cat, positions(rc, choice)
+    direct = partial(_value_of, setting, rc, chosen.__getitem__, {})
+    functor = extend_to_localisation(lc_tgt, lc_src, r_choice, direct)
     problems = validate_functor(functor, lc_tgt.rs, lc_src.rs)
     if problems:
         raise ConstructionError(f"induced replacement functor invalid: "
                                 f"{problems[0]}")
 
-    image = _through(lc_src, functor)
-    factorization_ok = all(
-        image(lc_tgt.rs.compose(lc_tgt.rs.encode(tgt_cat.word([g.name]))))
-        == lc_src.rs.encode(r_choice.gen_map[g.name])
-        for g in tgt_cat.generators)
+    image, r_image = through(lc_src, functor), through(lc_src, r_choice)
+    factorization_ok = all(image(lc_tgt.rs.compose(w)) == r_image(w)
+                           for w in _generators(tgt_cat))
 
     def then_gz_f(psi):  # GZ F of the image of psi, unnormalised
         src, dst, s = image(psi)
@@ -420,7 +405,7 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     checked, description_ok = _squares(
         lc_tgt, ((y, y2, psi) for y in objects for y2 in objects
                  for psi in words(lc_tgt.rs, y, y2)),
-        then_gz_f, {y: lc_tgt.rs.compose(lc_tgt.rs.encode(choice[y].q)) for y in objects})
+        then_gz_f, {y: _loc_q(lc_tgt, rc, chosen[y]) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
               "description_pairs_checked": checked,
               "description_ok": description_ok,
@@ -532,7 +517,7 @@ def verify_approximation(f: FunctorData,
         lc_src, src_cat.objects,
         lambda x: _value(setting, rc, chosen_idx[f.object_map[x]], trivial_idx[x], ""))
     alpha_squares, alpha_natural = _squares(
-        lc_src, _generators(p_src), _through(lc_src, gz_f, induced), alpha)
+        lc_src, _generators(p_src), through(lc_src, gz_f, induced), alpha)
     objects_match = all(
         induced.object_map[gz_f.object_map[x]]
         == rc.triples[chosen_idx[f.object_map[x]]].source
@@ -543,10 +528,9 @@ def verify_approximation(f: FunctorData,
                      "ok": alpha_iso and alpha_natural})
 
     # beta: localised chosen denominators
-    gz_f_image, induced_image = _through(lc_tgt, gz_f), _through(lc_src, induced)
+    gz_f_image, induced_image = through(lc_tgt, gz_f), through(lc_src, induced)
     beta, beta_rows, beta_iso = _components(
-        lc_tgt, tgt_cat.objects,
-        lambda y: lc_tgt.rs.compose(lc_tgt.rs.encode(chosen_choice[y].q)))
+        lc_tgt, tgt_cat.objects, lambda y: _loc_q(lc_tgt, rc, chosen_idx[y]))
     beta_squares, beta_natural = _squares(
         lc_tgt, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
     sections.append({"name": "beta", "components": beta_rows,
@@ -564,17 +548,16 @@ def verify_approximation(f: FunctorData,
 
     # canonical lift: the lift itself, its exact retraction, and the
     # comparison transformations at base and localised level
-    lift_total = _through(lc_src, lift, total)
+    lift_total = through(lc_src, lift, total)
     part_a_ok = all(lift_total(w) == lc_src.rs.compose(w) for w in _generators(src_cat)) \
         and all(total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
     rc_gens = _generators(rc.cwd.cat)
-    beta_bar = {name: lc_tgt.rs.compose(lc_tgt.rs.encode(t.q))
-                for name, t in zip(rc.obj_names, rc.triples)}
+    beta_bar = {name: _loc_q(lc_tgt, rc, i) for i, name in enumerate(rc.obj_names)}
     part_b_ok = _invertible(lc_tgt, beta_bar.values())
     b_squares, b_natural = _squares(
-        lc_tgt, rc_gens, _through(lc_tgt, total, gz_f), beta_bar,
-        _through(lc_tgt, u))
+        lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar,
+        through(lc_tgt, u))
 
     lc_rc = localise(rc.cwd, rc.rs)
     gz_lift = induced_functor(lift, lc_src, lc_rc)
@@ -582,16 +565,14 @@ def verify_approximation(f: FunctorData,
         t.q, trivial_idx[t.source], i))) for i, t in enumerate(rc.triples)}
     part_c_ok = _invertible(lc_rc, beta_bar_c.values())
     c_squares, c_natural = _squares(
-        lc_rc, rc_gens, _through(lc_rc, total, gz_lift), beta_bar_c,
+        lc_rc, rc_gens, through(lc_rc, total, gz_lift), beta_bar_c,
         lc_rc.rs.compose)
 
     # the total functor through the localised replacement category
     lifted = partial(_value_of, setting, rc, rc.object_index, rc.underlying)
-    rf_hat = extend_to_localisation(
-        lc_rc, lc_src, total.object_map, total.gen_map,
-        lambda w: lc_src.rs.decode(lifted(rc.rs.encode(w))))
+    rf_hat = extend_to_localisation(lc_rc, lc_src, total, lifted)
     rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs)
-    lift_back = _through(lc_src, gz_lift, rf_hat)
+    lift_back = through(lc_src, gz_lift, rf_hat)
     retraction_ok = not rf_hat_problems and all(
         lift_back(w) == lc_src.rs.compose(w) for w in _generators(p_src))
 
@@ -610,13 +591,13 @@ def verify_approximation(f: FunctorData,
     # localised forgetful and section functors are mutually inverse
     gz_u = induced_functor(u, lc_rc, lc_tgt)
     gz_cr = induced_functor(c_r, lc_tgt, lc_rc)
-    cr_u = _through(lc_tgt, gz_cr, gz_u)
+    cr_u = through(lc_tgt, gz_cr, gz_u)
     pair_exact_ok = all(cr_u(w) == lc_tgt.rs.compose(w) for w in _generators(p_tgt))
     loc_abar = {t: lc_rc.rs.compose(lc_rc.rs.encode(abar.components[t]))
                 for t in rc.obj_names}
     pair_iso_ok = _invertible(lc_rc, loc_abar.values())
     pair_squares, pair_nat_ok = _squares(
-        lc_rc, _generators(lc_rc.presentation), _through(lc_rc, gz_u, gz_cr),
+        lc_rc, _generators(lc_rc.presentation), through(lc_rc, gz_u, gz_cr),
         loc_abar)
     sections.append({
         "name": "forgetful_section_pair",

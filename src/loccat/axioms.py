@@ -20,8 +20,7 @@ from .rewrite import (
     RewriteSystem,
     denominators,
     equal,
-    find_inverse,
-    homset,
+    inverse,
     normalize,
     words,
 )
@@ -34,30 +33,30 @@ def word_json(w: PathWord) -> dict:
 def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
                          ) -> tuple[bool, dict | None]:
     """Identities and composites of denominators are denominators."""
-    dec = denominators(c, rs)
+    closure = denominators(c, rs).closure
     for x in c.cat.objects:
-        if not dec.is_denominator(c.cat.identity(x)):
+        if (x, x, "") not in closure:
             return False, {"kind": "identity-not-denominator", "object": x,
                            "word": word_json(c.cat.identity(x))}
-    mats = dec.materialized
-    for u in mats:
-        for v in mats:
-            if u.dst == v.src and not dec.is_denominator(c.cat.concat(u, v)):
+    for u in closure:
+        for v in closure:
+            if u[1] == v[0] and rs.compose(u, v) not in closure:
                 return False, {"kind": "composite-not-denominator",
-                               "first": word_json(u), "second": word_json(v)}
+                               "first": word_json(rs.decode(u)),
+                               "second": word_json(rs.decode(v))}
     return True, None
 
 
 def check_isosaturated(c: CatWithDenoms, rs: RewriteSystem
                        ) -> tuple[bool, dict | None]:
     """Every isomorphism is a denominator."""
-    dec = denominators(c, rs)
+    closure = denominators(c, rs).closure
     for x in c.cat.objects:
         for y in c.cat.objects:
-            for w in homset(rs, x, y):
-                if find_inverse(rs, w) is not None and not dec.is_denominator(w):
+            for s in words(rs, x, y):
+                if inverse(rs, (x, y, s)) is not None and (x, y, s) not in closure:
                     return False, {"kind": "isomorphism-not-denominator",
-                                   "word": word_json(w)}
+                                   "word": word_json(rs.decode((x, y, s)))}
     return True, None
 
 
@@ -108,13 +107,13 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
         if not equal(rs_tgt, f.apply_word(rel.lhs), f.apply_word(rel.rhs)):
             problems.append({"kind": "relation-not-preserved", "relation": i,
                              "lhs": word_json(rel.lhs), "rhs": word_json(rel.rhs)})
-    dec_src = denominators(f.source, rs_src)
-    dec_tgt = denominators(f.target, rs_tgt)
-    for w in dec_src.materialized:
-        image = f.apply_word(w)
-        if not dec_tgt.is_denominator(image):
+    src_closure, omap = denominators(f.source, rs_src).closure, f.object_map
+    tgt_closure = denominators(f.target, rs_tgt).closure
+    for x, y, s in src_closure:
+        if rs_tgt.compose((omap[x], omap[y], s.translate(f.translation))) not in tgt_closure:
+            w = rs_src.decode((x, y, s))
             problems.append({"kind": "denominator-not-preserved",
-                             "word": word_json(w), "image": word_json(image)})
+                             "word": word_json(w), "image": word_json(f.apply_word(w))})
     return problems
 
 

@@ -49,8 +49,8 @@ from .rewrite import (
     ResourceLimits,
     complete,
     denominators,
-    find_inverse,
     homset,
+    inverse,
 )
 
 SCHEMA = "loccat-report/1"
@@ -158,12 +158,11 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
     cwd = load_cat(args.path)
     rs = complete(cwd.cat, limits)
     lc = localise(cwd, rs)
-    dec = denominators(cwd, rs)
     inverted = []
-    for w in dec.materialized:
-        inv = find_inverse(lc.rs, w)
-        inverted.append({"denominator": word_json(w),
-                         "inverse": word_json(inv) if inv is not None else None})
+    for w in denominators(cwd, rs).closure:
+        inv = inverse(lc.rs, w)
+        inverted.append({"denominator": word_json(rs.decode(w)),
+                         "inverse": word_json(lc.rs.decode(inv)) if inv is not None else None})
     result = {
         "base": _cat_summary(cwd),
         "localised": _cat_summary(lc.cwd),

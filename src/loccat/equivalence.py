@@ -19,7 +19,10 @@ under.
 Each :class:`GzSetting` keeps a fill table: :func:`solve_fill` solves a
 2-arrow once and answers it from the table after that, so the fill
 survey and every later value of the replacement functors share one
-solution per arrow.
+solution per arrow.  A 2-arrow is the tuple ``(x, x_prime, y, g, b)``
+with ``g`` and ``b`` encoded normal forms of the target, and its fills
+are codes of the localised source: the survey decodes only the arrows
+and fills its witnesses print.
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 from .axioms import check_multiplicative, validate_functor, word_json
 from .gz import LocalisedCategory, induced_functor, localise
-from .presentation import (
-    FunctorData,
-    PathWord,
-    ValidationError,
-)
+from .presentation import FunctorData, ValidationError
 from .replacement import has_enough
 from .rewrite import (
     COMPLETE,
@@ -43,26 +42,9 @@ from .rewrite import (
     RewriteSystem,
     complete,
     denominators,
-    homset,
+    inverse,
     words,
 )
-
-
-@dataclass(frozen=True)
-class STwoArrow:
-    """A 2-arrow ``(g, b)`` from ``x`` to ``x_prime`` over some wedge object.
-
-    ``g: F x -> y`` and ``b: F x_prime -> y`` with ``b`` a denominator.
-    """
-
-    x: str
-    x_prime: str
-    g: PathWord
-    b: PathWord
-
-    def to_json(self) -> dict:
-        return {"x": self.x, "x_prime": self.x_prime,
-                "g": word_json(self.g), "b": word_json(self.b)}
 
 
 @dataclass
@@ -85,9 +67,10 @@ class GzSetting:
     """Completed and localised data for one functor, built once.
 
     It also owns the tables its queries fill: the fill table maps each
-    solved :class:`STwoArrow` to its fills (see :func:`solve_fill`),
-    and the total values map ``(triple, triple, word)`` to the unique
-    fill :func:`loccat.approximation.total_value` found.  Only results
+    solved 2-arrow ``(x, x_prime, y, g, b)`` to its fills (see
+    :func:`solve_fill`), and the total values map ``(i, j, code)``, two
+    triple positions and a target code, to the unique encoded fill
+    :func:`loccat.approximation.total_value` found.  Only results
     are stored, so a query that raised raises again on every call.
     None of them takes part in equality or ``repr``.  The target
     decider is the one the target system keeps.  All four systems were
@@ -138,37 +121,46 @@ def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSettin
 
 
 def enumerate_s_two_arrows(setting: GzSetting):
-    """All 2-arrows between materialized hom-sets, in a fixed order."""
+    """All 2-arrows ``(x, x_prime, y, g, b)`` between materialized hom-sets,
+    in a fixed order: ``g: F x -> y`` and the denominator ``b: F x_prime
+    -> y`` are the codes of normal forms of the target."""
     f, dec, rs = setting.f, setting.dec_tgt, setting.rs_tgt
     src_objects = f.source.cat.objects
     for x in src_objects:
         fx = f.object_map[x]
-        out = [y for y in f.target.cat.objects if words(rs, fx, y)]
+        out = [(y, gs) for y in f.target.cat.objects if (gs := words(rs, fx, y))]
         for x_prime in src_objects:
-            for y in out:
+            for y, gs in out:
                 bs = dec.denominators_between(f.object_map[x_prime], y)
-                for g in homset(rs, fx, y) if bs else ():
+                for g in gs if bs else ():
                     for b in bs:
-                        yield STwoArrow(x=x, x_prime=x_prime, g=g, b=b)
+                        yield x, x_prime, y, g, b
 
 
-def solve_fill(setting: GzSetting, arrow: STwoArrow) -> tuple[PathWord, ...]:
-    """All localised ``phi: x -> x_prime`` with ``loc g = (GZ F) phi . loc b``.
+def solve_fill(setting: GzSetting, arrow: tuple) -> tuple[str, ...]:
+    """The codes of all localised ``phi: x -> x_prime`` with
+    ``loc g = (GZ F) phi . loc b``, for ``arrow = (x, x_prime, y, g, b)``.
 
     Returned in shortlex order of the localised source presentation.
     Solved once per setting; later calls read the setting's fill table.
     """
     fills = setting._fills.get(arrow)
-    if fills is not None:
-        return fills
-    rs, rs_src, gz_f = setting.lc_tgt.rs, setting.lc_src.rs, setting.gz_f
-    lhs, loc_b = rs.compose(rs.encode(arrow.g)), rs.compose(rs.encode(arrow.b))
-    ends = gz_f.object_map[arrow.x], gz_f.object_map[arrow.x_prime]
-    fills = tuple(rs_src.decode((arrow.x, arrow.x_prime, phi))
-                  for phi in words(rs_src, arrow.x, arrow.x_prime)
-                  if rs.compose((*ends, phi.translate(gz_f.translation)), loc_b) == lhs)
-    setting._fills[arrow] = fills
+    if fills is None:
+        x, x_prime, _, g, b = arrow
+        nf, table = setting.lc_tgt.rs.index.__getitem__, setting.gz_f.translation
+        lhs, loc_b = nf(g), nf(b)
+        fills = setting._fills[arrow] = tuple(
+            phi for phi in words(setting.lc_src.rs, x, x_prime)
+            if nf(phi.translate(table) + loc_b) == lhs)
     return fills
+
+
+def _arrow_json(setting: GzSetting, arrow: tuple) -> dict:
+    """The witness JSON of a 2-arrow, its words decoded."""
+    x, x_prime, y, g, b = arrow
+    omap, decode = setting.f.object_map, setting.rs_tgt.decode
+    return {"x": x, "x_prime": x_prime, "g": word_json(decode((omap[x], y, g))),
+            "b": word_json(decode((omap[x_prime], y, b)))}
 
 
 def _report(setting: GzSetting, check: str, verdict: bool,
@@ -195,11 +187,12 @@ def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
         count += 1
         fills = solve_fill(setting, arrow)
         if not fills and no_fill_witness is None:
-            no_fill_witness = {"kind": "no-fill", "arrow": arrow.to_json()}
+            no_fill_witness = {"kind": "no-fill", "arrow": _arrow_json(setting, arrow)}
         if len(fills) > 1 and ambiguous_witness is None:
+            first, second = (setting.lc_src.rs.decode(arrow[:2] + (phi,)) for phi in fills[:2])
             ambiguous_witness = {
-                "kind": "distinct-fills", "arrow": arrow.to_json(),
-                "first": word_json(fills[0]), "second": word_json(fills[1])}
+                "kind": "distinct-fills", "arrow": _arrow_json(setting, arrow),
+                "first": word_json(first), "second": word_json(second)}
     return no_fill_witness, ambiguous_witness, count
 
 
@@ -249,11 +242,9 @@ def classical_faithful(f: FunctorData, rs_src: RewriteSystem,
 def classical_dense(f: FunctorData, rs_src: RewriteSystem,
                     rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     """Essential surjectivity on objects: some ``F x -> y`` has an inverse."""
-    nf = rs_tgt.index.__getitem__
     for y in f.target.cat.objects:
-        if not any(not nf(s + v) and not nf(v + s)
-                   for x in f.source.cat.objects for s in words(rs_tgt, f.object_map[x], y)
-                   for v in words(rs_tgt, y, f.object_map[x])):
+        if not any(inverse(rs_tgt, (f.object_map[x], y, s)) is not None
+                   for x in f.source.cat.objects for s in words(rs_tgt, f.object_map[x], y)):
             return False, {"kind": "not-essentially-surjective", "object": y}
     return True, None
 

@@ -25,6 +25,7 @@ composite of forward base words and inverted denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .axioms import validate_functor
 from .presentation import (
@@ -42,13 +43,9 @@ from .rewrite import (
     RewriteSystem,
     complete,
     denominators,
-    find_inverse,
+    inverse,
     normalize,
 )
-
-# Morphisms of a localised category are plain normal-form words over
-# the extended presentation.
-GzMorphism = PathWord
 
 
 @dataclass(frozen=True)
@@ -92,35 +89,35 @@ def fresh_name(stem: str, taken: set[str]) -> str:
     return name
 
 
-def _base_inverses(rs_base: RewriteSystem,
-                   inverted: dict[str, PathWord]) -> tuple[Relation, ...]:
+def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, tuple]) -> tuple[Relation, ...]:
     """``w^-1 = v`` for each inverted base word ``w`` with a base inverse ``v``.
 
-    ``inverted`` maps inverse letters to the words they invert.  A word
-    whose source cannot be reached from its target in the generator
-    graph has an empty hom-set back, so its search is skipped; a search
-    that exceeds the limits of ``rs_base`` seeds nothing.
+    ``inverted`` maps inverse letters to the encoded words they invert.
+    A word whose source cannot be reached from its target in the
+    generator graph has an empty hom-set back, so its search is skipped;
+    a search that exceeds the limits of ``rs_base`` seeds nothing.
     """
     out_gens = rs_base.presentation.out_gens
     reach: dict[str, set[str]] = {}
     seeded: list[Relation] = []
     for inv_name, w in inverted.items():
-        if w.dst not in reach:
-            seen, todo = {w.dst}, [w.dst]
+        src, dst, _ = w
+        if dst not in reach:
+            seen, todo = {dst}, [dst]
             while todo:
                 for g in out_gens.get(todo.pop(), ()):
                     if g.dst not in seen:
                         seen.add(g.dst)
                         todo.append(g.dst)
-            reach[w.dst] = seen
-        if w.src not in reach[w.dst]:
+            reach[dst] = seen
+        if src not in reach[dst]:
             continue
         try:
-            v = find_inverse(rs_base, w)
+            v = inverse(rs_base, w)
         except LimitExceeded:
             continue
         if v is not None:
-            seeded.append(Relation(PathWord(w.dst, w.src, (inv_name,)), v))
+            seeded.append(Relation(PathWord(dst, src, (inv_name,)), rs_base.decode(v)))
     return tuple(seeded)
 
 
@@ -135,55 +132,53 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     presentation, which ``lc.cwd`` and ``lc.rs.presentation`` hold.
     """
     cat = c.cat
-    decider = denominators(c, rs_base)
+    closure = denominators(c, rs_base).closure
     taken = {g.name for g in cat.generators}
 
     inv_of: dict[str, str] = {}
     inverted: dict[str, PathWord] = {}
+    encoded: dict[str, tuple] = {}
     fresh_defs: dict[str, PathWord] = {}
     inverse_gens: list[GenArrow] = []
     fresh_gens: list[GenArrow] = []
     fresh_relations: list[Relation] = []
     invert_relations: list[Relation] = []
 
-    def add_inverse(name: str, w: PathWord):
-        src, dst = w.src, w.dst
+    def add_inverse(name: str, word: tuple):
+        src, dst, _ = word
         inv_name = fresh_name(f"{name}^-1", taken)
         inv_of[name] = inv_name
-        inverted[inv_name] = w
+        encoded[inv_name] = word
+        inverted[inv_name] = rs_base.decode(word)
         inverse_gens.append(GenArrow(inv_name, dst, src))
         invert_relations.append(Relation(
             PathWord(src, src, (name, inv_name)), PathWord(src, src, ())))
         invert_relations.append(Relation(
             PathWord(dst, dst, (inv_name, name)), PathWord(dst, dst, ())))
 
+    code = cat.codec[0]
     for g in cat.generators:
-        w = PathWord(g.src, g.dst, (g.name,))
-        if decider.is_denominator(w) and not normalize(rs_base, w).is_identity_word:
-            add_inverse(g.name, w)
+        nf = rs_base.index[code[g.name]]
+        if nf and (g.src, g.dst, nf) in closure:
+            add_inverse(g.name, (g.src, g.dst, code[g.name]))
 
     # one fresh generator per distinct composite explicit denominator
-    composite_nfs: list[PathWord] = []
-    seen_nfs: set[PathWord] = set()
-    for w in c.denoms.explicit:
-        nf = normalize(rs_base, w)
-        if len(nf.letters) >= 2 and nf not in seen_nfs:
-            seen_nfs.add(nf)
-            composite_nfs.append(nf)
-    composite_nfs.sort(key=cat.word_sort_key)
-    for nf in composite_nfs:
+    composites = {nf for nf in map(rs_base.compose, map(rs_base.encode, c.denoms.explicit))
+                  if len(nf[2]) >= 2}
+    for word in sorted(composites, key=rs_base.sort_key):
+        nf = rs_base.decode(word)
         name = fresh_name("⟨" + "·".join(nf.letters) + "⟩", taken)
         fresh_defs[name] = nf
         fresh_gens.append(GenArrow(name, nf.src, nf.dst))
         fresh_relations.append(Relation(nf, PathWord(nf.src, nf.dst, (name,))))
-        add_inverse(name, nf)
+        add_inverse(name, word)
 
     ext = CatPresentation(
         objects=cat.objects,
         generators=cat.generators + tuple(fresh_gens) + tuple(inverse_gens),
         relations=cat.relations + tuple(fresh_relations) + tuple(invert_relations),
     )
-    seeded = _base_inverses(rs_base, inverted)
+    seeded = _base_inverses(rs_base, encoded)
     rs = complete(replace(ext, relations=ext.relations + seeded), rs_base.limits)
     rs = replace(rs, presentation=ext)
     cwd = CatWithDenoms(ext, DenomSet((), True, True))
@@ -191,48 +186,36 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
                              fresh_defs=fresh_defs, inverted=inverted)
 
 
-def loc_map(lc: LocalisedCategory, w: PathWord) -> GzMorphism:
-    """Image of a base word under the localisation functor, normalized."""
-    return normalize(lc.rs, w)
-
-
-def gz_identity(lc: LocalisedCategory, obj: str) -> GzMorphism:
-    return lc.presentation.identity(obj)
-
-
-def gz_compose(lc: LocalisedCategory, *morphisms: GzMorphism) -> GzMorphism:
-    return lc.rs.decode(lc.rs.compose(*map(lc.rs.encode, morphisms)))
-
-
-def gz_inverse(lc: LocalisedCategory, m: GzMorphism) -> GzMorphism | None:
-    """Shortlex-least two-sided inverse of ``m`` in the localisation."""
-    return find_inverse(lc.rs, normalize(lc.rs, m))
+def through(lc: LocalisedCategory, *functors: FunctorData):
+    """An encoded word sent through ``functors`` in turn, normalised in ``lc``."""
+    functor = reduce(FunctorData.then, functors)
+    omap, table, nf = functor.object_map, functor.translation, lc.rs.index.__getitem__
+    return lambda w: (omap[w[0]], omap[w[1]], nf(w[2].translate(table)))
 
 
 def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
-                           object_map: dict[str, str],
-                           base_values: dict[str, GzMorphism],
-                           fresh_value) -> FunctorData:
-    """The functor ``lc_src -> lc_tgt`` fixed by its values on the base.
+                           base: FunctorData, fresh_value) -> FunctorData:
+    """The functor ``lc_src -> lc_tgt`` that agrees with ``base`` on the base.
 
-    Base generators go to ``base_values``, each fresh generator to
-    ``fresh_value`` of the base word it names, and each inverse
+    ``base`` runs from the base of ``lc_src`` into ``lc_tgt``.  Base
+    generators go to their images under it, each fresh generator to
+    ``fresh_value`` of the encoded base word it names, and each inverse
     generator to the shortlex-least inverse of the image of what it
-    inverts.  The images must be normal forms of ``lc_tgt``.  The
-    caller validates the result.
+    inverts.  Images are encoded normal forms of ``lc_tgt``, decoded
+    once into the functor.  The caller validates the result.
     """
-    gen_map = dict(base_values)
+    p, image = base.source.cat, through(lc_tgt, base)
+    values = {g.name: image((g.src, g.dst, p.codec[0][g.name])) for g in p.generators}
     for name, base_word in lc_src.fresh_defs.items():
-        gen_map[name] = fresh_value(base_word)
+        values[name] = fresh_value(lc_src.rs.encode(base_word))
     for name, inv_name in lc_src.inv_of.items():
-        inverse = find_inverse(lc_tgt.rs, gen_map[name])
-        if inverse is None:
+        values[inv_name] = inverse(lc_tgt.rs, values[name])
+        if values[inv_name] is None:
             raise ConstructionError(
                 f"image of denominator {name!r} has no inverse in the target "
                 "localisation")
-        gen_map[inv_name] = inverse
-    return FunctorData(source=lc_src.cwd, target=lc_tgt.cwd,
-                       object_map=dict(object_map), gen_map=gen_map)
+    return FunctorData(source=lc_src.cwd, target=lc_tgt.cwd, object_map=dict(base.object_map),
+                       gen_map={name: lc_tgt.rs.decode(w) for name, w in values.items()})
 
 
 def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
@@ -243,13 +226,7 @@ def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
     ``f`` image (:func:`extend_to_localisation`), so the square with the
     localisation functors commutes on every generator by construction.
     """
-    def image(w: PathWord) -> GzMorphism:
-        return normalize(lc_tgt.rs, f.apply_word(w))
-
-    ind = extend_to_localisation(
-        lc_src, lc_tgt, f.object_map,
-        {g.name: loc_map(lc_tgt, f.gen_map[g.name]) for g in f.source.cat.generators},
-        image)
+    ind = extend_to_localisation(lc_src, lc_tgt, f, through(lc_tgt, f))
     problems = validate_functor(ind, lc_src.rs, lc_tgt.rs)
     if problems:
         raise ConstructionError(f"induced functor invalid: {problems[0]}")
@@ -290,7 +267,7 @@ class ZigzagView:
         return " · ".join(parts)
 
 
-def zigzag_view(lc: LocalisedCategory, m: GzMorphism) -> ZigzagView:
+def zigzag_view(lc: LocalisedCategory, m: PathWord) -> ZigzagView:
     """Split a localised morphism into its zigzag of base words.
 
     Fresh composite letters are expanded back to base letters, inverse

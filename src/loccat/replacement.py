@@ -74,7 +74,7 @@ def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem,
     for x in f.source.cat.objects:
         fx = f.object_map[x]
         for q in dec.denominators_between(fx, y):
-            out.append(SReplacement(target=y, source=x, q=q))
+            out.append(SReplacement(target=y, source=x, q=rs_tgt.decode((fx, y, q))))
     return tuple(out)
 
 
@@ -121,6 +121,7 @@ class ReplacementCategory:
     lifted_underlying: dict[str, PathWord] = field(init=False)
     lift_meta: dict[str, tuple] = field(init=False)
     underlying: dict[int, str] = field(init=False)
+    codes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         tgt_cat = self.functor.target.cat
@@ -132,10 +133,12 @@ class ReplacementCategory:
                        taken_objs)
             for t in triples)
         self._obj_pos = {name: idx for idx, name in enumerate(names)}
-        self._triple_pos: dict[SReplacement, int] = {}
+        # each triple's q encoded once; positions are keyed by that code
+        self.codes = tuple(self.rs_tgt.encode(t.q)[2] for t in triples)
+        self._triple_pos: dict[tuple[str, str, str], int] = {}
         over: dict[str, list[int]] = {}
-        for idx, t in enumerate(triples):
-            self._triple_pos.setdefault(t, idx)
+        for idx, (t, q) in enumerate(zip(triples, self.codes)):
+            self._triple_pos.setdefault((t.target, t.source, q), idx)
             over.setdefault(t.target, []).append(idx)
         self._by_target = over = {y: tuple(idxs) for y, idxs in over.items()}
         self._canonical = {y: idxs[0] for y, idxs in over.items()}
@@ -216,10 +219,18 @@ class ReplacementCategory:
 
     def index_of(self, rep: SReplacement) -> int:
         """Position of ``rep`` among the triples; ``ValueError`` if absent."""
-        idx = self._triple_pos.get(rep)
-        if idx is None:
+        try:
+            idx = self.position(rep.target, rep.source, self.rs_tgt.encode(rep.q)[2])
+        except KeyError:  # a letter the target does not have
+            idx = None
+        # a code carries q's letters, not its endpoints
+        if idx is None or self.triples[idx] != rep:
             raise ValueError(f"{rep!r} is not a replacement triple")
         return idx
+
+    def position(self, y: str, x: str, q: str) -> int | None:
+        """Position of the triple ``(y, x, q)``, ``q`` encoded, or None."""
+        return self._triple_pos.get((y, x, q))
 
     def object_index(self, name: str) -> int:
         """Position of the object named ``name`` among the triples."""

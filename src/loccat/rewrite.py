@@ -19,8 +19,12 @@ encoded words exactly as shortlex orders their letters.  A morphism is
 its endpoints and its code, ``(src, dst, code)``: the normal-form,
 hom-set and denominator tables hold codes, a functor maps codes with one
 ``str.translate`` (``FunctorData.translation``), and completion decodes
-only its final rules.  A :class:`PathWord` is built only for reports,
-witnesses and the public API.
+only its final rules.  Inside the package every query runs on codes
+(:func:`words`, :func:`inverse`, :meth:`RewriteSystem.compose`,
+``index`` and a decider's ``closure``); :func:`normalize`,
+:func:`equal`, :func:`homset`, :func:`find_inverse`, ``is_denominator``
+and ``materialized`` are each one encode or decode around them, for
+reports, witnesses and the public API.
 
 Hom-sets are listed without rewriting.  A prefix of an irreducible word
 is irreducible (Book and Otto, *String-Rewriting Systems*, 1993), so one
@@ -241,9 +245,9 @@ class RewriteSystem:
     its rules the system carries its matcher ``index``, also its one
     normal-form table (``index[s]``), and the tables its queries fill:
     the encoded hom-sets out of each object by target (the one hom-set
-    table), those :func:`homset` decoded, and the denominator decider
-    per denominator set (see :func:`denominators`).  None of them takes
-    part in equality, hashing or ``repr``.
+    table, see :func:`words`) and the denominator decider per
+    denominator set (see :func:`denominators`).  None of them takes part
+    in equality, hashing or ``repr``.
     """
 
     presentation: CatPresentation
@@ -252,13 +256,12 @@ class RewriteSystem:
     limits: ResourceLimits = DEFAULT_LIMITS
     index: RuleIndex = field(init=False, repr=False, compare=False)
     _reachable: dict = field(init=False, repr=False, compare=False)
-    _homsets: dict = field(init=False, repr=False, compare=False)
     _deciders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "index", RuleIndex(
             (self.encode(r.lhs)[2], self.encode(r.rhs)[2]) for r in self.rules))
-        for table in ("_reachable", "_homsets", "_deciders"):
+        for table in ("_reachable", "_deciders"):
             object.__setattr__(self, table, {})
 
     @property
@@ -282,6 +285,12 @@ class RewriteSystem:
                 raise ValidationError(f"words do not compose: {a[1]!r} != {b[0]!r}")
             code += b[2]
         return words[0][0], words[-1][1], self.index[code]
+
+    def sort_key(self, word: tuple[str, str, str]) -> tuple:
+        """``CatPresentation.word_sort_key`` of an encoded word: codes
+        ascend in declaration order, so the two orders agree."""
+        obj = self.presentation.obj_index
+        return obj[word[0]], obj[word[1]], len(word[2]), word[2]
 
 
 def normalize(rs: RewriteSystem, w: PathWord) -> PathWord:
@@ -484,19 +493,23 @@ def words(rs: RewriteSystem, x: str, y: str) -> tuple[str, ...]:
 
 def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
     """All morphisms ``x -> y`` as normal forms, in shortlex order."""
-    found = rs._homsets.get((x, y))
-    if found is None:
-        found = rs._homsets[(x, y)] = tuple(rs.decode((x, y, s)) for s in words(rs, x, y))
-    return found
+    return tuple(rs.decode((x, y, s)) for s in words(rs, x, y))
+
+
+def inverse(rs: RewriteSystem, word: tuple[str, str, str]) -> tuple[str, str, str] | None:
+    """Shortlex-least two-sided inverse of the encoded ``word``, encoded, or None."""
+    src, dst, s = word
+    nf = rs.index.__getitem__
+    for v in words(rs, dst, src):
+        if not nf(s + v) and not nf(v + s):
+            return dst, src, v
+    return None
 
 
 def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:
     """Shortlex-least two-sided inverse of ``w``, or None."""
-    s, nf = rs.encode(w)[2], rs.index.__getitem__
-    for v in words(rs, w.dst, w.src):
-        if not nf(s + v) and not nf(v + s):
-            return rs.decode((w.dst, w.src, v))
-    return None
+    v = inverse(rs, rs.encode(w))
+    return None if v is None else rs.decode(v)
 
 
 class DenomDecider:
@@ -505,9 +518,10 @@ class DenomDecider:
     The explicit words are normalized, identities are added when the
     flag says so, and the composition flag saturates the set under
     binary composition up to the resource bounds, as encoded normal forms
-    ``(src, dst, code)`` in ``closure``.  Membership of an arbitrary word
-    is then a normal form lookup.  :func:`denominators` builds one per
-    system and keeps it.
+    ``(src, dst, code)`` in ``closure``, kept in
+    :meth:`RewriteSystem.sort_key` order.  Membership of an arbitrary
+    word is then a normal form lookup.  :func:`denominators` builds one
+    per system and keeps it.
     """
 
     def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
@@ -539,25 +553,25 @@ class DenomDecider:
                         "max_homset", "denominator closure larger than the bound")
                 closure |= fresh
                 frontier = fresh
-        self.closure = frozenset(closure)
-        self._between: dict[tuple[str, str], tuple[PathWord, ...]] = {}
+        # a dict as an ordered set: ``sort_key`` order, membership in O(1)
+        self.closure = dict.fromkeys(sorted(closure, key=rs.sort_key))
+        self._between: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def is_denominator(self, w: PathWord) -> bool:
-        return (w.src, w.dst, self.rs.index[self.rs.encode(w)[2]]) in self.closure
+        return self.rs.compose(self.rs.encode(w)) in self.closure
 
     @property
     def materialized(self) -> tuple[PathWord, ...]:
         """The denominator normal forms, globally sorted."""
-        return tuple(sorted(map(self.rs.decode, self.closure),
-                            key=self.cwd.cat.word_sort_key))
+        return tuple(map(self.rs.decode, self.closure))
 
-    def denominators_between(self, x: str, y: str) -> tuple[PathWord, ...]:
-        """Denominators ``x -> y`` among the enumerated hom-set."""
+    def denominators_between(self, x: str, y: str) -> tuple[str, ...]:
+        """The codes of the denominators ``x -> y`` among the enumerated
+        hom-set, in shortlex order."""
         between = self._between.get((x, y))
         if between is None:
             between = self._between[(x, y)] = tuple(
-                self.rs.decode((x, y, s)) for s in words(self.rs, x, y)
-                if (x, y, s) in self.closure)
+                s for s in words(self.rs, x, y) if (x, y, s) in self.closure)
         return between
 
 

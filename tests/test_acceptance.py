@@ -16,9 +16,8 @@ from loccat import (DEFAULT_LIMITS, DenomDecider, auto_choice,
                     build_replacement_category, check_s_dense,
                     check_s_equivalence, check_s_faithful, check_s_full,
                     choice_independence, classical_equivalence,
-                    enumerate_s_two_arrows, equal, forgetful, gz_compose,
-                    gz_identity, gz_inverse, has_enough, homset,
-                    induced_functor, load_choice, loc_map, normalize,
+                    enumerate_s_two_arrows, equal, find_inverse, forgetful,
+                    has_enough, homset, induced_functor, load_choice, normalize,
                     prepare, solve_fill, structure_choice_functor,
                     verify_approximation)
 from loccat.cli import main
@@ -59,13 +58,13 @@ def test_criterion_02_localisation_invariants():
         assert lc.presentation.objects == c.cat.objects, name
         dec = DenomDecider(c, corpus.rs(name))
         for w in dec.materialized:
-            image = loc_map(lc, w)
-            inv = gz_inverse(lc, image)
+            image = normalize(lc.rs, w)
+            inv = find_inverse(lc.rs, image)
             assert inv is not None, (name, w)
-            assert normalize(lc.rs, gz_compose(lc, image, inv)) == \
-                gz_identity(lc, w.src)
-            assert normalize(lc.rs, gz_compose(lc, inv, image)) == \
-                gz_identity(lc, w.dst)
+            assert normalize(lc.rs, normalize(
+                lc.rs, lc.presentation.concat(image, inv))) == lc.presentation.identity(w.src)
+            assert normalize(lc.rs, normalize(
+                lc.rs, lc.presentation.concat(inv, image))) == lc.presentation.identity(w.dst)
     base, loc = corpus.rs("E1"), corpus.lc("E1")
     for x in corpus.cat("E1").cat.objects:
         for y in corpus.cat("E1").cat.objects:
@@ -81,8 +80,8 @@ def test_criterion_03_induced_functor_square_on_all_generators():
         ind = induced_functor(s.f, s.lc_src, s.lc_tgt)
         for g in s.f.source.cat.generators:
             w = s.f.source.cat.word([g.name])
-            via_src = ind.apply_word(loc_map(s.lc_src, w))
-            via_tgt = loc_map(s.lc_tgt, s.f.apply_word(w))
+            via_src = ind.apply_word(normalize(s.lc_src.rs, w))
+            via_tgt = normalize(s.lc_tgt.rs, s.f.apply_word(w))
             assert equal(s.lc_tgt.rs, via_src, via_tgt), (name, g.name)
 
 

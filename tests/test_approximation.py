@@ -18,8 +18,8 @@ from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     build_replacement_category, check_s_equivalence,
                     check_s_full,
                     choice_independence, complete, homset,
-                    induced_replacement_functor, load_choice, loc_map,
-                    localise, normalize, prepare, replacement_functor,
+                    induced_replacement_functor, load_choice, localise,
+                    normalize, prepare, replacement_functor,
                     total_replacement_functor, total_value,
                     verify_approximation)
 from loccat import approximation, equivalence
@@ -218,12 +218,12 @@ class TestFunctorChecks:
         def checks(value):
             functor = FunctorData(
                 source=c, target=lc.cwd, object_map={"o": "o"},
-                gen_map={g: loc_map(lc, word(g)) for g in "ab"})
+                gen_map={g: normalize(lc.rs, word(g)) for g in "ab"})
             return approximation._functor_checks(functor, lc, rs, value)
 
         # values take and give encoded words (src, dst, code)
         def right(w):
-            return lc.rs.encode(loc_map(lc, rs.decode(w)))
+            return lc.rs.encode(normalize(lc.rs, rs.decode(w)))
 
         def wrong(w):
             return ("o", "o", "") if w == rs.encode(shared) else right(w)

@@ -5,11 +5,12 @@ from dataclasses import asdict
 import pytest
 
 import corpus
-from loccat import (DEFAULT_LIMITS, ResourceLimits,
+from loccat import (DEFAULT_LIMITS, ResourceLimits, RewriteSystem,
                     check_s_dense, check_s_equivalence, check_s_faithful,
                     check_s_full, classical_equivalence,
                     enumerate_s_two_arrows, prepare, solve_fill)
 from loccat import equivalence
+from test_approximation import ladder
 
 
 class TestSDense:
@@ -63,8 +64,8 @@ class TestSFaithful:
 class TestFills:
     def test_two_arrow_enumeration_is_deterministic(self):
         s = corpus.setting("E7")
-        first = [a.to_json() for a in enumerate_s_two_arrows(s)]
-        second = [a.to_json() for a in enumerate_s_two_arrows(s)]
+        first = list(enumerate_s_two_arrows(s))
+        second = list(enumerate_s_two_arrows(s))
         assert first == second
 
     def test_every_e2_arrow_has_exactly_one_fill(self):
@@ -73,6 +74,23 @@ class TestFills:
         assert arrows
         for arrow in arrows:
             assert len(solve_fill(s, arrow)) == 1
+
+    @pytest.mark.parametrize("name,decodes", [("L4", 0), ("E3", 4)])
+    def test_survey_decodes_only_witnesses(self, monkeypatch, name, decodes):
+        # the survey runs on codes: E3's distinct-fills witness decodes
+        # its arrow's g and b and its two fills, L4 has no witness
+        setting = prepare(ladder(4) if name == "L4" else corpus.fun(name), DEFAULT_LIMITS)
+        calls = []
+        decode = RewriteSystem.decode
+
+        def counted(rs, word):
+            calls.append(word)
+            return decode(rs, word)
+
+        monkeypatch.setattr(RewriteSystem, "decode", counted)
+        no_fill, ambiguous, _ = setting.fill_survey()
+        assert no_fill is None and (ambiguous is None) == (name == "L4")
+        assert len(calls) == decodes
 
     def test_e3_collapsed_arrow_has_two_fills(self):
         s = corpus.setting("E3")

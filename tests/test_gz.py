@@ -2,9 +2,8 @@
 
 import corpus
 from loccat import (COMPLETE, CatPresentation, CatWithDenoms, DenomDecider,
-                    DenomSet, GenArrow, PathWord, complete, equal, gz_compose,
-                    gz_identity, gz_inverse, homset, induced_functor, loc_map,
-                    localise, normalize)
+                    DenomSet, GenArrow, PathWord, complete, equal, find_inverse,
+                    homset, induced_functor, localise, normalize)
 from loccat.gz import zigzag_view
 
 # Localised hom-set cardinalities frozen from the brute-force oracle
@@ -36,13 +35,15 @@ class TestLocalise:
             lc = corpus.lc(name)
             dec = DenomDecider(c, corpus.rs(name))
             for w in dec.materialized:
-                image = loc_map(lc, w)
-                inv = gz_inverse(lc, image)
+                image = normalize(lc.rs, w)
+                inv = find_inverse(lc.rs, image)
                 assert inv is not None, (name, w)
-                ident_src = gz_identity(lc, w.src)
-                ident_dst = gz_identity(lc, w.dst)
-                assert normalize(lc.rs, gz_compose(lc, image, inv)) == ident_src
-                assert normalize(lc.rs, gz_compose(lc, inv, image)) == ident_dst
+                ident_src = lc.presentation.identity(w.src)
+                ident_dst = lc.presentation.identity(w.dst)
+                assert normalize(lc.rs, normalize(
+                    lc.rs, lc.presentation.concat(image, inv))) == ident_src
+                assert normalize(lc.rs, normalize(
+                    lc.rs, lc.presentation.concat(inv, image))) == ident_dst
 
     def test_identity_denominators_add_nothing(self):
         # E1 has only identity denominators, so localising is a no-op
@@ -90,15 +91,15 @@ class TestLocalise:
         assert names == ["h_top", "v_left", "v_left2", "v_right", "h_bot",
                          "s", "v_left^-1", "v_left2^-1", "v_right^-1", "s^-1"]
         # yet the composite is invertible in the localisation
-        w = loc_map(lc, corpus.cat("E7bD").cat.word(["v_left", "s"]))
-        assert gz_inverse(lc, w) is not None
+        w = normalize(lc.rs, corpus.cat("E7bD").cat.word(["v_left", "s"]))
+        assert find_inverse(lc.rs, w) is not None
 
     def test_parallel_denominators_identified(self):
         # v_left.s = v_left2.s with s invertible forces loc equality
         lc = corpus.lc("E7bD")
         c = corpus.cat("E7bD").cat
-        assert equal(lc.rs, loc_map(lc, c.word(["v_left"])),
-                     loc_map(lc, c.word(["v_left2"])))
+        assert equal(lc.rs, normalize(lc.rs, c.word(["v_left"])),
+                     normalize(lc.rs, c.word(["v_left2"])))
         # but they stay distinct in the base category
         assert not equal(corpus.rs("E7bD"), c.word(["v_left"]),
                          c.word(["v_left2"]))
@@ -118,23 +119,24 @@ class TestLocalise:
         e_inv_d = lc.presentation.word(["e", "⟨d·e⟩^-1", "d"])
         nf = normalize(lc.rs, e_inv_d)
         assert nf == e_inv_d
-        sq = gz_compose(lc, e_inv_d, e_inv_d)
+        sq = normalize(lc.rs, lc.presentation.concat(e_inv_d, e_inv_d))
         assert normalize(lc.rs, sq) == nf
-        assert nf != gz_identity(lc, "b")
+        assert nf != lc.presentation.identity("b")
 
 
 class TestGzOperations:
     def test_compose_and_identity(self):
         lc = corpus.lc("E2")
-        d = loc_map(lc, corpus.cat("E2").cat.word(["d"]))
-        assert gz_compose(lc, gz_identity(lc, "a"), d) == d
-        round_trip = gz_compose(lc, d, gz_inverse(lc, d))
-        assert normalize(lc.rs, round_trip) == gz_identity(lc, "a")
+        d = normalize(lc.rs, corpus.cat("E2").cat.word(["d"]))
+        assert normalize(lc.rs, lc.presentation.concat(
+            lc.presentation.identity("a"), d)) == d
+        round_trip = normalize(lc.rs, lc.presentation.concat(d, find_inverse(lc.rs, d)))
+        assert normalize(lc.rs, round_trip) == lc.presentation.identity("a")
 
     def test_inverse_of_non_invertible_is_none(self):
         lc = corpus.lc("E3C")
-        f1 = loc_map(lc, corpus.cat("E3C").cat.word(["f1"]))
-        assert gz_inverse(lc, f1) is None
+        f1 = normalize(lc.rs, corpus.cat("E3C").cat.word(["f1"]))
+        assert find_inverse(lc.rs, f1) is None
 
 
 class TestInducedFunctor:
@@ -145,8 +147,8 @@ class TestInducedFunctor:
             ind = induced_functor(f, s.lc_src, s.lc_tgt)
             for g in f.source.cat.generators:
                 via_src = ind.apply_word(
-                    loc_map(s.lc_src, f.source.cat.word([g.name])))
-                via_tgt = loc_map(s.lc_tgt, f.apply_word(
+                    normalize(s.lc_src.rs, f.source.cat.word([g.name])))
+                via_tgt = normalize(s.lc_tgt.rs, f.apply_word(
                     f.source.cat.word([g.name])))
                 assert equal(s.lc_tgt.rs, via_src, via_tgt), (name, g.name)
 
@@ -161,7 +163,7 @@ class TestInducedFunctor:
 class TestZigzag:
     def test_plain_word_is_single_segment(self):
         lc = corpus.lc("E7D")
-        w = loc_map(lc, corpus.cat("E7D").cat.word(["h_top", "v_right"]))
+        w = normalize(lc.rs, corpus.cat("E7D").cat.word(["h_top", "v_right"]))
         zv = zigzag_view(lc, w)
         assert zv.render() == "h_top·v_right"
 
@@ -214,7 +216,7 @@ class TestZigzag:
 
     def test_identity_renders_as_identity(self):
         lc = corpus.lc("E5")
-        zv = zigzag_view(lc, gz_identity(lc, "•"))
+        zv = zigzag_view(lc, lc.presentation.identity("•"))
         assert zv.render() == "1_•"
 
     def test_segment_endpoints_chain(self):

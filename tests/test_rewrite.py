@@ -629,9 +629,23 @@ class TestDenomDecider:
 
     def test_denominators_between(self):
         c = corpus.cat("E7bD")
-        dec = DenomDecider(c, corpus.rs("E7bD"))
-        between = dec.denominators_between("tl", "bl")
+        rs = corpus.rs("E7bD")
+        dec = DenomDecider(c, rs)
+        between = [rs.decode(("tl", "bl", s)) for s in dec.denominators_between("tl", "bl")]
         assert [w.letters for w in between] == [("v_left",), ("v_left2",)]
+
+    @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "L4", "D6"])
+    def test_closure_kept_in_word_order(self, name):
+        # the codes are kept once, in word_sort_key order; the first
+        # witnesses of check multiplicative, validate and localise follow it
+        c = {"L4": ladder(4).target, "D6": dihedral_denoms(6)}.get(name) \
+            or corpus.cat(name)
+        rs = complete(c.cat)
+        lc = localise(c, rs)
+        for cwd, system in ((c, rs), (lc.cwd, lc.rs)):
+            closure = DenomDecider(cwd, system).closure
+            assert list(map(system.decode, closure)) == \
+                sorted(map(system.decode, closure), key=cwd.cat.word_sort_key)
 
 
 class TestDeciderTable:
@@ -708,7 +722,7 @@ class TestSystemTables:
         rs = complete(p, DEFAULT_LIMITS)
         words = homset(rs, "tl", "bl")
         assert words == homset(complete(p, DEFAULT_LIMITS), "tl", "bl")
-        assert homset(rs, "tl", "bl") is words
+        assert rewrite.words(rs, "tl", "bl") is rewrite.words(rs, "tl", "bl")
         # the same rules, but each system answers under its own limits
         assert tight.rules == rs.rules and tight != rs
         with pytest.raises(LimitExceeded):
