@@ -67,7 +67,6 @@ from .replacement import (
     build_replacement_category,
     canonical_lift,
     find_s_replacements,
-    forgetful,
     has_all_trivial,
     has_enough,
     structure_choice_functor,

@@ -16,7 +16,8 @@ explicit comparison transformations:
 
 ``verify_approximation`` recomputes every component, inverts it, and
 checks every naturality square and compatibility stated above on the
-generators of the relevant presentations.
+generators of the relevant presentations.  Each function takes the
+setting alone; its values are keyed by positions in ``setting.rc``.
 """
 
 from __future__ import annotations
@@ -45,15 +46,13 @@ from .presentation import (
     FunctorData,
     PathWord,
     PreconditionError,
+    ValidationError,
 )
 from .replacement import (
-    ReplacementCategory,
     ReplacementChoice,
     SReplacement,
     auto_choice,
-    build_replacement_category,
     canonical_lift,
-    forgetful,
     has_enough,
     positions,
     structure_choice_functor,
@@ -71,25 +70,27 @@ from .rewrite import (
 )
 
 
-def total_value(setting: GzSetting, rc: ReplacementCategory,
-                i: int, j: int, w: PathWord) -> PathWord:
+def total_value(setting: GzSetting, i: int, j: int, w: PathWord) -> PathWord:
     """The unique fill giving the value of the total functor on ``w``.
 
     ``w`` is a target-category word from the object under triple ``i``
-    to the one under triple ``j``; the value solves
+    of ``setting.rc`` to the one under triple ``j``; the value solves
     ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.  See :func:`_value`.
     """
-    setting.f.target.cat.concat(rc.triples[i].q, w)  # raises unless w starts where q_i ends
-    return setting.lc_src.rs.decode(_value(setting, rc, i, j, setting.rs_tgt.encode(w)[2]))
+    triples = setting.rc.triples
+    if (w.src, w.dst) != (triples[i].target, triples[j].target):
+        raise ValidationError(f"word from {w.src!r} to {w.dst!r} does not run "
+                              f"between the objects under triples {i} and {j}")
+    return setting.lc_src.rs.decode(_value(setting, i, j, setting.rs_tgt.encode(w)[2]))
 
 
-def _value(setting: GzSetting, rc: ReplacementCategory,
-           i: int, j: int, s: str) -> tuple[str, str, str]:
+def _value(setting: GzSetting, i: int, j: int, s: str) -> tuple[str, str, str]:
     """:func:`total_value` of the target word encoded ``s``, encoded; found
     once per setting and ``(i, j, s)``, later calls read the setting's table."""
     key = (i, j, s)
     value = setting._total_values.get(key)
     if value is None:
+        rc = setting.rc
         ti, tj, q = rc.triples[i], rc.triples[j], rc.codes
         g = setting.rs_tgt.index[q[i] + s]
         fills = solve_fill(setting, (ti.source, tj.source, tj.target, g, q[j]))
@@ -100,11 +101,11 @@ def _value(setting: GzSetting, rc: ReplacementCategory,
     return value
 
 
-def _value_of(setting: GzSetting, rc: ReplacementCategory, at, under: dict, w: tuple):
+def _value_of(setting: GzSetting, at, under: dict, w: tuple):
     """:func:`_value` of the encoded word ``w`` between the triples ``at(src)``
     and ``at(dst)``; ``under`` maps its letters to target codes, or is ``{}``."""
     s = setting.rs_tgt.index[w[2].translate(under)]
-    return _value(setting, rc, at(w[0]), at(w[1]), s)
+    return _value(setting, at(w[0]), at(w[1]), s)
 
 
 def _generators(p: CatPresentation) -> list[tuple[str, str, str]]:
@@ -112,10 +113,10 @@ def _generators(p: CatPresentation) -> list[tuple[str, str, str]]:
     return [(g.src, g.dst, p.codec[0][g.name]) for g in p.generators]
 
 
-def _loc_q(lc: LocalisedCategory, rc: ReplacementCategory, i: int) -> tuple:
-    """The denominator ``q`` of triple ``i``, encoded and normalised in ``lc``."""
-    t = rc.triples[i]
-    return lc.rs.compose((t.q.src, t.target, rc.codes[i]))
+def _loc_q(setting: GzSetting, i: int) -> tuple:
+    """The denominator ``q`` of triple ``i`` of ``setting.rc``, normalised in ``lc_tgt``."""
+    t, code = setting.rc.triples[i], setting.rc.codes[i]
+    return setting.lc_tgt.rs.compose((t.q.src, t.target, code))
 
 
 def _require_fills(setting: GzSetting) -> int:
@@ -204,8 +205,7 @@ def _squares(lc: LocalisedCategory, ws, frm, comps: dict[str, tuple],
     return len(commute), all(commute)
 
 
-def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
-                              ) -> tuple[FunctorData, dict]:
+def total_replacement_functor(setting: GzSetting) -> tuple[FunctorData, dict]:
     """The fill-valued functor on the replacement category, verified.
 
     It is a functor into the localised source; a lifted generator goes
@@ -216,19 +216,19 @@ def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
     materialized word, and functoriality on every composable pair of
     materialized words.
     """
-    arrows = _require_fills(setting)
+    arrows, rc = _require_fills(setting), setting.rc
     functor = FunctorData(
         source=rc.cwd, target=setting.lc_src.cwd,
         object_map={name: t.source for name, t in zip(rc.obj_names, rc.triples)},
-        gen_map={name: total_value(setting, rc, i, j, rc.lifted_underlying[name])
+        gen_map={name: total_value(setting, i, j, rc.forgetful.gen_map[name])
                  for name, (_, i, j) in rc.lift_meta.items()})
 
-    identities_ok = not any([_value(setting, rc, i, i, "")[2]
+    identities_ok = not any([_value(setting, i, i, "")[2]
                              for i in range(len(rc.triples))])
 
     checked, agreement_ok, pairs, functorial_ok = _functor_checks(
         functor, setting.lc_src, rc.rs,
-        partial(_value_of, setting, rc, rc.object_index, rc.underlying))
+        partial(_value_of, setting, rc.object_index, rc.forgetful.translation))
     report = {
         "arrows_surveyed": arrows,
         "fill_cardinality_one": True,
@@ -242,14 +242,14 @@ def total_replacement_functor(setting: GzSetting, rc: ReplacementCategory
     return functor, report
 
 
-def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
+def verify_shortening(setting: GzSetting) -> dict:
     """Shortening invariance of the fills.
 
     Whenever ``g . e' = e . g~`` with ``e, e'`` denominators, the value
     between ``(X, q), (X', q')`` at ``g`` equals the value between the
     lengthened triples ``(X, q.e), (X', q'.e')`` at ``g~``.
     """
-    dec, rs = setting.dec_tgt, setting.rs_tgt
+    dec, rs, rc = setting.dec_tgt, setting.rs_tgt, setting.rc
 
     def lengthened(y: str, y_bar: str, e: str):
         """Positions of each triple ``(X, q)`` and of its lengthening ``(X, q.e)``."""
@@ -272,8 +272,8 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
                 if not equal_encoded(rs, g + e2, e + gt):
                     continue
                 for (i, i2), (j, j2) in product(e_long, e2_long):
-                    a = _value(setting, rc, i, j, g)
-                    b = _value(setting, rc, i2, j2, gt)
+                    a = _value(setting, i, j, g)
+                    b = _value(setting, i2, j2, gt)
                     quadruples += 1
                     if a != b and mismatch is None:
                         mismatch = {"g": word_json(rs.decode((y, y2, g))),
@@ -286,14 +286,14 @@ def verify_shortening(setting: GzSetting, rc: ReplacementCategory) -> dict:
     return out
 
 
-def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> dict:
+def verify_denominator_values(setting: GzSetting) -> dict:
     """Values of lifted denominators must be invertible in the localisation.
 
     This is the one step that uses closure of the target denominators
     under composition.
     """
-    failure, rs = None, setting.lc_src.rs
-    lifted = partial(_value_of, setting, rc, rc.object_index, rc.underlying)
+    failure, rs, rc = None, setting.lc_src.rs, setting.rc
+    lifted = partial(_value_of, setting, rc.object_index, rc.forgetful.translation)
     closure = denominators(rc.cwd, rc.rs).closure
     for w in closure:
         value = lifted(w)
@@ -306,8 +306,7 @@ def verify_denominator_values(setting: GzSetting, rc: ReplacementCategory) -> di
     return out
 
 
-def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
-                        choice: ReplacementChoice
+def replacement_functor(setting: GzSetting, choice: ReplacementChoice
                         ) -> tuple[FunctorData, dict]:
     """The choice-dependent functor on the target category, verified.
 
@@ -318,22 +317,22 @@ def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     values, and that all comparison fills between coexisting triples
     are mutually inverse isomorphisms.
     """
-    tgt_cat, lc_src, rs = setting.f.target.cat, setting.lc_src, setting.rs_tgt
+    tgt_cat, lc_src, rs, rc = setting.f.target.cat, setting.lc_src, setting.rs_tgt, setting.rc
     chosen = positions(rc, choice)
     functor = FunctorData(
         source=setting.f.target, target=lc_src.cwd,
         object_map={y: rc.triples[chosen[y]].source for y in tgt_cat.objects},
-        gen_map={g.name: total_value(setting, rc, chosen[g.src], chosen[g.dst],
+        gen_map={g.name: total_value(setting, chosen[g.src], chosen[g.dst],
                                      tgt_cat.word([g.name]))
                  for g in tgt_cat.generators})
-    direct = partial(_value_of, setting, rc, chosen.__getitem__, {})
+    direct = partial(_value_of, setting, chosen.__getitem__, {})
 
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
         functor, lc_src, rs, direct)
     denom_isos = [inverse(lc_src.rs, direct(w)) is not None for w in setting.dec_tgt.closure]
     comparisons = [
-        _mutually_inverse(lc_src, _value(setting, rc, chosen[y], t, ""),
-                          _value(setting, rc, t, chosen[y], ""))
+        _mutually_inverse(lc_src, _value(setting, chosen[y], t, ""),
+                          _value(setting, t, chosen[y], ""))
         for y in tgt_cat.objects for t in rc.triples_over(y)]
     report = {
         "letterwise_agreement_ok": agreement_ok,
@@ -348,17 +347,16 @@ def replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     return functor, report
 
 
-def choice_independence(setting: GzSetting, rc: ReplacementCategory,
-                        first: ReplacementChoice, second: ReplacementChoice
-                        ) -> dict:
+def choice_independence(setting: GzSetting, first: ReplacementChoice,
+                        second: ReplacementChoice) -> dict:
     """The two choice functors are isomorphic via unit-indexed fills."""
     tgt_cat, lc_src = setting.f.target.cat, setting.lc_src
-    idx1, idx2 = positions(rc, first), positions(rc, second)
+    idx1, idx2 = positions(setting.rc, first), positions(setting.rc, second)
     fwds: dict[str, tuple] = {}
     components = []
     for y in tgt_cat.objects:
-        fwd = fwds[y] = _value(setting, rc, idx1[y], idx2[y], "")
-        bwd = _value(setting, rc, idx2[y], idx1[y], "")
+        fwd = fwds[y] = _value(setting, idx1[y], idx2[y], "")
+        bwd = _value(setting, idx2[y], idx1[y], "")
         components.append({"object": y,
                            "component": word_json(lc_src.rs.decode(fwd)),
                            "inverse": word_json(lc_src.rs.decode(bwd)),
@@ -366,15 +364,14 @@ def choice_independence(setting: GzSetting, rc: ReplacementCategory,
     iso_ok = all(row["invertible"] for row in components)
     squares, naturality_ok = _squares(
         lc_src, _generators(tgt_cat),
-        lambda w: _value(setting, rc, idx1[w[0]], idx1[w[1]], w[2]),
-        fwds, lambda w: _value(setting, rc, idx2[w[0]], idx2[w[1]], w[2]))
+        lambda w: _value(setting, idx1[w[0]], idx1[w[1]], w[2]),
+        fwds, lambda w: _value(setting, idx2[w[0]], idx2[w[1]], w[2]))
     return {"components": components, "isomorphism_ok": iso_ok,
             "squares_checked": squares, "naturality_ok": naturality_ok,
             "ok": iso_ok and naturality_ok}
 
 
-def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
-                                choice: ReplacementChoice,
+def induced_replacement_functor(setting: GzSetting, choice: ReplacementChoice,
                                 r_choice: FunctorData
                                 ) -> tuple[FunctorData, dict]:
     """The functor on the localised target induced by the choice functor.
@@ -385,8 +382,8 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     localised morphism ``psi``.
     """
     lc_tgt, lc_src, gz_f = setting.lc_tgt, setting.lc_src, setting.gz_f
-    tgt_cat, chosen = setting.f.target.cat, positions(rc, choice)
-    direct = partial(_value_of, setting, rc, chosen.__getitem__, {})
+    tgt_cat, chosen = setting.f.target.cat, positions(setting.rc, choice)
+    direct = partial(_value_of, setting, chosen.__getitem__, {})
     functor = extend_to_localisation(lc_tgt, lc_src, r_choice, direct)
     problems = validate_functor(functor, lc_tgt.rs, lc_src.rs)
     if problems:
@@ -405,7 +402,7 @@ def induced_replacement_functor(setting: GzSetting, rc: ReplacementCategory,
     checked, description_ok = _squares(
         lc_tgt, ((y, y2, psi) for y in objects for y2 in objects
                  for psi in words(lc_tgt.rs, y, y2)),
-        then_gz_f, {y: _loc_q(lc_tgt, rc, chosen[y]) for y in objects})
+        then_gz_f, {y: _loc_q(setting, chosen[y]) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
               "description_pairs_checked": checked,
               "description_ok": description_ok,
@@ -460,7 +457,7 @@ def verify_approximation(f: FunctorData,
                                 witness=enough_wit)
     arrows = _require_fills(setting)
 
-    rc = build_replacement_category(f, setting.rs_tgt)
+    rc = setting.rc
     chosen_choice = auto_choice(rc) if choice is None else choice
     chosen_idx = positions(rc, chosen_choice)
 
@@ -477,14 +474,14 @@ def verify_approximation(f: FunctorData,
         pre["experimental_no_mult"] = True
     sections.append(pre)
 
-    total, total_report = total_replacement_functor(setting, rc)
+    total, total_report = total_replacement_functor(setting)
     sections.append({"name": "total_functor", **total_report})
-    sections.append({"name": "shortening", **verify_shortening(setting, rc)})
+    sections.append({"name": "shortening", **verify_shortening(setting)})
     sections.append({"name": "denominator_values",
-                     **verify_denominator_values(setting, rc)})
+                     **verify_denominator_values(setting)})
 
     c_r, abar = structure_choice_functor(rc, chosen_choice)
-    u = forgetful(rc)
+    u = rc.forgetful
     u_problems = validate_functor(u, rc.rs, setting.rs_tgt)
     u_reflects, _ = check_reflects_denominators(u, rc.rs, setting.rs_tgt)
     sections.append({
@@ -499,11 +496,11 @@ def verify_approximation(f: FunctorData,
         "comparison_natural": True,
         "ok": not u_problems and u_reflects})
 
-    r_choice, r_report = replacement_functor(setting, rc, chosen_choice)
+    r_choice, r_report = replacement_functor(setting, chosen_choice)
     sections.append({"name": "choice_functor", **r_report})
 
     induced, induced_report = induced_replacement_functor(
-        setting, rc, chosen_choice, r_choice)
+        setting, chosen_choice, r_choice)
     sections.append({"name": "induced_functor", **induced_report})
 
     # the canonical lift sends X' to its trivial triple (F X', X', 1)
@@ -515,7 +512,7 @@ def verify_approximation(f: FunctorData,
     p_src, p_tgt = lc_src.presentation, lc_tgt.presentation
     alpha, alpha_rows, alpha_iso = _components(
         lc_src, src_cat.objects,
-        lambda x: _value(setting, rc, chosen_idx[f.object_map[x]], trivial_idx[x], ""))
+        lambda x: _value(setting, chosen_idx[f.object_map[x]], trivial_idx[x], ""))
     alpha_squares, alpha_natural = _squares(
         lc_src, _generators(p_src), through(lc_src, gz_f, induced), alpha)
     objects_match = all(
@@ -530,7 +527,7 @@ def verify_approximation(f: FunctorData,
     # beta: localised chosen denominators
     gz_f_image, induced_image = through(lc_tgt, gz_f), through(lc_src, induced)
     beta, beta_rows, beta_iso = _components(
-        lc_tgt, tgt_cat.objects, lambda y: _loc_q(lc_tgt, rc, chosen_idx[y]))
+        lc_tgt, tgt_cat.objects, lambda y: _loc_q(setting, chosen_idx[y]))
     beta_squares, beta_natural = _squares(
         lc_tgt, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
     sections.append({"name": "beta", "components": beta_rows,
@@ -553,7 +550,7 @@ def verify_approximation(f: FunctorData,
         and all(total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
     rc_gens = _generators(rc.cwd.cat)
-    beta_bar = {name: _loc_q(lc_tgt, rc, i) for i, name in enumerate(rc.obj_names)}
+    beta_bar = {name: _loc_q(setting, i) for i, name in enumerate(rc.obj_names)}
     part_b_ok = _invertible(lc_tgt, beta_bar.values())
     b_squares, b_natural = _squares(
         lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar,
@@ -569,7 +566,7 @@ def verify_approximation(f: FunctorData,
         lc_rc.rs.compose)
 
     # the total functor through the localised replacement category
-    lifted = partial(_value_of, setting, rc, rc.object_index, rc.underlying)
+    lifted = partial(_value_of, setting, rc.object_index, rc.forgetful.translation)
     rf_hat = extend_to_localisation(lc_rc, lc_src, total, lifted)
     rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs)
     lift_back = through(lc_src, gz_lift, rf_hat)
@@ -608,7 +605,7 @@ def verify_approximation(f: FunctorData,
         "ok": pair_exact_ok and pair_iso_ok and pair_nat_ok})
 
     if choice is not None:
-        indep = choice_independence(setting, rc, chosen_choice, auto_choice(rc))
+        indep = choice_independence(setting, chosen_choice, auto_choice(rc))
         sections.append({"name": "choice_independence", **indep})
 
     statuses = [setting.decidability_status, rc.rs.status, lc_rc.rs.status]

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from .axioms import check_multiplicative, validate_functor, word_json
 from .gz import LocalisedCategory, induced_functor, localise
 from .presentation import FunctorData, ValidationError
-from .replacement import has_enough
+from .replacement import ReplacementCategory, build_replacement_category, has_enough
 from .rewrite import (
     COMPLETE,
     DEFAULT_LIMITS,
@@ -66,10 +66,11 @@ class CheckReport:
 class GzSetting:
     """Completed and localised data for one functor, built once.
 
-    It also owns the tables its queries fill: the fill table maps each
-    solved 2-arrow ``(x, x_prime, y, g, b)`` to its fills (see
-    :func:`solve_fill`), and the total values map ``(i, j, code)``, two
-    triple positions and a target code, to the unique encoded fill
+    It also owns what its queries build: the replacement category
+    ``rc`` of the functor, the fill table mapping each solved 2-arrow
+    ``(x, x_prime, y, g, b)`` to its fills (see :func:`solve_fill`), and
+    the total values mapping ``(i, j, code)``, two positions among the
+    triples of ``rc`` and a target code, to the unique encoded fill
     :func:`loccat.approximation.total_value` found.  Only results
     are stored, so a query that raised raises again on every call.
     None of them takes part in equality or ``repr``.  The target
@@ -84,6 +85,8 @@ class GzSetting:
     lc_tgt: LocalisedCategory
     gz_f: FunctorData
     _survey: tuple | None = field(default=None, init=False, repr=False)
+    _rc: ReplacementCategory | None = field(default=None, init=False, repr=False,
+                                            compare=False)
     _fills: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     _total_values: dict = field(default_factory=dict, init=False, repr=False,
@@ -98,6 +101,13 @@ class GzSetting:
     @property
     def dec_tgt(self) -> DenomDecider:
         return denominators(self.f.target, self.rs_tgt)
+
+    @property
+    def rc(self) -> ReplacementCategory:
+        """The replacement category of ``f``, built on first use."""
+        if self._rc is None:
+            self._rc = build_replacement_category(self.f, self.rs_tgt)
+        return self._rc
 
     def fill_survey(self) -> tuple[dict | None, dict | None, int]:
         """:func:`_fill_survey` of this setting, run once on first use."""

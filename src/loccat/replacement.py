@@ -12,10 +12,11 @@ one lifted generator per generator of ``D`` and pair of triples over
 its endpoints, plus lifted identity generators connecting distinct
 triples over the same object.  :class:`ReplacementCategory` builds it
 from the triples in its constructor, together with the lift table,
-the completion and the lifted denominators, and checks that its
-hom-sets biject with the hom-sets of ``D``; the construction refuses
-to hand out a presentation for which this fails.
-:func:`build_replacement_category` collects the triples.
+the completion, the lifted denominators and the forgetful functor,
+and checks that its hom-sets biject with the hom-sets of ``D``; the
+construction refuses to hand out a presentation for which this
+fails.  :func:`build_replacement_category` collects the triples, and
+:func:`positions` finds the chosen triples while it checks a choice.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ class ReplacementCategory:
     lifted identities between distinct triples over one object, the
     relations making them behave, the target relations lifted along
     canonical routes, the completion under the limits of ``rs_tgt``,
-    and as denominators every lifted word over a denominator.  The
-    hom-sets are then checked to biject with those of the target; a
+    as denominators every lifted word over a denominator, and the
+    functor ``forgetful`` sending ``(Y, X, q)`` to ``Y``.  The hom-sets
+    are then checked to biject with those of the target; a
     materialization that fails raises :class:`ConstructionError`.
     """
 
@@ -118,9 +120,8 @@ class ReplacementCategory:
     obj_names: tuple[str, ...] = field(init=False)
     cwd: CatWithDenoms = field(init=False)
     rs: RewriteSystem = field(init=False)
-    lifted_underlying: dict[str, PathWord] = field(init=False)
+    forgetful: FunctorData = field(init=False)
     lift_meta: dict[str, tuple] = field(init=False)
-    underlying: dict[int, str] = field(init=False)
     codes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -150,7 +151,7 @@ class ReplacementCategory:
                   for i in over.get(y, ()) for j in over.get(y, ()) if i != j]
         taken: set[str] = set()
         gens: list[GenArrow] = []
-        self.lift_meta, self.lifted_underlying = {}, {}
+        self.lift_meta, under_of = {}, {}
         self._lookup = lookup = {}
         for g_name, under, i, j in lifts:
             stem = "1" if g_name is None else g_name
@@ -158,7 +159,7 @@ class ReplacementCategory:
             gens.append(GenArrow(name, names[i], names[j]))
             self.lift_meta[name] = (g_name, i, j)
             lookup[(g_name, i, j)] = name
-            self.lifted_underlying[name] = under
+            under_of[name] = under
 
         # a lifted identity composed with a lifted identity or generator
         # equals the lift of the composite: identities compose like
@@ -170,7 +171,7 @@ class ReplacementCategory:
                       if i != j and j != k]
         for name, (g_name, i, j) in self.lift_meta.items():
             if g_name is not None:
-                under = self.lifted_underlying[name]
+                under = under_of[name]
                 composites += [(i2, j, (lookup[(None, i2, i)], name), under)
                                for i2 in over[triples[i].target] if i2 != i]
                 composites += [(i, j2, (name, lookup[(None, j, j2)]), under)
@@ -195,9 +196,9 @@ class ReplacementCategory:
                                relations=tuple(relations))
         self.rs = rs = complete(pres, self.rs_tgt.limits)
         # the forgetful functor on encoded words: one str.translate
-        self.underlying = table = FunctorData(CatWithDenoms(pres, DenomSet()),
-                                              self.functor.target, {},
-                                              self.lifted_underlying).translation
+        code, tgt_code = pres.codec[0], tgt_cat.codec[0]
+        table = {ord(code[name]): "" if g_name is None else tgt_code[g_name]
+                 for name, (g_name, _, _) in self.lift_meta.items()}
         nf = self.rs_tgt.index.__getitem__
         # lifted denominators: every materialized word over a denominator
         closure = denominators(self.functor.target, self.rs_tgt).closure
@@ -207,6 +208,9 @@ class ReplacementCategory:
                          if (triples[i].target, triples[j].target,
                              nf(w.translate(table))) in closure)
         self.cwd = CatWithDenoms(pres, DenomSet(explicit, False, False))
+        self.forgetful = FunctorData(
+            self.cwd, self.functor.target,
+            {name: t.target for name, t in zip(names, triples)}, under_of)
         # hom-sets of the materialization must biject with the target's
         for i, j in pairs:
             lifted = words(rs, names[i], names[j])
@@ -291,17 +295,6 @@ def build_replacement_category(f: FunctorData,
     return ReplacementCategory(f, rs_tgt, tuple(triples))
 
 
-def forgetful(rc: ReplacementCategory) -> FunctorData:
-    """The functor sending ``(Y, X, q)`` to ``Y`` and lifted words down."""
-    return FunctorData(
-        source=rc.cwd,
-        target=rc.functor.target,
-        object_map={rc.obj_names[i]: rc.triples[i].target
-                    for i in range(len(rc.triples))},
-        gen_map=dict(rc.lifted_underlying),
-    )
-
-
 def auto_choice(rc: ReplacementCategory) -> ReplacementChoice:
     """The first replacement of each object, in triple order."""
     choice: ReplacementChoice = {}
@@ -315,23 +308,27 @@ def auto_choice(rc: ReplacementCategory) -> ReplacementChoice:
     return choice
 
 
-def validate_choice(rc: ReplacementCategory, choice: ReplacementChoice) -> None:
-    tgt_objects = rc.functor.target.cat.objects
-    if sorted(choice) != sorted(tgt_objects):
+def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, int]:
+    """The position of each object's chosen triple; :class:`ValidationError`
+    at the first object, in ``choice`` order, not given one of its triples."""
+    if sorted(choice) != sorted(rc.functor.target.cat.objects):
         raise ValidationError(
             "choice must assign exactly one replacement to every object")
+    found = {}
     for y, rep in choice.items():
         if rep.target != y:
             raise ValidationError(f"choice for {y!r} replaces {rep.target!r}")
-        if rep not in rc.triples:
+        try:
+            found[y] = rc.index_of(rep)
+        except ValueError:
             raise ValidationError(
-                f"choice for {y!r} is not a valid replacement triple")
+                f"choice for {y!r} is not a valid replacement triple") from None
+    return found
 
 
-def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, int]:
-    """The position of each object's chosen triple; ``choice`` is validated."""
-    validate_choice(rc, choice)
-    return {y: rc.index_of(choice[y]) for y in rc.functor.target.cat.objects}
+def validate_choice(rc: ReplacementCategory, choice: ReplacementChoice) -> None:
+    """:func:`positions` with its result dropped."""
+    positions(rc, choice)
 
 
 def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
@@ -355,8 +352,7 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
         object_map={y: rc.obj_names[chosen_idx[y]] for y in tgt_cat.objects},
         gen_map=gen_map)
 
-    u = forgetful(rc)
-    round_trip = c_r.then(u)
+    round_trip = c_r.then(rc.forgetful)
     ident = identity_functor(rc.functor.target)
     if round_trip.object_map != ident.object_map:
         raise ConstructionError("U after C_R moves objects")
@@ -370,7 +366,7 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
         j = chosen_idx[t.target]
         components[rc.obj_names[i]] = rc.lift_word(
             tgt_cat.identity(t.target), j, i)
-    abar = TransformationData(frm=u.then(c_r), to=identity_functor(rc.cwd),
+    abar = TransformationData(frm=rc.forgetful.then(c_r), to=identity_functor(rc.cwd),
                               components=components)
     problems = check_transformation(abar, rc.rs)
     if problems:
@@ -392,12 +388,8 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
         raise PreconditionError("canonical lift needs trivial replacements",
                                 witness=witness)
     src_cat = f.source.cat
-    tgt_cat = f.target.cat
-    trivial_idx: dict[str, int] = {}
-    for x in src_cat.objects:
-        fx = f.object_map[x]
-        rep = SReplacement(target=fx, source=x, q=tgt_cat.identity(fx))
-        trivial_idx[x] = rc.index_of(rep)
+    # each trivial triple (F x, x, 1) exists, as has_all_trivial holds
+    trivial_idx = {x: rc.position(f.object_map[x], x, "") for x in src_cat.objects}
     gen_map: dict[str, PathWord] = {}
     for g in src_cat.generators:
         image = normalize(rs_tgt, f.gen_map[g.name])
@@ -407,7 +399,7 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
         source=f.source, target=rc.cwd,
         object_map={x: rc.obj_names[trivial_idx[x]] for x in src_cat.objects},
         gen_map=gen_map)
-    round_trip = lift.then(forgetful(rc))
+    round_trip = lift.then(rc.forgetful)
     for x in src_cat.objects:
         if round_trip.object_map[x] != f.object_map[x]:
             raise ConstructionError(

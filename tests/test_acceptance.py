@@ -13,10 +13,10 @@ import time
 import corpus
 import test_oracle_agreement as agree
 from loccat import (DEFAULT_LIMITS, DenomDecider, auto_choice,
-                    build_replacement_category, check_s_dense,
+                    check_s_dense,
                     check_s_equivalence, check_s_faithful, check_s_full,
                     choice_independence, classical_equivalence,
-                    enumerate_s_two_arrows, equal, find_inverse, forgetful,
+                    enumerate_s_two_arrows, equal, find_inverse,
                     has_enough, homset, induced_functor, load_choice, normalize,
                     prepare, solve_fill, structure_choice_functor,
                     verify_approximation)
@@ -25,7 +25,7 @@ from loccat.cli import main
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_tgt)
+    return s, s.rc
 
 
 def run_cli(capsys, *argv):
@@ -95,7 +95,7 @@ def test_criterion_04_replacement_category_suite():
         # E6's target is not multiplicative, so its replacement category
         # is rejected by the precondition gate (criterion 10 covers it).
         s, rc = rc_for(name)
-        u = forgetful(rc)
+        u = rc.forgetful
         assert validate_functor(u, rc.rs, s.rs_tgt) == [], name
         ok, _ = check_reflects_denominators(u, rc.rs, s.rs_tgt)
         assert ok, name
@@ -187,8 +187,8 @@ def test_criterion_08_choice_independence():
     auto = auto_choice(rc)
     alt = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), s.f)
     assert auto.get("bl") != alt.get("bl")
-    fwd = choice_independence(s, rc, auto, alt)
-    bwd = choice_independence(s, rc, alt, auto)
+    fwd = choice_independence(s, auto, alt)
+    bwd = choice_independence(s, alt, auto)
     assert fwd["ok"] and fwd["isomorphism_ok"] and fwd["naturality_ok"]
     assert bwd["ok"]
     for c_f, c_b in zip(fwd["components"], bwd["components"]):

@@ -15,8 +15,7 @@ from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     GenArrow, PathWord, PreconditionError,
                     Relation, ReplacementChoice, ResourceLimits,
                     SReplacement, ValidationError, auto_choice,
-                    build_replacement_category, check_s_equivalence,
-                    check_s_full,
+                    check_s_equivalence, check_s_full,
                     choice_independence, complete, homset,
                     induced_replacement_functor, load_choice, localise,
                     normalize, prepare, replacement_functor,
@@ -32,7 +31,7 @@ SECTION_NAMES = ["preconditions", "total_functor", "shortening",
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_tgt)
+    return s, s.rc
 
 
 def section(report, name):
@@ -52,7 +51,7 @@ class TestTotalFunctor:
 
     def test_reports(self):
         for name, frozen in self.FROZEN.items():
-            _, report = total_replacement_functor(*rc_for(name))
+            _, report = total_replacement_functor(corpus.setting(name))
             assert report["ok"], name
             assert report["fill_cardinality_one"], name
             assert report["identities_ok"], name
@@ -64,14 +63,24 @@ class TestTotalFunctor:
     def test_total_value_unique_fill(self):
         s, rc = rc_for("E2")
         tgt = s.f.target.cat
-        val = total_value(s, rc, 0, 1, tgt.word(["d"]))
+        val = total_value(s, 0, 1, tgt.word(["d"]))
         assert val == s.lc_src.presentation.identity("•")
+
+    def test_total_value_checks_both_ends(self):
+        # triple 0 lies over tl: h_top starts there but ends at tr, and
+        # v_right starts at tr
+        s, _ = rc_for("E7")
+        tgt = s.f.target.cat
+        with pytest.raises(ValidationError, match="to 'tr' does not run"):
+            total_value(s, 0, 0, tgt.word(["h_top"]))
+        with pytest.raises(ValidationError, match="from 'tr' to 'br'"):
+            total_value(s, 0, 0, tgt.word(["v_right"]))
 
     def test_total_value_is_deterministic(self):
         s, rc = rc_for("E7")
         tgt = s.f.target.cat
         w = tgt.word(["v_left", "h_bot"])
-        assert total_value(s, rc, 0, 3, w) == total_value(s, rc, 0, 3, w)
+        assert total_value(s, 0, 3, w) == total_value(s, 0, 3, w)
 
 
 def ladder(n):
@@ -160,25 +169,30 @@ class TestFillTables:
     def test_failed_total_value_raises_again(self):
         # E3 sends f1 and f2 both to g, so the value at g has two fills
         s = prepare(corpus.fun("E3"), DEFAULT_LIMITS)
-        rc = build_replacement_category(s.f, s.rs_tgt)
         g = s.f.target.cat.word(["g"])
         for _ in range(2):
             with pytest.raises(ConstructionError, match="got 2"):
-                total_value(s, rc, 0, 1, g)
+                total_value(s, 0, 1, g)
 
     def test_identities_keep_their_endpoints(self):
         # the empty code is the identity of every object: the normal-form
         # table and the total-value table must not hand one object's
-        # identity to another
-        s, rc = rc_for("E7")
-        p = s.f.target.cat
-        for y in p.objects:
-            assert normalize(s.rs_tgt, p.identity(y)) == p.identity(y)
-        sources = [t.source for t in rc.triples]
-        assert len(set(sources)) > 1
-        for i, t in enumerate(rc.triples):
-            assert total_value(s, rc, i, i, p.identity(t.target)) == \
-                s.lc_src.presentation.identity(t.source)
+        # identity to another, nor any value to another pair of triples
+        for name in ("E2", "E5", "E7", "E7b"):
+            s, rc = rc_for(name)
+            p = s.f.target.cat
+            for y in p.objects:
+                assert normalize(s.rs_tgt, p.identity(y)) == p.identity(y)
+            sources = [t.source for t in rc.triples]
+            assert name != "E7" or len(set(sources)) > 1
+            for i, t in enumerate(rc.triples):
+                assert total_value(s, i, i, p.identity(t.target)) == \
+                    s.lc_src.presentation.identity(t.source)
+                for j, t2 in enumerate(rc.triples):
+                    for w in homset(s.rs_tgt, t.target, t2.target):
+                        value = total_value(s, i, j, w)
+                        assert (value.src, value.dst) == (t.source, t2.source), \
+                            (name, i, j, w)
 
     def test_setting_freed_after_verify(self, monkeypatch):
         refs = []
@@ -289,7 +303,7 @@ class TestShortening:
         for name in ("E2", "E5", "E7", "E7b"):
             s, rc = rc_for(name)
             from loccat import verify_shortening
-            report = verify_shortening(s, rc)
+            report = verify_shortening(s)
             assert report["ok"], name
             assert report["quadruples_checked"] > 0, name
 
@@ -299,7 +313,7 @@ class TestDenominatorValues:
         for name in ("E2", "E5", "E7", "E7b"):
             s, rc = rc_for(name)
             from loccat import verify_denominator_values
-            report = verify_denominator_values(s, rc)
+            report = verify_denominator_values(s)
             assert report["ok"], name
             assert report["lifted_denominators_checked"] == \
                 len(rc.cwd.denoms.explicit), name
@@ -402,7 +416,7 @@ class TestChoiceIndependence:
         s, rc = rc_for("E7b")
         auto = auto_choice(rc)
         alt = self.alt_choice(rc)
-        report = choice_independence(s, rc, auto, alt)
+        report = choice_independence(s, auto, alt)
         assert report["ok"]
         assert report["isomorphism_ok"] and report["naturality_ok"]
         # the parallel denominators coincide in the localisation, so the
@@ -414,8 +428,8 @@ class TestChoiceIndependence:
         s, rc = rc_for("E7b")
         auto = auto_choice(rc)
         alt = self.alt_choice(rc)
-        fwd = choice_independence(s, rc, auto, alt)
-        bwd = choice_independence(s, rc, alt, auto)
+        fwd = choice_independence(s, auto, alt)
+        bwd = choice_independence(s, alt, auto)
         for c_f, c_b in zip(fwd["components"], bwd["components"]):
             assert c_f["inverse"] == c_b["component"]
             assert c_f["component"] == c_b["inverse"]
@@ -428,13 +442,13 @@ class TestChoiceIndependence:
         assert stray not in rc.triples
         bad = ReplacementChoice(tuple((y, stray if y == "bl" else rep)
                                       for y, rep in auto.items()))
-        r_choice, _ = replacement_functor(s, rc, auto)
+        r_choice, _ = replacement_functor(s, auto)
         with pytest.raises(ValidationError):
-            choice_independence(s, rc, auto, bad)
+            choice_independence(s, auto, bad)
         with pytest.raises(ValidationError):
-            choice_independence(s, rc, bad, auto)
+            choice_independence(s, bad, auto)
         with pytest.raises(ValidationError):
-            induced_replacement_functor(s, rc, bad, r_choice)
+            induced_replacement_functor(s, bad, r_choice)
 
     def test_full_run_with_compare(self):
         s, rc = rc_for("E7b")

@@ -27,8 +27,9 @@ class TestMultiplicative:
     def test_composite_witness(self):
         # identities included but composites not closed: d.e escapes
         import json
+        from pathlib import Path
         from loccat.fileio import load_cat
-        raw = json.loads(open(corpus.cat_path("E6")).read())
+        raw = json.loads(Path(corpus.cat_path("E6")).read_text(encoding="utf-8"))
         raw["denominators"]["include_identities"] = True
         path = "/tmp/E6ids.cat.json"
         with open(path, "w") as fh:

@@ -455,6 +455,34 @@ class TestDeterminism:
                                              getattr(node.func, "attr", None))]
         assert found == ["rewrite.py:denominators"]
 
+    def test_replacement_category_built_only_by_the_setting(self):
+        # the setting keys its total values by positions among the triples
+        # of setting.rc, so no other category may be built or passed in
+        src = SRC / "loccat"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            methods = {id(fn): f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
+                       if isinstance(cls, ast.ClassDef) for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef)}
+            owner = {id(node): methods.get(id(fn), fn.name) for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)}
+            found += [f"{path.name}:{owner.get(id(node))}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and "build_replacement_category" in (
+                          getattr(node.func, "id", None),
+                          getattr(node.func, "attr", None))]
+        assert found == ["equivalence.py:GzSetting.rc"]
+        tree = ast.parse((src / "approximation.py").read_text(encoding="utf-8"))
+        typed = [f"{fn.name}({arg.arg})" for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                 if arg.annotation is not None
+                 and "ReplacementCategory" in ast.unparse(arg.annotation)]
+        assert typed == []
+
     def test_limits_taken_only_where_systems_are_built(self):
         # every query and construction over a system reads rs.limits;
         # limits enter only where a system is completed

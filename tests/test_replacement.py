@@ -6,7 +6,7 @@ import corpus
 from loccat import (PreconditionError, ReplacementChoice, SReplacement,
                     ValidationError, auto_choice, build_replacement_category,
                     canonical_lift, check_reflects_denominators,
-                    find_s_replacements, forgetful, has_all_trivial,
+                    find_s_replacements, has_all_trivial,
                     has_enough, structure_choice_functor, validate_choice,
                     validate_functor)
 
@@ -110,7 +110,7 @@ class TestReplacementCategory:
         # U restricted to each hom-set is a bijection onto D(Y, Y')
         from loccat import homset, normalize
         s, rc = rc_for("E5")
-        u = forgetful(rc)
+        u = rc.forgetful
         for i in range(len(rc.triples)):
             for j in range(len(rc.triples)):
                 lifted = homset(rc.rs, rc.obj_names[i], rc.obj_names[j])
@@ -130,20 +130,20 @@ class TestForgetful:
     def test_forgetful_is_a_valid_functor(self):
         for name in ("E2", "E5", "E7", "E7b"):
             s, rc = rc_for(name)
-            u = forgetful(rc)
+            u = rc.forgetful
             assert validate_functor(u, rc.rs, s.rs_tgt) == [], name
 
     def test_forgetful_reflects_denominators(self):
         for name in ("E2", "E5", "E7"):
             s, rc = rc_for(name)
-            u = forgetful(rc)
+            u = rc.forgetful
             ok, _ = check_reflects_denominators(u, rc.rs, s.rs_tgt)
             assert ok, name
 
     def test_surjective_on_objects_iff_enough(self):
         for name in ("E2", "E5", "E7", "E7b", "E4"):
             s, rc = rc_for(name)
-            u = forgetful(rc)
+            u = rc.forgetful
             hit = set(u.object_map.values())
             enough, _ = has_enough(s.f, s.rs_tgt)
             assert (hit == set(s.f.target.cat.objects)) == enough, name
@@ -187,7 +187,7 @@ class TestStructureChoiceFunctor:
         for name in ("E2", "E5", "E7", "E7b"):
             _, rc = rc_for(name)
             c_r, abar = structure_choice_functor(rc, auto_choice(rc))
-            u = forgetful(rc)
+            u = rc.forgetful
             round_trip = c_r.then(u)
             tgt = rc.functor.target.cat
             assert round_trip.object_map == {y: y for y in tgt.objects}
@@ -208,7 +208,7 @@ class TestCanonicalLift:
         for name in ("E2", "E5", "E7", "E7b"):
             s, rc = rc_for(name)
             lift = canonical_lift(rc)
-            u = forgetful(rc)
+            u = rc.forgetful
             back = lift.then(u)
             assert back.object_map == s.f.object_map
             for g, img in back.gen_map.items():
