@@ -167,7 +167,7 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
         "base": _cat_summary(cwd),
         "localised": _cat_summary(lc.cwd),
         "inverse_generators": dict(sorted(lc.inv_of.items())),
-        "fresh_generators": {name: list(w.letters)
+        "fresh_generators": {name: list(rs.decode(w).letters)
                              for name, w in sorted(lc.fresh_defs.items())},
         "rules": [{"lhs": list(r.lhs.letters), "rhs": list(r.rhs.letters)}
                   for r in lc.rs.rules],

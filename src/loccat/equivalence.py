@@ -28,6 +28,7 @@ and fills its witnesses print.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import product
 
 from .axioms import check_multiplicative, validate_functor, word_json
 from .gz import LocalisedCategory, induced_functor, localise
@@ -84,7 +85,8 @@ class GzSetting:
     lc_src: LocalisedCategory
     lc_tgt: LocalisedCategory
     gz_f: FunctorData
-    _survey: tuple | None = field(default=None, init=False, repr=False)
+    _survey: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
     _rc: ReplacementCategory | None = field(default=None, init=False, repr=False,
                                             compare=False)
     _fills: dict = field(default_factory=dict, init=False, repr=False,
@@ -220,58 +222,41 @@ def check_s_faithful(setting: GzSetting) -> CheckReport:
                    {"arrows_checked": count})
 
 
-def classical_full(f: FunctorData, rs_src: RewriteSystem,
-                   rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
-    for x in f.source.cat.objects:
-        for x_prime in f.source.cat.objects:
-            fx, fy = f.object_map[x], f.object_map[x_prime]
-            images = {rs_tgt.index[w.translate(f.translation)]
-                      for w in words(rs_src, x, x_prime)}
-            for h in words(rs_tgt, fx, fy):
-                if h not in images:
-                    return False, {"kind": "not-full", "x": x, "x_prime": x_prime,
-                                   "morphism": word_json(rs_tgt.decode((fx, fy, h)))}
-    return True, None
-
-
-def classical_faithful(f: FunctorData, rs_src: RewriteSystem,
-                       rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
-    for x in f.source.cat.objects:
-        for y in f.source.cat.objects:
-            seen: dict[str, str] = {}
-            for w in words(rs_src, x, y):
-                image = rs_tgt.index[w.translate(f.translation)]
-                if image in seen:
-                    first, second = map(rs_src.decode, ((x, y, seen[image]), (x, y, w)))
-                    return False, {"kind": "not-faithful",
-                                   "first": word_json(first), "second": word_json(second)}
-                seen[image] = w
-    return True, None
-
-
-def classical_dense(f: FunctorData, rs_src: RewriteSystem,
-                    rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
-    """Essential surjectivity on objects: some ``F x -> y`` has an inverse."""
-    for y in f.target.cat.objects:
-        if not any(inverse(rs_tgt, (f.object_map[x], y, s)) is not None
-                   for x in f.source.cat.objects for s in words(rs_tgt, f.object_map[x], y)):
-            return False, {"kind": "not-essentially-surjective", "object": y}
-    return True, None
-
-
 def classical_equivalence(f: FunctorData, rs_src: RewriteSystem,
                           rs_tgt: RewriteSystem) -> tuple[bool, dict]:
-    """Fullness, faithfulness and essential surjectivity of ``f`` itself."""
-    full, w_full = classical_full(f, rs_src, rs_tgt)
-    faithful, w_faithful = classical_faithful(f, rs_src, rs_tgt)
-    dense, w_dense = classical_dense(f, rs_src, rs_tgt)
-    details = {"full": full, "faithful": faithful, "dense": dense}
-    for key, witness in (("full_witness", w_full),
-                         ("faithful_witness", w_faithful),
-                         ("dense_witness", w_dense)):
-        if witness is not None:
-            details[key] = witness
-    return full and faithful and dense, details
+    """Fullness, faithfulness and essential surjectivity of ``f`` itself.
+
+    One pass over the pairs ``(x, x')`` maps each word ``x -> x'`` once.
+    The fullness and faithfulness witnesses are each the first in pair
+    order: the target hom-set is listed until fullness has a witness,
+    and the pass stops once both have one.  Density asks each target
+    object ``y`` for some ``F x -> y`` with an inverse.
+    """
+    objects, omap, table = f.source.cat.objects, f.object_map, f.translation
+    witnesses: dict[str, dict] = {}
+    for x, x_prime in product(objects, repeat=2):
+        images: dict[str, str] = {}
+        for w in words(rs_src, x, x_prime):
+            first = images.setdefault(rs_tgt.index[w.translate(table)], w)
+            if first != w and "faithful_witness" not in witnesses:
+                a, b = (word_json(rs_src.decode((x, x_prime, v))) for v in (first, w))
+                witnesses["faithful_witness"] = {"kind": "not-faithful",
+                                                 "first": a, "second": b}
+        if "full_witness" not in witnesses:
+            fx, fy = omap[x], omap[x_prime]
+            h = next((h for h in words(rs_tgt, fx, fy) if h not in images), None)
+            if h is not None:
+                witnesses["full_witness"] = {"kind": "not-full", "x": x, "x_prime": x_prime,
+                                             "morphism": word_json(rs_tgt.decode((fx, fy, h)))}
+        if len(witnesses) == 2:
+            break
+    for y in f.target.cat.objects:
+        if not any(inverse(rs_tgt, (omap[x], y, s)) is not None
+                   for x in objects for s in words(rs_tgt, omap[x], y)):
+            witnesses["dense_witness"] = {"kind": "not-essentially-surjective", "object": y}
+            break
+    details = {key: f"{key}_witness" not in witnesses for key in ("full", "faithful", "dense")}
+    return not witnesses, {**details, **witnesses}
 
 
 def check_s_equivalence(setting: GzSetting) -> CheckReport:

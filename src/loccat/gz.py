@@ -44,7 +44,6 @@ from .rewrite import (
     complete,
     denominators,
     inverse,
-    normalize,
 )
 
 
@@ -56,28 +55,20 @@ class LocalisedCategory:
     ``inv_of`` maps each inverted generator (a denominator generator or
     a fresh composite) to its inverse letter, ``fresh_defs`` each fresh
     composite to its base word, and ``inverted`` each inverse letter to
-    the base word it inverts.
+    the base word it inverts.  The base words are encoded normal forms
+    ``(src, dst, code)`` of the base system; the extension declares its
+    generators after the base ones, so they are words of ``rs`` too.
     """
 
     cwd: CatWithDenoms
     rs: RewriteSystem
     inv_of: dict[str, str]
-    fresh_defs: dict[str, PathWord]
-    inverted: dict[str, PathWord]
+    fresh_defs: dict[str, tuple[str, str, str]]
+    inverted: dict[str, tuple[str, str, str]]
 
     @property
     def presentation(self) -> CatPresentation:
         return self.cwd.cat
-
-    def expand_fresh(self, w: PathWord) -> PathWord:
-        """Rewrite fresh composite letters back to base letters."""
-        letters: list[str] = []
-        for x in w.letters:
-            if x in self.fresh_defs:
-                letters.extend(self.fresh_defs[x].letters)
-            else:
-                letters.append(x)
-        return PathWord(w.src, w.dst, tuple(letters))
 
 
 def fresh_name(stem: str, taken: set[str]) -> str:
@@ -136,9 +127,8 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     taken = {g.name for g in cat.generators}
 
     inv_of: dict[str, str] = {}
-    inverted: dict[str, PathWord] = {}
-    encoded: dict[str, tuple] = {}
-    fresh_defs: dict[str, PathWord] = {}
+    inverted: dict[str, tuple] = {}
+    fresh_defs: dict[str, tuple] = {}
     inverse_gens: list[GenArrow] = []
     fresh_gens: list[GenArrow] = []
     fresh_relations: list[Relation] = []
@@ -148,8 +138,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         src, dst, _ = word
         inv_name = fresh_name(f"{name}^-1", taken)
         inv_of[name] = inv_name
-        encoded[inv_name] = word
-        inverted[inv_name] = rs_base.decode(word)
+        inverted[inv_name] = word
         inverse_gens.append(GenArrow(inv_name, dst, src))
         invert_relations.append(Relation(
             PathWord(src, src, (name, inv_name)), PathWord(src, src, ())))
@@ -168,7 +157,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     for word in sorted(composites, key=rs_base.sort_key):
         nf = rs_base.decode(word)
         name = fresh_name("⟨" + "·".join(nf.letters) + "⟩", taken)
-        fresh_defs[name] = nf
+        fresh_defs[name] = word
         fresh_gens.append(GenArrow(name, nf.src, nf.dst))
         fresh_relations.append(Relation(nf, PathWord(nf.src, nf.dst, (name,))))
         add_inverse(name, word)
@@ -178,7 +167,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         generators=cat.generators + tuple(fresh_gens) + tuple(inverse_gens),
         relations=cat.relations + tuple(fresh_relations) + tuple(invert_relations),
     )
-    seeded = _base_inverses(rs_base, encoded)
+    seeded = _base_inverses(rs_base, inverted)
     rs = complete(replace(ext, relations=ext.relations + seeded), rs_base.limits)
     rs = replace(rs, presentation=ext)
     cwd = CatWithDenoms(ext, DenomSet((), True, True))
@@ -207,7 +196,7 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
     p, image = base.source.cat, through(lc_tgt, base)
     values = {g.name: image((g.src, g.dst, p.codec[0][g.name])) for g in p.generators}
     for name, base_word in lc_src.fresh_defs.items():
-        values[name] = fresh_value(lc_src.rs.encode(base_word))
+        values[name] = fresh_value(base_word)
     for name, inv_name in lc_src.inv_of.items():
         values[inv_name] = inverse(lc_tgt.rs, values[name])
         if values[inv_name] is None:
@@ -274,23 +263,21 @@ def zigzag_view(lc: LocalisedCategory, m: PathWord) -> ZigzagView:
     letters become inverted denominator words.  Recomposing the view
     recovers a word equal to ``m``, which is checked.
     """
-    m = normalize(lc.rs, m)
+    rs, code = lc.rs, lc.presentation.codec[0]
+    src, dst, s = rs.compose(rs.encode(m))
+    expand = str.maketrans({code[n]: w[2] for n, w in lc.fresh_defs.items()})
+    inverted = {code[n]: w for n, w in lc.inverted.items()}
     segments: list[ZigzagSegment] = []
-    forward: list[str] = []
-    fwd_src = m.src
-    for letter in m.letters:
-        inverted = lc.inverted.get(letter)
-        if inverted is None:
-            forward.append(letter)
-            continue
-        fwd_word = lc.expand_fresh(PathWord(fwd_src, inverted.dst,
-                                            tuple(forward)))
-        segments.append(ZigzagSegment(forward=fwd_word, inverted=inverted))
-        forward = []
-        fwd_src = inverted.src
-    tail = PathWord(fwd_src, m.dst, tuple(forward))
-    segments.append(ZigzagSegment(forward=lc.expand_fresh(tail), inverted=None))
+    start, fwd_src = 0, src
+    for i, letter in enumerate(s):
+        w = inverted.get(letter)
+        if w is not None:
+            forward = (fwd_src, w[1], s[start:i].translate(expand))
+            segments.append(ZigzagSegment(rs.decode(forward), rs.decode(w)))
+            start, fwd_src = i + 1, w[0]
+    tail = (fwd_src, dst, s[start:].translate(expand))
+    segments.append(ZigzagSegment(rs.decode(tail), None))
     # the segments recompose to m with fresh letters expanded
-    if normalize(lc.rs, lc.expand_fresh(m)) != m:
+    if rs.index[s.translate(expand)] != s:
         raise ConstructionError("zigzag recomposition broken")
-    return ZigzagView(src=m.src, dst=m.dst, segments=tuple(segments))
+    return ZigzagView(src=src, dst=dst, segments=tuple(segments))

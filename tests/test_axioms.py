@@ -24,16 +24,15 @@ class TestMultiplicative:
             "kind": "identity-not-denominator", "object": "a",
             "word": {"src": "a", "dst": "a", "letters": []}}
 
-    def test_composite_witness(self):
+    def test_composite_witness(self, tmp_path):
         # identities included but composites not closed: d.e escapes
         import json
         from pathlib import Path
         from loccat.fileio import load_cat
         raw = json.loads(Path(corpus.cat_path("E6")).read_text(encoding="utf-8"))
         raw["denominators"]["include_identities"] = True
-        path = "/tmp/E6ids.cat.json"
-        with open(path, "w") as fh:
-            json.dump(raw, fh)
+        path = tmp_path / "E6ids.cat.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
         c = load_cat(path)
         from loccat import complete
         rs = complete(c.cat)

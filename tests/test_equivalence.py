@@ -10,6 +10,7 @@ from loccat import (DEFAULT_LIMITS, ResourceLimits, RewriteSystem,
                     check_s_full, classical_equivalence,
                     enumerate_s_two_arrows, prepare, solve_fill)
 from loccat import equivalence
+from loccat.fileio import load_functor
 from test_approximation import ladder
 
 
@@ -114,6 +115,13 @@ class TestSEquivalence:
         assert d["s_full"] is True and d["s_faithful"] is True
         assert d["characterisation_agrees"] is True
 
+    def test_survey_takes_no_part_in_equality(self):
+        # like the setting's other tables, the survey is a cache
+        first, second = (prepare(load_functor(corpus.fun_path("E7"))) for _ in range(2))
+        assert first == second
+        first.fill_survey()
+        assert first == second
+
     def test_fill_survey_runs_once_per_setting(self, monkeypatch):
         runs = []
         survey = equivalence._fill_survey
@@ -169,3 +177,45 @@ class TestClassicalCriterion:
             rel = check_s_equivalence(prepare(corpus.fun(name), DEFAULT_LIMITS))
             cls, _ = classical_equivalence(s.f, s.rs_src, s.rs_tgt)
             assert rel.verdict == cls == expected[name], name
+
+    def test_each_source_homset_is_listed_once(self, monkeypatch):
+        # one pass maps each source word once, for both fullness and
+        # faithfulness
+        s = corpus.setting("E7")
+        calls = []
+        listed = equivalence.words
+
+        def counted(rs, x, y):
+            if rs is s.lc_src.rs:
+                calls.append((x, y))
+            return listed(rs, x, y)
+
+        monkeypatch.setattr(equivalence, "words", counted)
+        ok, _ = classical_equivalence(s.gz_f, s.lc_src.rs, s.lc_tgt.rs)
+        objects = s.lc_src.presentation.objects
+        assert ok
+        assert calls == [(x, y) for x in objects for y in objects]
+
+    @pytest.mark.parametrize("objects", [("a", "b"), ("b", "a")])
+    def test_witnesses_at_different_pairs(self, objects):
+        # F sends the idempotent u to the identity of B, so (b, b) is not
+        # faithful, misses the idempotent t at (a, a), and reaches no
+        # morphism into Z; either pair may come first
+        from loccat import (CatPresentation, CatWithDenoms, DenomSet, FunctorData,
+                            GenArrow, PathWord, Relation, complete)
+        src = CatPresentation(objects, (GenArrow("u", "b", "b"),), (
+            Relation(PathWord("b", "b", ("u", "u")), PathWord("b", "b", ("u",))),))
+        tgt = CatPresentation(("A", "B", "Z"), (GenArrow("t", "A", "A"),), (
+            Relation(PathWord("A", "A", ("t", "t")), PathWord("A", "A", ("t",))),))
+        f = FunctorData(CatWithDenoms(src, DenomSet()), CatWithDenoms(tgt, DenomSet()),
+                        {"a": "A", "b": "B"}, {"u": PathWord("B", "B", ())})
+        ok, details = classical_equivalence(f, complete(src), complete(tgt))
+        assert not ok
+        assert details == {
+            "full": False, "faithful": False, "dense": False,
+            "full_witness": {"kind": "not-full", "x": "a", "x_prime": "a",
+                             "morphism": {"src": "A", "dst": "A", "letters": ["t"]}},
+            "faithful_witness": {"kind": "not-faithful",
+                                 "first": {"src": "b", "dst": "b", "letters": []},
+                                 "second": {"src": "b", "dst": "b", "letters": ["u"]}},
+            "dense_witness": {"kind": "not-essentially-surjective", "object": "Z"}}

@@ -2,9 +2,10 @@
 
 import corpus
 from loccat import (COMPLETE, CatPresentation, CatWithDenoms, DenomDecider,
-                    DenomSet, GenArrow, PathWord, complete, equal, find_inverse,
-                    homset, induced_functor, localise, normalize)
+                    DenomSet, GenArrow, PathWord, RewriteSystem, complete, equal,
+                    find_inverse, homset, induced_functor, localise, normalize)
 from loccat.gz import zigzag_view
+from test_approximation import ladder
 
 # Localised hom-set cardinalities frozen from the brute-force oracle
 # (its own inverse-per-denominator-class presentation, margin <= 4).
@@ -59,9 +60,9 @@ class TestLocalise:
             lc = corpus.lc(name)
             assert set(lc.inverted) == set(lc.inv_of.values()), name
             for n, inv in lc.inv_of.items():
-                want = lc.fresh_defs[n] if n in lc.fresh_defs \
+                want = lc.rs.decode(lc.fresh_defs[n]) if n in lc.fresh_defs \
                     else lc.presentation.word([n])
-                assert lc.inverted[inv] == want, (name, n)
+                assert lc.rs.decode(lc.inverted[inv]) == want, (name, n)
 
     def test_inverse_generator_naming(self):
         lc = corpus.lc("E2")
@@ -78,7 +79,7 @@ class TestLocalise:
         lc = corpus.lc("E8")
         names = [g.name for g in lc.presentation.generators]
         assert names == ["d", "e", "⟨d·e⟩", "⟨d·e⟩^-1"]
-        assert lc.fresh_defs["⟨d·e⟩"].letters == ("d", "e")
+        assert lc.rs.decode(lc.fresh_defs["⟨d·e⟩"]).letters == ("d", "e")
         # the defining relation identifies the composite with the fresh letter
         comp = lc.presentation.word(["d", "e"])
         assert normalize(lc.rs, comp).letters == ("⟨d·e⟩",)
@@ -199,7 +200,7 @@ class TestZigzag:
         # inv_of and fresh_defs
         for name in corpus.CAT_NAMES:
             lc = corpus.lc(name)
-            fresh_of = {w: n for n, w in lc.fresh_defs.items()}
+            fresh_of = {lc.rs.decode(w): n for n, w in lc.fresh_defs.items()}
             objects = lc.presentation.objects
             for m in (m for x in objects for y in objects
                       for m in homset(lc.rs, x, y)):
@@ -213,6 +214,27 @@ class TestZigzag:
                         letters.append(lc.inv_of[partner])
                 assert normalize(lc.rs, PathWord(
                     m.src, m.dst, tuple(letters))) == m, (name, m)
+
+    def test_each_word_is_encoded_once(self, monkeypatch):
+        # the view normalises, splits and checks one code: E8's every
+        # localised word, and an L4 word with an inverse letter
+        lc8 = corpus.lc("E8")
+        words = [(lc8, m) for x in "abc" for y in "abc" for m in homset(lc8.rs, x, y)]
+        target = ladder(4).target
+        lc4 = localise(target, complete(target.cat))
+        words.append((lc4, lc4.presentation.word(["k1", "v1^-1"])))
+        calls = []
+        encode = RewriteSystem.encode
+
+        def counted(rs, w):
+            calls.append(w)
+            return encode(rs, w)
+
+        monkeypatch.setattr(RewriteSystem, "encode", counted)
+        for lc, m in words:
+            calls.clear()
+            zigzag_view(lc, m)
+            assert calls == [m], m
 
     def test_identity_renders_as_identity(self):
         lc = corpus.lc("E5")
