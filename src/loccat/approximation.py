@@ -37,7 +37,6 @@ from .gz import (
     LocalisedCategory,
     extend_to_localisation,
     induced_functor,
-    localise,
     through,
 )
 from .presentation import (
@@ -58,7 +57,6 @@ from .replacement import (
     structure_choice_functor,
 )
 from .rewrite import (
-    COMPLETE,
     DEFAULT_LIMITS,
     ResourceLimits,
     RewriteSystem,
@@ -220,8 +218,9 @@ def total_replacement_functor(setting: GzSetting) -> tuple[FunctorData, dict]:
     functor = FunctorData(
         source=rc.cwd, target=setting.lc_src.cwd,
         object_map={name: t.source for name, t in zip(rc.obj_names, rc.triples)},
-        gen_map={name: total_value(setting, i, j, rc.forgetful.gen_map[name])
-                 for name, (_, i, j) in rc.lift_meta.items()})
+        gen_map={g.name: total_value(setting, rc.object_index(g.src), rc.object_index(g.dst),
+                                     rc.forgetful.gen_map[g.name])
+                 for g in rc.cwd.cat.generators})
 
     identities_ok = not any([_value(setting, i, i, "")[2]
                              for i in range(len(rc.triples))])
@@ -556,7 +555,7 @@ def verify_approximation(f: FunctorData,
         lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar,
         through(lc_tgt, u))
 
-    lc_rc = localise(rc.cwd, rc.rs)
+    lc_rc = rc.localised(lc_tgt)
     gz_lift = induced_functor(lift, lc_src, lc_rc)
     beta_bar_c = {rc.obj_names[i]: lc_rc.rs.compose(lc_rc.rs.encode(rc.lift_word(
         t.q, trivial_idx[t.source], i))) for i, t in enumerate(rc.triples)}
@@ -608,11 +607,8 @@ def verify_approximation(f: FunctorData,
         indep = choice_independence(setting, chosen_choice, auto_choice(rc))
         sections.append({"name": "choice_independence", **indep})
 
-    statuses = [setting.decidability_status, rc.rs.status, lc_rc.rs.status]
-    decidability = COMPLETE if all(s == COMPLETE for s in statuses) \
-        else "bounded-incomplete"
     return ApproximationReport(
         ok=all(section["ok"] for section in sections),
         sections=sections,
-        decidability_status=decidability,
+        decidability_status=setting.decidability_status,
         bounds_used=asdict(limits))

@@ -76,7 +76,8 @@ class GzSetting:
     are stored, so a query that raised raises again on every call.
     None of them takes part in equality or ``repr``.  The target
     decider is the one the target system keeps.  All four systems were
-    completed under the limits given to :func:`prepare`.
+    completed under the limits given to :func:`prepare`, and the
+    decidability status of every system built on them is theirs.
     """
 
     f: FunctorData
@@ -106,7 +107,8 @@ class GzSetting:
 
     @property
     def rc(self) -> ReplacementCategory:
-        """The replacement category of ``f``, built on first use."""
+        """The replacement category of ``f``, built on first use; it is
+        answered through ``rs_tgt`` and completes nothing."""
         if self._rc is None:
             self._rc = build_replacement_category(self.f, self.rs_tgt)
         return self._rc

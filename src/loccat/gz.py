@@ -6,7 +6,8 @@ plus inverse per explicit composite denominator word.  Composite
 denominators that only arise from the composition closure flag need no
 generators of their own: their inverses are composites of the factor
 inverses.  Words whose normal form is an identity are already
-invertible and are elided.
+invertible and are elided.  :func:`extension` builds that presentation
+and its letter tables, and :func:`localise` completes it.
 
 Completion also gets one seeded relation ``w^-1 = v`` for each inverted
 word ``w`` that already has an inverse ``v`` in the base, as every
@@ -49,8 +50,10 @@ from .rewrite import (
 
 @dataclass(frozen=True)
 class LocalisedCategory:
-    """A completed presentation of the localisation of a category with
-    denominators, kept as ``cwd`` and completed as ``rs``.
+    """A presentation of the localisation of a category with
+    denominators, kept as ``cwd`` and answered by ``rs``: its completion
+    (:func:`localise`), or an inflation of another localisation
+    (:meth:`~loccat.replacement.ReplacementCategory.localised`).
 
     ``inv_of`` maps each inverted generator (a denominator generator or
     a fresh composite) to its inverse letter, ``fresh_defs`` each fresh
@@ -112,15 +115,13 @@ def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, tuple]) -> tuple[
     return tuple(seeded)
 
 
-def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
-    """Present the localisation of ``c`` and complete its rewriting system.
+def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
+    """The presentation of the localisation of ``c`` and its letter tables.
 
-    Completion runs under the limits of ``rs_base``, on the presentation
-    plus one seeded relation ``w^-1 = v`` for each inverted word ``w``
-    with an inverse ``v`` in the base (``_base_inverses``).  It follows
-    from ``w·w^-1 = 1`` and ``v·w = 1``, so the congruence, and for a
-    completed run the unique reduced system, are those of the unseeded
-    presentation, which ``lc.cwd`` and ``lc.rs.presentation`` hold.
+    ``rs_base`` is the system of ``c.cat``.  The result's ``rs`` is None:
+    :func:`localise` completes the presentation, and
+    :meth:`~loccat.replacement.ReplacementCategory.localised` answers it
+    through the localised target.
     """
     cat = c.cat
     closure = denominators(c, rs_base).closure
@@ -167,12 +168,25 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         generators=cat.generators + tuple(fresh_gens) + tuple(inverse_gens),
         relations=cat.relations + tuple(fresh_relations) + tuple(invert_relations),
     )
-    seeded = _base_inverses(rs_base, inverted)
+    return LocalisedCategory(cwd=CatWithDenoms(ext, DenomSet((), True, True)), rs=None,
+                             inv_of=inv_of, fresh_defs=fresh_defs, inverted=inverted)
+
+
+def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
+    """Present the localisation of ``c`` and complete its rewriting system.
+
+    Completion runs under the limits of ``rs_base``, on the presentation
+    of :func:`extension` plus one seeded relation ``w^-1 = v`` for each
+    inverted word ``w`` with an inverse ``v`` in the base
+    (``_base_inverses``).  It follows from ``w·w^-1 = 1`` and
+    ``v·w = 1``, so the congruence, and for a completed run the unique
+    reduced system, are those of the unseeded presentation, which
+    ``lc.cwd`` and ``lc.rs.presentation`` hold.
+    """
+    lc = extension(c, rs_base)
+    ext, seeded = lc.presentation, _base_inverses(rs_base, lc.inverted)
     rs = complete(replace(ext, relations=ext.relations + seeded), rs_base.limits)
-    rs = replace(rs, presentation=ext)
-    cwd = CatWithDenoms(ext, DenomSet((), True, True))
-    return LocalisedCategory(cwd=cwd, rs=rs, inv_of=inv_of,
-                             fresh_defs=fresh_defs, inverted=inverted)
+    return replace(lc, rs=replace(rs, presentation=ext))
 
 
 def through(lc: LocalisedCategory, *functors: FunctorData):

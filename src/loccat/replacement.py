@@ -7,24 +7,28 @@ the replacement category; a morphism ``(Y, X, q) -> (Y', X', q')`` is
 just a morphism ``Y -> Y'`` of ``D``, composition and identities being
 those of ``D``.
 
-The replacement category is materialized as a finite presentation:
-one lifted generator per generator of ``D`` and pair of triples over
-its endpoints, plus lifted identity generators connecting distinct
-triples over the same object.  :class:`ReplacementCategory` builds it
-from the triples in its constructor, together with the lift table,
-the completion, the lifted denominators and the forgetful functor,
-and checks that its hom-sets biject with the hom-sets of ``D``; the
-construction refuses to hand out a presentation for which this
-fails.  :func:`build_replacement_category` collects the triples, and
+So the replacement category is ``D`` inflated: each object repeated
+once per triple over it.  It is materialized as a finite presentation,
+since the verifier checks functors on its generators: one lifted
+generator per generator of ``D`` and pair of triples over its
+endpoints, plus lifted identity generators connecting distinct triples
+over the same object.  It completes nothing: its system is the
+:class:`~loccat.rewrite.Inflation` of the target's along the forgetful
+functor, whose hom-sets are those of ``D`` by construction, and its
+localisation is the inflation of the target's localisation
+(:meth:`ReplacementCategory.localised`).  :class:`ReplacementCategory`
+builds it from the triples in its constructor, with the lifted
+denominators and the forgetful functor.
+:func:`build_replacement_category` collects the triples, and
 :func:`positions` finds the chosen triples while it checks a choice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .axioms import check_transformation
-from .gz import fresh_name
+from .gz import LocalisedCategory, extend_to_localisation, extension, fresh_name, through
 from .presentation import (
     CatPresentation,
     CatWithDenoms,
@@ -40,9 +44,9 @@ from .presentation import (
     identity_functor,
 )
 from .rewrite import (
+    Inflation,
     LimitExceeded,
     RewriteSystem,
-    complete,
     denominators,
     equal,
     normalize,
@@ -107,11 +111,11 @@ class ReplacementCategory:
     generator of the target and pair of triples over its endpoints,
     lifted identities between distinct triples over one object, the
     relations making them behave, the target relations lifted along
-    canonical routes, the completion under the limits of ``rs_tgt``,
-    as denominators every lifted word over a denominator, and the
-    functor ``forgetful`` sending ``(Y, X, q)`` to ``Y``.  The hom-sets
-    are then checked to biject with those of the target; a
-    materialization that fails raises :class:`ConstructionError`.
+    canonical routes, the functor ``forgetful`` sending ``(Y, X, q)``
+    to ``Y``, and as denominators every lifted word over a denominator.
+    Its system ``rs`` is the :class:`~loccat.rewrite.Inflation` of
+    ``rs_tgt`` along the forgetful functor, so it shares the target's
+    limits and status.
     """
 
     functor: FunctorData
@@ -119,9 +123,8 @@ class ReplacementCategory:
     triples: tuple[SReplacement, ...]
     obj_names: tuple[str, ...] = field(init=False)
     cwd: CatWithDenoms = field(init=False)
-    rs: RewriteSystem = field(init=False)
+    rs: Inflation = field(init=False)
     forgetful: FunctorData = field(init=False)
-    lift_meta: dict[str, tuple] = field(init=False)
     codes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -142,8 +145,9 @@ class ReplacementCategory:
             self._triple_pos.setdefault((t.target, t.source, q), idx)
             over.setdefault(t.target, []).append(idx)
         self._by_target = over = {y: tuple(idxs) for y, idxs in over.items()}
-        self._canonical = {y: idxs[0] for y, idxs in over.items()}
 
+        # target generator first, then triple pair, identity lifts last:
+        # so the first lift of each target word routes through first triples
         lifts = [(g.name, tgt_cat.word([g.name]), i, j)
                  for g in tgt_cat.generators
                  for i in over.get(g.src, ()) for j in over.get(g.dst, ())]
@@ -151,38 +155,28 @@ class ReplacementCategory:
                   for i in over.get(y, ()) for j in over.get(y, ()) if i != j]
         taken: set[str] = set()
         gens: list[GenArrow] = []
-        self.lift_meta, under_of = {}, {}
-        self._lookup = lookup = {}
+        under_of: dict[str, PathWord] = {}
         for g_name, under, i, j in lifts:
-            stem = "1" if g_name is None else g_name
-            name = fresh_name(f"{stem}@{i}-{j}", taken)
+            name = fresh_name(f"{'1' if g_name is None else g_name}@{i}-{j}", taken)
             gens.append(GenArrow(name, names[i], names[j]))
-            self.lift_meta[name] = (g_name, i, j)
-            lookup[(g_name, i, j)] = name
             under_of[name] = under
+        bare = CatPresentation(objects=names, generators=tuple(gens), relations=())
+        code, tgt_code = bare.codec[0], tgt_cat.codec[0]
+        # the forgetful functor on encoded words: one str.translate
+        down = {ord(code[name]): "".join(map(tgt_code.__getitem__, w.letters))
+                for name, w in under_of.items()}
+        objects_under = {name: t.target for name, t in zip(names, triples)}
+        self.rs = rs = Inflation(bare, base=self.rs_tgt, under=objects_under, down=down)
 
-        # a lifted identity composed with a lifted identity or generator
-        # equals the lift of the composite: identities compose like
-        # identities and absorb into lifted generators
-        composites = [(i, k, (lookup[(None, i, j)], lookup[(None, j, k)]),
-                       tgt_cat.identity(y))
-                      for y in tgt_cat.objects for i in over.get(y, ())
-                      for j in over.get(y, ()) for k in over.get(y, ())
-                      if i != j and j != k]
-        for name, (g_name, i, j) in self.lift_meta.items():
-            if g_name is not None:
-                under = under_of[name]
-                composites += [(i2, j, (lookup[(None, i2, i)], name), under)
-                               for i2 in over[triples[i].target] if i2 != i]
-                composites += [(i, j2, (name, lookup[(None, j, j2)]), under)
-                               for j2 in over[triples[j].target] if j2 != j]
-        relations: list[Relation] = []
-        for i, j, letters, under in composites:
-            relations.append(Relation(PathWord(names[i], names[j], letters),
-                                      self.lift_word(under, i, j)))
-        # relations of the target category, lifted along canonical routes;
-        # unroutable instances are skipped, the hom-set check below is the
-        # backstop that decides whether the materialization is faithful
+        # each composable pair of letters with a lifted identity in it
+        # equals the lift of its image; each target relation is lifted
+        # between every two triples over its ends, but where a side has
+        # no lift, as no target word through an object without triples has
+        relations = [
+            Relation(PathWord(a.src, b.dst, (a.name, b.name)), rs.decode((a.src, b.dst, rs.lift(
+                a.src, b.dst, (code[a.name] + code[b.name]).translate(down)))))
+            for a in gens for b in bare.out_gens.get(a.dst, ())
+            if not (under_of[a.name].letters and under_of[b.name].letters)]
         for rel in tgt_cat.relations:
             for i in over.get(rel.lhs.src, ()):
                 for j in over.get(rel.lhs.dst, ()):
@@ -191,35 +185,15 @@ class ReplacementCategory:
                                                   self.lift_word(rel.rhs, i, j)))
                     except ConstructionError:
                         continue
-
-        pres = CatPresentation(objects=names, generators=tuple(gens),
-                               relations=tuple(relations))
-        self.rs = rs = complete(pres, self.rs_tgt.limits)
-        # the forgetful functor on encoded words: one str.translate
-        code, tgt_code = pres.codec[0], tgt_cat.codec[0]
-        table = {ord(code[name]): "" if g_name is None else tgt_code[g_name]
-                 for name, (g_name, _, _) in self.lift_meta.items()}
-        nf = self.rs_tgt.index.__getitem__
-        # lifted denominators: every materialized word over a denominator
+        self.rs = rs = Inflation(replace(bare, relations=tuple(relations)), self.rs_tgt,
+                                 objects_under, down)
+        # lifted denominators: every word over a denominator
         closure = denominators(self.functor.target, self.rs_tgt).closure
-        pairs = [(i, j) for i in range(len(triples)) for j in range(len(triples))]
-        explicit = tuple(rs.decode((names[i], names[j], w)) for i, j in pairs
-                         for w in words(rs, names[i], names[j])
-                         if (triples[i].target, triples[j].target,
-                             nf(w.translate(table))) in closure)
-        self.cwd = CatWithDenoms(pres, DenomSet(explicit, False, False))
-        self.forgetful = FunctorData(
-            self.cwd, self.functor.target,
-            {name: t.target for name, t in zip(names, triples)}, under_of)
-        # hom-sets of the materialization must biject with the target's
-        for i, j in pairs:
-            lifted = words(rs, names[i], names[j])
-            base = words(self.rs_tgt, triples[i].target, triples[j].target)
-            images = {nf(w.translate(table)) for w in lifted}
-            if len(images) != len(lifted) or images != set(base):
-                raise ConstructionError(
-                    "materialized replacement category does not match the "
-                    f"target hom-set between triples {i} and {j}")
+        explicit = tuple(rs.decode((a, b, w)) for a in names for b in names
+                         for w in words(rs, a, b)
+                         if (objects_under[a], objects_under[b], w.translate(down)) in closure)
+        self.cwd = CatWithDenoms(rs.presentation, DenomSet(explicit, False, False))
+        self.forgetful = FunctorData(self.cwd, self.functor.target, objects_under, under_of)
 
     def index_of(self, rep: SReplacement) -> int:
         """Position of ``rep`` among the triples; ``ValueError`` if absent."""
@@ -244,47 +218,36 @@ class ReplacementCategory:
         return self._by_target.get(y, ())
 
     def lift_word(self, w: PathWord, i: int, j: int) -> PathWord:
-        """Lift a target word to a word from triple ``i`` to triple ``j``.
+        """The target word ``w``, unnormalised, lifted from triple ``i`` to
+        triple ``j`` (:meth:`~loccat.rewrite.Inflation.lift`);
+        :class:`ConstructionError` if it has no lift."""
+        src, dst = self.obj_names[i], self.obj_names[j]
+        return self.rs.decode((src, dst, self.rs.lift(src, dst, self.rs_tgt.encode(w)[2])))
 
-        Intermediate objects route through their first triple; a word
-        passing through an object without replacements has no lift in
-        this materialization and raises :class:`ConstructionError`.
+    def localised(self, lc_tgt: LocalisedCategory) -> LocalisedCategory:
+        """The localisation of this category, answered through ``lc_tgt``,
+        the localisation of the target.
+
+        It is the presentation :func:`~loccat.gz.extension` gives, with
+        the :class:`~loccat.rewrite.Inflation` of ``lc_tgt.rs`` along the
+        localised forgetful functor as its system.  When every target
+        object has a replacement, the forgetful functor is an
+        equivalence that creates the denominators, so it induces an
+        equivalence of localisations (Gabriel and Zisman, *Calculus of
+        Fractions*, 1967, ch. I); a word through an object without one
+        has no lift and raises :class:`ConstructionError`.
         """
-        if self.triples[i].target != w.src or self.triples[j].target != w.dst:
-            raise ConstructionError(
-                f"word does not run between the objects under triples {i} and {j}")
-        names = self.obj_names
-        if not w.letters:
-            if i == j:
-                return PathWord(names[i], names[i], ())
-            name = self._lookup.get((None, i, j))
-            if name is None:
-                raise ConstructionError(
-                    f"no lifted identity between triples {i} and {j}")
-            return PathWord(names[i], names[j], (name,))
-        gens = [self.functor.target.cat.gen_by_name[x] for x in w.letters]
-        stations = [i]
-        for g in gens[:-1]:
-            station = self._canonical.get(g.dst)
-            if station is None:
-                raise ConstructionError(
-                    f"object {g.dst!r} has no replacement triple to route through")
-            stations.append(station)
-        stations.append(j)
-        letters = []
-        for g, a, b in zip(gens, stations, stations[1:]):
-            name = self._lookup.get((g.name, a, b))
-            if name is None:
-                raise ConstructionError(
-                    f"generator {g.name!r} has no lift between triples {a} and {b}")
-            letters.append(name)
-        return PathWord(names[i], names[j], tuple(letters))
+        lc = extension(self.cwd, self.rs)
+        gz_u = extend_to_localisation(lc, lc_tgt, self.forgetful,
+                                      through(lc_tgt, self.forgetful))
+        return replace(lc, rs=Inflation(lc.presentation, base=lc_tgt.rs,
+                                        under=gz_u.object_map, down=gz_u.translation))
 
 
 def build_replacement_category(f: FunctorData,
                                rs_tgt: RewriteSystem) -> ReplacementCategory:
-    """The replacement category of ``f``, completed under the limits of
-    ``rs_tgt``; more triples than ``max_homset`` raise
+    """The replacement category of ``f``, answered through ``rs_tgt``
+    under its limits; more triples than ``max_homset`` raise
     :class:`LimitExceeded`."""
     triples: list[SReplacement] = []
     for y in f.target.cat.objects:

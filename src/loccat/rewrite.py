@@ -67,6 +67,11 @@ normal-form, hom-set and decider tables and frees them with itself;
 nothing is cached at module level.  The tables hold only results that
 were computed without raising, so a query that exceeds its limits
 raises on every call.
+
+An :class:`Inflation` is a system with no rules of its own: its
+category is a base system's with each object repeated, so each query
+maps a word down to the base, answers it there and lifts the answer
+back.  Every function above takes it as it takes a completed system.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ from dataclasses import dataclass, field
 from .presentation import (
     CatPresentation,
     CatWithDenoms,
+    ConstructionError,
     LimitExceeded,
     PathWord,
     ValidationError,
@@ -292,6 +298,84 @@ class RewriteSystem:
         obj = self.presentation.obj_index
         return obj[word[0]], obj[word[1]], len(word[2]), word[2]
 
+    def normal_forms_out(self, x: str) -> dict[str, tuple[str, ...]]:
+        """The encoded hom-sets out of ``x`` by target, in object order,
+        each in shortlex order: the listing :func:`words` keeps."""
+        return _reachable_normal_forms(self, x)
+
+
+class _Lifts(dict):
+    """An inflation's normal-form table, filled like a :class:`RuleIndex`."""
+
+    __missing__ = RuleIndex.__missing__
+
+    def __init__(self, normal_form):
+        self.normal_form = normal_form
+
+
+class Inflation(RewriteSystem):
+    """A system answered through ``base``, whose category it repeats.
+
+    Each object is a copy of the base object ``under`` it, and
+    ``down``, a ``str.translate`` table, sends each letter to a base
+    code; a morphism between two copies is a base morphism between the
+    objects under them.  The normal form of a word is the lift
+    (:meth:`lift`) of the base normal form of its image, and the
+    hom-sets are the lifts of the base's.  There are no rules: the
+    status and limits are the base's.  ``base``, ``under`` and ``down``
+    take no part in equality, hashing or ``repr``, and an inflation is
+    built anew rather than through ``dataclasses.replace``.
+    """
+
+    def __init__(self, presentation: CatPresentation, base: RewriteSystem,
+                 under: dict[str, str], down: dict[int, str]):
+        super().__init__(presentation, (), base.status, base.limits)
+        first: dict[str, str] = {}
+        for x in presentation.objects:
+            first.setdefault(under[x], x)
+        # up: the first letter over each base letter, or over "", between
+        # two copies; via: the copy a route takes after each base letter
+        up, ends = {}, {}
+        for g in presentation.generators:
+            c = presentation.codec[0][g.name]
+            ends[c] = g.src, g.dst
+            if len(image := c.translate(down)) <= 1:
+                up.setdefault((g.src, g.dst, image), c)
+        p = base.presentation
+        via = {p.codec[0][g.name]: first[g.dst] for g in p.generators if g.dst in first}
+        for name, value in (("base", base), ("under", under), ("down", down),
+                            ("index", _Lifts(self.normal_form)),
+                            ("_up", up), ("_ends", ends), ("_via", via)):
+            object.__setattr__(self, name, value)
+
+    def lift(self, src: str, dst: str, s: str) -> str:
+        """The base code ``s`` lifted from the copy ``src`` to the copy
+        ``dst``, letter by letter, through the first copy of each object
+        it passes; :class:`ConstructionError` if a letter has no lift."""
+        try:
+            if not s:
+                return "" if src == dst else self._up[src, dst, ""]
+            stations = [src, *map(self._via.__getitem__, s[:-1]), dst]
+            return "".join(map(self._up.__getitem__, zip(stations, stations[1:], s)))
+        except KeyError:
+            raise ConstructionError(f"no lift from {src!r} to {dst!r}") from None
+
+    def normal_form(self, s: str) -> str:
+        """The lift of the base normal form of the image of ``s``."""
+        return s and self.lift(self._ends[s[0]][0], self._ends[s[-1]][1],
+                               self.base.index[s.translate(self.down)])
+
+    def normal_forms_out(self, x: str) -> dict[str, tuple[str, ...]]:
+        """The lifts of the base hom-sets, each sorted shortlex; the total
+        out of ``x`` is bounded by ``max_homset``, as a search bounds it."""
+        under, limits = self.under, self.limits
+        found = {y: words(self.base, under[x], under[y]) for y in self.presentation.objects}
+        if sum(map(len, found.values())) > limits.max_homset:
+            raise LimitExceeded("max_homset",
+                                f"more than {limits.max_homset} morphisms out of {x!r}")
+        return {y: tuple(sorted((self.lift(x, y, s) for s in ws), key=lambda t: (len(t), t)))
+                for y, ws in found.items()}
+
 
 def normalize(rs: RewriteSystem, w: PathWord) -> PathWord:
     """Leftmost-innermost normal form of ``w``; canonical iff complete."""
@@ -447,11 +531,10 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
 
 
 def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[str, ...]]:
-    """List the normal forms out of ``x`` (see the module docstring): store
-    and return the encoded hom-sets by target, in object order, in
-    ``rs._reachable[x]``.  Each word extends one shorter word, by
-    generators in declaration order, so each length comes out in
-    shortlex order."""
+    """List the normal forms out of ``x`` (see the module docstring): the
+    encoded hom-sets by target, in object order.  Each word extends one
+    shorter word, by generators in declaration order, so each length
+    comes out in shortlex order."""
     p, limits, lhs = rs.presentation, rs.limits, rs.index._rhs
     code, lengths = p.codec[0], sorted(set(map(len, lhs)))
     by_dst = {x: [""]}
@@ -476,19 +559,20 @@ def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[str, .
                 by_dst.setdefault(g.dst, []).append(t)
                 nxt.append((t, g.dst))
         level = nxt
-    found = rs._reachable[x] = {y: tuple(by_dst.get(y, ())) for y in p.objects}
-    return found
+    return {y: tuple(by_dst.get(y, ())) for y in p.objects}
 
 
 def words(rs: RewriteSystem, x: str, y: str) -> tuple[str, ...]:
-    """The morphisms ``x -> y`` as encoded normal forms, in shortlex order."""
+    """The morphisms ``x -> y`` as encoded normal forms, in shortlex order;
+    the hom-sets out of ``x`` are listed once (``rs.normal_forms_out``)."""
     found = rs._reachable.get(x)
     if found is None or y not in found:
         p = rs.presentation
         if x not in p.obj_index or y not in p.obj_index:
             raise ValidationError(f"unknown object in homset query: {x!r}, {y!r}")
-        found = rs._reachable.get(x) or _reachable_normal_forms(rs, x)
-    return found.get(y, ())
+        if found is None:
+            found = rs._reachable[x] = rs.normal_forms_out(x)
+    return found[y]
 
 
 def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:

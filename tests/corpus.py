@@ -6,6 +6,7 @@ localised once per test run regardless of how many modules touch it.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from pathlib import Path
 
@@ -53,3 +54,57 @@ def fun(name: str):
 @lru_cache(maxsize=None)
 def setting(name: str):
     return prepare(fun(name), DEFAULT_LIMITS)
+
+
+
+def _cat(objects, gens, relations=(), denominators=()) -> dict:
+    """A category file: generators ``(name, src, dst)``, relations
+    ``(lhs, rhs)``; identities and composites are denominators too."""
+    return {"objects": list(objects),
+            "generators": [{"name": g, "src": s, "dst": d} for g, s, d in gens],
+            "relations": [{"lhs": list(lhs), "rhs": list(rhs)} for lhs, rhs in relations],
+            "denominators": {"words": [[g] for g in denominators],
+                             "include_identities": True,
+                             "close_under_composition": True}}
+
+
+def _write(directory: Path, stem: str, source: dict, target: dict, functor: dict) -> str:
+    """Write ``<stem>C``, ``<stem>D`` and the functor ``<stem>`` between
+    them to ``directory``; returns the functor's path."""
+    files = {f"{stem}C.cat.json": source, f"{stem}D.cat.json": target,
+             f"{stem}.fun.json": {"source": f"{stem}C.cat.json",
+                                  "target": f"{stem}D.cat.json", **functor}}
+    for name, data in files.items():
+        (directory / name).write_text(json.dumps(data), encoding="utf-8")
+    return str(directory / f"{stem}.fun.json")
+
+
+def fan(k: int, directory: Path) -> str:
+    """Write ``Fan_k`` to ``directory``; returns the functor's path.
+
+    D has objects ``x_0 … x_{k-1}`` and ``y``, generators ``q_i: x_i -> y``
+    then ``c_i: x_i -> x_{i+1}``, and relations ``c_i·q_{i+1} = q_i``;
+    every generator is a denominator.  C is the full subcategory on the
+    ``x_i`` with the ``c_i`` as denominators, and F is the inclusion, so
+    ``y`` has ``k`` replacements.
+    """
+    xs = [f"x{i}" for i in range(k)]
+    qs = [(f"q{i}", xs[i], "y") for i in range(k)]
+    cs = [(f"c{i}", xs[i], xs[i + 1]) for i in range(k - 1)]
+    relations = [((f"c{i}", f"q{i + 1}"), (f"q{i}",)) for i in range(k - 1)]
+    return _write(directory, f"Fan{k}", _cat(xs, cs, (), [c for c, _, _ in cs]),
+                  _cat(xs + ["y"], qs + cs, relations, [g for g, _, _ in qs + cs]),
+                  {"object_map": {x: x for x in xs},
+                   "generator_map": {c: [c] for c, _, _ in cs}})
+
+
+def detour(directory: Path) -> str:
+    """Write a functor whose one target word ``f·g`` passes through an
+    object ``m`` without replacements; returns the functor's path.
+
+    D is ``f: a -> m``, ``g: m -> b``, C is ``h: x -> y`` with
+    ``h ↦ f·g``, and only identities are denominators.
+    """
+    return _write(directory, "detour", _cat(["x", "y"], [("h", "x", "y")]),
+                  _cat(["a", "m", "b"], [("f", "a", "m"), ("g", "m", "b")]),
+                  {"object_map": {"x": "a", "y": "b"}, "generator_map": {"h": ["f", "g"]}})

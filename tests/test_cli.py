@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import corpus
-from loccat import cli, equivalence, gz, replacement, rewrite
+from loccat import cli, equivalence, gz, rewrite
 from loccat.cli import main, parse_args
 from loccat.equivalence import prepare
 from loccat.fileio import load_functor
@@ -259,7 +259,9 @@ class TestVerifyApproximation:
     def test_choice_from_file_completes_each_category_once(self, capsys,
                                                           monkeypatch):
         # the choice file is checked against the functor alone, so the
-        # target is completed once, as without --choice: 6 calls on E7b
+        # target is completed once, as without --choice: 4 calls on E7b,
+        # the two categories and their localisations; the replacement
+        # category and its localisation are answered through the target
         calls = []
         complete = rewrite.complete
 
@@ -267,7 +269,7 @@ class TestVerifyApproximation:
             calls.append(p)
             return complete(p, *args)
 
-        for module in (cli, equivalence, gz, replacement, rewrite):
+        for module in (cli, equivalence, gz, rewrite):
             monkeypatch.setattr(module, "complete", counted)
         for choice in ((), ("--choice", "from-file",
                             str(corpus.FIXTURES / "E7b-alt.choice.json"))):
@@ -275,7 +277,7 @@ class TestVerifyApproximation:
             code, _ = run_cli(capsys, "verify-approximation",
                               corpus.fun_path("E7b"), *choice)
             assert code == 0
-            assert len(calls) == 6, choice
+            assert len(calls) == 4, choice
 
     def test_experimental_flag_changes_failure(self, capsys):
         code, rep = run_json(capsys, "verify-approximation", E6_FUN,
@@ -483,6 +485,16 @@ class TestDeterminism:
                  and "ReplacementCategory" in ast.unparse(arg.annotation)]
         assert typed == []
 
+    def test_replacement_category_completes_nothing(self):
+        # rc and its localisation are answered through the target's
+        # systems, so neither module names the completion
+        found = [f"{name}:{node.lineno}" for name in ("replacement.py", "approximation.py")
+                 for node in ast.walk(ast.parse((SRC / "loccat" / name).read_text(
+                     encoding="utf-8")))
+                 if "complete" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))]
+        assert found == []
+
     def test_limits_taken_only_where_systems_are_built(self):
         # every query and construction over a system reads rs.limits;
         # limits enter only where a system is completed
@@ -498,6 +510,46 @@ class TestDeterminism:
             "cli._emit", "cli.cmd_check", "cli.cmd_homset", "cli.cmd_localise",
             "cli.cmd_validate", "cli.cmd_verify_approximation",
             "equivalence.prepare", "rewrite.complete"]
+
+
+class TestReplacementRich:
+    """Fan_k has k replacements of one object: its replacement category
+    and that category's localisation are answered through the target."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_fan_verifies_at_default_limits(self, capsys, tmp_path, k):
+        fun = corpus.fan(k, tmp_path)
+        code, rep = run_json(capsys, "verify-approximation", fun)
+        assert code == 0
+        assert rep["result"]["ok"] is True
+        assert rep["result"]["decidability_status"] == "complete"
+        code, rep = run_json(capsys, "check", "s-equivalence", fun)
+        assert code == 0 and rep["result"]["verdict"] is True
+
+    def test_fan_counts(self, capsys, tmp_path):
+        code, rep = run_json(capsys, "verify-approximation", corpus.fan(3, tmp_path),
+                             "--limits-rules", "4096", "--limits-homset", "100000")
+        assert code == 0
+        sections = {s["name"]: s for s in rep["result"]["sections"]}
+        assert sections["total_functor"]["words_checked"] == 52
+        assert sections["total_functor"]["composable_pairs_checked"] == 246
+        assert sections["denominator_values"]["lifted_denominators_checked"] == 52
+        assert sections["forgetful_section_pair"]["comparison_squares_checked"] == 86
+
+    def test_tight_rule_bound_on_e5_decides(self, capsys):
+        # the target and its localisation complete within five rules,
+        # and nothing else is completed
+        code, rep = run_json(capsys, "verify-approximation", corpus.fun_path("E5"),
+                             "--limits-rules", "5")
+        assert code == 0
+        assert rep["result"]["ok"] is True
+        assert rep["result"]["decidability_status"] == "complete"
+
+    def test_object_without_replacement_is_a_precondition(self, capsys, tmp_path):
+        code, rep = run_json(capsys, "verify-approximation", corpus.detour(tmp_path))
+        assert code == 2
+        assert rep["error"]["witness"] == {"kind": "object-without-replacement",
+                                           "object": "m"}
 
 
 class TestLimitsProfile:

@@ -26,8 +26,10 @@ def oracle_from_presentation(p, max_len=orc_mod.DEFAULT_MAX_LEN):
         max_len)
 
 
-def assert_engine_agreement(p, rs):
-    orc = oracle_from_presentation(p)
+def assert_engine_agreement(p, rs, max_len=orc_mod.DEFAULT_MAX_LEN):
+    """The engine's normal forms on ``rs`` partition the words of ``p`` up
+    to ``max_len`` letters as the oracle's classes do."""
+    orc = oracle_from_presentation(p, max_len)
     nf_of = {}
     for (src, letters), dst in orc.words.items():
         nf_of[(src, letters)] = normalize(rs, PathWord(src, dst, letters))
@@ -44,7 +46,7 @@ def assert_engine_agreement(p, rs):
     # corpus, so engine-equal words must be oracle-equal as well
     groups = {}
     for key in orc.words:
-        if len(key[1]) <= MARGIN:
+        if len(key[1]) <= max_len // 2:
             groups.setdefault(nf_of[key], set()).add(orc.uf.find(key))
     unmerged = {k: v for k, v in groups.items() if len(v) > 1}
     assert not unmerged, f"engine-equal words in distinct oracle classes: {unmerged}"
@@ -73,6 +75,18 @@ class TestEngineAgreement:
         for name in corpus.CAT_NAMES:
             lc = corpus.lc(name)
             assert_engine_agreement(lc.presentation, lc.rs)
+
+    def test_replacement_categories(self):
+        # rc.rs completes nothing: it lifts the target's normal forms
+        for name, max_len in (("E2", 8), ("E7", 8), ("E7b", 8), ("E5", 6)):
+            rc = corpus.setting(name).rc
+            assert_engine_agreement(rc.cwd.cat, rc.rs, max_len)
+
+    def test_localised_replacement_categories(self):
+        for name in ("E2", "E7"):
+            s = corpus.setting(name)
+            lc_rc = s.rc.localised(s.lc_tgt)
+            assert_engine_agreement(lc_rc.presentation, lc_rc.rs)
 
 
 class TestConstructionAgreement:

@@ -3,17 +3,24 @@
 import pytest
 
 import corpus
-from loccat import (PreconditionError, ReplacementChoice, SReplacement,
-                    ValidationError, auto_choice, build_replacement_category,
-                    canonical_lift, check_reflects_denominators,
-                    find_s_replacements, has_all_trivial,
-                    has_enough, structure_choice_functor, validate_choice,
-                    validate_functor)
+from loccat import (ConstructionError, PreconditionError, ReplacementChoice,
+                    SReplacement, ValidationError, auto_choice,
+                    build_replacement_category, canonical_lift,
+                    check_reflects_denominators, complete, find_s_replacements,
+                    has_all_trivial, has_enough, load_functor, localise, prepare,
+                    structure_choice_functor, validate_choice, validate_functor)
+from loccat.rewrite import Inflation, words
 
 
 def rc_for(name):
     s = corpus.setting(name)
     return s, build_replacement_category(s.f, s.rs_tgt)
+
+
+def settings(tmp_path, names):
+    """The settings of the named fixtures, then of ``Fan_2``."""
+    yield from map(corpus.setting, names)
+    yield prepare(load_functor(corpus.fan(2, tmp_path)))
 
 
 class TestFindReplacements:
@@ -101,7 +108,8 @@ class TestReplacementCategory:
         with pytest.raises(ValueError):
             rc.index_of(missing)
 
-    def test_completion_of_lifted_presentation(self):
+    def test_status_is_the_targets(self):
+        # rc is answered through the target's system, whose status it has
         for name in ("E2", "E5", "E7", "E7b"):
             _, rc = rc_for(name)
             assert rc.rs.status == "complete", name
@@ -124,6 +132,49 @@ class TestReplacementCategory:
         assert not rc.cwd.denoms.include_identities
         assert not rc.cwd.denoms.close_under_composition
         assert len(rc.cwd.denoms.explicit) == 6
+
+
+class TestInflation:
+    """rc is the target inflated: no completion of its own, and the
+    completion of its presentation, kept here as the reference, agrees."""
+
+    def test_answered_through_the_target(self):
+        s, rc = rc_for("E7b")
+        assert isinstance(rc.rs, Inflation) and rc.rs.rules == ()
+        assert rc.rs.base is s.rs_tgt and rc.rs.limits == s.rs_tgt.limits
+
+    def test_completion_lists_the_same_words(self, tmp_path):
+        # so rc.cwd presents the category rc.rs answers
+        for s in settings(tmp_path, ("E2", "E5", "E7", "E7b")):
+            rc = s.rc
+            rs = complete(rc.cwd.cat, rc.rs.limits)
+            assert rs.status == "complete"
+            for a in rc.obj_names:
+                for b in rc.obj_names:
+                    assert words(rs, a, b) == words(rc.rs, a, b), (a, b)
+
+    def test_localisation_has_the_completed_hom_set_sizes(self, tmp_path):
+        # its representatives may differ from the shortlex ones, and no
+        # report prints them, so only the sizes are compared
+        for s in settings(tmp_path, ("E2", "E5", "E7", "E7b")):
+            rc = s.rc
+            lc = localise(rc.cwd, complete(rc.cwd.cat, rc.rs.limits))
+            lc_rc = rc.localised(s.lc_tgt)
+            assert lc.rs.status == lc_rc.rs.status == "complete"
+            assert lc_rc.presentation == lc.presentation
+            for a in rc.obj_names:
+                for b in rc.obj_names:
+                    assert len(words(lc.rs, a, b)) == len(words(lc_rc.rs, a, b)), (a, b)
+
+    def test_route_through_an_object_without_replacements(self, tmp_path):
+        # f·g: a -> b passes through m, which no triple lies over
+        s = prepare(load_functor(corpus.detour(tmp_path)))
+        with pytest.raises(ConstructionError, match=r"no lift from '\(a\|x\|1\)' "
+                                                    r"to '\(b\|y\|1\)'"):
+            rc = build_replacement_category(s.f, s.rs_tgt)
+            for a in rc.obj_names:
+                for b in rc.obj_names:
+                    words(rc.rs, a, b)
 
 
 class TestForgetful:
