@@ -35,6 +35,7 @@ from .axioms import (
 from .equivalence import GzSetting, prepare, solve_fill
 from .gz import (
     LocalisedCategory,
+    checked,
     extend_to_localisation,
     induced_functor,
     through,
@@ -555,7 +556,7 @@ def verify_approximation(f: FunctorData,
         lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar,
         through(lc_tgt, u))
 
-    lc_rc = rc.localised(lc_tgt)
+    lc_rc, gz_u = rc.localised(lc_tgt)
     gz_lift = induced_functor(lift, lc_src, lc_rc)
     beta_bar_c = {rc.obj_names[i]: lc_rc.rs.compose(lc_rc.rs.encode(rc.lift_word(
         t.q, trivial_idx[t.source], i))) for i, t in enumerate(rc.triples)}
@@ -585,7 +586,7 @@ def verify_approximation(f: FunctorData,
         "ok": part_a_ok and part_b_ok and part_c_ok and retraction_ok})
 
     # localised forgetful and section functors are mutually inverse
-    gz_u = induced_functor(u, lc_rc, lc_tgt)
+    gz_u = checked(gz_u, lc_rc, lc_tgt)
     gz_cr = induced_functor(c_r, lc_tgt, lc_rc)
     cr_u = through(lc_tgt, gz_cr, gz_u)
     pair_exact_ok = all(cr_u(w) == lc_tgt.rs.compose(w) for w in _generators(p_tgt))

@@ -32,12 +32,24 @@ def word_json(w: PathWord) -> dict:
 
 def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
                          ) -> tuple[bool, dict | None]:
-    """Identities and composites of denominators are denominators."""
-    closure = denominators(c, rs).closure
+    """Identities and composites of denominators are denominators.
+
+    On a complete system every element of the closure is a composite of
+    generating words, so the closure is closed under composition if it
+    holds each of its elements times each generating word; that test
+    runs first.  Only when it fails, or on a ``bounded-incomplete``
+    system, are all pairs scanned, in closure order, so the witness is
+    the first failing pair either way.
+    """
+    dec = denominators(c, rs)
+    closure = dec.closure
     for x in c.cat.objects:
         if (x, x, "") not in closure:
             return False, {"kind": "identity-not-denominator", "object": x,
                            "word": word_json(c.cat.identity(x))}
+    if rs.is_complete and all(rs.compose(u, g) in closure
+                              for u in closure for g in dec.generators if u[1] == g[0]):
+        return True, None
     for u in closure:
         for v in closure:
             if u[1] == v[0] and rs.compose(u, v) not in closure:

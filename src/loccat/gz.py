@@ -229,11 +229,18 @@ def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
     ``f`` image (:func:`extend_to_localisation`), so the square with the
     localisation functors commutes on every generator by construction.
     """
-    ind = extend_to_localisation(lc_src, lc_tgt, f, through(lc_tgt, f))
-    problems = validate_functor(ind, lc_src.rs, lc_tgt.rs)
+    return checked(extend_to_localisation(lc_src, lc_tgt, f, through(lc_tgt, f)),
+                   lc_src, lc_tgt)
+
+
+def checked(functor: FunctorData, lc_src: LocalisedCategory,
+            lc_tgt: LocalisedCategory) -> FunctorData:
+    """``functor`` between two localisations, if it is valid; else
+    :class:`ConstructionError` with its first problem."""
+    problems = validate_functor(functor, lc_src.rs, lc_tgt.rs)
     if problems:
         raise ConstructionError(f"induced functor invalid: {problems[0]}")
-    return ind
+    return functor
 
 
 @dataclass(frozen=True)

@@ -224,9 +224,11 @@ class ReplacementCategory:
         src, dst = self.obj_names[i], self.obj_names[j]
         return self.rs.decode((src, dst, self.rs.lift(src, dst, self.rs_tgt.encode(w)[2])))
 
-    def localised(self, lc_tgt: LocalisedCategory) -> LocalisedCategory:
+    def localised(self, lc_tgt: LocalisedCategory
+                  ) -> tuple[LocalisedCategory, FunctorData]:
         """The localisation of this category, answered through ``lc_tgt``,
-        the localisation of the target.
+        the localisation of the target, and the localised forgetful
+        functor into ``lc_tgt``, not yet validated (:func:`~loccat.gz.checked`).
 
         It is the presentation :func:`~loccat.gz.extension` gives, with
         the :class:`~loccat.rewrite.Inflation` of ``lc_tgt.rs`` along the
@@ -241,7 +243,7 @@ class ReplacementCategory:
         gz_u = extend_to_localisation(lc, lc_tgt, self.forgetful,
                                       through(lc_tgt, self.forgetful))
         return replace(lc, rs=Inflation(lc.presentation, base=lc_tgt.rs,
-                                        under=gz_u.object_map, down=gz_u.translation))
+                                        under=gz_u.object_map, down=gz_u.translation)), gz_u
 
 
 def build_replacement_category(f: FunctorData,

@@ -39,6 +39,8 @@ proof of correctness of the Knuth-Bendix completion algorithm*, 1981),
 so a run that completes yields the same unique reduced system.  Each
 time the queue has doubled since it was last swept, the pairs of rules
 that have left are swept out of it, so it holds about the live pairs.
+A live pair whose overlap word is reducible inside its first and last
+letters is composite and is skipped too (see :func:`complete`).
 
 Completion and :class:`RewriteSystem` rewrite with one matcher,
 :class:`RuleIndex`.  Its strategy is fixed: the leftmost position and,
@@ -171,6 +173,12 @@ class RuleIndex(dict):
         """Rewrite ``lhs`` to ``rhs`` from now on; its place in the list
         and the compiled regex, which matches left sides only, stay."""
         self._rhs[lhs] = rhs
+
+    def reducible(self, s: str) -> bool:
+        """Whether a left side occurs in ``s``: one search, no rewriting."""
+        if self._regex is not None:
+            return self._regex.search(s) is not None
+        return any(lhs in s for lhs in self._rhs)
 
     def _lhs_changed(self, letters: int):
         self._lhs_letters += letters
@@ -435,19 +443,41 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
     has left the system.  That is sound: a rule leaves only when a newer
     rule rewrites its left side, its own equation goes back to the
     queue, and only the critical pairs of rules that stay are needed
-    (Huet 1981).  For a fixed order the reduced complete system is
-    unique, so a run that completes yields the same rules either way;
-    a run stopped by ``max_rules`` may stop at another rule set.
+    (Huet 1981).
+
+    A live pair is also dropped unnormalised when it is composite: its
+    overlap word ``w``, rebuilt from the two left sides and the overlap
+    length the pair carries, is reducible once its first and last
+    letters are removed (Kapur, Musser and Narendran, "Only prime
+    superpositions need be considered in the Knuth-Bendix completion
+    procedure", *J. Symbolic Computation* 6, 1988; Bachmair and
+    Dershowitz, "Critical pair criteria for completion", same volume).
+    No left side contains another, so the rule ``l`` found inside ``w``
+    is neither of the pair's: each of the pair's rules meets ``l`` in a
+    proper subword of ``w``, or not at all, so the peak at ``w`` is
+    joined below ``w`` through ``l`` once the pairs of shorter overlaps
+    are, and by induction on overlap length (after Newman) the pairs
+    that are not composite suffice.  The argument holds for the final
+    system too: a rule leaves only when a newer left side lies inside
+    its own, so a word's reducibility only grows as rules are replaced.
+
+    For a fixed order the reduced complete system is unique, so a run
+    that completes yields the same rules with or without either
+    criterion; a run stopped by ``max_rules`` or ``max_word_len`` may
+    stop at another rule set, or stop where the other would not.
     """
     code, names = p.codec
     counter = itertools.count()
     heap: list = []
 
-    # relations and requeued rules carry rule ids -1 and are never dropped
-    def push(u: str, v: str, src: str, dst: str, id1: int = -1, id2: int = -1):
+    # relations and requeued rules carry rule ids -1 and are never
+    # dropped; a critical pair carries its rules' ids and the length of
+    # the word they overlap in, not the word
+    def push(u: str, v: str, src: str, dst: str, id1: int = -1, id2: int = -1,
+             span: int = 0):
         ku, kv = (len(u), u), (len(v), v)
         heapq.heappush(heap, ((max(ku, kv), min(ku, kv)), next(counter),
-                              u, v, src, dst, id1, id2))
+                              u, v, src, dst, id1, id2, span))
 
     for rel in p.relations:
         push("".join(map(code.__getitem__, rel.lhs.letters)),
@@ -457,7 +487,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
     # rewriting preserves them
     rules: list[tuple] = []
     rule_ids = itertools.count()
-    live: set[int] = set()
+    # the left side of each rule in the system, by id
+    live: dict[int, str] = {}
     # ``rules`` as one matcher, kept current in place; no left side
     # contains another, so at most one matches at a position and the
     # order of the index need not follow ``rules``
@@ -466,9 +497,15 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
     status = COMPLETE
 
     while heap:
-        _, _, u, v, src, dst, id1, id2 = heapq.heappop(heap)
-        if id1 >= 0 and (id1 not in live or id2 not in live):
-            continue
+        _, _, u, v, src, dst, id1, id2, span = heapq.heappop(heap)
+        if id1 >= 0:
+            if id1 not in live or id2 not in live:
+                continue
+            # no live left side contains another, so the pair overlaps
+            # in a·b[k:]; a composite one needs no normal forms
+            a, b = live[id1], live[id2]
+            if index.reducible((a + b[len(a) + len(b) - span:])[1:-1]):
+                continue
         u = index.normal_form(u)
         v = index.normal_form(v)
         if u == v:
@@ -482,7 +519,7 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
             status = BOUNDED_INCOMPLETE
             break
         new_id = next(rule_ids)
-        live.add(new_id)
+        live[new_id] = u
         new_rule = (u, v, src, dst, new_id)
 
         # interreduce: rules whose lhs contains u go back to the queue,
@@ -502,19 +539,22 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
             index.set_rhs(lhs, rhs)
         rules = [(lhs, reduced.get(lhs, rhs), s, d, i) for lhs, rhs, s, d, i in kept]
         for lhs, rhs, s, d, i in requeued:
-            live.remove(i)
+            del live[i]
             push(lhs, rhs, s, d)
 
         # every overlap of u with b, and b inside u, contains b's first
-        # letter in u; the other way round, u's first letter in b
+        # letter in u; the other way round, u's first letter in b.  A
+        # pair's left side is a's right side followed by the letters of b
+        # past the overlap, so it gives the overlap's length
         for i, other in enumerate(rules):
-            b = other[0]
-            pairs = _critical_pairs(new_rule, other) if b[0] in u else ()
-            if i and u[0] in b:
-                pairs = itertools.chain(pairs, _critical_pairs(other, new_rule))
-            for left, right, s, d in pairs:
-                if left != right:
-                    push(left, right, s, d, new_id, other[4])
+            peaks = [(new_rule, other)] if other[0][0] in u else []
+            if i and u[0] in other[0]:
+                peaks.append((other, new_rule))
+            for r1, r2 in peaks:
+                a, a_rhs = r1[0], r1[1]
+                for left, right, s, d in _critical_pairs(r1, r2):
+                    if left != right:
+                        push(left, right, s, d, r1[4], r2[4], len(a) + len(left) - len(a_rhs))
 
         # a pair whose rule has left stays dead, and (priority, counter)
         # orders the entries totally, so dropping the dead ones each time
@@ -599,29 +639,39 @@ def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:
 class DenomDecider:
     """Decides denominator membership for a category with denominators.
 
-    The explicit words are normalized, identities are added when the
-    flag says so, and the composition flag saturates the set under
-    binary composition up to the resource bounds, as encoded normal forms
-    ``(src, dst, code)`` in ``closure``, kept in
-    :meth:`RewriteSystem.sort_key` order.  Membership of an arbitrary
-    word is then a normal form lookup.  :func:`denominators` builds one
-    per system and keeps it.
+    The explicit words are normalized into the generating words
+    ``generators``, identities are added when the flag says so, and the
+    composition flag saturates the set under binary composition up to
+    the resource bounds, as encoded normal forms ``(src, dst, code)`` in
+    ``closure``, kept in :meth:`RewriteSystem.sort_key` order.
+    Membership of an arbitrary word is then a normal form lookup.
+    :func:`denominators` builds one per system and keeps it.
+
+    On a complete system each new element is composed on both sides
+    with the generating words only: normal forms are canonical, so a set
+    closed under those products is closed under composition.  On a
+    ``bounded-incomplete`` system each new element is composed with the
+    whole set, round by round, since its normal forms are not canonical
+    and pairwise products reach representatives that products with the
+    generating words miss.
     """
 
     def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
         self.cwd = c
         self.rs = rs
         limits = rs.limits
-        closure = set(map(rs.compose, map(rs.encode, c.denoms.explicit)))
+        self.generators = set(map(rs.compose, map(rs.encode, c.denoms.explicit)))
+        closure = set(self.generators)
         if c.denoms.include_identities:
             for x in c.cat.objects:
                 closure.add((x, x, ""))
         if c.denoms.close_under_composition:
+            factors = self.generators if rs.is_complete else closure
             frontier = set(closure)
             while frontier:
                 fresh: set[tuple[str, str, str]] = set()
                 for u in frontier:
-                    for v in closure:
+                    for v in factors:
                         for a, b in ((u, v), (v, u)):
                             if a[1] != b[0]:
                                 continue

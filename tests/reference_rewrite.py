@@ -7,6 +7,11 @@ fast kernel takes the same rewriting steps: the same normal form for
 every word and rule list, and the same completed rules and status for
 every presentation and bound.
 
+``closure`` is the denominator closure ``loccat.rewrite.DenomDecider``
+built before it grew the set by its generating words on a complete
+system: it composes each new element with the whole set, both ways,
+round by round, and raises at the same bounds with the same messages.
+
 ``homset`` is the hom-set enumeration ``loccat.rewrite`` used before it
 listed irreducible words: it normalises every extension of a known
 normal form by a generator, with this normaliser, and raises at the
@@ -18,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from loccat.presentation import CatPresentation, LimitExceeded, PathWord
+from loccat.presentation import CatPresentation, CatWithDenoms, LimitExceeded, PathWord
 from loccat.rewrite import (BOUNDED_INCOMPLETE, COMPLETE, DEFAULT_LIMITS,
                             ResourceLimits, RewriteRule, RewriteSystem)
 
@@ -180,3 +185,33 @@ def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
                     nxt.append(cand)
         frontier = nxt
     return tuple(sorted((w for w in seen if w.dst == y), key=p.shortlex_key))
+
+
+def closure(c: CatWithDenoms, rs: RewriteSystem) -> set[tuple[str, str, str]]:
+    """The denominators of ``c`` as encoded normal forms of ``rs``: the
+    explicit words and identities as the flags say, saturated pairwise
+    under composition when the flag says so, under ``rs.limits``."""
+    limits = rs.limits
+    found = set(map(rs.compose, map(rs.encode, c.denoms.explicit)))
+    if c.denoms.include_identities:
+        found.update((x, x, "") for x in c.cat.objects)
+    frontier = set(found) if c.denoms.close_under_composition else set()
+    while frontier:
+        fresh: set[tuple[str, str, str]] = set()
+        for u in frontier:
+            for v in found:
+                for a, b in ((u, v), (v, u)):
+                    if a[1] != b[0]:
+                        continue
+                    comp = rs.compose(a, b)
+                    if len(comp[2]) > limits.max_word_len:
+                        raise LimitExceeded(
+                            "max_word_len",
+                            "denominator closure produced a word over the bound")
+                    if comp not in found:
+                        fresh.add(comp)
+        if len(found) + len(fresh) > limits.max_homset:
+            raise LimitExceeded("max_homset", "denominator closure larger than the bound")
+        found |= fresh
+        frontier = fresh
+    return found

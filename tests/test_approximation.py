@@ -6,6 +6,7 @@ import json
 import time
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     normalize, prepare, replacement_functor,
                     total_replacement_functor, total_value,
                     verify_approximation)
-from loccat import approximation, equivalence
+from loccat import approximation, equivalence, gz, replacement
 
 SECTION_NAMES = ["preconditions", "total_functor", "shortening",
                  "denominator_values", "choice", "choice_functor",
@@ -274,6 +275,39 @@ class TestFunctorChecks:
             ("forgetful_section_pair", "comparison_squares_checked"): 18}
         full = check_s_full(prepare(f, DEFAULT_LIMITS))
         assert full.verdict and full.details == {"arrows_checked": 30}
+
+    def test_localised_forgetful_built_once(self, monkeypatch):
+        # the localisation of the replacement category is answered through
+        # the localised forgetful functor, and the forgetful_section_pair
+        # section validates that one: built twice before
+        settings, bases = [], []
+
+        def recorded(*args):
+            settings.append(prepare(*args))
+            return settings[-1]
+
+        def counted(lc_src, lc_tgt, base, fresh_value):
+            bases.append(base)
+            return extend(lc_src, lc_tgt, base, fresh_value)
+
+        extend = gz.extend_to_localisation
+        monkeypatch.setattr(approximation, "prepare", recorded)
+        for module in (gz, approximation, replacement):
+            monkeypatch.setattr(module, "extend_to_localisation", counted)
+        assert verify_approximation(corpus.fun("E7"), DEFAULT_LIMITS).ok
+        forgetful = settings[0].rc.forgetful
+        assert sum(base is forgetful for base in bases) == 1
+
+    def test_invalid_localised_functor_raises(self):
+        s = corpus.setting("E7")
+        lc_rc, gz_u = s.rc.localised(s.lc_tgt)
+        assert gz.checked(gz_u, lc_rc, s.lc_tgt) is gz_u
+        name = next(iter(lc_rc.inv_of))
+        broken = replace(gz_u, gen_map={**gz_u.gen_map,
+                                        name: s.lc_tgt.presentation.identity(
+                                            gz_u.gen_map[name].src)})
+        with pytest.raises(ConstructionError, match="^induced functor invalid: "):
+            gz.checked(broken, lc_rc, s.lc_tgt)
 
 
 class TestDeciders:

@@ -85,7 +85,7 @@ class TestEngineAgreement:
     def test_localised_replacement_categories(self):
         for name in ("E2", "E7"):
             s = corpus.setting(name)
-            lc_rc = s.rc.localised(s.lc_tgt)
+            lc_rc, _ = s.rc.localised(s.lc_tgt)
             assert_engine_agreement(lc_rc.presentation, lc_rc.rs)
 
 

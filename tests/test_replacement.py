@@ -159,7 +159,7 @@ class TestInflation:
         for s in settings(tmp_path, ("E2", "E5", "E7", "E7b")):
             rc = s.rc
             lc = localise(rc.cwd, complete(rc.cwd.cat, rc.rs.limits))
-            lc_rc = rc.localised(s.lc_tgt)
+            lc_rc, _ = rc.localised(s.lc_tgt)
             assert lc.rs.status == lc_rc.rs.status == "complete"
             assert lc_rc.presentation == lc.presentation
             for a in rc.obj_names:

@@ -16,9 +16,9 @@ import reference_rewrite
 from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     CatWithDenoms, DenomDecider, DenomSet, GenArrow,
                     LimitExceeded, PathWord, Relation, DEFAULT_LIMITS,
-                    ResourceLimits, RewriteRule, ValidationError,
-                    build_replacement_category, complete, denominators, equal,
-                    find_inverse, homset, localise, normalize)
+                    ResourceLimits, RewriteRule, RewriteSystem, ValidationError,
+                    build_replacement_category, check_multiplicative, complete,
+                    denominators, equal, find_inverse, homset, localise, normalize)
 from loccat import rewrite
 from loccat.rewrite import RuleIndex
 from test_approximation import ladder
@@ -73,7 +73,8 @@ def count_normal_forms(monkeypatch) -> list:
 
 # the completions of the braid and the partially commutative monoid do
 # not terminate, so every bound is hit; L4 has thirteen generators
-FAMILIES = {"D5": dihedral(5), "D12": dihedral(12), "D33": dihedral(33),
+FAMILIES = {"D5": dihedral(5), "D12": dihedral(12), "D24": dihedral(24),
+            "D33": dihedral(33), "D12 localised": localised_dihedral(12),
             "L4": ladder(4).target.cat,
             "braid": monoid("ab", [("aba", "bab")]),
             "partially-commutative": monoid("abc", [("ab", "ba"), ("bc", "cb")])}
@@ -153,11 +154,20 @@ class TestCompletion:
 
     def test_dead_pairs_not_normalised(self, monkeypatch):
         # a critical pair is dropped unread once one of its rules has
-        # left the system: 2,083 normalisations here instead of 5,361
+        # left the system: 1,183 normalisations here instead of 4,511
         calls = count_normal_forms(monkeypatch)
         rs = complete(dihedral(33), ResourceLimits(max_word_len=34))
         assert rs.status == COMPLETE
         assert len(calls) < 2500
+
+    def test_composite_pairs_not_normalised(self, monkeypatch):
+        # a live pair whose overlap word is reducible inside its first
+        # and last letters is joined by smaller pairs and skipped unread:
+        # 1,183 normalisations here instead of 2,083
+        calls = count_normal_forms(monkeypatch)
+        rs = complete(dihedral(33), ResourceLimits(max_word_len=34))
+        assert rs.status == COMPLETE and len(rs.rules) == 6
+        assert len(calls) < 1300
 
     def test_one_rule_index_per_run(self, monkeypatch):
         # completion updates one index as rules come and go, and the
@@ -230,8 +240,8 @@ class TestCompletion:
         assert compared
 
     def test_seeded_inverse_not_rediscovered(self, monkeypatch):
-        # localised D16 starts from a^-1 = a^15: 745 normalisations
-        # instead of 7,544 without the seed
+        # localised D16 starts from a^-1 = a^15: 275 normalisations
+        # instead of 2,134 without the seed
         c = dihedral_denoms(16)
         limits = ResourceLimits(max_word_len=17)
         rs = complete(c.cat, limits)
@@ -646,6 +656,55 @@ class TestDenomDecider:
             closure = DenomDecider(cwd, system).closure
             assert list(map(system.decode, closure)) == \
                 sorted(map(system.decode, closure), key=cwd.cat.word_sort_key)
+
+    @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "L4", "D6", "D33",
+                                      "D6 truncated"])
+    def test_closure_matches_pairwise_saturation(self, name):
+        # a complete system grows the closure by its generating words, an
+        # incomplete one pairwise: truncated D6 keeps b·a·a·b beside
+        # b·a·b, which multiplying by a alone would not reach
+        if name in corpus.CAT_NAMES:
+            c, limits = corpus.cat(name), DEFAULT_LIMITS
+        elif name == "L4":
+            c, limits = ladder(4).target, DEFAULT_LIMITS
+        else:
+            n = int(name.split()[0][1:])
+            c, limits = dihedral_denoms(n), ResourceLimits(max_word_len=n + 1)
+        if name.endswith("truncated"):
+            limits = ResourceLimits(max_rules=5)
+        rs = complete(c.cat, limits)
+        systems = [(c, rs)]
+        if rs.is_complete and name != "D33":
+            lc = localise(c, rs)
+            systems.append((lc.cwd, lc.rs))
+        for cwd, system in systems:
+            assert set(DenomDecider(cwd, system).closure) == \
+                reference_rewrite.closure(cwd, system)
+        if name.endswith("truncated"):
+            assert rs.status == BOUNDED_INCOMPLETE
+            assert len(denominators(c, rs).closure) == 7
+
+    def test_closure_grows_by_generating_words(self, monkeypatch):
+        # each new denominator is multiplied by the generating words, not
+        # by the whole closure, and the multiplicativity check multiplies
+        # each denominator by them once: 67 and 33 compositions here
+        # instead of 1,435 and 1,089
+        c = dihedral_denoms(33)
+        rs = complete(c.cat, ResourceLimits(max_word_len=34))
+        assert rs.status == COMPLETE
+        calls = []
+        compose = RewriteSystem.compose
+
+        def counted(system, *words):
+            calls.append(words)
+            return compose(system, *words)
+
+        monkeypatch.setattr(RewriteSystem, "compose", counted)
+        assert len(denominators(c, rs).closure) == 33
+        assert len(calls) < 100
+        calls.clear()
+        assert check_multiplicative(c, rs) == (True, None)
+        assert len(calls) < 100
 
 
 class TestDeciderTable:
