@@ -44,7 +44,6 @@ from .presentation import (
     CatPresentation,
     ConstructionError,
     FunctorData,
-    PathWord,
     PreconditionError,
     ValidationError,
 )
@@ -64,23 +63,23 @@ from .rewrite import (
     denominators,
     equal_encoded,
     inverse,
-    normalize,
     words,
 )
 
 
-def total_value(setting: GzSetting, i: int, j: int, w: PathWord) -> PathWord:
+def total_value(setting: GzSetting, i: int, j: int, w: tuple) -> tuple:
     """The unique fill giving the value of the total functor on ``w``.
 
-    ``w`` is a target-category word from the object under triple ``i``
-    of ``setting.rc`` to the one under triple ``j``; the value solves
+    ``w`` is an encoded target-category word from the object under
+    triple ``i`` of ``setting.rc`` to the one under triple ``j``; the
+    value, an encoded word of ``setting.lc_src``, solves
     ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.  See :func:`_value`.
     """
     triples = setting.rc.triples
-    if (w.src, w.dst) != (triples[i].target, triples[j].target):
-        raise ValidationError(f"word from {w.src!r} to {w.dst!r} does not run "
+    if w[:2] != (triples[i].target, triples[j].target):
+        raise ValidationError(f"word from {w[0]!r} to {w[1]!r} does not run "
                               f"between the objects under triples {i} and {j}")
-    return setting.lc_src.rs.decode(_value(setting, i, j, setting.rs_tgt.encode(w)[2]))
+    return _value(setting, i, j, w[2])
 
 
 def _value(setting: GzSetting, i: int, j: int, s: str) -> tuple[str, str, str]:
@@ -89,10 +88,9 @@ def _value(setting: GzSetting, i: int, j: int, s: str) -> tuple[str, str, str]:
     key = (i, j, s)
     value = setting._total_values.get(key)
     if value is None:
-        rc = setting.rc
-        ti, tj, q = rc.triples[i], rc.triples[j], rc.codes
-        g = setting.rs_tgt.index[q[i] + s]
-        fills = solve_fill(setting, (ti.source, tj.source, tj.target, g, q[j]))
+        ti, tj = setting.rc.triples[i], setting.rc.triples[j]
+        g = setting.rs_tgt.index[ti.q + s]
+        fills = solve_fill(setting, (ti.source, tj.source, tj.target, g, tj.q))
         if len(fills) != 1:
             raise ConstructionError(f"expected exactly one fill between triples {i} "
                                     f"and {j}, got {len(fills)}")
@@ -114,8 +112,8 @@ def _generators(p: CatPresentation) -> list[tuple[str, str, str]]:
 
 def _loc_q(setting: GzSetting, i: int) -> tuple:
     """The denominator ``q`` of triple ``i`` of ``setting.rc``, normalised in ``lc_tgt``."""
-    t, code = setting.rc.triples[i], setting.rc.codes[i]
-    return setting.lc_tgt.rs.compose((t.q.src, t.target, code))
+    t = setting.rc.triples[i]
+    return setting.lc_tgt.rs.compose((setting.f.object_map[t.source], t.target, t.q))
 
 
 def _require_fills(setting: GzSetting) -> int:
@@ -219,9 +217,9 @@ def total_replacement_functor(setting: GzSetting) -> tuple[FunctorData, dict]:
     functor = FunctorData(
         source=rc.cwd, target=setting.lc_src.cwd,
         object_map={name: t.source for name, t in zip(rc.obj_names, rc.triples)},
-        gen_map={g.name: total_value(setting, rc.object_index(g.src), rc.object_index(g.dst),
-                                     rc.forgetful.gen_map[g.name])
-                 for g in rc.cwd.cat.generators})
+        images={g.name: total_value(setting, rc.object_index(g.src), rc.object_index(g.dst),
+                                    rc.forgetful.images[g.name])
+                for g in rc.cwd.cat.generators})
 
     identities_ok = not any([_value(setting, i, i, "")[2]
                              for i in range(len(rc.triples))])
@@ -254,7 +252,7 @@ def verify_shortening(setting: GzSetting) -> dict:
     def lengthened(y: str, y_bar: str, e: str):
         """Positions of each triple ``(X, q)`` and of its lengthening ``(X, q.e)``."""
         for i in rc.triples_over(y):
-            i2 = rc.position(y_bar, rc.triples[i].source, rs.index[rc.codes[i] + e])
+            i2 = rc.position(y_bar, rc.triples[i].source, rs.index[rc.triples[i].q + e])
             if i2 is not None:
                 yield i, i2
 
@@ -322,9 +320,8 @@ def replacement_functor(setting: GzSetting, choice: ReplacementChoice
     functor = FunctorData(
         source=setting.f.target, target=lc_src.cwd,
         object_map={y: rc.triples[chosen[y]].source for y in tgt_cat.objects},
-        gen_map={g.name: total_value(setting, chosen[g.src], chosen[g.dst],
-                                     tgt_cat.word([g.name]))
-                 for g in tgt_cat.generators})
+        images={g.name: total_value(setting, chosen[g.src], chosen[g.dst], g_word)
+                for g, g_word in zip(tgt_cat.generators, _generators(tgt_cat))})
     direct = partial(_value_of, setting, chosen.__getitem__, {})
 
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
@@ -440,12 +437,12 @@ def verify_approximation(f: FunctorData,
     ``choice`` defaults to the first replacement of every object
     (:func:`~loccat.replacement.auto_choice`); a given choice is
     compared with that one in a choice-independence section.  The ``q``
-    of a given choice may be any word; it is normalised in the target
-    first.
+    of a given choice may be the code of any word; it is normalised in
+    the target first.
     """
     setting = prepare(f, limits)
     if choice is not None:
-        choice = {y: SReplacement(rep.target, rep.source, normalize(setting.rs_tgt, rep.q))
+        choice = {y: SReplacement(rep.target, rep.source, setting.rs_tgt.index[rep.q])
                   for y, rep in choice.items()}
     mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt)
     if not mult and not experimental_no_mult:
@@ -486,7 +483,8 @@ def verify_approximation(f: FunctorData,
     u_reflects, _ = check_reflects_denominators(u, rc.rs, setting.rs_tgt)
     sections.append({
         "name": "choice",
-        "chosen": [{"object": y, "source": rep.source, "q": word_json(rep.q)}
+        "chosen": [{"object": y, "source": rep.source, "q": word_json(
+            setting.rs_tgt.decode((f.object_map[rep.source], y, rep.q)))}
                    for y, rep in chosen_choice.items()],
         "forgetful_valid": not u_problems,
         "forgetful_reflects_denominators": u_reflects,
@@ -558,8 +556,8 @@ def verify_approximation(f: FunctorData,
 
     lc_rc, gz_u = rc.localised(lc_tgt)
     gz_lift = induced_functor(lift, lc_src, lc_rc)
-    beta_bar_c = {rc.obj_names[i]: lc_rc.rs.compose(lc_rc.rs.encode(rc.lift_word(
-        t.q, trivial_idx[t.source], i))) for i, t in enumerate(rc.triples)}
+    beta_bar_c = {rc.obj_names[i]: lc_rc.rs.compose(rc.lift_word(t.q, trivial_idx[t.source], i))
+                  for i, t in enumerate(rc.triples)}
     part_c_ok = _invertible(lc_rc, beta_bar_c.values())
     c_squares, c_natural = _squares(
         lc_rc, rc_gens, through(lc_rc, total, gz_lift), beta_bar_c,
@@ -590,8 +588,7 @@ def verify_approximation(f: FunctorData,
     gz_cr = induced_functor(c_r, lc_tgt, lc_rc)
     cr_u = through(lc_tgt, gz_cr, gz_u)
     pair_exact_ok = all(cr_u(w) == lc_tgt.rs.compose(w) for w in _generators(p_tgt))
-    loc_abar = {t: lc_rc.rs.compose(lc_rc.rs.encode(abar.components[t]))
-                for t in rc.obj_names}
+    loc_abar = {t: lc_rc.rs.compose(abar.components[t]) for t in rc.obj_names}
     pair_iso_ok = _invertible(lc_rc, loc_abar.values())
     pair_squares, pair_nat_ok = _squares(
         lc_rc, _generators(lc_rc.presentation), through(lc_rc, gz_u, gz_cr),

@@ -14,14 +14,12 @@ from .presentation import (
     FunctorData,
     PathWord,
     TransformationData,
-    ValidationError,
 )
 from .rewrite import (
     RewriteSystem,
     denominators,
-    equal,
+    equal_encoded,
     inverse,
-    normalize,
     words,
 )
 
@@ -76,8 +74,10 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
                      rs_tgt: RewriteSystem) -> list[dict]:
     """Structural and equational validity of a functor presentation.
 
-    Checks totality of the maps, well-typedness of generator images,
-    preservation of every relation and preservation of denominators.
+    Checks totality of the maps, the endpoints of the generator images,
+    preservation of every relation and preservation of denominators, on
+    codes (:meth:`~loccat.presentation.FunctorData.from_words` checks
+    that word images are words); only a witness is decoded.
     """
     problems: list[dict] = []
     src_cat, tgt_cat = f.source.cat, f.target.cat
@@ -91,41 +91,33 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
         if name not in src_cat.obj_index:
             problems.append({"kind": "object-map-extra-key", "object": name})
     for g in src_cat.generators:
-        if g.name not in f.gen_map:
+        if g.name not in f.images:
             problems.append({"kind": "generator-not-mapped", "generator": g.name})
             continue
-        img = f.gen_map[g.name]
-        try:
-            rebuilt = tgt_cat.word(img.letters, src=img.src, dst=img.dst) \
-                if img.letters else tgt_cat.identity(img.src)
-        except ValidationError as e:
-            problems.append({"kind": "generator-image-ill-formed",
-                             "generator": g.name, "detail": str(e)})
-            continue
-        want = (f.object_map.get(g.src), f.object_map.get(g.dst))
+        got = list(f.images[g.name][:2])
+        want = [f.object_map.get(g.src), f.object_map.get(g.dst)]
         # an unmapped or unknown endpoint is reported above, once
-        if set(want) <= tgt_cat.obj_index.keys() and (rebuilt.src, rebuilt.dst) != want:
+        if set(want) <= tgt_cat.obj_index.keys() and got != want:
             problems.append({"kind": "generator-image-endpoints",
-                             "generator": g.name,
-                             "expected": list(want),
-                             "got": [rebuilt.src, rebuilt.dst]})
-    for name in f.gen_map:
+                             "generator": g.name, "expected": want, "got": got})
+    for name in f.images:
         if name not in src_cat.gen_by_name:
             problems.append({"kind": "gen-map-extra-key", "generator": name})
     if problems:
         return problems
 
-    for i, rel in enumerate(src_cat.relations):
-        if not equal(rs_tgt, f.apply_word(rel.lhs), f.apply_word(rel.rhs)):
+    omap, table = f.object_map, f.translation
+    for i, (rel, (lhs, rhs)) in enumerate(zip(src_cat.relations, src_cat.relation_codes)):
+        if not equal_encoded(rs_tgt, lhs[2].translate(table), rhs[2].translate(table)):
             problems.append({"kind": "relation-not-preserved", "relation": i,
                              "lhs": word_json(rel.lhs), "rhs": word_json(rel.rhs)})
-    src_closure, omap = denominators(f.source, rs_src).closure, f.object_map
     tgt_closure = denominators(f.target, rs_tgt).closure
-    for x, y, s in src_closure:
-        if rs_tgt.compose((omap[x], omap[y], s.translate(f.translation))) not in tgt_closure:
-            w = rs_src.decode((x, y, s))
+    for x, y, s in denominators(f.source, rs_src).closure:
+        image = (omap[x], omap[y], s.translate(table))
+        if rs_tgt.compose(image) not in tgt_closure:
             problems.append({"kind": "denominator-not-preserved",
-                             "word": word_json(w), "image": word_json(f.apply_word(w))})
+                             "word": word_json(rs_src.decode((x, y, s))),
+                             "image": word_json(rs_tgt.decode(image))})
     return problems
 
 
@@ -140,36 +132,36 @@ def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
         for y in objects:
             for s in words(rs_src, x, y):
                 # s is irreducible, so it is its own normal form
-                image = rs_tgt.compose((omap[x], omap[y], s.translate(f.translation)))
-                if image in dec_tgt.closure and (x, y, s) not in dec_src.closure:
-                    w = rs_src.decode((x, y, s))
+                image = (omap[x], omap[y], s.translate(f.translation))
+                if rs_tgt.compose(image) in dec_tgt.closure \
+                        and (x, y, s) not in dec_src.closure:
                     return False, {"kind": "denominator-not-reflected",
-                                   "word": word_json(w), "image": word_json(f.apply_word(w))}
+                                   "word": word_json(rs_src.decode((x, y, s))),
+                                   "image": word_json(rs_tgt.decode(image))}
     return True, None
 
 
 def check_transformation(t: TransformationData,
                          rs_tgt: RewriteSystem) -> list[dict]:
-    """Naturality of ``t`` on every source generator."""
+    """Naturality of ``t`` on every source generator, on codes."""
     problems: list[dict] = []
     src_cat = t.frm.source.cat
-    tgt_cat = t.frm.target.cat
     for x in src_cat.objects:
         if x not in t.components:
             problems.append({"kind": "component-missing", "object": x})
             continue
-        comp = t.components[x]
-        want = (t.frm.object_map[x], t.to.object_map[x])
-        if (comp.src, comp.dst) != want:
+        got = list(t.components[x][:2])
+        want = [t.frm.object_map[x], t.to.object_map[x]]
+        if got != want:
             problems.append({"kind": "component-endpoints", "object": x,
-                             "expected": list(want), "got": [comp.src, comp.dst]})
+                             "expected": want, "got": got})
     if problems:
         return problems
     for g in src_cat.generators:
-        lhs = tgt_cat.concat(t.frm.gen_map[g.name], t.components[g.dst])
-        rhs = tgt_cat.concat(t.components[g.src], t.to.gen_map[g.name])
-        if not equal(rs_tgt, lhs, rhs):
+        lhs = rs_tgt.compose(t.frm.images[g.name], t.components[g.dst])
+        rhs = rs_tgt.compose(t.components[g.src], t.to.images[g.name])
+        if not equal_encoded(rs_tgt, lhs[2], rhs[2]):
             problems.append({"kind": "naturality-fails", "generator": g.name,
-                             "lhs": word_json(normalize(rs_tgt, lhs)),
-                             "rhs": word_json(normalize(rs_tgt, rhs))})
+                             "lhs": word_json(rs_tgt.decode(lhs)),
+                             "rhs": word_json(rs_tgt.decode(rhs))})
     return problems

@@ -49,8 +49,8 @@ from .rewrite import (
     ResourceLimits,
     complete,
     denominators,
-    homset,
     inverse,
+    words,
 )
 
 SCHEMA = "loccat-report/1"
@@ -183,18 +183,15 @@ def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int
         raise ValidationError(
             f"unknown object in homset query: {args.src!r} or {args.dst!r}")
     rs = complete(cwd.cat, limits)
-    result: dict = {"src": args.src, "dst": args.dst, "status": rs.status}
-    if args.localised:
-        lc = localise(cwd, rs)
-        words = homset(lc.rs, args.src, args.dst)
-        result["words"] = [list(w.letters) for w in words]
-        result["zigzags"] = [zigzag_view(lc, w).render() for w in words]
-        result["localised"] = True
-    else:
-        words = homset(rs, args.src, args.dst)
-        result["words"] = [list(w.letters) for w in words]
-        result["localised"] = False
-    result["count"] = len(words)
+    result: dict = {"src": args.src, "dst": args.dst, "status": rs.status,
+                    "localised": args.localised}
+    lc = localise(cwd, rs) if args.localised else None
+    system = rs if lc is None else lc.rs
+    found = [(args.src, args.dst, s) for s in words(system, args.src, args.dst)]
+    result["words"] = [list(system.decode(w).letters) for w in found]
+    if lc is not None:
+        result["zigzags"] = [zigzag_view(lc, w).render() for w in found]
+    result["count"] = len(found)
     return {"result": result}, EXIT_OK
 
 

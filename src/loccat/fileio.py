@@ -173,15 +173,14 @@ def load_functor(path: str | Path) -> FunctorData:
                     f"{path}: empty image for {name!r} needs equal mapped "
                     "endpoints")
             gen_map[name] = target.cat.identity(image)
-    return FunctorData(source=source, target=target,
-                       object_map=dict(data["object_map"]), gen_map=gen_map)
+    return FunctorData.from_words(source, target, dict(data["object_map"]), gen_map)
 
 
 def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
     """Load a replacement choice file against a functor.
 
     Each ``q`` is checked to run from ``F x`` to its object and kept as
-    written; :func:`~loccat.approximation.verify_approximation`
+    written, encoded; :func:`~loccat.approximation.verify_approximation`
     normalises it under the target's completed system.
     """
     data = read_json(path)
@@ -211,5 +210,5 @@ def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
                 raise ValidationError(
                     f"{path}: empty q for {y!r} needs F x == {y!r}")
             q = f.target.cat.identity(y)
-        choice[y] = SReplacement(target=y, source=entry["x"], q=q)
+        choice[y] = SReplacement(target=y, source=entry["x"], q=f.target.cat.encode(q)[2])
     return choice

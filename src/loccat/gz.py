@@ -26,7 +26,7 @@ composite of forward base words and inverted denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 from .axioms import validate_functor
 from .presentation import (
@@ -72,6 +72,14 @@ class LocalisedCategory:
     @property
     def presentation(self) -> CatPresentation:
         return self.cwd.cat
+
+    @cached_property
+    def zigzag_tables(self) -> tuple[dict[int, str], dict[str, tuple[str, str, str]]]:
+        """For :func:`zigzag_view`: fresh letters to base codes, for
+        ``str.translate``, and inverse letters to the words they invert."""
+        code = self.presentation.codec[0]
+        return (str.maketrans({code[n]: w[2] for n, w in self.fresh_defs.items()}),
+                {code[n]: w for n, w in self.inverted.items()})
 
 
 def fresh_name(stem: str, taken: set[str]) -> str:
@@ -124,7 +132,7 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     through the localised target.
     """
     cat = c.cat
-    closure = denominators(c, rs_base).closure
+    dec = denominators(c, rs_base)
     taken = {g.name for g in cat.generators}
 
     inv_of: dict[str, str] = {}
@@ -149,12 +157,11 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     code = cat.codec[0]
     for g in cat.generators:
         nf = rs_base.index[code[g.name]]
-        if nf and (g.src, g.dst, nf) in closure:
+        if nf and (g.src, g.dst, nf) in dec.closure:
             add_inverse(g.name, (g.src, g.dst, code[g.name]))
 
     # one fresh generator per distinct composite explicit denominator
-    composites = {nf for nf in map(rs_base.compose, map(rs_base.encode, c.denoms.explicit))
-                  if len(nf[2]) >= 2}
+    composites = [nf for nf in dec.generators if len(nf[2]) >= 2]
     for word in sorted(composites, key=rs_base.sort_key):
         nf = rs_base.decode(word)
         name = fresh_name("⟨" + "·".join(nf.letters) + "⟩", taken)
@@ -204,8 +211,8 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
     generators go to their images under it, each fresh generator to
     ``fresh_value`` of the encoded base word it names, and each inverse
     generator to the shortlex-least inverse of the image of what it
-    inverts.  Images are encoded normal forms of ``lc_tgt``, decoded
-    once into the functor.  The caller validates the result.
+    inverts.  The images are encoded normal forms of ``lc_tgt``.  The
+    caller validates the result.
     """
     p, image = base.source.cat, through(lc_tgt, base)
     values = {g.name: image((g.src, g.dst, p.codec[0][g.name])) for g in p.generators}
@@ -218,7 +225,7 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
                 f"image of denominator {name!r} has no inverse in the target "
                 "localisation")
     return FunctorData(source=lc_src.cwd, target=lc_tgt.cwd, object_map=dict(base.object_map),
-                       gen_map={name: lc_tgt.rs.decode(w) for name, w in values.items()})
+                       images=values)
 
 
 def induced_functor(f: FunctorData, lc_src: LocalisedCategory,
@@ -277,17 +284,16 @@ class ZigzagView:
         return " · ".join(parts)
 
 
-def zigzag_view(lc: LocalisedCategory, m: PathWord) -> ZigzagView:
-    """Split a localised morphism into its zigzag of base words.
+def zigzag_view(lc: LocalisedCategory, m: tuple[str, str, str]) -> ZigzagView:
+    """Split a localised morphism, the encoded word ``m``, into its zigzag.
 
     Fresh composite letters are expanded back to base letters, inverse
-    letters become inverted denominator words.  Recomposing the view
-    recovers a word equal to ``m``, which is checked.
+    letters become inverted denominator words, and only the segments
+    returned are decoded.  Recomposing the view recovers a word equal
+    to ``m``, which is checked.
     """
-    rs, code = lc.rs, lc.presentation.codec[0]
-    src, dst, s = rs.compose(rs.encode(m))
-    expand = str.maketrans({code[n]: w[2] for n, w in lc.fresh_defs.items()})
-    inverted = {code[n]: w for n, w in lc.inverted.items()}
+    rs, (expand, inverted) = lc.rs, lc.zigzag_tables
+    src, dst, s = rs.compose(m)
     segments: list[ZigzagSegment] = []
     start, fwd_src = 0, src
     for i, letter in enumerate(s):

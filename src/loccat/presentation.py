@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, count
+from itertools import count
 from operator import attrgetter
 
 
@@ -132,6 +132,20 @@ class CatPresentation:
         code = dict(zip(map(attrgetter("name"), self.generators), map(chr, count(0x100))))
         return code, dict(zip(code.values(), code))
 
+    def encode(self, w: PathWord) -> tuple[str, str, str]:
+        """``w`` as ``(src, dst, code)``: its endpoints and encoded letters."""
+        return w.src, w.dst, "".join(map(self.codec[0].__getitem__, w.letters))
+
+    def decode(self, word: tuple[str, str, str]) -> PathWord:
+        """The :class:`PathWord` of an encoded ``(src, dst, code)``."""
+        src, dst, s = word
+        return PathWord(src, dst, tuple(map(self.codec[1].__getitem__, s)))
+
+    @cached_property
+    def relation_codes(self) -> tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]:
+        """The two sides of each relation, encoded once."""
+        return tuple((self.encode(r.lhs), self.encode(r.rhs)) for r in self.relations)
+
     @cached_property
     def out_gens(self) -> dict[str, list[GenArrow]]:
         out: dict[str, list[GenArrow]] = {}
@@ -217,47 +231,66 @@ class CatWithDenoms:
 
 @dataclass
 class FunctorData:
-    """A functor between presented categories, given on generators."""
+    """A functor between presented categories, given on generators:
+    ``images`` maps each to an encoded word ``(src, dst, code)`` of the
+    target (:meth:`CatPresentation.encode`).  :meth:`from_words` builds
+    one from :class:`PathWord` images, and ``gen_map`` decodes them."""
 
     source: CatWithDenoms
     target: CatWithDenoms
     object_map: dict[str, str]
-    gen_map: dict[str, PathWord]
+    images: dict[str, tuple[str, str, str]]
+
+    @classmethod
+    def from_words(cls, source: CatWithDenoms, target: CatWithDenoms,
+                   object_map: dict[str, str], gen_map: dict[str, PathWord]) -> "FunctorData":
+        """The functor with the images ``gen_map``; :class:`ValidationError`
+        unless each is a word of the target."""
+        p = target.cat
+        for name, w in gen_map.items():
+            issue = _word_issue(p, w)
+            if issue is not None:
+                raise ValidationError(f"image of {name!r}: {issue['detail']}")
+        return cls(source, target, object_map, {g: p.encode(w) for g, w in gen_map.items()})
+
+    @cached_property
+    def gen_map(self) -> dict[str, PathWord]:
+        """The images as :class:`PathWord` objects, decoded on first read."""
+        return {g: self.target.cat.decode(w) for g, w in self.images.items()}
 
     def apply_word(self, w: PathWord) -> PathWord:
-        """The image of ``w``, its letters' images joined once, unchecked:
+        """The image of ``w``, unnormalised and unchecked, as a word:
         :func:`~loccat.axioms.validate_functor`, which ``prepare`` and
         ``loccat validate`` run first, rejects ill-typed images."""
-        letters = chain.from_iterable(self.gen_map[x].letters for x in w.letters)
-        return PathWord(self.object_map[w.src], self.object_map[w.dst], tuple(letters))
+        s = self.source.cat.encode(w)[2].translate(self.translation)
+        return self.target.cat.decode((self.object_map[w.src], self.object_map[w.dst], s))
 
     @cached_property
     def translation(self) -> dict[int, str]:
         """For ``str.translate``: each source code to the code of its image."""
-        code = self.target.cat.codec[0]
-        return {ord(c): "".join(map(code.__getitem__, self.gen_map[x].letters))
-                for x, c in self.source.cat.codec[0].items()}
+        return {ord(c): self.images[x][2] for x, c in self.source.cat.codec[0].items()}
 
     def then(self, other: "FunctorData") -> "FunctorData":
         """Composite functor, ``self`` applied first."""
         if self.target is not other.source and self.target != other.source:
             raise ValidationError("functors do not compose: target != source")
+        omap, table = other.object_map, other.translation
         return FunctorData(
             source=self.source,
             target=other.target,
-            object_map={x: other.object_map[y]
-                        for x, y in self.object_map.items()},
-            gen_map={g: other.apply_word(w) for g, w in self.gen_map.items()},
+            object_map={x: omap[y] for x, y in self.object_map.items()},
+            images={g: (omap[src], omap[dst], s.translate(table))
+                    for g, (src, dst, s) in self.images.items()},
         )
 
 
 @dataclass
 class TransformationData:
-    """A transformation between parallel functors, one component per object."""
+    """A transformation between parallel functors, one encoded component per object."""
 
     frm: FunctorData
     to: FunctorData
-    components: dict[str, PathWord]
+    components: dict[str, tuple[str, str, str]]
 
 
 def validate_presentation(p: CatPresentation) -> list[dict]:
@@ -335,5 +368,5 @@ def identity_functor(c: CatWithDenoms) -> FunctorData:
         source=c,
         target=c,
         object_map={x: x for x in c.cat.objects},
-        gen_map={g.name: c.cat.word([g.name]) for g in c.cat.generators},
+        images={g.name: (g.src, g.dst, c.cat.codec[0][g.name]) for g in c.cat.generators},
     )

@@ -48,19 +48,19 @@ from .rewrite import (
     LimitExceeded,
     RewriteSystem,
     denominators,
-    equal,
-    normalize,
+    equal_encoded,
     words,
 )
 
 
 @dataclass(frozen=True)
 class SReplacement:
-    """A replacement ``(target, source, q)`` with ``q: F source -> target``."""
+    """A replacement ``(target, source, q)`` with ``q: F source -> target``,
+    given as the code of a target word (:meth:`CatPresentation.encode`)."""
 
     target: str
     source: str
-    q: PathWord
+    q: str
 
 
 # One chosen replacement per object of the target category, by object.
@@ -75,12 +75,8 @@ def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem,
     ``q`` in the target category.
     """
     dec = denominators(f.target, rs_tgt)
-    out: list[SReplacement] = []
-    for x in f.source.cat.objects:
-        fx = f.object_map[x]
-        for q in dec.denominators_between(fx, y):
-            out.append(SReplacement(target=y, source=x, q=rs_tgt.decode((fx, y, q))))
-    return tuple(out)
+    return tuple(SReplacement(y, x, q) for x in f.source.cat.objects
+                 for q in dec.denominators_between(f.object_map[x], y))
 
 
 def has_enough(f: FunctorData, rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
@@ -94,10 +90,10 @@ def has_enough(f: FunctorData, rs_tgt: RewriteSystem) -> tuple[bool, dict | None
 def has_all_trivial(f: FunctorData,
                     rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
     """Is ``(F X, X, identity)`` a replacement for every source object ``X``?"""
-    dec = denominators(f.target, rs_tgt)
+    closure = denominators(f.target, rs_tgt).closure
     for x in f.source.cat.objects:
         fx = f.object_map[x]
-        if not dec.is_denominator(f.target.cat.identity(fx)):
+        if (fx, fx, "") not in closure:
             return False, {"kind": "identity-not-denominator",
                            "object": x, "identity_at": fx}
     return True, None
@@ -115,7 +111,8 @@ class ReplacementCategory:
     to ``Y``, and as denominators every lifted word over a denominator.
     Its system ``rs`` is the :class:`~loccat.rewrite.Inflation` of
     ``rs_tgt`` along the forgetful functor, so it shares the target's
-    limits and status.
+    limits and status; its decider is built from the codes of the
+    lifted denominators, which ``cwd.denoms`` lists as words.
     """
 
     functor: FunctorData
@@ -125,46 +122,43 @@ class ReplacementCategory:
     cwd: CatWithDenoms = field(init=False)
     rs: Inflation = field(init=False)
     forgetful: FunctorData = field(init=False)
-    codes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         tgt_cat = self.functor.target.cat
-        triples = self.triples
+        triples, spell = self.triples, tgt_cat.codec[1].__getitem__
         # a name can repeat (q = 1 beside a generator "1"): prime the later
         taken_objs: set[str] = set()
         self.obj_names = names = tuple(
-            fresh_name(f"({t.target}|{t.source}|{'·'.join(t.q.letters) or '1'})",
+            fresh_name(f"({t.target}|{t.source}|{'·'.join(map(spell, t.q)) or '1'})",
                        taken_objs)
             for t in triples)
         self._obj_pos = {name: idx for idx, name in enumerate(names)}
-        # each triple's q encoded once; positions are keyed by that code
-        self.codes = tuple(self.rs_tgt.encode(t.q)[2] for t in triples)
         self._triple_pos: dict[tuple[str, str, str], int] = {}
         over: dict[str, list[int]] = {}
-        for idx, (t, q) in enumerate(zip(triples, self.codes)):
-            self._triple_pos.setdefault((t.target, t.source, q), idx)
+        for idx, t in enumerate(triples):
+            self._triple_pos.setdefault((t.target, t.source, t.q), idx)
             over.setdefault(t.target, []).append(idx)
         self._by_target = over = {y: tuple(idxs) for y, idxs in over.items()}
 
         # target generator first, then triple pair, identity lifts last:
         # so the first lift of each target word routes through first triples
-        lifts = [(g.name, tgt_cat.word([g.name]), i, j)
+        tgt_code = tgt_cat.codec[0]
+        lifts = [(g.name, (g.src, g.dst, tgt_code[g.name]), i, j)
                  for g in tgt_cat.generators
                  for i in over.get(g.src, ()) for j in over.get(g.dst, ())]
-        lifts += [(None, tgt_cat.identity(y), i, j) for y in tgt_cat.objects
+        lifts += [("1", (y, y, ""), i, j) for y in tgt_cat.objects
                   for i in over.get(y, ()) for j in over.get(y, ()) if i != j]
         taken: set[str] = set()
         gens: list[GenArrow] = []
-        under_of: dict[str, PathWord] = {}
+        under_of: dict[str, tuple[str, str, str]] = {}
         for g_name, under, i, j in lifts:
-            name = fresh_name(f"{'1' if g_name is None else g_name}@{i}-{j}", taken)
+            name = fresh_name(f"{g_name}@{i}-{j}", taken)
             gens.append(GenArrow(name, names[i], names[j]))
             under_of[name] = under
         bare = CatPresentation(objects=names, generators=tuple(gens), relations=())
-        code, tgt_code = bare.codec[0], tgt_cat.codec[0]
+        code = bare.codec[0]
         # the forgetful functor on encoded words: one str.translate
-        down = {ord(code[name]): "".join(map(tgt_code.__getitem__, w.letters))
-                for name, w in under_of.items()}
+        down = {ord(code[name]): w[2] for name, w in under_of.items()}
         objects_under = {name: t.target for name, t in zip(names, triples)}
         self.rs = rs = Inflation(bare, base=self.rs_tgt, under=objects_under, down=down)
 
@@ -176,33 +170,30 @@ class ReplacementCategory:
             Relation(PathWord(a.src, b.dst, (a.name, b.name)), rs.decode((a.src, b.dst, rs.lift(
                 a.src, b.dst, (code[a.name] + code[b.name]).translate(down)))))
             for a in gens for b in bare.out_gens.get(a.dst, ())
-            if not (under_of[a.name].letters and under_of[b.name].letters)]
-        for rel in tgt_cat.relations:
-            for i in over.get(rel.lhs.src, ()):
-                for j in over.get(rel.lhs.dst, ()):
+            if not (under_of[a.name][2] and under_of[b.name][2])]
+        for lhs, rhs in tgt_cat.relation_codes:
+            for i in over.get(lhs[0], ()):
+                for j in over.get(lhs[1], ()):
                     try:
-                        relations.append(Relation(self.lift_word(rel.lhs, i, j),
-                                                  self.lift_word(rel.rhs, i, j)))
+                        relations.append(Relation(rs.decode(self.lift_word(lhs[2], i, j)),
+                                                  rs.decode(self.lift_word(rhs[2], i, j))))
                     except ConstructionError:
                         continue
         self.rs = rs = Inflation(replace(bare, relations=tuple(relations)), self.rs_tgt,
                                  objects_under, down)
         # lifted denominators: every word over a denominator
         closure = denominators(self.functor.target, self.rs_tgt).closure
-        explicit = tuple(rs.decode((a, b, w)) for a in names for b in names
-                         for w in words(rs, a, b)
-                         if (objects_under[a], objects_under[b], w.translate(down)) in closure)
-        self.cwd = CatWithDenoms(rs.presentation, DenomSet(explicit, False, False))
+        lifted = [(a, b, w) for a in names for b in names for w in words(rs, a, b)
+                  if (objects_under[a], objects_under[b], w.translate(down)) in closure]
+        self.cwd = CatWithDenoms(rs.presentation,
+                                 DenomSet(tuple(map(rs.decode, lifted)), False, False))
+        denominators(self.cwd, rs, lifted)
         self.forgetful = FunctorData(self.cwd, self.functor.target, objects_under, under_of)
 
     def index_of(self, rep: SReplacement) -> int:
         """Position of ``rep`` among the triples; ``ValueError`` if absent."""
-        try:
-            idx = self.position(rep.target, rep.source, self.rs_tgt.encode(rep.q)[2])
-        except KeyError:  # a letter the target does not have
-            idx = None
-        # a code carries q's letters, not its endpoints
-        if idx is None or self.triples[idx] != rep:
+        idx = self.position(rep.target, rep.source, rep.q)
+        if idx is None:
             raise ValueError(f"{rep!r} is not a replacement triple")
         return idx
 
@@ -217,12 +208,12 @@ class ReplacementCategory:
     def triples_over(self, y: str) -> tuple[int, ...]:
         return self._by_target.get(y, ())
 
-    def lift_word(self, w: PathWord, i: int, j: int) -> PathWord:
-        """The target word ``w``, unnormalised, lifted from triple ``i`` to
-        triple ``j`` (:meth:`~loccat.rewrite.Inflation.lift`);
+    def lift_word(self, s: str, i: int, j: int) -> tuple[str, str, str]:
+        """The target word of code ``s``, unnormalised, lifted from triple ``i``
+        to triple ``j`` as an encoded word (:meth:`~loccat.rewrite.Inflation.lift`);
         :class:`ConstructionError` if it has no lift."""
         src, dst = self.obj_names[i], self.obj_names[j]
-        return self.rs.decode((src, dst, self.rs.lift(src, dst, self.rs_tgt.encode(w)[2])))
+        return src, dst, self.rs.lift(src, dst, s)
 
     def localised(self, lc_tgt: LocalisedCategory
                   ) -> tuple[LocalisedCategory, FunctorData]:
@@ -283,11 +274,9 @@ def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, i
     for y, rep in choice.items():
         if rep.target != y:
             raise ValidationError(f"choice for {y!r} replaces {rep.target!r}")
-        try:
-            found[y] = rc.index_of(rep)
-        except ValueError:
-            raise ValidationError(
-                f"choice for {y!r} is not a valid replacement triple") from None
+        found[y] = rc.position(y, rep.source, rep.q)
+        if found[y] is None:
+            raise ValidationError(f"choice for {y!r} is not a valid replacement triple")
     return found
 
 
@@ -308,29 +297,17 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
     """
     tgt_cat = rc.functor.target.cat
     chosen_idx = positions(rc, choice)
-    gen_map: dict[str, PathWord] = {}
-    for g in tgt_cat.generators:
-        gen_map[g.name] = rc.lift_word(tgt_cat.word([g.name]),
-                                       chosen_idx[g.src], chosen_idx[g.dst])
     c_r = FunctorData(
         source=rc.functor.target, target=rc.cwd,
         object_map={y: rc.obj_names[chosen_idx[y]] for y in tgt_cat.objects},
-        gen_map=gen_map)
+        images={g.name: rc.lift_word(tgt_cat.codec[0][g.name], chosen_idx[g.src],
+                                     chosen_idx[g.dst]) for g in tgt_cat.generators})
 
-    round_trip = c_r.then(rc.forgetful)
-    ident = identity_functor(rc.functor.target)
-    if round_trip.object_map != ident.object_map:
-        raise ConstructionError("U after C_R moves objects")
-    for g in tgt_cat.generators:
-        if round_trip.gen_map[g.name].letters != (g.name,):
-            raise ConstructionError(
-                "U after C_R is not the identity on generators")
+    if c_r.then(rc.forgetful) != identity_functor(rc.functor.target):
+        raise ConstructionError("U after C_R is not the identity")
 
-    components: dict[str, PathWord] = {}
-    for i, t in enumerate(rc.triples):
-        j = chosen_idx[t.target]
-        components[rc.obj_names[i]] = rc.lift_word(
-            tgt_cat.identity(t.target), j, i)
+    components = {rc.obj_names[i]: rc.lift_word("", chosen_idx[t.target], i)
+                  for i, t in enumerate(rc.triples)}
     abar = TransformationData(frm=rc.forgetful.then(c_r), to=identity_functor(rc.cwd),
                               components=components)
     problems = check_transformation(abar, rc.rs)
@@ -355,22 +332,17 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
     src_cat = f.source.cat
     # each trivial triple (F x, x, 1) exists, as has_all_trivial holds
     trivial_idx = {x: rc.position(f.object_map[x], x, "") for x in src_cat.objects}
-    gen_map: dict[str, PathWord] = {}
-    for g in src_cat.generators:
-        image = normalize(rs_tgt, f.gen_map[g.name])
-        gen_map[g.name] = rc.lift_word(image, trivial_idx[g.src],
-                                       trivial_idx[g.dst])
     lift = FunctorData(
         source=f.source, target=rc.cwd,
         object_map={x: rc.obj_names[trivial_idx[x]] for x in src_cat.objects},
-        gen_map=gen_map)
+        images={g.name: rc.lift_word(rs_tgt.index[f.images[g.name][2]],
+                                     trivial_idx[g.src], trivial_idx[g.dst])
+                for g in src_cat.generators})
     round_trip = lift.then(rc.forgetful)
     for x in src_cat.objects:
         if round_trip.object_map[x] != f.object_map[x]:
-            raise ConstructionError(
-                f"forgetful after canonical lift moves object {x!r}")
+            raise ConstructionError(f"forgetful after canonical lift moves object {x!r}")
     for g in src_cat.generators:
-        if not equal(rs_tgt, round_trip.gen_map[g.name], f.gen_map[g.name]):
-            raise ConstructionError(
-                "forgetful after canonical lift differs from the functor")
+        if not equal_encoded(rs_tgt, round_trip.images[g.name][2], f.images[g.name][2]):
+            raise ConstructionError("forgetful after canonical lift differs from the functor")
     return lift

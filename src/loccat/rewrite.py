@@ -283,13 +283,10 @@ class RewriteSystem:
         return self.status == COMPLETE
 
     def encode(self, w: PathWord) -> tuple[str, str, str]:
-        """``w`` as ``(src, dst, code)``: its endpoints and encoded letters."""
-        return w.src, w.dst, "".join(map(self.presentation.codec[0].__getitem__, w.letters))
+        return self.presentation.encode(w)
 
     def decode(self, word: tuple[str, str, str]) -> PathWord:
-        """The :class:`PathWord` of an encoded ``(src, dst, code)``."""
-        src, dst, s = word
-        return PathWord(src, dst, tuple(map(self.presentation.codec[1].__getitem__, s)))
+        return self.presentation.decode(word)
 
     def compose(self, *words: tuple) -> tuple[str, str, str]:
         """The encoded normal form of encoded ``words`` composed in turn."""
@@ -639,11 +636,12 @@ def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:
 class DenomDecider:
     """Decides denominator membership for a category with denominators.
 
-    The explicit words are normalized into the generating words
-    ``generators``, identities are added when the flag says so, and the
-    composition flag saturates the set under binary composition up to
-    the resource bounds, as encoded normal forms ``(src, dst, code)`` in
-    ``closure``, kept in :meth:`RewriteSystem.sort_key` order.
+    The explicit words (``explicit`` if given, codes) are normalized
+    into the generating words ``generators``, identities are added when
+    the flag says so, and the composition flag saturates the set under
+    binary composition up to the resource bounds, as encoded normal
+    forms ``(src, dst, code)`` in ``closure``, kept in
+    :meth:`RewriteSystem.sort_key` order.
     Membership of an arbitrary word is then a normal form lookup.
     :func:`denominators` builds one per system and keeps it.
 
@@ -656,11 +654,13 @@ class DenomDecider:
     generating words miss.
     """
 
-    def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
+    def __init__(self, c: CatWithDenoms, rs: RewriteSystem, explicit=None):
         self.cwd = c
         self.rs = rs
         limits = rs.limits
-        self.generators = set(map(rs.compose, map(rs.encode, c.denoms.explicit)))
+        if explicit is None:
+            explicit = map(rs.encode, c.denoms.explicit)
+        self.generators = set(map(rs.compose, explicit))
         closure = set(self.generators)
         if c.denoms.include_identities:
             for x in c.cat.objects:
@@ -709,14 +709,15 @@ class DenomDecider:
         return between
 
 
-def denominators(c: CatWithDenoms, rs: RewriteSystem) -> DenomDecider:
+def denominators(c: CatWithDenoms, rs: RewriteSystem, explicit=None) -> DenomDecider:
     """The decider for the denominators of ``c``, built once per system.
 
     ``rs`` is the system of ``c.cat``; it keeps the decider per
-    ``c.denoms``.  A closure that exceeded ``rs.limits`` is not stored,
-    so it raises again on the next call.
+    ``c.denoms``; ``explicit``, the codes of its explicit words, spares
+    the decider built here their encoding.  A closure that exceeded
+    ``rs.limits`` is not stored, so it raises again on the next call.
     """
     dec = rs._deciders.get(c.denoms)
     if dec is None:
-        dec = rs._deciders[c.denoms] = DenomDecider(c, rs)
+        dec = rs._deciders[c.denoms] = DenomDecider(c, rs, explicit)
     return dec

@@ -14,7 +14,7 @@ import corpus
 from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
                     ConstructionError, DenomDecider, DenomSet, FunctorData,
                     GenArrow, PathWord, PreconditionError,
-                    Relation, ReplacementChoice, ResourceLimits,
+                    Relation, ReplacementChoice, ResourceLimits, RewriteSystem,
                     SReplacement, ValidationError, auto_choice,
                     check_s_equivalence, check_s_full,
                     choice_independence, complete, homset,
@@ -64,7 +64,7 @@ class TestTotalFunctor:
     def test_total_value_unique_fill(self):
         s, rc = rc_for("E2")
         tgt = s.f.target.cat
-        val = total_value(s, 0, 1, tgt.word(["d"]))
+        val = s.lc_src.rs.decode(total_value(s, 0, 1, s.rs_tgt.encode(tgt.word(["d"]))))
         assert val == s.lc_src.presentation.identity("•")
 
     def test_total_value_checks_both_ends(self):
@@ -73,14 +73,14 @@ class TestTotalFunctor:
         s, _ = rc_for("E7")
         tgt = s.f.target.cat
         with pytest.raises(ValidationError, match="to 'tr' does not run"):
-            total_value(s, 0, 0, tgt.word(["h_top"]))
+            total_value(s, 0, 0, s.rs_tgt.encode(tgt.word(["h_top"])))
         with pytest.raises(ValidationError, match="from 'tr' to 'br'"):
-            total_value(s, 0, 0, tgt.word(["v_right"]))
+            total_value(s, 0, 0, s.rs_tgt.encode(tgt.word(["v_right"])))
 
     def test_total_value_is_deterministic(self):
         s, rc = rc_for("E7")
         tgt = s.f.target.cat
-        w = tgt.word(["v_left", "h_bot"])
+        w = s.rs_tgt.encode(tgt.word(["v_left", "h_bot"]))
         assert total_value(s, 0, 3, w) == total_value(s, 0, 3, w)
 
 
@@ -106,9 +106,9 @@ def ladder(n):
         CatPresentation(tuple(x), tuple(GenArrow(f"f{i}", x[i - 1], x[i])
                                         for i in steps), ()),
         DenomSet((), True, False))
-    return FunctorData(source, target, dict(zip(x, t)),
-                       {f"f{i}": PathWord(t[i - 1], t[i], (f"h{i}",))
-                        for i in steps})
+    return FunctorData.from_words(source, target, dict(zip(x, t)),
+                                  {f"f{i}": PathWord(t[i - 1], t[i], (f"h{i}",))
+                                   for i in steps})
 
 
 class TestLadderBytes:
@@ -170,7 +170,7 @@ class TestFillTables:
     def test_failed_total_value_raises_again(self):
         # E3 sends f1 and f2 both to g, so the value at g has two fills
         s = prepare(corpus.fun("E3"), DEFAULT_LIMITS)
-        g = s.f.target.cat.word(["g"])
+        g = s.rs_tgt.encode(s.f.target.cat.word(["g"]))
         for _ in range(2):
             with pytest.raises(ConstructionError, match="got 2"):
                 total_value(s, 0, 1, g)
@@ -187,11 +187,12 @@ class TestFillTables:
             sources = [t.source for t in rc.triples]
             assert name != "E7" or len(set(sources)) > 1
             for i, t in enumerate(rc.triples):
-                assert total_value(s, i, i, p.identity(t.target)) == \
+                assert s.lc_src.rs.decode(total_value(
+                    s, i, i, s.rs_tgt.encode(p.identity(t.target)))) == \
                     s.lc_src.presentation.identity(t.source)
                 for j, t2 in enumerate(rc.triples):
                     for w in homset(s.rs_tgt, t.target, t2.target):
-                        value = total_value(s, i, j, w)
+                        value = s.lc_src.rs.decode(total_value(s, i, j, s.rs_tgt.encode(w)))
                         assert (value.src, value.dst) == (t.source, t2.source), \
                             (name, i, j, w)
 
@@ -231,7 +232,7 @@ class TestFunctorChecks:
                        for w2 in words)[shared] == 2
 
         def checks(value):
-            functor = FunctorData(
+            functor = FunctorData.from_words(
                 source=c, target=lc.cwd, object_map={"o": "o"},
                 gen_map={g: normalize(lc.rs, word(g)) for g in "ab"})
             return approximation._functor_checks(functor, lc, rs, value)
@@ -303,9 +304,10 @@ class TestFunctorChecks:
         lc_rc, gz_u = s.rc.localised(s.lc_tgt)
         assert gz.checked(gz_u, lc_rc, s.lc_tgt) is gz_u
         name = next(iter(lc_rc.inv_of))
-        broken = replace(gz_u, gen_map={**gz_u.gen_map,
-                                        name: s.lc_tgt.presentation.identity(
-                                            gz_u.gen_map[name].src)})
+        broken = replace(gz_u, images={**gz_u.images,
+                                       name: s.lc_tgt.presentation.encode(
+                                           s.lc_tgt.presentation.identity(
+                                               gz_u.images[name][0]))})
         with pytest.raises(ConstructionError, match="^induced functor invalid: "):
             gz.checked(broken, lc_rc, s.lc_tgt)
 
@@ -321,9 +323,9 @@ class TestDeciders:
         builds = []
         init = DenomDecider.__init__
 
-        def counted(self, c, rs):
+        def counted(self, c, rs, explicit=None):
             builds.append((c.denoms, rs))
-            init(self, c, rs)
+            init(self, c, rs, explicit)
 
         monkeypatch.setattr(DenomDecider, "__init__", counted)
         assert run(corpus.fun("E7"))
@@ -494,3 +496,37 @@ class TestChoiceIndependence:
         assert names == SECTION_NAMES + ["choice_independence"]
         indep = section(report, "choice_independence")
         assert indep["ok"]
+
+
+class TestRoundTrips:
+    """A run keeps its words encoded from the systems to the report: it
+    decodes only what the report prints or a presentation lists, and
+    encodes only what a file or presentation gives it as words.
+
+    The decodes that stay, on E7 and on L4: the report's alpha and beta
+    component rows (6 and 15) and its ``choice`` rows (4 and 10); the
+    replacement category's own presentation, that is the sides of its
+    lifted target relations (2 and 8) and its lifted denominators,
+    listed in its ``DenomSet`` (6 and 15).  The encodes that stay: the
+    rule sides each ``RewriteSystem`` encodes from the words
+    ``complete`` gives it (26 and 80), and the target's explicit
+    denominators, which its decider encodes (2 and 5).  A presentation
+    encodes its relations once with its own codec, outside these counts.
+    """
+
+    @pytest.mark.parametrize("make,decodes,encodes", [
+        (lambda: corpus.fun("E7"), 18, 28),
+        (lambda: ladder(4), 48, 85),
+    ], ids=["E7", "L4"])
+    def test_words_cross_the_edge_once(self, monkeypatch, make, decodes, encodes):
+        f = make()
+        calls = Counter()
+        for method in ("decode", "encode"):
+            def counted(rs, w, _method=method, _real=getattr(RewriteSystem, method)):
+                calls[_method] += 1
+                return _real(rs, w)
+
+            monkeypatch.setattr(RewriteSystem, method, counted)
+        assert verify_approximation(f, DEFAULT_LIMITS).ok
+        assert calls["decode"] <= decodes
+        assert calls["encode"] <= encodes

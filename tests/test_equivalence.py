@@ -207,8 +207,9 @@ class TestClassicalCriterion:
             Relation(PathWord("b", "b", ("u", "u")), PathWord("b", "b", ("u",))),))
         tgt = CatPresentation(("A", "B", "Z"), (GenArrow("t", "A", "A"),), (
             Relation(PathWord("A", "A", ("t", "t")), PathWord("A", "A", ("t",))),))
-        f = FunctorData(CatWithDenoms(src, DenomSet()), CatWithDenoms(tgt, DenomSet()),
-                        {"a": "A", "b": "B"}, {"u": PathWord("B", "B", ())})
+        f = FunctorData.from_words(CatWithDenoms(src, DenomSet()),
+                                   CatWithDenoms(tgt, DenomSet()),
+                                   {"a": "A", "b": "B"}, {"u": PathWord("B", "B", ())})
         ok, details = classical_equivalence(f, complete(src), complete(tgt))
         assert not ok
         assert details == {

@@ -114,7 +114,8 @@ class TestLoadChoice:
     def test_alt_choice_loads(self):
         f = corpus.fun("E7b")
         choice = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), f)
-        assert choice.get("bl").q.letters == ("v_left2",)
+        q = f.target.cat.decode(("tl", "bl", choice.get("bl").q))
+        assert q.letters == ("v_left2",)
 
     def test_choice_with_wrong_source_object_rejected(self, tmp_path):
         f = corpus.fun("E7b")
@@ -130,7 +131,8 @@ class TestLoadChoice:
         path = write(tmp_path, "e5.choice.json",
                      {"•": {"x": "•", "q": ["d", "d", "d"]}})
         choice = load_choice(path, f)
-        assert choice.get("•").q.letters == ("d", "d", "d")
+        q = f.target.cat.decode(("•", "•", choice.get("•").q))
+        assert q.letters == ("d", "d", "d")
         report = verify_approximation(f, choice=choice)
         section = next(x for x in report.sections if x["name"] == "choice")
         assert [c["q"]["letters"] for c in section["chosen"]] == [["d"]]

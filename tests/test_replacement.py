@@ -17,6 +17,11 @@ def rc_for(name):
     return s, build_replacement_category(s.f, s.rs_tgt)
 
 
+def q_word(f, rep):
+    """The word ``q: F x -> y`` of the replacement ``rep`` along ``f``."""
+    return f.target.cat.decode((f.object_map[rep.source], rep.target, rep.q))
+
+
 def settings(tmp_path, names):
     """The settings of the named fixtures, then of ``Fan_2``."""
     yield from map(corpus.setting, names)
@@ -29,13 +34,13 @@ class TestFindReplacements:
         tgt = s.f.target.cat
         reps_a = find_s_replacements(s.f, s.rs_tgt, "a")
         reps_b = find_s_replacements(s.f, s.rs_tgt, "b")
-        assert reps_a == (SReplacement("a", "•", tgt.identity("a")),)
-        assert reps_b == (SReplacement("b", "•", tgt.word(["d"])),)
+        assert reps_a == (SReplacement("a", "•", tgt.encode(tgt.identity("a"))[2]),)
+        assert reps_b == (SReplacement("b", "•", tgt.encode(tgt.word(["d"]))[2]),)
 
     def test_e7b_bottom_left_has_two(self):
         s = corpus.setting("E7b")
         reps = find_s_replacements(s.f, s.rs_tgt, "bl")
-        assert [(r.source, r.q.letters) for r in reps] == \
+        assert [(r.source, q_word(s.f, r).letters) for r in reps] == \
             [("x0", ("v_left",)), ("x0", ("v_left2",))]
 
     def test_e4_isolated_object_has_none(self):
@@ -104,7 +109,8 @@ class TestReplacementCategory:
         for y in s.f.target.cat.objects:
             assert rc.triples_over(y) == tuple(
                 i for i, t in enumerate(rc.triples) if t.target == y)
-        missing = SReplacement("bl", "x1", s.f.target.cat.identity("bl"))
+        tgt = s.f.target.cat
+        missing = SReplacement("bl", "x1", tgt.encode(tgt.identity("bl"))[2])
         with pytest.raises(ValueError):
             rc.index_of(missing)
 
@@ -204,7 +210,7 @@ class TestChoice:
     def test_auto_choice_is_first_triple(self):
         _, rc = rc_for("E7b")
         choice = auto_choice(rc)
-        picked = {y: (rep.source, rep.q.letters)
+        picked = {y: (rep.source, q_word(rc.functor, rep).letters)
                   for y, rep in choice.items()}
         assert picked == {"tl": ("x0", ()), "tr": ("x1", ()),
                           "bl": ("x0", ("v_left",)),
@@ -227,8 +233,8 @@ class TestChoice:
         s, rc = rc_for("E2")
         tgt = s.f.target.cat
         bogus = ReplacementChoice((
-            ("a", SReplacement("a", "•", tgt.identity("a"))),
-            ("b", SReplacement("b", "•", tgt.identity("b")))))
+            ("a", SReplacement("a", "•", tgt.encode(tgt.identity("a"))[2])),
+            ("b", SReplacement("b", "•", tgt.encode(tgt.identity("b"))[2]))))
         with pytest.raises(ValidationError):
             validate_choice(rc, bogus)
 
@@ -249,9 +255,9 @@ class TestStructureChoiceFunctor:
         _, rc = rc_for("E7b")
         _, abar = structure_choice_functor(rc, auto_choice(rc))
         # the component at the chosen triple is the genuine identity
-        assert abar.components["(bl|x0|v_left)"].is_identity_word
+        assert rc.rs.decode(abar.components["(bl|x0|v_left)"]).is_identity_word
         # at the parallel triple it is the identity lift between the two
-        assert abar.components["(bl|x0|v_left2)"].letters == ("1@2-3",)
+        assert rc.rs.decode(abar.components["(bl|x0|v_left2)"]).letters == ("1@2-3",)
 
 
 class TestCanonicalLift:
