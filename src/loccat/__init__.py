@@ -51,7 +51,6 @@ from .presentation import (
     LoccatError,
     PathWord,
     PreconditionError,
-    Relation,
     TransformationData,
     ValidationError,
     identity_functor,
@@ -70,7 +69,6 @@ from .replacement import (
     has_all_trivial,
     has_enough,
     structure_choice_functor,
-    validate_choice,
 )
 from .rewrite import (
     BOUNDED_INCOMPLETE,
@@ -78,7 +76,6 @@ from .rewrite import (
     DEFAULT_LIMITS,
     DenomDecider,
     ResourceLimits,
-    RewriteRule,
     RewriteSystem,
     complete,
     denominators,

@@ -107,10 +107,11 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
         return problems
 
     omap, table = f.object_map, f.translation
-    for i, (rel, (lhs, rhs)) in enumerate(zip(src_cat.relations, src_cat.relation_codes)):
+    for i, (lhs, rhs) in enumerate(src_cat.relations):
         if not equal_encoded(rs_tgt, lhs[2].translate(table), rhs[2].translate(table)):
             problems.append({"kind": "relation-not-preserved", "relation": i,
-                             "lhs": word_json(rel.lhs), "rhs": word_json(rel.rhs)})
+                             "lhs": word_json(src_cat.decode(lhs)),
+                             "rhs": word_json(src_cat.decode(rhs))})
     tgt_closure = denominators(f.target, rs_tgt).closure
     for x, y, s in denominators(f.source, rs_src).closure:
         image = (omap[x], omap[y], s.translate(table))

@@ -118,13 +118,18 @@ def _sniff_kind(path: str) -> str:
     return "category"
 
 
+def _spelled(p, lhs: str, rhs: str) -> dict:
+    """The codes of two sides as lists of generator names."""
+    spell = p.codec[1].__getitem__
+    return {"lhs": list(map(spell, lhs)), "rhs": list(map(spell, rhs))}
+
+
 def _cat_summary(cwd) -> dict:
     return {
         "objects": list(cwd.cat.objects),
         "generators": [{"name": g.name, "src": g.src, "dst": g.dst}
                        for g in cwd.cat.generators],
-        "relations": [{"lhs": list(r.lhs.letters), "rhs": list(r.rhs.letters)}
-                      for r in cwd.cat.relations],
+        "relations": [_spelled(cwd.cat, lhs[2], rhs[2]) for lhs, rhs in cwd.cat.relations],
     }
 
 
@@ -169,8 +174,7 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
         "inverse_generators": dict(sorted(lc.inv_of.items())),
         "fresh_generators": {name: list(rs.decode(w).letters)
                              for name, w in sorted(lc.fresh_defs.items())},
-        "rules": [{"lhs": list(r.lhs.letters), "rhs": list(r.rhs.letters)}
-                  for r in lc.rs.rules],
+        "rules": [_spelled(lc.presentation, lhs, rhs) for lhs, rhs in lc.rs.rules],
         "status": lc.rs.status,
         "denominators": inverted,
     }
@@ -183,10 +187,10 @@ def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int
         raise ValidationError(
             f"unknown object in homset query: {args.src!r} or {args.dst!r}")
     rs = complete(cwd.cat, limits)
-    result: dict = {"src": args.src, "dst": args.dst, "status": rs.status,
-                    "localised": args.localised}
     lc = localise(cwd, rs) if args.localised else None
     system = rs if lc is None else lc.rs
+    result: dict = {"src": args.src, "dst": args.dst, "status": system.status,
+                    "localised": args.localised}
     found = [(args.src, args.dst, s) for s in words(system, args.src, args.dst)]
     result["words"] = [list(system.decode(w).letters) for w in found]
     if lc is not None:

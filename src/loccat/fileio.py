@@ -18,7 +18,6 @@ from .presentation import (
     GenArrow,
     LoccatError,
     PathWord,
-    Relation,
     ValidationError,
     validate_presentation,
 )
@@ -120,7 +119,7 @@ def load_cat(path: str | Path) -> CatWithDenoms:
         right = _relation_side(bare, rhs, lhs, i)
         if (left.src, left.dst) != (right.src, right.dst):
             raise ValidationError(f"{path}: relation {i} sides not parallel")
-        relations.append(Relation(left, right))
+        relations.append((left, right))
 
     words = []
     for i, letters in enumerate(raw_words):
@@ -130,10 +129,9 @@ def load_cat(path: str | Path) -> CatWithDenoms:
                 "include_identities for identity denominators")
         words.append(bare.word(letters))
 
-    cat = CatPresentation(objects=objects, generators=tuple(gens),
-                          relations=tuple(relations))
+    cat = CatPresentation.from_words(objects, gens, relations)
     return CatWithDenoms(cat, DenomSet(
-        explicit=tuple(words),
+        explicit=tuple(map(cat.encode, words)),
         include_identities=denoms["include_identities"],
         close_under_composition=denoms["close_under_composition"]))
 

@@ -38,7 +38,6 @@ from .presentation import (
     GenArrow,
     LimitExceeded,
     PathWord,
-    Relation,
 )
 from .rewrite import (
     RewriteSystem,
@@ -91,18 +90,18 @@ def fresh_name(stem: str, taken: set[str]) -> str:
     return name
 
 
-def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, tuple]) -> tuple[Relation, ...]:
-    """``w^-1 = v`` for each inverted base word ``w`` with a base inverse ``v``.
+def _base_inverses(rs_base: RewriteSystem, lc: LocalisedCategory) -> tuple[tuple, ...]:
+    """``w^-1 = v``, encoded, for each word ``w`` that ``lc`` inverts
+    with an inverse ``v`` in the base.
 
-    ``inverted`` maps inverse letters to the encoded words they invert.
     A word whose source cannot be reached from its target in the
     generator graph has an empty hom-set back, so its search is skipped;
     a search that exceeds the limits of ``rs_base`` seeds nothing.
     """
-    out_gens = rs_base.presentation.out_gens
+    out_gens, code = rs_base.presentation.out_gens, lc.presentation.codec[0]
     reach: dict[str, set[str]] = {}
-    seeded: list[Relation] = []
-    for inv_name, w in inverted.items():
+    seeded: list[tuple] = []
+    for inv_name, w in lc.inverted.items():
         src, dst, _ = w
         if dst not in reach:
             seen, todo = {dst}, [dst]
@@ -119,7 +118,7 @@ def _base_inverses(rs_base: RewriteSystem, inverted: dict[str, tuple]) -> tuple[
         except LimitExceeded:
             continue
         if v is not None:
-            seeded.append(Relation(PathWord(dst, src, (inv_name,)), rs_base.decode(v)))
+            seeded.append(((dst, src, code[inv_name]), v))
     return tuple(seeded)
 
 
@@ -140,8 +139,6 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     fresh_defs: dict[str, tuple] = {}
     inverse_gens: list[GenArrow] = []
     fresh_gens: list[GenArrow] = []
-    fresh_relations: list[Relation] = []
-    invert_relations: list[Relation] = []
 
     def add_inverse(name: str, word: tuple):
         src, dst, _ = word
@@ -149,12 +146,8 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         inv_of[name] = inv_name
         inverted[inv_name] = word
         inverse_gens.append(GenArrow(inv_name, dst, src))
-        invert_relations.append(Relation(
-            PathWord(src, src, (name, inv_name)), PathWord(src, src, ())))
-        invert_relations.append(Relation(
-            PathWord(dst, dst, (inv_name, name)), PathWord(dst, dst, ())))
 
-    code = cat.codec[0]
+    code, spell = cat.codec
     for g in cat.generators:
         nf = rs_base.index[code[g.name]]
         if nf and (g.src, g.dst, nf) in dec.closure:
@@ -163,18 +156,21 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     # one fresh generator per distinct composite explicit denominator
     composites = [nf for nf in dec.generators if len(nf[2]) >= 2]
     for word in sorted(composites, key=rs_base.sort_key):
-        nf = rs_base.decode(word)
-        name = fresh_name("⟨" + "·".join(nf.letters) + "⟩", taken)
+        name = fresh_name("⟨" + "·".join(map(spell.__getitem__, word[2])) + "⟩", taken)
         fresh_defs[name] = word
-        fresh_gens.append(GenArrow(name, nf.src, nf.dst))
-        fresh_relations.append(Relation(nf, PathWord(nf.src, nf.dst, (name,))))
+        fresh_gens.append(GenArrow(name, word[0], word[1]))
         add_inverse(name, word)
 
-    ext = CatPresentation(
-        objects=cat.objects,
-        generators=cat.generators + tuple(fresh_gens) + tuple(inverse_gens),
-        relations=cat.relations + tuple(fresh_relations) + tuple(invert_relations),
-    )
+    # the base generators come first, so base codes are codes here too
+    bare = CatPresentation(cat.objects,
+                           cat.generators + tuple(fresh_gens) + tuple(inverse_gens), ())
+    code = bare.codec[0]
+    relations = [(w, (w[0], w[1], code[name])) for name, w in fresh_defs.items()]
+    for name, inv_name in inv_of.items():
+        src, dst, _ = inverted[inv_name]
+        relations += [((src, src, code[name] + code[inv_name]), (src, src, "")),
+                      ((dst, dst, code[inv_name] + code[name]), (dst, dst, ""))]
+    ext = replace(bare, relations=cat.relations + tuple(relations))
     return LocalisedCategory(cwd=CatWithDenoms(ext, DenomSet((), True, True)), rs=None,
                              inv_of=inv_of, fresh_defs=fresh_defs, inverted=inverted)
 
@@ -191,7 +187,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     ``lc.cwd`` and ``lc.rs.presentation`` hold.
     """
     lc = extension(c, rs_base)
-    ext, seeded = lc.presentation, _base_inverses(rs_base, lc.inverted)
+    ext, seeded = lc.presentation, _base_inverses(rs_base, lc)
     rs = complete(replace(ext, relations=ext.relations + seeded), rs_base.limits)
     return replace(lc, rs=replace(rs, presentation=ext))
 

@@ -1,13 +1,17 @@
 """Finite presentations of categories with denominators.
 
 A category is presented by a finite list of objects, a finite list of
-generating arrows and a finite list of relations between parallel path
-words.  Words are written in diagrammatic order: the word ``[f, g]``
-means "f then g", so it requires ``dst(f) == src(g)``.
+generating arrows and a finite list of relations between parallel
+encoded words ``(src, dst, code)``, one character per generator
+(:meth:`CatPresentation.encode`).  Words are written in diagrammatic
+order: the word ``[f, g]`` means "f then g", so it requires
+``dst(f) == src(g)``.  :class:`PathWord` spells a word by generator
+names; :meth:`CatPresentation.from_words` builds a presentation from
+relations so spelled.
 
 A category with denominators additionally carries a distinguished set
-of morphisms, described intensionally by explicit words plus two
-closure flags (identities, composition).  Membership is decided in
+of morphisms, described intensionally by explicit encoded words plus
+two closure flags (identities, composition).  Membership is decided in
 :mod:`loccat.rewrite` relative to a completed rewriting system.
 """
 
@@ -90,29 +94,33 @@ class PathWord(namedtuple("PathWord", "src dst letters")):
 
 
 @dataclass(frozen=True)
-class Relation:
-    """An equation ``lhs == rhs`` between parallel words."""
-
-    lhs: PathWord
-    rhs: PathWord
-
-    def __post_init__(self):
-        if self.lhs.src != self.rhs.src or self.lhs.dst != self.rhs.dst:
-            raise ValidationError("relation sides must be parallel")
-
-
-@dataclass(frozen=True)
 class CatPresentation:
     """A finite category presentation.
 
     Objects and generators are ordered; the declaration order fixes the
     shortlex word order used by the rewriting kernel, so it is part of
-    the presentation data.
+    the presentation data.  Each relation is a pair of parallel encoded
+    words ``(src, dst, code)`` (:meth:`encode`); :meth:`from_words`
+    builds a presentation from :class:`PathWord` sides.
     """
 
     objects: tuple[str, ...]
     generators: tuple[GenArrow, ...]
-    relations: tuple[Relation, ...]
+    relations: tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]
+
+    @classmethod
+    def from_words(cls, objects, generators, relations) -> "CatPresentation":
+        """The presentation with the relations ``relations``, pairs of
+        :class:`PathWord` sides; :class:`ValidationError` unless each side
+        is a word of it and the two are parallel."""
+        bare = cls(tuple(objects), tuple(generators), ())
+        coded = []
+        for i, sides in enumerate(relations):
+            lhs, rhs = (_checked_code(bare, w, f"relation {i}") for w in sides)
+            if lhs[:2] != rhs[:2]:
+                raise ValidationError(f"relation {i}: sides must be parallel")
+            coded.append((lhs, rhs))
+        return replace(bare, relations=tuple(coded))
 
     @cached_property
     def obj_index(self) -> dict[str, int]:
@@ -140,11 +148,6 @@ class CatPresentation:
         """The :class:`PathWord` of an encoded ``(src, dst, code)``."""
         src, dst, s = word
         return PathWord(src, dst, tuple(map(self.codec[1].__getitem__, s)))
-
-    @cached_property
-    def relation_codes(self) -> tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]:
-        """The two sides of each relation, encoded once."""
-        return tuple((self.encode(r.lhs), self.encode(r.rhs)) for r in self.relations)
 
     @cached_property
     def out_gens(self) -> dict[str, list[GenArrow]]:
@@ -211,12 +214,12 @@ class CatPresentation:
 class DenomSet:
     """Intensional description of the denominators of a presentation.
 
-    ``explicit`` lists words that are denominators outright.  The flags
-    close the set under identities and under binary composition of
-    composable members.
+    ``explicit`` lists the encoded words (:meth:`CatPresentation.encode`)
+    that are denominators outright.  The flags close the set under
+    identities and under binary composition of composable members.
     """
 
-    explicit: tuple[PathWord, ...] = ()
+    explicit: tuple[tuple[str, str, str], ...] = ()
     include_identities: bool = True
     close_under_composition: bool = True
 
@@ -246,12 +249,8 @@ class FunctorData:
                    object_map: dict[str, str], gen_map: dict[str, PathWord]) -> "FunctorData":
         """The functor with the images ``gen_map``; :class:`ValidationError`
         unless each is a word of the target."""
-        p = target.cat
-        for name, w in gen_map.items():
-            issue = _word_issue(p, w)
-            if issue is not None:
-                raise ValidationError(f"image of {name!r}: {issue['detail']}")
-        return cls(source, target, object_map, {g: p.encode(w) for g, w in gen_map.items()})
+        return cls(source, target, object_map, {
+            g: _checked_code(target.cat, w, f"image of {g!r}") for g, w in gen_map.items()})
 
     @cached_property
     def gen_map(self) -> dict[str, PathWord]:
@@ -314,13 +313,13 @@ def validate_presentation(p: CatPresentation) -> list[dict]:
             if end not in seen_objs:
                 problems.append({"kind": "unknown-object", "generator": g.name,
                                  "end": label, "object": end})
-    for i, rel in enumerate(p.relations):
-        for side, label in ((rel.lhs, "lhs"), (rel.rhs, "rhs")):
+    for i, (lhs, rhs) in enumerate(p.relations):
+        for side, label in ((lhs, "lhs"), (rhs, "rhs")):
             issue = _word_issue(p, side)
             if issue is not None:
                 problems.append({"kind": "ill-formed-word", "relation": i,
                                  "side": label, **issue})
-        if (rel.lhs.src, rel.lhs.dst) != (rel.rhs.src, rel.rhs.dst):
+        if lhs[:2] != rhs[:2]:
             problems.append({"kind": "relation-not-parallel", "relation": i})
     return problems
 
@@ -334,32 +333,49 @@ def validate_cat_with_denoms(c: CatWithDenoms) -> list[dict]:
     return problems
 
 
-def _word_issue(p: CatPresentation, w: PathWord) -> dict | None:
-    if not w.letters:
-        if w.src not in p.obj_index:
-            return {"detail": f"unknown object {w.src!r}"}
-        return None
-    try:
-        rebuilt = p.word(w.letters)
-    except ValidationError as e:
-        return {"detail": str(e)}
-    if (rebuilt.src, rebuilt.dst) != (w.src, w.dst):
+def _word_issue(p: CatPresentation, w: tuple[str, str, str]) -> dict | None:
+    """Why the encoded ``w`` is not a word of ``p``, or None."""
+    src, dst, s = w
+    if not s:
+        if src not in p.obj_index:
+            return {"detail": f"unknown object {src!r}"}
+        return None if src == dst else {"detail": "empty word must be an endo word"}
+    names = p.codec[1]
+    unknown = next((c for c in s if c not in names), None)
+    if unknown is not None:
+        return {"detail": f"unknown generator code {unknown!r}"}
+    gens = [p.gen_by_name[names[c]] for c in s]
+    for a, b in zip(gens, gens[1:]):
+        if a.dst != b.src:
+            return {"detail": f"letters {a.name!r} and {b.name!r} do not compose: "
+                              f"{a.dst!r} != {b.src!r}"}
+    if (gens[0].src, gens[-1].dst) != (src, dst):
         return {"detail": "declared endpoints do not match letters"}
     return None
 
 
-def opposite(c: CatWithDenoms) -> CatWithDenoms:
-    """The opposite category with denominators, words reversed."""
+def _checked_code(p: CatPresentation, w: PathWord, what: str) -> tuple[str, str, str]:
+    """``w`` encoded; :class:`ValidationError` naming ``what`` unless it is a word of ``p``."""
+    unknown = next((x for x in w.letters if x not in p.gen_by_name), None)
+    issue = ({"detail": f"unknown generator {unknown!r}"} if unknown is not None
+             else _word_issue(p, code := p.encode(w)))
+    if issue is not None:
+        raise ValidationError(f"{what}: {issue['detail']}")
+    return code
 
-    def rev(w: PathWord) -> PathWord:
-        return PathWord(w.dst, w.src, tuple(reversed(w.letters)))
+
+def opposite(c: CatWithDenoms) -> CatWithDenoms:
+    """The opposite category with denominators, codes reversed."""
+
+    def rev(w: tuple[str, str, str]) -> tuple[str, str, str]:
+        return w[1], w[0], w[2][::-1]
 
     cat = CatPresentation(
         objects=c.cat.objects,
         generators=tuple(GenArrow(g.name, g.dst, g.src) for g in c.cat.generators),
-        relations=tuple(Relation(rev(r.lhs), rev(r.rhs)) for r in c.cat.relations),
+        relations=tuple((rev(lhs), rev(rhs)) for lhs, rhs in c.cat.relations),
     )
-    denoms = replace(c.denoms, explicit=tuple(rev(w) for w in c.denoms.explicit))
+    denoms = replace(c.denoms, explicit=tuple(map(rev, c.denoms.explicit)))
     return CatWithDenoms(cat, denoms)
 
 

@@ -36,9 +36,7 @@ from .presentation import (
     DenomSet,
     FunctorData,
     GenArrow,
-    PathWord,
     PreconditionError,
-    Relation,
     TransformationData,
     ValidationError,
     identity_functor,
@@ -111,8 +109,8 @@ class ReplacementCategory:
     to ``Y``, and as denominators every lifted word over a denominator.
     Its system ``rs`` is the :class:`~loccat.rewrite.Inflation` of
     ``rs_tgt`` along the forgetful functor, so it shares the target's
-    limits and status; its decider is built from the codes of the
-    lifted denominators, which ``cwd.denoms`` lists as words.
+    limits and status.  Its relations and the lifted denominators that
+    ``cwd.denoms`` lists are codes of ``rs``, as every presentation's are.
     """
 
     functor: FunctorData
@@ -167,16 +165,16 @@ class ReplacementCategory:
         # between every two triples over its ends, but where a side has
         # no lift, as no target word through an object without triples has
         relations = [
-            Relation(PathWord(a.src, b.dst, (a.name, b.name)), rs.decode((a.src, b.dst, rs.lift(
-                a.src, b.dst, (code[a.name] + code[b.name]).translate(down)))))
+            ((a.src, b.dst, ab), (a.src, b.dst, rs.lift(a.src, b.dst, ab.translate(down))))
             for a in gens for b in bare.out_gens.get(a.dst, ())
-            if not (under_of[a.name][2] and under_of[b.name][2])]
-        for lhs, rhs in tgt_cat.relation_codes:
+            if not (under_of[a.name][2] and under_of[b.name][2])
+            for ab in (code[a.name] + code[b.name],)]
+        for lhs, rhs in tgt_cat.relations:
             for i in over.get(lhs[0], ()):
                 for j in over.get(lhs[1], ()):
                     try:
-                        relations.append(Relation(rs.decode(self.lift_word(lhs[2], i, j)),
-                                                  rs.decode(self.lift_word(rhs[2], i, j))))
+                        relations.append((self.lift_word(lhs[2], i, j),
+                                          self.lift_word(rhs[2], i, j)))
                     except ConstructionError:
                         continue
         self.rs = rs = Inflation(replace(bare, relations=tuple(relations)), self.rs_tgt,
@@ -185,17 +183,8 @@ class ReplacementCategory:
         closure = denominators(self.functor.target, self.rs_tgt).closure
         lifted = [(a, b, w) for a in names for b in names for w in words(rs, a, b)
                   if (objects_under[a], objects_under[b], w.translate(down)) in closure]
-        self.cwd = CatWithDenoms(rs.presentation,
-                                 DenomSet(tuple(map(rs.decode, lifted)), False, False))
-        denominators(self.cwd, rs, lifted)
+        self.cwd = CatWithDenoms(rs.presentation, DenomSet(tuple(lifted), False, False))
         self.forgetful = FunctorData(self.cwd, self.functor.target, objects_under, under_of)
-
-    def index_of(self, rep: SReplacement) -> int:
-        """Position of ``rep`` among the triples; ``ValueError`` if absent."""
-        idx = self.position(rep.target, rep.source, rep.q)
-        if idx is None:
-            raise ValueError(f"{rep!r} is not a replacement triple")
-        return idx
 
     def position(self, y: str, x: str, q: str) -> int | None:
         """Position of the triple ``(y, x, q)``, ``q`` encoded, or None."""
@@ -278,11 +267,6 @@ def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, i
         if found[y] is None:
             raise ValidationError(f"choice for {y!r} is not a valid replacement triple")
     return found
-
-
-def validate_choice(rc: ReplacementCategory, choice: ReplacementChoice) -> None:
-    """:func:`positions` with its result dropped."""
-    positions(rc, choice)
 
 
 def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice

@@ -16,15 +16,16 @@ Words are encoded inside a system and decoded at the edge.  Each
 generator is one character, with code points that increase in
 declaration order (``CatPresentation.codec``), so ``(len(s), s)`` orders
 encoded words exactly as shortlex orders their letters.  A morphism is
-its endpoints and its code, ``(src, dst, code)``: the normal-form,
-hom-set and denominator tables hold codes, a functor maps codes with one
-``str.translate`` (``FunctorData.translation``), and completion decodes
-only its final rules.  Inside the package every query runs on codes
-(:func:`words`, :func:`inverse`, :meth:`RewriteSystem.compose`,
-``index`` and a decider's ``closure``); :func:`normalize`,
-:func:`equal`, :func:`homset`, :func:`find_inverse`, ``is_denominator``
-and ``materialized`` are each one encode or decode around them, for
-reports, witnesses and the public API.
+its endpoints and its code, ``(src, dst, code)``: a presentation's
+relations and explicit denominators, a system's rules and its
+normal-form, hom-set and denominator tables hold codes, a functor maps
+codes with one ``str.translate`` (``FunctorData.translation``), and
+completion reads and returns codes, decoding nothing.  Inside the
+package every query runs on codes (:func:`words`, :func:`inverse`,
+:meth:`RewriteSystem.compose`, ``index`` and a decider's ``closure``);
+:func:`normalize`, :func:`equal`, :func:`homset`, :func:`find_inverse`,
+``is_denominator`` and ``materialized`` are each one encode or decode
+around them, for reports, witnesses and the public API.
 
 Hom-sets are listed without rewriting.  A prefix of an irreducible word
 is irreducible (Book and Otto, *String-Rewriting Systems*, 1993), so one
@@ -106,14 +107,6 @@ class ResourceLimits:
 
 
 DEFAULT_LIMITS = ResourceLimits()
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """A length-nonincreasing oriented equation ``lhs -> rhs``."""
-
-    lhs: PathWord
-    rhs: PathWord
 
 
 class RuleIndex(dict):
@@ -254,10 +247,12 @@ def _literal_pattern(word: str) -> str:
 class RewriteSystem:
     """A completed (or bound-truncated) rewriting system.
 
-    ``limits`` are the bounds :func:`complete` ran under; every query on
-    the system, and every system derived from it, uses them.  Besides
-    its rules the system carries its matcher ``index``, also its one
-    normal-form table (``index[s]``), and the tables its queries fill:
+    ``rules`` are the codes ``(lhs, rhs)`` of its oriented equations,
+    sorted shortlex.  ``limits`` are the bounds :func:`complete` ran
+    under; every query on the system, and every system derived from it,
+    uses them.  Besides its rules the system carries its matcher
+    ``index``, built from them, also its one normal-form table
+    (``index[s]``), and the tables its queries fill:
     the encoded hom-sets out of each object by target (the one hom-set
     table, see :func:`words`) and the denominator decider per
     denominator set (see :func:`denominators`).  None of them takes part
@@ -265,7 +260,7 @@ class RewriteSystem:
     """
 
     presentation: CatPresentation
-    rules: tuple[RewriteRule, ...]
+    rules: tuple[tuple[str, str], ...]
     status: str
     limits: ResourceLimits = DEFAULT_LIMITS
     index: RuleIndex = field(init=False, repr=False, compare=False)
@@ -273,8 +268,7 @@ class RewriteSystem:
     _deciders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", RuleIndex(
-            (self.encode(r.lhs)[2], self.encode(r.rhs)[2]) for r in self.rules))
+        object.__setattr__(self, "index", RuleIndex(self.rules))
         for table in ("_reachable", "_deciders"):
             object.__setattr__(self, table, {})
 
@@ -463,7 +457,6 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
     criterion; a run stopped by ``max_rules`` or ``max_word_len`` may
     stop at another rule set, or stop where the other would not.
     """
-    code, names = p.codec
     counter = itertools.count()
     heap: list = []
 
@@ -476,9 +469,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         heapq.heappush(heap, ((max(ku, kv), min(ku, kv)), next(counter),
                               u, v, src, dst, id1, id2, span))
 
-    for rel in p.relations:
-        push("".join(map(code.__getitem__, rel.lhs.letters)),
-             "".join(map(code.__getitem__, rel.rhs.letters)), rel.lhs.src, rel.lhs.dst)
+    for (src, dst, lhs), (_, _, rhs) in p.relations:
+        push(lhs, rhs, src, dst)
 
     # encoded (lhs, rhs, src, dst, id); endpoints carried explicitly since
     # rewriting preserves them
@@ -562,9 +554,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
             swept = len(heap)
 
     rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
-    return RewriteSystem(presentation=p, status=status, limits=limits, rules=tuple(
-        RewriteRule(*(PathWord(s, d, tuple(map(names.__getitem__, t))) for t in (lhs, rhs)))
-        for lhs, rhs, s, d, _ in rules))
+    return RewriteSystem(presentation=p, status=status, limits=limits,
+                         rules=tuple((lhs, rhs) for lhs, rhs, *_ in rules))
 
 
 def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[str, ...]]:
@@ -636,8 +627,8 @@ def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:
 class DenomDecider:
     """Decides denominator membership for a category with denominators.
 
-    The explicit words (``explicit`` if given, codes) are normalized
-    into the generating words ``generators``, identities are added when
+    The explicit words, codes, are normalized into the generating words
+    ``generators``, identities are added when
     the flag says so, and the composition flag saturates the set under
     binary composition up to the resource bounds, as encoded normal
     forms ``(src, dst, code)`` in ``closure``, kept in
@@ -654,13 +645,11 @@ class DenomDecider:
     generating words miss.
     """
 
-    def __init__(self, c: CatWithDenoms, rs: RewriteSystem, explicit=None):
+    def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
         self.cwd = c
         self.rs = rs
         limits = rs.limits
-        if explicit is None:
-            explicit = map(rs.encode, c.denoms.explicit)
-        self.generators = set(map(rs.compose, explicit))
+        self.generators = set(map(rs.compose, c.denoms.explicit))
         closure = set(self.generators)
         if c.denoms.include_identities:
             for x in c.cat.objects:
@@ -709,15 +698,14 @@ class DenomDecider:
         return between
 
 
-def denominators(c: CatWithDenoms, rs: RewriteSystem, explicit=None) -> DenomDecider:
+def denominators(c: CatWithDenoms, rs: RewriteSystem) -> DenomDecider:
     """The decider for the denominators of ``c``, built once per system.
 
     ``rs`` is the system of ``c.cat``; it keeps the decider per
-    ``c.denoms``; ``explicit``, the codes of its explicit words, spares
-    the decider built here their encoding.  A closure that exceeded
-    ``rs.limits`` is not stored, so it raises again on the next call.
+    ``c.denoms``.  A closure that exceeded ``rs.limits`` is not stored,
+    so it raises again on the next call.
     """
     dec = rs._deciders.get(c.denoms)
     if dec is None:
-        dec = rs._deciders[c.denoms] = DenomDecider(c, rs, explicit)
+        dec = rs._deciders[c.denoms] = DenomDecider(c, rs)
     return dec

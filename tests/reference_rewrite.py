@@ -5,27 +5,40 @@ This is the letter-tuple normaliser and Knuth-Bendix completion that
 rule-index matcher.  It is kept unchanged so tests can check that the
 fast kernel takes the same rewriting steps: the same normal form for
 every word and rule list, and the same completed rules and status for
-every presentation and bound.
+every presentation and bound.  Only its edges follow the package: it
+decodes a presentation's relations on the way in, returns its rules as
+``(lhs, rhs)`` codes as ``loccat.rewrite.complete`` does, and keeps the
+letter-tuple ``RewriteRule`` the package used to export as its own.
 
-``closure`` is the denominator closure ``loccat.rewrite.DenomDecider``
-built before it grew the set by its generating words on a complete
-system: it composes each new element with the whole set, both ways,
-round by round, and raises at the same bounds with the same messages.
+``closure`` is the denominator closure, from the explicit codes, that
+``loccat.rewrite.DenomDecider`` built before it grew the set by its
+generating words on a complete system: it composes each new element
+with the whole set, both ways, round by round, and raises at the same
+bounds with the same messages.
 
 ``homset`` is the hom-set enumeration ``loccat.rewrite`` used before it
-listed irreducible words: it normalises every extension of a known
-normal form by a generator, with this normaliser, and raises at the
-same bounds with the same messages.
+listed irreducible words: it decodes the system's rules, normalises
+every extension of a known normal form by a generator, with this
+normaliser, and raises at the same bounds with the same messages.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 
 from loccat.presentation import CatPresentation, CatWithDenoms, LimitExceeded, PathWord
 from loccat.rewrite import (BOUNDED_INCOMPLETE, COMPLETE, DEFAULT_LIMITS,
-                            ResourceLimits, RewriteRule, RewriteSystem)
+                            ResourceLimits, RewriteSystem)
+
+
+@dataclass(frozen=True)
+class RewriteRule:
+    """A length-nonincreasing oriented equation ``lhs -> rhs``."""
+
+    lhs: PathWord
+    rhs: PathWord
 
 
 def _reduce_once(rules_by_first: dict, letters: list[str]) -> bool:
@@ -93,7 +106,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         heapq.heappush(heap, (prio, next(counter), u, v, src, dst))
 
     for rel in p.relations:
-        push(rel.lhs.letters, rel.rhs.letters, rel.lhs.src, rel.lhs.dst)
+        lhs, rhs = map(p.decode, rel)
+        push(lhs.letters, rhs.letters, lhs.src, lhs.dst)
 
     rules: list[RewriteRule] = []
     status = COMPLETE
@@ -145,7 +159,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
                     push(left, right, s, d)
 
     rules.sort(key=lambda r: (key(r.lhs.letters), key(r.rhs.letters)))
-    return RewriteSystem(presentation=p, rules=tuple(rules), status=status)
+    return RewriteSystem(presentation=p, status=status, rules=tuple(
+        (p.encode(r.lhs)[2], p.encode(r.rhs)[2]) for r in rules))
 
 
 def _peak_endpoints(p: CatPresentation, letters: tuple[str, ...]) -> tuple[str, str]:
@@ -160,7 +175,11 @@ def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
     ``rs.limits``, then keeps those ending at ``y`` and sorts them.
     """
     p, limits = rs.presentation, rs.limits
-    by_first = _index_rules(rs.rules)
+    rules = []
+    for lhs, rhs in rs.rules:
+        src, dst = _peak_endpoints(p, [p.codec[1][lhs[0]], p.codec[1][lhs[-1]]])
+        rules.append(RewriteRule(p.decode((src, dst, lhs)), p.decode((src, dst, rhs))))
+    by_first = _index_rules(rules)
     out_gens: dict[str, list] = {}
     for g in p.generators:
         out_gens.setdefault(g.src, []).append(g)
@@ -192,7 +211,7 @@ def closure(c: CatWithDenoms, rs: RewriteSystem) -> set[tuple[str, str, str]]:
     explicit words and identities as the flags say, saturated pairwise
     under composition when the flag says so, under ``rs.limits``."""
     limits = rs.limits
-    found = set(map(rs.compose, map(rs.encode, c.denoms.explicit)))
+    found = set(map(rs.compose, c.denoms.explicit))
     if c.denoms.include_identities:
         found.update((x, x, "") for x in c.cat.objects)
     frontier = set(found) if c.denoms.close_under_composition else set()

@@ -145,6 +145,17 @@ class TestHomset:
         assert rep["result"]["words"] == [["d^-1"]]
         assert rep["result"]["zigzags"] == ["(d)^-1"]
 
+    def test_localised_status_is_the_listed_systems(self, capsys):
+        # one rule completes E2, but not its localisation: the status
+        # belongs to the system whose words are listed
+        query = ("homset", corpus.cat_path("E2"), "--src", "a", "--dst", "b",
+                 "--limits-rules", "1")
+        _, base = run_json(capsys, *query)
+        code, rep = run_json(capsys, *query, "--localised")
+        assert base["result"]["status"] == "complete"
+        assert code == 0
+        assert rep["result"]["status"] == "bounded-incomplete"
+
     def test_homset_cap_exits_four(self, capsys):
         code, rep = run_json(capsys, "homset", corpus.cat_path("E5"),
                              "--src", "•", "--dst", "•",

@@ -202,11 +202,11 @@ class TestClassicalCriterion:
         # faithful, misses the idempotent t at (a, a), and reaches no
         # morphism into Z; either pair may come first
         from loccat import (CatPresentation, CatWithDenoms, DenomSet, FunctorData,
-                            GenArrow, PathWord, Relation, complete)
-        src = CatPresentation(objects, (GenArrow("u", "b", "b"),), (
-            Relation(PathWord("b", "b", ("u", "u")), PathWord("b", "b", ("u",))),))
-        tgt = CatPresentation(("A", "B", "Z"), (GenArrow("t", "A", "A"),), (
-            Relation(PathWord("A", "A", ("t", "t")), PathWord("A", "A", ("t",))),))
+                            GenArrow, PathWord, complete)
+        src = CatPresentation.from_words(objects, (GenArrow("u", "b", "b"),), (
+            (PathWord("b", "b", ("u", "u")), PathWord("b", "b", ("u",))),))
+        tgt = CatPresentation.from_words(("A", "B", "Z"), (GenArrow("t", "A", "A"),), (
+            (PathWord("A", "A", ("t", "t")), PathWord("A", "A", ("t",))),))
         f = FunctorData.from_words(CatWithDenoms(src, DenomSet()),
                                    CatWithDenoms(tgt, DenomSet()),
                                    {"a": "A", "b": "B"}, {"u": PathWord("B", "B", ())})

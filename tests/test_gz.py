@@ -186,8 +186,8 @@ class TestZigzag:
         p = CatPresentation(("a", "b", "c"), (
             GenArrow("d", "a", "b"), GenArrow("e", "b", "c"),
             GenArrow("s", "a", "c")), ())
-        c = CatWithDenoms(p, DenomSet((PathWord("a", "c", ("d", "e")),
-                                       PathWord("a", "c", ("s",))), True, True))
+        c = CatWithDenoms(p, DenomSet((p.encode(PathWord("a", "c", ("d", "e"))),
+                                       p.encode(PathWord("a", "c", ("s",)))), True, True))
         lc = localise(c, complete(p))
         zv = zigzag_view(lc, lc.rs.encode(PathWord("a", "a", ("⟨d·e⟩", "s^-1"))))
         assert zv.render() == "d·e · (s)^-1"

@@ -22,7 +22,7 @@ def oracle_from_presentation(p, max_len=orc_mod.DEFAULT_MAX_LEN):
     return orc_mod.Oracle(
         p.objects,
         [(g.name, g.src, g.dst) for g in p.generators],
-        [(r.lhs.letters, r.rhs.letters) for r in p.relations],
+        [(p.decode(lhs).letters, p.decode(rhs).letters) for lhs, rhs in p.relations],
         max_len)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import corpus
 from loccat import (CatPresentation, CatWithDenoms, DenomSet, GenArrow,
-                    PathWord, Relation, ValidationError, identity_functor,
+                    PathWord, ValidationError, identity_functor,
                     opposite, validate_cat_with_denoms, validate_presentation)
 from loccat.equivalence import prepare
 from loccat.rewrite import DEFAULT_LIMITS, complete, homset, normalize
@@ -111,11 +111,36 @@ class TestShortlex:
         assert c.shortlex_key(c.word(["later"])) < c.shortlex_key(c.word(["earlier"]))
 
 
-class TestRelation:
+class TestFromWords:
+    def test_relations_are_encoded(self):
+        c = CatPresentation.from_words(
+            ("a", "b"), (GenArrow("u", "a", "b"), GenArrow("v", "a", "b")),
+            [(PathWord("a", "b", ("v",)), PathWord("a", "b", ("u",)))])
+        assert c.relations == (tuple(map(c.encode, (PathWord("a", "b", ("v",)),
+                                                    PathWord("a", "b", ("u",))))),)
+        assert validate_presentation(c) == []
+
     def test_relation_must_be_parallel(self):
         c = chain()
-        with pytest.raises(ValidationError):
-            Relation(c.word(["u"]), c.identity("a"))
+        with pytest.raises(ValidationError, match="parallel"):
+            CatPresentation.from_words(c.objects, c.generators,
+                                       [(c.word(["u"]), c.identity("a"))])
+
+    @pytest.mark.parametrize("side", [
+        PathWord("a", "b", ("w",)),
+        PathWord("a", "c", ("v", "u")),
+        PathWord("a", "c", ("u",)),
+    ], ids=["unknown-letter", "not-composable", "wrong-endpoints"])
+    def test_sides_must_be_words(self, side):
+        c = chain()
+        with pytest.raises(ValidationError, match="^relation 0: "):
+            CatPresentation.from_words(c.objects, c.generators, [(side, side)])
+
+
+def with_relation(lhs, rhs) -> CatPresentation:
+    """``chain()`` with one relation between the encoded ``lhs`` and ``rhs``."""
+    c = chain()
+    return CatPresentation(c.objects, c.generators, ((lhs, rhs),))
 
 
 class TestValidation:
@@ -146,9 +171,30 @@ class TestValidation:
     def test_denominator_word_endpoint_checked(self):
         base = chain()
         bad = CatWithDenoms(base, DenomSet(
-            explicit=(PathWord("a", "a", ("u",)),),
+            explicit=(("a", "a", base.codec[0]["u"]),),
             include_identities=True, close_under_composition=False))
-        assert validate_cat_with_denoms(bad) != []
+        assert [p["kind"] for p in validate_cat_with_denoms(bad)] == \
+            ["ill-formed-denominator"]
+
+    def test_unknown_code_is_ill_formed(self):
+        u = chain().codec[0]["u"]
+        problems = validate_presentation(with_relation(("a", "b", u), ("a", "b", "?")))
+        assert problems == [{"kind": "ill-formed-word", "relation": 0, "side": "rhs",
+                             "detail": "unknown generator code '?'"}]
+
+    def test_letters_that_do_not_compose_are_ill_formed(self):
+        code = chain().codec[0]
+        vu = ("a", "c", code["v"] + code["u"])
+        problems = validate_presentation(with_relation(vu, vu))
+        assert [(p["kind"], p["side"]) for p in problems] == \
+            [("ill-formed-word", "lhs"), ("ill-formed-word", "rhs")]
+        assert "do not compose" in problems[0]["detail"]
+
+    def test_sides_not_parallel_reported(self):
+        code = chain().codec[0]
+        problems = validate_presentation(
+            with_relation(("a", "b", code["u"]), ("a", "a", "")))
+        assert problems == [{"kind": "relation-not-parallel", "relation": 0}]
 
 
 class TestOpposite:
@@ -166,9 +212,9 @@ class TestOpposite:
     def test_opposite_reverses_relation_words(self):
         c = corpus.cat("E7D")
         op = opposite(c)
-        rel = op.cat.relations[0]
-        assert rel.lhs.letters == ("v_right", "h_top")
-        assert rel.rhs.letters == ("h_bot", "v_left")
+        lhs, rhs = map(op.cat.decode, op.cat.relations[0])
+        assert lhs.letters == ("v_right", "h_top")
+        assert rhs.letters == ("h_bot", "v_left")
 
 
 class TestIdentityFunctor:

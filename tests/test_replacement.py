@@ -8,7 +8,8 @@ from loccat import (ConstructionError, PreconditionError, ReplacementChoice,
                     build_replacement_category, canonical_lift,
                     check_reflects_denominators, complete, find_s_replacements,
                     has_all_trivial, has_enough, load_functor, localise, prepare,
-                    structure_choice_functor, validate_choice, validate_functor)
+                    structure_choice_functor, validate_functor)
+from loccat.replacement import positions
 from loccat.rewrite import Inflation, words
 
 
@@ -85,7 +86,7 @@ class TestReplacementCategory:
         _, rc = rc_for("E7")
         assert rc.obj_names == ("(tl|x0|1)", "(tr|x1|1)", "(bl|x0|v_left)",
                                 "(br|x1|v_right)")
-        rels = [(r.lhs.letters, r.rhs.letters) for r in rc.cwd.cat.relations]
+        rels = [tuple(rc.cwd.cat.decode(w).letters for w in r) for r in rc.cwd.cat.relations]
         assert rels == [(("h_top@0-1", "v_right@1-3"),
                          ("v_left@0-2", "h_bot@2-3"))]
 
@@ -104,15 +105,14 @@ class TestReplacementCategory:
     def test_lookups_match_positions(self):
         s, rc = rc_for("E7b")
         for i, (t, name) in enumerate(zip(rc.triples, rc.obj_names)):
-            assert rc.index_of(t) == i
+            assert rc.position(t.target, t.source, t.q) == i
             assert rc.object_index(name) == i
         for y in s.f.target.cat.objects:
             assert rc.triples_over(y) == tuple(
                 i for i, t in enumerate(rc.triples) if t.target == y)
         tgt = s.f.target.cat
         missing = SReplacement("bl", "x1", tgt.encode(tgt.identity("bl"))[2])
-        with pytest.raises(ValueError):
-            rc.index_of(missing)
+        assert rc.position(missing.target, missing.source, missing.q) is None
 
     def test_status_is_the_targets(self):
         # rc is answered through the target's system, whose status it has
@@ -227,7 +227,7 @@ class TestChoice:
         partial = ReplacementChoice(tuple(
             (y, rep) for y, rep in auto_choice(rc).items() if y == "a"))
         with pytest.raises(ValidationError):
-            validate_choice(rc, partial)
+            positions(rc, partial)
 
     def test_validate_choice_rejects_foreign_triples(self):
         s, rc = rc_for("E2")
@@ -236,7 +236,7 @@ class TestChoice:
             ("a", SReplacement("a", "•", tgt.encode(tgt.identity("a"))[2])),
             ("b", SReplacement("b", "•", tgt.encode(tgt.identity("b"))[2]))))
         with pytest.raises(ValidationError):
-            validate_choice(rc, bogus)
+            positions(rc, bogus)
 
 
 class TestStructureChoiceFunctor:

@@ -15,12 +15,13 @@ import corpus
 import reference_rewrite
 from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     CatWithDenoms, DenomDecider, DenomSet, GenArrow,
-                    LimitExceeded, PathWord, Relation, DEFAULT_LIMITS,
-                    ResourceLimits, RewriteRule, RewriteSystem, ValidationError,
+                    LimitExceeded, PathWord, DEFAULT_LIMITS,
+                    ResourceLimits, RewriteSystem, ValidationError,
                     build_replacement_category, check_multiplicative, complete,
                     denominators, equal, find_inverse, homset, localise, normalize)
 from loccat import rewrite
 from loccat.rewrite import RuleIndex
+from reference_rewrite import RewriteRule
 from test_approximation import ladder
 
 TIGHT = ResourceLimits(max_word_len=4, max_rules=3, max_homset=4)
@@ -30,9 +31,9 @@ def monoid(gens: str, relations) -> CatPresentation:
     """One object ``o``, one generator per character of ``gens``."""
     def w(letters):
         return PathWord("o", "o", tuple(letters))
-    return CatPresentation(
-        objects=("o",), generators=tuple(GenArrow(g, "o", "o") for g in gens),
-        relations=tuple(Relation(w(lhs), w(rhs)) for lhs, rhs in relations))
+    return CatPresentation.from_words(
+        ("o",), [GenArrow(g, "o", "o") for g in gens],
+        [(w(lhs), w(rhs)) for lhs, rhs in relations])
 
 
 def dihedral(n: int) -> CatPresentation:
@@ -40,10 +41,21 @@ def dihedral(n: int) -> CatPresentation:
     return monoid("ab", [("a" * n, ""), ("bb", ""), ("bab", "a" * (n - 1))])
 
 
+def with_denominator_a(p: CatPresentation) -> CatWithDenoms:
+    """``p`` with the closure of its generator ``a`` as denominators."""
+    return CatWithDenoms(p, DenomSet((p.encode(PathWord("o", "o", ("a",))),), True, True))
+
+
 def dihedral_denoms(n: int) -> CatWithDenoms:
     """``D_n`` with ``a`` its denominator generator."""
-    return CatWithDenoms(dihedral(n), DenomSet((PathWord("o", "o", ("a",)),),
-                                               True, True))
+    return with_denominator_a(dihedral(n))
+
+
+def spelled(rs: RewriteSystem) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The rules of ``rs`` as pairs of letter tuples."""
+    name = rs.presentation.codec[1]
+    return [(tuple(map(name.__getitem__, lhs)), tuple(map(name.__getitem__, rhs)))
+            for lhs, rhs in rs.rules]
 
 
 def localised_dihedral(n: int) -> CatPresentation:
@@ -105,19 +117,17 @@ class TestCompletion:
         for name in corpus.CAT_NAMES:
             rs = corpus.rs(name)
             c = corpus.cat(name).cat
-            for rule in rs.rules:
-                assert c.shortlex_key(rule.rhs) < c.shortlex_key(rule.lhs)
+            for lhs, rhs in rs.rules:
+                assert (len(rhs), rhs) < (len(lhs), lhs)
 
     def test_square_relation_oriented(self):
         rs = corpus.rs("E7D")
         # declaration order h_top < v_left, so h_top.v_right is the normal form
-        assert [(r.lhs.letters, r.rhs.letters) for r in rs.rules] == \
-            [(("v_left", "h_bot"), ("h_top", "v_right"))]
+        assert spelled(rs) == [(("v_left", "h_bot"), ("h_top", "v_right"))]
 
     def test_involution_completes(self):
         rs = corpus.rs("E5")
-        assert [(r.lhs.letters, r.rhs.letters) for r in rs.rules] == \
-            [(("d", "d"), ())]
+        assert spelled(rs) == [(("d", "d"), ())]
 
     @pytest.mark.parametrize("n", [5, 12, 33])
     def test_dihedral_family(self, n):
@@ -279,8 +289,8 @@ class TestCompletion:
             rs = complete(p, ResourceLimits(max_rules=max_rules))
             if name == "D6":
                 assert rs.status == BOUNDED_INCOMPLETE
-            for rule in rs.rules:
-                assert normalize(full, rule.lhs) == normalize(full, rule.rhs), rule
+            for lhs, rhs in rs.rules:
+                assert full.index[lhs] == full.index[rhs], spelled(rs)
 
     def test_bounded_incomplete_flagged(self):
         # the localised E7bD presentation needs 10 rules; stop early
@@ -725,8 +735,7 @@ class TestDeciderTable:
 
     def test_failed_closure_raises_again(self, monkeypatch):
         # a free monoid: the composites of a never end
-        c = CatWithDenoms(monoid("a", []),
-                          DenomSet((PathWord("o", "o", ("a",)),), True, True))
+        c = with_denominator_a(monoid("a", []))
         rs = complete(c.cat, DEFAULT_LIMITS)
         builds = []
         init = DenomDecider.__init__
@@ -748,9 +757,9 @@ class TestSystemTables:
     def test_system_freed_after_queries(self):
         # a presentation no other test completes, so no equal system is
         # held anywhere else
-        p = CatPresentation(objects=("p", "q"), generators=(
-            GenArrow("s", "p", "q"), GenArrow("t", "p", "q")), relations=(
-            Relation(PathWord("p", "q", ("s",)), PathWord("p", "q", ("t",))),))
+        p = CatPresentation.from_words(("p", "q"), (
+            GenArrow("s", "p", "q"), GenArrow("t", "p", "q")), (
+            (PathWord("p", "q", ("s",)), PathWord("p", "q", ("t",))),))
         rs = complete(p, DEFAULT_LIMITS)
         assert len(homset(rs, "p", "q")) == 1
         ref = weakref.ref(rs)
