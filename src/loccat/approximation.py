@@ -22,7 +22,7 @@ setting alone; its values are keyed by positions in ``setting.rc``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -417,7 +417,7 @@ class ApproximationReport:
     bounds_used: dict
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def verify_approximation(f: FunctorData,
@@ -609,4 +609,4 @@ def verify_approximation(f: FunctorData,
         ok=all(section["ok"] for section in sections),
         sections=sections,
         decidability_status=setting.decidability_status,
-        bounds_used=asdict(limits))
+        bounds_used=dict(vars(limits)))

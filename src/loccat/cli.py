@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 
 from .approximation import verify_approximation
@@ -101,7 +100,7 @@ def _flatten(obj: object, path: str, out: list[str]):
 
 
 def _emit(command: str, limits: ResourceLimits, fmt: str, payload: dict) -> str:
-    report = {"schema": SCHEMA, "command": command, "limits": asdict(limits),
+    report = {"schema": SCHEMA, "command": command, "limits": dict(vars(limits)),
               **payload}
     if fmt == "text":
         lines: list[str] = []
@@ -111,11 +110,10 @@ def _emit(command: str, limits: ResourceLimits, fmt: str, payload: dict) -> str:
                       ensure_ascii=False) + "\n"
 
 
-def _sniff_kind(path: str) -> str:
+def _read(path: str) -> tuple[str, object]:
+    """A file's kind and JSON: a functor if it has a top-level ``object_map``."""
     data = read_json(path)
-    if isinstance(data, dict) and "object_map" in data:
-        return "functor"
-    return "category"
+    return "functor" if isinstance(data, dict) and "object_map" in data else "category", data
 
 
 def _spelled(p, lhs: str, rhs: str) -> dict:
@@ -135,16 +133,15 @@ def _cat_summary(cwd) -> dict:
 
 def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     rows = []
-    all_ok = True
     for path in args.paths:
-        kind = _sniff_kind(path)
+        kind, data = _read(path)
         row: dict = {"path": path, "kind": kind}
         try:
             if kind == "category":
-                load_cat(path)
+                load_cat(path, data)
                 problems = []
             else:
-                f = load_functor(path)
+                f = load_functor(path, data)
                 rs_src = complete(f.source.cat, limits)
                 rs_tgt = complete(f.target.cat, limits)
                 problems = validate_functor(f, rs_src, rs_tgt)
@@ -153,8 +150,8 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
         row["ok"] = not problems
         if problems:
             row["problems"] = problems
-            all_ok = False
         rows.append(row)
+    all_ok = all(row["ok"] for row in rows)
     return {"result": {"files": rows, "ok": all_ok}}, \
         EXIT_OK if all_ok else EXIT_INVALID
 
@@ -200,37 +197,35 @@ def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int
 
 
 def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
-    kind = _sniff_kind(args.path)
+    kind, data = _read(args.path)
     which = args.which
-    if which in CATEGORY_CHECKS and kind != "category":
-        raise ValidationError(f"check {which!r} expects a category file")
-    if which in FUNCTOR_CHECKS and kind != "functor":
-        raise ValidationError(f"check {which!r} expects a functor file")
+    wanted = "category" if which in CATEGORY_CHECKS else "functor"
+    if kind != wanted:
+        raise ValidationError(f"check {which!r} expects a {wanted} file")
 
     if kind == "category":
-        cwd = load_cat(args.path)
+        cwd = load_cat(args.path, data)
         rs = complete(cwd.cat, limits)
+        details: dict = {}
         if which == "multiplicative":
             verdict, witness = check_multiplicative(cwd, rs)
-            details: dict = {}
         elif which == "isosaturated":
             verdict, witness = check_isosaturated(cwd, rs)
-            details = {}
         else:
             mult, w_mult = check_multiplicative(cwd, rs)
             iso, w_iso = check_isosaturated(cwd, rs)
             verdict = mult and iso
             witness = w_mult if w_mult is not None else w_iso
             details = {"multiplicative": mult, "isosaturated": iso}
-        report = CheckReport(which, verdict, witness, asdict(limits),
+        report = CheckReport(which, verdict, witness, dict(vars(limits)),
                              rs.status, details).to_json()
     else:
-        f = load_functor(args.path)
+        f = load_functor(args.path, data)
         setting = prepare(f, limits)
         if which == "reflects-denominators":
             verdict, witness = check_reflects_denominators(
                 f, setting.rs_src, setting.rs_tgt)
-            report = CheckReport(which, verdict, witness, asdict(limits),
+            report = CheckReport(which, verdict, witness, dict(vars(limits)),
                                  setting.decidability_status, {}).to_json()
         else:
             checker = {"s-dense": check_s_dense, "s-full": check_s_full,

@@ -27,7 +27,7 @@ and fills its witnesses print.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import product
 
 from .axioms import check_multiplicative, validate_functor, word_json
@@ -60,7 +60,7 @@ class CheckReport:
     details: dict
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -180,7 +180,7 @@ def _arrow_json(setting: GzSetting, arrow: tuple) -> dict:
 def _report(setting: GzSetting, check: str, verdict: bool,
             witness: dict | None, details: dict) -> CheckReport:
     """A report under the limits and status of ``setting``'s systems."""
-    return CheckReport(check, verdict, witness, asdict(setting.rs_src.limits),
+    return CheckReport(check, verdict, witness, dict(vars(setting.rs_src.limits)),
                        setting.decidability_status, details)
 
 

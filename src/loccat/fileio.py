@@ -17,7 +17,6 @@ from .presentation import (
     FunctorData,
     GenArrow,
     LoccatError,
-    PathWord,
     ValidationError,
     validate_presentation,
 )
@@ -30,11 +29,14 @@ class ParseError(LoccatError):
 
 def read_json(path: str | Path) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except OSError:  # pathlib forgives a trailing slash and names a/./x.json a/x.json
+            text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
@@ -52,9 +54,9 @@ def _string_list(value: object, what: str) -> list[str]:
 
 
 def _relation_side(p: CatPresentation, letters: list[str], other: list[str],
-                   index: int) -> PathWord:
+                   index: int) -> tuple[str, str, str]:
     if letters:
-        return p.word(letters)
+        return p.encode(p.word(letters))
     # an empty side is an identity; endpoints come from the other side
     if not other:
         raise ValidationError(
@@ -63,12 +65,12 @@ def _relation_side(p: CatPresentation, letters: list[str], other: list[str],
     if partner.src != partner.dst:
         raise ValidationError(
             f"relation {index} equates a non-endo word with an identity")
-    return p.identity(partner.src)
+    return partner.src, partner.src, ""
 
 
-def load_cat(path: str | Path) -> CatWithDenoms:
-    """Load a category with denominators from a JSON file."""
-    data = read_json(path)
+def load_cat(path: str | Path, data: object = None) -> CatWithDenoms:
+    """Load a category with denominators from a JSON file, or from its ``data`` if read."""
+    data = read_json(path) if data is None else data
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
     for key in ("objects", "generators", "relations", "denominators"):
         _expect(key in data, f"{path}: missing key {key!r}")
@@ -117,7 +119,7 @@ def load_cat(path: str | Path) -> CatWithDenoms:
     for i, (lhs, rhs) in enumerate(raw_relations):
         left = _relation_side(bare, lhs, rhs, i)
         right = _relation_side(bare, rhs, lhs, i)
-        if (left.src, left.dst) != (right.src, right.dst):
+        if left[:2] != right[:2]:
             raise ValidationError(f"{path}: relation {i} sides not parallel")
         relations.append((left, right))
 
@@ -127,18 +129,19 @@ def load_cat(path: str | Path) -> CatWithDenoms:
             raise ValidationError(
                 f"{path}: denominator word {i} is empty; use "
                 "include_identities for identity denominators")
-        words.append(bare.word(letters))
+        words.append(bare.encode(bare.word(letters)))
 
-    cat = CatPresentation.from_words(objects, gens, relations)
+    cat = CatPresentation(objects, bare.generators, tuple(relations))
     return CatWithDenoms(cat, DenomSet(
-        explicit=tuple(map(cat.encode, words)),
+        explicit=tuple(words),
         include_identities=denoms["include_identities"],
         close_under_composition=denoms["close_under_composition"]))
 
 
-def load_functor(path: str | Path) -> FunctorData:
-    """Load a functor; source and target paths resolve relative to the file."""
-    data = read_json(path)
+def load_functor(path: str | Path, data: object = None) -> FunctorData:
+    """Load a functor from a JSON file, or from its ``data`` if read; source
+    and target paths resolve relative to the file."""
+    data = read_json(path) if data is None else data
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
     for key in ("source", "target", "object_map", "generator_map"):
         _expect(key in data, f"{path}: missing key {key!r}")
@@ -155,7 +158,7 @@ def load_functor(path: str | Path) -> FunctorData:
     _expect(isinstance(data["generator_map"], dict),
             f"{path}: generator_map must be an object")
 
-    gen_map: dict[str, PathWord] = {}
+    images: dict[str, tuple[str, str, str]] = {}
     for name, letters in data["generator_map"].items():
         letters = _string_list(letters, f"{path}: generator_map[{name!r}]")
         gen = source.cat.gen_by_name.get(name)
@@ -163,15 +166,15 @@ def load_functor(path: str | Path) -> FunctorData:
             raise ValidationError(f"{path}: generator_map names unknown "
                                   f"generator {name!r}")
         if letters:
-            gen_map[name] = target.cat.word(letters)
+            images[name] = target.cat.encode(target.cat.word(letters))
         else:
             image = data["object_map"].get(gen.src)
             if image is None or image != data["object_map"].get(gen.dst):
                 raise ValidationError(
                     f"{path}: empty image for {name!r} needs equal mapped "
                     "endpoints")
-            gen_map[name] = target.cat.identity(image)
-    return FunctorData.from_words(source, target, dict(data["object_map"]), gen_map)
+            images[name] = target.cat.encode(target.cat.identity(image))
+    return FunctorData(source, target, dict(data["object_map"]), images)
 
 
 def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:

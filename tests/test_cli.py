@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import corpus
-from loccat import cli, equivalence, gz, rewrite
+from loccat import cli, equivalence, fileio, gz, rewrite
 from loccat.cli import main, parse_args
 from loccat.equivalence import prepare
 from loccat.fileio import load_functor
@@ -110,6 +110,32 @@ class TestValidate:
         assert self.validate_functor_file(
             capsys, tmp_path, {"a": "a", "b": image_of_b}, {"u": []}) \
             == (code, kinds)
+
+
+@pytest.mark.parametrize("argv,names", [
+    (("check", "axioms", corpus.cat_path("E1")), ["E1.cat.json"]),
+    (("check", "s-equivalence", corpus.fun_path("E7")),
+     ["E7.fun.json", "E7C.cat.json", "E7D.cat.json"]),
+    (("validate", corpus.cat_path("E1"), corpus.fun_path("E7")),
+     ["E1.cat.json", "E7.fun.json", "E7C.cat.json", "E7D.cat.json"]),
+    (("verify-approximation", corpus.fun_path("E7b"), "--choice", "from-file",
+      str(corpus.FIXTURES / "E7b-alt.choice.json")),
+     ["E7b.fun.json", "E7C.cat.json", "E7bD.cat.json", "E7b-alt.choice.json"]),
+])
+def test_each_input_read_once(capsys, monkeypatch, argv, names):
+    # a file is read once in each role it plays: the kind of a validated
+    # or checked file is told from the object its loader reads
+    read, read_json = [], fileio.read_json
+
+    def counted(path):
+        read.append(Path(path).name)
+        return read_json(path)
+
+    for module in (cli, fileio):
+        monkeypatch.setattr(module, "read_json", counted)
+    main(list(argv))
+    capsys.readouterr()
+    assert sorted(read) == sorted(names)
 
 
 class TestLocalise:

@@ -7,6 +7,7 @@ import pytest
 import corpus
 from loccat import (ParseError, ValidationError, load_cat, load_choice,
                     load_functor, verify_approximation)
+from loccat.cli import main
 
 
 def write(tmp_path, name, payload):
@@ -75,6 +76,60 @@ class TestLoadCat:
         path = write(tmp_path, "noop.cat.json", payload)
         with pytest.raises((ParseError, ValidationError)):
             load_cat(path)
+
+
+# relation sides that are not words, or not parallel, and the exact text
+# that reports them; "{path}" stands for the file's path
+BAD_RELATIONS = [
+    ([{"lhs": ["zz"], "rhs": ["u"]}], "unknown generator 'zz'"),
+    ([{"lhs": ["u", "u"], "rhs": ["u"]}],
+     "letters 'u' and 'u' do not compose: 'b' != 'a'"),
+    ([{"lhs": ["u"], "rhs": ["t"]}], "{path}: relation 0 sides not parallel"),
+    ([{"lhs": [], "rhs": []}], "relation 0 has two empty sides and no endpoints"),
+    ([{"lhs": ["t"], "rhs": []}, {"lhs": ["u"], "rhs": []}],
+     "relation 1 equates a non-endo word with an identity"),
+]
+
+
+class TestMalformedText:
+    @staticmethod
+    def write_bad(tmp_path, relations):
+        payload = dict(GOOD_CAT, relations=relations, generators=[
+            {"name": "u", "src": "a", "dst": "b"},
+            {"name": "t", "src": "a", "dst": "a"}])
+        return write(tmp_path, "bad.cat.json", payload)
+
+    @pytest.mark.parametrize("relations,message", BAD_RELATIONS)
+    def test_load_cat(self, tmp_path, relations, message):
+        path = self.write_bad(tmp_path, relations)
+        with pytest.raises(ValidationError) as e:
+            load_cat(path)
+        assert str(e.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("relations,message", BAD_RELATIONS)
+    def test_cli_reports(self, capsys, tmp_path, relations, message):
+        path = self.write_bad(tmp_path, relations)
+        message = message.format(path=path)
+        assert main(["validate", path]) == 2
+        rows = json.loads(capsys.readouterr().out)["result"]["files"]
+        assert rows == [{"path": path, "kind": "category", "ok": False,
+                         "problems": [{"kind": "invalid", "detail": message}]}]
+        assert main(["check", "axioms", path]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "validation", "message": message}
+
+    def test_unreadable_path_named_as_pathlib_names_it(self, capsys, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["validate", "nope/./x.json"], ["check", "axioms", "nope/./x.json"]):
+            assert main(argv) == 3
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error == {"kind": "parse", "message": "cannot read nope/./x.json: "
+                             "[Errno 2] No such file or directory: 'nope/x.json'"}
+
+    def test_trailing_slash_read_as_pathlib_reads(self, capsys):
+        assert main(["validate", corpus.cat_path("E1") + "/"]) == 0
+        capsys.readouterr()
 
 
 class TestLoadFunctor:

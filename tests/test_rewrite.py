@@ -20,6 +20,7 @@ from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     build_replacement_category, check_multiplicative, complete,
                     denominators, equal, find_inverse, homset, localise, normalize)
 from loccat import rewrite
+from loccat.cli import main
 from loccat.rewrite import RuleIndex
 from reference_rewrite import RewriteRule
 from test_approximation import ladder
@@ -468,6 +469,54 @@ class TestRuleIndex:
         rs = complete(dihedral(33), ResourceLimits(max_word_len=34))
         assert rs.status == COMPLETE
         assert 0 < len(built) <= len(added)
+
+    def test_first_compile_waits_for_the_budget(self):
+        # each normal form of "a" compares one candidate, "ab"; the first
+        # regex waits 2,048 candidates beyond the left sides' letters, a
+        # recompile after a change waits for none
+        index = RuleIndex([("ab", "")])
+        for _ in range(index._lhs_letters + 2048 + 1):
+            index.normal_form("a")
+        assert index._regex is None
+        index.normal_form("a")
+        assert index._regex is not None
+        index.add("ba", "")
+        for _ in range(index._lhs_letters + 1):
+            index.normal_form("a")
+        assert index._regex is None
+        index.normal_form("a")
+        assert index._regex is not None
+
+    def test_small_systems_compile_nothing(self, capsys, monkeypatch):
+        patterns = []
+        compile_ = re.compile
+
+        def counted(pattern, *args):
+            patterns.append(pattern)
+            return compile_(pattern, *args)
+
+        monkeypatch.setattr(rewrite.re, "compile", counted)
+        assert main(["verify-approximation", corpus.fun_path("E7")]) == 0
+        capsys.readouterr()
+        assert patterns == []
+
+    def test_large_completion_still_compiles(self, monkeypatch):
+        # D48 outgrows the budget; its rules are those of the scan alone
+        compiled = []
+        pattern = RuleIndex._pattern
+
+        def counted(index):
+            compiled.append(index)
+            return pattern(index)
+
+        monkeypatch.setattr(RuleIndex, "_pattern", counted)
+        rs = complete(dihedral(48), ResourceLimits(max_word_len=49))
+        assert compiled
+        assert rs.status == COMPLETE
+        assert [("".join(lhs), "".join(rhs)) for lhs, rhs in spelled(rs)] == [
+            ("bb", ""), ("aba", "b"), ("b" + "a" * 24, "a" * 24 + "b"),
+            ("b" + "a" * 23 + "b", "a" * 25), ("a" * 26, "b" + "a" * 22 + "b"),
+            ("a" * 25 + "b", "b" + "a" * 23)]
 
     def test_no_rules_keeps_word(self):
         index = RuleIndex(())
