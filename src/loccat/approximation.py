@@ -119,7 +119,7 @@ def _loc_q(setting: GzSetting, i: int) -> tuple:
 def _require_fills(setting: GzSetting) -> int:
     """The number of 2-arrows surveyed; :class:`PreconditionError` with a
     witness unless each has exactly one fill."""
-    no_fill, ambiguous, arrows = setting.fill_survey()
+    no_fill, ambiguous, arrows = setting.fill_survey
     if no_fill is not None:
         raise PreconditionError("functor is not relatively full",
                                 witness=no_fill)

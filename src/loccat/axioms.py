@@ -76,8 +76,8 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
 
     Checks totality of the maps, the endpoints of the generator images,
     preservation of every relation and preservation of denominators, on
-    codes (``load_functor`` and ``FunctorData.from_words`` check that
-    word images are words); only a witness is decoded.
+    codes (``load_functor`` checks that word images are words); only a
+    witness is decoded.
     """
     problems: list[dict] = []
     src_cat, tgt_cat = f.source.cat, f.target.cat

@@ -28,6 +28,7 @@ and fills its witnesses print.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .axioms import check_multiplicative, validate_functor, word_json
@@ -68,12 +69,13 @@ class GzSetting:
     """Completed and localised data for one functor, built once.
 
     It also owns what its queries build: the replacement category
-    ``rc`` of the functor, the fill table mapping each solved 2-arrow
-    ``(x, x_prime, y, g, b)`` to its fills (see :func:`solve_fill`), and
-    the total values mapping ``(i, j, code)``, two positions among the
-    triples of ``rc`` and a target code, to the unique encoded fill
-    :func:`loccat.approximation.total_value` found.  Only results
-    are stored, so a query that raised raises again on every call.
+    ``rc`` of the functor, its ``fill_survey``, the fill table mapping
+    each solved 2-arrow ``(x, x_prime, y, g, b)`` to its fills (see
+    :func:`solve_fill`), and the total values mapping ``(i, j, code)``,
+    two positions among the triples of ``rc`` and a target code, to the
+    unique encoded fill :func:`loccat.approximation.total_value` found.
+    Only results are stored, so a query that raised raises again on
+    every call.
     None of them takes part in equality or ``repr``.  The target
     decider is the one the target system keeps.  All four systems were
     completed under the limits given to :func:`prepare`, and the
@@ -86,10 +88,6 @@ class GzSetting:
     lc_src: LocalisedCategory
     lc_tgt: LocalisedCategory
     gz_f: FunctorData
-    _survey: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
-    _rc: ReplacementCategory | None = field(default=None, init=False, repr=False,
-                                            compare=False)
     _fills: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     _total_values: dict = field(default_factory=dict, init=False, repr=False,
@@ -105,19 +103,16 @@ class GzSetting:
     def dec_tgt(self) -> DenomDecider:
         return denominators(self.f.target, self.rs_tgt)
 
-    @property
+    @cached_property
     def rc(self) -> ReplacementCategory:
         """The replacement category of ``f``, built on first use; it is
         answered through ``rs_tgt`` and completes nothing."""
-        if self._rc is None:
-            self._rc = build_replacement_category(self.f, self.rs_tgt)
-        return self._rc
+        return build_replacement_category(self.f, self.rs_tgt)
 
+    @cached_property
     def fill_survey(self) -> tuple[dict | None, dict | None, int]:
         """:func:`_fill_survey` of this setting, run once on first use."""
-        if self._survey is None:
-            self._survey = _fill_survey(self)
-        return self._survey
+        return _fill_survey(self)
 
 
 def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSetting:
@@ -212,14 +207,14 @@ def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
 
 def check_s_full(setting: GzSetting) -> CheckReport:
     """Does every 2-arrow admit a fill?"""
-    no_fill, _, count = setting.fill_survey()
+    no_fill, _, count = setting.fill_survey
     return _report(setting, "s-full", no_fill is None, no_fill,
                    {"arrows_checked": count})
 
 
 def check_s_faithful(setting: GzSetting) -> CheckReport:
     """Does every 2-arrow admit at most one fill?"""
-    _, ambiguous, count = setting.fill_survey()
+    _, ambiguous, count = setting.fill_survey
     return _report(setting, "s-faithful", ambiguous is None, ambiguous,
                    {"arrows_checked": count})
 

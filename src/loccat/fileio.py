@@ -37,8 +37,12 @@ def read_json(path: str | Path) -> object:
         return json.loads(text)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError(f"{path} nests too deeply to read: {e}") from e
 
 
 def _expect(cond: bool, message: str):

@@ -179,7 +179,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     """Present the localisation of ``c`` and complete its rewriting system.
 
     Completion runs under the limits of ``rs_base``, on the presentation
-    of :func:`extension` plus one seeded relation ``w^-1 = v`` for each
+    of :func:`extension`, seeded with one relation ``w^-1 = v`` for each
     inverted word ``w`` with an inverse ``v`` in the base
     (``_base_inverses``).  It follows from ``w·w^-1 = 1`` and
     ``v·w = 1``, so the congruence, and for a completed run the unique
@@ -187,9 +187,8 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     ``lc.cwd`` and ``lc.rs.presentation`` hold.
     """
     lc = extension(c, rs_base)
-    ext, seeded = lc.presentation, _base_inverses(rs_base, lc)
-    rs = complete(replace(ext, relations=ext.relations + seeded), rs_base.limits)
-    return replace(lc, rs=replace(rs, presentation=ext))
+    rs = complete(lc.presentation, rs_base.limits, _base_inverses(rs_base, lc))
+    return replace(lc, rs=rs)
 
 
 def through(lc: LocalisedCategory, *functors: FunctorData):

@@ -6,8 +6,10 @@ encoded words ``(src, dst, code)``, one character per generator
 (:meth:`CatPresentation.encode`).  Words are written in diagrammatic
 order: the word ``[f, g]`` means "f then g", so it requires
 ``dst(f) == src(g)``.  :class:`PathWord` spells a word by generator
-names; :meth:`CatPresentation.from_words` builds a presentation from
-relations so spelled.
+names.  Words spelled by names enter only through the loaders of
+:mod:`loccat.fileio`, which check and encode them in one pass
+(:meth:`CatPresentation.word`, then :meth:`~CatPresentation.encode`);
+codes are decoded only for reports and the public queries.
 
 A category with denominators additionally carries a distinguished set
 of morphisms, described intensionally by explicit encoded words plus
@@ -85,10 +87,6 @@ class PathWord(namedtuple("PathWord", "src dst letters")):
             raise ValidationError("empty word must be an endo word")
         return tuple.__new__(cls, (src, dst, letters))
 
-    @property
-    def is_identity_word(self) -> bool:
-        return not self[2]
-
     def __len__(self) -> int:
         return len(self[2])
 
@@ -100,27 +98,12 @@ class CatPresentation:
     Objects and generators are ordered; the declaration order fixes the
     shortlex word order used by the rewriting kernel, so it is part of
     the presentation data.  Each relation is a pair of parallel encoded
-    words ``(src, dst, code)`` (:meth:`encode`); :meth:`from_words`
-    builds a presentation from :class:`PathWord` sides.
+    words ``(src, dst, code)`` (:meth:`encode`).
     """
 
     objects: tuple[str, ...]
     generators: tuple[GenArrow, ...]
     relations: tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]
-
-    @classmethod
-    def from_words(cls, objects, generators, relations) -> "CatPresentation":
-        """The presentation with the relations ``relations``, pairs of
-        :class:`PathWord` sides; :class:`ValidationError` unless each side
-        is a word of it and the two are parallel."""
-        bare = cls(tuple(objects), tuple(generators), ())
-        coded = []
-        for i, sides in enumerate(relations):
-            lhs, rhs = (_checked_code(bare, w, f"relation {i}") for w in sides)
-            if lhs[:2] != rhs[:2]:
-                raise ValidationError(f"relation {i}: sides must be parallel")
-            coded.append((lhs, rhs))
-        return replace(bare, relations=tuple(coded))
 
     @cached_property
     def obj_index(self) -> dict[str, int]:
@@ -129,10 +112,6 @@ class CatPresentation:
     @cached_property
     def gen_by_name(self) -> dict[str, GenArrow]:
         return {g.name: g for g in self.generators}
-
-    @cached_property
-    def gen_index(self) -> dict[str, int]:
-        return {g.name: i for i, g in enumerate(self.generators)}
 
     @cached_property
     def codec(self) -> tuple[dict[str, str], dict[str, str]]:
@@ -161,17 +140,12 @@ class CatPresentation:
             raise ValidationError(f"unknown object {obj!r}")
         return PathWord(obj, obj, ())
 
-    def word(self, letters, src: str | None = None, dst: str | None = None) -> PathWord:
-        """Build a validated word from generator names.
-
-        Endpoints are inferred from the letters; for the empty word they
-        must be supplied explicitly.
-        """
+    def word(self, letters) -> PathWord:
+        """The word of one or more generator names, its endpoints read off
+        them; the empty word of ``x`` is :meth:`identity`."""
         letters = tuple(letters)
         if not letters:
-            if src is None or dst is None or src != dst:
-                raise ValidationError("empty word needs matching explicit endpoints")
-            return self.identity(src)
+            raise ValidationError("a word needs a letter; the empty word is identity(x)")
         gens = []
         for name in letters:
             g = self.gen_by_name.get(name)
@@ -183,31 +157,7 @@ class CatPresentation:
                 raise ValidationError(
                     f"letters {a.name!r} and {b.name!r} do not compose: "
                     f"{a.dst!r} != {b.src!r}")
-        w = PathWord(gens[0].src, gens[-1].dst, letters)
-        if src is not None and src != w.src:
-            raise ValidationError(f"word source {w.src!r} != declared {src!r}")
-        if dst is not None and dst != w.dst:
-            raise ValidationError(f"word target {w.dst!r} != declared {dst!r}")
-        return w
-
-    def concat(self, first: PathWord, second: PathWord) -> PathWord:
-        if first.dst != second.src:
-            raise ValidationError(
-                f"words do not compose: {first.dst!r} != {second.src!r}")
-        if not first.letters:
-            return second
-        if not second.letters:
-            return first
-        return PathWord(first.src, second.dst, first.letters + second.letters)
-
-    def shortlex_key(self, w: PathWord) -> tuple:
-        # length first, then generator declaration order letter by letter
-        return (len(w.letters), tuple(self.gen_index[x] for x in w.letters))
-
-    def word_sort_key(self, w: PathWord) -> tuple:
-        # global deterministic order across hom-sets
-        return (self.obj_index[w.src], self.obj_index[w.dst],
-                self.shortlex_key(w))
+        return PathWord(gens[0].src, gens[-1].dst, letters)
 
 
 @dataclass(frozen=True)
@@ -236,33 +186,13 @@ class CatWithDenoms:
 class FunctorData:
     """A functor between presented categories, given on generators:
     ``images`` maps each to an encoded word ``(src, dst, code)`` of the
-    target (:meth:`CatPresentation.encode`).  :meth:`from_words` builds
-    one from :class:`PathWord` images, and ``gen_map`` decodes them."""
+    target (:meth:`CatPresentation.encode`); ``translation`` maps the
+    code of a source word to the code of its image."""
 
     source: CatWithDenoms
     target: CatWithDenoms
     object_map: dict[str, str]
     images: dict[str, tuple[str, str, str]]
-
-    @classmethod
-    def from_words(cls, source: CatWithDenoms, target: CatWithDenoms,
-                   object_map: dict[str, str], gen_map: dict[str, PathWord]) -> "FunctorData":
-        """The functor with the images ``gen_map``; :class:`ValidationError`
-        unless each is a word of the target."""
-        return cls(source, target, object_map, {
-            g: _checked_code(target.cat, w, f"image of {g!r}") for g, w in gen_map.items()})
-
-    @cached_property
-    def gen_map(self) -> dict[str, PathWord]:
-        """The images as :class:`PathWord` objects, decoded on first read."""
-        return {g: self.target.cat.decode(w) for g, w in self.images.items()}
-
-    def apply_word(self, w: PathWord) -> PathWord:
-        """The image of ``w``, unnormalised and unchecked, as a word:
-        :func:`~loccat.axioms.validate_functor`, which ``prepare`` and
-        ``loccat validate`` run first, rejects ill-typed images."""
-        s = self.source.cat.encode(w)[2].translate(self.translation)
-        return self.target.cat.decode((self.object_map[w.src], self.object_map[w.dst], s))
 
     @cached_property
     def translation(self) -> dict[int, str]:
@@ -352,16 +282,6 @@ def _word_issue(p: CatPresentation, w: tuple[str, str, str]) -> dict | None:
     if (gens[0].src, gens[-1].dst) != (src, dst):
         return {"detail": "declared endpoints do not match letters"}
     return None
-
-
-def _checked_code(p: CatPresentation, w: PathWord, what: str) -> tuple[str, str, str]:
-    """``w`` encoded; :class:`ValidationError` naming ``what`` unless it is a word of ``p``."""
-    unknown = next((x for x in w.letters if x not in p.gen_by_name), None)
-    issue = ({"detail": f"unknown generator {unknown!r}"} if unknown is not None
-             else _word_issue(p, code := p.encode(w)))
-    if issue is not None:
-        raise ValidationError(f"{what}: {issue['detail']}")
-    return code
 
 
 def opposite(c: CatWithDenoms) -> CatWithDenoms:

@@ -298,8 +298,9 @@ class RewriteSystem:
         return words[0][0], words[-1][1], self.index[code]
 
     def sort_key(self, word: tuple[str, str, str]) -> tuple:
-        """``CatPresentation.word_sort_key`` of an encoded word: codes
-        ascend in declaration order, so the two orders agree."""
+        """Object order of the endpoints, then shortlex on the code: codes
+        ascend in generator declaration order, so this orders the words
+        by their letters' declaration order."""
         obj = self.presentation.obj_index
         return obj[word[0]], obj[word[1]], len(word[2]), word[2]
 
@@ -432,8 +433,11 @@ def _critical_pairs(r1: tuple, r2: tuple):
         i = a.find(b, i + 1)
 
 
-def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> RewriteSystem:
-    """Run Knuth-Bendix completion on the relations of ``p``.
+def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
+             seeds: tuple = ()) -> RewriteSystem:
+    """Run Knuth-Bendix completion on the relations of ``p``, then on
+    ``seeds``: encoded relations that the caller knows to follow from
+    them, so the result is the system of ``p`` and presents ``p``.
 
     Each rule gets an id when it is added.  A critical pair carries the
     ids of its two rules and is dropped, unnormalised, once either rule
@@ -475,7 +479,7 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> Rew
         heapq.heappush(heap, ((max(ku, kv), min(ku, kv)), next(counter),
                               u, v, src, dst, id1, id2, span))
 
-    for (src, dst, lhs), (_, _, rhs) in p.relations:
+    for (src, dst, lhs), (_, _, rhs) in p.relations + seeds:
         push(lhs, rhs, src, dst)
 
     # encoded (lhs, rhs, src, dst, id); endpoints carried explicitly since

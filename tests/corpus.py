@@ -57,15 +57,18 @@ def setting(name: str):
 
 
 
-def _cat(objects, gens, relations=(), denominators=()) -> dict:
-    """A category file: generators ``(name, src, dst)``, relations
-    ``(lhs, rhs)``; identities and composites are denominators too."""
+def cat_data(objects, gens, relations=(), denominators=(),
+             close_under_composition=True) -> dict:
+    """A category file's data, for ``load_cat(label, data)``: generators
+    ``(name, src, dst)``, relations ``(lhs, rhs)`` of generator names and
+    the generators ``denominators``; identities are denominators too,
+    and so are composites unless ``close_under_composition`` is false."""
     return {"objects": list(objects),
             "generators": [{"name": g, "src": s, "dst": d} for g, s, d in gens],
             "relations": [{"lhs": list(lhs), "rhs": list(rhs)} for lhs, rhs in relations],
             "denominators": {"words": [[g] for g in denominators],
                              "include_identities": True,
-                             "close_under_composition": True}}
+                             "close_under_composition": close_under_composition}}
 
 
 def _write(directory: Path, stem: str, source: dict, target: dict, functor: dict) -> str:
@@ -92,8 +95,8 @@ def fan(k: int, directory: Path) -> str:
     qs = [(f"q{i}", xs[i], "y") for i in range(k)]
     cs = [(f"c{i}", xs[i], xs[i + 1]) for i in range(k - 1)]
     relations = [((f"c{i}", f"q{i + 1}"), (f"q{i}",)) for i in range(k - 1)]
-    return _write(directory, f"Fan{k}", _cat(xs, cs, (), [c for c, _, _ in cs]),
-                  _cat(xs + ["y"], qs + cs, relations, [g for g, _, _ in qs + cs]),
+    return _write(directory, f"Fan{k}", cat_data(xs, cs, (), [c for c, _, _ in cs]),
+                  cat_data(xs + ["y"], qs + cs, relations, [g for g, _, _ in qs + cs]),
                   {"object_map": {x: x for x in xs},
                    "generator_map": {c: [c] for c, _, _ in cs}})
 
@@ -105,6 +108,6 @@ def detour(directory: Path) -> str:
     D is ``f: a -> m``, ``g: m -> b``, C is ``h: x -> y`` with
     ``h ↦ f·g``, and only identities are denominators.
     """
-    return _write(directory, "detour", _cat(["x", "y"], [("h", "x", "y")]),
-                  _cat(["a", "m", "b"], [("f", "a", "m"), ("g", "m", "b")]),
+    return _write(directory, "detour", cat_data(["x", "y"], [("h", "x", "y")]),
+                  cat_data(["a", "m", "b"], [("f", "a", "m"), ("g", "m", "b")]),
                   {"object_map": {"x": "a", "y": "b"}, "generator_map": {"h": ["f", "g"]}})

@@ -91,11 +91,16 @@ def _critical_pairs(r1: RewriteRule, r2: RewriteRule):
             yield a, r1.rhs.letters, a[:i] + r2.rhs.letters + a[i + len(b):]
 
 
+def _shortlex(p: CatPresentation):
+    """Shortlex on letter tuples: length, then generator declaration
+    order letter by letter."""
+    rank = {g.name: i for i, g in enumerate(p.generators)}
+    return lambda letters: (len(letters), tuple(map(rank.__getitem__, letters)))
+
+
 def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS) -> RewriteSystem:
     """Run Knuth-Bendix completion on the relations of ``p``."""
-
-    def key(letters: tuple[str, ...]) -> tuple:
-        return (len(letters), tuple(p.gen_index[x] for x in letters))
+    key = _shortlex(p)
 
     counter = itertools.count()
     heap: list = []
@@ -203,7 +208,8 @@ def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
                             f"more than {limits.max_homset} morphisms out of {x!r}")
                     nxt.append(cand)
         frontier = nxt
-    return tuple(sorted((w for w in seen if w.dst == y), key=p.shortlex_key))
+    key = _shortlex(p)
+    return tuple(sorted((w for w in seen if w.dst == y), key=lambda w: key(w.letters)))
 
 
 def closure(c: CatWithDenoms, rs: RewriteSystem) -> set[tuple[str, str, str]]:

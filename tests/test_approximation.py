@@ -11,14 +11,14 @@ from dataclasses import replace
 import pytest
 
 import corpus
-from loccat import (DEFAULT_LIMITS, CatPresentation, CatWithDenoms,
-                    ConstructionError, DenomDecider, DenomSet, FunctorData,
-                    GenArrow, PathWord, PreconditionError,
+from loccat import (DEFAULT_LIMITS, CatPresentation,
+                    ConstructionError, DenomDecider, FunctorData,
+                    PathWord, PreconditionError,
                     ReplacementChoice, ResourceLimits,
                     SReplacement, ValidationError, auto_choice,
                     check_s_equivalence, check_s_full,
                     choice_independence, complete, homset,
-                    induced_replacement_functor, load_choice, localise,
+                    induced_replacement_functor, load_cat, load_choice, localise,
                     normalize, prepare, replacement_functor,
                     total_replacement_functor, total_value,
                     verify_approximation)
@@ -92,22 +92,17 @@ def ladder(n):
     b = [f"b{i}" for i in range(n + 1)]
     x = [f"x{i}" for i in range(n + 1)]
     steps = range(1, n + 1)
-    gens = ([GenArrow(f"h{i}", t[i - 1], t[i]) for i in steps]
-            + [GenArrow(f"v{i}", t[i], b[i]) for i in range(n + 1)]
-            + [GenArrow(f"k{i}", b[i - 1], b[i]) for i in steps])
-    squares = [(PathWord(t[i - 1], b[i], (f"h{i}", f"v{i}")),
-                PathWord(t[i - 1], b[i], (f"v{i - 1}", f"k{i}")))
-               for i in steps]
-    grid = CatPresentation.from_words(t + b, gens, squares)
-    verticals = tuple(grid.encode(PathWord(t[i], b[i], (f"v{i}",))) for i in range(n + 1))
-    target = CatWithDenoms(grid, DenomSet(verticals, True, True))
-    source = CatWithDenoms(
-        CatPresentation(tuple(x), tuple(GenArrow(f"f{i}", x[i - 1], x[i])
-                                        for i in steps), ()),
-        DenomSet((), True, False))
-    return FunctorData.from_words(source, target, dict(zip(x, t)),
-                                  {f"f{i}": PathWord(t[i - 1], t[i], (f"h{i}",))
-                                   for i in steps})
+    gens = ([(f"h{i}", t[i - 1], t[i]) for i in steps]
+            + [(f"v{i}", t[i], b[i]) for i in range(n + 1)]
+            + [(f"k{i}", b[i - 1], b[i]) for i in steps])
+    squares = [((f"h{i}", f"v{i}"), (f"v{i - 1}", f"k{i}")) for i in steps]
+    target = load_cat(f"L{n} grid", corpus.cat_data(
+        t + b, gens, squares, [f"v{i}" for i in range(n + 1)]))
+    source = load_cat(f"L{n} row", corpus.cat_data(
+        x, [(f"f{i}", x[i - 1], x[i]) for i in steps], close_under_composition=False))
+    grid = target.cat
+    return FunctorData(source, target, dict(zip(x, t)),
+                       {f"f{i}": grid.encode(grid.word([f"h{i}"])) for i in steps})
 
 
 class TestLadderBytes:
@@ -217,23 +212,21 @@ class TestFunctorChecks:
         def word(letters):
             return PathWord("o", "o", tuple(letters))
 
-        cat = CatPresentation.from_words(("o",), (GenArrow("a", "o", "o"),
-                                                  GenArrow("b", "o", "o")),
-                                         [(word(lhs), word(rhs)) for lhs, rhs
-                                          in (("aaa", ""), ("bb", ""), ("bab", "aa"))])
-        c = CatWithDenoms(cat, DenomSet((cat.encode(word("a")),), True, True))
-        rs = complete(cat, ResourceLimits(max_word_len=4))
+        c = load_cat("D3", corpus.cat_data(
+            ["o"], [("a", "o", "o"), ("b", "o", "o")],
+            [("aaa", ""), ("bb", ""), ("bab", "aa")], ["a"]))
+        rs = complete(c.cat, ResourceLimits(max_word_len=4))
         lc = localise(c, rs)
         words = homset(rs, "o", "o")
         shared = word("bab")
         assert shared not in words
-        assert Counter(cat.concat(w1, w2) for w1 in words
-                       for w2 in words)[shared] == 2
+        assert Counter(w1.letters + w2.letters for w1 in words
+                       for w2 in words)[shared.letters] == 2
 
         def checks(value):
-            functor = FunctorData.from_words(
+            functor = FunctorData(
                 source=c, target=lc.cwd, object_map={"o": "o"},
-                gen_map={g: normalize(lc.rs, word(g)) for g in "ab"})
+                images={g: lc.rs.encode(normalize(lc.rs, word(g))) for g in "ab"})
             return approximation._functor_checks(functor, lc, rs, value)
 
         # values take and give encoded words (src, dst, code)

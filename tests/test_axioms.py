@@ -67,9 +67,9 @@ class TestValidateFunctor:
 
     def test_missing_generator_image(self):
         f = corpus.fun("E3")
-        bad = FunctorData.from_words(source=f.source, target=f.target,
-                                     object_map=f.object_map,
-                                     gen_map={"f1": f.gen_map["f1"]})
+        bad = FunctorData(source=f.source, target=f.target,
+                          object_map=f.object_map,
+                          images={"f1": f.images["f1"]})
         s = corpus.setting("E3")
         problems = validate_functor(bad, s.rs_src, s.rs_tgt)
         assert any(p["kind"] == "generator-not-mapped" for p in problems)
@@ -77,9 +77,9 @@ class TestValidateFunctor:
     def test_endpoint_mismatch(self):
         f = corpus.fun("E7")
         tgt = f.target.cat
-        bad = FunctorData.from_words(source=f.source, target=f.target,
-                                     object_map=f.object_map,
-                                     gen_map={"f": tgt.word(["v_left"])})
+        bad = FunctorData(source=f.source, target=f.target,
+                          object_map=f.object_map,
+                          images={"f": tgt.encode(tgt.word(["v_left"]))})
         s = corpus.setting("E7")
         problems = validate_functor(bad, s.rs_src, s.rs_tgt)
         assert any(p["kind"] == "generator-image-endpoints" for p in problems)
@@ -93,9 +93,9 @@ class TestValidateFunctor:
             CatPresentation(("x",), (GenArrow("t", "x", "x"),), ()),
             DenomSet((), True, False))
         rs_loop = complete(loop.cat)
-        f = FunctorData.from_words(source=c5, target=loop,
-                                   object_map={"•": "x"},
-                                   gen_map={"d": loop.cat.word(["t"])})
+        f = FunctorData(source=c5, target=loop,
+                        object_map={"•": "x"},
+                        images={"d": loop.cat.encode(loop.cat.word(["t"]))})
         problems = validate_functor(f, corpus.rs("E5"), rs_loop)
         assert any(p["kind"] == "relation-not-preserved" for p in problems)
 
@@ -103,9 +103,9 @@ class TestValidateFunctor:
         # E2's d is a denominator; send it somewhere non-denominator
         c2 = corpus.cat("E2")
         c3 = corpus.cat("E3C")
-        f = FunctorData.from_words(source=c2, target=c3,
-                                   object_map={"a": "X0", "b": "X1"},
-                                   gen_map={"d": c3.cat.word(["f1"])})
+        f = FunctorData(source=c2, target=c3,
+                        object_map={"a": "X0", "b": "X1"},
+                        images={"d": c3.cat.encode(c3.cat.word(["f1"]))})
         problems = validate_functor(f, corpus.rs("E2"), corpus.rs("E3C"))
         assert any(p["kind"] == "denominator-not-preserved" for p in problems)
 
@@ -124,10 +124,10 @@ class TestReflectsDenominators:
         # into E5's denominator d.
         c3 = corpus.cat("E3C")
         c5 = corpus.cat("E5")
-        f = FunctorData.from_words(source=c3, target=c5,
-                                   object_map={"X0": "•", "X1": "•"},
-                                   gen_map={"f1": c5.cat.word(["d"]),
-                                            "f2": c5.cat.word(["d"])})
+        d = c5.cat.encode(c5.cat.word(["d"]))
+        f = FunctorData(source=c3, target=c5,
+                        object_map={"X0": "•", "X1": "•"},
+                        images={"f1": d, "f2": d})
         ok, witness = check_reflects_denominators(f, corpus.rs("E3C"),
                                                   corpus.rs("E5"))
         assert not ok
@@ -161,12 +161,10 @@ class TestTransformation:
         # force f1 = f2
         arrow = corpus.cat("E1sub")
         pair = corpus.cat("E3C")
-        pick1 = FunctorData.from_words(source=arrow, target=pair,
-                                       object_map={"a": "X0", "b": "X1"},
-                                       gen_map={"u": pair.cat.word(["f1"])})
-        pick2 = FunctorData.from_words(source=arrow, target=pair,
-                                       object_map={"a": "X0", "b": "X1"},
-                                       gen_map={"u": pair.cat.word(["f2"])})
+        pick1, pick2 = (FunctorData(source=arrow, target=pair,
+                                    object_map={"a": "X0", "b": "X1"},
+                                    images={"u": pair.cat.encode(pair.cat.word([g]))})
+                        for g in ("f1", "f2"))
         t = TransformationData(
             frm=pick1, to=pick2,
             components={"a": pair.cat.encode(pair.cat.identity("X0")),

@@ -89,7 +89,7 @@ class TestFills:
             return decode(rs, word)
 
         monkeypatch.setattr(RewriteSystem, "decode", counted)
-        no_fill, ambiguous, _ = setting.fill_survey()
+        no_fill, ambiguous, _ = setting.fill_survey
         assert no_fill is None and (ambiguous is None) == (name == "L4")
         assert len(calls) == decodes
 
@@ -119,7 +119,7 @@ class TestSEquivalence:
         # like the setting's other tables, the survey is a cache
         first, second = (prepare(load_functor(corpus.fun_path("E7"))) for _ in range(2))
         assert first == second
-        first.fill_survey()
+        assert first.fill_survey is first.fill_survey
         assert first == second
 
     def test_fill_survey_runs_once_per_setting(self, monkeypatch):
@@ -201,16 +201,11 @@ class TestClassicalCriterion:
         # F sends the idempotent u to the identity of B, so (b, b) is not
         # faithful, misses the idempotent t at (a, a), and reaches no
         # morphism into Z; either pair may come first
-        from loccat import (CatPresentation, CatWithDenoms, DenomSet, FunctorData,
-                            GenArrow, PathWord, complete)
-        src = CatPresentation.from_words(objects, (GenArrow("u", "b", "b"),), (
-            (PathWord("b", "b", ("u", "u")), PathWord("b", "b", ("u",))),))
-        tgt = CatPresentation.from_words(("A", "B", "Z"), (GenArrow("t", "A", "A"),), (
-            (PathWord("A", "A", ("t", "t")), PathWord("A", "A", ("t",))),))
-        f = FunctorData.from_words(CatWithDenoms(src, DenomSet()),
-                                   CatWithDenoms(tgt, DenomSet()),
-                                   {"a": "A", "b": "B"}, {"u": PathWord("B", "B", ())})
-        ok, details = classical_equivalence(f, complete(src), complete(tgt))
+        from loccat import FunctorData, complete, load_cat
+        src = load_cat("C", corpus.cat_data(objects, [("u", "b", "b")], [("uu", "u")]))
+        tgt = load_cat("D", corpus.cat_data(["A", "B", "Z"], [("t", "A", "A")], [("tt", "t")]))
+        f = FunctorData(src, tgt, {"a": "A", "b": "B"}, {"u": ("B", "B", "")})
+        ok, details = classical_equivalence(f, complete(src.cat), complete(tgt.cat))
         assert not ok
         assert details == {
             "full": False, "faithful": False, "dense": False,

@@ -131,6 +131,25 @@ class TestMalformedText:
         assert main(["validate", corpus.cat_path("E1") + "/"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff\xfe{", "{path} is not UTF-8 text: 'utf-8' codec can't decode byte "
+                       "0xff in position 0: invalid start byte"),
+        (b"[" * 200000, "{path} nests too deeply to read: maximum recursion depth "
+                        "exceeded while decoding a JSON array from a unicode string"),
+    ], ids=["not-utf-8", "nested"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "FILE"], ["check", "axioms", "FILE"],
+        ["homset", "FILE", "--src", "a", "--dst", "a"],
+        ["verify-approximation", corpus.fun_path("E7"), "--choice", "from-file", "FILE"],
+    ], ids=["validate", "check", "homset", "choice"])
+    def test_unreadable_text_is_a_parse_error(self, capsys, tmp_path, argv, content,
+                                              message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "parse", "message": message.format(path=path)}
+
 
 class TestLoadFunctor:
     def test_paths_resolve_relative_to_functor_file(self, tmp_path):

@@ -4,7 +4,7 @@ import corpus
 from loccat import (COMPLETE, CatPresentation, CatWithDenoms, DenomDecider,
                     DenomSet, GenArrow, PathWord, RewriteSystem, complete, equal,
                     find_inverse, homset, induced_functor, localise, normalize)
-from loccat.gz import zigzag_view
+from loccat.gz import through, zigzag_view
 from test_approximation import ladder
 
 # Localised hom-set cardinalities frozen from the brute-force oracle
@@ -39,12 +39,9 @@ class TestLocalise:
                 image = normalize(lc.rs, w)
                 inv = find_inverse(lc.rs, image)
                 assert inv is not None, (name, w)
-                ident_src = lc.presentation.identity(w.src)
-                ident_dst = lc.presentation.identity(w.dst)
-                assert normalize(lc.rs, normalize(
-                    lc.rs, lc.presentation.concat(image, inv))) == ident_src
-                assert normalize(lc.rs, normalize(
-                    lc.rs, lc.presentation.concat(inv, image))) == ident_dst
+                image, inv = lc.rs.encode(image), lc.rs.encode(inv)
+                assert lc.rs.compose(image, inv) == (w.src, w.src, "")
+                assert lc.rs.compose(inv, image) == (w.dst, w.dst, "")
 
     def test_identity_denominators_add_nothing(self):
         # E1 has only identity denominators, so localising is a no-op
@@ -120,8 +117,8 @@ class TestLocalise:
         e_inv_d = lc.presentation.word(["e", "⟨d·e⟩^-1", "d"])
         nf = normalize(lc.rs, e_inv_d)
         assert nf == e_inv_d
-        sq = normalize(lc.rs, lc.presentation.concat(e_inv_d, e_inv_d))
-        assert normalize(lc.rs, sq) == nf
+        code = lc.rs.encode(nf)
+        assert lc.rs.compose(code, code) == code
         assert nf != lc.presentation.identity("b")
 
 
@@ -129,10 +126,10 @@ class TestGzOperations:
     def test_compose_and_identity(self):
         lc = corpus.lc("E2")
         d = normalize(lc.rs, corpus.cat("E2").cat.word(["d"]))
-        assert normalize(lc.rs, lc.presentation.concat(
-            lc.presentation.identity("a"), d)) == d
-        round_trip = normalize(lc.rs, lc.presentation.concat(d, find_inverse(lc.rs, d)))
-        assert normalize(lc.rs, round_trip) == lc.presentation.identity("a")
+        code = lc.rs.encode(d)
+        assert lc.rs.compose(("a", "a", ""), code) == code
+        round_trip = lc.rs.compose(code, lc.rs.encode(find_inverse(lc.rs, d)))
+        assert lc.rs.decode(round_trip) == lc.presentation.identity("a")
 
     def test_inverse_of_non_invertible_is_none(self):
         lc = corpus.lc("E3C")
@@ -147,18 +144,18 @@ class TestInducedFunctor:
             f = s.f
             ind = induced_functor(f, s.lc_src, s.lc_tgt)
             for g in f.source.cat.generators:
-                via_src = ind.apply_word(
-                    normalize(s.lc_src.rs, f.source.cat.word([g.name])))
-                via_tgt = normalize(s.lc_tgt.rs, f.apply_word(
-                    f.source.cat.word([g.name])))
-                assert equal(s.lc_tgt.rs, via_src, via_tgt), (name, g.name)
+                w = f.source.cat.encode(f.source.cat.word([g.name]))
+                via_src = through(s.lc_tgt, ind)(s.lc_src.rs.compose(w))
+                via_tgt = through(s.lc_tgt, f)(w)
+                assert equal(s.lc_tgt.rs, *map(s.lc_tgt.rs.decode, (via_src, via_tgt))), \
+                    (name, g.name)
 
     def test_induced_functor_maps_inverses(self):
         s = corpus.setting("E7")
         ind = s.gz_f
         # v_left is not in the image of F, but F's own denominators must map
-        for name, img in ind.gen_map.items():
-            assert img.src in s.lc_tgt.presentation.obj_index
+        for name, img in ind.images.items():
+            assert img[0] in s.lc_tgt.presentation.obj_index
 
 
 class TestZigzag:

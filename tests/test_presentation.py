@@ -7,10 +7,10 @@ import pytest
 
 import corpus
 from loccat import (CatPresentation, CatWithDenoms, DenomSet, GenArrow,
-                    PathWord, ValidationError, identity_functor,
+                    PathWord, ValidationError, identity_functor, load_cat,
                     opposite, validate_cat_with_denoms, validate_presentation)
 from loccat.equivalence import prepare
-from loccat.rewrite import DEFAULT_LIMITS, complete, homset, normalize
+from loccat.rewrite import DEFAULT_LIMITS, complete, homset, normalize, words
 from test_approximation import ladder
 
 
@@ -24,7 +24,7 @@ def chain():
 class TestPathWord:
     def test_identity_word(self):
         w = PathWord("a", "a", ())
-        assert w.is_identity_word and len(w) == 0
+        assert w.letters == () and len(w) == 0
 
     def test_empty_word_needs_matching_endpoints(self):
         with pytest.raises(ValidationError):
@@ -74,23 +74,11 @@ class TestPathWord:
         with pytest.raises(ValidationError):
             c.word(["w"])
 
-    def test_explicit_endpoints_checked(self):
+    def test_empty_word_is_the_identity(self):
         c = chain()
-        with pytest.raises(ValidationError):
-            c.word(["u"], src="b")
-
-    def test_concat(self):
-        c = chain()
-        w = c.concat(c.word(["u"]), c.word(["v"]))
-        assert w.letters == ("u", "v")
-        with pytest.raises(ValidationError):
-            c.concat(c.word(["v"]), c.word(["u"]))
-
-    def test_concat_identity_neutral(self):
-        c = chain()
-        u = c.word(["u"])
-        assert c.concat(c.identity("a"), u) == u
-        assert c.concat(u, c.identity("b")) == u
+        with pytest.raises(ValidationError, match="identity"):
+            c.word([])
+        assert c.identity("a") == PathWord("a", "a", ())
 
     def test_identity_of_unknown_object_rejected(self):
         with pytest.raises(ValidationError):
@@ -98,43 +86,36 @@ class TestPathWord:
 
 
 class TestShortlex:
+    """Words order by length, then by the declaration order of their
+    letters: the codec's characters ascend in declaration order, so
+    ``RewriteSystem.sort_key`` compares codes."""
+
+    @staticmethod
+    def later_earlier():
+        c = load_cat("x", corpus.cat_data(["x"], [("later", "x", "x"), ("earlier", "x", "x")]))
+        return c.cat, complete(c.cat)
+
     def test_length_dominates(self):
-        c = chain()
-        assert c.shortlex_key(c.word(["u"])) < c.shortlex_key(c.word(["u", "v"]))
+        c, rs = self.later_earlier()
+        key = rs.sort_key
+        assert key(c.encode(c.word(["earlier"]))) < key(c.encode(c.word(["later", "later"])))
 
     def test_declaration_order_breaks_ties(self):
-        c = CatPresentation(
-            objects=("x",),
-            generators=(GenArrow("later", "x", "x"), GenArrow("earlier", "x", "x")),
-            relations=())
+        c, rs = self.later_earlier()
         # "later" is declared first, so it sorts first despite the names
-        assert c.shortlex_key(c.word(["later"])) < c.shortlex_key(c.word(["earlier"]))
+        code = c.codec[0]
+        assert code["later"] < code["earlier"]
+        assert rs.sort_key(c.encode(c.word(["later"]))) < \
+            rs.sort_key(c.encode(c.word(["earlier"])))
 
 
-class TestFromWords:
+class TestFromNames:
     def test_relations_are_encoded(self):
-        c = CatPresentation.from_words(
-            ("a", "b"), (GenArrow("u", "a", "b"), GenArrow("v", "a", "b")),
-            [(PathWord("a", "b", ("v",)), PathWord("a", "b", ("u",)))])
+        c = load_cat("parallel pair", corpus.cat_data(
+            ["a", "b"], [("u", "a", "b"), ("v", "a", "b")], [(["v"], ["u"])])).cat
         assert c.relations == (tuple(map(c.encode, (PathWord("a", "b", ("v",)),
                                                     PathWord("a", "b", ("u",))))),)
         assert validate_presentation(c) == []
-
-    def test_relation_must_be_parallel(self):
-        c = chain()
-        with pytest.raises(ValidationError, match="parallel"):
-            CatPresentation.from_words(c.objects, c.generators,
-                                       [(c.word(["u"]), c.identity("a"))])
-
-    @pytest.mark.parametrize("side", [
-        PathWord("a", "b", ("w",)),
-        PathWord("a", "c", ("v", "u")),
-        PathWord("a", "c", ("u",)),
-    ], ids=["unknown-letter", "not-composable", "wrong-endpoints"])
-    def test_sides_must_be_words(self, side):
-        c = chain()
-        with pytest.raises(ValidationError, match="^relation 0: "):
-            CatPresentation.from_words(c.objects, c.generators, [(side, side)])
 
 
 def with_relation(lhs, rhs) -> CatPresentation:
@@ -221,9 +202,10 @@ class TestIdentityFunctor:
     def test_identity_functor_roundtrip(self):
         c = corpus.cat("E7D")
         f = identity_functor(c)
-        w = c.cat.word(["h_top", "v_right"])
-        assert f.apply_word(w) == w
-        assert f.then(f).apply_word(w) == w
+        w = c.cat.encode(c.cat.word(["h_top", "v_right"]))
+        assert w[2].translate(f.translation) == w[2]
+        assert w[2].translate(f.then(f).translation) == w[2]
+        assert f.then(f).object_map == f.object_map == {x: x for x in c.cat.objects}
 
     def test_then_rejects_mismatched_functors(self):
         f = identity_functor(corpus.cat("E7D"))
@@ -232,23 +214,22 @@ class TestIdentityFunctor:
             f.then(g)
 
 
-def letterwise(f, w):
-    """The image of ``w`` built one generator image at a time."""
-    out = f.target.cat.identity(f.object_map[w.src])
-    for letter in w.letters:
-        out = f.target.cat.concat(out, f.gen_map[letter])
-    return out
+def letterwise(f, s):
+    """The code of the image of the code ``s``, one generator image at a time."""
+    name = f.source.cat.codec[1]
+    return "".join(f.images[name[c]][2] for c in s)
 
 
 @pytest.mark.parametrize("name", corpus.FUN_NAMES)
 def test_apply_word_equals_letterwise_images(name):
+    # applying the functor to a word is one str.translate of its code
     f = corpus.fun(name)
     rs = complete(f.source.cat, DEFAULT_LIMITS)
     objects = f.source.cat.objects
-    words = [w for x in objects for y in objects for w in homset(rs, x, y)]
-    assert words
-    for w in words:
-        assert f.apply_word(w) == letterwise(f, w)
+    codes = [s for x in objects for y in objects for s in words(rs, x, y)]
+    assert codes
+    for s in codes:
+        assert s.translate(f.translation) == letterwise(f, s)
 
 
 def translated(f, rs_src, rs_tgt, w):
@@ -274,7 +255,9 @@ def functor_and_systems(name, induced):
 def test_translation_equals_normalised_image(name, induced):
     f, rs_src, rs_tgt = functor_and_systems(name, induced)
     objects = rs_src.presentation.objects
-    words = [w for x in objects for y in objects for w in homset(rs_src, x, y)]
-    assert words
-    for w in words:
-        assert translated(f, rs_src, rs_tgt, w) == normalize(rs_tgt, f.apply_word(w))
+    homs = [w for x in objects for y in objects for w in homset(rs_src, x, y)]
+    assert homs
+    for w in homs:
+        src, dst, s = rs_src.encode(w)
+        image = rs_tgt.decode((f.object_map[src], f.object_map[dst], letterwise(f, s)))
+        assert translated(f, rs_src, rs_tgt, w) == normalize(rs_tgt, image)

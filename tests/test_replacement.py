@@ -122,15 +122,14 @@ class TestReplacementCategory:
 
     def test_hom_bijection_with_target(self):
         # U restricted to each hom-set is a bijection onto D(Y, Y')
-        from loccat import homset, normalize
         s, rc = rc_for("E5")
         u = rc.forgetful
         for i in range(len(rc.triples)):
             for j in range(len(rc.triples)):
-                lifted = homset(rc.rs, rc.obj_names[i], rc.obj_names[j])
-                images = {normalize(s.rs_tgt, u.apply_word(w)) for w in lifted}
-                below = set(homset(s.rs_tgt, rc.triples[i].target,
-                                   rc.triples[j].target))
+                lifted = words(rc.rs, rc.obj_names[i], rc.obj_names[j])
+                images = {s.rs_tgt.index[w.translate(u.translation)] for w in lifted}
+                below = set(words(s.rs_tgt, rc.triples[i].target,
+                                  rc.triples[j].target))
                 assert images == below and len(images) == len(lifted)
 
     def test_lifted_denominators_are_explicit(self):
@@ -249,13 +248,13 @@ class TestStructureChoiceFunctor:
             tgt = rc.functor.target.cat
             assert round_trip.object_map == {y: y for y in tgt.objects}
             for g in tgt.generators:
-                assert round_trip.gen_map[g.name].letters == (g.name,)
+                assert tgt.decode(round_trip.images[g.name]).letters == (g.name,)
 
     def test_comparison_components_are_lifted_identities(self):
         _, rc = rc_for("E7b")
         _, abar = structure_choice_functor(rc, auto_choice(rc))
         # the component at the chosen triple is the genuine identity
-        assert rc.rs.decode(abar.components["(bl|x0|v_left)"]).is_identity_word
+        assert rc.rs.decode(abar.components["(bl|x0|v_left)"]).letters == ()
         # at the parallel triple it is the identity lift between the two
         assert rc.rs.decode(abar.components["(bl|x0|v_left2)"]).letters == ("1@2-3",)
 
@@ -268,10 +267,8 @@ class TestCanonicalLift:
             u = rc.forgetful
             back = lift.then(u)
             assert back.object_map == s.f.object_map
-            for g, img in back.gen_map.items():
-                from loccat import normalize
-                assert normalize(s.rs_tgt, img) == \
-                    normalize(s.rs_tgt, s.f.gen_map[g])
+            for g, img in back.images.items():
+                assert s.rs_tgt.compose(img) == s.rs_tgt.compose(s.f.images[g])
 
     def test_lift_objects_are_trivial_triples(self):
         s, rc = rc_for("E7")

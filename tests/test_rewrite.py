@@ -6,6 +6,7 @@ import heapq
 import re
 import types
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     LimitExceeded, PathWord, DEFAULT_LIMITS,
                     ResourceLimits, RewriteSystem, ValidationError,
                     build_replacement_category, check_multiplicative, complete,
-                    denominators, equal, find_inverse, homset, localise, normalize)
-from loccat import rewrite
+                    denominators, equal, find_inverse, homset, load_cat, localise,
+                    normalize)
+from loccat import gz, rewrite
 from loccat.cli import main
 from loccat.rewrite import RuleIndex
 from reference_rewrite import RewriteRule
@@ -30,11 +32,8 @@ TIGHT = ResourceLimits(max_word_len=4, max_rules=3, max_homset=4)
 
 def monoid(gens: str, relations) -> CatPresentation:
     """One object ``o``, one generator per character of ``gens``."""
-    def w(letters):
-        return PathWord("o", "o", tuple(letters))
-    return CatPresentation.from_words(
-        ("o",), [GenArrow(g, "o", "o") for g in gens],
-        [(w(lhs), w(rhs)) for lhs, rhs in relations])
+    return load_cat("monoid", corpus.cat_data(
+        ["o"], [(g, "o", "o") for g in gens], relations)).cat
 
 
 def dihedral(n: int) -> CatPresentation:
@@ -259,6 +258,37 @@ class TestCompletion:
         calls = count_normal_forms(monkeypatch)
         assert localise(c, rs).rs.status == COMPLETE
         assert len(calls) < 1500
+
+    def test_localise_builds_one_system(self, monkeypatch):
+        # the seeds go to completion beside the presentation, so the
+        # system completion returns is the localisation's, not rebuilt
+        c = dihedral_denoms(6)
+        rs = complete(c.cat)
+        built = []
+        post_init = RewriteSystem.__post_init__
+
+        def counted(system):
+            built.append(system)
+            post_init(system)
+
+        monkeypatch.setattr(RewriteSystem, "__post_init__", counted)
+        lc = localise(c, rs)
+        assert len(built) == 1 and built[0] is lc.rs
+
+    @pytest.mark.parametrize("max_rules", [1, 3, 512])
+    def test_seeds_follow_the_relations(self, max_rules):
+        # seeds are pushed after the presentation's relations, so a bound
+        # truncates the run where it truncates one on both lists at once
+        c = dihedral_denoms(6)
+        rs = complete(c.cat)
+        lc = gz.extension(c, rs)
+        seeds = gz._base_inverses(rs, lc)
+        assert seeds
+        p, limits = lc.presentation, ResourceLimits(max_rules=max_rules)
+        seeded = complete(p, limits, seeds)
+        joined = complete(replace(p, relations=p.relations + seeds), limits)
+        assert (seeded.rules, seeded.status) == (joined.rules, joined.status)
+        assert seeded.presentation == p
 
     def test_no_inverse_search_without_a_way_back(self, monkeypatch):
         # no morphism leads from a bottom object of a ladder back up, so
@@ -621,7 +651,7 @@ class TestHomset:
         rs = corpus.rs("E3C")
         c = corpus.cat("E3C").cat
         words = homset(rs, "X0", "X1")
-        keys = [c.shortlex_key(w) for w in words]
+        keys = [rs.sort_key(c.encode(w)) for w in words]
         assert keys == sorted(keys)
 
     def test_unknown_object_rejected(self):
@@ -687,12 +717,12 @@ class TestDenomDecider:
         assert dec.is_denominator(c.cat.word(["d", "d", "d"]))
 
     def test_materialized_sorted_and_deduped(self):
-        c = corpus.cat("E7bD")
-        dec = DenomDecider(c, corpus.rs("E7bD"))
+        c, rs = corpus.cat("E7bD"), corpus.rs("E7bD")
+        dec = DenomDecider(c, rs)
         mats = dec.materialized
         assert len(mats) == len(set(mats))
-        key = c.cat.word_sort_key
-        assert list(mats) == sorted(mats, key=key)
+        codes = list(map(rs.encode, mats))
+        assert codes == sorted(codes, key=rs.sort_key)
         # v_left.s and v_left2.s are equal in the base, so one class
         assert sum(1 for w in mats if (w.src, w.dst) == ("tl", "z")) == 1
 
@@ -705,16 +735,15 @@ class TestDenomDecider:
 
     @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "L4", "D6"])
     def test_closure_kept_in_word_order(self, name):
-        # the codes are kept once, in word_sort_key order; the first
+        # the codes are kept once, in sort_key order; the first
         # witnesses of check multiplicative, validate and localise follow it
         c = {"L4": ladder(4).target, "D6": dihedral_denoms(6)}.get(name) \
             or corpus.cat(name)
         rs = complete(c.cat)
         lc = localise(c, rs)
         for cwd, system in ((c, rs), (lc.cwd, lc.rs)):
-            closure = DenomDecider(cwd, system).closure
-            assert list(map(system.decode, closure)) == \
-                sorted(map(system.decode, closure), key=cwd.cat.word_sort_key)
+            closure = list(DenomDecider(cwd, system).closure)
+            assert closure == sorted(closure, key=system.sort_key)
 
     @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "L4", "D6", "D33",
                                       "D6 truncated"])
@@ -806,9 +835,8 @@ class TestSystemTables:
     def test_system_freed_after_queries(self):
         # a presentation no other test completes, so no equal system is
         # held anywhere else
-        p = CatPresentation.from_words(("p", "q"), (
-            GenArrow("s", "p", "q"), GenArrow("t", "p", "q")), (
-            (PathWord("p", "q", ("s",)), PathWord("p", "q", ("t",))),))
+        p = load_cat("parallel pair", corpus.cat_data(
+            ["p", "q"], [("s", "p", "q"), ("t", "p", "q")], [("s", "t")])).cat
         rs = complete(p, DEFAULT_LIMITS)
         assert len(homset(rs, "p", "q")) == 1
         ref = weakref.ref(rs)
