@@ -55,7 +55,6 @@ from .presentation import (
     ValidationError,
     identity_functor,
     opposite,
-    validate_cat_with_denoms,
     validate_presentation,
 )
 from .replacement import (
@@ -66,7 +65,6 @@ from .replacement import (
     build_replacement_category,
     canonical_lift,
     find_s_replacements,
-    has_all_trivial,
     has_enough,
     structure_choice_functor,
 )

@@ -304,19 +304,19 @@ def verify_denominator_values(setting: GzSetting) -> dict:
     return out
 
 
-def replacement_functor(setting: GzSetting, choice: ReplacementChoice
+def replacement_functor(setting: GzSetting, chosen: dict[str, int]
                         ) -> tuple[FunctorData, dict]:
     """The choice-dependent functor on the target category, verified.
 
-    Sends ``Y`` to the chosen source ``X_Y`` and a morphism to the
-    unique fill between the chosen triples.  The report confirms
+    Sends ``Y`` to the source ``X_Y`` of its triple at ``chosen[Y]`` in
+    ``setting.rc`` and a morphism to the unique fill between the chosen
+    triples.  The report confirms
     functoriality on all composable pairs, agreement with the total
     functor along the chosen section, invertibility of denominator
     values, and that all comparison fills between coexisting triples
     are mutually inverse isomorphisms.
     """
     tgt_cat, lc_src, rs, rc = setting.f.target.cat, setting.lc_src, setting.rs_tgt, setting.rc
-    chosen = positions(rc, choice)
     functor = FunctorData(
         source=setting.f.target, target=lc_src.cwd,
         object_map={y: rc.triples[chosen[y]].source for y in tgt_cat.objects},
@@ -344,16 +344,16 @@ def replacement_functor(setting: GzSetting, choice: ReplacementChoice
     return functor, report
 
 
-def choice_independence(setting: GzSetting, first: ReplacementChoice,
-                        second: ReplacementChoice) -> dict:
-    """The two choice functors are isomorphic via unit-indexed fills."""
+def choice_independence(setting: GzSetting, first: dict[str, int],
+                        second: dict[str, int]) -> dict:
+    """The functors of two choices, each the positions of its triples in
+    ``setting.rc``, are isomorphic via unit-indexed fills."""
     tgt_cat, lc_src = setting.f.target.cat, setting.lc_src
-    idx1, idx2 = positions(setting.rc, first), positions(setting.rc, second)
     fwds: dict[str, tuple] = {}
     components = []
     for y in tgt_cat.objects:
-        fwd = fwds[y] = _value(setting, idx1[y], idx2[y], "")
-        bwd = _value(setting, idx2[y], idx1[y], "")
+        fwd = fwds[y] = _value(setting, first[y], second[y], "")
+        bwd = _value(setting, second[y], first[y], "")
         components.append({"object": y,
                            "component": word_json(lc_src.rs.decode(fwd)),
                            "inverse": word_json(lc_src.rs.decode(bwd)),
@@ -361,17 +361,18 @@ def choice_independence(setting: GzSetting, first: ReplacementChoice,
     iso_ok = all(row["invertible"] for row in components)
     squares, naturality_ok = _squares(
         lc_src, _generators(tgt_cat),
-        lambda w: _value(setting, idx1[w[0]], idx1[w[1]], w[2]),
-        fwds, lambda w: _value(setting, idx2[w[0]], idx2[w[1]], w[2]))
+        lambda w: _value(setting, first[w[0]], first[w[1]], w[2]),
+        fwds, lambda w: _value(setting, second[w[0]], second[w[1]], w[2]))
     return {"components": components, "isomorphism_ok": iso_ok,
             "squares_checked": squares, "naturality_ok": naturality_ok,
             "ok": iso_ok and naturality_ok}
 
 
-def induced_replacement_functor(setting: GzSetting, choice: ReplacementChoice,
+def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int],
                                 r_choice: FunctorData
                                 ) -> tuple[FunctorData, dict]:
-    """The functor on the localised target induced by the choice functor.
+    """The functor on the localised target induced by the choice functor
+    ``r_choice`` of the triples at ``chosen``.
 
     It is the unique functor through which the choice functor factors;
     uniqueness is certified by checking the defining equation
@@ -379,7 +380,7 @@ def induced_replacement_functor(setting: GzSetting, choice: ReplacementChoice,
     localised morphism ``psi``.
     """
     lc_tgt, lc_src, gz_f = setting.lc_tgt, setting.lc_src, setting.gz_f
-    tgt_cat, chosen = setting.f.target.cat, positions(setting.rc, choice)
+    tgt_cat = setting.f.target.cat
     direct = partial(_value_of, setting, chosen.__getitem__, {})
     functor = extend_to_localisation(lc_tgt, lc_src, r_choice, direct)
     problems = validate_functor(functor, lc_tgt.rs, lc_src.rs)
@@ -438,7 +439,8 @@ def verify_approximation(f: FunctorData,
     (:func:`~loccat.replacement.auto_choice`); a given choice is
     compared with that one in a choice-independence section.  The ``q``
     of a given choice may be the code of any word; it is normalised in
-    the target first.
+    the target, then checked once, as the positions of its triples
+    (:func:`~loccat.replacement.positions`), which every section reads.
     """
     setting = prepare(f, limits)
     if choice is not None:
@@ -455,8 +457,7 @@ def verify_approximation(f: FunctorData,
     arrows = _require_fills(setting)
 
     rc = setting.rc
-    chosen_choice = auto_choice(rc) if choice is None else choice
-    chosen_idx = positions(rc, chosen_choice)
+    chosen = auto_choice(rc) if choice is None else positions(rc, choice)
 
     src_cat, tgt_cat = f.source.cat, f.target.cat
     lc_src, lc_tgt = setting.lc_src, setting.lc_tgt
@@ -477,15 +478,15 @@ def verify_approximation(f: FunctorData,
     sections.append({"name": "denominator_values",
                      **verify_denominator_values(setting)})
 
-    c_r, abar = structure_choice_functor(rc, chosen_choice)
+    c_r, abar = structure_choice_functor(rc, chosen)
     u = rc.forgetful
     u_problems = validate_functor(u, rc.rs, setting.rs_tgt)
     u_reflects, _ = check_reflects_denominators(u, rc.rs, setting.rs_tgt)
     sections.append({
         "name": "choice",
-        "chosen": [{"object": y, "source": rep.source, "q": word_json(
-            setting.rs_tgt.decode((f.object_map[rep.source], y, rep.q)))}
-                   for y, rep in chosen_choice.items()],
+        "chosen": [{"object": t.target, "source": t.source, "q": word_json(
+            setting.rs_tgt.decode((f.object_map[t.source], t.target, t.q)))}
+                   for t in map(rc.triples.__getitem__, chosen.values())],
         "forgetful_valid": not u_problems,
         "forgetful_reflects_denominators": u_reflects,
         # structure_choice_functor raised ConstructionError unless U after
@@ -494,11 +495,10 @@ def verify_approximation(f: FunctorData,
         "comparison_natural": True,
         "ok": not u_problems and u_reflects})
 
-    r_choice, r_report = replacement_functor(setting, chosen_choice)
+    r_choice, r_report = replacement_functor(setting, chosen)
     sections.append({"name": "choice_functor", **r_report})
 
-    induced, induced_report = induced_replacement_functor(
-        setting, chosen_choice, r_choice)
+    induced, induced_report = induced_replacement_functor(setting, chosen, r_choice)
     sections.append({"name": "induced_functor", **induced_report})
 
     # the canonical lift sends X' to its trivial triple (F X', X', 1)
@@ -510,12 +510,12 @@ def verify_approximation(f: FunctorData,
     p_src, p_tgt = lc_src.presentation, lc_tgt.presentation
     alpha, alpha_rows, alpha_iso = _components(
         lc_src, src_cat.objects,
-        lambda x: _value(setting, chosen_idx[f.object_map[x]], trivial_idx[x], ""))
+        lambda x: _value(setting, chosen[f.object_map[x]], trivial_idx[x], ""))
     alpha_squares, alpha_natural = _squares(
         lc_src, _generators(p_src), through(lc_src, gz_f, induced), alpha)
     objects_match = all(
         induced.object_map[gz_f.object_map[x]]
-        == rc.triples[chosen_idx[f.object_map[x]]].source
+        == rc.triples[chosen[f.object_map[x]]].source
         for x in src_cat.objects)
     sections.append({"name": "alpha", "components": alpha_rows,
                      "squares_checked": alpha_squares,
@@ -525,7 +525,7 @@ def verify_approximation(f: FunctorData,
     # beta: localised chosen denominators
     gz_f_image, induced_image = through(lc_tgt, gz_f), through(lc_src, induced)
     beta, beta_rows, beta_iso = _components(
-        lc_tgt, tgt_cat.objects, lambda y: _loc_q(setting, chosen_idx[y]))
+        lc_tgt, tgt_cat.objects, lambda y: _loc_q(setting, chosen[y]))
     beta_squares, beta_natural = _squares(
         lc_tgt, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
     sections.append({"name": "beta", "components": beta_rows,
@@ -535,7 +535,7 @@ def verify_approximation(f: FunctorData,
     # whiskering compatibilities linking alpha and beta
     sym_ok = all(
         [gz_f_image(alpha[x]) == beta[f.object_map[x]] for x in src_cat.objects]
-        + [induced_image(beta[y]) == alpha[chosen_choice[y].source]
+        + [induced_image(beta[y]) == alpha[rc.triples[chosen[y]].source]
            for y in tgt_cat.objects])
     sections.append({"name": "symmetric_relations",
                      "objects_checked": len(src_cat.objects) + len(tgt_cat.objects),
@@ -602,7 +602,7 @@ def verify_approximation(f: FunctorData,
         "ok": pair_exact_ok and pair_iso_ok and pair_nat_ok})
 
     if choice is not None:
-        indep = choice_independence(setting, chosen_choice, auto_choice(rc))
+        indep = choice_independence(setting, chosen, auto_choice(rc))
         sections.append({"name": "choice_independence", **indep})
 
     return ApproximationReport(

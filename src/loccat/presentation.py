@@ -223,7 +223,9 @@ class TransformationData:
 
 
 def validate_presentation(p: CatPresentation) -> list[dict]:
-    """Return a list of structural violations, empty when well formed."""
+    """The structural violations among the objects and generators of ``p``,
+    empty when well formed; the loaders check relation and denominator
+    words as they encode them (:meth:`CatPresentation.word`)."""
     problems: list[dict] = []
     seen_objs: set[str] = set()
     for x in p.objects:
@@ -243,45 +245,7 @@ def validate_presentation(p: CatPresentation) -> list[dict]:
             if end not in seen_objs:
                 problems.append({"kind": "unknown-object", "generator": g.name,
                                  "end": label, "object": end})
-    for i, (lhs, rhs) in enumerate(p.relations):
-        for side, label in ((lhs, "lhs"), (rhs, "rhs")):
-            issue = _word_issue(p, side)
-            if issue is not None:
-                problems.append({"kind": "ill-formed-word", "relation": i,
-                                 "side": label, **issue})
-        if lhs[:2] != rhs[:2]:
-            problems.append({"kind": "relation-not-parallel", "relation": i})
     return problems
-
-
-def validate_cat_with_denoms(c: CatWithDenoms) -> list[dict]:
-    problems = validate_presentation(c.cat)
-    for i, w in enumerate(c.denoms.explicit):
-        issue = _word_issue(c.cat, w)
-        if issue is not None:
-            problems.append({"kind": "ill-formed-denominator", "index": i, **issue})
-    return problems
-
-
-def _word_issue(p: CatPresentation, w: tuple[str, str, str]) -> dict | None:
-    """Why the encoded ``w`` is not a word of ``p``, or None."""
-    src, dst, s = w
-    if not s:
-        if src not in p.obj_index:
-            return {"detail": f"unknown object {src!r}"}
-        return None if src == dst else {"detail": "empty word must be an endo word"}
-    names = p.codec[1]
-    unknown = next((c for c in s if c not in names), None)
-    if unknown is not None:
-        return {"detail": f"unknown generator code {unknown!r}"}
-    gens = [p.gen_by_name[names[c]] for c in s]
-    for a, b in zip(gens, gens[1:]):
-        if a.dst != b.src:
-            return {"detail": f"letters {a.name!r} and {b.name!r} do not compose: "
-                              f"{a.dst!r} != {b.src!r}"}
-    if (gens[0].src, gens[-1].dst) != (src, dst):
-        return {"detail": "declared endpoints do not match letters"}
-    return None
 
 
 def opposite(c: CatWithDenoms) -> CatWithDenoms:

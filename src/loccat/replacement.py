@@ -19,8 +19,9 @@ localisation is the inflation of the target's localisation
 (:meth:`ReplacementCategory.localised`).  :class:`ReplacementCategory`
 builds it from the triples in its constructor, with the lifted
 denominators and the forgetful functor.
-:func:`build_replacement_category` collects the triples, and
-:func:`positions` finds the chosen triples while it checks a choice.
+:func:`build_replacement_category` collects the triples.  A choice is
+read by the positions of its triples, which :func:`auto_choice` picks
+and :func:`positions` finds while it checks a :data:`ReplacementChoice`.
 """
 
 from __future__ import annotations
@@ -82,18 +83,6 @@ def has_enough(f: FunctorData, rs_tgt: RewriteSystem) -> tuple[bool, dict | None
     for y in f.target.cat.objects:
         if not find_s_replacements(f, rs_tgt, y):
             return False, {"kind": "object-without-replacement", "object": y}
-    return True, None
-
-
-def has_all_trivial(f: FunctorData,
-                    rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
-    """Is ``(F X, X, identity)`` a replacement for every source object ``X``?"""
-    closure = denominators(f.target, rs_tgt).closure
-    for x in f.source.cat.objects:
-        fx = f.object_map[x]
-        if (fx, fx, "") not in closure:
-            return False, {"kind": "identity-not-denominator",
-                           "object": x, "identity_at": fx}
     return True, None
 
 
@@ -240,17 +229,17 @@ def build_replacement_category(f: FunctorData,
     return ReplacementCategory(f, rs_tgt, tuple(triples))
 
 
-def auto_choice(rc: ReplacementCategory) -> ReplacementChoice:
-    """The first replacement of each object, in triple order."""
-    choice: ReplacementChoice = {}
+def auto_choice(rc: ReplacementCategory) -> dict[str, int]:
+    """The position of the first triple over each object, in object order."""
+    chosen = {}
     for y in rc.functor.target.cat.objects:
         over = rc.triples_over(y)
         if not over:
             raise PreconditionError(
                 "not enough replacements for a choice",
                 witness={"kind": "object-without-replacement", "object": y})
-        choice[y] = rc.triples[over[0]]
-    return choice
+        chosen[y] = over[0]
+    return chosen
 
 
 def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, int]:
@@ -269,9 +258,9 @@ def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, i
     return found
 
 
-def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
+def structure_choice_functor(rc: ReplacementCategory, chosen: dict[str, int]
                              ) -> tuple[FunctorData, TransformationData]:
-    """The section of the forgetful functor picked by a choice.
+    """The section of the forgetful functor picking the triples at ``chosen``.
 
     Returns the functor ``C_R`` from the target category into the
     replacement category, together with the comparison transformation
@@ -280,17 +269,16 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
     ``C_R`` is the identity of the target on the nose, checked here.
     """
     tgt_cat = rc.functor.target.cat
-    chosen_idx = positions(rc, choice)
     c_r = FunctorData(
         source=rc.functor.target, target=rc.cwd,
-        object_map={y: rc.obj_names[chosen_idx[y]] for y in tgt_cat.objects},
-        images={g.name: rc.lift_word(tgt_cat.codec[0][g.name], chosen_idx[g.src],
-                                     chosen_idx[g.dst]) for g in tgt_cat.generators})
+        object_map={y: rc.obj_names[chosen[y]] for y in tgt_cat.objects},
+        images={g.name: rc.lift_word(tgt_cat.codec[0][g.name], chosen[g.src],
+                                     chosen[g.dst]) for g in tgt_cat.generators})
 
     if c_r.then(rc.forgetful) != identity_functor(rc.functor.target):
         raise ConstructionError("U after C_R is not the identity")
 
-    components = {rc.obj_names[i]: rc.lift_word("", chosen_idx[t.target], i)
+    components = {rc.obj_names[i]: rc.lift_word("", chosen[t.target], i)
                   for i, t in enumerate(rc.triples)}
     abar = TransformationData(frm=rc.forgetful.then(c_r), to=identity_functor(rc.cwd),
                               components=components)
@@ -304,18 +292,19 @@ def structure_choice_functor(rc: ReplacementCategory, choice: ReplacementChoice
 def canonical_lift(rc: ReplacementCategory) -> FunctorData:
     """The lift ``X`` to ``(F X, X, identity)`` into the replacement category.
 
-    Requires every identity at an image object to be a denominator.
-    The forgetful functor after the lift equals ``F = rc.functor``,
-    checked here.
+    Requires every identity at an image object to be a denominator, so
+    that each trivial triple ``(F X, X, 1)`` is one of ``rc.triples``;
+    the first ``X`` without one raises :class:`PreconditionError`.  The
+    forgetful functor after the lift equals ``F = rc.functor``, checked here.
     """
     f, rs_tgt = rc.functor, rc.rs_tgt
-    ok, witness = has_all_trivial(f, rs_tgt)
-    if not ok:
-        raise PreconditionError("canonical lift needs trivial replacements",
-                                witness=witness)
     src_cat = f.source.cat
-    # each trivial triple (F x, x, 1) exists, as has_all_trivial holds
     trivial_idx = {x: rc.position(f.object_map[x], x, "") for x in src_cat.objects}
+    for x, i in trivial_idx.items():
+        if i is None:
+            raise PreconditionError("canonical lift needs trivial replacements", witness={
+                "kind": "identity-not-denominator", "object": x,
+                "identity_at": f.object_map[x]})
     lift = FunctorData(
         source=f.source, target=rc.cwd,
         object_map={x: rc.obj_names[trivial_idx[x]] for x in src_cat.objects},

@@ -22,6 +22,7 @@ from loccat import (DEFAULT_LIMITS, DenomDecider, auto_choice,
                     verify_approximation)
 from loccat.cli import main
 from loccat.gz import through
+from loccat.replacement import positions
 
 
 def rc_for(name):
@@ -185,7 +186,7 @@ def test_criterion_08_choice_independence():
     comparison, componentwise and wordwise."""
     s, rc = rc_for("E7b")
     auto = auto_choice(rc)
-    alt = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), s.f)
+    alt = positions(rc, load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), s.f))
     assert auto.get("bl") != alt.get("bl")
     fwd = choice_independence(s, auto, alt)
     bwd = choice_independence(s, alt, auto)

@@ -18,11 +18,12 @@ from loccat import (DEFAULT_LIMITS, CatPresentation,
                     SReplacement, ValidationError, auto_choice,
                     check_s_equivalence, check_s_full,
                     choice_independence, complete, homset,
-                    induced_replacement_functor, load_cat, load_choice, localise,
-                    normalize, prepare, replacement_functor,
+                    load_cat, load_choice, localise, normalize, prepare,
                     total_replacement_functor, total_value,
                     verify_approximation)
 from loccat import approximation, equivalence, gz, replacement
+from loccat.cli import main
+from loccat.replacement import positions
 
 SECTION_NAMES = ["preconditions", "total_functor", "shortening",
                  "denominator_values", "choice", "choice_functor",
@@ -430,8 +431,9 @@ class TestPreconditions:
 
 class TestChoiceIndependence:
     def alt_choice(self, rc):
-        return load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"),
-                           corpus.fun("E7b"))
+        """The positions of the triples the alternative choice file names."""
+        return positions(rc, load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"),
+                                         corpus.fun("E7b")))
 
     def test_two_choices_differ(self):
         _, rc = rc_for("E7b")
@@ -465,22 +467,22 @@ class TestChoiceIndependence:
     def test_choice_naming_no_triple_is_rejected(self):
         # q_bl runs from F x0, so (bl, x1, q_bl) is no replacement triple
         s, rc = rc_for("E7b")
-        auto = auto_choice(rc)
-        stray = SReplacement("bl", "x1", auto.get("bl").q)
+        auto = {y: rc.triples[i] for y, i in auto_choice(rc).items()}
+        stray = SReplacement("bl", "x1", auto["bl"].q)
         assert stray not in rc.triples
         bad = ReplacementChoice(tuple((y, stray if y == "bl" else rep)
                                       for y, rep in auto.items()))
-        r_choice, _ = replacement_functor(s, auto)
-        with pytest.raises(ValidationError):
-            choice_independence(s, auto, bad)
-        with pytest.raises(ValidationError):
-            choice_independence(s, bad, auto)
-        with pytest.raises(ValidationError):
-            induced_replacement_functor(s, bad, r_choice)
+        with pytest.raises(ValidationError, match="'bl' is not a valid replacement"):
+            positions(rc, bad)
+        with pytest.raises(ValidationError, match="'bl' is not a valid replacement"):
+            verify_approximation(s.f, DEFAULT_LIMITS, choice=bad)
+        # a triple over another object is no choice for this one
+        foreign = dict(auto, bl=auto["z"])
+        with pytest.raises(ValidationError, match="choice for 'bl' replaces 'z'"):
+            verify_approximation(s.f, DEFAULT_LIMITS, choice=foreign)
 
     def test_full_run_with_compare(self):
-        s, rc = rc_for("E7b")
-        alt = self.alt_choice(rc)
+        alt = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), corpus.fun("E7b"))
         report = verify_approximation(corpus.fun("E7b"), DEFAULT_LIMITS,
                                       choice=alt)
         assert report.ok
@@ -516,3 +518,23 @@ class TestRoundTrips:
             monkeypatch.setattr(CatPresentation, method, counted)
         assert verify_approximation(f, DEFAULT_LIMITS).ok
         assert (calls["decode"], calls["encode"]) == (decodes, encodes)
+
+
+@pytest.mark.parametrize("extra,calls", [
+    ([], 0),
+    (["--choice", "from-file", str(corpus.FIXTURES / "E7b-alt.choice.json")], 1),
+], ids=["auto", "from-file"])
+def test_choice_checked_once(monkeypatch, capsys, extra, calls):
+    # a given choice is checked once, at the entry of verify_approximation;
+    # past it, and for the automatic choice, the triples are read by position
+    counted = []
+
+    def counting(rc, choice):
+        counted.append(choice)
+        return positions(rc, choice)
+
+    for module in (approximation, replacement):
+        monkeypatch.setattr(module, "positions", counting)
+    assert main(["verify-approximation", corpus.fun_path("E7b"), *extra]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["ok"]
+    assert len(counted) == calls

@@ -89,14 +89,20 @@ BAD_RELATIONS = [
     ([{"lhs": ["t"], "rhs": []}, {"lhs": ["u"], "rhs": []}],
      "relation 1 equates a non-endo word with an identity"),
 ]
+# denominator words that are not words, and the text that reports them
+BAD_DENOMINATORS = [
+    ([["t"], ["zz"]], "unknown generator 'zz'"),
+    ([["u", "u"]], "letters 'u' and 'u' do not compose: 'b' != 'a'"),
+]
 
 
 class TestMalformedText:
     @staticmethod
-    def write_bad(tmp_path, relations):
+    def write_bad(tmp_path, relations, words=()):
         payload = dict(GOOD_CAT, relations=relations, generators=[
             {"name": "u", "src": "a", "dst": "b"},
             {"name": "t", "src": "a", "dst": "a"}])
+        payload["denominators"] = dict(GOOD_CAT["denominators"], words=list(words))
         return write(tmp_path, "bad.cat.json", payload)
 
     @pytest.mark.parametrize("relations,message", BAD_RELATIONS)
@@ -108,7 +114,23 @@ class TestMalformedText:
 
     @pytest.mark.parametrize("relations,message", BAD_RELATIONS)
     def test_cli_reports(self, capsys, tmp_path, relations, message):
-        path = self.write_bad(tmp_path, relations)
+        self.assert_reported(capsys, self.write_bad(tmp_path, relations), message)
+
+    @pytest.mark.parametrize("words,message", BAD_DENOMINATORS,
+                             ids=["unknown-generator", "not-composable"])
+    def test_load_cat_denominator_word(self, tmp_path, words, message):
+        with pytest.raises(ValidationError) as e:
+            load_cat(self.write_bad(tmp_path, [], words))
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("words,message", BAD_DENOMINATORS,
+                             ids=["unknown-generator", "not-composable"])
+    def test_cli_reports_denominator_word(self, capsys, tmp_path, words, message):
+        self.assert_reported(capsys, self.write_bad(tmp_path, [], words), message)
+
+    @staticmethod
+    def assert_reported(capsys, path, message):
+        """``validate`` and ``check axioms`` on ``path`` both report ``message``."""
         message = message.format(path=path)
         assert main(["validate", path]) == 2
         rows = json.loads(capsys.readouterr().out)["result"]["files"]

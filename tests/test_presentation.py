@@ -6,9 +6,8 @@ import pickle
 import pytest
 
 import corpus
-from loccat import (CatPresentation, CatWithDenoms, DenomSet, GenArrow,
-                    PathWord, ValidationError, identity_functor, load_cat,
-                    opposite, validate_cat_with_denoms, validate_presentation)
+from loccat import (CatPresentation, GenArrow, PathWord, ValidationError,
+                    identity_functor, load_cat, opposite, validate_presentation)
 from loccat.equivalence import prepare
 from loccat.rewrite import DEFAULT_LIMITS, complete, homset, normalize, words
 from test_approximation import ladder
@@ -118,17 +117,10 @@ class TestFromNames:
         assert validate_presentation(c) == []
 
 
-def with_relation(lhs, rhs) -> CatPresentation:
-    """``chain()`` with one relation between the encoded ``lhs`` and ``rhs``."""
-    c = chain()
-    return CatPresentation(c.objects, c.generators, ((lhs, rhs),))
-
-
 class TestValidation:
     def test_valid_presentation_has_no_problems(self):
         for name in corpus.CAT_NAMES:
             assert validate_presentation(corpus.cat(name).cat) == []
-            assert validate_cat_with_denoms(corpus.cat(name)) == []
 
     def test_duplicate_object_reported(self):
         c = CatPresentation(objects=("a", "a"), generators=(), relations=())
@@ -148,34 +140,6 @@ class TestValidation:
             objects=("a",), generators=(GenArrow("u", "a", "b"),), relations=())
         kinds = {p["kind"] for p in validate_presentation(c)}
         assert "unknown-object" in kinds
-
-    def test_denominator_word_endpoint_checked(self):
-        base = chain()
-        bad = CatWithDenoms(base, DenomSet(
-            explicit=(("a", "a", base.codec[0]["u"]),),
-            include_identities=True, close_under_composition=False))
-        assert [p["kind"] for p in validate_cat_with_denoms(bad)] == \
-            ["ill-formed-denominator"]
-
-    def test_unknown_code_is_ill_formed(self):
-        u = chain().codec[0]["u"]
-        problems = validate_presentation(with_relation(("a", "b", u), ("a", "b", "?")))
-        assert problems == [{"kind": "ill-formed-word", "relation": 0, "side": "rhs",
-                             "detail": "unknown generator code '?'"}]
-
-    def test_letters_that_do_not_compose_are_ill_formed(self):
-        code = chain().codec[0]
-        vu = ("a", "c", code["v"] + code["u"])
-        problems = validate_presentation(with_relation(vu, vu))
-        assert [(p["kind"], p["side"]) for p in problems] == \
-            [("ill-formed-word", "lhs"), ("ill-formed-word", "rhs")]
-        assert "do not compose" in problems[0]["detail"]
-
-    def test_sides_not_parallel_reported(self):
-        code = chain().codec[0]
-        problems = validate_presentation(
-            with_relation(("a", "b", code["u"]), ("a", "a", "")))
-        assert problems == [{"kind": "relation-not-parallel", "relation": 0}]
 
 
 class TestOpposite:

@@ -7,10 +7,10 @@ from loccat import (ConstructionError, PreconditionError, ReplacementChoice,
                     SReplacement, ValidationError, auto_choice,
                     build_replacement_category, canonical_lift,
                     check_reflects_denominators, complete, find_s_replacements,
-                    has_all_trivial, has_enough, load_functor, localise, prepare,
+                    has_enough, load_functor, localise, prepare,
                     structure_choice_functor, validate_functor)
 from loccat.replacement import positions
-from loccat.rewrite import Inflation, words
+from loccat.rewrite import Inflation, denominators, words
 
 
 def rc_for(name):
@@ -66,13 +66,15 @@ class TestEnough:
         assert witness["object"] == "Z"
 
     def test_trivial_replacements(self):
-        ok, _ = has_all_trivial(corpus.setting("E2").f,
-                                corpus.setting("E2").rs_tgt)
-        assert ok
-        ok6, witness6 = has_all_trivial(corpus.setting("E6").f,
-                                        corpus.setting("E6").rs_tgt)
-        assert not ok6
-        assert witness6["kind"] == "identity-not-denominator"
+        # (F x, x, 1) is a triple exactly when the identity at F x is a
+        # denominator: on every functor, and E6 has none
+        for name, every in (("E2", True), ("E5", True), ("E7b", True), ("E6", False)):
+            s, rc = rc_for(name)
+            closure = denominators(s.f.target, s.rs_tgt).closure
+            for x in s.f.source.cat.objects:
+                fx = s.f.object_map[x]
+                assert (rc.position(fx, x, "") is not None) == \
+                    ((fx, fx, "") in closure) == every, (name, x)
 
 
 class TestReplacementCategory:
@@ -208,9 +210,10 @@ class TestForgetful:
 class TestChoice:
     def test_auto_choice_is_first_triple(self):
         _, rc = rc_for("E7b")
-        choice = auto_choice(rc)
-        picked = {y: (rep.source, q_word(rc.functor, rep).letters)
-                  for y, rep in choice.items()}
+        chosen = auto_choice(rc)
+        assert chosen == {y: rc.triples_over(y)[0] for y in rc.functor.target.cat.objects}
+        picked = {y: (rc.triples[i].source, q_word(rc.functor, rc.triples[i]).letters)
+                  for y, i in chosen.items()}
         assert picked == {"tl": ("x0", ()), "tr": ("x1", ()),
                           "bl": ("x0", ("v_left",)),
                           "br": ("x1", ("v_right",)),
@@ -224,7 +227,7 @@ class TestChoice:
     def test_validate_choice_rejects_partial_assignments(self):
         _, rc = rc_for("E2")
         partial = ReplacementChoice(tuple(
-            (y, rep) for y, rep in auto_choice(rc).items() if y == "a"))
+            (y, rc.triples[i]) for y, i in auto_choice(rc).items() if y == "a"))
         with pytest.raises(ValidationError):
             positions(rc, partial)
 
@@ -276,10 +279,10 @@ class TestCanonicalLift:
         assert lift.object_map == {"x0": "(tl|x0|1)", "x1": "(tr|x1|1)"}
 
     def test_lift_requires_trivial_replacements(self):
-        s = corpus.setting("E6")
-        # E6 has no identity denominators at all; the precondition fails
-        # before any category is built, so reuse E2's category shape
-        from loccat import build_replacement_category
-        with pytest.raises(PreconditionError):
-            rc = build_replacement_category(s.f, s.rs_tgt)
+        # E6 has no identity denominators at all: its first source object
+        # has no trivial triple
+        _, rc = rc_for("E6")
+        with pytest.raises(PreconditionError) as e:
             canonical_lift(rc)
+        assert e.value.witness == {"kind": "identity-not-denominator",
+                                   "object": "a", "identity_at": "a"}
