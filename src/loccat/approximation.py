@@ -22,7 +22,6 @@ setting alone; its values are keyed by positions in ``setting.rc``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -408,14 +407,13 @@ def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int],
     return functor, report
 
 
-@dataclass
 class ApproximationReport:
     """Full outcome of the componentwise theorem verification."""
 
-    ok: bool
-    sections: list[dict]
-    decidability_status: str
-    bounds_used: dict
+    def __init__(self, ok: bool, sections: list[dict], decidability_status: str,
+                 bounds_used: dict):
+        self.ok, self.sections = ok, sections
+        self.decidability_status, self.bounds_used = decidability_status, bounds_used
 
     def to_json(self) -> dict:
         return dict(vars(self))
@@ -450,7 +448,7 @@ def verify_approximation(f: FunctorData,
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",
                                 witness=mult_wit)
-    enough, enough_wit = has_enough(f, setting.rs_tgt)
+    enough, enough_wit = has_enough(setting.replacements)
     if not enough:
         raise PreconditionError("not enough replacements along the functor",
                                 witness=enough_wit)
@@ -609,4 +607,4 @@ def verify_approximation(f: FunctorData,
         ok=all(section["ok"] for section in sections),
         sections=sections,
         decidability_status=setting.decidability_status,
-        bounds_used=dict(vars(limits)))
+        bounds_used=limits._asdict())

@@ -100,7 +100,7 @@ def _flatten(obj: object, path: str, out: list[str]):
 
 
 def _emit(command: str, limits: ResourceLimits, fmt: str, payload: dict) -> str:
-    report = {"schema": SCHEMA, "command": command, "limits": dict(vars(limits)),
+    report = {"schema": SCHEMA, "command": command, "limits": limits._asdict(),
               **payload}
     if fmt == "text":
         lines: list[str] = []
@@ -217,7 +217,7 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
             verdict = mult and iso
             witness = w_mult if w_mult is not None else w_iso
             details = {"multiplicative": mult, "isosaturated": iso}
-        report = CheckReport(which, verdict, witness, dict(vars(limits)),
+        report = CheckReport(which, verdict, witness, limits._asdict(),
                              rs.status, details).to_json()
     else:
         f = load_functor(args.path, data)
@@ -225,7 +225,7 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
         if which == "reflects-denominators":
             verdict, witness = check_reflects_denominators(
                 f, setting.rs_src, setting.rs_tgt)
-            report = CheckReport(which, verdict, witness, dict(vars(limits)),
+            report = CheckReport(which, verdict, witness, limits._asdict(),
                                  setting.decidability_status, {}).to_json()
         else:
             checker = {"s-dense": check_s_dense, "s-full": check_s_full,

@@ -27,14 +27,19 @@ and fills its witnesses print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
 from .axioms import check_multiplicative, validate_functor, word_json
 from .gz import LocalisedCategory, induced_functor, localise
 from .presentation import FunctorData, ValidationError
-from .replacement import ReplacementCategory, build_replacement_category, has_enough
+from .replacement import (
+    ReplacementCategory,
+    SReplacement,
+    build_replacement_category,
+    find_s_replacements,
+    has_enough,
+)
 from .rewrite import (
     COMPLETE,
     DEFAULT_LIMITS,
@@ -49,49 +54,49 @@ from .rewrite import (
 )
 
 
-@dataclass
 class CheckReport:
     """Outcome of a decidable check with provenance of the bounds used."""
 
-    check: str
-    verdict: bool
-    witness: dict | None
-    bounds_used: dict
-    decidability_status: str
-    details: dict
+    def __init__(self, check: str, verdict: bool, witness: dict | None,
+                 bounds_used: dict, decidability_status: str, details: dict):
+        self.check, self.verdict, self.witness = check, verdict, witness
+        self.bounds_used, self.decidability_status = bounds_used, decidability_status
+        self.details = details
 
     def to_json(self) -> dict:
         return dict(vars(self))
 
 
-@dataclass
 class GzSetting:
     """Completed and localised data for one functor, built once.
 
-    It also owns what its queries build: the replacement category
-    ``rc`` of the functor, its ``fill_survey``, the fill table mapping
+    It also owns what its queries build: the ``replacements`` of each
+    target object, the replacement category ``rc`` of the functor built
+    on them, its ``fill_survey``, the fill table mapping
     each solved 2-arrow ``(x, x_prime, y, g, b)`` to its fills (see
     :func:`solve_fill`), and the total values mapping ``(i, j, code)``,
     two positions among the triples of ``rc`` and a target code, to the
     unique encoded fill :func:`loccat.approximation.total_value` found.
     Only results are stored, so a query that raised raises again on
     every call.
-    None of them takes part in equality or ``repr``.  The target
+    None of them takes part in equality: two settings are equal when
+    their functors, systems and localisations are.  The target
     decider is the one the target system keeps.  All four systems were
     completed under the limits given to :func:`prepare`, and the
     decidability status of every system built on them is theirs.
     """
 
-    f: FunctorData
-    rs_src: RewriteSystem
-    rs_tgt: RewriteSystem
-    lc_src: LocalisedCategory
-    lc_tgt: LocalisedCategory
-    gz_f: FunctorData
-    _fills: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    _total_values: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
+    def __init__(self, f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSystem,
+                 lc_src: LocalisedCategory, lc_tgt: LocalisedCategory, gz_f: FunctorData):
+        self.f, self.rs_src, self.rs_tgt = f, rs_src, rs_tgt
+        self.lc_src, self.lc_tgt, self.gz_f = lc_src, lc_tgt, gz_f
+        self._fills: dict = {}
+        self._total_values: dict = {}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (self.f, self.rs_src, self.rs_tgt, self.lc_src, self.lc_tgt, self.gz_f)
+            == (other.f, other.rs_src, other.rs_tgt, other.lc_src, other.lc_tgt, other.gz_f))
 
     @property
     def decidability_status(self) -> str:
@@ -104,10 +109,16 @@ class GzSetting:
         return denominators(self.f.target, self.rs_tgt)
 
     @cached_property
+    def replacements(self) -> dict[str, tuple[SReplacement, ...]]:
+        """:func:`find_s_replacements` of each target object, in object
+        order, listed once for :func:`has_enough` and ``rc``."""
+        return {y: find_s_replacements(self.f, self.rs_tgt, y) for y in self.f.target.cat.objects}
+
+    @cached_property
     def rc(self) -> ReplacementCategory:
         """The replacement category of ``f``, built on first use; it is
         answered through ``rs_tgt`` and completes nothing."""
-        return build_replacement_category(self.f, self.rs_tgt)
+        return build_replacement_category(self.f, self.rs_tgt, self.replacements)
 
     @cached_property
     def fill_survey(self) -> tuple[dict | None, dict | None, int]:
@@ -175,13 +186,13 @@ def _arrow_json(setting: GzSetting, arrow: tuple) -> dict:
 def _report(setting: GzSetting, check: str, verdict: bool,
             witness: dict | None, details: dict) -> CheckReport:
     """A report under the limits and status of ``setting``'s systems."""
-    return CheckReport(check, verdict, witness, dict(vars(setting.rs_src.limits)),
+    return CheckReport(check, verdict, witness, setting.rs_src.limits._asdict(),
                        setting.decidability_status, details)
 
 
 def check_s_dense(setting: GzSetting) -> CheckReport:
     """Does every target object admit a replacement along the functor?"""
-    ok, witness = has_enough(setting.f, setting.rs_tgt)
+    ok, witness = has_enough(setting.replacements)
     return _report(setting, "s-dense", ok, witness,
                    {"objects_checked": len(setting.f.target.cat.objects)})
 

@@ -25,7 +25,7 @@ composite of forward base words and inverted denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property, reduce
 
 from .axioms import validate_functor
@@ -37,7 +37,6 @@ from .presentation import (
     FunctorData,
     GenArrow,
     LimitExceeded,
-    PathWord,
 )
 from .rewrite import (
     RewriteSystem,
@@ -47,8 +46,7 @@ from .rewrite import (
 )
 
 
-@dataclass(frozen=True)
-class LocalisedCategory:
+class LocalisedCategory(namedtuple("LocalisedCategory", "cwd rs inv_of fresh_defs inverted")):
     """A presentation of the localisation of a category with
     denominators, kept as ``cwd`` and answered by ``rs``: its completion
     (:func:`localise`), or an inflation of another localisation
@@ -61,12 +59,6 @@ class LocalisedCategory:
     ``(src, dst, code)`` of the base system; the extension declares its
     generators after the base ones, so they are words of ``rs`` too.
     """
-
-    cwd: CatWithDenoms
-    rs: RewriteSystem
-    inv_of: dict[str, str]
-    fresh_defs: dict[str, tuple[str, str, str]]
-    inverted: dict[str, tuple[str, str, str]]
 
     @property
     def presentation(self) -> CatPresentation:
@@ -170,7 +162,7 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         src, dst, _ = inverted[inv_name]
         relations += [((src, src, code[name] + code[inv_name]), (src, src, "")),
                       ((dst, dst, code[inv_name] + code[name]), (dst, dst, ""))]
-    ext = replace(bare, relations=cat.relations + tuple(relations))
+    ext = bare._replace(relations=cat.relations + tuple(relations))
     return LocalisedCategory(cwd=CatWithDenoms(ext, DenomSet((), True, True)), rs=None,
                              inv_of=inv_of, fresh_defs=fresh_defs, inverted=inverted)
 
@@ -188,7 +180,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     """
     lc = extension(c, rs_base)
     rs = complete(lc.presentation, rs_base.limits, _base_inverses(rs_base, lc))
-    return replace(lc, rs=rs)
+    return lc._replace(rs=rs)
 
 
 def through(lc: LocalisedCategory, *functors: FunctorData):
@@ -245,8 +237,7 @@ def checked(functor: FunctorData, lc_src: LocalisedCategory,
     return functor
 
 
-@dataclass(frozen=True)
-class ZigzagSegment:
+class ZigzagSegment(namedtuple("ZigzagSegment", "forward inverted")):
     """A forward base word followed by one inverted denominator.
 
     The segment is traversed as ``forward`` then ``inverted`` backwards,
@@ -254,17 +245,13 @@ class ZigzagSegment:
     ``inverted.src``.  The final segment of a zigzag has no inversion.
     """
 
-    forward: PathWord
-    inverted: PathWord | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ZigzagView:
+class ZigzagView(namedtuple("ZigzagView", "src dst segments")):
     """A localised morphism split into forward words and inverted denominators."""
 
-    src: str
-    dst: str
-    segments: tuple[ZigzagSegment, ...]
+    __slots__ = ()
 
     def render(self) -> str:
         parts: list[str] = []

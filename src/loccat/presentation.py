@@ -20,7 +20,6 @@ two closure flags (identities, composition).  Membership is decided in
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count
 from operator import attrgetter
@@ -62,13 +61,10 @@ class ConstructionError(LoccatError):
     """A derived presentation could not be realised within this encoding."""
 
 
-@dataclass(frozen=True)
-class GenArrow:
+class GenArrow(namedtuple("GenArrow", "name src dst")):
     """A generating arrow ``name: src -> dst``."""
 
-    name: str
-    src: str
-    dst: str
+    __slots__ = ()
 
 
 class PathWord(namedtuple("PathWord", "src dst letters")):
@@ -91,19 +87,16 @@ class PathWord(namedtuple("PathWord", "src dst letters")):
         return len(self[2])
 
 
-@dataclass(frozen=True)
-class CatPresentation:
-    """A finite category presentation.
+class CatPresentation(namedtuple("CatPresentation", "objects generators relations")):
+    """A finite category presentation: ``objects``, ``generators`` (each a
+    :class:`GenArrow`) and ``relations``.
 
     Objects and generators are ordered; the declaration order fixes the
     shortlex word order used by the rewriting kernel, so it is part of
     the presentation data.  Each relation is a pair of parallel encoded
-    words ``(src, dst, code)`` (:meth:`encode`).
+    words ``(src, dst, code)`` (:meth:`encode`).  The cached tables live
+    in the instance ``__dict__`` and take no part in equality.
     """
-
-    objects: tuple[str, ...]
-    generators: tuple[GenArrow, ...]
-    relations: tuple[tuple[tuple[str, str, str], tuple[str, str, str]], ...]
 
     @cached_property
     def obj_index(self) -> dict[str, int]:
@@ -160,8 +153,8 @@ class CatPresentation:
         return PathWord(gens[0].src, gens[-1].dst, letters)
 
 
-@dataclass(frozen=True)
-class DenomSet:
+class DenomSet(namedtuple("DenomSet", "explicit include_identities close_under_composition",
+                          defaults=((), True, True))):
     """Intensional description of the denominators of a presentation.
 
     ``explicit`` lists the encoded words (:meth:`CatPresentation.encode`)
@@ -169,30 +162,31 @@ class DenomSet:
     identities and under binary composition of composable members.
     """
 
-    explicit: tuple[tuple[str, str, str], ...] = ()
-    include_identities: bool = True
-    close_under_composition: bool = True
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CatWithDenoms:
+class CatWithDenoms(namedtuple("CatWithDenoms", "cat denoms")):
     """A presented category together with its denominator set."""
 
-    cat: CatPresentation
-    denoms: DenomSet
+    __slots__ = ()
 
 
-@dataclass
 class FunctorData:
     """A functor between presented categories, given on generators:
     ``images`` maps each to an encoded word ``(src, dst, code)`` of the
     target (:meth:`CatPresentation.encode`); ``translation`` maps the
-    code of a source word to the code of its image."""
+    code of a source word to the code of its image.  Two functors are
+    equal when their categories, object maps and images are."""
 
-    source: CatWithDenoms
-    target: CatWithDenoms
-    object_map: dict[str, str]
-    images: dict[str, tuple[str, str, str]]
+    def __init__(self, source: CatWithDenoms, target: CatWithDenoms,
+                 object_map: dict[str, str], images: dict[str, tuple[str, str, str]]):
+        self.source, self.target = source, target
+        self.object_map, self.images = object_map, images
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (self.source, self.target, self.object_map, self.images)
+            == (other.source, other.target, other.object_map, other.images))
 
     @cached_property
     def translation(self) -> dict[int, str]:
@@ -213,13 +207,12 @@ class FunctorData:
         )
 
 
-@dataclass
 class TransformationData:
     """A transformation between parallel functors, one encoded component per object."""
 
-    frm: FunctorData
-    to: FunctorData
-    components: dict[str, tuple[str, str, str]]
+    def __init__(self, frm: FunctorData, to: FunctorData,
+                 components: dict[str, tuple[str, str, str]]):
+        self.frm, self.to, self.components = frm, to, components
 
 
 def validate_presentation(p: CatPresentation) -> list[dict]:
@@ -259,7 +252,7 @@ def opposite(c: CatWithDenoms) -> CatWithDenoms:
         generators=tuple(GenArrow(g.name, g.dst, g.src) for g in c.cat.generators),
         relations=tuple((rev(lhs), rev(rhs)) for lhs, rhs in c.cat.relations),
     )
-    denoms = replace(c.denoms, explicit=tuple(map(rev, c.denoms.explicit)))
+    denoms = c.denoms._replace(explicit=tuple(map(rev, c.denoms.explicit)))
     return CatWithDenoms(cat, denoms)
 
 

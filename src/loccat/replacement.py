@@ -26,7 +26,7 @@ and :func:`positions` finds while it checks a :data:`ReplacementChoice`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .axioms import check_transformation
 from .gz import LocalisedCategory, extend_to_localisation, extension, fresh_name, through
@@ -52,14 +52,12 @@ from .rewrite import (
 )
 
 
-@dataclass(frozen=True)
-class SReplacement:
+class SReplacement(namedtuple("SReplacement", "target source q")):
     """A replacement ``(target, source, q)`` with ``q: F source -> target``,
-    given as the code of a target word (:meth:`CatPresentation.encode`)."""
+    given as the code of a target word (:meth:`CatPresentation.encode`);
+    it equals that plain tuple."""
 
-    target: str
-    source: str
-    q: str
+    __slots__ = ()
 
 
 # One chosen replacement per object of the target category, by object.
@@ -78,15 +76,17 @@ def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem,
                  for q in dec.denominators_between(f.object_map[x], y))
 
 
-def has_enough(f: FunctorData, rs_tgt: RewriteSystem) -> tuple[bool, dict | None]:
-    """Does every object of the target have a replacement along ``f``?"""
-    for y in f.target.cat.objects:
-        if not find_s_replacements(f, rs_tgt, y):
+def has_enough(replacements: dict[str, tuple[SReplacement, ...]]
+               ) -> tuple[bool, dict | None]:
+    """Does every object of the target have a replacement?  ``replacements``
+    lists each object's in object order, as
+    :attr:`~loccat.equivalence.GzSetting.replacements` does."""
+    for y, reps in replacements.items():
+        if not reps:
             return False, {"kind": "object-without-replacement", "object": y}
     return True, None
 
 
-@dataclass
 class ReplacementCategory:
     """The materialized replacement category of a functor.
 
@@ -102,17 +102,11 @@ class ReplacementCategory:
     ``cwd.denoms`` lists are codes of ``rs``, as every presentation's are.
     """
 
-    functor: FunctorData
-    rs_tgt: RewriteSystem
-    triples: tuple[SReplacement, ...]
-    obj_names: tuple[str, ...] = field(init=False)
-    cwd: CatWithDenoms = field(init=False)
-    rs: Inflation = field(init=False)
-    forgetful: FunctorData = field(init=False)
-
-    def __post_init__(self):
-        tgt_cat = self.functor.target.cat
-        triples, spell = self.triples, tgt_cat.codec[1].__getitem__
+    def __init__(self, functor: FunctorData, rs_tgt: RewriteSystem,
+                 triples: tuple[SReplacement, ...]):
+        self.functor, self.rs_tgt, self.triples = functor, rs_tgt, triples
+        tgt_cat = functor.target.cat
+        spell = tgt_cat.codec[1].__getitem__
         # a name can repeat (q = 1 beside a generator "1"): prime the later
         taken_objs: set[str] = set()
         self.obj_names = names = tuple(
@@ -123,7 +117,7 @@ class ReplacementCategory:
         self._triple_pos: dict[tuple[str, str, str], int] = {}
         over: dict[str, list[int]] = {}
         for idx, t in enumerate(triples):
-            self._triple_pos.setdefault((t.target, t.source, t.q), idx)
+            self._triple_pos.setdefault(t, idx)
             over.setdefault(t.target, []).append(idx)
         self._by_target = over = {y: tuple(idxs) for y, idxs in over.items()}
 
@@ -147,7 +141,7 @@ class ReplacementCategory:
         # the forgetful functor on encoded words: one str.translate
         down = {ord(code[name]): w[2] for name, w in under_of.items()}
         objects_under = {name: t.target for name, t in zip(names, triples)}
-        self.rs = rs = Inflation(bare, base=self.rs_tgt, under=objects_under, down=down)
+        self.rs = rs = Inflation(bare, base=rs_tgt, under=objects_under, down=down)
 
         # each composable pair of letters with a lifted identity in it
         # equals the lift of its image; each target relation is lifted
@@ -166,14 +160,14 @@ class ReplacementCategory:
                                           self.lift_word(rhs[2], i, j)))
                     except ConstructionError:
                         continue
-        self.rs = rs = Inflation(replace(bare, relations=tuple(relations)), self.rs_tgt,
+        self.rs = rs = Inflation(bare._replace(relations=tuple(relations)), rs_tgt,
                                  objects_under, down)
         # lifted denominators: every word over a denominator
-        closure = denominators(self.functor.target, self.rs_tgt).closure
+        closure = denominators(functor.target, rs_tgt).closure
         lifted = [(a, b, w) for a in names for b in names for w in words(rs, a, b)
                   if (objects_under[a], objects_under[b], w.translate(down)) in closure]
         self.cwd = CatWithDenoms(rs.presentation, DenomSet(tuple(lifted), False, False))
-        self.forgetful = FunctorData(self.cwd, self.functor.target, objects_under, under_of)
+        self.forgetful = FunctorData(self.cwd, functor.target, objects_under, under_of)
 
     def position(self, y: str, x: str, q: str) -> int | None:
         """Position of the triple ``(y, x, q)``, ``q`` encoded, or None."""
@@ -211,18 +205,20 @@ class ReplacementCategory:
         lc = extension(self.cwd, self.rs)
         gz_u = extend_to_localisation(lc, lc_tgt, self.forgetful,
                                       through(lc_tgt, self.forgetful))
-        return replace(lc, rs=Inflation(lc.presentation, base=lc_tgt.rs,
+        return lc._replace(rs=Inflation(lc.presentation, base=lc_tgt.rs,
                                         under=gz_u.object_map, down=gz_u.translation)), gz_u
 
 
-def build_replacement_category(f: FunctorData,
-                               rs_tgt: RewriteSystem) -> ReplacementCategory:
+def build_replacement_category(f: FunctorData, rs_tgt: RewriteSystem,
+                               replacements: dict[str, tuple[SReplacement, ...]]
+                               ) -> ReplacementCategory:
     """The replacement category of ``f``, answered through ``rs_tgt``
-    under its limits; more triples than ``max_homset`` raise
+    under its limits, on the triples ``replacements`` lists by object
+    (see :func:`has_enough`); more than ``max_homset`` raise
     :class:`LimitExceeded`."""
     triples: list[SReplacement] = []
-    for y in f.target.cat.objects:
-        triples.extend(find_s_replacements(f, rs_tgt, y))
+    for reps in replacements.values():
+        triples.extend(reps)
         if len(triples) > rs_tgt.limits.max_homset:
             raise LimitExceeded("max_homset",
                                 "replacement category has too many objects")

@@ -82,7 +82,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .presentation import (
     CatPresentation,
@@ -97,13 +97,11 @@ COMPLETE = "complete"
 BOUNDED_INCOMPLETE = "bounded-incomplete"
 
 
-@dataclass(frozen=True)
-class ResourceLimits:
+class ResourceLimits(namedtuple("ResourceLimits", "max_word_len max_rules max_homset",
+                                defaults=(16, 512, 1024))):
     """Bounds that keep every query a finite computation."""
 
-    max_word_len: int = 16
-    max_rules: int = 512
-    max_homset: int = 1024
+    __slots__ = ()
 
 
 DEFAULT_LIMITS = ResourceLimits()
@@ -249,7 +247,6 @@ def _literal_pattern(word: str) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
 class RewriteSystem:
     """A completed (or bound-truncated) rewriting system.
 
@@ -261,22 +258,26 @@ class RewriteSystem:
     (``index[s]``), and the tables its queries fill:
     the encoded hom-sets out of each object by target (the one hom-set
     table, see :func:`words`) and the denominator decider per
-    denominator set (see :func:`denominators`).  None of them takes part
-    in equality, hashing or ``repr``.
+    denominator set (see :func:`denominators`).  Equality and hashing
+    read ``(presentation, rules, status, limits)`` alone.
     """
 
-    presentation: CatPresentation
-    rules: tuple[tuple[str, str], ...]
-    status: str
-    limits: ResourceLimits = DEFAULT_LIMITS
-    index: RuleIndex = field(init=False, repr=False, compare=False)
-    _reachable: dict = field(init=False, repr=False, compare=False)
-    _deciders: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, presentation: CatPresentation, rules: tuple[tuple[str, str], ...],
+                 status: str, limits: ResourceLimits = DEFAULT_LIMITS):
+        self.presentation, self.rules, self.status, self.limits = \
+            presentation, rules, status, limits
+        self.index = RuleIndex(rules)
+        self._reachable: dict = {}
+        self._deciders: dict = {}
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", RuleIndex(self.rules))
-        for table in ("_reachable", "_deciders"):
-            object.__setattr__(self, table, {})
+    def _key(self) -> tuple:
+        return self.presentation, self.rules, self.status, self.limits
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def is_complete(self) -> bool:
@@ -329,8 +330,7 @@ class Inflation(RewriteSystem):
     (:meth:`lift`) of the base normal form of its image, and the
     hom-sets are the lifts of the base's.  There are no rules: the
     status and limits are the base's.  ``base``, ``under`` and ``down``
-    take no part in equality, hashing or ``repr``, and an inflation is
-    built anew rather than through ``dataclasses.replace``.
+    take no part in equality or hashing.
     """
 
     def __init__(self, presentation: CatPresentation, base: RewriteSystem,
@@ -349,10 +349,8 @@ class Inflation(RewriteSystem):
                 up.setdefault((g.src, g.dst, image), c)
         p = base.presentation
         via = {p.codec[0][g.name]: first[g.dst] for g in p.generators if g.dst in first}
-        for name, value in (("base", base), ("under", under), ("down", down),
-                            ("index", _Lifts(self.normal_form)),
-                            ("_up", up), ("_ends", ends), ("_via", via)):
-            object.__setattr__(self, name, value)
+        self.base, self.under, self.down, self.index = base, under, down, _Lifts(self.normal_form)
+        self._up, self._ends, self._via = up, ends, via
 
     def lift(self, src: str, dst: str, s: str) -> str:
         """The base code ``s`` lifted from the copy ``src`` to the copy

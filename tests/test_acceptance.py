@@ -101,7 +101,7 @@ def test_criterion_04_replacement_category_suite():
         ok, _ = check_reflects_denominators(u, rc.rs, s.rs_tgt)
         assert ok, name
         hit = set(u.object_map.values())
-        enough, _ = has_enough(s.f, s.rs_tgt)
+        enough, _ = has_enough(s.replacements)
         assert (hit == set(s.f.target.cat.objects)) == enough, name
         if enough:
             c_r, _ = structure_choice_functor(rc, auto_choice(rc))

@@ -6,7 +6,6 @@ import json
 import time
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -297,10 +296,10 @@ class TestFunctorChecks:
         lc_rc, gz_u = s.rc.localised(s.lc_tgt)
         assert gz.checked(gz_u, lc_rc, s.lc_tgt) is gz_u
         name = next(iter(lc_rc.inv_of))
-        broken = replace(gz_u, images={**gz_u.images,
-                                       name: s.lc_tgt.presentation.encode(
-                                           s.lc_tgt.presentation.identity(
-                                               gz_u.images[name][0]))})
+        broken = FunctorData(gz_u.source, gz_u.target, gz_u.object_map,
+                             {**gz_u.images,
+                              name: s.lc_tgt.presentation.encode(
+                                  s.lc_tgt.presentation.identity(gz_u.images[name][0]))})
         with pytest.raises(ConstructionError, match="^induced functor invalid: "):
             gz.checked(broken, lc_rc, s.lc_tgt)
 
@@ -538,3 +537,20 @@ def test_choice_checked_once(monkeypatch, capsys, extra, calls):
     assert main(["verify-approximation", corpus.fun_path("E7b"), *extra]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["ok"]
     assert len(counted) == calls
+
+
+def test_replacements_listed_once(monkeypatch, capsys):
+    # has_enough and the replacement category read one listing per
+    # setting: one find_s_replacements call per target object, in order
+    counted = []
+    find = replacement.find_s_replacements
+
+    def counting(f, rs_tgt, y):
+        counted.append(y)
+        return find(f, rs_tgt, y)
+
+    for module in (equivalence, replacement):
+        monkeypatch.setattr(module, "find_s_replacements", counting, raising=False)
+    assert main(["verify-approximation", corpus.fun_path("E7b")]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["ok"]
+    assert counted == ["tl", "tr", "bl", "br", "z"]

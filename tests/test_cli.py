@@ -15,7 +15,6 @@ from loccat import cli, equivalence, fileio, gz, rewrite
 from loccat.cli import main, parse_args
 from loccat.equivalence import prepare
 from loccat.fileio import load_functor
-from loccat.replacement import build_replacement_category
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -401,7 +400,7 @@ class TestVerifyApproximation:
         assert code == 0
         assert rep["result"]["ok"] is True
         f = load_functor(str(fun))
-        rc = build_replacement_category(f, prepare(f).rs_tgt)
+        rc = prepare(f).rc
         assert len(rc.triples) == 2
         assert len(set(rc.obj_names)) == 2
 
@@ -423,6 +422,15 @@ class TestDeterminism:
         proc = _run_module("-m", "loccat.cli", "check", "s-full", E2_FUN)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["verdict"] is True
+
+    def test_import_skips_dataclasses(self):
+        # every command starts a process, so what the import loads is
+        # start-up time; -S stops site from importing any of it first
+        code = ("import sys; before = set(sys.modules); import loccat.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}"
+                " & (sys.modules.keys() - before)))")
+        proc = _run_module("-S", "-c", code)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
     @pytest.mark.parametrize("argv", [
         ("verify-approximation", corpus.fun_path("E7")),
@@ -546,7 +554,7 @@ class TestDeterminism:
             "approximation.verify_approximation",
             "cli._emit", "cli.cmd_check", "cli.cmd_homset", "cli.cmd_localise",
             "cli.cmd_validate", "cli.cmd_verify_approximation",
-            "equivalence.prepare", "rewrite.complete"]
+            "equivalence.prepare", "rewrite.__init__", "rewrite.complete"]
 
 
 class TestReplacementRich:

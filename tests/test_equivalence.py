@@ -1,7 +1,5 @@
 """Density/fullness/faithfulness checkers and the classical cross-check."""
 
-from dataclasses import asdict
-
 import pytest
 
 import corpus
@@ -143,7 +141,7 @@ class TestSEquivalence:
         # the check reports the limits its setting was prepared under
         limits = ResourceLimits(max_word_len=12)
         report = check(prepare(corpus.fun("E7"), limits))
-        assert report.bounds_used == asdict(limits)
+        assert report.bounds_used == limits._asdict()
 
     def test_gz_details_present(self):
         report = check_s_equivalence(prepare(corpus.fun("E2"), DEFAULT_LIMITS))

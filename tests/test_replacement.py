@@ -15,7 +15,7 @@ from loccat.rewrite import Inflation, denominators, words
 
 def rc_for(name):
     s = corpus.setting(name)
-    return s, build_replacement_category(s.f, s.rs_tgt)
+    return s, build_replacement_category(s.f, s.rs_tgt, s.replacements)
 
 
 def q_word(f, rep):
@@ -55,14 +55,14 @@ class TestEnough:
                     "E7": True, "E7b": True, "E1incl": False}
         for name, want in expected.items():
             s = corpus.setting(name)
-            got, witness = has_enough(s.f, s.rs_tgt)
+            got, witness = has_enough(s.replacements)
             assert got == want, name
             if not want:
                 assert witness["kind"] == "object-without-replacement"
 
     def test_e4_witness_is_the_isolated_object(self):
         s = corpus.setting("E4")
-        _, witness = has_enough(s.f, s.rs_tgt)
+        _, witness = has_enough(s.replacements)
         assert witness["object"] == "Z"
 
     def test_trivial_replacements(self):
@@ -178,7 +178,7 @@ class TestInflation:
         s = prepare(load_functor(corpus.detour(tmp_path)))
         with pytest.raises(ConstructionError, match=r"no lift from '\(a\|x\|1\)' "
                                                     r"to '\(b\|y\|1\)'"):
-            rc = build_replacement_category(s.f, s.rs_tgt)
+            rc = build_replacement_category(s.f, s.rs_tgt, s.replacements)
             for a in rc.obj_names:
                 for b in rc.obj_names:
                     words(rc.rs, a, b)
@@ -203,7 +203,7 @@ class TestForgetful:
             s, rc = rc_for(name)
             u = rc.forgetful
             hit = set(u.object_map.values())
-            enough, _ = has_enough(s.f, s.rs_tgt)
+            enough, _ = has_enough(s.replacements)
             assert (hit == set(s.f.target.cat.objects)) == enough, name
 
 

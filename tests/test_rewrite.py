@@ -6,7 +6,6 @@ import heapq
 import re
 import types
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,9 +17,8 @@ from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     CatWithDenoms, DenomDecider, DenomSet, GenArrow,
                     LimitExceeded, PathWord, DEFAULT_LIMITS,
                     ResourceLimits, RewriteSystem, ValidationError,
-                    build_replacement_category, check_multiplicative, complete,
-                    denominators, equal, find_inverse, homset, load_cat, localise,
-                    normalize)
+                    check_multiplicative, complete, denominators, equal,
+                    find_inverse, homset, load_cat, localise, normalize, prepare)
 from loccat import gz, rewrite
 from loccat.cli import main
 from loccat.rewrite import RuleIndex
@@ -265,13 +263,13 @@ class TestCompletion:
         c = dihedral_denoms(6)
         rs = complete(c.cat)
         built = []
-        post_init = RewriteSystem.__post_init__
+        init = RewriteSystem.__init__
 
-        def counted(system):
+        def counted(system, *args, **kwargs):
             built.append(system)
-            post_init(system)
+            init(system, *args, **kwargs)
 
-        monkeypatch.setattr(RewriteSystem, "__post_init__", counted)
+        monkeypatch.setattr(RewriteSystem, "__init__", counted)
         lc = localise(c, rs)
         assert len(built) == 1 and built[0] is lc.rs
 
@@ -286,7 +284,7 @@ class TestCompletion:
         assert seeds
         p, limits = lc.presentation, ResourceLimits(max_rules=max_rules)
         seeded = complete(p, limits, seeds)
-        joined = complete(replace(p, relations=p.relations + seeds), limits)
+        joined = complete(p._replace(relations=p.relations + seeds), limits)
         assert (seeded.rules, seeded.status) == (joined.rules, joined.status)
         assert seeded.presentation == p
 
@@ -868,8 +866,10 @@ class TestSystemTables:
         words = homset(rs, "tl", "bl")
         assert words == homset(complete(p, DEFAULT_LIMITS), "tl", "bl")
         assert rewrite.words(rs, "tl", "bl") is rewrite.words(rs, "tl", "bl")
-        # the same rules, but each system answers under its own limits
+        # the same rules, but each system answers under its own limits;
+        # systems compare by value, so equality is not identity
         assert tight.rules == rs.rules and tight != rs
+        assert complete(p, DEFAULT_LIMITS) == rs
         with pytest.raises(LimitExceeded):
             homset(tight, "tl", "bl")
         with pytest.raises(ValidationError):
@@ -890,9 +890,8 @@ class TestDerivedLimits:
 
     def test_replacement_category_inherits(self):
         f = corpus.fun("E7")
-        rs_tgt = complete(f.target.cat, self.BOUND)
-        rc = build_replacement_category(f, rs_tgt)
-        assert rc.rs.limits == rs_tgt.limits == self.BOUND
+        s = prepare(f, self.BOUND)
+        assert s.rc.rs.limits == s.rs_tgt.limits == self.BOUND
 
     def test_inverse_search_under_the_system_limits(self):
         # hom(•, •) of E5 is {1, d}: a bound of one cannot enumerate it
