@@ -15,7 +15,7 @@ from .axioms import (
     check_isosaturated,
     check_multiplicative,
     check_reflects_denominators,
-    check_transformation,
+    squares,
     validate_functor,
 )
 from .equivalence import (
@@ -51,7 +51,6 @@ from .presentation import (
     LoccatError,
     PathWord,
     PreconditionError,
-    TransformationData,
     ValidationError,
     identity_functor,
     opposite,

@@ -22,12 +22,14 @@ setting alone; its values are keyed by positions in ``setting.rc``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from itertools import product
 
 from .axioms import (
     check_multiplicative,
     check_reflects_denominators,
+    squares,
     validate_functor,
     word_json,
 )
@@ -48,7 +50,6 @@ from .presentation import (
 )
 from .replacement import (
     ReplacementChoice,
-    SReplacement,
     auto_choice,
     canonical_lift,
     has_enough,
@@ -168,37 +169,26 @@ def _mutually_inverse(lc: LocalisedCategory, fwd: tuple, bwd: tuple) -> bool:
     return not any([lc.rs.compose(fwd, bwd)[2], lc.rs.compose(bwd, fwd)[2]])
 
 
-def _components(lc: LocalisedCategory, objects, component
-                ) -> tuple[dict[str, tuple], list[dict], bool]:
-    """The encoded components ``component(x)`` of a comparison transformation,
-    by object, with one report row each and whether all are invertible."""
-    comps: dict[str, tuple] = {}
-    rows = []
-    for x in objects:
-        comps[x] = comp = component(x)
-        rows.append({"object": x, "component": word_json(lc.rs.decode(comp)),
-                     "invertible": inverse(lc.rs, comp) is not None})
-    return comps, rows, all(row["invertible"] for row in rows)
+def _rows(lc: LocalisedCategory, comps: dict[str, tuple]) -> tuple[list[dict], bool]:
+    """One report row per encoded component of ``comps``, by object, and
+    whether all are invertible in ``lc``; each is evaluated."""
+    rows = [{"object": x, "component": word_json(lc.rs.decode(comp)),
+             "invertible": inverse(lc.rs, comp) is not None} for x, comp in comps.items()]
+    return rows, all(row["invertible"] for row in rows)
 
 
-def _invertible(lc: LocalisedCategory, comps) -> bool:
-    """Does every encoded component have an inverse in ``lc``?  Stops at the
-    first that has none."""
-    return all(inverse(lc.rs, comp) is not None for comp in comps)
+def _comparison(lc: LocalisedCategory, ws, frm, comps: dict[str, tuple],
+                to=None) -> tuple[bool, int, bool]:
+    """Whether every encoded component of ``comps`` has an inverse in
+    ``lc``, stopping at the first that has none, then :func:`squares`."""
+    invertible = all(inverse(lc.rs, comp) is not None for comp in comps.values())
+    return (invertible, *squares(lc.rs, ws, frm, comps, to))
 
 
-def _squares(lc: LocalisedCategory, ws, frm, comps: dict[str, tuple],
-             to=None) -> tuple[int, bool]:
-    """Naturality of ``comps`` from ``frm`` to ``to`` on each encoded word.
-
-    The square at ``w`` is ``frm(w) . comps[dst w] = comps[src w] . to(w)``
-    in ``lc``; ``to`` defaults to the identity.  Returns the squares
-    checked and whether all commute; each is evaluated.
-    """
-    commute = [lc.rs.compose(frm(w), comps[w[1]])
-               == lc.rs.compose(comps[w[0]], w if to is None else to(w))
-               for w in ws]
-    return len(commute), all(commute)
+def _identity_on(lc: LocalisedCategory, p: CatPresentation, image) -> bool:
+    """Does ``image`` send each generator of ``p`` to its normal form in
+    ``lc``?  Stops at the first that it moves."""
+    return all(image(w) == lc.rs.compose(w) for w in _generators(p))
 
 
 def total_replacement_functor(setting: GzSetting) -> tuple[FunctorData, dict]:
@@ -358,12 +348,12 @@ def choice_independence(setting: GzSetting, first: dict[str, int],
                            "inverse": word_json(lc_src.rs.decode(bwd)),
                            "invertible": _mutually_inverse(lc_src, fwd, bwd)})
     iso_ok = all(row["invertible"] for row in components)
-    squares, naturality_ok = _squares(
-        lc_src, _generators(tgt_cat),
+    checks, naturality_ok = squares(
+        lc_src.rs, _generators(tgt_cat),
         lambda w: _value(setting, first[w[0]], first[w[1]], w[2]),
         fwds, lambda w: _value(setting, second[w[0]], second[w[1]], w[2]))
     return {"components": components, "isomorphism_ok": iso_ok,
-            "squares_checked": squares, "naturality_ok": naturality_ok,
+            "squares_checked": checks, "naturality_ok": naturality_ok,
             "ok": iso_ok and naturality_ok}
 
 
@@ -381,11 +371,8 @@ def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int],
     lc_tgt, lc_src, gz_f = setting.lc_tgt, setting.lc_src, setting.gz_f
     tgt_cat = setting.f.target.cat
     direct = partial(_value_of, setting, chosen.__getitem__, {})
-    functor = extend_to_localisation(lc_tgt, lc_src, r_choice, direct)
-    problems = validate_functor(functor, lc_tgt.rs, lc_src.rs)
-    if problems:
-        raise ConstructionError(f"induced replacement functor invalid: "
-                                f"{problems[0]}")
+    functor = checked(extend_to_localisation(lc_tgt, lc_src, r_choice, direct),
+                      lc_tgt, lc_src)
 
     image, r_image = through(lc_src, functor), through(lc_src, r_choice)
     factorization_ok = all(image(lc_tgt.rs.compose(w)) == r_image(w)
@@ -396,27 +383,25 @@ def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int],
         return gz_f.object_map[src], gz_f.object_map[dst], s.translate(gz_f.translation)
 
     objects = tgt_cat.objects
-    checked, description_ok = _squares(
-        lc_tgt, ((y, y2, psi) for y in objects for y2 in objects
+    pairs, description_ok = squares(
+        lc_tgt.rs, ((y, y2, psi) for y in objects for y2 in objects
                  for psi in words(lc_tgt.rs, y, y2)),
         then_gz_f, {y: _loc_q(setting, chosen[y]) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
-              "description_pairs_checked": checked,
+              "description_pairs_checked": pairs,
               "description_ok": description_ok,
               "ok": factorization_ok and description_ok}
     return functor, report
 
 
-class ApproximationReport:
+class ApproximationReport(namedtuple("ApproximationReport",
+                                     "ok sections decidability_status bounds_used")):
     """Full outcome of the componentwise theorem verification."""
 
-    def __init__(self, ok: bool, sections: list[dict], decidability_status: str,
-                 bounds_used: dict):
-        self.ok, self.sections = ok, sections
-        self.decidability_status, self.bounds_used = decidability_status, bounds_used
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 def verify_approximation(f: FunctorData,
@@ -441,9 +426,6 @@ def verify_approximation(f: FunctorData,
     (:func:`~loccat.replacement.positions`), which every section reads.
     """
     setting = prepare(f, limits)
-    if choice is not None:
-        choice = {y: SReplacement(rep.target, rep.source, setting.rs_tgt.index[rep.q])
-                  for y, rep in choice.items()}
     mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt)
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",
@@ -501,16 +483,15 @@ def verify_approximation(f: FunctorData,
 
     # the canonical lift sends X' to its trivial triple (F X', X', 1)
     lift = canonical_lift(rc)
-    trivial_idx = {x: rc.object_index(lift.object_map[x])
-                   for x in src_cat.objects}
+    trivial_idx = {x: rc.object_index(name) for x, name in lift.object_map.items()}
 
     # alpha: chosen replacement of F X' compared with the trivial one
     p_src, p_tgt = lc_src.presentation, lc_tgt.presentation
-    alpha, alpha_rows, alpha_iso = _components(
-        lc_src, src_cat.objects,
-        lambda x: _value(setting, chosen[f.object_map[x]], trivial_idx[x], ""))
-    alpha_squares, alpha_natural = _squares(
-        lc_src, _generators(p_src), through(lc_src, gz_f, induced), alpha)
+    alpha = {x: _value(setting, chosen[f.object_map[x]], trivial_idx[x], "")
+             for x in src_cat.objects}
+    alpha_rows, alpha_iso = _rows(lc_src, alpha)
+    alpha_squares, alpha_natural = squares(
+        lc_src.rs, _generators(p_src), through(lc_src, gz_f, induced), alpha)
     objects_match = all(
         induced.object_map[gz_f.object_map[x]]
         == rc.triples[chosen[f.object_map[x]]].source
@@ -522,10 +503,10 @@ def verify_approximation(f: FunctorData,
 
     # beta: localised chosen denominators
     gz_f_image, induced_image = through(lc_tgt, gz_f), through(lc_src, induced)
-    beta, beta_rows, beta_iso = _components(
-        lc_tgt, tgt_cat.objects, lambda y: _loc_q(setting, chosen[y]))
-    beta_squares, beta_natural = _squares(
-        lc_tgt, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
+    beta = {y: _loc_q(setting, chosen[y]) for y in tgt_cat.objects}
+    beta_rows, beta_iso = _rows(lc_tgt, beta)
+    beta_squares, beta_natural = squares(
+        lc_tgt.rs, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
     sections.append({"name": "beta", "components": beta_rows,
                      "squares_checked": beta_squares,
                      "ok": beta_iso and beta_natural})
@@ -541,36 +522,28 @@ def verify_approximation(f: FunctorData,
 
     # canonical lift: the lift itself, its exact retraction, and the
     # comparison transformations at base and localised level
-    lift_total = through(lc_src, lift, total)
-    part_a_ok = all(lift_total(w) == lc_src.rs.compose(w) for w in _generators(src_cat)) \
+    part_a_ok = _identity_on(lc_src, src_cat, through(lc_src, lift, total)) \
         and all(total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
     rc_gens = _generators(rc.cwd.cat)
     beta_bar = {name: _loc_q(setting, i) for i, name in enumerate(rc.obj_names)}
-    part_b_ok = _invertible(lc_tgt, beta_bar.values())
-    b_squares, b_natural = _squares(
-        lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar,
-        through(lc_tgt, u))
+    b_iso, b_squares, b_natural = _comparison(
+        lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar, through(lc_tgt, u))
 
     lc_rc, gz_u = rc.localised(lc_tgt)
     gz_lift = induced_functor(lift, lc_src, lc_rc)
     beta_bar_c = {rc.obj_names[i]: lc_rc.rs.compose(rc.lift_word(t.q, trivial_idx[t.source], i))
                   for i, t in enumerate(rc.triples)}
-    part_c_ok = _invertible(lc_rc, beta_bar_c.values())
-    c_squares, c_natural = _squares(
-        lc_rc, rc_gens, through(lc_rc, total, gz_lift), beta_bar_c,
-        lc_rc.rs.compose)
+    c_iso, c_squares, c_natural = _comparison(
+        lc_rc, rc_gens, through(lc_rc, total, gz_lift), beta_bar_c, lc_rc.rs.compose)
 
     # the total functor through the localised replacement category
     lifted = partial(_value_of, setting, rc.object_index, rc.forgetful.translation)
     rf_hat = extend_to_localisation(lc_rc, lc_src, total, lifted)
     rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs)
-    lift_back = through(lc_src, gz_lift, rf_hat)
-    retraction_ok = not rf_hat_problems and all(
-        lift_back(w) == lc_src.rs.compose(w) for w in _generators(p_src))
-
-    part_b_ok = part_b_ok and b_natural
-    part_c_ok = part_c_ok and c_natural
+    retraction_ok = not rf_hat_problems and _identity_on(
+        lc_src, p_src, through(lc_src, gz_lift, rf_hat))
+    part_b_ok, part_c_ok = b_iso and b_natural, c_iso and c_natural
     sections.append({
         "name": "canonical_lift",
         "retract_exact_ok": part_a_ok,
@@ -584,13 +557,10 @@ def verify_approximation(f: FunctorData,
     # localised forgetful and section functors are mutually inverse
     gz_u = checked(gz_u, lc_rc, lc_tgt)
     gz_cr = induced_functor(c_r, lc_tgt, lc_rc)
-    cr_u = through(lc_tgt, gz_cr, gz_u)
-    pair_exact_ok = all(cr_u(w) == lc_tgt.rs.compose(w) for w in _generators(p_tgt))
-    loc_abar = {t: lc_rc.rs.compose(abar.components[t]) for t in rc.obj_names}
-    pair_iso_ok = _invertible(lc_rc, loc_abar.values())
-    pair_squares, pair_nat_ok = _squares(
-        lc_rc, _generators(lc_rc.presentation), through(lc_rc, gz_u, gz_cr),
-        loc_abar)
+    pair_exact_ok = _identity_on(lc_tgt, p_tgt, through(lc_tgt, gz_cr, gz_u))
+    loc_abar = {t: lc_rc.rs.compose(comp) for t, comp in abar.items()}
+    pair_iso_ok, pair_squares, pair_nat_ok = _comparison(
+        lc_rc, _generators(lc_rc.presentation), through(lc_rc, gz_u, gz_cr), loc_abar)
     sections.append({
         "name": "forgetful_section_pair",
         "section_then_forgetful_identity_ok": pair_exact_ok,

@@ -4,17 +4,14 @@ Multiplicativity asks that identities are denominators and that
 composable denominators compose to denominators.  Isosaturation asks
 that every isomorphism is a denominator.  Both are decided exactly on
 the materialized denominator set, which represents every denominator
-up to equality in the category.
+up to equality in the category.  :func:`squares` is the one naturality
+check, for the section's comparison and for every transformation the
+verifier recomputes.
 """
 
 from __future__ import annotations
 
-from .presentation import (
-    CatWithDenoms,
-    FunctorData,
-    PathWord,
-    TransformationData,
-)
+from .presentation import CatWithDenoms, FunctorData, PathWord
 from .rewrite import (
     RewriteSystem,
     denominators,
@@ -142,27 +139,20 @@ def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
     return True, None
 
 
-def check_transformation(t: TransformationData,
-                         rs_tgt: RewriteSystem) -> list[dict]:
-    """Naturality of ``t`` on every source generator, on codes."""
-    problems: list[dict] = []
-    src_cat = t.frm.source.cat
-    for x in src_cat.objects:
-        if x not in t.components:
-            problems.append({"kind": "component-missing", "object": x})
-            continue
-        got = list(t.components[x][:2])
-        want = [t.frm.object_map[x], t.to.object_map[x]]
-        if got != want:
-            problems.append({"kind": "component-endpoints", "object": x,
-                             "expected": want, "got": got})
-    if problems:
-        return problems
-    for g in src_cat.generators:
-        lhs = rs_tgt.compose(t.frm.images[g.name], t.components[g.dst])
-        rhs = rs_tgt.compose(t.components[g.src], t.to.images[g.name])
-        if not equal_encoded(rs_tgt, lhs[2], rhs[2]):
-            problems.append({"kind": "naturality-fails", "generator": g.name,
-                             "lhs": word_json(rs_tgt.decode(lhs)),
-                             "rhs": word_json(rs_tgt.decode(rhs))})
-    return problems
+def squares(rs: RewriteSystem, ws, frm, comps: dict[str, tuple],
+            to=None) -> tuple[int, bool]:
+    """Naturality of ``comps`` from ``frm`` to ``to`` on each encoded word.
+
+    The square at ``w`` is ``frm(w) . comps[dst w] = comps[src w] . to(w)``
+    in ``rs``; ``to`` defaults to the identity.  It commutes when both
+    sides have the same endpoints and :func:`~loccat.rewrite.equal_encoded`
+    finds their codes equal, so sides with different normal forms on a
+    ``bounded-incomplete`` system raise :class:`LimitExceeded`.  Returns
+    the squares checked and whether all commute; each is evaluated.
+    """
+    commute = []
+    for w in ws:
+        lhs = rs.compose(frm(w), comps[w[1]])
+        rhs = rs.compose(comps[w[0]], w if to is None else to(w))
+        commute.append(lhs[:2] == rhs[:2] and equal_encoded(rs, lhs[2], rhs[2]))
+    return len(commute), all(commute)

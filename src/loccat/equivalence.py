@@ -27,6 +27,7 @@ and fills its witnesses print.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
@@ -54,17 +55,14 @@ from .rewrite import (
 )
 
 
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "check verdict witness bounds_used "
+                                           "decidability_status details")):
     """Outcome of a decidable check with provenance of the bounds used."""
 
-    def __init__(self, check: str, verdict: bool, witness: dict | None,
-                 bounds_used: dict, decidability_status: str, details: dict):
-        self.check, self.verdict, self.witness = check, verdict, witness
-        self.bounds_used, self.decidability_status = bounds_used, decidability_status
-        self.details = details
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 class GzSetting:

@@ -184,7 +184,8 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
 
 
 def through(lc: LocalisedCategory, *functors: FunctorData):
-    """An encoded word sent through ``functors`` in turn, normalised in ``lc``."""
+    """An encoded word sent through ``functors`` in turn, normalised in
+    ``lc.rs``; ``lc`` may also be a replacement category."""
     functor = reduce(FunctorData.then, functors)
     omap, table, nf = functor.object_map, functor.translation, lc.rs.index.__getitem__
     return lambda w: (omap[w[0]], omap[w[1]], nf(w[2].translate(table)))

@@ -207,14 +207,6 @@ class FunctorData:
         )
 
 
-class TransformationData:
-    """A transformation between parallel functors, one encoded component per object."""
-
-    def __init__(self, frm: FunctorData, to: FunctorData,
-                 components: dict[str, tuple[str, str, str]]):
-        self.frm, self.to, self.components = frm, to, components
-
-
 def validate_presentation(p: CatPresentation) -> list[dict]:
     """The structural violations among the objects and generators of ``p``,
     empty when well formed; the loaders check relation and denominator

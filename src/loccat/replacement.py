@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .axioms import check_transformation
+from .axioms import squares
 from .gz import LocalisedCategory, extend_to_localisation, extension, fresh_name, through
 from .presentation import (
     CatPresentation,
@@ -38,7 +38,6 @@ from .presentation import (
     FunctorData,
     GenArrow,
     PreconditionError,
-    TransformationData,
     ValidationError,
     identity_functor,
 )
@@ -239,8 +238,9 @@ def auto_choice(rc: ReplacementCategory) -> dict[str, int]:
 
 
 def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, int]:
-    """The position of each object's chosen triple; :class:`ValidationError`
-    at the first object, in ``choice`` order, not given one of its triples."""
+    """The position of each object's chosen triple, its ``q`` the code of any
+    target word, normalised here; :class:`ValidationError` at the first
+    object, in ``choice`` order, not given one of its triples."""
     if sorted(choice) != sorted(rc.functor.target.cat.objects):
         raise ValidationError(
             "choice must assign exactly one replacement to every object")
@@ -248,21 +248,23 @@ def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, i
     for y, rep in choice.items():
         if rep.target != y:
             raise ValidationError(f"choice for {y!r} replaces {rep.target!r}")
-        found[y] = rc.position(y, rep.source, rep.q)
+        found[y] = rc.position(y, rep.source, rc.rs_tgt.index[rep.q])
         if found[y] is None:
             raise ValidationError(f"choice for {y!r} is not a valid replacement triple")
     return found
 
 
 def structure_choice_functor(rc: ReplacementCategory, chosen: dict[str, int]
-                             ) -> tuple[FunctorData, TransformationData]:
+                             ) -> tuple[FunctorData, dict[str, tuple]]:
     """The section of the forgetful functor picking the triples at ``chosen``.
 
     Returns the functor ``C_R`` from the target category into the
-    replacement category, together with the comparison transformation
-    from ``C_R`` after the forgetful functor to the identity, whose
-    components are lifted identities.  The forgetful functor after
-    ``C_R`` is the identity of the target on the nose, checked here.
+    replacement category, together with the encoded components, by
+    object, of the comparison transformation from ``C_R`` after the
+    forgetful functor to the identity: lifted identities, natural on
+    every generator (:func:`~loccat.axioms.squares`).  The forgetful
+    functor after ``C_R`` is the identity of the target on the nose.
+    Both are checked here.
     """
     tgt_cat = rc.functor.target.cat
     c_r = FunctorData(
@@ -276,13 +278,12 @@ def structure_choice_functor(rc: ReplacementCategory, chosen: dict[str, int]
 
     components = {rc.obj_names[i]: rc.lift_word("", chosen[t.target], i)
                   for i, t in enumerate(rc.triples)}
-    abar = TransformationData(frm=rc.forgetful.then(c_r), to=identity_functor(rc.cwd),
-                              components=components)
-    problems = check_transformation(abar, rc.rs)
-    if problems:
-        raise ConstructionError(
-            f"choice comparison transformation not natural: {problems[0]}")
-    return c_r, abar
+    code = rc.cwd.cat.codec[0]
+    _, natural = squares(rc.rs, [(g.src, g.dst, code[g.name]) for g in rc.cwd.cat.generators],
+                         through(rc, rc.forgetful, c_r), components)
+    if not natural:
+        raise ConstructionError("choice comparison transformation not natural")
+    return c_r, components
 
 
 def canonical_lift(rc: ReplacementCategory) -> FunctorData:
@@ -308,10 +309,8 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
                                      trivial_idx[g.src], trivial_idx[g.dst])
                 for g in src_cat.generators})
     round_trip = lift.then(rc.forgetful)
-    for x in src_cat.objects:
-        if round_trip.object_map[x] != f.object_map[x]:
-            raise ConstructionError(f"forgetful after canonical lift moves object {x!r}")
-    for g in src_cat.generators:
-        if not equal_encoded(rs_tgt, round_trip.images[g.name][2], f.images[g.name][2]):
-            raise ConstructionError("forgetful after canonical lift differs from the functor")
+    if not (all(round_trip.object_map[x] == f.object_map[x] for x in src_cat.objects)
+            and all(equal_encoded(rs_tgt, round_trip.images[g.name][2], f.images[g.name][2])
+                    for g in src_cat.generators)):
+        raise ConstructionError("forgetful after canonical lift differs from the functor")
     return lift

@@ -1,9 +1,12 @@
-"""Multiplicativity, isosaturation, functor and transformation validation."""
+"""Multiplicativity, isosaturation, functor validation and naturality."""
+
+import pytest
 
 import corpus
-from loccat import (FunctorData, TransformationData, check_isosaturated,
-                    check_multiplicative, check_reflects_denominators,
-                    check_transformation, validate_functor)
+from loccat import (DEFAULT_LIMITS, FunctorData, LimitExceeded, ValidationError,
+                    check_isosaturated, check_multiplicative,
+                    check_reflects_denominators, complete, squares,
+                    validate_functor)
 
 
 class TestMultiplicative:
@@ -134,26 +137,37 @@ class TestReflectsDenominators:
         assert witness["kind"] == "denominator-not-reflected"
 
 
+def image(f):
+    """``f`` on encoded words, unnormalised."""
+    omap, table = f.object_map, f.translation
+    return lambda w: (omap[w[0]], omap[w[1]], w[2].translate(table))
+
+
+def generators(c):
+    """The encoded one-letter words of the generators of ``c``."""
+    code = c.cat.codec[0]
+    return [(g.src, g.dst, code[g.name]) for g in c.cat.generators]
+
+
 class TestTransformation:
     def test_natural_transformation_accepted(self):
         # identity transformation on the E7 functor
         f = corpus.fun("E7")
         tgt = f.target.cat
-        t = TransformationData(
-            frm=f, to=f,
-            components={"x0": tgt.encode(tgt.identity("tl")),
-                        "x1": tgt.encode(tgt.identity("tr"))})
-        assert check_transformation(t, corpus.setting("E7").rs_tgt) == []
+        components = {"x0": tgt.encode(tgt.identity("tl")),
+                      "x1": tgt.encode(tgt.identity("tr"))}
+        assert squares(corpus.setting("E7").rs_tgt, generators(f.source), image(f),
+                       components, image(f)) == (1, True)
 
     def test_component_endpoints_checked(self):
+        # the component at x0 sits at bl, where no image of f starts
         f = corpus.fun("E7")
         tgt = f.target.cat
-        t = TransformationData(
-            frm=f, to=f,
-            components={"x0": tgt.encode(tgt.identity("bl")),
-                        "x1": tgt.encode(tgt.identity("tr"))})
-        problems = check_transformation(t, corpus.setting("E7").rs_tgt)
-        assert any(p["kind"] == "component-endpoints" for p in problems)
+        components = {"x0": tgt.encode(tgt.identity("bl")),
+                      "x1": tgt.encode(tgt.identity("tr"))}
+        with pytest.raises(ValidationError):
+            squares(corpus.setting("E7").rs_tgt, generators(f.source), image(f),
+                    components, image(f))
 
     def test_unnatural_components_rejected(self):
         # two embeddings of the free arrow into the parallel pair disagree:
@@ -165,9 +179,22 @@ class TestTransformation:
                                     object_map={"a": "X0", "b": "X1"},
                                     images={"u": pair.cat.encode(pair.cat.word([g]))})
                         for g in ("f1", "f2"))
-        t = TransformationData(
-            frm=pick1, to=pick2,
-            components={"a": pair.cat.encode(pair.cat.identity("X0")),
-                        "b": pair.cat.encode(pair.cat.identity("X1"))})
-        problems = check_transformation(t, corpus.rs("E3C"))
-        assert any(p["kind"] == "naturality-fails" for p in problems)
+        components = {"a": pair.cat.encode(pair.cat.identity("X0")),
+                      "b": pair.cat.encode(pair.cat.identity("X1"))}
+        assert squares(corpus.rs("E3C"), generators(arrow), image(pick1),
+                       components, image(pick2)) == (1, False)
+
+    def test_distinct_normal_forms_are_undecided_when_incomplete(self):
+        # in E5, d·d = 1, so d·d·d = d; with no rule completed, the normal
+        # forms of the two sides differ, which proves nothing
+        c = corpus.cat("E5").cat
+        d, identity = c.encode(c.word(["d"])), {"•": c.encode(c.identity("•"))}
+
+        def cubed(w):
+            return w[0], w[1], w[2] * 3
+
+        assert squares(corpus.rs("E5"), [d], cubed, identity) == (1, True)
+        truncated = complete(c, DEFAULT_LIMITS._replace(max_rules=0))
+        assert not truncated.is_complete
+        with pytest.raises(LimitExceeded):
+            squares(truncated, [d], cubed, identity)

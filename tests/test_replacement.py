@@ -245,7 +245,7 @@ class TestStructureChoiceFunctor:
     def test_section_roundtrip_identity(self):
         for name in ("E2", "E5", "E7", "E7b"):
             _, rc = rc_for(name)
-            c_r, abar = structure_choice_functor(rc, auto_choice(rc))
+            c_r, _ = structure_choice_functor(rc, auto_choice(rc))
             u = rc.forgetful
             round_trip = c_r.then(u)
             tgt = rc.functor.target.cat
@@ -255,11 +255,12 @@ class TestStructureChoiceFunctor:
 
     def test_comparison_components_are_lifted_identities(self):
         _, rc = rc_for("E7b")
-        _, abar = structure_choice_functor(rc, auto_choice(rc))
+        _, components = structure_choice_functor(rc, auto_choice(rc))
+        assert list(components) == list(rc.obj_names)
         # the component at the chosen triple is the genuine identity
-        assert rc.rs.decode(abar.components["(bl|x0|v_left)"]).letters == ()
+        assert rc.rs.decode(components["(bl|x0|v_left)"]).letters == ()
         # at the parallel triple it is the identity lift between the two
-        assert rc.rs.decode(abar.components["(bl|x0|v_left2)"]).letters == ("1@2-3",)
+        assert rc.rs.decode(components["(bl|x0|v_left2)"]).letters == ("1@2-3",)
 
 
 class TestCanonicalLift:
