@@ -400,9 +400,6 @@ class ApproximationReport(namedtuple("ApproximationReport",
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def verify_approximation(f: FunctorData,
                          limits: ResourceLimits = DEFAULT_LIMITS,

@@ -30,6 +30,7 @@ from .axioms import (
 )
 from .equivalence import (
     CheckReport,
+    check_report,
     check_s_dense,
     check_s_equivalence,
     check_s_faithful,
@@ -41,6 +42,7 @@ from .gz import localise, zigzag_view
 from .presentation import (
     ConstructionError,
     LimitExceeded,
+    LoccatError,
     PreconditionError,
     ValidationError,
 )
@@ -66,26 +68,28 @@ PROFILES = {
     "large": ResourceLimits(max_word_len=32, max_rules=2048, max_homset=8192),
 }
 
-CATEGORY_CHECKS = ("multiplicative", "isosaturated", "axioms")
-FUNCTOR_CHECKS = ("s-dense", "s-full", "s-faithful", "s-equivalence",
-                  "reflects-denominators")
+# Each error a command may raise: its report's kind, the exit code, and
+# the attributes it adds to the report besides its message.
+ERRORS = {
+    ParseError: ("parse", EXIT_PARSE, ()),
+    PreconditionError: ("precondition", EXIT_INVALID, ("witness",)),
+    ValidationError: ("validation", EXIT_INVALID, ()),
+    ConstructionError: ("construction", EXIT_INVALID, ()),
+    LimitExceeded: ("undecided", EXIT_UNDECIDED, ("bound",)),
+}
 
 
 def _limits_from(args: SimpleNamespace) -> ResourceLimits:
+    """The profile's limits, each ``max_X`` replaced by ``--limits-X`` if set."""
     profile_name = os.environ.get("LOCCAT_LIMITS_PROFILE", "default")
     profile = PROFILES.get(profile_name)
     if profile is None:
         raise ValidationError(
             f"unknown LOCCAT_LIMITS_PROFILE {profile_name!r}; "
             f"expected one of {sorted(PROFILES)}")
-    return ResourceLimits(
-        max_word_len=args.limits_word_len if args.limits_word_len is not None
-        else profile.max_word_len,
-        max_rules=args.limits_rules if args.limits_rules is not None
-        else profile.max_rules,
-        max_homset=args.limits_homset if args.limits_homset is not None
-        else profile.max_homset,
-    )
+    flags = {field: getattr(args, "limits" + field[len("max"):])
+             for field in ResourceLimits._fields}
+    return profile._replace(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _flatten(obj: object, path: str, out: list[str]):
@@ -196,67 +200,66 @@ def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int
     return {"result": result}, EXIT_OK
 
 
+# called through this module's globals, which bench/tracer.py rebinds
+AXIOMS = {"multiplicative": lambda cwd, rs: check_multiplicative(cwd, rs),
+          "isosaturated": lambda cwd, rs: check_isosaturated(cwd, rs)}
+REFLECTS = "reflects-denominators"
+
+# Each check by name: the kind of file it reads and what it runs.  A
+# category check runs axioms on the completed category, in order, and
+# reports the first witness found; run on all of AXIOMS, it also reports
+# each verdict in its details.  A functor check maps the prepared
+# setting to its report.
+CHECKS = {
+    **{name: ("category", {name: axiom}) for name, axiom in AXIOMS.items()},
+    "axioms": ("category", AXIOMS),
+    "s-dense": ("functor", check_s_dense),
+    "s-full": ("functor", check_s_full),
+    "s-faithful": ("functor", check_s_faithful),
+    "s-equivalence": ("functor", check_s_equivalence),
+    REFLECTS: ("functor", lambda setting: check_report(
+        setting, REFLECTS, *check_reflects_denominators(
+            setting.f, setting.rs_src, setting.rs_tgt), {})),
+}
+
+
 def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     kind, data = _read(args.path)
-    which = args.which
-    wanted = "category" if which in CATEGORY_CHECKS else "functor"
+    wanted, run = CHECKS[args.which]
     if kind != wanted:
-        raise ValidationError(f"check {which!r} expects a {wanted} file")
-
-    if kind == "category":
+        raise ValidationError(f"check {args.which!r} expects a {wanted} file")
+    if kind == "functor":
+        report = run(prepare(load_functor(args.path, data), limits))
+    else:
         cwd = load_cat(args.path, data)
         rs = complete(cwd.cat, limits)
-        details: dict = {}
-        if which == "multiplicative":
-            verdict, witness = check_multiplicative(cwd, rs)
-        elif which == "isosaturated":
-            verdict, witness = check_isosaturated(cwd, rs)
-        else:
-            mult, w_mult = check_multiplicative(cwd, rs)
-            iso, w_iso = check_isosaturated(cwd, rs)
-            verdict = mult and iso
-            witness = w_mult if w_mult is not None else w_iso
-            details = {"multiplicative": mult, "isosaturated": iso}
-        report = CheckReport(which, verdict, witness, limits._asdict(),
-                             rs.status, details).to_json()
-    else:
-        f = load_functor(args.path, data)
-        setting = prepare(f, limits)
-        if which == "reflects-denominators":
-            verdict, witness = check_reflects_denominators(
-                f, setting.rs_src, setting.rs_tgt)
-            report = CheckReport(which, verdict, witness, limits._asdict(),
-                                 setting.decidability_status, {}).to_json()
-        else:
-            checker = {"s-dense": check_s_dense, "s-full": check_s_full,
-                       "s-faithful": check_s_faithful,
-                       "s-equivalence": check_s_equivalence}[which]
-            report = checker(setting).to_json()
-    return {"result": report}, EXIT_OK if report["verdict"] else EXIT_FALSE
+        found = {name: axiom(cwd, rs) for name, axiom in run.items()}
+        verdicts = {name: verdict for name, (verdict, _) in found.items()}
+        witness = next((w for _, w in found.values() if w is not None), None)
+        report = CheckReport(args.which, all(verdicts.values()), witness,
+                             limits._asdict(), rs.status,
+                             verdicts if len(verdicts) > 1 else {})
+    return {"result": report._asdict()}, EXIT_OK if report.verdict else EXIT_FALSE
 
 
 def cmd_verify_approximation(args: SimpleNamespace,
                              limits: ResourceLimits) -> tuple[dict, int]:
     f = load_functor(args.path)
-    choice = None
-    sel = args.choice or ["auto"]
-    if len(sel) == 2 and sel[0] == "from-file":
-        choice = load_choice(sel[1], f)
-    elif sel != ["auto"]:
-        raise ValidationError(
-            "--choice expects 'auto' or 'from-file <path>'")
+    choice = None if args.choice in (None, ["auto"]) else load_choice(args.choice[1], f)
     report = verify_approximation(
         f, limits, choice=choice,
         experimental_no_mult=args.experimental_no_mult)
-    return {"result": report.to_json()}, EXIT_OK if report.ok else EXIT_FALSE
+    return {"result": report._asdict()}, EXIT_OK if report.ok else EXIT_FALSE
 
 
 # The command-line grammar.  Each command lists its positionals and its
 # options in order; every command also takes COMMON_OPTIONS.  A spec may
 # give "type" ("bound", a non-negative integer; "flag", no value;
-# "words", one or more values; default one string), "choices",
-# "required", "default", "metavar" and "help".  A positional's field is
-# its name, an option's field its flag without dashes, "-" read as "_".
+# "words", one or more values; default one string), "choices", "forms"
+# (the first words a "words" option accepts, each with the number of
+# words it takes), "required", "default", "metavar" and "help".  A
+# positional's field is its name, an option's field its flag without
+# dashes, "-" read as "_".
 COMMON_OPTIONS = {
     "--limits-word-len": {"type": "bound", "metavar": "N",
                           "help": "maximum normal form length"},
@@ -298,7 +301,7 @@ GRAMMAR = {
         "help": "run a named decidable check",
         "run": cmd_check,
         "positionals": {
-            "which": {"choices": CATEGORY_CHECKS + FUNCTOR_CHECKS},
+            "which": {"choices": tuple(CHECKS)},
             "path": {},
         },
         "options": {},
@@ -309,6 +312,7 @@ GRAMMAR = {
         "positionals": {"path": {}},
         "options": {
             "--choice": {"type": "words", "metavar": "auto | from-file PATH",
+                         "forms": {"auto": 1, "from-file": 2},
                          "help": "the choice of replacements (default auto)"},
             "--experimental-no-mult": {
                 "type": "flag", "help": "skip the multiplicativity gate"},
@@ -332,8 +336,7 @@ def _shape(name: str, spec: dict) -> str:
     if name.startswith("--"):
         if kind == "flag":
             return name
-        meta = spec.get("metavar") or "|".join(spec.get("choices", ()))
-        return f"{name} {meta or name[2:].upper()}"
+        return f"{name} {spec.get('metavar') or '|'.join(spec['choices'])}"
     meta = "|".join(spec["choices"]) if "choices" in spec else name.upper()
     return f"{meta}..." if kind == "words" else meta
 
@@ -389,6 +392,10 @@ def _convert(command: str, name: str, spec: dict, texts: list[str]):
                                   f"{', '.join(spec['choices'])})")
     kind = spec.get("type")
     if kind == "words":
+        forms = spec.get("forms")
+        if forms and forms.get(texts[0]) != len(texts):
+            _usage_error(command, f"argument {name}: expected "
+                                  f"{spec['metavar']}, got {' '.join(texts)!r}")
         return texts
     text, = texts
     if kind == "bound":
@@ -465,30 +472,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    fmt = args.format
-    command = args.command
     limits = PROFILES["default"]
     try:
         limits = _limits_from(args)
-        payload, code = GRAMMAR[command]["run"](args, limits)
-    except ParseError as e:
-        payload = {"error": {"kind": "parse", "message": str(e)}}
-        code = EXIT_PARSE
-    except PreconditionError as e:
-        payload = {"error": {"kind": "precondition", "message": str(e),
-                             "witness": e.witness}}
-        code = EXIT_INVALID
-    except ValidationError as e:
-        payload = {"error": {"kind": "validation", "message": str(e)}}
-        code = EXIT_INVALID
-    except ConstructionError as e:
-        payload = {"error": {"kind": "construction", "message": str(e)}}
-        code = EXIT_INVALID
-    except LimitExceeded as e:
-        payload = {"error": {"kind": "undecided", "bound": e.bound,
-                             "message": str(e)}}
-        code = EXIT_UNDECIDED
-    sys.stdout.write(_emit(command, limits, fmt, payload))
+        payload, code = GRAMMAR[args.command]["run"](args, limits)
+    except LoccatError as e:
+        kind, code, extra = ERRORS[type(e)]
+        payload = {"error": {"kind": kind, "message": str(e),
+                             **{name: getattr(e, name) for name in extra}}}
+    sys.stdout.write(_emit(args.command, limits, args.format, payload))
     return code
 
 

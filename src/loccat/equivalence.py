@@ -61,9 +61,6 @@ class CheckReport(namedtuple("CheckReport", "check verdict witness bounds_used "
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 class GzSetting:
     """Completed and localised data for one functor, built once.
@@ -181,8 +178,8 @@ def _arrow_json(setting: GzSetting, arrow: tuple) -> dict:
             "b": word_json(decode((omap[x_prime], y, b)))}
 
 
-def _report(setting: GzSetting, check: str, verdict: bool,
-            witness: dict | None, details: dict) -> CheckReport:
+def check_report(setting: GzSetting, check: str, verdict: bool,
+                 witness: dict | None, details: dict) -> CheckReport:
     """A report under the limits and status of ``setting``'s systems."""
     return CheckReport(check, verdict, witness, setting.rs_src.limits._asdict(),
                        setting.decidability_status, details)
@@ -191,8 +188,8 @@ def _report(setting: GzSetting, check: str, verdict: bool,
 def check_s_dense(setting: GzSetting) -> CheckReport:
     """Does every target object admit a replacement along the functor?"""
     ok, witness = has_enough(setting.replacements)
-    return _report(setting, "s-dense", ok, witness,
-                   {"objects_checked": len(setting.f.target.cat.objects)})
+    return check_report(setting, "s-dense", ok, witness,
+                        {"objects_checked": len(setting.f.target.cat.objects)})
 
 
 def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
@@ -217,15 +214,15 @@ def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
 def check_s_full(setting: GzSetting) -> CheckReport:
     """Does every 2-arrow admit a fill?"""
     no_fill, _, count = setting.fill_survey
-    return _report(setting, "s-full", no_fill is None, no_fill,
-                   {"arrows_checked": count})
+    return check_report(setting, "s-full", no_fill is None, no_fill,
+                        {"arrows_checked": count})
 
 
 def check_s_faithful(setting: GzSetting) -> CheckReport:
     """Does every 2-arrow admit at most one fill?"""
     _, ambiguous, count = setting.fill_survey
-    return _report(setting, "s-faithful", ambiguous is None, ambiguous,
-                   {"arrows_checked": count})
+    return check_report(setting, "s-faithful", ambiguous is None, ambiguous,
+                        {"arrows_checked": count})
 
 
 def classical_equivalence(f: FunctorData, rs_src: RewriteSystem,
@@ -293,4 +290,4 @@ def check_s_equivalence(setting: GzSetting) -> CheckReport:
         details["s_full"] = full.verdict
         details["s_faithful"] = faithful.verdict
         details["characterisation_agrees"] = threefold == verdict
-    return _report(setting, "s-equivalence", verdict, witness, details)
+    return check_report(setting, "s-equivalence", verdict, witness, details)

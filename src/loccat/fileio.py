@@ -8,6 +8,7 @@ Shape errors (bad JSON, wrong types, missing keys) raise
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .presentation import (
@@ -27,6 +28,11 @@ class ParseError(LoccatError):
     """The input file could not be read as the expected JSON shape."""
 
 
+# the escape of a surrogate, paired or not: a file holding a lone one,
+# which no report could write out as UTF-8, is a parse error
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def read_json(path: str | Path) -> object:
     try:
         try:
@@ -34,11 +40,17 @@ def read_json(path: str | Path) -> object:
                 text = f.read()
         except OSError:  # pathlib forgives a trailing slash and names a/./x.json a/x.json
             text = Path(path).read_text(encoding="utf-8")
-        return json.loads(text)
+        data = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):  # json.loads joined each valid pair
+            json.dumps(data, ensure_ascii=False).encode("utf-8")  # raises on a lone one
+        return data
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8 text: {e}") from e
+    except UnicodeEncodeError as e:
+        raise ParseError(f"{path} holds a lone surrogate escape: "
+                         f"{e.object[e.start]!r}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
     except RecursionError as e:

@@ -107,7 +107,7 @@ def ladder(n):
 
 class TestLadderBytes:
     """Report bytes of the ladder family at the default limits: SHA-256
-    of ``json.dumps(report.to_json(), sort_keys=True)``, recorded before
+    of ``json.dumps(report._asdict(), sort_keys=True)``, recorded before
     words were encoded inside each system."""
 
     DIGESTS = [
@@ -123,7 +123,7 @@ class TestLadderBytes:
 
     @staticmethod
     def digest(report):
-        text = json.dumps(report.to_json(), sort_keys=True)
+        text = json.dumps(report._asdict(), sort_keys=True)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @pytest.mark.parametrize("n,verify,s_equivalence", DIGESTS,
@@ -403,8 +403,8 @@ class TestVerifyApproximation:
         import json
         r1 = verify_approximation(corpus.fun("E7"), DEFAULT_LIMITS)
         r2 = verify_approximation(corpus.fun("E7"), DEFAULT_LIMITS)
-        assert json.dumps(r1.to_json(), sort_keys=True) == \
-            json.dumps(r2.to_json(), sort_keys=True)
+        assert json.dumps(r1._asdict(), sort_keys=True) == \
+            json.dumps(r2._asdict(), sort_keys=True)
 
 
 class TestPreconditions:

@@ -321,6 +321,34 @@ class TestVerifyApproximation:
         assert code == 2
         assert rep["error"]["witness"]["kind"] == "object-without-replacement"
 
+    def test_experimental_flag_cannot_make_a_run_succeed(self, capsys, tmp_path):
+        # d: a -> b and e: b -> c are denominators but d.e is not, so the
+        # identity functor fails the gate; past it every later section
+        # holds, yet the run fails on the multiplicativity verdict
+        (tmp_path / "chain.cat.json").write_text(json.dumps({
+            "objects": ["a", "b", "c"],
+            "generators": [{"name": "d", "src": "a", "dst": "b"},
+                           {"name": "e", "src": "b", "dst": "c"}],
+            "relations": [],
+            "denominators": {"words": [["d"], ["e"]], "include_identities": True,
+                             "close_under_composition": False}}))
+        fun = tmp_path / "chain.fun.json"
+        fun.write_text(json.dumps({
+            "source": "chain.cat.json", "target": "chain.cat.json",
+            "object_map": {"a": "a", "b": "b", "c": "c"},
+            "generator_map": {"d": ["d"], "e": ["e"]}}))
+        code, rep = run_json(capsys, "verify-approximation", str(fun))
+        assert code == 2
+        assert rep["error"]["kind"] == "precondition"
+        assert rep["error"]["witness"]["kind"] == "composite-not-denominator"
+        code, rep = run_json(capsys, "verify-approximation", str(fun),
+                             "--experimental-no-mult")
+        assert code == 1
+        assert rep["result"]["ok"] is False
+        sections = {s["name"]: s["ok"] for s in rep["result"]["sections"]}
+        assert sections.pop("preconditions") is False
+        assert len(sections) == 11 and all(sections.values())
+
     def test_missing_trivial_triple_is_a_report(self, capsys, tmp_path):
         # d and s are mutually inverse denominators but no identity is
         # one, so no (F x, x, 1) is a replacement for the canonical lift
@@ -403,6 +431,58 @@ class TestVerifyApproximation:
         rc = prepare(f).rc
         assert len(rc.triples) == 2
         assert len(set(rc.obj_names)) == 2
+
+
+E7_FUNCTOR = {"source": corpus.cat_path("E7C"), "target": corpus.cat_path("E7D"),
+              "object_map": {"x0": "tl", "x1": "tr"}, "generator_map": {"f": ["h_top"]}}
+ONE_OBJECT = {"objects": ["a"], "generators": [], "relations": [],
+              "denominators": {"words": [], "include_identities": True,
+                               "close_under_composition": True}}
+# E7 with x1 sent to tl, where h_top does not end
+E7_INVALID = dict(E7_FUNCTOR, object_map={"x0": "tl", "x1": "tl"})
+INVALID_F = ("invalid functor: [{'kind': 'generator-image-endpoints', 'generator': "
+             "'f', 'expected': ['tl', 'tl'], 'got': ['tl', 'tr']}]")
+E7_UNKNOWN = dict(E7_FUNCTOR, generator_map={"f": ["h_top"], "g": []})
+# F x0 is tl, not tr
+EMPTY_Q = {"tr": {"x": "x0", "q": []}}
+NAMELESS_OBJECT = dict(ONE_OBJECT, objects=["a", ""])
+NAMELESS_GENERATOR = dict(ONE_OBJECT, generators=[{"name": "", "src": "a",
+                                                    "dst": "a"}])
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    ({"F.json": E7_INVALID}, ["check", "s-full", "F.json"], INVALID_F),
+    ({"F.json": E7_INVALID}, ["verify-approximation", "F.json"], INVALID_F),
+    ({"F.json": E7_UNKNOWN}, ["check", "s-dense", "F.json"],
+     "F.json: generator_map names unknown generator 'g'"),
+    ({"F.json": E7_FUNCTOR, "C.json": EMPTY_Q},
+     ["verify-approximation", "F.json", "--choice", "from-file", "C.json"],
+     "C.json: empty q for 'tr' needs F x == 'tr'"),
+    ({"C.json": NAMELESS_OBJECT}, ["validate", "C.json"],
+     "C.json: [{'kind': 'empty-object-name'}]"),
+    ({"C.json": NAMELESS_OBJECT}, ["localise", "C.json"],
+     "C.json: [{'kind': 'empty-object-name'}]"),
+    ({"C.json": NAMELESS_GENERATOR}, ["validate", "C.json"],
+     "C.json: [{'kind': 'empty-generator-name'}]"),
+    ({"C.json": NAMELESS_GENERATOR}, ["localise", "C.json"],
+     "C.json: [{'kind': 'empty-generator-name'}]"),
+], ids=["invalid-functor-check", "invalid-functor-verify", "unknown-generator",
+        "empty-q", "empty-object-validate", "empty-object-localise",
+        "empty-generator-validate", "empty-generator-localise"])
+def test_validation_error_report(capsys, tmp_path, monkeypatch, files, argv,
+                                 message):
+    # exit 2 with the message as validate's problem, or as a validation error
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code, rep = run_json(capsys, *argv)
+    assert code == 2
+    if argv[0] == "validate":
+        assert rep["result"]["files"] == [{
+            "path": argv[1], "kind": "category", "ok": False,
+            "problems": [{"kind": "invalid", "detail": message}]}]
+    else:
+        assert rep["error"] == {"kind": "validation", "message": message}
 
 
 class TestDeterminism:
@@ -713,6 +793,12 @@ USAGE_ERRORS = {
     "unknown format": ["localise", E5_CAT, "--format", "xml"],
     "validate without a path": ["validate"],
     "--choice without a value": ["verify-approximation", E6_FUN, "--choice"],
+    "unknown --choice": ["verify-approximation", E6_FUN, "--choice", "bogus"],
+    "from-file without a path": ["verify-approximation", E6_FUN, "--choice",
+                                 "from-file"],
+    "unknown --choice, missing functor": [
+        "verify-approximation", str(corpus.FIXTURES / "missing.fun.json"),
+        "--choice", "bogus"],
     "value on a flag": ["homset", E5_CAT, "--src", "•", "--dst", "•",
                         "--localised=yes"],
     "extra positional": ["localise", E5_CAT, E5_CAT],

@@ -173,6 +173,35 @@ class TestMalformedText:
         assert error == {"kind": "parse", "message": message.format(path=path)}
 
 
+    @pytest.mark.parametrize("escape,char", [
+        ("\\ud800", "\ud800"), ("\\udc80", "\udc80"), ("\\uDBFF", "\udbff")],
+        ids=["high", "low", "upper-case"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "FILE"], ["localise", "FILE"],
+        ["homset", "FILE", "--src", "a", "--dst", "a"],
+    ], ids=["validate", "localise", "homset"])
+    def test_lone_surrogate_is_a_parse_error(self, capsys, tmp_path, argv, escape,
+                                             char):
+        # no report could write the name out as UTF-8
+        path = tmp_path / "lone.cat.json"
+        path.write_text(json.dumps(dict(GOOD_CAT, objects=["a", "b", "x"]))
+                        .replace('"x"', f'"{escape}"'), encoding="ascii")
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 3
+        out = capsys.readouterr().out
+        out.encode("utf-8")
+        assert json.loads(out)["error"] == {
+            "kind": "parse",
+            "message": f"{path} holds a lone surrogate escape: {char!r}"}
+
+    def test_surrogate_pair_is_one_character(self, capsys, tmp_path):
+        path = write(tmp_path, "pair.cat.json", json.dumps(
+            dict(GOOD_CAT, objects=["a", "b", "x"])).replace('"x"', '"\\ud83d\\ude00"'))
+        assert load_cat(path).cat.objects == ("a", "b", "\U0001f600")
+        assert main(["localise", path]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["result"]["base"]["objects"] == ["a", "b", "\U0001f600"]
+
+
 class TestLoadFunctor:
     def test_paths_resolve_relative_to_functor_file(self, tmp_path):
         sub = tmp_path / "nested"
