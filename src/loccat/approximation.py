@@ -23,7 +23,6 @@ setting alone; its values are keyed by positions in ``setting.rc``.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from itertools import product
 
 from .axioms import (
@@ -33,7 +32,7 @@ from .axioms import (
     validate_functor,
     word_json,
 )
-from .equivalence import GzSetting, prepare, solve_fill
+from .equivalence import GzSetting, prepare
 from .gz import (
     LocalisedCategory,
     checked,
@@ -43,7 +42,6 @@ from .gz import (
 )
 from .presentation import (
     CatPresentation,
-    ConstructionError,
     FunctorData,
     PreconditionError,
     ValidationError,
@@ -73,41 +71,46 @@ def total_value(setting: GzSetting, i: int, j: int, w: tuple) -> tuple:
     ``w`` is an encoded target-category word from the object under
     triple ``i`` of ``setting.rc`` to the one under triple ``j``; the
     value, an encoded word of ``setting.lc_src``, solves
-    ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.  See :func:`_value`.
+    ``loc(q_i . w) = (GZ F)(phi) . loc(q_j)``.  See
+    :meth:`~loccat.equivalence.GzSetting.value`.
     """
     triples = setting.rc.triples
     if w[:2] != (triples[i].target, triples[j].target):
         raise ValidationError(f"word from {w[0]!r} to {w[1]!r} does not run "
                               f"between the objects under triples {i} and {j}")
-    return _value(setting, i, j, w[2])
-
-
-def _value(setting: GzSetting, i: int, j: int, s: str) -> tuple[str, str, str]:
-    """:func:`total_value` of the target word encoded ``s``, encoded; found
-    once per setting and ``(i, j, s)``, later calls read the setting's table."""
-    key = (i, j, s)
-    value = setting._total_values.get(key)
-    if value is None:
-        ti, tj = setting.rc.triples[i], setting.rc.triples[j]
-        g = setting.rs_tgt.index[ti.q + s]
-        fills = solve_fill(setting, (ti.source, tj.source, tj.target, g, tj.q))
-        if len(fills) != 1:
-            raise ConstructionError(f"expected exactly one fill between triples {i} "
-                                    f"and {j}, got {len(fills)}")
-        value = setting._total_values[key] = (ti.source, tj.source, fills[0])
-    return value
-
-
-def _value_of(setting: GzSetting, at, under: dict, w: tuple):
-    """:func:`_value` of the encoded word ``w`` between the triples ``at(src)``
-    and ``at(dst)``; ``under`` maps its letters to target codes, or is ``{}``."""
-    s = setting.rs_tgt.index[w[2].translate(under)]
-    return _value(setting, at(w[0]), at(w[1]), s)
+    return setting.value(i, j, w[2])
 
 
 def _generators(p: CatPresentation) -> list[tuple[str, str, str]]:
     """The encoded one-letter words of the generators of ``p``."""
     return [(g.src, g.dst, p.codec[0][g.name]) for g in p.generators]
+
+
+def _fill_functor(setting: GzSetting, chosen: dict[str, int] | None):
+    """The total functor on ``setting.rc`` if ``chosen`` is None, else the
+    choice functor on the target, into the localised source, with its
+    value map on encoded words.
+
+    Each object goes to the source of its triple: itself in ``rc``, the
+    one at ``chosen[Y]`` for a target object ``Y``.  A word goes to the
+    unique fill between the triples at its ends
+    (:meth:`~loccat.equivalence.GzSetting.value_of`).
+    """
+    rc = setting.rc
+    if chosen is None:
+        source, at, under = rc.cwd, rc.object_index, rc.forgetful.translation
+    else:
+        source, at, under = setting.f.target, chosen.__getitem__, {}
+
+    def value(w: tuple) -> tuple[str, str, str]:
+        return setting.value_of(at, under, w)
+
+    cat = source.cat
+    functor = FunctorData(
+        source=source, target=setting.lc_src.cwd,
+        object_map={x: rc.triples[at(x)].source for x in cat.objects},
+        images={g.name: value(w) for g, w in zip(cat.generators, _generators(cat))})
+    return functor, value
 
 
 def _loc_q(setting: GzSetting, i: int) -> tuple:
@@ -203,19 +206,10 @@ def total_replacement_functor(setting: GzSetting) -> tuple[FunctorData, dict]:
     materialized words.
     """
     arrows, rc = _require_fills(setting), setting.rc
-    functor = FunctorData(
-        source=rc.cwd, target=setting.lc_src.cwd,
-        object_map={name: t.source for name, t in zip(rc.obj_names, rc.triples)},
-        images={g.name: total_value(setting, rc.object_index(g.src), rc.object_index(g.dst),
-                                    rc.forgetful.images[g.name])
-                for g in rc.cwd.cat.generators})
-
-    identities_ok = not any([_value(setting, i, i, "")[2]
-                             for i in range(len(rc.triples))])
-
+    functor, value = _fill_functor(setting, None)
+    identities_ok = not any([setting.value(i, i, "")[2] for i in range(len(rc.triples))])
     checked, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, setting.lc_src, rc.rs,
-        partial(_value_of, setting, rc.object_index, rc.forgetful.translation))
+        functor, setting.lc_src, rc.rs, value)
     report = {
         "arrows_surveyed": arrows,
         "fill_cardinality_one": True,
@@ -259,8 +253,8 @@ def verify_shortening(setting: GzSetting) -> dict:
                 if not equal_encoded(rs, g + e2, e + gt):
                     continue
                 for (i, i2), (j, j2) in product(e_long, e2_long):
-                    a = _value(setting, i, j, g)
-                    b = _value(setting, i2, j2, gt)
+                    a = setting.value(i, j, g)
+                    b = setting.value(i2, j2, gt)
                     quadruples += 1
                     if a != b and mismatch is None:
                         mismatch = {"g": word_json(rs.decode((y, y2, g))),
@@ -280,7 +274,7 @@ def verify_denominator_values(setting: GzSetting) -> dict:
     under composition.
     """
     failure, rs, rc = None, setting.lc_src.rs, setting.rc
-    lifted = partial(_value_of, setting, rc.object_index, rc.forgetful.translation)
+    _, lifted = _fill_functor(setting, None)
     closure = denominators(rc.cwd, rc.rs).closure
     for w in closure:
         value = lifted(w)
@@ -305,20 +299,14 @@ def replacement_functor(setting: GzSetting, chosen: dict[str, int]
     values, and that all comparison fills between coexisting triples
     are mutually inverse isomorphisms.
     """
-    tgt_cat, lc_src, rs, rc = setting.f.target.cat, setting.lc_src, setting.rs_tgt, setting.rc
-    functor = FunctorData(
-        source=setting.f.target, target=lc_src.cwd,
-        object_map={y: rc.triples[chosen[y]].source for y in tgt_cat.objects},
-        images={g.name: total_value(setting, chosen[g.src], chosen[g.dst], g_word)
-                for g, g_word in zip(tgt_cat.generators, _generators(tgt_cat))})
-    direct = partial(_value_of, setting, chosen.__getitem__, {})
-
+    tgt_cat, lc_src, rc = setting.f.target.cat, setting.lc_src, setting.rc
+    functor, direct = _fill_functor(setting, chosen)
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
-        functor, lc_src, rs, direct)
+        functor, lc_src, setting.rs_tgt, direct)
     denom_isos = [inverse(lc_src.rs, direct(w)) is not None for w in setting.dec_tgt.closure]
     comparisons = [
-        _mutually_inverse(lc_src, _value(setting, chosen[y], t, ""),
-                          _value(setting, t, chosen[y], ""))
+        _mutually_inverse(lc_src, setting.value(chosen[y], t, ""),
+                          setting.value(t, chosen[y], ""))
         for y in tgt_cat.objects for t in rc.triples_over(y)]
     report = {
         "letterwise_agreement_ok": agreement_ok,
@@ -341,8 +329,8 @@ def choice_independence(setting: GzSetting, first: dict[str, int],
     fwds: dict[str, tuple] = {}
     components = []
     for y in tgt_cat.objects:
-        fwd = fwds[y] = _value(setting, first[y], second[y], "")
-        bwd = _value(setting, second[y], first[y], "")
+        fwd = fwds[y] = setting.value(first[y], second[y], "")
+        bwd = setting.value(second[y], first[y], "")
         components.append({"object": y,
                            "component": word_json(lc_src.rs.decode(fwd)),
                            "inverse": word_json(lc_src.rs.decode(bwd)),
@@ -350,18 +338,17 @@ def choice_independence(setting: GzSetting, first: dict[str, int],
     iso_ok = all(row["invertible"] for row in components)
     checks, naturality_ok = squares(
         lc_src.rs, _generators(tgt_cat),
-        lambda w: _value(setting, first[w[0]], first[w[1]], w[2]),
-        fwds, lambda w: _value(setting, second[w[0]], second[w[1]], w[2]))
+        lambda w: setting.value(first[w[0]], first[w[1]], w[2]),
+        fwds, lambda w: setting.value(second[w[0]], second[w[1]], w[2]))
     return {"components": components, "isomorphism_ok": iso_ok,
             "squares_checked": checks, "naturality_ok": naturality_ok,
             "ok": iso_ok and naturality_ok}
 
 
-def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int],
-                                r_choice: FunctorData
+def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int]
                                 ) -> tuple[FunctorData, dict]:
     """The functor on the localised target induced by the choice functor
-    ``r_choice`` of the triples at ``chosen``.
+    of the triples at ``chosen``.
 
     It is the unique functor through which the choice functor factors;
     uniqueness is certified by checking the defining equation
@@ -370,7 +357,7 @@ def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int],
     """
     lc_tgt, lc_src, gz_f = setting.lc_tgt, setting.lc_src, setting.gz_f
     tgt_cat = setting.f.target.cat
-    direct = partial(_value_of, setting, chosen.__getitem__, {})
+    r_choice, direct = _fill_functor(setting, chosen)
     functor = checked(extend_to_localisation(lc_tgt, lc_src, r_choice, direct),
                       lc_tgt, lc_src)
 
@@ -378,15 +365,11 @@ def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int],
     factorization_ok = all(image(lc_tgt.rs.compose(w)) == r_image(w)
                            for w in _generators(tgt_cat))
 
-    def then_gz_f(psi):  # GZ F of the image of psi, unnormalised
-        src, dst, s = image(psi)
-        return gz_f.object_map[src], gz_f.object_map[dst], s.translate(gz_f.translation)
-
     objects = tgt_cat.objects
     pairs, description_ok = squares(
         lc_tgt.rs, ((y, y2, psi) for y in objects for y2 in objects
                  for psi in words(lc_tgt.rs, y, y2)),
-        then_gz_f, {y: _loc_q(setting, chosen[y]) for y in objects})
+        through(lc_tgt, functor, gz_f), {y: _loc_q(setting, chosen[y]) for y in objects})
     report = {"factorization_on_generators_ok": factorization_ok,
               "description_pairs_checked": pairs,
               "description_ok": description_ok,
@@ -472,10 +455,10 @@ def verify_approximation(f: FunctorData,
         "comparison_natural": True,
         "ok": not u_problems and u_reflects})
 
-    r_choice, r_report = replacement_functor(setting, chosen)
+    _, r_report = replacement_functor(setting, chosen)
     sections.append({"name": "choice_functor", **r_report})
 
-    induced, induced_report = induced_replacement_functor(setting, chosen, r_choice)
+    induced, induced_report = induced_replacement_functor(setting, chosen)
     sections.append({"name": "induced_functor", **induced_report})
 
     # the canonical lift sends X' to its trivial triple (F X', X', 1)
@@ -484,7 +467,7 @@ def verify_approximation(f: FunctorData,
 
     # alpha: chosen replacement of F X' compared with the trivial one
     p_src, p_tgt = lc_src.presentation, lc_tgt.presentation
-    alpha = {x: _value(setting, chosen[f.object_map[x]], trivial_idx[x], "")
+    alpha = {x: setting.value(chosen[f.object_map[x]], trivial_idx[x], "")
              for x in src_cat.objects}
     alpha_rows, alpha_iso = _rows(lc_src, alpha)
     alpha_squares, alpha_natural = squares(
@@ -503,7 +486,7 @@ def verify_approximation(f: FunctorData,
     beta = {y: _loc_q(setting, chosen[y]) for y in tgt_cat.objects}
     beta_rows, beta_iso = _rows(lc_tgt, beta)
     beta_squares, beta_natural = squares(
-        lc_tgt.rs, _generators(p_tgt), lambda w: gz_f_image(induced_image(w)), beta)
+        lc_tgt.rs, _generators(p_tgt), through(lc_tgt, induced, gz_f), beta)
     sections.append({"name": "beta", "components": beta_rows,
                      "squares_checked": beta_squares,
                      "ok": beta_iso and beta_natural})
@@ -535,7 +518,7 @@ def verify_approximation(f: FunctorData,
         lc_rc, rc_gens, through(lc_rc, total, gz_lift), beta_bar_c, lc_rc.rs.compose)
 
     # the total functor through the localised replacement category
-    lifted = partial(_value_of, setting, rc.object_index, rc.forgetful.translation)
+    _, lifted = _fill_functor(setting, None)
     rf_hat = extend_to_localisation(lc_rc, lc_src, total, lifted)
     rf_hat_problems = validate_functor(rf_hat, lc_rc.rs, lc_src.rs)
     retraction_ok = not rf_hat_problems and _identity_on(

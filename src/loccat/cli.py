@@ -446,8 +446,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             fields[_field(name)] = True
             continue
         texts = [inline] if eq else []
+        # one word, or as many as the form its first word names
         while not eq and i < len(rest) and not _is_option(rest[i]) and \
-                (not texts or spec.get("type") == "words"):
+                (not texts or len(texts) < spec.get("forms", {}).get(texts[0], 1)):
             texts.append(rest[i])
             i += 1
         if not texts:

@@ -18,11 +18,11 @@ under.
 
 Each :class:`GzSetting` keeps a fill table: :func:`solve_fill` solves a
 2-arrow once and answers it from the table after that, so the fill
-survey and every later value of the replacement functors share one
-solution per arrow.  A 2-arrow is the tuple ``(x, x_prime, y, g, b)``
-with ``g`` and ``b`` encoded normal forms of the target, and its fills
-are codes of the localised source: the survey decodes only the arrows
-and fills its witnesses print.
+survey and every later value of the replacement functors
+(:meth:`GzSetting.value`) share one solution per arrow.  A 2-arrow is
+the tuple ``(x, x_prime, y, g, b)`` with ``g`` and ``b`` encoded normal
+forms of the target, and its fills are codes of the localised source:
+the survey decodes only the arrows and fills its witnesses print.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import product
 
 from .axioms import check_multiplicative, validate_functor, word_json
 from .gz import LocalisedCategory, induced_functor, localise
-from .presentation import FunctorData, ValidationError
+from .presentation import ConstructionError, FunctorData, ValidationError
 from .replacement import (
     ReplacementCategory,
     SReplacement,
@@ -69,11 +69,10 @@ class GzSetting:
     target object, the replacement category ``rc`` of the functor built
     on them, its ``fill_survey``, the fill table mapping
     each solved 2-arrow ``(x, x_prime, y, g, b)`` to its fills (see
-    :func:`solve_fill`), and the total values mapping ``(i, j, code)``,
+    :func:`solve_fill`), and the value table mapping ``(i, j, code)``,
     two positions among the triples of ``rc`` and a target code, to the
-    unique encoded fill :func:`loccat.approximation.total_value` found.
-    Only results are stored, so a query that raised raises again on
-    every call.
+    unique encoded fill :meth:`value` found.  Only results are stored,
+    so a query that raised raises again on every call.
     None of them takes part in equality: two settings are equal when
     their functors, systems and localisations are.  The target
     decider is the one the target system keeps.  All four systems were
@@ -114,6 +113,30 @@ class GzSetting:
         """The replacement category of ``f``, built on first use; it is
         answered through ``rs_tgt`` and completes nothing."""
         return build_replacement_category(self.f, self.rs_tgt, self.replacements)
+
+    def value(self, i: int, j: int, s: str) -> tuple[str, str, str]:
+        """The value between triples ``i`` and ``j`` of ``rc`` at the
+        target code ``s``: the unique fill ``phi`` with ``loc(q_i . s) =
+        (GZ F)(phi) . loc(q_j)``, an encoded word of ``lc_src``.  Found once
+        per ``(i, j, s)``; :class:`ConstructionError` unless exactly one
+        fill exists."""
+        key = (i, j, s)
+        value = self._total_values.get(key)
+        if value is None:
+            ti, tj = self.rc.triples[i], self.rc.triples[j]
+            g = self.rs_tgt.index[ti.q + s]
+            fills = solve_fill(self, (ti.source, tj.source, tj.target, g, tj.q))
+            if len(fills) != 1:
+                raise ConstructionError(f"expected exactly one fill between triples {i} "
+                                        f"and {j}, got {len(fills)}")
+            value = self._total_values[key] = (ti.source, tj.source, fills[0])
+        return value
+
+    def value_of(self, at, under: dict, w: tuple) -> tuple[str, str, str]:
+        """:meth:`value` of the encoded word ``w`` between the triples
+        ``at(src)`` and ``at(dst)``; ``under`` maps its letters to target
+        codes, or is ``{}`` for a target word."""
+        return self.value(at(w[0]), at(w[1]), self.rs_tgt.index[w[2].translate(under)])
 
     @cached_property
     def fill_survey(self) -> tuple[dict | None, dict | None, int]:

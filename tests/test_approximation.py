@@ -155,7 +155,6 @@ class TestFillTables:
             return words(rs, x, y)
 
         monkeypatch.setattr(equivalence, "solve_fill", counted_solve)
-        monkeypatch.setattr(approximation, "solve_fill", counted_solve)
         monkeypatch.setattr(equivalence, "words", counted_words)
         assert verify_approximation(f, DEFAULT_LIMITS).ok
         assert arrows
@@ -326,6 +325,17 @@ class TestDeciders:
         assert len(keys) == len(set(keys))
 
 
+def corrupt(monkeypatch, setting, key, wrong):
+    """Make ``setting`` answer ``wrong`` as its value at ``key``."""
+    right = setting.value
+    monkeypatch.setattr(setting, "value",
+                        lambda i, j, s: wrong if (i, j, s) == key else right(i, j, s))
+
+
+def word_of(src, dst, *letters):
+    return {"src": src, "dst": dst, "letters": list(letters)}
+
+
 class TestShortening:
     def test_corpus(self):
         for name in ("E2", "E5", "E7", "E7b"):
@@ -334,6 +344,23 @@ class TestShortening:
             report = verify_shortening(s)
             assert report["ok"], name
             assert report["quadruples_checked"] > 0, name
+
+    def test_wrong_value_has_witness(self, monkeypatch):
+        # E7's square h_top . v_right = v_left . h_bot: the value at h_bot
+        # between the lengthened triples must be the value at h_top
+        from loccat import verify_shortening
+        s = prepare(corpus.fun("E7"), DEFAULT_LIMITS)
+        code = s.rs_tgt.encode
+        tgt, rc = s.f.target.cat, s.rc
+        i = rc.position("bl", "x0", code(tgt.word(["v_left"]))[2])
+        j = rc.position("br", "x1", code(tgt.word(["v_right"]))[2])
+        corrupt(monkeypatch, s, (i, j, code(tgt.word(["h_bot"]))[2]), ("x0", "x0", ""))
+        assert verify_shortening(s) == {
+            "quadruples_checked": 18, "ok": False,
+            "witness": {"g": word_of("tl", "tr", "h_top"),
+                        "g_shortened": word_of("bl", "br", "h_bot"),
+                        "e": word_of("tl", "bl", "v_left"),
+                        "e_prime": word_of("tr", "br", "v_right")}}
 
 
 class TestDenominatorValues:
@@ -345,6 +372,21 @@ class TestDenominatorValues:
             assert report["ok"], name
             assert report["lifted_denominators_checked"] == \
                 len(rc.cwd.denoms.explicit), name
+
+    def test_wrong_value_has_witness(self, monkeypatch):
+        # the identity functor of an idempotent u: the one lifted
+        # denominator, the identity of (x|x|1), given the value u, which
+        # has no inverse
+        from loccat import verify_denominator_values
+        c = load_cat("idempotent", corpus.cat_data(["x"], [("u", "x", "x")],
+                                                   [(("u", "u"), ("u",))]))
+        u = c.cat.encode(c.cat.word(["u"]))
+        s = prepare(FunctorData(c, c, {"x": "x"}, {"u": u}), DEFAULT_LIMITS)
+        corrupt(monkeypatch, s, (0, 0, ""), u)
+        assert verify_denominator_values(s) == {
+            "lifted_denominators_checked": 1, "ok": False,
+            "witness": {"lifted_word": word_of("(x|x|1)", "(x|x|1)"),
+                        "value": word_of("x", "x", "u")}}
 
 
 class TestVerifyApproximation:

@@ -87,6 +87,15 @@ class TestValidateFunctor:
         problems = validate_functor(bad, s.rs_src, s.rs_tgt)
         assert any(p["kind"] == "generator-image-endpoints" for p in problems)
 
+    def test_image_of_unknown_generator(self):
+        f = corpus.fun("E7")
+        bad = FunctorData(source=f.source, target=f.target,
+                          object_map=f.object_map,
+                          images={**f.images, "ghost": f.images["f"]})
+        s = corpus.setting("E7")
+        assert validate_functor(bad, s.rs_src, s.rs_tgt) == [
+            {"kind": "gen-map-extra-key", "generator": "ghost"}]
+
     def test_relation_violation_detected(self):
         # E5 requires d.d = 1; a free loop target cannot satisfy that
         from loccat import (CatPresentation, CatWithDenoms, DenomSet,

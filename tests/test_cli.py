@@ -564,6 +564,28 @@ class TestDeterminism:
                  for alias in node.names if alias.name.startswith("_")]
         assert found == []
 
+    def test_no_private_attribute_read_across_modules(self):
+        # a module reads only the private attributes its own code defines:
+        # those it assigns on an object, or names in one of its classes;
+        # the namedtuple API is public despite its underscore
+        public = {"_asdict", "_replace", "_fields", "_make"}
+
+        def private(name):
+            return name.startswith("_") and not name.endswith("__") \
+                and name not in public
+
+        found = []
+        for path in sorted((SRC / "loccat").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            own = {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+            own |= {stmt.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for stmt in cls.body if hasattr(stmt, "name")}
+            found += [f"{path.name}:{node.lineno}:{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and private(node.attr)
+                      and node.attr not in own]
+        assert found == []
+
     def test_deciders_built_only_by_the_accessor(self):
         # every other caller asks rewrite.denominators, which keeps the
         # decider on its system
@@ -770,6 +792,13 @@ GRAMMAR_CASES = [
       "limits_rules": 2}),
     (["verify-approximation", "E6.fun.json", "--experimental-no-mult"],
      {"experimental_no_mult": True}),
+    # an option may come before the positional: --choice takes only the
+    # words its form names
+    (["verify-approximation", "--choice", "auto", "E7.fun.json"],
+     {"path": "E7.fun.json", "choice": ["auto"]}),
+    (["verify-approximation", "--choice", "from-file", "E7b-alt.choice.json",
+      "E7b.fun.json"],
+     {"path": "E7b.fun.json", "choice": ["from-file", "E7b-alt.choice.json"]}),
 ]
 
 

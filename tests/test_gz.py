@@ -1,5 +1,7 @@
 """Localisation: inverse generators, fresh composites, induced maps, zigzags."""
 
+import pytest
+
 import corpus
 from loccat import (COMPLETE, CatPresentation, CatWithDenoms, DenomDecider,
                     DenomSet, GenArrow, PathWord, RewriteSystem, complete, equal,
@@ -120,6 +122,20 @@ class TestLocalise:
         code = lc.rs.encode(nf)
         assert lc.rs.compose(code, code) == code
         assert nf != lc.presentation.identity("b")
+
+    def test_overflowing_inverse_search_seeds_nothing(self):
+        # b -> a holds r, e.r, e.e.r, ...: the search for a base inverse
+        # of d exceeds max_homset, so only d.d^-1 = 1 and d^-1.d = 1 remain
+        from loccat import LimitExceeded, load_cat
+        c = load_cat("C", corpus.cat_data(
+            ["a", "b"], [("d", "a", "b"), ("r", "b", "a"), ("e", "b", "b")],
+            denominators=["d"]))
+        rs = complete(c.cat)
+        with pytest.raises(LimitExceeded, match="max_homset"):
+            find_inverse(rs, c.cat.word(["d"]))
+        lc = localise(c, rs)
+        assert lc.rs.status == COMPLETE
+        assert len(lc.rs.rules) == 2
 
 
 class TestGzOperations:

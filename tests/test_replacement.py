@@ -134,6 +134,15 @@ class TestReplacementCategory:
                                   rc.triples[j].target))
                 assert images == below and len(images) == len(lifted)
 
+    def test_more_triples_than_max_homset(self):
+        # E7 has 4 triples; a target system bounded at 3 refuses them
+        from loccat import LimitExceeded
+        s = corpus.setting("E7")
+        rs_tgt = complete(s.f.target.cat, s.rs_tgt.limits._replace(max_homset=3))
+        with pytest.raises(LimitExceeded) as exc:
+            build_replacement_category(s.f, rs_tgt, s.replacements)
+        assert exc.value.bound == "max_homset"
+
     def test_lifted_denominators_are_explicit(self):
         _, rc = rc_for("E7")
         assert not rc.cwd.denoms.include_identities
