@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring
 from types import SimpleNamespace
 
 from .approximation import verify_approximation
@@ -87,20 +88,59 @@ def _limits_from(args: SimpleNamespace) -> ResourceLimits:
         raise ValidationError(
             f"unknown LOCCAT_LIMITS_PROFILE {profile_name!r}; "
             f"expected one of {sorted(PROFILES)}")
-    flags = {field: getattr(args, "limits" + field[len("max"):])
-             for field in ResourceLimits._fields}
-    return profile._replace(**{k: v for k, v in flags.items() if v is not None})
+    return ResourceLimits(
+        profile.max_word_len if args.limits_word_len is None else args.limits_word_len,
+        profile.max_rules if args.limits_rules is None else args.limits_rules,
+        profile.max_homset if args.limits_homset is None else args.limits_homset)
 
 
 def _flatten(obj: object, path: str, out: list[str]):
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and obj:
         for key in sorted(obj):
             _flatten(obj[key], f"{path}.{key}" if path else str(key), out)
-    elif isinstance(obj, list):
+    elif isinstance(obj, list) and obj:
         for i, item in enumerate(obj):
             _flatten(item, f"{path}[{i}]", out)
-    else:
+    else:  # a scalar, or an empty container written as {} or []
         out.append(f"{path} = {json.dumps(obj, ensure_ascii=False)}")
+
+
+# json's spelling of its three constants
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value: object, indent: str, out: list[str]):
+    """Append to ``out`` the chunks of ``json.dumps(value, sort_keys=True,
+    indent=2, ensure_ascii=False)``, for the values a report holds.  json
+    writes an indented report with its pure-Python encoder; this one
+    quotes strings with json's C quoter, so the only Python code it runs
+    is this function."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out += sep, encode_basestring(key), ": "
+            _write_json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif value is None or isinstance(value, bool):
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(command: str, limits: ResourceLimits, fmt: str, payload: dict) -> str:
@@ -110,8 +150,10 @@ def _emit(command: str, limits: ResourceLimits, fmt: str, payload: dict) -> str:
         lines: list[str] = []
         _flatten(report, "", lines)
         return "\n".join(lines) + "\n"
-    return json.dumps(report, sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    chunks: list[str] = []
+    _write_json(report, "", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _read(path: str) -> tuple[str, object]:

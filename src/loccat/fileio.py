@@ -36,10 +36,15 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 def read_json(path: str | Path) -> object:
     try:
         try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
+            with open(path, "rb", buffering=0) as f:
+                raw = f.read()
         except OSError:  # pathlib forgives a trailing slash and names a/./x.json a/x.json
-            text = Path(path).read_text(encoding="utf-8")
+            raw = Path(path).read_bytes()
+        # decoded here, not through text mode's buffer and decoder layers,
+        # with "\n" line ends as text mode gives them
+        text = raw.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         data = json.loads(text)
         if _SURROGATE_ESCAPE.search(text):  # json.loads joined each valid pair
             json.dumps(data, ensure_ascii=False).encode("utf-8")  # raises on a lone one
@@ -55,6 +60,22 @@ def read_json(path: str | Path) -> object:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
     except RecursionError as e:
         raise ParseError(f"{path} nests too deeply to read: {e}") from e
+
+
+def _beside(path: str | Path, name: str) -> str:
+    """The file ``name`` names relative to the folder holding ``path``,
+    spelled as ``str(Path(path).parent / name)`` spells it on POSIX: no
+    empty or ``.`` parts, and a root of ``//`` only when written so."""
+    def parts(text: str) -> tuple[str, list[str]]:
+        rest = text.lstrip("/")
+        root = "//" if len(text) - len(rest) == 2 else "/" if rest != text else ""
+        return root, [part for part in rest.split("/") if part not in ("", ".")]
+
+    if name.startswith("/"):
+        root, names = parts(name)
+        return root + "/".join(names)
+    root, folder = parts(str(path))
+    return root + "/".join(folder[:-1] + parts(name)[1]) or "."
 
 
 def _expect(cond: bool, message: str):
@@ -163,9 +184,8 @@ def load_functor(path: str | Path, data: object = None) -> FunctorData:
         _expect(key in data, f"{path}: missing key {key!r}")
     _expect(isinstance(data["source"], str) and isinstance(data["target"], str),
             f"{path}: source and target must be paths")
-    base = Path(path).parent
-    source = load_cat(base / data["source"])
-    target = load_cat(base / data["target"])
+    source = load_cat(_beside(path, data["source"]))
+    target = load_cat(_beside(path, data["target"]))
 
     _expect(isinstance(data["object_map"], dict)
             and all(isinstance(k, str) and isinstance(v, str)

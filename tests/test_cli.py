@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 from loccat import cli, equivalence, fileio, gz, rewrite
@@ -750,6 +751,60 @@ class TestTextFormat:
             'result.zigzags[0] = "h_top·v_right"',
             'schema = "loccat-report/1"',
         ]
+
+    def test_empty_details_written_as_empty_object(self, capsys):
+        code, out = run_cli(capsys, "check", "multiplicative",
+                            corpus.cat_path("E1"), "--format", "text")
+        assert code == 0
+        assert "result.details = {}" in out.splitlines()
+
+    def test_empty_word_list_written_as_empty_list(self, capsys):
+        code, out = run_cli(capsys, "homset", corpus.cat_path("E1"),
+                            "--src", "c", "--dst", "a", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert "result.words = []" in lines
+        assert "result.count = 0" in lines
+
+
+# strings of what json escapes and what it must leave alone: quotes,
+# backslashes, every control character, non-ASCII and the line
+# separators that JavaScript rejects
+REPORT_TEXT = st.text("".join(map(chr, range(0x20))) + '"\\/ az\x7fé•\u2028\u2029\ufeff😀',
+                      max_size=8)
+REPORT_SCALARS = st.one_of(
+    REPORT_TEXT, st.integers(-2**70, 2**70), st.booleans(), st.none())
+REPORT_VALUES = st.recursive(REPORT_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(REPORT_TEXT, inner, max_size=4)), max_leaves=16)
+
+
+def written(value) -> str:
+    chunks: list = []
+    cli._write_json(value, "", chunks)
+    return "".join(chunks)
+
+
+class TestReportWriter:
+    @given(st.dictionaries(REPORT_TEXT, REPORT_VALUES, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert written(value) == json.dumps(value, sort_keys=True, indent=2,
+                                              ensure_ascii=False)
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            written({"a": [1.5]})
+
+    def test_report_written_without_json_encoder(self, capsys, monkeypatch):
+        # json.dumps with indent runs _make_iterencode, which is pure Python
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, out = run_cli(capsys, "verify-approximation", corpus.fun_path("E7"))
+        assert code == 0
+        assert json.loads(out)["result"]["ok"] is True
 
 
 # Every spelling used by the README, the tests and the benchmark

@@ -1,11 +1,12 @@
 """Input parsing: error classification, path resolution, choice files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import corpus
-from loccat import (ParseError, ValidationError, load_cat, load_choice,
+from loccat import (ParseError, ValidationError, fileio, load_cat, load_choice,
                     load_functor, verify_approximation)
 from loccat.cli import main
 
@@ -156,9 +157,12 @@ class TestMalformedText:
     @pytest.mark.parametrize("content,message", [
         (b"\xff\xfe{", "{path} is not UTF-8 text: 'utf-8' codec can't decode byte "
                        "0xff in position 0: invalid start byte"),
+        # the position counts bytes of the whole file, past any read buffer
+        (b'{"a": "' + b"\r\n" * 5000 + b"\xff", "{path} is not UTF-8 text: 'utf-8' "
+         "codec can't decode byte 0xff in position 10007: invalid start byte"),
         (b"[" * 200000, "{path} nests too deeply to read: maximum recursion depth "
                         "exceeded while decoding a JSON array from a unicode string"),
-    ], ids=["not-utf-8", "nested"])
+    ], ids=["not-utf-8", "not-utf-8-late", "nested"])
     @pytest.mark.parametrize("argv", [
         ["validate", "FILE"], ["check", "axioms", "FILE"],
         ["homset", "FILE", "--src", "a", "--dst", "a"],
@@ -201,6 +205,34 @@ class TestMalformedText:
         out = capsys.readouterr().out
         assert json.loads(out)["result"]["base"]["objects"] == ["a", "b", "\U0001f600"]
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_text_mode_reads_them(self, capsys, tmp_path,
+                                                    newline):
+        original = corpus.cat_path("E7D")
+        copy = tmp_path / "E7D.cat.json"
+        copy.write_bytes(Path(original).read_bytes().replace(b"\n", newline))
+        assert b"\r" in copy.read_bytes()
+        assert main(["localise", original]) == 0
+        expected = capsys.readouterr().out
+        assert main(["localise", str(copy)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("content,message", [
+        # "\r\n" is one character, as text mode reads it
+        (b'{\r\n  "objects": ["a",\r\n  ]\r\n}\r\n',
+         "Expecting value: line 3 column 3 (char 23)"),
+        (b'{\r  "objects": ["a",\r  ]\r}\r',
+         "Expecting value: line 3 column 3 (char 23)"),
+        (b"\xef\xbb\xbf" + json.dumps(GOOD_CAT).encode(),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["crlf", "cr", "bom"])
+    def test_json_error_positions(self, tmp_path, content, message):
+        path = tmp_path / "bad.cat.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as caught:
+            load_cat(str(path))
+        assert str(caught.value) == f"{path} is not valid JSON: {message}"
+
 
 class TestLoadFunctor:
     def test_paths_resolve_relative_to_functor_file(self, tmp_path):
@@ -213,6 +245,36 @@ class TestLoadFunctor:
             "generator_map": {"u": ["u"]}})
         f = load_functor(fun_path)
         assert f.object_map == {"a": "a", "b": "b"}
+
+    @pytest.mark.parametrize("fun_path", ["f.fun.json", "./f.fun.json",
+                                          "f.fun.json/"])
+    @pytest.mark.parametrize("source,target,message", [
+        ("./c.cat.json", "sub//x.cat.json",
+         "cannot read sub/x.cat.json: [Errno 2] No such file or directory: "
+         "'sub/x.cat.json'"),
+        (".//sub/./bad.cat.json", "c.cat.json",
+         "sub/bad.cat.json: missing key 'generators'"),
+    ], ids=["missing-target", "bad-source"])
+    def test_paths_named_as_pathlib_names_them(self, capsys, tmp_path, monkeypatch,
+                                               fun_path, source, target, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        write(tmp_path, "c.cat.json", GOOD_CAT)
+        write(tmp_path / "sub", "bad.cat.json", {"objects": []})
+        write(tmp_path, "f.fun.json", {
+            "source": source, "target": target,
+            "object_map": {"a": "a", "b": "b"}, "generator_map": {"u": ["u"]}})
+        assert main(["check", "s-dense", fun_path]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "parse", "message": message}
+
+    def test_functor_loads_without_pathlib(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pathlib used")
+
+        monkeypatch.setattr(fileio, "Path", refuse)
+        f = load_functor(corpus.fun_path("E7"))
+        assert f.source.cat.objects and f.target.cat.objects
 
     def test_empty_generator_image_needs_matching_endpoints(self, tmp_path):
         cat_path = write(tmp_path, "c.cat.json", GOOD_CAT)
