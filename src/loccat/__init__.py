@@ -80,6 +80,7 @@ from .rewrite import (
     find_inverse,
     homset,
     normalize,
+    present,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

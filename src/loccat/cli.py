@@ -49,9 +49,9 @@ from .presentation import (
 )
 from .rewrite import (
     ResourceLimits,
-    complete,
     denominators,
     inverse,
+    present,
     words,
 )
 
@@ -188,8 +188,8 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
                 problems = []
             else:
                 f = load_functor(path, data)
-                rs_src = complete(f.source.cat, limits)
-                rs_tgt = complete(f.target.cat, limits)
+                rs_src = present(f.source.cat, limits)
+                rs_tgt = present(f.target.cat, limits)
                 problems = validate_functor(f, rs_src, rs_tgt)
         except ValidationError as e:
             problems = [{"kind": "invalid", "detail": str(e)}]
@@ -204,8 +204,9 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
 
 def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
     cwd = load_cat(args.path)
-    rs = complete(cwd.cat, limits)
+    rs = present(cwd.cat, limits)
     lc = localise(cwd, rs)
+    completion = lc.rs.completion
     inverted = []
     for w in denominators(cwd, rs).closure:
         inv = inverse(lc.rs, w)
@@ -217,8 +218,8 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
         "inverse_generators": dict(sorted(lc.inv_of.items())),
         "fresh_generators": {name: list(rs.decode(w).letters)
                              for name, w in sorted(lc.fresh_defs.items())},
-        "rules": [_spelled(lc.presentation, lhs, rhs) for lhs, rhs in lc.rs.rules],
-        "status": lc.rs.status,
+        "rules": [_spelled(lc.presentation, lhs, rhs) for lhs, rhs in completion.rules],
+        "status": completion.status,
         "denominators": inverted,
     }
     return {"result": result}, EXIT_OK
@@ -229,7 +230,7 @@ def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int
     if args.src not in cwd.cat.obj_index or args.dst not in cwd.cat.obj_index:
         raise ValidationError(
             f"unknown object in homset query: {args.src!r} or {args.dst!r}")
-    rs = complete(cwd.cat, limits)
+    rs = present(cwd.cat, limits)
     lc = localise(cwd, rs) if args.localised else None
     system = rs if lc is None else lc.rs
     result: dict = {"src": args.src, "dst": args.dst, "status": system.status,
@@ -274,7 +275,7 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
         report = run(prepare(load_functor(args.path, data), limits))
     else:
         cwd = load_cat(args.path, data)
-        rs = complete(cwd.cat, limits)
+        rs = present(cwd.cat, limits)
         found = {name: axiom(cwd, rs) for name, axiom in run.items()}
         verdicts = {name: verdict for name, (verdict, _) in found.items()}
         witness = next((w for _, w in found.values() if w is not None), None)

@@ -48,9 +48,9 @@ from .rewrite import (
     DenomDecider,
     ResourceLimits,
     RewriteSystem,
-    complete,
     denominators,
     inverse,
+    present,
     words,
 )
 
@@ -146,8 +146,8 @@ class GzSetting:
 
 def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSetting:
     """Complete, localise and induce; raises on an invalid functor."""
-    rs_src = complete(f.source.cat, limits)
-    rs_tgt = complete(f.target.cat, limits)
+    rs_src = present(f.source.cat, limits)
+    rs_tgt = present(f.target.cat, limits)
     problems = validate_functor(f, rs_src, rs_tgt)
     if problems:
         raise ValidationError(f"invalid functor: {problems}")

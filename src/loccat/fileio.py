@@ -78,15 +78,16 @@ def _beside(path: str | Path, name: str) -> str:
     return root + "/".join(folder[:-1] + parts(name)[1]) or "."
 
 
-def _expect(cond: bool, message: str):
+def _expect(cond: bool, message: str, *args: object):
+    """Raise :class:`ParseError` unless ``cond``, with ``message.format(*args)``:
+    a message is built only for a check that fails."""
     if not cond:
-        raise ParseError(message)
+        raise ParseError(message.format(*args))
 
 
-def _string_list(value: object, what: str) -> list[str]:
-    _expect(isinstance(value, list)
-            and all(isinstance(x, str) for x in value), f"{what} must be a "
-            "list of strings")
+def _string_list(value: object, what: str, *args: object) -> list[str]:
+    _expect(isinstance(value, list) and all(isinstance(x, str) for x in value),
+            what + " must be a list of strings", *args)
     return list(value)
 
 
@@ -108,41 +109,38 @@ def _relation_side(p: CatPresentation, letters: list[str], other: list[str],
 def load_cat(path: str | Path, data: object = None) -> CatWithDenoms:
     """Load a category with denominators from a JSON file, or from its ``data`` if read."""
     data = read_json(path) if data is None else data
-    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    _expect(isinstance(data, dict), "{}: top level must be an object", path)
     for key in ("objects", "generators", "relations", "denominators"):
-        _expect(key in data, f"{path}: missing key {key!r}")
+        _expect(key in data, "{}: missing key {!r}", path, key)
 
-    objects = tuple(_string_list(data["objects"], f"{path}: objects"))
+    objects = tuple(_string_list(data["objects"], "{}: objects", path))
 
-    _expect(isinstance(data["generators"], list), f"{path}: generators must "
-            "be a list")
+    _expect(isinstance(data["generators"], list), "{}: generators must be a list", path)
     gens = []
     for i, entry in enumerate(data["generators"]):
         _expect(isinstance(entry, dict)
                 and all(isinstance(entry.get(k), str)
                         for k in ("name", "src", "dst")),
-                f"{path}: generator {i} must have string name, src, dst")
+                "{}: generator {} must have string name, src, dst", path, i)
         gens.append(GenArrow(entry["name"], entry["src"], entry["dst"]))
 
-    _expect(isinstance(data["relations"], list), f"{path}: relations must be "
-            "a list")
+    _expect(isinstance(data["relations"], list), "{}: relations must be a list", path)
     raw_relations = []
     for i, entry in enumerate(data["relations"]):
         _expect(isinstance(entry, dict) and "lhs" in entry and "rhs" in entry,
-                f"{path}: relation {i} must have lhs and rhs")
-        raw_relations.append((_string_list(entry["lhs"], f"{path}: relation {i} lhs"),
-                              _string_list(entry["rhs"], f"{path}: relation {i} rhs")))
+                "{}: relation {} must have lhs and rhs", path, i)
+        raw_relations.append((_string_list(entry["lhs"], "{}: relation {} lhs", path, i),
+                              _string_list(entry["rhs"], "{}: relation {} rhs", path, i)))
 
     denoms = data["denominators"]
-    _expect(isinstance(denoms, dict), f"{path}: denominators must be an object")
+    _expect(isinstance(denoms, dict), "{}: denominators must be an object", path)
     for key in ("words", "include_identities", "close_under_composition"):
-        _expect(key in denoms, f"{path}: denominators missing key {key!r}")
+        _expect(key in denoms, "{}: denominators missing key {!r}", path, key)
     _expect(isinstance(denoms["include_identities"], bool)
             and isinstance(denoms["close_under_composition"], bool),
-            f"{path}: denominator flags must be booleans")
-    _expect(isinstance(denoms["words"], list), f"{path}: denominator words "
-            "must be a list")
-    raw_words = [_string_list(w, f"{path}: denominator word {i}")
+            "{}: denominator flags must be booleans", path)
+    _expect(isinstance(denoms["words"], list), "{}: denominator words must be a list", path)
+    raw_words = [_string_list(w, "{}: denominator word {}", path, i)
                  for i, w in enumerate(denoms["words"])]
 
     # structural validation below here: failures are semantic, not parse
@@ -179,24 +177,23 @@ def load_functor(path: str | Path, data: object = None) -> FunctorData:
     """Load a functor from a JSON file, or from its ``data`` if read; source
     and target paths resolve relative to the file."""
     data = read_json(path) if data is None else data
-    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    _expect(isinstance(data, dict), "{}: top level must be an object", path)
     for key in ("source", "target", "object_map", "generator_map"):
-        _expect(key in data, f"{path}: missing key {key!r}")
+        _expect(key in data, "{}: missing key {!r}", path, key)
     _expect(isinstance(data["source"], str) and isinstance(data["target"], str),
-            f"{path}: source and target must be paths")
+            "{}: source and target must be paths", path)
     source = load_cat(_beside(path, data["source"]))
     target = load_cat(_beside(path, data["target"]))
 
     _expect(isinstance(data["object_map"], dict)
             and all(isinstance(k, str) and isinstance(v, str)
                     for k, v in data["object_map"].items()),
-            f"{path}: object_map must map strings to strings")
-    _expect(isinstance(data["generator_map"], dict),
-            f"{path}: generator_map must be an object")
+            "{}: object_map must map strings to strings", path)
+    _expect(isinstance(data["generator_map"], dict), "{}: generator_map must be an object", path)
 
     images: dict[str, tuple[str, str, str]] = {}
     for name, letters in data["generator_map"].items():
-        letters = _string_list(letters, f"{path}: generator_map[{name!r}]")
+        letters = _string_list(letters, "{}: generator_map[{!r}]", path, name)
         gen = source.cat.gen_by_name.get(name)
         if gen is None:
             raise ValidationError(f"{path}: generator_map names unknown "
@@ -221,13 +218,13 @@ def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
     normalises it under the target's completed system.
     """
     data = read_json(path)
-    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    _expect(isinstance(data, dict), "{}: top level must be an object", path)
     choice: ReplacementChoice = {}
     for y, entry in data.items():
         _expect(isinstance(entry, dict) and isinstance(entry.get("x"), str)
                 and isinstance(entry.get("q"), list),
-                f"{path}: choice for {y!r} must have x and q")
-        letters = _string_list(entry["q"], f"{path}: choice q for {y!r}")
+                "{}: choice for {!r} must have x and q", path, y)
+        letters = _string_list(entry["q"], "{}: choice q for {!r}", path, y)
         if y not in f.target.cat.obj_index:
             raise ValidationError(f"{path}: unknown target object {y!r}")
         if entry["x"] not in f.source.cat.obj_index:

@@ -7,7 +7,7 @@ denominators that only arise from the composition closure flag need no
 generators of their own: their inverses are composites of the factor
 inverses.  Words whose normal form is an identity are already
 invertible and are elided.  :func:`extension` builds that presentation
-and its letter tables, and :func:`localise` completes it.
+and its letter tables, and :func:`localise` builds its system.
 
 Completion also gets one seeded relation ``w^-1 = v`` for each inverted
 word ``w`` that already has an inverse ``v`` in the base, as every
@@ -40,15 +40,15 @@ from .presentation import (
 )
 from .rewrite import (
     RewriteSystem,
-    complete,
     denominators,
     inverse,
+    present,
 )
 
 
 class LocalisedCategory(namedtuple("LocalisedCategory", "cwd rs inv_of fresh_defs inverted")):
     """A presentation of the localisation of a category with
-    denominators, kept as ``cwd`` and answered by ``rs``: its completion
+    denominators, kept as ``cwd`` and answered by ``rs``: its system
     (:func:`localise`), or an inflation of another localisation
     (:meth:`~loccat.replacement.ReplacementCategory.localised`).
 
@@ -168,7 +168,7 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
 
 
 def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
-    """Present the localisation of ``c`` and complete its rewriting system.
+    """Present the localisation of ``c`` and build its system (:func:`present`).
 
     Completion runs under the limits of ``rs_base``, on the presentation
     of :func:`extension`, seeded with one relation ``w^-1 = v`` for each
@@ -179,7 +179,7 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     ``lc.cwd`` and ``lc.rs.presentation`` hold.
     """
     lc = extension(c, rs_base)
-    rs = complete(lc.presentation, rs_base.limits, _base_inverses(rs_base, lc))
+    rs = present(lc.presentation, rs_base.limits, _base_inverses(rs_base, lc))
     return lc._replace(rs=rs)
 
 

@@ -75,6 +75,13 @@ An :class:`Inflation` is a system with no rules of its own: its
 category is a base system's with each object repeated, so each query
 maps a word down to the base, answers it there and lifts the answer
 back.  Every function above takes it as it takes a completed system.
+
+The package builds every system with :func:`present`.  It completes,
+and where a bound cut the completion short it enumerates the morphisms
+out of each object instead (:class:`Enumerated`, coset tables with no
+rules); if an enumeration does not close within the limits, the
+truncated completion answers.  :func:`complete` stays the Knuth-Bendix
+kernel alone.
 """
 
 from __future__ import annotations
@@ -260,6 +267,13 @@ class RewriteSystem:
     table, see :func:`words`) and the denominator decider per
     denominator set (see :func:`denominators`).  Equality and hashing
     read ``(presentation, rules, status, limits)`` alone.
+
+    Every query reads a system through five members, and an
+    :class:`Inflation` or an :class:`Enumerated` provides the same:
+    ``index``, a mapping from a code to its normal form; ``normal_forms_out(x)``,
+    the hom-sets out of ``x``; ``status``, ``complete`` when normal forms
+    are canonical; ``limits``; and ``rules``, which only ``loccat
+    localise`` reports, through ``completion``.
     """
 
     def __init__(self, presentation: CatPresentation, rules: tuple[tuple[str, str], ...],
@@ -309,6 +323,12 @@ class RewriteSystem:
         """The encoded hom-sets out of ``x`` by target, in object order,
         each in shortlex order: the listing :func:`words` keeps."""
         return _reachable_normal_forms(self, x)
+
+    @property
+    def completion(self) -> RewriteSystem:
+        """The completion run whose rules and status describe this
+        system: itself, unless it is :class:`Enumerated`."""
+        return self
 
 
 class _Lifts(dict):
@@ -379,6 +399,155 @@ class Inflation(RewriteSystem):
                                 f"more than {limits.max_homset} morphisms out of {x!r}")
         return {y: tuple(sorted((self.lift(x, y, s) for s in ws), key=lambda t: (len(t), t)))
                 for y, ws in found.items()}
+
+
+class Enumerated(RewriteSystem):
+    """A system answered by coset tables, for a ``completion`` that
+    :func:`complete` cut short.
+
+    Out of each object ``x`` the morphisms are enumerated as the classes
+    of the right action of the free category on ``x`` (Todd and Coxeter,
+    1936; for monoids, Ruškuc, PhD thesis, St Andrews, 1995): class 0 is
+    the identity of ``x``.  Each pass visits the live classes in order,
+    defines every generator out of each, then traces from it every
+    relation (and every seed) that starts at its object, defining the
+    classes the trace needs; a relation whose two sides end in different
+    classes merges them in a union-find, and the survivor takes over the
+    loser's table entries, queueing the pairs that clash.  A pass that
+    defines and merges nothing ends it: the table is then a right action
+    in which every relation holds, and every merge followed from the
+    relations, so the classes are the morphisms out of ``x``.  The
+    enumeration gives up, raising :class:`LimitExceeded`, past
+    ``max_homset`` live classes or ``4 * max_homset`` classes defined.
+
+    A breadth-first search in generator declaration order names each
+    class by the word it first reaches it with, its shortlex-least word,
+    since a prefix of a least word is least in its own class: so the
+    names are the normal forms of the complete shortlex system.
+    ``index[s]`` traces ``s`` from its source's table, the hom-sets are
+    the names, and the status is ``complete``.  There are no rules;
+    ``completion`` is the truncated run, which ``loccat localise``
+    reports.
+    """
+
+    def __init__(self, completion: RewriteSystem, seeds: tuple = ()):
+        p = completion.presentation
+        super().__init__(p, (), COMPLETE, completion.limits)
+        code = p.codec[0]
+        self._completion, self.index = completion, _Lifts(self.normal_form)
+        self._src = {code[g.name]: g.src for g in p.generators}
+        dst = {code[g.name]: g.dst for g in p.generators}
+        gens = {x: [code[g.name] for g in gs] for x, gs in p.out_gens.items()}
+        rels: dict[str, list[tuple[str, str]]] = {}
+        for (src, _, lhs), (_, _, rhs) in p.relations + seeds:
+            rels.setdefault(src, []).append((lhs, rhs))
+        self._tables = {x: self._enumerate(x, gens, rels, dst) for x in p.objects}
+
+    @property
+    def completion(self) -> RewriteSystem:
+        return self._completion
+
+    def _enumerate(self, x: str, gens: dict, rels: dict, dst: dict
+                   ) -> tuple[list[dict[str, int]], list[str], list[str]]:
+        """The classes out of ``x`` in search order: each one's table
+        entries by letter, its name and its object.  ``gens`` lists the
+        letters out of each object, ``rels`` the relations and seeds
+        from each, and ``dst`` is each letter's target."""
+        most = self.limits.max_homset
+        rows: list[dict[str, int]] = [{}]
+        obj, parent, live = [x], [0], 1
+
+        def find(c: int) -> int:
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            return c
+
+        def follow(c: int, s: str) -> int:
+            nonlocal live
+            for g in s:
+                row = rows[c]
+                c = row.get(g)
+                if c is None:
+                    if live >= most or len(rows) >= 4 * most:
+                        raise LimitExceeded(
+                            "max_homset", f"coset enumeration out of {x!r} did not close")
+                    c = row[g] = len(rows)
+                    rows.append({})
+                    obj.append(dst[g])
+                    parent.append(c)
+                    live += 1
+                elif parent[c] != c:
+                    c = row[g] = find(c)
+            return c
+
+        def merge(a: int, b: int):
+            nonlocal live
+            todo = [(a, b)]
+            while todo:
+                a, b = todo.pop()
+                a, b = find(a), find(b)
+                if a > b:
+                    a, b = b, a
+                if a != b:
+                    parent[b] = a
+                    live -= 1
+                    keep = rows[a]
+                    for g, t in rows[b].items():
+                        if g in keep:
+                            todo.append((keep[g], t))
+                        else:
+                            keep[g] = t
+
+        changed = True
+        while changed:
+            changed, defined, c = False, len(rows), 0
+            while c < len(rows):
+                if parent[c] == c:
+                    for g in gens.get(obj[c], ()):
+                        follow(c, g)
+                    for lhs, rhs in rels.get(obj[c], ()):
+                        a, b = follow(c, lhs), follow(c, rhs)
+                        if a != b:
+                            merge(a, b)
+                            changed = True
+                            if parent[c] != c:
+                                break
+                c += 1
+            changed = changed or len(rows) != defined
+
+        number, order, names = {0: 0}, [0], [""]
+        for c, name in zip(order, names):
+            for g in gens.get(obj[c], ()):
+                t = find(rows[c][g])
+                if t not in number:
+                    number[t] = len(order)
+                    order.append(t)
+                    names.append(name + g)
+        return ([{g: number[find(t)] for g, t in rows[c].items()} for c in order],
+                names, [obj[c] for c in order])
+
+    def normal_form(self, s: str) -> str:
+        """The name of the class ``s`` reaches from its source's identity."""
+        if not s:
+            return s
+        table, names, _ = self._tables[self._src[s[0]]]
+        c = 0
+        for g in s:
+            c = table[c][g]
+        return names[c]
+
+    def normal_forms_out(self, x: str) -> dict[str, tuple[str, ...]]:
+        """The names of the classes out of ``x`` by object, in search
+        order, which is shortlex; a name longer than ``max_word_len``
+        raises as the search of a complete system would."""
+        _, names, objects = self._tables[x]
+        bound = self.limits.max_word_len
+        if len(names[-1]) > bound:
+            raise LimitExceeded("max_word_len", f"normal form out of {x!r} longer than {bound}")
+        by_dst: dict[str, list[str]] = {}
+        for name, y in zip(names, objects):
+            by_dst.setdefault(y, []).append(name)
+        return {y: tuple(by_dst.get(y, ())) for y in self.presentation.objects}
 
 
 def normalize(rs: RewriteSystem, w: PathWord) -> PathWord:
@@ -564,6 +733,21 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
     rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
     return RewriteSystem(presentation=p, status=status, limits=limits,
                          rules=tuple((lhs, rhs) for lhs, rhs, *_ in rules))
+
+
+def present(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
+            seeds: tuple = ()) -> RewriteSystem:
+    """The system of ``p``: its completion (see :func:`complete`) or, if
+    the limits cut that short, its coset tables (:class:`Enumerated`)
+    when they close within the same limits, else the truncated
+    completion.  The package builds every system here."""
+    rs = complete(p, limits, seeds)
+    if rs.is_complete:
+        return rs
+    try:
+        return Enumerated(rs, seeds)
+    except LimitExceeded:
+        return rs
 
 
 def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[str, ...]]:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from loccat import cli, equivalence, fileio, gz, rewrite
+from loccat import cli, fileio, gz, rewrite
 from loccat.cli import main, parse_args
 from loccat.equivalence import prepare
 from loccat.fileio import load_functor
+from loccat.presentation import ConstructionError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -171,11 +172,20 @@ class TestHomset:
         assert rep["result"]["words"] == [["d^-1"]]
         assert rep["result"]["zigzags"] == ["(d)^-1"]
 
-    def test_localised_status_is_the_listed_systems(self, capsys):
-        # one rule completes E2, but not its localisation: the status
-        # belongs to the system whose words are listed
-        query = ("homset", corpus.cat_path("E2"), "--src", "a", "--dst", "b",
-                 "--limits-rules", "1")
+    def test_localised_status_is_the_listed_systems(self, capsys, tmp_path):
+        # E2 beside a free loop on z: one rule completes the category,
+        # but not its localisation, and the loop leaves z infinitely many
+        # morphisms, so no enumeration closes either; the status belongs
+        # to the system whose words are listed
+        path = tmp_path / "loop.cat.json"
+        path.write_text(json.dumps({
+            "objects": ["a", "b", "z"],
+            "generators": [{"name": "d", "src": "a", "dst": "b"},
+                           {"name": "l", "src": "z", "dst": "z"}],
+            "relations": [],
+            "denominators": {"words": [["d"]], "include_identities": True,
+                             "close_under_composition": True}}), encoding="utf-8")
+        query = ("homset", str(path), "--src", "a", "--dst", "b", "--limits-rules", "1")
         _, base = run_json(capsys, *query)
         code, rep = run_json(capsys, *query, "--localised")
         assert base["result"]["status"] == "complete"
@@ -197,14 +207,65 @@ class TestHomset:
     def test_unknown_object_is_rejected_before_completion(self, capsys,
                                                           monkeypatch):
         import loccat.cli
-        calls, complete = [], loccat.cli.complete
-        monkeypatch.setattr(loccat.cli, "complete",
-                            lambda *a: calls.append(a) or complete(*a))
+        calls, present = [], loccat.cli.present
+        monkeypatch.setattr(loccat.cli, "present",
+                            lambda *a: calls.append(a) or present(*a))
         code, rep = run_json(capsys, "homset", corpus.cat_path("E5"),
                              "--src", "•", "--dst", "nope")
         assert code == 2
         assert rep["error"]["kind"] == "validation"
         assert calls == []
+
+
+class TestTruncatedRuns:
+    """Finite categories whose completion a rule bound cuts short are
+    answered by coset enumeration, as the default limits answer them."""
+
+    @pytest.mark.parametrize("rules", range(7))
+    def test_dihedral_six_has_twelve_elements(self, capsys, tmp_path, rules):
+        # a^6 = 1, b.b = 1, b.a.b = a^5; bounds 0-4 were undecided, and 5
+        # listed 13 normal forms
+        path = tmp_path / "D6.cat.json"
+        path.write_text(json.dumps(corpus.cat_data(
+            ["o"], [("a", "o", "o"), ("b", "o", "o")],
+            [("a" * 6, ""), ("bb", ""), ("bab", "a" * 5)])), encoding="utf-8")
+        code, rep = run_json(capsys, "homset", str(path), "--src", "o", "--dst", "o",
+                             "--limits-rules", str(rules))
+        assert code == 0
+        assert rep["result"]["count"] == 12
+        assert rep["result"]["status"] == "complete"
+
+    def test_one_rule_does_not_split_a_morphism(self, capsys):
+        # one rule left two normal forms of E7bD's one morphism tl -> z
+        code, rep = run_json(capsys, "homset", corpus.cat_path("E7bD"), "--src", "tl",
+                             "--dst", "z", "--limits-rules", "1")
+        assert code == 0
+        assert rep["result"]["count"] == 1
+
+    def test_four_rules_decide_s_full(self, capsys):
+        code, rep = run_json(capsys, "check", "s-full", corpus.fun_path("E7b"),
+                             "--limits-rules", "4")
+        assert code == 0
+        assert rep["result"]["verdict"] is True
+        assert rep["result"]["decidability_status"] == "complete"
+
+    def test_localise_reports_the_completion(self, capsys):
+        # E2's localisation needs more than one rule: the report keeps the
+        # truncated run's rules and status, and the enumeration finds the
+        # inverse of d
+        code, rep = run_json(capsys, "localise", corpus.cat_path("E2"), "--limits-rules", "1")
+        lc = gz.localise(corpus.cat("E2"), rewrite.complete(corpus.cat("E2").cat))
+        truncated = rewrite.complete(lc.presentation, rewrite.ResourceLimits(max_rules=1))
+        assert code == 0
+        assert rep["result"]["status"] == "bounded-incomplete"
+        spell = lc.presentation.codec[1].__getitem__
+        assert rep["result"]["rules"] == [
+            {"lhs": list(map(spell, lhs)), "rhs": list(map(spell, rhs))}
+            for lhs, rhs in truncated.rules]
+        assert not truncated.is_complete
+        inverses = {d["denominator"]["letters"][0]: d["inverse"]["letters"]
+                    for d in rep["result"]["denominators"] if d["denominator"]["letters"]}
+        assert inverses == {"d": ["d^-1"]}
 
 
 class TestCheck:
@@ -253,17 +314,35 @@ class TestCheck:
         assert rep["result"]["bounds_used"]["max_word_len"] == 12
 
 
-def test_construction_error_is_a_report(capsys):
-    # a rule bound of 3 leaves the target localisation without an inverse
-    # of F(e); the failure is reported, never a traceback
-    code, rep = run_json(capsys, "verify-approximation", E6_FUN,
-                         "--limits-rules", "3")
+def test_construction_error_is_a_report(capsys, monkeypatch):
+    # no input is known to reach a ConstructionError: each one guards an
+    # invariant of decided systems.  Raised inside a command, it is
+    # reported, never a traceback
+    def fail(*args, **kwargs):
+        raise ConstructionError("image of denominator 'e' has no inverse in the "
+                                "target localisation")
+
+    monkeypatch.setattr(cli, "verify_approximation", fail)
+    code, rep = run_json(capsys, "verify-approximation", E6_FUN)
     assert code == 2
     assert rep["error"] == {
         "kind": "construction",
         "message": "image of denominator 'e' has no inverse in the target "
                    "localisation"}
     assert "result" not in rep
+
+
+def test_truncated_target_localisation_still_has_the_inverse(capsys):
+    # a rule bound of 3 truncates the completion of E6's target
+    # localisation; its enumeration finds the inverse of F(e), so the run
+    # stops where the default limits stop it, at the precondition
+    code, rep = run_json(capsys, "verify-approximation", E6_FUN,
+                         "--limits-rules", "3")
+    assert code == 2
+    assert rep["error"]["kind"] == "precondition"
+    assert rep["error"]["witness"]["kind"] == "identity-not-denominator"
+    assert rep == run_json(capsys, "verify-approximation", E6_FUN)[1] | {
+        "limits": rep["limits"]}
 
 
 class TestVerifyApproximation:
@@ -306,8 +385,8 @@ class TestVerifyApproximation:
             calls.append(p)
             return complete(p, *args)
 
-        for module in (cli, equivalence, gz, rewrite):
-            monkeypatch.setattr(module, "complete", counted)
+        # every system comes from rewrite.present, which completes first
+        monkeypatch.setattr(rewrite, "complete", counted)
         for choice in ((), ("--choice", "from-file",
                             str(corpus.FIXTURES / "E7b-alt.choice.json"))):
             calls.clear()
@@ -657,7 +736,8 @@ class TestDeterminism:
             "approximation.verify_approximation",
             "cli._emit", "cli.cmd_check", "cli.cmd_homset", "cli.cmd_localise",
             "cli.cmd_validate", "cli.cmd_verify_approximation",
-            "equivalence.prepare", "rewrite.__init__", "rewrite.complete"]
+            "equivalence.prepare", "rewrite.__init__", "rewrite.complete",
+            "rewrite.present"]
 
 
 class TestReplacementRich:
@@ -904,10 +984,12 @@ def test_usage_error(capsys, argv):
 
 
 def test_zero_bound_is_allowed(capsys):
+    # no rule at all: the enumeration still finds E5's two morphisms
     code, rep = run_json(capsys, "homset", E5_CAT, "--src", "•", "--dst", "•",
                          "--limits-rules", "0")
-    assert code == 4
+    assert code == 0
     assert rep["limits"]["max_rules"] == 0
+    assert rep["result"]["count"] == 2
 
 
 COMMON_FLAGS = ("--limits-word-len", "--limits-rules", "--limits-homset",
@@ -979,20 +1061,37 @@ def test_commands_import_nothing():
                                        "argparse": False, "gettext": False}
 
 
+# ``python -m loccat.cli`` with the verifier raising a ConstructionError,
+# which no known input reaches (see test_construction_error_is_a_report)
+CONSTRUCTION_PROBE = """
+import runpy, sys
+import loccat.approximation
+from loccat.presentation import ConstructionError
+def fail(*args, **kwargs):
+    raise ConstructionError("forced")
+loccat.approximation.verify_approximation = fail
+runpy.run_module("loccat.cli", run_name="__main__")
+"""
+
+
 @pytest.mark.parametrize("argv,code", [
     (["check", "s-full", E2_FUN], 0),
     (["check", "s-faithful", corpus.fun_path("E3")], 1),
-    (["verify-approximation", E6_FUN, "--limits-rules", "3"], 2),
+    (["verify-approximation", E6_FUN], 2),
     (["localise"], 2),
     (["validate", str(corpus.FIXTURES / "missing.cat.json")], 3),
     (["homset", E5_CAT, "--src", "•", "--dst", "•", "--limits-homset", "1"],
      4),
 ], ids=["holds", "fails", "construction", "usage", "unreadable", "undecided"])
 def test_exit_code_through_module(argv, code):
-    proc = _run_module("-m", "loccat.cli", *argv)
+    entry = ("-c", CONSTRUCTION_PROBE) if argv[0] == "verify-approximation" \
+        else ("-m", "loccat.cli")
+    proc = _run_module(*entry, *argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     if argv == ["localise"]:
         assert proc.stdout == ""
     else:
         assert json.loads(proc.stdout)["schema"] == "loccat-report/1"
+    if entry[0] == "-c":
+        assert json.loads(proc.stdout)["error"]["kind"] == "construction"

@@ -276,6 +276,17 @@ class TestLoadFunctor:
         f = load_functor(corpus.fun_path("E7"))
         assert f.source.cat.objects and f.target.cat.objects
 
+    def test_messages_built_only_on_failure(self):
+        # a path that cannot be formatted loads: no check that passes
+        # builds its message
+        class Unformattable(str):
+            def __format__(self, spec):
+                raise AssertionError("message built")
+
+        f = load_functor(Unformattable(corpus.fun_path("E7b")))
+        assert f.object_map and f.images
+        assert load_cat(Unformattable(corpus.cat_path("E7bD"))) == corpus.cat("E7bD")
+
     def test_empty_generator_image_needs_matching_endpoints(self, tmp_path):
         cat_path = write(tmp_path, "c.cat.json", GOOD_CAT)
         fun_path = write(tmp_path, "collapse.fun.json", {

@@ -1,0 +1,203 @@
+"""Tight answers equal generous ones on small drawn presentations.
+
+A draw is a quotient functor ``F: C -> D``: C has one or two objects,
+two or three generators with drawn endpoints and up to two relations
+between drawn typed walks; each endo generator is an involution or an
+idempotent with probability 0.8, and two endo generators on one object
+commute with probability 0.7.  D is C with up to two more relations,
+and F is the identity on objects and generators.  C's denominators are
+each generator with probability 0.4, D's are those plus each other
+generator with probability 0.3, both closed under identities and
+composition.
+
+Under the generous limits (words of 8 letters, 64 rules, 128
+morphisms) completion decides most draws.  Where it completes, the
+S-full, S-faithful and S-equivalence verdicts under a rule bound of 0
+to 4 must be the same, or the tight run raises :class:`LimitExceeded`,
+and so must the hom-sets of every ``complete`` system that
+:func:`~loccat.rewrite.present` builds, the base's and its
+localisation's.  A ``bounded-incomplete`` system is left out: where one
+object's enumeration does not close, the truncated completion answers
+for every object, and can list a morphism twice (ROADMAP item 1).  A
+:class:`ConstructionError` fails the property.  The generous counts are cross-checked with the brute-force
+oracle of ``tests/oracle.py``.
+"""
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+import corpus
+import oracle
+from loccat import (FunctorData, LimitExceeded, ResourceLimits, check_s_equivalence,
+                    check_s_faithful, check_s_full, complete, load_cat, localise, prepare,
+                    present)
+from loccat.rewrite import words
+
+GENEROUS = ResourceLimits(max_word_len=8, max_rules=64, max_homset=128)
+TIGHT = [GENEROUS._replace(max_rules=r) for r in range(5)]
+CHECKS = (check_s_full, check_s_faithful, check_s_equivalence)
+
+
+def _walks(gens, src, most):
+    """Every typed walk out of ``src`` of at most ``most`` letters, with
+    its end, shortest first."""
+    level, found = [((), src)], [((), src)]
+    for _ in range(most):
+        level = [(w + (name,), d) for w, at in level for name, s, d in gens if s == at]
+        found += level
+    return found
+
+
+@st.composite
+def relation(draw, objects, gens):
+    src = draw(st.sampled_from(objects))
+    lhs = [(w, d) for w, d in _walks(gens, src, 3) if w]
+    if not lhs:
+        return None
+    left, dst = draw(st.sampled_from(lhs))
+    right = [w for w, d in _walks(gens, src, 3) if d == dst and w != left]
+    return (left, draw(st.sampled_from(right))) if right else None
+
+
+def _chance(draw, tenths: int) -> bool:
+    return draw(st.integers(0, 9)) < tenths
+
+
+@st.composite
+def quotient_draw(draw):
+    objects = [f"o{i}" for i in range(draw(st.integers(1, 2)))]
+    gens = [(f"g{i}", draw(st.sampled_from(objects)), draw(st.sampled_from(objects)))
+            for i in range(draw(st.integers(2, 3)))]
+    rels = [r for r in (draw(relation(objects, gens)) for _ in range(draw(st.integers(0, 2))))
+            if r is not None]
+    endo = [(g, s) for g, s, d in gens if s == d]
+    for g, _ in endo:
+        if _chance(draw, 8):
+            rels.append(((g, g), () if draw(st.booleans()) else (g,)))
+    for i, (g, s) in enumerate(endo):
+        for h, t in endo[i + 1:]:
+            if s == t and _chance(draw, 7):
+                rels.append(((g, h), (h, g)))
+    more = [r for r in (draw(relation(objects, gens)) for _ in range(draw(st.integers(0, 2))))
+            if r is not None]
+    c_denoms = [g for g, _, _ in gens if _chance(draw, 4)]
+    d_denoms = c_denoms + [g for g, _, _ in gens if g not in c_denoms and _chance(draw, 3)]
+    return {"objects": objects, "gens": gens, "c": rels, "d": rels + more,
+            "c_denoms": c_denoms, "d_denoms": d_denoms}
+
+
+def functor(spec) -> FunctorData:
+    c, d = (load_cat(side, corpus.cat_data(spec["objects"], spec["gens"], spec[side],
+                                           spec[f"{side}_denoms"]))
+            for side in ("c", "d"))
+    code = d.cat.codec[0]
+    return FunctorData(c, d, {x: x for x in spec["objects"]},
+                       {g: (s, t, code[g]) for g, s, t in spec["gens"]})
+
+
+def listing(rs):
+    """Each hom-set's words, or None where listing it raises."""
+    found = {}
+    for x in rs.presentation.objects:
+        for y in rs.presentation.objects:
+            try:
+                found[x, y] = words(rs, x, y)
+            except LimitExceeded:
+                found[x, y] = None
+    return found
+
+
+def verdicts(f, limits):
+    """Each check's verdict, or None where it is undecided."""
+    try:
+        setting = prepare(f, limits)
+    except LimitExceeded:
+        return [None] * len(CHECKS)
+    out = []
+    for check in CHECKS:
+        try:
+            out.append(check(setting).verdict)
+        except LimitExceeded:
+            out.append(None)
+    return out
+
+
+def assert_oracle_counts(p, rs, found):
+    """Each class of the brute-force oracle (words of at most six letters)
+    has one normal form in ``rs``, and each listed hom-set's words are
+    the normal forms its oracle classes reach: so the oracle counts at
+    least as many classes as are listed, and as many where it has joined
+    every word with its normal form."""
+    orc = oracle.Oracle(p.objects, [(g.name, g.src, g.dst) for g in p.generators],
+                        [(p.decode(lhs).letters, p.decode(rhs).letters)
+                         for lhs, rhs in p.relations], max_len=6)
+    code = p.codec[0]
+    nf_of = {}
+    for (x, letters), y in orc.words.items():
+        nf = rs.index["".join(map(code.__getitem__, letters))]
+        assert nf_of.setdefault(orc.uf.find((x, letters)), nf) == nf, (x, letters)
+    reached = {}
+    for (x, letters), y in orc.words.items():
+        reached.setdefault((x, y), set()).add(nf_of[orc.uf.find((x, letters))])
+    for (x, y), listed in found.items():
+        if listed is not None and all(len(w) <= 6 for w in listed):
+            assert reached.get((x, y), set()) == set(listed), (x, y)
+
+
+def agree(want, got):
+    """``got`` answers where ``want`` does, with the same answers, or is
+    undecided."""
+    return all(g is None or (w is not None and g == w)
+               for w, g in zip(want, got, strict=True))
+
+
+# completion under max_rules 3 raised ConstructionError here, and under 4
+# answered s-faithful and s-equivalence false; all three hold
+TWO_OBJECTS = {
+    "objects": ["o0", "o1"], "gens": [("g0", "o1", "o0"), ("g1", "o0", "o1")],
+    "c": [(("g0", "g1", "g0"), ("g0",)), (("g1",), ("g1", "g0", "g1"))],
+    "d": [(("g0", "g1", "g0"), ("g0",)), (("g1",), ("g1", "g0", "g1")),
+          (("g1", "g0"), ()), (("g0", "g1"), ())],
+    "c_denoms": ["g1"], "d_denoms": ["g1", "g0"]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(quotient_draw())
+@example(TWO_OBJECTS)
+def test_tight_answers_equal_generous_ones(spec):
+    f = functor(spec)
+    systems = []
+    for cwd in (f.source, f.target):
+        rs = complete(cwd.cat, GENEROUS)
+        try:
+            lc = localise(cwd, rs)
+        except LimitExceeded:
+            return
+        if not (rs.is_complete and lc.rs.is_complete):
+            return
+        systems.append((cwd, rs, lc))
+    for cwd, rs, lc in systems:
+        want, want_lc = listing(rs), listing(lc.rs)
+        assert_oracle_counts(cwd.cat, rs, want)
+        for limits in TIGHT:
+            tight = present(cwd.cat, limits)
+            if tight.is_complete:
+                assert agree(want.values(), listing(tight).values()), limits
+            try:
+                tight_lc = localise(cwd, tight).rs
+            except LimitExceeded:
+                continue
+            if tight_lc.is_complete:
+                # a truncated base can give a generator equal to 1 an
+                # inverse letter, which renumbers the letters after it
+                same = tight_lc.presentation == lc.rs.presentation
+                assert agree([v if same or v is None else len(v) for v in want_lc.values()],
+                             [v if same or v is None else len(v)
+                              for v in listing(tight_lc).values()]), limits
+    want = verdicts(f, GENEROUS)
+    for limits in TIGHT:
+        assert agree(want, verdicts(f, limits)), limits
+
+
+def test_two_objects_hold_under_generous_limits():
+    assert verdicts(functor(TWO_OBJECTS), GENEROUS) == [True, True, True]

@@ -18,7 +18,8 @@ from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
                     LimitExceeded, PathWord, DEFAULT_LIMITS,
                     ResourceLimits, RewriteSystem, ValidationError,
                     check_multiplicative, complete, denominators, equal,
-                    find_inverse, homset, load_cat, localise, normalize, prepare)
+                    find_inverse, homset, load_cat, localise, normalize, prepare,
+                    present)
 from loccat import gz, rewrite
 from loccat.cli import main
 from loccat.rewrite import RuleIndex
@@ -327,6 +328,92 @@ class TestCompletion:
         rs = complete(p, ResourceLimits(max_word_len=16, max_rules=4,
                                         max_homset=64))
         assert rs.status == BOUNDED_INCOMPLETE
+
+
+class TestPresent:
+    """``present`` returns the completion, or coset tables where a bound
+    cut the completion short and the enumeration closes."""
+
+    FINITE = {"D5": dihedral(5), "D6": dihedral(6), "D12": dihedral(12),
+              "D12 localised": localised_dihedral(12), "L4": ladder(4).target.cat,
+              **{name: corpus.cat(name).cat for name in corpus.CAT_NAMES},
+              **{f"{name} localised": corpus.lc(name).presentation
+                 for name in corpus.CAT_NAMES}}
+
+    @pytest.mark.parametrize("name", FINITE)
+    def test_same_words_and_normal_forms_as_completion(self, name):
+        # the enumerated names are the complete system's normal forms
+        p = self.FINITE[name]
+        want = complete(p)
+        assert want.is_complete
+        for rules in (0, 1, 3):
+            rs = present(p, DEFAULT_LIMITS._replace(max_rules=rules))
+            assert rs.is_complete, rules
+            for x in p.objects:
+                for y in p.objects:
+                    assert rewrite.words(rs, x, y) == rewrite.words(want, x, y)
+                    for u in rewrite.words(want, x, y):
+                        for z in p.objects:
+                            for v in rewrite.words(want, y, z):
+                                assert rs.index[u + v] == want.index[u + v]
+
+    def test_complete_runs_are_returned(self):
+        p = dihedral(6)
+        assert type(present(p)) is RewriteSystem
+        assert present(p) == complete(p)
+        rs = present(p, DEFAULT_LIMITS._replace(max_rules=2))
+        assert type(rs) is rewrite.Enumerated
+        assert rs.rules == () and rs.status == COMPLETE
+        assert rs.completion == complete(p, DEFAULT_LIMITS._replace(max_rules=2))
+        assert not rs.completion.is_complete
+
+    @pytest.mark.parametrize("name", ["braid", "partially-commutative"])
+    def test_infinite_monoids_keep_the_truncated_completion(self, name):
+        p = FAMILIES[name]
+        rs = present(p)
+        assert type(rs) is RewriteSystem and rs == complete(p)
+        assert rs.status == BOUNDED_INCOMPLETE
+
+    def test_gives_up_past_max_homset(self):
+        # seven morphisms leave tl: two live classes cannot hold them
+        p = corpus.cat("E7bD").cat
+        limits = ResourceLimits(max_rules=1, max_homset=2)
+        rs = present(p, limits)
+        assert type(rs) is RewriteSystem and rs == complete(p, limits)
+        assert rs.status == BOUNDED_INCOMPLETE
+
+    def test_long_normal_form_is_undecided(self):
+        # D6 closes without a rule, but a·a·a·a has four letters
+        rs = present(dihedral(6), ResourceLimits(max_word_len=3, max_rules=0))
+        assert rs.is_complete
+        with pytest.raises(LimitExceeded, match="max_word_len"):
+            homset(rs, "o", "o")
+
+    def test_seeded_localisation_gives_the_completed_words(self):
+        # the seeds w^-1 = v of a localisation follow from its relations,
+        # so tracing them too leaves the enumerated category unchanged
+        c = dihedral_denoms(6)
+        rs = complete(c.cat)
+        lc = gz.extension(c, rs)
+        seeds = gz._base_inverses(rs, lc)
+        assert seeds
+        tight = DEFAULT_LIMITS._replace(max_rules=0)
+        enumerated = present(lc.presentation, tight, seeds)
+        want = complete(lc.presentation)
+        assert enumerated.is_complete
+        assert rewrite.words(enumerated, "o", "o") == rewrite.words(want, "o", "o")
+
+    def test_every_system_comes_from_present(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "loccat"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    found += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                              if isinstance(node, ast.Call)
+                              and getattr(node.func, "id", None) == "complete"]
+        assert found == ["rewrite.present"]
 
 
 class TestNormalize:
