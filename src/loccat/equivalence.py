@@ -44,7 +44,6 @@ from .replacement import (
 from .rewrite import (
     COMPLETE,
     DEFAULT_LIMITS,
-    BOUNDED_INCOMPLETE,
     DenomDecider,
     ResourceLimits,
     RewriteSystem,
@@ -76,8 +75,8 @@ class GzSetting:
     None of them takes part in equality: two settings are equal when
     their functors, systems and localisations are.  The target
     decider is the one the target system keeps.  All four systems were
-    completed under the limits given to :func:`prepare`, and the
-    decidability status of every system built on them is theirs.
+    built by :func:`~loccat.rewrite.present` under the limits given to
+    :func:`prepare`, so every system built on them is complete.
     """
 
     def __init__(self, f: FunctorData, rs_src: RewriteSystem, rs_tgt: RewriteSystem,
@@ -91,12 +90,6 @@ class GzSetting:
         return type(other) is type(self) and (
             (self.f, self.rs_src, self.rs_tgt, self.lc_src, self.lc_tgt, self.gz_f)
             == (other.f, other.rs_src, other.rs_tgt, other.lc_src, other.lc_tgt, other.gz_f))
-
-    @property
-    def decidability_status(self) -> str:
-        systems = (self.rs_src, self.rs_tgt, self.lc_src.rs, self.lc_tgt.rs)
-        return COMPLETE if all(rs.status == COMPLETE for rs in systems) \
-            else BOUNDED_INCOMPLETE
 
     @property
     def dec_tgt(self) -> DenomDecider:
@@ -203,9 +196,9 @@ def _arrow_json(setting: GzSetting, arrow: tuple) -> dict:
 
 def check_report(setting: GzSetting, check: str, verdict: bool,
                  witness: dict | None, details: dict) -> CheckReport:
-    """A report under the limits and status of ``setting``'s systems."""
+    """A report under the limits of ``setting``'s systems."""
     return CheckReport(check, verdict, witness, setting.rs_src.limits._asdict(),
-                       setting.decidability_status, details)
+                       COMPLETE, details)
 
 
 def check_s_dense(setting: GzSetting) -> CheckReport:

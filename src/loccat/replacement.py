@@ -46,7 +46,6 @@ from .rewrite import (
     LimitExceeded,
     RewriteSystem,
     denominators,
-    equal_encoded,
     words,
 )
 
@@ -310,7 +309,7 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
                 for g in src_cat.generators})
     round_trip = lift.then(rc.forgetful)
     if not (all(round_trip.object_map[x] == f.object_map[x] for x in src_cat.objects)
-            and all(equal_encoded(rs_tgt, round_trip.images[g.name][2], f.images[g.name][2])
+            and all(rs_tgt.index[round_trip.images[g.name][2]] == rs_tgt.index[f.images[g.name][2]]
                     for g in src_cat.generators)):
         raise ConstructionError("forgetful after canonical lift differs from the functor")
     return lift

@@ -6,11 +6,9 @@ equation so the larger side rewrites to the smaller one, computes
 critical pairs (overlaps and containments of left hand sides) and
 interreduces until no pair remains or a resource bound is hit.
 
-On a ``COMPLETE`` system ``normalize`` computes canonical forms, so
-word equality, hom-set enumeration and invertibility are decidable.
-On a ``BOUNDED_INCOMPLETE`` system equal normal forms still certify
-equality, but differing ones are inconclusive and queries raise
-:class:`LimitExceeded` instead of guessing.
+Every system the package queries is complete: its normal forms are
+canonical, so word equality, hom-set enumeration and invertibility are
+decided by comparing them.
 
 Words are encoded inside a system and decoded at the edge.  Each
 generator is one character, with code points that increase in
@@ -78,10 +76,12 @@ back.  Every function above takes it as it takes a completed system.
 
 The package builds every system with :func:`present`.  It completes,
 and where a bound cut the completion short it enumerates the morphisms
-out of each object instead (:class:`Enumerated`, coset tables with no
-rules); if an enumeration does not close within the limits, the
-truncated completion answers.  :func:`complete` stays the Knuth-Bendix
-kernel alone.
+out of each object instead, on the first query that needs them
+(:class:`Enumerated`, coset tables with no rules); a query on an object
+whose enumeration does not close within the limits raises
+:class:`LimitExceeded`, so no query reads a truncated completion.
+:func:`complete` stays the Knuth-Bendix kernel alone, and the systems it
+returns are ``bounded-incomplete`` when a bound cut it short.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def _literal_pattern(word: str) -> str:
 
 
 class RewriteSystem:
-    """A completed (or bound-truncated) rewriting system.
+    """A completed rewriting system, or a run that a bound cut short.
 
     ``rules`` are the codes ``(lhs, rhs)`` of its oriented equations,
     sorted shortlex.  ``limits`` are the bounds :func:`complete` ran
@@ -271,9 +271,9 @@ class RewriteSystem:
     Every query reads a system through five members, and an
     :class:`Inflation` or an :class:`Enumerated` provides the same:
     ``index``, a mapping from a code to its normal form; ``normal_forms_out(x)``,
-    the hom-sets out of ``x``; ``status``, ``complete`` when normal forms
-    are canonical; ``limits``; and ``rules``, which only ``loccat
-    localise`` reports, through ``completion``.
+    the hom-sets out of ``x``; ``status``, ``complete`` for every system
+    :func:`present` builds; ``limits``; and ``rules``, which only
+    ``loccat localise`` reports, through ``completion``.
     """
 
     def __init__(self, presentation: CatPresentation, rules: tuple[tuple[str, str], ...],
@@ -419,6 +419,10 @@ class Enumerated(RewriteSystem):
     relations, so the classes are the morphisms out of ``x``.  The
     enumeration gives up, raising :class:`LimitExceeded`, past
     ``max_homset`` live classes or ``4 * max_homset`` classes defined.
+    Each object is enumerated on the first query that needs it, and its
+    table is kept only if the enumeration closed, so a query on an
+    object that does not close raises on every call while the other
+    objects answer.
 
     A breadth-first search in generator declaration order names each
     class by the word it first reaches it with, its shortlex-least word,
@@ -436,23 +440,27 @@ class Enumerated(RewriteSystem):
         code = p.codec[0]
         self._completion, self.index = completion, _Lifts(self.normal_form)
         self._src = {code[g.name]: g.src for g in p.generators}
-        dst = {code[g.name]: g.dst for g in p.generators}
-        gens = {x: [code[g.name] for g in gs] for x, gs in p.out_gens.items()}
-        rels: dict[str, list[tuple[str, str]]] = {}
+        self._dst = {code[g.name]: g.dst for g in p.generators}
+        self._gens = {x: [code[g.name] for g in gs] for x, gs in p.out_gens.items()}
+        self._rels: dict[str, list[tuple[str, str]]] = {}
         for (src, _, lhs), (_, _, rhs) in p.relations + seeds:
-            rels.setdefault(src, []).append((lhs, rhs))
-        self._tables = {x: self._enumerate(x, gens, rels, dst) for x in p.objects}
+            self._rels.setdefault(src, []).append((lhs, rhs))
+        self._tables: dict = {}
 
     @property
     def completion(self) -> RewriteSystem:
         return self._completion
 
-    def _enumerate(self, x: str, gens: dict, rels: dict, dst: dict
-                   ) -> tuple[list[dict[str, int]], list[str], list[str]]:
+    def _table(self, x: str) -> tuple[list[dict[str, int]], list[str], list[str]]:
         """The classes out of ``x`` in search order: each one's table
-        entries by letter, its name and its object.  ``gens`` lists the
-        letters out of each object, ``rels`` the relations and seeds
-        from each, and ``dst`` is each letter's target."""
+        entries by letter, its name and its object; enumerated once."""
+        table = self._tables.get(x)
+        if table is None:
+            table = self._tables[x] = self._enumerate(x)
+        return table
+
+    def _enumerate(self, x: str) -> tuple[list[dict[str, int]], list[str], list[str]]:
+        gens, rels, dst = self._gens, self._rels, self._dst
         most = self.limits.max_homset
         rows: list[dict[str, int]] = [{}]
         obj, parent, live = [x], [0], 1
@@ -530,7 +538,7 @@ class Enumerated(RewriteSystem):
         """The name of the class ``s`` reaches from its source's identity."""
         if not s:
             return s
-        table, names, _ = self._tables[self._src[s[0]]]
+        table, names, _ = self._table(self._src[s[0]])
         c = 0
         for g in s:
             c = table[c][g]
@@ -540,7 +548,7 @@ class Enumerated(RewriteSystem):
         """The names of the classes out of ``x`` by object, in search
         order, which is shortlex; a name longer than ``max_word_len``
         raises as the search of a complete system would."""
-        _, names, objects = self._tables[x]
+        _, names, objects = self._table(x)
         bound = self.limits.max_word_len
         if len(names[-1]) > bound:
             raise LimitExceeded("max_word_len", f"normal form out of {x!r} longer than {bound}")
@@ -556,22 +564,10 @@ def normalize(rs: RewriteSystem, w: PathWord) -> PathWord:
 
 
 def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
-    """Decide ``w1 == w2`` in the presented category.
-
-    Raises :class:`LimitExceeded` when the system is incomplete and the
-    normal forms differ, since that outcome is inconclusive.
-    """
+    """Decide ``w1 == w2`` in the presented category."""
     if (w1.src, w1.dst) != (w2.src, w2.dst):
         raise ValidationError("equal() needs parallel words")
-    return equal_encoded(rs, rs.encode(w1)[2], rs.encode(w2)[2])
-
-
-def equal_encoded(rs: RewriteSystem, s1: str, s2: str) -> bool:
-    """:func:`equal` on the codes of two parallel words."""
-    same = rs.index[s1] == rs.index[s2]
-    if not same and not rs.is_complete:
-        raise LimitExceeded("completion", "normal forms differ on an incomplete system")
-    return same
+    return rs.compose(rs.encode(w1)) == rs.compose(rs.encode(w2))
 
 
 def _critical_pairs(r1: tuple, r2: tuple):
@@ -738,16 +734,10 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
 def present(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
             seeds: tuple = ()) -> RewriteSystem:
     """The system of ``p``: its completion (see :func:`complete`) or, if
-    the limits cut that short, its coset tables (:class:`Enumerated`)
-    when they close within the same limits, else the truncated
-    completion.  The package builds every system here."""
+    the limits cut that short, its coset tables (:class:`Enumerated`).
+    Either is complete.  The package builds every system here."""
     rs = complete(p, limits, seeds)
-    if rs.is_complete:
-        return rs
-    try:
-        return Enumerated(rs, seeds)
-    except LimitExceeded:
-        return rs
+    return rs if rs.is_complete else Enumerated(rs, seeds)
 
 
 def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[str, ...]]:
@@ -828,13 +818,9 @@ class DenomDecider:
     Membership of an arbitrary word is then a normal form lookup.
     :func:`denominators` builds one per system and keeps it.
 
-    On a complete system each new element is composed on both sides
-    with the generating words only: normal forms are canonical, so a set
-    closed under those products is closed under composition.  On a
-    ``bounded-incomplete`` system each new element is composed with the
-    whole set, round by round, since its normal forms are not canonical
-    and pairwise products reach representatives that products with the
-    generating words miss.
+    Each new element is composed on both sides with the generating
+    words only: normal forms are canonical, so a set closed under those
+    products is closed under composition.
     """
 
     def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
@@ -847,12 +833,11 @@ class DenomDecider:
             for x in c.cat.objects:
                 closure.add((x, x, ""))
         if c.denoms.close_under_composition:
-            factors = self.generators if rs.is_complete else closure
             frontier = set(closure)
             while frontier:
                 fresh: set[tuple[str, str, str]] = set()
                 for u in frontier:
-                    for v in factors:
+                    for v in self.generators:
                         for a, b in ((u, v), (v, u)):
                             if a[1] != b[0]:
                                 continue

@@ -3,9 +3,9 @@
 import pytest
 
 import corpus
-from loccat import (DEFAULT_LIMITS, FunctorData, LimitExceeded, ValidationError,
+from loccat import (DEFAULT_LIMITS, FunctorData, ValidationError,
                     check_isosaturated, check_multiplicative,
-                    check_reflects_denominators, complete, squares,
+                    check_reflects_denominators, present, squares,
                     validate_functor)
 
 
@@ -193,9 +193,10 @@ class TestTransformation:
         assert squares(corpus.rs("E3C"), generators(arrow), image(pick1),
                        components, image(pick2)) == (1, False)
 
-    def test_distinct_normal_forms_are_undecided_when_incomplete(self):
+    def test_truncated_run_decides_through_present(self):
         # in E5, d·d = 1, so d·d·d = d; with no rule completed, the normal
-        # forms of the two sides differ, which proves nothing
+        # forms of the truncated run differ, and the coset tables that
+        # present builds instead make the square commute
         c = corpus.cat("E5").cat
         d, identity = c.encode(c.word(["d"])), {"•": c.encode(c.identity("•"))}
 
@@ -203,7 +204,6 @@ class TestTransformation:
             return w[0], w[1], w[2] * 3
 
         assert squares(corpus.rs("E5"), [d], cubed, identity) == (1, True)
-        truncated = complete(c, DEFAULT_LIMITS._replace(max_rules=0))
-        assert not truncated.is_complete
-        with pytest.raises(LimitExceeded):
-            squares(truncated, [d], cubed, identity)
+        tight = present(c, DEFAULT_LIMITS._replace(max_rules=0))
+        assert squares(tight.completion, [d], cubed, identity) == (1, False)
+        assert squares(tight, [d], cubed, identity) == (1, True)

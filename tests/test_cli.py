@@ -174,9 +174,8 @@ class TestHomset:
 
     def test_localised_status_is_the_listed_systems(self, capsys, tmp_path):
         # E2 beside a free loop on z: one rule completes the category,
-        # but not its localisation, and the loop leaves z infinitely many
-        # morphisms, so no enumeration closes either; the status belongs
-        # to the system whose words are listed
+        # but not its localisation, whose coset tables answer a -> b; the
+        # loop leaves z infinitely many morphisms, so z's does not close
         path = tmp_path / "loop.cat.json"
         path.write_text(json.dumps({
             "objects": ["a", "b", "z"],
@@ -190,7 +189,12 @@ class TestHomset:
         code, rep = run_json(capsys, *query, "--localised")
         assert base["result"]["status"] == "complete"
         assert code == 0
-        assert rep["result"]["status"] == "bounded-incomplete"
+        assert rep["result"]["status"] == "complete"
+        assert rep["result"]["count"] == 1
+        code, rep = run_json(capsys, "homset", str(path), "--src", "z", "--dst", "z",
+                             "--limits-rules", "1", "--localised")
+        assert code == 4
+        assert rep["error"]["kind"] == "undecided"
 
     def test_homset_cap_exits_four(self, capsys):
         code, rep = run_json(capsys, "homset", corpus.cat_path("E5"),

@@ -14,13 +14,12 @@ Under the generous limits (words of 8 letters, 64 rules, 128
 morphisms) completion decides most draws.  Where it completes, the
 S-full, S-faithful and S-equivalence verdicts under a rule bound of 0
 to 4 must be the same, or the tight run raises :class:`LimitExceeded`,
-and so must the hom-sets of every ``complete`` system that
-:func:`~loccat.rewrite.present` builds, the base's and its
-localisation's.  A ``bounded-incomplete`` system is left out: where one
-object's enumeration does not close, the truncated completion answers
-for every object, and can list a morphism twice (ROADMAP item 1).  A
-:class:`ConstructionError` fails the property.  The generous counts are cross-checked with the brute-force
-oracle of ``tests/oracle.py``.
+and so must, on every system :func:`~loccat.rewrite.present` builds,
+the base's and its localisation's, the hom-sets, and on the base the
+inverse of each generator and the denominator membership of each
+listed word.  Every such system must be complete.  A
+:class:`ConstructionError` fails the property.  The generous counts are
+cross-checked with the brute-force oracle of ``tests/oracle.py``.
 """
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -30,7 +29,7 @@ import oracle
 from loccat import (FunctorData, LimitExceeded, ResourceLimits, check_s_equivalence,
                     check_s_faithful, check_s_full, complete, load_cat, localise, prepare,
                     present)
-from loccat.rewrite import words
+from loccat.rewrite import denominators, inverse, words
 
 GENEROUS = ResourceLimits(max_word_len=8, max_rules=64, max_homset=128)
 TIGHT = [GENEROUS._replace(max_rules=r) for r in range(5)]
@@ -106,6 +105,28 @@ def listing(rs):
     return found
 
 
+def answer(query, *args):
+    """``query(*args)`` in a one-tuple, or None where it raises
+    :class:`LimitExceeded`."""
+    try:
+        return (query(*args),)
+    except LimitExceeded:
+        return None
+
+
+def is_denominator(cwd, rs, word) -> bool:
+    return denominators(cwd, rs).is_denominator(rs.decode(word))
+
+
+def inverses_and_denominators(cwd, rs, listed):
+    """The inverse of each generator, then the denominator membership of
+    each word ``listed`` by hom-set, each as :func:`answer` gives it."""
+    p = cwd.cat
+    return ([answer(inverse, rs, (g.src, g.dst, p.codec[0][g.name])) for g in p.generators]
+            + [answer(is_denominator, cwd, rs, (x, y, s))
+               for (x, y), ws in listed.items() for s in ws or ()])
+
+
 def verdicts(f, limits):
     """Each check's verdict, or None where it is undecided."""
     try:
@@ -159,11 +180,20 @@ TWO_OBJECTS = {
           (("g1", "g0"), ()), (("g0", "g1"), ())],
     "c_denoms": ["g1"], "d_denoms": ["g1", "g0"]}
 
+# g0 = 1 on o1 and a free loop on o0, whose enumeration does not close:
+# under max_rules 1 the truncated completion listed 1 and g0 as o1 -> o1
+CLOSED_BESIDE_OPEN = {
+    "objects": ["o0", "o1"], "gens": [("g0", "o1", "o1"), ("g1", "o0", "o0")],
+    "c": [(("g0",), ("g0", "g0")), (("g0", "g0"), ())],
+    "d": [(("g0",), ("g0", "g0")), (("g0", "g0"), ())],
+    "c_denoms": [], "d_denoms": []}
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(quotient_draw())
 @example(TWO_OBJECTS)
+@example(CLOSED_BESIDE_OPEN)
 def test_tight_answers_equal_generous_ones(spec):
     f = functor(spec)
     systems = []
@@ -178,22 +208,24 @@ def test_tight_answers_equal_generous_ones(spec):
         systems.append((cwd, rs, lc))
     for cwd, rs, lc in systems:
         want, want_lc = listing(rs), listing(lc.rs)
+        want_more = inverses_and_denominators(cwd, rs, want)
         assert_oracle_counts(cwd.cat, rs, want)
         for limits in TIGHT:
             tight = present(cwd.cat, limits)
-            if tight.is_complete:
-                assert agree(want.values(), listing(tight).values()), limits
+            assert tight.is_complete, limits
+            assert agree(want.values(), listing(tight).values()), limits
+            assert agree(want_more, inverses_and_denominators(cwd, tight, want)), limits
             try:
                 tight_lc = localise(cwd, tight).rs
             except LimitExceeded:
                 continue
-            if tight_lc.is_complete:
-                # a truncated base can give a generator equal to 1 an
-                # inverse letter, which renumbers the letters after it
-                same = tight_lc.presentation == lc.rs.presentation
-                assert agree([v if same or v is None else len(v) for v in want_lc.values()],
-                             [v if same or v is None else len(v)
-                              for v in listing(tight_lc).values()]), limits
+            assert tight_lc.is_complete, limits
+            # a truncated base can give a generator equal to 1 an
+            # inverse letter, which renumbers the letters after it
+            same = tight_lc.presentation == lc.rs.presentation
+            assert agree([v if same or v is None else len(v) for v in want_lc.values()],
+                         [v if same or v is None else len(v)
+                          for v in listing(tight_lc).values()]), limits
     want = verdicts(f, GENEROUS)
     for limits in TIGHT:
         assert agree(want, verdicts(f, limits)), limits

@@ -332,7 +332,8 @@ class TestCompletion:
 
 class TestPresent:
     """``present`` returns the completion, or coset tables where a bound
-    cut the completion short and the enumeration closes."""
+    cut the completion short; a query on an object whose enumeration
+    does not close raises."""
 
     FINITE = {"D5": dihedral(5), "D6": dihedral(6), "D12": dihedral(12),
               "D12 localised": localised_dihedral(12), "L4": ladder(4).target.cat,
@@ -369,18 +370,39 @@ class TestPresent:
 
     @pytest.mark.parametrize("name", ["braid", "partially-commutative"])
     def test_infinite_monoids_keep_the_truncated_completion(self, name):
+        # the truncated run is kept for loccat localise; no query reads it
         p = FAMILIES[name]
         rs = present(p)
-        assert type(rs) is RewriteSystem and rs == complete(p)
-        assert rs.status == BOUNDED_INCOMPLETE
+        assert type(rs) is rewrite.Enumerated
+        assert rs.completion == complete(p)
+        assert rs.completion.status == BOUNDED_INCOMPLETE
+        with pytest.raises(LimitExceeded, match="max_homset.*coset enumeration"):
+            rewrite.words(rs, "o", "o")
 
     def test_gives_up_past_max_homset(self):
-        # seven morphisms leave tl: two live classes cannot hold them
+        # seven morphisms leave tl: two live classes cannot hold them,
+        # but z has only its identity
         p = corpus.cat("E7bD").cat
-        limits = ResourceLimits(max_rules=1, max_homset=2)
+        rs = present(p, ResourceLimits(max_rules=1, max_homset=2))
+        assert type(rs) is rewrite.Enumerated
+        for _ in range(2):
+            with pytest.raises(LimitExceeded, match="max_homset"):
+                rewrite.words(rs, "tl", "z")
+        assert rewrite.words(rs, "z", "z") == ("",)
+
+    @pytest.mark.parametrize("max_rules", [0, 1])
+    def test_closed_objects_answer_beside_one_that_does_not_close(self, max_rules):
+        # g0 = g0·g0 and g0·g0 = 1, so g0 = 1; the free loop g1 leaves o0
+        # infinitely many morphisms.  One rule, g0·g0 -> 1, leaves g0
+        # irreducible, and the truncated run listed 1 and g0
+        p = load_cat("two", corpus.cat_data(
+            ["o0", "o1"], [("g0", "o1", "o1"), ("g1", "o0", "o0")],
+            [(("g0",), ("g0", "g0")), (("g0", "g0"), ())])).cat
+        limits = ResourceLimits(max_word_len=8, max_rules=max_rules, max_homset=128)
         rs = present(p, limits)
-        assert type(rs) is RewriteSystem and rs == complete(p, limits)
-        assert rs.status == BOUNDED_INCOMPLETE
+        assert rewrite.words(rs, "o1", "o1") == ("",)
+        with pytest.raises(LimitExceeded):
+            rewrite.words(rs, "o0", "o0")
 
     def test_long_normal_form_is_undecided(self):
         # D6 closes without a rule, but a·a·a·a has four letters
@@ -657,15 +679,16 @@ class TestEqual:
         with pytest.raises(Exception):
             equal(rs, c.word(["u"]), c.word(["v"]))
 
-    def test_incomplete_difference_is_undecided(self):
-        from loccat import RewriteSystem
-        c = corpus.cat("E3C").cat
-        rs = RewriteSystem(c, (), BOUNDED_INCOMPLETE)
-        # joinability still certifies equality
-        assert equal(rs, c.word(["f1"]), c.word(["f1"]))
-        # but differing normal forms prove nothing without confluence
-        with pytest.raises(LimitExceeded):
-            equal(rs, c.word(["f1"]), c.word(["f2"]))
+    def test_truncated_run_decides_through_present(self):
+        # in E5, d·d = 1, so d·d·d = d: with no rule completed the two
+        # normal forms of the truncated run differ, and the coset tables
+        # that present builds instead decide the equation
+        c = corpus.cat("E5").cat
+        d, ddd = c.word(["d"]), c.word(["d", "d", "d"])
+        rs = present(c, DEFAULT_LIMITS._replace(max_rules=0))
+        assert normalize(rs.completion, ddd) != normalize(rs.completion, d)
+        assert equal(rs, ddd, d)
+        assert not equal(rs, d, c.identity("•"))
 
 
 # the bounds of TestCompletion.test_same_rules_as_reference, then every
@@ -833,9 +856,8 @@ class TestDenomDecider:
     @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "L4", "D6", "D33",
                                       "D6 truncated"])
     def test_closure_matches_pairwise_saturation(self, name):
-        # a complete system grows the closure by its generating words, an
-        # incomplete one pairwise: truncated D6 keeps b·a·a·b beside
-        # b·a·b, which multiplying by a alone would not reach
+        # the closure grows by its generating words; on truncated D6 the
+        # coset tables that present builds make its normal forms canonical
         if name in corpus.CAT_NAMES:
             c, limits = corpus.cat(name), DEFAULT_LIMITS
         elif name == "L4":
@@ -845,17 +867,18 @@ class TestDenomDecider:
             c, limits = dihedral_denoms(n), ResourceLimits(max_word_len=n + 1)
         if name.endswith("truncated"):
             limits = ResourceLimits(max_rules=5)
-        rs = complete(c.cat, limits)
+        rs = present(c.cat, limits)
         systems = [(c, rs)]
-        if rs.is_complete and name != "D33":
+        if name != "D33":
             lc = localise(c, rs)
             systems.append((lc.cwd, lc.rs))
         for cwd, system in systems:
             assert set(DenomDecider(cwd, system).closure) == \
                 reference_rewrite.closure(cwd, system)
         if name.endswith("truncated"):
-            assert rs.status == BOUNDED_INCOMPLETE
-            assert len(denominators(c, rs).closure) == 7
+            assert type(rs) is rewrite.Enumerated
+            assert rs.completion.status == BOUNDED_INCOMPLETE
+            assert len(denominators(c, rs).closure) == 6
 
     def test_closure_grows_by_generating_words(self, monkeypatch):
         # each new denominator is multiplied by the generating words, not
