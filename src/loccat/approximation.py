@@ -81,11 +81,6 @@ def total_value(setting: GzSetting, i: int, j: int, w: tuple) -> tuple:
     return setting.value(i, j, w[2])
 
 
-def _generators(p: CatPresentation) -> list[tuple[str, str, str]]:
-    """The encoded one-letter words of the generators of ``p``."""
-    return [(g.src, g.dst, p.codec[0][g.name]) for g in p.generators]
-
-
 def _fill_functor(setting: GzSetting, chosen: dict[str, int] | None):
     """The total functor on ``setting.rc`` if ``chosen`` is None, else the
     choice functor on the target, into the localised source, with its
@@ -109,7 +104,7 @@ def _fill_functor(setting: GzSetting, chosen: dict[str, int] | None):
     functor = FunctorData(
         source=source, target=setting.lc_src.cwd,
         object_map={x: rc.triples[at(x)].source for x in cat.objects},
-        images={g.name: value(w) for g, w in zip(cat.generators, _generators(cat))})
+        images=dict(zip(cat.codec[0], map(value, cat.arrows.values()))))
     return functor, value
 
 
@@ -191,7 +186,7 @@ def _comparison(lc: LocalisedCategory, ws, frm, comps: dict[str, tuple],
 def _identity_on(lc: LocalisedCategory, p: CatPresentation, image) -> bool:
     """Does ``image`` send each generator of ``p`` to its normal form in
     ``lc``?  Stops at the first that it moves."""
-    return all(image(w) == lc.rs.compose(w) for w in _generators(p))
+    return all(image(w) == lc.rs.compose(w) for w in p.arrows.values())
 
 
 def total_replacement_functor(setting: GzSetting) -> tuple[FunctorData, dict]:
@@ -337,7 +332,7 @@ def choice_independence(setting: GzSetting, first: dict[str, int],
                            "invertible": _mutually_inverse(lc_src, fwd, bwd)})
     iso_ok = all(row["invertible"] for row in components)
     checks, naturality_ok = squares(
-        lc_src.rs, _generators(tgt_cat),
+        lc_src.rs, tgt_cat.arrows.values(),
         lambda w: setting.value(first[w[0]], first[w[1]], w[2]),
         fwds, lambda w: setting.value(second[w[0]], second[w[1]], w[2]))
     return {"components": components, "isomorphism_ok": iso_ok,
@@ -363,7 +358,7 @@ def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int]
 
     image, r_image = through(lc_src, functor), through(lc_src, r_choice)
     factorization_ok = all(image(lc_tgt.rs.compose(w)) == r_image(w)
-                           for w in _generators(tgt_cat))
+                           for w in tgt_cat.arrows.values())
 
     objects = tgt_cat.objects
     pairs, description_ok = squares(
@@ -471,7 +466,7 @@ def verify_approximation(f: FunctorData,
              for x in src_cat.objects}
     alpha_rows, alpha_iso = _rows(lc_src, alpha)
     alpha_squares, alpha_natural = squares(
-        lc_src.rs, _generators(p_src), through(lc_src, gz_f, induced), alpha)
+        lc_src.rs, p_src.arrows.values(), through(lc_src, gz_f, induced), alpha)
     objects_match = all(
         induced.object_map[gz_f.object_map[x]]
         == rc.triples[chosen[f.object_map[x]]].source
@@ -486,7 +481,7 @@ def verify_approximation(f: FunctorData,
     beta = {y: _loc_q(setting, chosen[y]) for y in tgt_cat.objects}
     beta_rows, beta_iso = _rows(lc_tgt, beta)
     beta_squares, beta_natural = squares(
-        lc_tgt.rs, _generators(p_tgt), through(lc_tgt, induced, gz_f), beta)
+        lc_tgt.rs, p_tgt.arrows.values(), through(lc_tgt, induced, gz_f), beta)
     sections.append({"name": "beta", "components": beta_rows,
                      "squares_checked": beta_squares,
                      "ok": beta_iso and beta_natural})
@@ -505,7 +500,7 @@ def verify_approximation(f: FunctorData,
     part_a_ok = _identity_on(lc_src, src_cat, through(lc_src, lift, total)) \
         and all(total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
-    rc_gens = _generators(rc.cwd.cat)
+    rc_gens = rc.cwd.cat.arrows.values()
     beta_bar = {name: _loc_q(setting, i) for i, name in enumerate(rc.obj_names)}
     b_iso, b_squares, b_natural = _comparison(
         lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar, through(lc_tgt, u))
@@ -540,7 +535,7 @@ def verify_approximation(f: FunctorData,
     pair_exact_ok = _identity_on(lc_tgt, p_tgt, through(lc_tgt, gz_cr, gz_u))
     loc_abar = {t: lc_rc.rs.compose(comp) for t, comp in abar.items()}
     pair_iso_ok, pair_squares, pair_nat_ok = _comparison(
-        lc_rc, _generators(lc_rc.presentation), through(lc_rc, gz_u, gz_cr), loc_abar)
+        lc_rc, lc_rc.presentation.arrows.values(), through(lc_rc, gz_u, gz_cr), loc_abar)
     sections.append({
         "name": "forgetful_section_pair",
         "section_then_forgetful_identity_ok": pair_exact_ok,

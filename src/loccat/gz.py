@@ -90,7 +90,7 @@ def _base_inverses(rs_base: RewriteSystem, lc: LocalisedCategory) -> tuple[tuple
     generator graph has an empty hom-set back, so its search is skipped;
     a search that exceeds the limits of ``rs_base`` seeds nothing.
     """
-    out_gens, code = rs_base.presentation.out_gens, lc.presentation.codec[0]
+    out, code = rs_base.presentation.out_arrows, lc.presentation.codec[0]
     reach: dict[str, set[str]] = {}
     seeded: list[tuple] = []
     for inv_name, w in lc.inverted.items():
@@ -98,10 +98,10 @@ def _base_inverses(rs_base: RewriteSystem, lc: LocalisedCategory) -> tuple[tuple
         if dst not in reach:
             seen, todo = {dst}, [dst]
             while todo:
-                for g in out_gens.get(todo.pop(), ()):
-                    if g.dst not in seen:
-                        seen.add(g.dst)
-                        todo.append(g.dst)
+                for _, y, _ in out.get(todo.pop(), ()):
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
             reach[dst] = seen
         if src not in reach[dst]:
             continue
@@ -140,10 +140,10 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         inverse_gens.append(GenArrow(inv_name, dst, src))
 
     code, spell = cat.codec
-    for g in cat.generators:
-        nf = rs_base.index[code[g.name]]
-        if nf and (g.src, g.dst, nf) in dec.closure:
-            add_inverse(g.name, (g.src, g.dst, code[g.name]))
+    for name, w in zip(code, cat.arrows.values()):
+        nf = rs_base.compose(w)
+        if nf[2] and nf in dec.closure:
+            add_inverse(name, w)
 
     # one fresh generator per distinct composite explicit denominator
     composites = [nf for nf in dec.generators if len(nf[2]) >= 2]
@@ -203,7 +203,7 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
     caller validates the result.
     """
     p, image = base.source.cat, through(lc_tgt, base)
-    values = {g.name: image((g.src, g.dst, p.codec[0][g.name])) for g in p.generators}
+    values = dict(zip(p.codec[0], map(image, p.arrows.values())))
     for name, base_word in lc_src.fresh_defs.items():
         values[name] = fresh_value(base_word)
     for name, inv_name in lc_src.inv_of.items():

@@ -122,10 +122,17 @@ class CatPresentation(namedtuple("CatPresentation", "objects generators relation
         return PathWord(src, dst, tuple(map(self.codec[1].__getitem__, s)))
 
     @cached_property
-    def out_gens(self) -> dict[str, list[GenArrow]]:
-        out: dict[str, list[GenArrow]] = {}
-        for g in self.generators:
-            out.setdefault(g.src, []).append(g)
+    def arrows(self) -> dict[str, tuple[str, str, str]]:
+        """Each generator's code to its encoded one-letter word
+        ``(src, dst, code)``, in declaration order."""
+        return {c: (g.src, g.dst, c) for g, c in zip(self.generators, self.codec[1])}
+
+    @cached_property
+    def out_arrows(self) -> dict[str, list[tuple[str, str, str]]]:
+        """The words of :attr:`arrows` by source object, in declaration order."""
+        out: dict[str, list[tuple[str, str, str]]] = {}
+        for w in self.arrows.values():
+            out.setdefault(w[0], []).append(w)
         return out
 
     def identity(self, obj: str) -> PathWord:
@@ -253,5 +260,5 @@ def identity_functor(c: CatWithDenoms) -> FunctorData:
         source=c,
         target=c,
         object_map={x: x for x in c.cat.objects},
-        images={g.name: (g.src, g.dst, c.cat.codec[0][g.name]) for g in c.cat.generators},
+        images=dict(zip(c.cat.codec[0], c.cat.arrows.values())),
     )

@@ -111,7 +111,6 @@ class ReplacementCategory:
             fresh_name(f"({t.target}|{t.source}|{'·'.join(map(spell, t.q)) or '1'})",
                        taken_objs)
             for t in triples)
-        self._obj_pos = {name: idx for idx, name in enumerate(names)}
         self._triple_pos: dict[tuple[str, str, str], int] = {}
         over: dict[str, list[int]] = {}
         for idx, t in enumerate(triples):
@@ -121,10 +120,9 @@ class ReplacementCategory:
 
         # target generator first, then triple pair, identity lifts last:
         # so the first lift of each target word routes through first triples
-        tgt_code = tgt_cat.codec[0]
-        lifts = [(g.name, (g.src, g.dst, tgt_code[g.name]), i, j)
-                 for g in tgt_cat.generators
-                 for i in over.get(g.src, ()) for j in over.get(g.dst, ())]
+        lifts = [(g_name, w, i, j)
+                 for g_name, w in zip(tgt_cat.codec[0], tgt_cat.arrows.values())
+                 for i in over.get(w[0], ()) for j in over.get(w[1], ())]
         lifts += [("1", (y, y, ""), i, j) for y in tgt_cat.objects
                   for i in over.get(y, ()) for j in over.get(y, ()) if i != j]
         taken: set[str] = set()
@@ -146,10 +144,9 @@ class ReplacementCategory:
         # between every two triples over its ends, but where a side has
         # no lift, as no target word through an object without triples has
         relations = [
-            ((a.src, b.dst, ab), (a.src, b.dst, rs.lift(a.src, b.dst, ab.translate(down))))
-            for a in gens for b in bare.out_gens.get(a.dst, ())
-            if not (under_of[a.name][2] and under_of[b.name][2])
-            for ab in (code[a.name] + code[b.name],)]
+            ((src, dst, a + b), (src, dst, rs.lift(src, dst, (a + b).translate(down))))
+            for src, mid, a in bare.arrows.values() for _, dst, b in bare.out_arrows.get(mid, ())
+            if not (down[ord(a)] and down[ord(b)])]
         for lhs, rhs in tgt_cat.relations:
             for i in over.get(lhs[0], ()):
                 for j in over.get(lhs[1], ()):
@@ -173,7 +170,7 @@ class ReplacementCategory:
 
     def object_index(self, name: str) -> int:
         """Position of the object named ``name`` among the triples."""
-        return self._obj_pos[name]
+        return self.cwd.cat.obj_index[name]
 
     def triples_over(self, y: str) -> tuple[int, ...]:
         return self._by_target.get(y, ())
@@ -269,16 +266,15 @@ def structure_choice_functor(rc: ReplacementCategory, chosen: dict[str, int]
     c_r = FunctorData(
         source=rc.functor.target, target=rc.cwd,
         object_map={y: rc.obj_names[chosen[y]] for y in tgt_cat.objects},
-        images={g.name: rc.lift_word(tgt_cat.codec[0][g.name], chosen[g.src],
-                                     chosen[g.dst]) for g in tgt_cat.generators})
+        images={name: rc.lift_word(c, chosen[src], chosen[dst])
+                for name, (src, dst, c) in zip(tgt_cat.codec[0], tgt_cat.arrows.values())})
 
     if c_r.then(rc.forgetful) != identity_functor(rc.functor.target):
         raise ConstructionError("U after C_R is not the identity")
 
     components = {rc.obj_names[i]: rc.lift_word("", chosen[t.target], i)
                   for i, t in enumerate(rc.triples)}
-    code = rc.cwd.cat.codec[0]
-    _, natural = squares(rc.rs, [(g.src, g.dst, code[g.name]) for g in rc.cwd.cat.generators],
+    _, natural = squares(rc.rs, rc.cwd.cat.arrows.values(),
                          through(rc, rc.forgetful, c_r), components)
     if not natural:
         raise ConstructionError("choice comparison transformation not natural")

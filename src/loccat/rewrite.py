@@ -321,8 +321,35 @@ class RewriteSystem:
 
     def normal_forms_out(self, x: str) -> dict[str, tuple[str, ...]]:
         """The encoded hom-sets out of ``x`` by target, in object order,
-        each in shortlex order: the listing :func:`words` keeps."""
-        return _reachable_normal_forms(self, x)
+        each in shortlex order: the listing :func:`words` keeps.  Each
+        normal form extends a shorter one (see the module docstring) by
+        a generator, in declaration order, so each length comes out in
+        shortlex order."""
+        p, limits, lhs = self.presentation, self.limits, self.index._rhs
+        lengths = sorted(set(map(len, lhs)))
+        by_dst = {x: [""]}
+        level, count = [("", x)], 1
+        while level:
+            nxt = []
+            for s, at in level:
+                for _, dst, g in p.out_arrows.get(at, ()):
+                    t = s + g
+                    # s is irreducible, so only a suffix of t can be a left side
+                    if any(t[-k:] in lhs for k in lengths):
+                        continue
+                    if len(t) > limits.max_word_len:
+                        raise LimitExceeded(
+                            "max_word_len",
+                            f"normal form out of {x!r} longer than {limits.max_word_len}")
+                    count += 1
+                    if count > limits.max_homset:
+                        raise LimitExceeded(
+                            "max_homset",
+                            f"more than {limits.max_homset} morphisms out of {x!r}")
+                    by_dst.setdefault(dst, []).append(t)
+                    nxt.append((t, dst))
+            level = nxt
+        return {y: tuple(by_dst.get(y, ())) for y in p.objects}
 
     @property
     def completion(self) -> RewriteSystem:
@@ -361,16 +388,13 @@ class Inflation(RewriteSystem):
             first.setdefault(under[x], x)
         # up: the first letter over each base letter, or over "", between
         # two copies; via: the copy a route takes after each base letter
-        up, ends = {}, {}
-        for g in presentation.generators:
-            c = presentation.codec[0][g.name]
-            ends[c] = g.src, g.dst
+        up = {}
+        for src, dst, c in presentation.arrows.values():
             if len(image := c.translate(down)) <= 1:
-                up.setdefault((g.src, g.dst, image), c)
-        p = base.presentation
-        via = {p.codec[0][g.name]: first[g.dst] for g in p.generators if g.dst in first}
+                up.setdefault((src, dst, image), c)
+        via = {c: first[dst] for _, dst, c in base.presentation.arrows.values() if dst in first}
         self.base, self.under, self.down, self.index = base, under, down, _Lifts(self.normal_form)
-        self._up, self._ends, self._via = up, ends, via
+        self._up, self._via = up, via
 
     def lift(self, src: str, dst: str, s: str) -> str:
         """The base code ``s`` lifted from the copy ``src`` to the copy
@@ -386,7 +410,8 @@ class Inflation(RewriteSystem):
 
     def normal_form(self, s: str) -> str:
         """The lift of the base normal form of the image of ``s``."""
-        return s and self.lift(self._ends[s[0]][0], self._ends[s[-1]][1],
+        arrows = self.presentation.arrows
+        return s and self.lift(arrows[s[0]][0], arrows[s[-1]][1],
                                self.base.index[s.translate(self.down)])
 
     def normal_forms_out(self, x: str) -> dict[str, tuple[str, ...]]:
@@ -418,11 +443,13 @@ class Enumerated(RewriteSystem):
     in which every relation holds, and every merge followed from the
     relations, so the classes are the morphisms out of ``x``.  The
     enumeration gives up, raising :class:`LimitExceeded`, past
-    ``max_homset`` live classes or ``4 * max_homset`` classes defined.
-    Each object is enumerated on the first query that needs it, and its
-    table is kept only if the enumeration closed, so a query on an
-    object that does not close raises on every call while the other
-    objects answer.
+    ``4 * max_homset`` classes defined, live or merged: a merge may need
+    more classes than the morphisms it leaves.  A table that closes with
+    more than ``max_homset`` classes raises as the search of a complete
+    system would.  Each object is enumerated on the first query that
+    needs it, and its table is kept only if the enumeration closed, so a
+    query on an object that does not close raises on every call while
+    the other objects answer.
 
     A breadth-first search in generator declaration order names each
     class by the word it first reaches it with, its shortlex-least word,
@@ -437,11 +464,7 @@ class Enumerated(RewriteSystem):
     def __init__(self, completion: RewriteSystem, seeds: tuple = ()):
         p = completion.presentation
         super().__init__(p, (), COMPLETE, completion.limits)
-        code = p.codec[0]
         self._completion, self.index = completion, _Lifts(self.normal_form)
-        self._src = {code[g.name]: g.src for g in p.generators}
-        self._dst = {code[g.name]: g.dst for g in p.generators}
-        self._gens = {x: [code[g.name] for g in gs] for x, gs in p.out_gens.items()}
         self._rels: dict[str, list[tuple[str, str]]] = {}
         for (src, _, lhs), (_, _, rhs) in p.relations + seeds:
             self._rels.setdefault(src, []).append((lhs, rhs))
@@ -460,10 +483,10 @@ class Enumerated(RewriteSystem):
         return table
 
     def _enumerate(self, x: str) -> tuple[list[dict[str, int]], list[str], list[str]]:
-        gens, rels, dst = self._gens, self._rels, self._dst
+        arrows, out, rels = self.presentation.arrows, self.presentation.out_arrows, self._rels
         most = self.limits.max_homset
         rows: list[dict[str, int]] = [{}]
-        obj, parent, live = [x], [0], 1
+        obj, parent = [x], [0]
 
         def find(c: int) -> int:
             while parent[c] != c:
@@ -471,25 +494,22 @@ class Enumerated(RewriteSystem):
             return c
 
         def follow(c: int, s: str) -> int:
-            nonlocal live
             for g in s:
                 row = rows[c]
                 c = row.get(g)
                 if c is None:
-                    if live >= most or len(rows) >= 4 * most:
+                    if len(rows) >= 4 * most:
                         raise LimitExceeded(
                             "max_homset", f"coset enumeration out of {x!r} did not close")
                     c = row[g] = len(rows)
                     rows.append({})
-                    obj.append(dst[g])
+                    obj.append(arrows[g][1])
                     parent.append(c)
-                    live += 1
                 elif parent[c] != c:
                     c = row[g] = find(c)
             return c
 
         def merge(a: int, b: int):
-            nonlocal live
             todo = [(a, b)]
             while todo:
                 a, b = todo.pop()
@@ -498,7 +518,6 @@ class Enumerated(RewriteSystem):
                     a, b = b, a
                 if a != b:
                     parent[b] = a
-                    live -= 1
                     keep = rows[a]
                     for g, t in rows[b].items():
                         if g in keep:
@@ -511,7 +530,7 @@ class Enumerated(RewriteSystem):
             changed, defined, c = False, len(rows), 0
             while c < len(rows):
                 if parent[c] == c:
-                    for g in gens.get(obj[c], ()):
+                    for _, _, g in out.get(obj[c], ()):
                         follow(c, g)
                     for lhs, rhs in rels.get(obj[c], ()):
                         a, b = follow(c, lhs), follow(c, rhs)
@@ -525,12 +544,14 @@ class Enumerated(RewriteSystem):
 
         number, order, names = {0: 0}, [0], [""]
         for c, name in zip(order, names):
-            for g in gens.get(obj[c], ()):
+            for _, _, g in out.get(obj[c], ()):
                 t = find(rows[c][g])
                 if t not in number:
                     number[t] = len(order)
                     order.append(t)
                     names.append(name + g)
+        if len(order) > most:
+            raise LimitExceeded("max_homset", f"more than {most} morphisms out of {x!r}")
         return ([{g: number[find(t)] for g, t in rows[c].items()} for c in order],
                 names, [obj[c] for c in order])
 
@@ -538,7 +559,7 @@ class Enumerated(RewriteSystem):
         """The name of the class ``s`` reaches from its source's identity."""
         if not s:
             return s
-        table, names, _ = self._table(self._src[s[0]])
+        table, names, _ = self._table(self.presentation.arrows[s[0]][0])
         c = 0
         for g in s:
             c = table[c][g]
@@ -738,38 +759,6 @@ def present(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
     Either is complete.  The package builds every system here."""
     rs = complete(p, limits, seeds)
     return rs if rs.is_complete else Enumerated(rs, seeds)
-
-
-def _reachable_normal_forms(rs: RewriteSystem, x: str) -> dict[str, tuple[str, ...]]:
-    """List the normal forms out of ``x`` (see the module docstring): the
-    encoded hom-sets by target, in object order.  Each word extends one
-    shorter word, by generators in declaration order, so each length
-    comes out in shortlex order."""
-    p, limits, lhs = rs.presentation, rs.limits, rs.index._rhs
-    code, lengths = p.codec[0], sorted(set(map(len, lhs)))
-    by_dst = {x: [""]}
-    level, count = [("", x)], 1
-    while level:
-        nxt = []
-        for s, dst in level:
-            for g in p.out_gens.get(dst, ()):
-                t = s + code[g.name]
-                # s is irreducible, so only a suffix of t can be a left side
-                if any(t[-k:] in lhs for k in lengths):
-                    continue
-                if len(t) > limits.max_word_len:
-                    raise LimitExceeded(
-                        "max_word_len",
-                        f"normal form out of {x!r} longer than {limits.max_word_len}")
-                count += 1
-                if count > limits.max_homset:
-                    raise LimitExceeded(
-                        "max_homset",
-                        f"more than {limits.max_homset} morphisms out of {x!r}")
-                by_dst.setdefault(g.dst, []).append(t)
-                nxt.append((t, g.dst))
-        level = nxt
-    return {y: tuple(by_dst.get(y, ())) for y in p.objects}
 
 
 def words(rs: RewriteSystem, x: str, y: str) -> tuple[str, ...]:

@@ -117,6 +117,27 @@ class TestFromNames:
         assert validate_presentation(c) == []
 
 
+class TestArrows:
+    def test_tables_follow_declaration_order(self):
+        # tl has three generators out, tr one, bl two; br and z none
+        p = corpus.cat("E7bD").cat
+        code = p.codec[0]
+        names = ["h_top", "v_left", "v_left2", "v_right", "h_bot", "s"]
+        assert [g.name for g in p.generators] == names
+        assert list(p.arrows) == [code[n] for n in names]
+        assert list(p.arrows.values()) == [
+            ("tl", "tr", code["h_top"]), ("tl", "bl", code["v_left"]),
+            ("tl", "bl", code["v_left2"]), ("tr", "br", code["v_right"]),
+            ("bl", "br", code["h_bot"]), ("bl", "z", code["s"])]
+        arrow = p.arrows.__getitem__
+        assert p.out_arrows == {
+            "tl": [arrow(code["h_top"]), arrow(code["v_left"]), arrow(code["v_left2"])],
+            "tr": [arrow(code["v_right"])],
+            "bl": [arrow(code["h_bot"]), arrow(code["s"])]}
+        assert list(p.out_arrows) == ["tl", "tr", "bl"]
+        assert "br" not in p.out_arrows and "z" not in p.out_arrows
+
+
 class TestValidation:
     def test_valid_presentation_has_no_problems(self):
         for name in corpus.CAT_NAMES:

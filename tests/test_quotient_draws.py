@@ -20,20 +20,42 @@ inverse of each generator and the denominator membership of each
 listed word.  Every such system must be complete.  A
 :class:`ConstructionError` fails the property.  The generous counts are
 cross-checked with the brute-force oracle of ``tests/oracle.py``.
+
+The CLI leg writes each draw's C, D and F to files and runs every
+command on them through :func:`loccat.cli.main`, under the generous
+limits and under a rule bound of 0, 2 and 4: no exception may escape,
+exit 1 must come with a false verdict or ``ok``, exit 2 only from
+``verify-approximation`` with a failed precondition, and a tight report
+must equal the generous one, apart from the limits it echoes, unless
+the command exits 4.
 """
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import corpus
 import oracle
 from loccat import (FunctorData, LimitExceeded, ResourceLimits, check_s_equivalence,
-                    check_s_faithful, check_s_full, complete, load_cat, localise, prepare,
-                    present)
+                    check_s_faithful, check_s_full, cli, complete, load_cat, localise,
+                    prepare, present)
 from loccat.rewrite import denominators, inverse, words
 
 GENEROUS = ResourceLimits(max_word_len=8, max_rules=64, max_homset=128)
 TIGHT = [GENEROUS._replace(max_rules=r) for r in range(5)]
 CHECKS = (check_s_full, check_s_faithful, check_s_equivalence)
+
+
+def limit_flags(limits: ResourceLimits) -> tuple[str, ...]:
+    return ("--limits-word-len", str(limits.max_word_len), "--limits-rules",
+            str(limits.max_rules), "--limits-homset", str(limits.max_homset))
+
+
+CLI_TIGHT = [limit_flags(TIGHT[r]) for r in (0, 2, 4)]
 
 
 def _walks(gens, src, most):
@@ -121,8 +143,7 @@ def is_denominator(cwd, rs, word) -> bool:
 def inverses_and_denominators(cwd, rs, listed):
     """The inverse of each generator, then the denominator membership of
     each word ``listed`` by hom-set, each as :func:`answer` gives it."""
-    p = cwd.cat
-    return ([answer(inverse, rs, (g.src, g.dst, p.codec[0][g.name])) for g in p.generators]
+    return ([answer(inverse, rs, w) for w in cwd.cat.arrows.values()]
             + [answer(is_denominator, cwd, rs, (x, y, s))
                for (x, y), ws in listed.items() for s in ws or ()])
 
@@ -233,3 +254,67 @@ def test_tight_answers_equal_generous_ones(spec):
 
 def test_two_objects_hold_under_generous_limits():
     assert verdicts(functor(TWO_OBJECTS), GENEROUS) == [True, True, True]
+
+
+def write_draw(spec, directory: str) -> tuple[str, tuple[str, ...]]:
+    """Write C, D and F to ``directory``; the functor's path and both
+    categories' paths."""
+    sides = [corpus.cat_data(spec["objects"], spec["gens"], spec[side], spec[f"{side}_denoms"])
+             for side in ("c", "d")]
+    fun = corpus._write(Path(directory), "q", *sides,
+                        {"object_map": {x: x for x in spec["objects"]},
+                         "generator_map": {g: [g] for g, _, _ in spec["gens"]}})
+    return fun, tuple(str(Path(directory) / f"q{side}.cat.json") for side in "CD")
+
+
+def cli_commands(spec, directory: str):
+    """Every command on the draw's files: the three functor checks,
+    ``verify-approximation``, and on C and D ``localise`` and each
+    hom-set, base and localised."""
+    fun, cats = write_draw(spec, directory)
+    objects = spec["objects"]
+    yield from (("check", which, fun) for which in ("s-full", "s-faithful", "s-equivalence"))
+    yield "verify-approximation", fun
+    for cat in cats:
+        yield "localise", cat
+        for x in objects:
+            for y in objects:
+                yield "homset", cat, "--src", x, "--dst", y
+                yield "homset", cat, "--src", x, "--dst", y, "--localised"
+
+
+def cli_outcome(argv) -> tuple[int, dict]:
+    """The exit code of ``cli.main(argv)`` and its report without the
+    limits it echoes, or the completion run that ``localise`` describes;
+    exit 1 must mean a property fails, and exit 2 a failed precondition
+    of ``verify-approximation``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    report = json.loads(out.getvalue())
+    report.pop("limits")
+    result = report.get("result", {})
+    result.pop("bounds_used", None)
+    assert code in (0, 1, 2, 4), (argv, report)
+    if code == 1:
+        assert result.get("verdict", result.get("ok")) is False, (argv, report)
+    if code == 2:
+        assert argv[0] == "verify-approximation", (argv, report)
+        assert report["error"]["kind"] == "precondition", (argv, report)
+    if argv[0] == "localise" and code == 0:
+        del result["rules"], result["status"]
+    return code, report
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(quotient_draw())
+@example(TWO_OBJECTS)
+@example(CLOSED_BESIDE_OPEN)
+def test_cli_tight_reports_equal_generous_ones(spec):
+    with tempfile.TemporaryDirectory() as directory:
+        for argv in cli_commands(spec, directory):
+            want = cli_outcome(argv + limit_flags(GENEROUS))
+            for flags in CLI_TIGHT:
+                got = cli_outcome(argv + flags)
+                assert got[0] == 4 or got == want, (argv, flags, got, want)

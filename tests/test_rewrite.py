@@ -295,13 +295,13 @@ class TestCompletion:
         f = ladder(4)
         rs = complete(f.target.cat)
         starts = []
-        reachable = rewrite._reachable_normal_forms
+        reachable = RewriteSystem.normal_forms_out
 
         def recorded(rs, x):
             starts.append(x)
             return reachable(rs, x)
 
-        monkeypatch.setattr(rewrite, "_reachable_normal_forms", recorded)
+        monkeypatch.setattr(RewriteSystem, "normal_forms_out", recorded)
         assert localise(f.target, rs).rs.status == COMPLETE
         assert starts == []
 
@@ -389,6 +389,25 @@ class TestPresent:
             with pytest.raises(LimitExceeded, match="max_homset"):
                 rewrite.words(rs, "tl", "z")
         assert rewrite.words(rs, "z", "z") == ("",)
+
+    def test_max_homset_bounds_morphisms_not_live_classes(self):
+        # E5 has two endomorphisms, 1 and d: its enumeration needs more
+        # short-lived classes than that before they merge
+        p = corpus.cat("E5").cat
+        d = p.codec[0]["d"]
+        rs = present(p, ResourceLimits(max_rules=0, max_homset=2))
+        assert rewrite.words(rs, "•", "•") == ("", d)
+        rs = present(p, ResourceLimits(max_rules=0, max_homset=1))
+        with pytest.raises(LimitExceeded, match="more than 1 morphisms"):
+            rewrite.words(rs, "•", "•")
+
+    def test_cyclic_group_fills_max_homset(self):
+        # a·a·a = 1 on one object: exactly three morphisms
+        p = load_cat("c3", corpus.cat_data(["o"], [("a", "o", "o")],
+                                           [(("a", "a", "a"), ())])).cat
+        rs = present(p, ResourceLimits(max_rules=0, max_homset=3))
+        a = p.codec[0]["a"]
+        assert rewrite.words(rs, "o", "o") == ("", a, a + a)
 
     @pytest.mark.parametrize("max_rules", [0, 1])
     def test_closed_objects_answer_beside_one_that_does_not_close(self, max_rules):
