@@ -42,7 +42,6 @@ from .gz import (
 )
 from .presentation import (
     CatPresentation,
-    CatWithDenoms,
     ConstructionError,
     DenomSet,
     FunctorData,
@@ -75,7 +74,6 @@ from .rewrite import (
     ResourceLimits,
     RewriteSystem,
     complete,
-    denominators,
     equal,
     find_inverse,
     homset,

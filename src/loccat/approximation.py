@@ -59,7 +59,6 @@ from .rewrite import (
     DEFAULT_LIMITS,
     ResourceLimits,
     RewriteSystem,
-    denominators,
     inverse,
     words,
 )
@@ -93,18 +92,17 @@ def _fill_functor(setting: GzSetting, chosen: dict[str, int] | None):
     """
     rc = setting.rc
     if chosen is None:
-        source, at, under = rc.cwd, rc.object_index, rc.forgetful.translation
+        source, at, under = rc.rs.presentation, rc.object_index, rc.forgetful.translation
     else:
         source, at, under = setting.f.target, chosen.__getitem__, {}
 
     def value(w: tuple) -> tuple[str, str, str]:
         return setting.value_of(at, under, w)
 
-    cat = source.cat
     functor = FunctorData(
-        source=source, target=setting.lc_src.cwd,
-        object_map={x: rc.triples[at(x)].source for x in cat.objects},
-        images=dict(zip(cat.codec[0], map(value, cat.arrows.values()))))
+        source=source, target=setting.lc_src.presentation,
+        object_map={x: rc.triples[at(x)].source for x in source.objects},
+        images=dict(zip(source.codec[0], map(value, source.arrows.values()))))
     return functor, value
 
 
@@ -138,7 +136,7 @@ def _functor_checks(functor: FunctorData, lc: LocalisedCategory,
     all compose; every check is evaluated.  Many pairs share a composite
     word, so ``value`` runs once per composite.
     """
-    cat, image, nf = functor.source.cat, through(lc, functor), lc.rs.index.__getitem__
+    cat, image, nf = functor.source, through(lc, functor), lc.rs.index.__getitem__
     outs = {a: {b: ws for b in cat.objects if (ws := words(rs, a, b))} for a in cat.objects}
     values = {(w := (a, b, s)): value(w) for a, out in outs.items()
               for b, ws in out.items() for s in ws}
@@ -225,7 +223,7 @@ def verify_shortening(setting: GzSetting) -> dict:
     between ``(X, q), (X', q')`` at ``g`` equals the value between the
     lengthened triples ``(X, q.e), (X', q'.e')`` at ``g~``.
     """
-    dec, rs, rc = setting.dec_tgt, setting.rs_tgt, setting.rc
+    rs, rc = setting.rs_tgt, setting.rc
 
     def lengthened(y: str, y_bar: str, e: str):
         """Positions of each triple ``(X, q)`` and of its lengthening ``(X, q.e)``."""
@@ -235,10 +233,10 @@ def verify_shortening(setting: GzSetting) -> dict:
                 yield i, i2
 
     # the object pairs joined by a denominator, row-major, with their lengthenings
-    objects = setting.f.target.cat.objects
+    objects = setting.f.target.objects
     spans = [(y, y_bar, [(e, list(lengthened(y, y_bar, e))) for e in es])
              for y in objects for y_bar in objects
-             if (es := dec.denominators_between(y, y_bar))]
+             if (es := rs.denominators.denominators_between(y, y_bar))]
     quadruples = 0
     mismatch = None
     for (y, y_bar, es), (y2, y2_bar, e2s) in product(spans, spans):
@@ -270,7 +268,7 @@ def verify_denominator_values(setting: GzSetting) -> dict:
     """
     failure, rs, rc = None, setting.lc_src.rs, setting.rc
     _, lifted = _fill_functor(setting, None)
-    closure = denominators(rc.cwd, rc.rs).closure
+    closure = rc.rs.denominators.closure
     for w in closure:
         value = lifted(w)
         if inverse(rs, value) is None and failure is None:
@@ -294,11 +292,11 @@ def replacement_functor(setting: GzSetting, chosen: dict[str, int]
     values, and that all comparison fills between coexisting triples
     are mutually inverse isomorphisms.
     """
-    tgt_cat, lc_src, rc = setting.f.target.cat, setting.lc_src, setting.rc
+    tgt_cat, lc_src, rc = setting.f.target, setting.lc_src, setting.rc
     functor, direct = _fill_functor(setting, chosen)
     _, agreement_ok, pairs, functorial_ok = _functor_checks(
         functor, lc_src, setting.rs_tgt, direct)
-    denom_isos = [inverse(lc_src.rs, direct(w)) is not None for w in setting.dec_tgt.closure]
+    denom_isos = [inverse(lc_src.rs, direct(w)) is not None for w in setting.rs_tgt.denominators.closure]
     comparisons = [
         _mutually_inverse(lc_src, setting.value(chosen[y], t, ""),
                           setting.value(t, chosen[y], ""))
@@ -320,7 +318,7 @@ def choice_independence(setting: GzSetting, first: dict[str, int],
                         second: dict[str, int]) -> dict:
     """The functors of two choices, each the positions of its triples in
     ``setting.rc``, are isomorphic via unit-indexed fills."""
-    tgt_cat, lc_src = setting.f.target.cat, setting.lc_src
+    tgt_cat, lc_src = setting.f.target, setting.lc_src
     fwds: dict[str, tuple] = {}
     components = []
     for y in tgt_cat.objects:
@@ -351,7 +349,7 @@ def induced_replacement_functor(setting: GzSetting, chosen: dict[str, int]
     localised morphism ``psi``.
     """
     lc_tgt, lc_src, gz_f = setting.lc_tgt, setting.lc_src, setting.gz_f
-    tgt_cat = setting.f.target.cat
+    tgt_cat = setting.f.target
     r_choice, direct = _fill_functor(setting, chosen)
     functor = checked(extend_to_localisation(lc_tgt, lc_src, r_choice, direct),
                       lc_tgt, lc_src)
@@ -401,7 +399,7 @@ def verify_approximation(f: FunctorData,
     (:func:`~loccat.replacement.positions`), which every section reads.
     """
     setting = prepare(f, limits)
-    mult, mult_wit = check_multiplicative(f.target, setting.rs_tgt)
+    mult, mult_wit = check_multiplicative(setting.rs_tgt)
     if not mult and not experimental_no_mult:
         raise PreconditionError("target denominators are not multiplicative",
                                 witness=mult_wit)
@@ -414,7 +412,7 @@ def verify_approximation(f: FunctorData,
     rc = setting.rc
     chosen = auto_choice(rc) if choice is None else positions(rc, choice)
 
-    src_cat, tgt_cat = f.source.cat, f.target.cat
+    src_cat, tgt_cat = f.source, f.target
     lc_src, lc_tgt = setting.lc_src, setting.lc_tgt
     gz_f = setting.gz_f
     sections: list[dict] = []
@@ -500,7 +498,7 @@ def verify_approximation(f: FunctorData,
     part_a_ok = _identity_on(lc_src, src_cat, through(lc_src, lift, total)) \
         and all(total.object_map[lift.object_map[x]] == x for x in src_cat.objects)
 
-    rc_gens = rc.cwd.cat.arrows.values()
+    rc_gens = rc.rs.presentation.arrows.values()
     beta_bar = {name: _loc_q(setting, i) for i, name in enumerate(rc.obj_names)}
     b_iso, b_squares, b_natural = _comparison(
         lc_tgt, rc_gens, through(lc_tgt, total, gz_f), beta_bar, through(lc_tgt, u))

@@ -11,10 +11,9 @@ verifier recomputes.
 
 from __future__ import annotations
 
-from .presentation import CatWithDenoms, FunctorData, PathWord
+from .presentation import FunctorData, PathWord
 from .rewrite import (
     RewriteSystem,
-    denominators,
     inverse,
     words,
 )
@@ -24,9 +23,9 @@ def word_json(w: PathWord) -> dict:
     return {"src": w.src, "dst": w.dst, "letters": list(w.letters)}
 
 
-def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
-                         ) -> tuple[bool, dict | None]:
-    """Identities and composites of denominators are denominators.
+def check_multiplicative(rs: RewriteSystem) -> tuple[bool, dict | None]:
+    """Identities and composites of denominators are denominators, in
+    the presentation of ``rs``.
 
     Every element of the closure is a composite of generating words, so
     the closure is closed under composition if it holds each of its
@@ -34,12 +33,12 @@ def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
     when it fails are all pairs scanned, in closure order, so the
     witness is the first failing pair.
     """
-    dec = denominators(c, rs)
+    dec = rs.denominators
     closure = dec.closure
-    for x in c.cat.objects:
+    for x in rs.presentation.objects:
         if (x, x, "") not in closure:
             return False, {"kind": "identity-not-denominator", "object": x,
-                           "word": word_json(c.cat.identity(x))}
+                           "word": word_json(rs.presentation.identity(x))}
     if all(rs.compose(u, g) in closure
            for u in closure for g in dec.generators if u[1] == g[0]):
         return True, None
@@ -52,12 +51,11 @@ def check_multiplicative(c: CatWithDenoms, rs: RewriteSystem
     return True, None
 
 
-def check_isosaturated(c: CatWithDenoms, rs: RewriteSystem
-                       ) -> tuple[bool, dict | None]:
-    """Every isomorphism is a denominator."""
-    closure = denominators(c, rs).closure
-    for x in c.cat.objects:
-        for y in c.cat.objects:
+def check_isosaturated(rs: RewriteSystem) -> tuple[bool, dict | None]:
+    """Every isomorphism is a denominator, in the presentation of ``rs``."""
+    closure, objects = rs.denominators.closure, rs.presentation.objects
+    for x in objects:
+        for y in objects:
             for s in words(rs, x, y):
                 if inverse(rs, (x, y, s)) is not None and (x, y, s) not in closure:
                     return False, {"kind": "isomorphism-not-denominator",
@@ -75,7 +73,7 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
     witness is decoded.
     """
     problems: list[dict] = []
-    src_cat, tgt_cat = f.source.cat, f.target.cat
+    src_cat, tgt_cat = f.source, f.target
     for x in src_cat.objects:
         if x not in f.object_map:
             problems.append({"kind": "object-not-mapped", "object": x})
@@ -107,8 +105,8 @@ def validate_functor(f: FunctorData, rs_src: RewriteSystem,
             problems.append({"kind": "relation-not-preserved", "relation": i,
                              "lhs": word_json(src_cat.decode(lhs)),
                              "rhs": word_json(src_cat.decode(rhs))})
-    tgt_closure = denominators(f.target, rs_tgt).closure
-    for x, y, s in denominators(f.source, rs_src).closure:
+    tgt_closure = rs_tgt.denominators.closure
+    for x, y, s in rs_src.denominators.closure:
         image = (omap[x], omap[y], s.translate(table))
         if rs_tgt.compose(image) not in tgt_closure:
             problems.append({"kind": "denominator-not-preserved",
@@ -121,16 +119,14 @@ def check_reflects_denominators(f: FunctorData, rs_src: RewriteSystem,
                                 rs_tgt: RewriteSystem
                                 ) -> tuple[bool, dict | None]:
     """Does ``F w`` denominator imply ``w`` denominator, over all hom-sets?"""
-    dec_src = denominators(f.source, rs_src)
-    dec_tgt = denominators(f.target, rs_tgt)
-    objects, omap = f.source.cat.objects, f.object_map
+    src_closure, tgt_closure = rs_src.denominators.closure, rs_tgt.denominators.closure
+    objects, omap = f.source.objects, f.object_map
     for x in objects:
         for y in objects:
             for s in words(rs_src, x, y):
                 # s is irreducible, so it is its own normal form
                 image = (omap[x], omap[y], s.translate(f.translation))
-                if rs_tgt.compose(image) in dec_tgt.closure \
-                        and (x, y, s) not in dec_src.closure:
+                if rs_tgt.compose(image) in tgt_closure and (x, y, s) not in src_closure:
                     return False, {"kind": "denominator-not-reflected",
                                    "word": word_json(rs_src.decode((x, y, s))),
                                    "image": word_json(rs_tgt.decode(image))}

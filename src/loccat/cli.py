@@ -49,7 +49,6 @@ from .presentation import (
 )
 from .rewrite import (
     ResourceLimits,
-    denominators,
     inverse,
     present,
     words,
@@ -168,12 +167,12 @@ def _spelled(p, lhs: str, rhs: str) -> dict:
     return {"lhs": list(map(spell, lhs)), "rhs": list(map(spell, rhs))}
 
 
-def _cat_summary(cwd) -> dict:
+def _cat_summary(p) -> dict:
     return {
-        "objects": list(cwd.cat.objects),
+        "objects": list(p.objects),
         "generators": [{"name": g.name, "src": g.src, "dst": g.dst}
-                       for g in cwd.cat.generators],
-        "relations": [_spelled(cwd.cat, lhs[2], rhs[2]) for lhs, rhs in cwd.cat.relations],
+                       for g in p.generators],
+        "relations": [_spelled(p, lhs[2], rhs[2]) for lhs, rhs in p.relations],
     }
 
 
@@ -188,8 +187,8 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
                 problems = []
             else:
                 f = load_functor(path, data)
-                rs_src = present(f.source.cat, limits)
-                rs_tgt = present(f.target.cat, limits)
+                rs_src = present(f.source, limits)
+                rs_tgt = present(f.target, limits)
                 problems = validate_functor(f, rs_src, rs_tgt)
         except ValidationError as e:
             problems = [{"kind": "invalid", "detail": str(e)}]
@@ -203,18 +202,18 @@ def cmd_validate(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
 
 
 def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
-    cwd = load_cat(args.path)
-    rs = present(cwd.cat, limits)
-    lc = localise(cwd, rs)
+    p = load_cat(args.path)
+    rs = present(p, limits)
+    lc = localise(rs)
     completion = lc.rs.completion
     inverted = []
-    for w in denominators(cwd, rs).closure:
+    for w in rs.denominators.closure:
         inv = inverse(lc.rs, w)
         inverted.append({"denominator": word_json(rs.decode(w)),
                          "inverse": word_json(lc.rs.decode(inv)) if inv is not None else None})
     result = {
-        "base": _cat_summary(cwd),
-        "localised": _cat_summary(lc.cwd),
+        "base": _cat_summary(p),
+        "localised": _cat_summary(lc.presentation),
         "inverse_generators": dict(sorted(lc.inv_of.items())),
         "fresh_generators": {name: list(rs.decode(w).letters)
                              for name, w in sorted(lc.fresh_defs.items())},
@@ -226,12 +225,12 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
 
 
 def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]:
-    cwd = load_cat(args.path)
-    if args.src not in cwd.cat.obj_index or args.dst not in cwd.cat.obj_index:
+    p = load_cat(args.path)
+    if args.src not in p.obj_index or args.dst not in p.obj_index:
         raise ValidationError(
             f"unknown object in homset query: {args.src!r} or {args.dst!r}")
-    rs = present(cwd.cat, limits)
-    lc = localise(cwd, rs) if args.localised else None
+    rs = present(p, limits)
+    lc = localise(rs) if args.localised else None
     system = rs if lc is None else lc.rs
     result: dict = {"src": args.src, "dst": args.dst, "status": system.status,
                     "localised": args.localised}
@@ -244,8 +243,8 @@ def cmd_homset(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int
 
 
 # called through this module's globals, which bench/tracer.py rebinds
-AXIOMS = {"multiplicative": lambda cwd, rs: check_multiplicative(cwd, rs),
-          "isosaturated": lambda cwd, rs: check_isosaturated(cwd, rs)}
+AXIOMS = {"multiplicative": lambda rs: check_multiplicative(rs),
+          "isosaturated": lambda rs: check_isosaturated(rs)}
 REFLECTS = "reflects-denominators"
 
 # Each check by name: the kind of file it reads and what it runs.  A
@@ -274,9 +273,8 @@ def cmd_check(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, int]
     if kind == "functor":
         report = run(prepare(load_functor(args.path, data), limits))
     else:
-        cwd = load_cat(args.path, data)
-        rs = present(cwd.cat, limits)
-        found = {name: axiom(cwd, rs) for name, axiom in run.items()}
+        rs = present(load_cat(args.path, data), limits)
+        found = {name: axiom(rs) for name, axiom in run.items()}
         verdicts = {name: verdict for name, (verdict, _) in found.items()}
         witness = next((w for _, w in found.values() if w is not None), None)
         report = CheckReport(args.which, all(verdicts.values()), witness,

@@ -44,10 +44,8 @@ from .replacement import (
 from .rewrite import (
     COMPLETE,
     DEFAULT_LIMITS,
-    DenomDecider,
     ResourceLimits,
     RewriteSystem,
-    denominators,
     inverse,
     present,
     words,
@@ -74,7 +72,8 @@ class GzSetting:
     so a query that raised raises again on every call.
     None of them takes part in equality: two settings are equal when
     their functors, systems and localisations are.  The target
-    decider is the one the target system keeps.  All four systems were
+    decider is the one the target system keeps,
+    ``rs_tgt.denominators``.  All four systems were
     built by :func:`~loccat.rewrite.present` under the limits given to
     :func:`prepare`, so every system built on them is complete.
     """
@@ -91,15 +90,11 @@ class GzSetting:
             (self.f, self.rs_src, self.rs_tgt, self.lc_src, self.lc_tgt, self.gz_f)
             == (other.f, other.rs_src, other.rs_tgt, other.lc_src, other.lc_tgt, other.gz_f))
 
-    @property
-    def dec_tgt(self) -> DenomDecider:
-        return denominators(self.f.target, self.rs_tgt)
-
     @cached_property
     def replacements(self) -> dict[str, tuple[SReplacement, ...]]:
         """:func:`find_s_replacements` of each target object, in object
         order, listed once for :func:`has_enough` and ``rc``."""
-        return {y: find_s_replacements(self.f, self.rs_tgt, y) for y in self.f.target.cat.objects}
+        return {y: find_s_replacements(self.f, self.rs_tgt, y) for y in self.f.target.objects}
 
     @cached_property
     def rc(self) -> ReplacementCategory:
@@ -139,13 +134,13 @@ class GzSetting:
 
 def prepare(f: FunctorData, limits: ResourceLimits = DEFAULT_LIMITS) -> GzSetting:
     """Complete, localise and induce; raises on an invalid functor."""
-    rs_src = present(f.source.cat, limits)
-    rs_tgt = present(f.target.cat, limits)
+    rs_src = present(f.source, limits)
+    rs_tgt = present(f.target, limits)
     problems = validate_functor(f, rs_src, rs_tgt)
     if problems:
         raise ValidationError(f"invalid functor: {problems}")
-    lc_src = localise(f.source, rs_src)
-    lc_tgt = localise(f.target, rs_tgt)
+    lc_src = localise(rs_src)
+    lc_tgt = localise(rs_tgt)
     gz_f = induced_functor(f, lc_src, lc_tgt)
     return GzSetting(f=f, rs_src=rs_src, rs_tgt=rs_tgt,
                      lc_src=lc_src, lc_tgt=lc_tgt, gz_f=gz_f)
@@ -155,11 +150,11 @@ def enumerate_s_two_arrows(setting: GzSetting):
     """All 2-arrows ``(x, x_prime, y, g, b)`` between materialized hom-sets,
     in a fixed order: ``g: F x -> y`` and the denominator ``b: F x_prime
     -> y`` are the codes of normal forms of the target."""
-    f, dec, rs = setting.f, setting.dec_tgt, setting.rs_tgt
-    src_objects = f.source.cat.objects
+    f, rs = setting.f, setting.rs_tgt
+    dec, src_objects = rs.denominators, f.source.objects
     for x in src_objects:
         fx = f.object_map[x]
-        out = [(y, gs) for y in f.target.cat.objects if (gs := words(rs, fx, y))]
+        out = [(y, gs) for y in f.target.objects if (gs := words(rs, fx, y))]
         for x_prime in src_objects:
             for y, gs in out:
                 bs = dec.denominators_between(f.object_map[x_prime], y)
@@ -205,7 +200,7 @@ def check_s_dense(setting: GzSetting) -> CheckReport:
     """Does every target object admit a replacement along the functor?"""
     ok, witness = has_enough(setting.replacements)
     return check_report(setting, "s-dense", ok, witness,
-                        {"objects_checked": len(setting.f.target.cat.objects)})
+                        {"objects_checked": len(setting.f.target.objects)})
 
 
 def _fill_survey(setting: GzSetting) -> tuple[dict | None, dict | None, int]:
@@ -251,7 +246,7 @@ def classical_equivalence(f: FunctorData, rs_src: RewriteSystem,
     and the pass stops once both have one.  Density asks each target
     object ``y`` for some ``F x -> y`` with an inverse.
     """
-    objects, omap, table = f.source.cat.objects, f.object_map, f.translation
+    objects, omap, table = f.source.objects, f.object_map, f.translation
     witnesses: dict[str, dict] = {}
     for x, x_prime in product(objects, repeat=2):
         images: dict[str, str] = {}
@@ -269,7 +264,7 @@ def classical_equivalence(f: FunctorData, rs_src: RewriteSystem,
                                              "morphism": word_json(rs_tgt.decode((fx, fy, h)))}
         if len(witnesses) == 2:
             break
-    for y in f.target.cat.objects:
+    for y in f.target.objects:
         if not any(inverse(rs_tgt, (omap[x], y, s)) is not None
                    for x in objects for s in words(rs_tgt, omap[x], y)):
             witnesses["dense_witness"] = {"kind": "not-essentially-surjective", "object": y}
@@ -297,7 +292,7 @@ def check_s_equivalence(setting: GzSetting) -> CheckReport:
     details: dict = {"s_dense": dense.verdict, "gz_equivalence": gz_ok,
                      "gz_details": gz_details}
 
-    mult, _ = check_multiplicative(setting.f.target, setting.rs_tgt)
+    mult, _ = check_multiplicative(setting.rs_tgt)
     details["target_multiplicative"] = mult
     if mult:
         full = check_s_full(setting)

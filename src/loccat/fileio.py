@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .presentation import (
     CatPresentation,
-    CatWithDenoms,
     DenomSet,
     FunctorData,
     GenArrow,
@@ -106,7 +105,7 @@ def _relation_side(p: CatPresentation, letters: list[str], other: list[str],
     return partner.src, partner.src, ""
 
 
-def load_cat(path: str | Path, data: object = None) -> CatWithDenoms:
+def load_cat(path: str | Path, data: object = None) -> CatPresentation:
     """Load a category with denominators from a JSON file, or from its ``data`` if read."""
     data = read_json(path) if data is None else data
     _expect(isinstance(data, dict), "{}: top level must be an object", path)
@@ -144,8 +143,8 @@ def load_cat(path: str | Path, data: object = None) -> CatWithDenoms:
                  for i, w in enumerate(denoms["words"])]
 
     # structural validation below here: failures are semantic, not parse
-    bare = CatPresentation(objects=objects, generators=tuple(gens),
-                           relations=())
+    bare = CatPresentation(objects, tuple(gens), (), DenomSet(
+        (), denoms["include_identities"], denoms["close_under_composition"]))
     problems = validate_presentation(bare)
     if problems:
         raise ValidationError(f"{path}: {problems}")
@@ -166,11 +165,8 @@ def load_cat(path: str | Path, data: object = None) -> CatWithDenoms:
                 "include_identities for identity denominators")
         words.append(bare.encode(bare.word(letters)))
 
-    cat = CatPresentation(objects, bare.generators, tuple(relations))
-    return CatWithDenoms(cat, DenomSet(
-        explicit=tuple(words),
-        include_identities=denoms["include_identities"],
-        close_under_composition=denoms["close_under_composition"]))
+    return bare._replace(relations=tuple(relations),
+                         denoms=bare.denoms._replace(explicit=tuple(words)))
 
 
 def load_functor(path: str | Path, data: object = None) -> FunctorData:
@@ -194,19 +190,19 @@ def load_functor(path: str | Path, data: object = None) -> FunctorData:
     images: dict[str, tuple[str, str, str]] = {}
     for name, letters in data["generator_map"].items():
         letters = _string_list(letters, "{}: generator_map[{!r}]", path, name)
-        gen = source.cat.gen_by_name.get(name)
+        gen = source.gen_by_name.get(name)
         if gen is None:
             raise ValidationError(f"{path}: generator_map names unknown "
                                   f"generator {name!r}")
         if letters:
-            images[name] = target.cat.encode(target.cat.word(letters))
+            images[name] = target.encode(target.word(letters))
         else:
             image = data["object_map"].get(gen.src)
             if image is None or image != data["object_map"].get(gen.dst):
                 raise ValidationError(
                     f"{path}: empty image for {name!r} needs equal mapped "
                     "endpoints")
-            images[name] = target.cat.encode(target.cat.identity(image))
+            images[name] = target.encode(target.identity(image))
     return FunctorData(source, target, dict(data["object_map"]), images)
 
 
@@ -225,9 +221,9 @@ def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
                 and isinstance(entry.get("q"), list),
                 "{}: choice for {!r} must have x and q", path, y)
         letters = _string_list(entry["q"], "{}: choice q for {!r}", path, y)
-        if y not in f.target.cat.obj_index:
+        if y not in f.target.obj_index:
             raise ValidationError(f"{path}: unknown target object {y!r}")
-        if entry["x"] not in f.source.cat.obj_index:
+        if entry["x"] not in f.source.obj_index:
             raise ValidationError(f"{path}: unknown source object "
                                   f"{entry['x']!r}")
         fx = f.object_map.get(entry["x"])
@@ -235,7 +231,7 @@ def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
             raise ValidationError(f"{path}: source object {entry['x']!r} "
                                   "is not mapped by the functor")
         if letters:
-            q = f.target.cat.word(letters)
+            q = f.target.word(letters)
             if (q.src, q.dst) != (fx, y):
                 raise ValidationError(
                     f"{path}: q for {y!r} must run {fx!r} -> {y!r}")
@@ -243,6 +239,6 @@ def load_choice(path: str | Path, f: FunctorData) -> ReplacementChoice:
             if fx != y:
                 raise ValidationError(
                     f"{path}: empty q for {y!r} needs F x == {y!r}")
-            q = f.target.cat.identity(y)
-        choice[y] = SReplacement(target=y, source=entry["x"], q=f.target.cat.encode(q)[2])
+            q = f.target.identity(y)
+        choice[y] = SReplacement(target=y, source=entry["x"], q=f.target.encode(q)[2])
     return choice

@@ -16,8 +16,8 @@ element of a group does.  It follows from the others
 fixed order the reduced complete system is unique (Book and Otto,
 *String-Rewriting Systems*, 1993): a run that completes yields the same
 rules, without rediscovering ``v`` through critical pairs.  The seeds
-are for completion only; ``lc.cwd`` and ``lc.rs.presentation`` hold the
-unseeded presentation.
+are for completion only; ``lc.presentation`` holds the unseeded
+presentation.
 
 Every morphism of the localised category is a zigzag: an alternating
 composite of forward base words and inverted denominators.
@@ -31,7 +31,6 @@ from functools import cached_property, reduce
 from .axioms import validate_functor
 from .presentation import (
     CatPresentation,
-    CatWithDenoms,
     ConstructionError,
     DenomSet,
     FunctorData,
@@ -40,17 +39,18 @@ from .presentation import (
 )
 from .rewrite import (
     RewriteSystem,
-    denominators,
     inverse,
     present,
 )
 
 
-class LocalisedCategory(namedtuple("LocalisedCategory", "cwd rs inv_of fresh_defs inverted")):
+class LocalisedCategory(namedtuple("LocalisedCategory",
+                                   "presentation rs inv_of fresh_defs inverted")):
     """A presentation of the localisation of a category with
-    denominators, kept as ``cwd`` and answered by ``rs``: its system
-    (:func:`localise`), or an inflation of another localisation
-    (:meth:`~loccat.replacement.ReplacementCategory.localised`).
+    denominators, kept as ``presentation`` and answered by ``rs``: its
+    system (:func:`localise`), or an inflation of another localisation
+    (:meth:`~loccat.replacement.ReplacementCategory.localised`).  Its
+    denominators are the identities, closed under composition.
 
     ``inv_of`` maps each inverted generator (a denominator generator or
     a fresh composite) to its inverse letter, ``fresh_defs`` each fresh
@@ -59,10 +59,6 @@ class LocalisedCategory(namedtuple("LocalisedCategory", "cwd rs inv_of fresh_def
     ``(src, dst, code)`` of the base system; the extension declares its
     generators after the base ones, so they are words of ``rs`` too.
     """
-
-    @property
-    def presentation(self) -> CatPresentation:
-        return self.cwd.cat
 
     @cached_property
     def zigzag_tables(self) -> tuple[dict[int, str], dict[str, tuple[str, str, str]]]:
@@ -114,16 +110,16 @@ def _base_inverses(rs_base: RewriteSystem, lc: LocalisedCategory) -> tuple[tuple
     return tuple(seeded)
 
 
-def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
-    """The presentation of the localisation of ``c`` and its letter tables.
+def extension(rs_base: RewriteSystem) -> LocalisedCategory:
+    """The presentation of the localisation of the presentation of
+    ``rs_base`` at its denominators, and its letter tables.
 
-    ``rs_base`` is the system of ``c.cat``.  The result's ``rs`` is None:
-    :func:`localise` completes the presentation, and
+    The result's ``rs`` is None: :func:`localise` completes the
+    presentation, and
     :meth:`~loccat.replacement.ReplacementCategory.localised` answers it
     through the localised target.
     """
-    cat = c.cat
-    dec = denominators(c, rs_base)
+    cat, dec = rs_base.presentation, rs_base.denominators
     taken = {g.name for g in cat.generators}
 
     inv_of: dict[str, str] = {}
@@ -154,8 +150,8 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         add_inverse(name, word)
 
     # the base generators come first, so base codes are codes here too
-    bare = CatPresentation(cat.objects,
-                           cat.generators + tuple(fresh_gens) + tuple(inverse_gens), ())
+    bare = CatPresentation(cat.objects, cat.generators + tuple(fresh_gens) + tuple(inverse_gens),
+                           (), DenomSet((), True, True))
     code = bare.codec[0]
     relations = [(w, (w[0], w[1], code[name])) for name, w in fresh_defs.items()]
     for name, inv_name in inv_of.items():
@@ -163,12 +159,13 @@ def extension(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
         relations += [((src, src, code[name] + code[inv_name]), (src, src, "")),
                       ((dst, dst, code[inv_name] + code[name]), (dst, dst, ""))]
     ext = bare._replace(relations=cat.relations + tuple(relations))
-    return LocalisedCategory(cwd=CatWithDenoms(ext, DenomSet((), True, True)), rs=None,
+    return LocalisedCategory(presentation=ext, rs=None,
                              inv_of=inv_of, fresh_defs=fresh_defs, inverted=inverted)
 
 
-def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
-    """Present the localisation of ``c`` and build its system (:func:`present`).
+def localise(rs_base: RewriteSystem) -> LocalisedCategory:
+    """Present the localisation of the presentation of ``rs_base`` and
+    build its system (:func:`present`).
 
     Completion runs under the limits of ``rs_base``, on the presentation
     of :func:`extension`, seeded with one relation ``w^-1 = v`` for each
@@ -176,9 +173,9 @@ def localise(c: CatWithDenoms, rs_base: RewriteSystem) -> LocalisedCategory:
     (``_base_inverses``).  It follows from ``w·w^-1 = 1`` and
     ``v·w = 1``, so the congruence, and for a completed run the unique
     reduced system, are those of the unseeded presentation, which
-    ``lc.cwd`` and ``lc.rs.presentation`` hold.
+    ``lc.presentation`` holds.
     """
-    lc = extension(c, rs_base)
+    lc = extension(rs_base)
     rs = present(lc.presentation, rs_base.limits, _base_inverses(rs_base, lc))
     return lc._replace(rs=rs)
 
@@ -202,7 +199,7 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
     inverts.  The images are encoded normal forms of ``lc_tgt``.  The
     caller validates the result.
     """
-    p, image = base.source.cat, through(lc_tgt, base)
+    p, image = base.source, through(lc_tgt, base)
     values = dict(zip(p.codec[0], map(image, p.arrows.values())))
     for name, base_word in lc_src.fresh_defs.items():
         values[name] = fresh_value(base_word)
@@ -212,8 +209,8 @@ def extend_to_localisation(lc_src: LocalisedCategory, lc_tgt: LocalisedCategory,
             raise ConstructionError(
                 f"image of denominator {name!r} has no inverse in the target "
                 "localisation")
-    return FunctorData(source=lc_src.cwd, target=lc_tgt.cwd, object_map=dict(base.object_map),
-                       images=values)
+    return FunctorData(source=lc_src.presentation, target=lc_tgt.presentation,
+                       object_map=dict(base.object_map), images=values)
 
 
 def induced_functor(f: FunctorData, lc_src: LocalisedCategory,

@@ -11,10 +11,11 @@ names.  Words spelled by names enter only through the loaders of
 (:meth:`CatPresentation.word`, then :meth:`~CatPresentation.encode`);
 codes are decoded only for reports and the public queries.
 
-A category with denominators additionally carries a distinguished set
-of morphisms, described intensionally by explicit encoded words plus
-two closure flags (identities, composition).  Membership is decided in
-:mod:`loccat.rewrite` relative to a completed rewriting system.
+Every presentation is of a category with denominators: it carries a
+distinguished set of morphisms, described intensionally by explicit
+encoded words plus two closure flags (identities, composition).
+Membership is decided by the presentation's system
+(``RewriteSystem.denominators`` in :mod:`loccat.rewrite`).
 """
 
 from __future__ import annotations
@@ -87,15 +88,17 @@ class PathWord(namedtuple("PathWord", "src dst letters")):
         return len(self[2])
 
 
-class CatPresentation(namedtuple("CatPresentation", "objects generators relations")):
-    """A finite category presentation: ``objects``, ``generators`` (each a
-    :class:`GenArrow`) and ``relations``.
+class CatPresentation(namedtuple("CatPresentation", "objects generators relations denoms")):
+    """A finite presentation of a category with denominators: ``objects``,
+    ``generators`` (each a :class:`GenArrow`), ``relations`` and
+    ``denoms``, a :class:`DenomSet`.
 
     Objects and generators are ordered; the declaration order fixes the
     shortlex word order used by the rewriting kernel, so it is part of
     the presentation data.  Each relation is a pair of parallel encoded
-    words ``(src, dst, code)`` (:meth:`encode`).  The cached tables live
-    in the instance ``__dict__`` and take no part in equality.
+    words ``(src, dst, code)`` (:meth:`encode`), and so is each explicit
+    denominator.  The cached tables live in the instance ``__dict__``
+    and take no part in equality.
     """
 
     @cached_property
@@ -172,12 +175,6 @@ class DenomSet(namedtuple("DenomSet", "explicit include_identities close_under_c
     __slots__ = ()
 
 
-class CatWithDenoms(namedtuple("CatWithDenoms", "cat denoms")):
-    """A presented category together with its denominator set."""
-
-    __slots__ = ()
-
-
 class FunctorData:
     """A functor between presented categories, given on generators:
     ``images`` maps each to an encoded word ``(src, dst, code)`` of the
@@ -185,7 +182,7 @@ class FunctorData:
     code of a source word to the code of its image.  Two functors are
     equal when their categories, object maps and images are."""
 
-    def __init__(self, source: CatWithDenoms, target: CatWithDenoms,
+    def __init__(self, source: CatPresentation, target: CatPresentation,
                  object_map: dict[str, str], images: dict[str, tuple[str, str, str]]):
         self.source, self.target = source, target
         self.object_map, self.images = object_map, images
@@ -198,7 +195,7 @@ class FunctorData:
     @cached_property
     def translation(self) -> dict[int, str]:
         """For ``str.translate``: each source code to the code of its image."""
-        return {ord(c): self.images[x][2] for x, c in self.source.cat.codec[0].items()}
+        return {ord(c): self.images[x][2] for x, c in self.source.codec[0].items()}
 
     def then(self, other: "FunctorData") -> "FunctorData":
         """Composite functor, ``self`` applied first."""
@@ -240,25 +237,24 @@ def validate_presentation(p: CatPresentation) -> list[dict]:
     return problems
 
 
-def opposite(c: CatWithDenoms) -> CatWithDenoms:
+def opposite(c: CatPresentation) -> CatPresentation:
     """The opposite category with denominators, codes reversed."""
 
     def rev(w: tuple[str, str, str]) -> tuple[str, str, str]:
         return w[1], w[0], w[2][::-1]
 
-    cat = CatPresentation(
-        objects=c.cat.objects,
-        generators=tuple(GenArrow(g.name, g.dst, g.src) for g in c.cat.generators),
-        relations=tuple((rev(lhs), rev(rhs)) for lhs, rhs in c.cat.relations),
+    return CatPresentation(
+        objects=c.objects,
+        generators=tuple(GenArrow(g.name, g.dst, g.src) for g in c.generators),
+        relations=tuple((rev(lhs), rev(rhs)) for lhs, rhs in c.relations),
+        denoms=c.denoms._replace(explicit=tuple(map(rev, c.denoms.explicit))),
     )
-    denoms = c.denoms._replace(explicit=tuple(map(rev, c.denoms.explicit)))
-    return CatWithDenoms(cat, denoms)
 
 
-def identity_functor(c: CatWithDenoms) -> FunctorData:
+def identity_functor(c: CatPresentation) -> FunctorData:
     return FunctorData(
         source=c,
         target=c,
-        object_map={x: x for x in c.cat.objects},
-        images=dict(zip(c.cat.codec[0], c.cat.arrows.values())),
+        object_map={x: x for x in c.objects},
+        images=dict(zip(c.codec[0], c.arrows.values())),
     )

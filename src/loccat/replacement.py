@@ -32,7 +32,6 @@ from .axioms import squares
 from .gz import LocalisedCategory, extend_to_localisation, extension, fresh_name, through
 from .presentation import (
     CatPresentation,
-    CatWithDenoms,
     ConstructionError,
     DenomSet,
     FunctorData,
@@ -45,7 +44,6 @@ from .rewrite import (
     Inflation,
     LimitExceeded,
     RewriteSystem,
-    denominators,
     words,
 )
 
@@ -69,8 +67,8 @@ def find_s_replacements(f: FunctorData, rs_tgt: RewriteSystem,
     Ordering: source object declaration order first, then shortlex on
     ``q`` in the target category.
     """
-    dec = denominators(f.target, rs_tgt)
-    return tuple(SReplacement(y, x, q) for x in f.source.cat.objects
+    dec = rs_tgt.denominators
+    return tuple(SReplacement(y, x, q) for x in f.source.objects
                  for q in dec.denominators_between(f.object_map[x], y))
 
 
@@ -96,14 +94,15 @@ class ReplacementCategory:
     to ``Y``, and as denominators every lifted word over a denominator.
     Its system ``rs`` is the :class:`~loccat.rewrite.Inflation` of
     ``rs_tgt`` along the forgetful functor, so it shares the target's
-    limits and status.  Its relations and the lifted denominators that
-    ``cwd.denoms`` lists are codes of ``rs``, as every presentation's are.
+    limits and status.  Its presentation, ``rs.presentation``, lists
+    its relations and the lifted denominators as codes of ``rs``, as
+    every presentation does.
     """
 
     def __init__(self, functor: FunctorData, rs_tgt: RewriteSystem,
                  triples: tuple[SReplacement, ...]):
         self.functor, self.rs_tgt, self.triples = functor, rs_tgt, triples
-        tgt_cat = functor.target.cat
+        tgt_cat = functor.target
         spell = tgt_cat.codec[1].__getitem__
         # a name can repeat (q = 1 beside a generator "1"): prime the later
         taken_objs: set[str] = set()
@@ -132,7 +131,7 @@ class ReplacementCategory:
             name = fresh_name(f"{g_name}@{i}-{j}", taken)
             gens.append(GenArrow(name, names[i], names[j]))
             under_of[name] = under
-        bare = CatPresentation(objects=names, generators=tuple(gens), relations=())
+        bare = CatPresentation(names, tuple(gens), (), DenomSet((), False, False))
         code = bare.codec[0]
         # the forgetful functor on encoded words: one str.translate
         down = {ord(code[name]): w[2] for name, w in under_of.items()}
@@ -155,14 +154,15 @@ class ReplacementCategory:
                                           self.lift_word(rhs[2], i, j)))
                     except ConstructionError:
                         continue
-        self.rs = rs = Inflation(bare._replace(relations=tuple(relations)), rs_tgt,
-                                 objects_under, down)
-        # lifted denominators: every word over a denominator
-        closure = denominators(functor.target, rs_tgt).closure
+        # lifted denominators: every word over a denominator; the hom-sets
+        # of an inflation are lifts of the base's, so the bare one lists them
+        closure = rs_tgt.denominators.closure
         lifted = [(a, b, w) for a in names for b in names for w in words(rs, a, b)
                   if (objects_under[a], objects_under[b], w.translate(down)) in closure]
-        self.cwd = CatWithDenoms(rs.presentation, DenomSet(tuple(lifted), False, False))
-        self.forgetful = FunctorData(self.cwd, functor.target, objects_under, under_of)
+        self.rs = rs = Inflation(
+            bare._replace(relations=tuple(relations), denoms=DenomSet(tuple(lifted), False, False)),
+            rs_tgt, objects_under, down)
+        self.forgetful = FunctorData(rs.presentation, functor.target, objects_under, under_of)
 
     def position(self, y: str, x: str, q: str) -> int | None:
         """Position of the triple ``(y, x, q)``, ``q`` encoded, or None."""
@@ -170,7 +170,7 @@ class ReplacementCategory:
 
     def object_index(self, name: str) -> int:
         """Position of the object named ``name`` among the triples."""
-        return self.cwd.cat.obj_index[name]
+        return self.rs.presentation.obj_index[name]
 
     def triples_over(self, y: str) -> tuple[int, ...]:
         return self._by_target.get(y, ())
@@ -197,7 +197,7 @@ class ReplacementCategory:
         Fractions*, 1967, ch. I); a word through an object without one
         has no lift and raises :class:`ConstructionError`.
         """
-        lc = extension(self.cwd, self.rs)
+        lc = extension(self.rs)
         gz_u = extend_to_localisation(lc, lc_tgt, self.forgetful,
                                       through(lc_tgt, self.forgetful))
         return lc._replace(rs=Inflation(lc.presentation, base=lc_tgt.rs,
@@ -223,7 +223,7 @@ def build_replacement_category(f: FunctorData, rs_tgt: RewriteSystem,
 def auto_choice(rc: ReplacementCategory) -> dict[str, int]:
     """The position of the first triple over each object, in object order."""
     chosen = {}
-    for y in rc.functor.target.cat.objects:
+    for y in rc.functor.target.objects:
         over = rc.triples_over(y)
         if not over:
             raise PreconditionError(
@@ -237,7 +237,7 @@ def positions(rc: ReplacementCategory, choice: ReplacementChoice) -> dict[str, i
     """The position of each object's chosen triple, its ``q`` the code of any
     target word, normalised here; :class:`ValidationError` at the first
     object, in ``choice`` order, not given one of its triples."""
-    if sorted(choice) != sorted(rc.functor.target.cat.objects):
+    if sorted(choice) != sorted(rc.functor.target.objects):
         raise ValidationError(
             "choice must assign exactly one replacement to every object")
     found = {}
@@ -262,9 +262,9 @@ def structure_choice_functor(rc: ReplacementCategory, chosen: dict[str, int]
     functor after ``C_R`` is the identity of the target on the nose.
     Both are checked here.
     """
-    tgt_cat = rc.functor.target.cat
+    tgt_cat = rc.functor.target
     c_r = FunctorData(
-        source=rc.functor.target, target=rc.cwd,
+        source=tgt_cat, target=rc.rs.presentation,
         object_map={y: rc.obj_names[chosen[y]] for y in tgt_cat.objects},
         images={name: rc.lift_word(c, chosen[src], chosen[dst])
                 for name, (src, dst, c) in zip(tgt_cat.codec[0], tgt_cat.arrows.values())})
@@ -274,7 +274,7 @@ def structure_choice_functor(rc: ReplacementCategory, chosen: dict[str, int]
 
     components = {rc.obj_names[i]: rc.lift_word("", chosen[t.target], i)
                   for i, t in enumerate(rc.triples)}
-    _, natural = squares(rc.rs, rc.cwd.cat.arrows.values(),
+    _, natural = squares(rc.rs, rc.rs.presentation.arrows.values(),
                          through(rc, rc.forgetful, c_r), components)
     if not natural:
         raise ConstructionError("choice comparison transformation not natural")
@@ -290,7 +290,7 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
     forgetful functor after the lift equals ``F = rc.functor``, checked here.
     """
     f, rs_tgt = rc.functor, rc.rs_tgt
-    src_cat = f.source.cat
+    src_cat = f.source
     trivial_idx = {x: rc.position(f.object_map[x], x, "") for x in src_cat.objects}
     for x, i in trivial_idx.items():
         if i is None:
@@ -298,7 +298,7 @@ def canonical_lift(rc: ReplacementCategory) -> FunctorData:
                 "kind": "identity-not-denominator", "object": x,
                 "identity_at": f.object_map[x]})
     lift = FunctorData(
-        source=f.source, target=rc.cwd,
+        source=src_cat, target=rc.rs.presentation,
         object_map={x: rc.obj_names[trivial_idx[x]] for x in src_cat.objects},
         images={g.name: rc.lift_word(rs_tgt.index[f.images[g.name][2]],
                                      trivial_idx[g.src], trivial_idx[g.dst])

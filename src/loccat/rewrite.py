@@ -63,8 +63,9 @@ left sides drops the compiled pattern and starts the count again.
 
 Each :class:`RewriteSystem` keeps the limits it was completed under,
 and every query on it reads them: a system answers under one set of
-limits, so no caller passes them again.  It owns its matcher and its
-normal-form, hom-set and decider tables and frees them with itself;
+limits, so no caller passes them again.  It owns its matcher, its
+normal-form and hom-set tables and the decider of its presentation's
+denominators, and frees them with itself;
 nothing is cached at module level.  The tables hold only results that
 were computed without raising, so a query that exceeds its limits
 raises on every call.
@@ -90,10 +91,10 @@ import heapq
 import itertools
 import re
 from collections import namedtuple
+from functools import cached_property
 
 from .presentation import (
     CatPresentation,
-    CatWithDenoms,
     ConstructionError,
     LimitExceeded,
     PathWord,
@@ -262,11 +263,11 @@ class RewriteSystem:
     under; every query on the system, and every system derived from it,
     uses them.  Besides its rules the system carries its matcher
     ``index``, built from them, also its one normal-form table
-    (``index[s]``), and the tables its queries fill:
+    (``index[s]``), and what its queries build:
     the encoded hom-sets out of each object by target (the one hom-set
-    table, see :func:`words`) and the denominator decider per
-    denominator set (see :func:`denominators`).  Equality and hashing
-    read ``(presentation, rules, status, limits)`` alone.
+    table, see :func:`words`) and the decider of its presentation's
+    denominators (:attr:`denominators`).  Equality and hashing read
+    ``(presentation, rules, status, limits)`` alone.
 
     Every query reads a system through five members, and an
     :class:`Inflation` or an :class:`Enumerated` provides the same:
@@ -282,7 +283,6 @@ class RewriteSystem:
             presentation, rules, status, limits
         self.index = RuleIndex(rules)
         self._reachable: dict = {}
-        self._deciders: dict = {}
 
     def _key(self) -> tuple:
         return self.presentation, self.rules, self.status, self.limits
@@ -356,6 +356,13 @@ class RewriteSystem:
         """The completion run whose rules and status describe this
         system: itself, unless it is :class:`Enumerated`."""
         return self
+
+    @cached_property
+    def denominators(self) -> DenomDecider:
+        """The decider for the denominators of :attr:`presentation`, built
+        on first use and kept.  A closure that exceeds :attr:`limits` is
+        not kept, so it raises again on the next use."""
+        return DenomDecider(self)
 
 
 class _Lifts(dict):
@@ -796,7 +803,7 @@ def find_inverse(rs: RewriteSystem, w: PathWord) -> PathWord | None:
 
 
 class DenomDecider:
-    """Decides denominator membership for a category with denominators.
+    """Decides membership in the denominators of the presentation of ``rs``.
 
     The explicit words, codes, are normalized into the generating words
     ``generators``, identities are added when
@@ -805,23 +812,22 @@ class DenomDecider:
     forms ``(src, dst, code)`` in ``closure``, kept in
     :meth:`RewriteSystem.sort_key` order.
     Membership of an arbitrary word is then a normal form lookup.
-    :func:`denominators` builds one per system and keeps it.
+    Each system builds one, :attr:`RewriteSystem.denominators`, and keeps it.
 
     Each new element is composed on both sides with the generating
     words only: normal forms are canonical, so a set closed under those
     products is closed under composition.
     """
 
-    def __init__(self, c: CatWithDenoms, rs: RewriteSystem):
-        self.cwd = c
+    def __init__(self, rs: RewriteSystem):
         self.rs = rs
-        limits = rs.limits
-        self.generators = set(map(rs.compose, c.denoms.explicit))
+        p, limits = rs.presentation, rs.limits
+        self.generators = set(map(rs.compose, p.denoms.explicit))
         closure = set(self.generators)
-        if c.denoms.include_identities:
-            for x in c.cat.objects:
+        if p.denoms.include_identities:
+            for x in p.objects:
                 closure.add((x, x, ""))
-        if c.denoms.close_under_composition:
+        if p.denoms.close_under_composition:
             frontier = set(closure)
             while frontier:
                 fresh: set[tuple[str, str, str]] = set()
@@ -863,15 +869,3 @@ class DenomDecider:
                 s for s in words(self.rs, x, y) if (x, y, s) in self.closure)
         return between
 
-
-def denominators(c: CatWithDenoms, rs: RewriteSystem) -> DenomDecider:
-    """The decider for the denominators of ``c``, built once per system.
-
-    ``rs`` is the system of ``c.cat``; it keeps the decider per
-    ``c.denoms``.  A closure that exceeded ``rs.limits`` is not stored,
-    so it raises again on the next call.
-    """
-    dec = rs._deciders.get(c.denoms)
-    if dec is None:
-        dec = rs._deciders[c.denoms] = DenomDecider(c, rs)
-    return dec

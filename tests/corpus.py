@@ -38,12 +38,12 @@ def cat(name: str):
 
 @lru_cache(maxsize=None)
 def rs(name: str):
-    return complete(cat(name).cat, DEFAULT_LIMITS)
+    return complete(cat(name), DEFAULT_LIMITS)
 
 
 @lru_cache(maxsize=None)
 def lc(name: str):
-    return localise(cat(name), rs(name))
+    return localise(rs(name))
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +82,9 @@ def _write(directory: Path, stem: str, source: dict, target: dict, functor: dict
     return str(directory / f"{stem}.fun.json")
 
 
-def fan(k: int, directory: Path) -> str:
-    """Write ``Fan_k`` to ``directory``; returns the functor's path.
+def fan_data(k: int) -> tuple[dict, dict, dict]:
+    """``Fan_k``: the data of its source and target category files and
+    its functor's maps.
 
     D has objects ``x_0 … x_{k-1}`` and ``y``, generators ``q_i: x_i -> y``
     then ``c_i: x_i -> x_{i+1}``, and relations ``c_i·q_{i+1} = q_i``;
@@ -95,10 +96,15 @@ def fan(k: int, directory: Path) -> str:
     qs = [(f"q{i}", xs[i], "y") for i in range(k)]
     cs = [(f"c{i}", xs[i], xs[i + 1]) for i in range(k - 1)]
     relations = [((f"c{i}", f"q{i + 1}"), (f"q{i}",)) for i in range(k - 1)]
-    return _write(directory, f"Fan{k}", cat_data(xs, cs, (), [c for c, _, _ in cs]),
-                  cat_data(xs + ["y"], qs + cs, relations, [g for g, _, _ in qs + cs]),
-                  {"object_map": {x: x for x in xs},
-                   "generator_map": {c: [c] for c, _, _ in cs}})
+    return (cat_data(xs, cs, (), [c for c, _, _ in cs]),
+            cat_data(xs + ["y"], qs + cs, relations, [g for g, _, _ in qs + cs]),
+            {"object_map": {x: x for x in xs}, "generator_map": {c: [c] for c, _, _ in cs}})
+
+
+def fan(k: int, directory: Path) -> str:
+    """Write ``Fan_k`` (:func:`fan_data`) to ``directory``; returns the
+    functor's path."""
+    return _write(directory, f"Fan{k}", *fan_data(k))
 
 
 def detour(directory: Path) -> str:

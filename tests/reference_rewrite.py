@@ -28,7 +28,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from loccat.presentation import CatPresentation, CatWithDenoms, LimitExceeded, PathWord
+from loccat.presentation import CatPresentation, LimitExceeded, PathWord
 from loccat.rewrite import (BOUNDED_INCOMPLETE, COMPLETE, DEFAULT_LIMITS,
                             ResourceLimits, RewriteSystem)
 
@@ -212,14 +212,14 @@ def homset(rs: RewriteSystem, x: str, y: str) -> tuple[PathWord, ...]:
     return tuple(sorted((w for w in seen if w.dst == y), key=lambda w: key(w.letters)))
 
 
-def closure(c: CatWithDenoms, rs: RewriteSystem) -> set[tuple[str, str, str]]:
-    """The denominators of ``c`` as encoded normal forms of ``rs``: the
-    explicit words and identities as the flags say, saturated pairwise
-    under composition when the flag says so, under ``rs.limits``."""
-    limits = rs.limits
+def closure(rs: RewriteSystem) -> set[tuple[str, str, str]]:
+    """The denominators of ``rs.presentation`` as encoded normal forms of
+    ``rs``: the explicit words and identities as the flags say, saturated
+    pairwise under composition when the flag says so, under ``rs.limits``."""
+    limits, c = rs.limits, rs.presentation
     found = set(map(rs.compose, c.denoms.explicit))
     if c.denoms.include_identities:
-        found.update((x, x, "") for x in c.cat.objects)
+        found.update((x, x, "") for x in c.objects)
     frontier = set(found) if c.denoms.close_under_composition else set()
     while frontier:
         fresh: set[tuple[str, str, str]] = set()

@@ -45,7 +45,7 @@ def test_criterion_01_rewrite_kernel_matches_bruteforce_oracle():
     t0 = time.monotonic()
     for name in corpus.CAT_NAMES:
         c = corpus.cat(name)
-        agree.assert_engine_agreement(c.cat, corpus.rs(name))
+        agree.assert_engine_agreement(c, corpus.rs(name))
         lp = corpus.lc(name).presentation
         agree.assert_engine_agreement(lp, corpus.lc(name).rs)
         agree.assert_construction_agreement(name)
@@ -57,8 +57,8 @@ def test_criterion_02_localisation_invariants():
     preserved, and identity-only denominators leave hom-sets unchanged."""
     for name in corpus.CAT_NAMES:
         c, lc = corpus.cat(name), corpus.lc(name)
-        assert lc.presentation.objects == c.cat.objects, name
-        dec = DenomDecider(c, corpus.rs(name))
+        assert lc.presentation.objects == c.objects, name
+        dec = DenomDecider(corpus.rs(name))
         for w in dec.materialized:
             image = normalize(lc.rs, w)
             inv = find_inverse(lc.rs, image)
@@ -67,8 +67,8 @@ def test_criterion_02_localisation_invariants():
             assert lc.rs.decode(lc.rs.compose(image, inv)) == lc.presentation.identity(w.src)
             assert lc.rs.decode(lc.rs.compose(inv, image)) == lc.presentation.identity(w.dst)
     base, loc = corpus.rs("E1"), corpus.lc("E1")
-    for x in corpus.cat("E1").cat.objects:
-        for y in corpus.cat("E1").cat.objects:
+    for x in corpus.cat("E1").objects:
+        for y in corpus.cat("E1").objects:
             assert len(homset(base, x, y)) == len(homset(loc.rs, x, y))
 
 
@@ -79,8 +79,8 @@ def test_criterion_03_induced_functor_square_on_all_generators():
     for name in corpus.FUN_NAMES:
         s = corpus.setting(name)
         ind = induced_functor(s.f, s.lc_src, s.lc_tgt)
-        for g in s.f.source.cat.generators:
-            w = s.f.source.cat.encode(s.f.source.cat.word([g.name]))
+        for g in s.f.source.generators:
+            w = s.f.source.encode(s.f.source.word([g.name]))
             via_src = s.lc_tgt.rs.decode(through(s.lc_tgt, ind)(s.lc_src.rs.compose(w)))
             via_tgt = s.lc_tgt.rs.decode(through(s.lc_tgt, s.f)(w))
             assert equal(s.lc_tgt.rs, via_src, via_tgt), (name, g.name)
@@ -102,11 +102,11 @@ def test_criterion_04_replacement_category_suite():
         assert ok, name
         hit = set(u.object_map.values())
         enough, _ = has_enough(s.replacements)
-        assert (hit == set(s.f.target.cat.objects)) == enough, name
+        assert (hit == set(s.f.target.objects)) == enough, name
         if enough:
             c_r, _ = structure_choice_functor(rc, auto_choice(rc))
             round_trip = c_r.then(u)
-            tgt = s.f.target.cat
+            tgt = s.f.target
             assert round_trip.object_map == {y: y for y in tgt.objects}
             for g in tgt.generators:
                 assert tgt.decode(round_trip.images[g.name]).letters == (g.name,), name

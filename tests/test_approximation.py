@@ -63,7 +63,7 @@ class TestTotalFunctor:
 
     def test_total_value_unique_fill(self):
         s, rc = rc_for("E2")
-        tgt = s.f.target.cat
+        tgt = s.f.target
         val = s.lc_src.rs.decode(total_value(s, 0, 1, s.rs_tgt.encode(tgt.word(["d"]))))
         assert val == s.lc_src.presentation.identity("•")
 
@@ -71,7 +71,7 @@ class TestTotalFunctor:
         # triple 0 lies over tl: h_top starts there but ends at tr, and
         # v_right starts at tr
         s, _ = rc_for("E7")
-        tgt = s.f.target.cat
+        tgt = s.f.target
         with pytest.raises(ValidationError, match="to 'tr' does not run"):
             total_value(s, 0, 0, s.rs_tgt.encode(tgt.word(["h_top"])))
         with pytest.raises(ValidationError, match="from 'tr' to 'br'"):
@@ -79,7 +79,7 @@ class TestTotalFunctor:
 
     def test_total_value_is_deterministic(self):
         s, rc = rc_for("E7")
-        tgt = s.f.target.cat
+        tgt = s.f.target
         w = s.rs_tgt.encode(tgt.word(["v_left", "h_bot"]))
         assert total_value(s, 0, 3, w) == total_value(s, 0, 3, w)
 
@@ -100,9 +100,8 @@ def ladder(n):
         t + b, gens, squares, [f"v{i}" for i in range(n + 1)]))
     source = load_cat(f"L{n} row", corpus.cat_data(
         x, [(f"f{i}", x[i - 1], x[i]) for i in steps], close_under_composition=False))
-    grid = target.cat
     return FunctorData(source, target, dict(zip(x, t)),
-                       {f"f{i}": grid.encode(grid.word([f"h{i}"])) for i in steps})
+                       {f"f{i}": target.encode(target.word([f"h{i}"])) for i in steps})
 
 
 class TestLadderBytes:
@@ -163,7 +162,7 @@ class TestFillTables:
     def test_failed_total_value_raises_again(self):
         # E3 sends f1 and f2 both to g, so the value at g has two fills
         s = prepare(corpus.fun("E3"), DEFAULT_LIMITS)
-        g = s.rs_tgt.encode(s.f.target.cat.word(["g"]))
+        g = s.rs_tgt.encode(s.f.target.word(["g"]))
         for _ in range(2):
             with pytest.raises(ConstructionError, match="got 2"):
                 total_value(s, 0, 1, g)
@@ -174,7 +173,7 @@ class TestFillTables:
         # identity to another, nor any value to another pair of triples
         for name in ("E2", "E5", "E7", "E7b"):
             s, rc = rc_for(name)
-            p = s.f.target.cat
+            p = s.f.target
             for y in p.objects:
                 assert normalize(s.rs_tgt, p.identity(y)) == p.identity(y)
             sources = [t.source for t in rc.triples]
@@ -214,8 +213,8 @@ class TestFunctorChecks:
         c = load_cat("D3", corpus.cat_data(
             ["o"], [("a", "o", "o"), ("b", "o", "o")],
             [("aaa", ""), ("bb", ""), ("bab", "aa")], ["a"]))
-        rs = complete(c.cat, ResourceLimits(max_word_len=4))
-        lc = localise(c, rs)
+        rs = complete(c, ResourceLimits(max_word_len=4))
+        lc = localise(rs)
         words = homset(rs, "o", "o")
         shared = word("bab")
         assert shared not in words
@@ -224,7 +223,7 @@ class TestFunctorChecks:
 
         def checks(value):
             functor = FunctorData(
-                source=c, target=lc.cwd, object_map={"o": "o"},
+                source=c, target=lc.presentation, object_map={"o": "o"},
                 images={g: lc.rs.encode(normalize(lc.rs, word(g))) for g in "ab"})
             return approximation._functor_checks(functor, lc, rs, value)
 
@@ -309,18 +308,18 @@ class TestDeciders:
         lambda f: check_s_equivalence(prepare(f, DEFAULT_LIMITS)).verdict,
     ], ids=["verify-approximation", "s-equivalence"])
     def test_one_build_per_denominators_and_system(self, monkeypatch, run):
-        # each system keeps its deciders, so no (denoms, system) is
-        # decided twice in one run
+        # each system keeps its decider, so no system's denominators
+        # are decided twice in one run
         builds = []
         init = DenomDecider.__init__
 
-        def counted(self, c, rs):
-            builds.append((c.denoms, rs))
-            init(self, c, rs)
+        def counted(self, rs):
+            builds.append(rs)
+            init(self, rs)
 
         monkeypatch.setattr(DenomDecider, "__init__", counted)
         assert run(corpus.fun("E7"))
-        keys = [(denoms, id(rs)) for denoms, rs in builds]
+        keys = list(map(id, builds))
         assert len(keys) > 1
         assert len(keys) == len(set(keys))
 
@@ -351,7 +350,7 @@ class TestShortening:
         from loccat import verify_shortening
         s = prepare(corpus.fun("E7"), DEFAULT_LIMITS)
         code = s.rs_tgt.encode
-        tgt, rc = s.f.target.cat, s.rc
+        tgt, rc = s.f.target, s.rc
         i = rc.position("bl", "x0", code(tgt.word(["v_left"]))[2])
         j = rc.position("br", "x1", code(tgt.word(["v_right"]))[2])
         corrupt(monkeypatch, s, (i, j, code(tgt.word(["h_bot"]))[2]), ("x0", "x0", ""))
@@ -371,7 +370,7 @@ class TestDenominatorValues:
             report = verify_denominator_values(s)
             assert report["ok"], name
             assert report["lifted_denominators_checked"] == \
-                len(rc.cwd.denoms.explicit), name
+                len(rc.rs.presentation.denoms.explicit), name
 
     def test_wrong_value_has_witness(self, monkeypatch):
         # the identity functor of an idempotent u: the one lifted
@@ -380,7 +379,7 @@ class TestDenominatorValues:
         from loccat import verify_denominator_values
         c = load_cat("idempotent", corpus.cat_data(["x"], [("u", "x", "x")],
                                                    [(("u", "u"), ("u",))]))
-        u = c.cat.encode(c.cat.word(["u"]))
+        u = c.encode(c.word(["u"]))
         s = prepare(FunctorData(c, c, {"x": "x"}, {"u": u}), DEFAULT_LIMITS)
         corrupt(monkeypatch, s, (0, 0, ""), u)
         assert verify_denominator_values(s) == {

@@ -17,11 +17,11 @@ class TestMultiplicative:
             "E6": False, "E7C": True, "E7D": True, "E7bD": True, "E8": True,
         }
         for name, want in expected.items():
-            got, _ = check_multiplicative(corpus.cat(name), corpus.rs(name))
+            got, _ = check_multiplicative(corpus.rs(name))
             assert got == want, name
 
     def test_witness_names_missing_identity(self):
-        ok, witness = check_multiplicative(corpus.cat("E6"), corpus.rs("E6"))
+        ok, witness = check_multiplicative(corpus.rs("E6"))
         assert not ok
         assert witness == {
             "kind": "identity-not-denominator", "object": "a",
@@ -38,8 +38,8 @@ class TestMultiplicative:
         path.write_text(json.dumps(raw), encoding="utf-8")
         c = load_cat(path)
         from loccat import complete
-        rs = complete(c.cat)
-        ok, witness = check_multiplicative(c, rs)
+        rs = complete(c)
+        ok, witness = check_multiplicative(rs)
         assert not ok and witness["kind"] == "composite-not-denominator"
         assert witness["first"]["letters"] == ["d"]
         assert witness["second"]["letters"] == ["e"]
@@ -51,11 +51,11 @@ class TestIsosaturated:
         expected = {name: True for name in corpus.CAT_NAMES}
         expected["E6"] = False
         for name, want in expected.items():
-            got, _ = check_isosaturated(corpus.cat(name), corpus.rs(name))
+            got, _ = check_isosaturated(corpus.rs(name))
             assert got == want, name
 
     def test_witness_is_an_isomorphism(self):
-        ok, witness = check_isosaturated(corpus.cat("E6"), corpus.rs("E6"))
+        ok, witness = check_isosaturated(corpus.rs("E6"))
         assert not ok
         assert witness["kind"] == "isomorphism-not-denominator"
         assert witness["word"]["letters"] == []
@@ -79,7 +79,7 @@ class TestValidateFunctor:
 
     def test_endpoint_mismatch(self):
         f = corpus.fun("E7")
-        tgt = f.target.cat
+        tgt = f.target
         bad = FunctorData(source=f.source, target=f.target,
                           object_map=f.object_map,
                           images={"f": tgt.encode(tgt.word(["v_left"]))})
@@ -98,16 +98,13 @@ class TestValidateFunctor:
 
     def test_relation_violation_detected(self):
         # E5 requires d.d = 1; a free loop target cannot satisfy that
-        from loccat import (CatPresentation, CatWithDenoms, DenomSet,
-                            GenArrow, complete)
+        from loccat import CatPresentation, DenomSet, GenArrow, complete
         c5 = corpus.cat("E5")
-        loop = CatWithDenoms(
-            CatPresentation(("x",), (GenArrow("t", "x", "x"),), ()),
-            DenomSet((), True, False))
-        rs_loop = complete(loop.cat)
+        loop = CatPresentation(("x",), (GenArrow("t", "x", "x"),), (), DenomSet((), True, False))
+        rs_loop = complete(loop)
         f = FunctorData(source=c5, target=loop,
                         object_map={"•": "x"},
-                        images={"d": loop.cat.encode(loop.cat.word(["t"]))})
+                        images={"d": loop.encode(loop.word(["t"]))})
         problems = validate_functor(f, corpus.rs("E5"), rs_loop)
         assert any(p["kind"] == "relation-not-preserved" for p in problems)
 
@@ -117,7 +114,7 @@ class TestValidateFunctor:
         c3 = corpus.cat("E3C")
         f = FunctorData(source=c2, target=c3,
                         object_map={"a": "X0", "b": "X1"},
-                        images={"d": c3.cat.encode(c3.cat.word(["f1"]))})
+                        images={"d": c3.encode(c3.word(["f1"]))})
         problems = validate_functor(f, corpus.rs("E2"), corpus.rs("E3C"))
         assert any(p["kind"] == "denominator-not-preserved" for p in problems)
 
@@ -136,7 +133,7 @@ class TestReflectsDenominators:
         # into E5's denominator d.
         c3 = corpus.cat("E3C")
         c5 = corpus.cat("E5")
-        d = c5.cat.encode(c5.cat.word(["d"]))
+        d = c5.encode(c5.word(["d"]))
         f = FunctorData(source=c3, target=c5,
                         object_map={"X0": "•", "X1": "•"},
                         images={"f1": d, "f2": d})
@@ -154,15 +151,15 @@ def image(f):
 
 def generators(c):
     """The encoded one-letter words of the generators of ``c``."""
-    code = c.cat.codec[0]
-    return [(g.src, g.dst, code[g.name]) for g in c.cat.generators]
+    code = c.codec[0]
+    return [(g.src, g.dst, code[g.name]) for g in c.generators]
 
 
 class TestTransformation:
     def test_natural_transformation_accepted(self):
         # identity transformation on the E7 functor
         f = corpus.fun("E7")
-        tgt = f.target.cat
+        tgt = f.target
         components = {"x0": tgt.encode(tgt.identity("tl")),
                       "x1": tgt.encode(tgt.identity("tr"))}
         assert squares(corpus.setting("E7").rs_tgt, generators(f.source), image(f),
@@ -171,7 +168,7 @@ class TestTransformation:
     def test_component_endpoints_checked(self):
         # the component at x0 sits at bl, where no image of f starts
         f = corpus.fun("E7")
-        tgt = f.target.cat
+        tgt = f.target
         components = {"x0": tgt.encode(tgt.identity("bl")),
                       "x1": tgt.encode(tgt.identity("tr"))}
         with pytest.raises(ValidationError):
@@ -186,10 +183,10 @@ class TestTransformation:
         pair = corpus.cat("E3C")
         pick1, pick2 = (FunctorData(source=arrow, target=pair,
                                     object_map={"a": "X0", "b": "X1"},
-                                    images={"u": pair.cat.encode(pair.cat.word([g]))})
+                                    images={"u": pair.encode(pair.word([g]))})
                         for g in ("f1", "f2"))
-        components = {"a": pair.cat.encode(pair.cat.identity("X0")),
-                      "b": pair.cat.encode(pair.cat.identity("X1"))}
+        components = {"a": pair.encode(pair.identity("X0")),
+                      "b": pair.encode(pair.identity("X1"))}
         assert squares(corpus.rs("E3C"), generators(arrow), image(pick1),
                        components, image(pick2)) == (1, False)
 
@@ -197,7 +194,7 @@ class TestTransformation:
         # in E5, d·d = 1, so d·d·d = d; with no rule completed, the normal
         # forms of the truncated run differ, and the coset tables that
         # present builds instead make the square commute
-        c = corpus.cat("E5").cat
+        c = corpus.cat("E5")
         d, identity = c.encode(c.word(["d"])), {"•": c.encode(c.identity("•"))}
 
         def cubed(w):

@@ -258,7 +258,7 @@ class TestTruncatedRuns:
         # truncated run's rules and status, and the enumeration finds the
         # inverse of d
         code, rep = run_json(capsys, "localise", corpus.cat_path("E2"), "--limits-rules", "1")
-        lc = gz.localise(corpus.cat("E2"), rewrite.complete(corpus.cat("E2").cat))
+        lc = gz.localise(rewrite.complete(corpus.cat("E2")))
         truncated = rewrite.complete(lc.presentation, rewrite.ResourceLimits(max_rules=1))
         assert code == 0
         assert rep["result"]["status"] == "bounded-incomplete"
@@ -671,8 +671,8 @@ class TestDeterminism:
         assert found == []
 
     def test_deciders_built_only_by_the_accessor(self):
-        # every other caller asks rewrite.denominators, which keeps the
-        # decider on its system
+        # every other caller asks a system's denominators property,
+        # which keeps the decider on its system
         src = Path(__file__).resolve().parent.parent / "src" / "loccat"
         found = []
         for path in sorted(src.glob("*.py")):

@@ -160,10 +160,10 @@ class TestClassicalCriterion:
         from loccat import DenomDecider, find_inverse, homset
         for name in self.VARIANTS:
             s = corpus.setting(name)
-            for cwd, rs in ((s.f.source, s.rs_src), (s.f.target, s.rs_tgt)):
-                dec = DenomDecider(cwd, rs)
-                for x in cwd.cat.objects:
-                    for y in cwd.cat.objects:
+            for p, rs in ((s.f.source, s.rs_src), (s.f.target, s.rs_tgt)):
+                dec = DenomDecider(rs)
+                for x in p.objects:
+                    for y in p.objects:
                         for w in homset(rs, x, y):
                             is_iso = find_inverse(rs, w) is not None
                             assert dec.is_denominator(w) == is_iso, (name, w)
@@ -203,7 +203,7 @@ class TestClassicalCriterion:
         src = load_cat("C", corpus.cat_data(objects, [("u", "b", "b")], [("uu", "u")]))
         tgt = load_cat("D", corpus.cat_data(["A", "B", "Z"], [("t", "A", "A")], [("tt", "t")]))
         f = FunctorData(src, tgt, {"a": "A", "b": "B"}, {"u": ("B", "B", "")})
-        ok, details = classical_equivalence(f, complete(src.cat), complete(tgt.cat))
+        ok, details = classical_equivalence(f, complete(src), complete(tgt))
         assert not ok
         assert details == {
             "full": False, "faithful": False, "dense": False,

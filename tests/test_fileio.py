@@ -31,7 +31,7 @@ class TestLoadCat:
     def test_corpus_loads(self):
         for name in corpus.CAT_NAMES:
             c = corpus.cat(name)
-            assert c.cat.objects
+            assert c.objects
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = write(tmp_path, "bad.cat.json", "{nope")
@@ -70,7 +70,7 @@ class TestLoadCat:
                        generators=[{"name": "t", "src": "a", "dst": "a"}],
                        relations=[{"lhs": ["t", "t"], "rhs": []}])
         c = load_cat(write(tmp_path, "endo.cat.json", payload))
-        assert c.cat.relations[0][1] == ("a", "a", "")
+        assert c.relations[0][1] == ("a", "a", "")
 
     def test_two_empty_relation_sides_rejected(self, tmp_path):
         payload = dict(GOOD_CAT, relations=[{"lhs": [], "rhs": []}])
@@ -200,7 +200,7 @@ class TestMalformedText:
     def test_surrogate_pair_is_one_character(self, capsys, tmp_path):
         path = write(tmp_path, "pair.cat.json", json.dumps(
             dict(GOOD_CAT, objects=["a", "b", "x"])).replace('"x"', '"\\ud83d\\ude00"'))
-        assert load_cat(path).cat.objects == ("a", "b", "\U0001f600")
+        assert load_cat(path).objects == ("a", "b", "\U0001f600")
         assert main(["localise", path]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["result"]["base"]["objects"] == ["a", "b", "\U0001f600"]
@@ -274,7 +274,7 @@ class TestLoadFunctor:
 
         monkeypatch.setattr(fileio, "Path", refuse)
         f = load_functor(corpus.fun_path("E7"))
-        assert f.source.cat.objects and f.target.cat.objects
+        assert f.source.objects and f.target.objects
 
     def test_messages_built_only_on_failure(self):
         # a path that cannot be formatted loads: no check that passes
@@ -310,7 +310,7 @@ class TestLoadChoice:
     def test_alt_choice_loads(self):
         f = corpus.fun("E7b")
         choice = load_choice(str(corpus.FIXTURES / "E7b-alt.choice.json"), f)
-        q = f.target.cat.decode(("tl", "bl", choice.get("bl").q))
+        q = f.target.decode(("tl", "bl", choice.get("bl").q))
         assert q.letters == ("v_left2",)
 
     def test_choice_with_wrong_source_object_rejected(self, tmp_path):
@@ -327,7 +327,7 @@ class TestLoadChoice:
         path = write(tmp_path, "e5.choice.json",
                      {"•": {"x": "•", "q": ["d", "d", "d"]}})
         choice = load_choice(path, f)
-        q = f.target.cat.decode(("•", "•", choice.get("•").q))
+        q = f.target.decode(("•", "•", choice.get("•").q))
         assert q.letters == ("d", "d", "d")
         report = verify_approximation(f, choice=choice)
         section = next(x for x in report.sections if x["name"] == "choice")

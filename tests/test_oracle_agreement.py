@@ -56,8 +56,8 @@ def assert_construction_agreement(name):
     c = corpus.cat(name)
     lc = corpus.lc(name)
     orc_loc = orc_mod.localised_oracle(corpus.cat_path(name))
-    for x in c.cat.objects:
-        for y in c.cat.objects:
+    for x in c.objects:
+        for y in c.objects:
             n_orc = len({orc_loc.uf.find(k)
                          for k, dst in orc_loc.words.items()
                          if k[0] == x and dst == y and len(k[1]) <= MARGIN})
@@ -69,7 +69,7 @@ def assert_construction_agreement(name):
 class TestEngineAgreement:
     def test_base_presentations(self):
         for name in corpus.CAT_NAMES:
-            assert_engine_agreement(corpus.cat(name).cat, corpus.rs(name))
+            assert_engine_agreement(corpus.cat(name), corpus.rs(name))
 
     def test_localised_presentations(self):
         for name in corpus.CAT_NAMES:
@@ -80,7 +80,7 @@ class TestEngineAgreement:
         # rc.rs completes nothing: it lifts the target's normal forms
         for name, max_len in (("E2", 8), ("E7", 8), ("E7b", 8), ("E5", 6)):
             rc = corpus.setting(name).rc
-            assert_engine_agreement(rc.cwd.cat, rc.rs, max_len)
+            assert_engine_agreement(rc.rs.presentation, rc.rs, max_len)
 
     def test_localised_replacement_categories(self):
         for name in ("E2", "E7"):
@@ -99,8 +99,8 @@ class TestConstructionAgreement:
             c = corpus.cat(name)
             rs = corpus.rs(name)
             orc = orc_mod.oracle_for(corpus.cat_path(name))
-            for x in c.cat.objects:
-                for y in c.cat.objects:
+            for x in c.objects:
+                for y in c.objects:
                     n_orc = len({orc.uf.find(k)
                                  for k, dst in orc.words.items()
                                  if k[0] == x and dst == y
@@ -114,7 +114,7 @@ class TestBudget:
     def test_whole_corpus_under_ten_seconds(self):
         start = time.monotonic()
         for name in corpus.CAT_NAMES:
-            assert_engine_agreement(corpus.cat(name).cat, corpus.rs(name))
+            assert_engine_agreement(corpus.cat(name), corpus.rs(name))
             lc = corpus.lc(name)
             assert_engine_agreement(lc.presentation, lc.rs)
             assert_construction_agreement(name)

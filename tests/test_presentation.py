@@ -6,10 +6,10 @@ import pickle
 import pytest
 
 import corpus
-from loccat import (CatPresentation, GenArrow, PathWord, ValidationError,
+from loccat import (CatPresentation, DenomSet, GenArrow, PathWord, ValidationError,
                     identity_functor, load_cat, opposite, validate_presentation)
 from loccat.equivalence import prepare
-from loccat.rewrite import DEFAULT_LIMITS, complete, homset, normalize, words
+from loccat.rewrite import DEFAULT_LIMITS, complete, homset, normalize, present, words
 from test_approximation import ladder
 
 
@@ -17,7 +17,7 @@ def chain():
     return CatPresentation(
         objects=("a", "b", "c"),
         generators=(GenArrow("u", "a", "b"), GenArrow("v", "b", "c")),
-        relations=())
+        relations=(), denoms=DenomSet())
 
 
 class TestPathWord:
@@ -92,7 +92,7 @@ class TestShortlex:
     @staticmethod
     def later_earlier():
         c = load_cat("x", corpus.cat_data(["x"], [("later", "x", "x"), ("earlier", "x", "x")]))
-        return c.cat, complete(c.cat)
+        return c, complete(c)
 
     def test_length_dominates(self):
         c, rs = self.later_earlier()
@@ -111,7 +111,7 @@ class TestShortlex:
 class TestFromNames:
     def test_relations_are_encoded(self):
         c = load_cat("parallel pair", corpus.cat_data(
-            ["a", "b"], [("u", "a", "b"), ("v", "a", "b")], [(["v"], ["u"])])).cat
+            ["a", "b"], [("u", "a", "b"), ("v", "a", "b")], [(["v"], ["u"])]))
         assert c.relations == (tuple(map(c.encode, (PathWord("a", "b", ("v",)),
                                                     PathWord("a", "b", ("u",))))),)
         assert validate_presentation(c) == []
@@ -120,7 +120,7 @@ class TestFromNames:
 class TestArrows:
     def test_tables_follow_declaration_order(self):
         # tl has three generators out, tr one, bl two; br and z none
-        p = corpus.cat("E7bD").cat
+        p = corpus.cat("E7bD")
         code = p.codec[0]
         names = ["h_top", "v_left", "v_left2", "v_right", "h_bot", "s"]
         assert [g.name for g in p.generators] == names
@@ -141,10 +141,10 @@ class TestArrows:
 class TestValidation:
     def test_valid_presentation_has_no_problems(self):
         for name in corpus.CAT_NAMES:
-            assert validate_presentation(corpus.cat(name).cat) == []
+            assert validate_presentation(corpus.cat(name)) == []
 
     def test_duplicate_object_reported(self):
-        c = CatPresentation(objects=("a", "a"), generators=(), relations=())
+        c = CatPresentation(objects=("a", "a"), generators=(), relations=(), denoms=DenomSet())
         kinds = {p["kind"] for p in validate_presentation(c)}
         assert "duplicate-object" in kinds
 
@@ -152,13 +152,14 @@ class TestValidation:
         c = CatPresentation(
             objects=("a",),
             generators=(GenArrow("u", "a", "a"), GenArrow("u", "a", "a")),
-            relations=())
+            relations=(), denoms=DenomSet())
         kinds = {p["kind"] for p in validate_presentation(c)}
         assert "duplicate-generator" in kinds
 
     def test_dangling_generator_endpoint_reported(self):
         c = CatPresentation(
-            objects=("a",), generators=(GenArrow("u", "a", "b"),), relations=())
+            objects=("a",), generators=(GenArrow("u", "a", "b"),), relations=(),
+            denoms=DenomSet())
         kinds = {p["kind"] for p in validate_presentation(c)}
         assert "unknown-object" in kinds
 
@@ -167,7 +168,7 @@ class TestOpposite:
     def test_opposite_reverses_generators(self):
         c = corpus.cat("E1")
         op = opposite(c)
-        g = op.cat.gen_by_name["u"]
+        g = op.gen_by_name["u"]
         assert (g.src, g.dst) == ("b", "a")
 
     def test_opposite_involution(self):
@@ -178,19 +179,29 @@ class TestOpposite:
     def test_opposite_reverses_relation_words(self):
         c = corpus.cat("E7D")
         op = opposite(c)
-        lhs, rhs = map(op.cat.decode, op.cat.relations[0])
+        lhs, rhs = map(op.decode, op.relations[0])
         assert lhs.letters == ("v_right", "h_top")
         assert rhs.letters == ("h_bot", "v_left")
+
+    def test_opposite_reverses_denominators(self):
+        # the opposite's closure is the reversed closure, up to normal form
+        for name in corpus.CAT_NAMES:
+            closure = corpus.rs(name).denominators.closure
+            op = present(opposite(corpus.cat(name)))
+            op_closure = op.denominators.closure
+            assert len(op_closure) == len(closure), name
+            for x, y, s in closure:
+                assert op.compose((y, x, s[::-1])) in op_closure, (name, s)
 
 
 class TestIdentityFunctor:
     def test_identity_functor_roundtrip(self):
         c = corpus.cat("E7D")
         f = identity_functor(c)
-        w = c.cat.encode(c.cat.word(["h_top", "v_right"]))
+        w = c.encode(c.word(["h_top", "v_right"]))
         assert w[2].translate(f.translation) == w[2]
         assert w[2].translate(f.then(f).translation) == w[2]
-        assert f.then(f).object_map == f.object_map == {x: x for x in c.cat.objects}
+        assert f.then(f).object_map == f.object_map == {x: x for x in c.objects}
 
     def test_then_rejects_mismatched_functors(self):
         f = identity_functor(corpus.cat("E7D"))
@@ -201,7 +212,7 @@ class TestIdentityFunctor:
 
 def letterwise(f, s):
     """The code of the image of the code ``s``, one generator image at a time."""
-    name = f.source.cat.codec[1]
+    name = f.source.codec[1]
     return "".join(f.images[name[c]][2] for c in s)
 
 
@@ -209,8 +220,8 @@ def letterwise(f, s):
 def test_apply_word_equals_letterwise_images(name):
     # applying the functor to a word is one str.translate of its code
     f = corpus.fun(name)
-    rs = complete(f.source.cat, DEFAULT_LIMITS)
-    objects = f.source.cat.objects
+    rs = complete(f.source, DEFAULT_LIMITS)
+    objects = f.source.objects
     codes = [s for x in objects for y in objects for s in words(rs, x, y)]
     assert codes
     for s in codes:
@@ -232,7 +243,7 @@ def functor_and_systems(name, induced):
     if induced:
         s = prepare(f, DEFAULT_LIMITS)
         return s.gz_f, s.lc_src.rs, s.lc_tgt.rs
-    return f, complete(f.source.cat, DEFAULT_LIMITS), complete(f.target.cat, DEFAULT_LIMITS)
+    return f, complete(f.source, DEFAULT_LIMITS), complete(f.target, DEFAULT_LIMITS)
 
 
 @pytest.mark.parametrize("induced", [False, True], ids=["functor", "gz_f"])

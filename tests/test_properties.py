@@ -16,7 +16,7 @@ def composable_word(draw, name=None):
     """A well-typed word: start anywhere, repeatedly follow generators."""
     if name is None:
         name = draw(st.sampled_from(NAMES))
-    p = corpus.cat(name).cat
+    p = corpus.cat(name)
     src = draw(st.sampled_from(sorted(p.objects)))
     letters = []
     at = src
@@ -125,7 +125,7 @@ class TestWordAlgebra:
         name, w = nw
         op = opposite(corpus.cat(name))
         letters = tuple(reversed(w.letters))
-        rev = op.cat.word(letters) if letters else op.cat.identity(w.src)
+        rev = op.word(letters) if letters else op.identity(w.src)
         assert rev == PathWord(w.dst, w.src, letters)
 
 

@@ -10,7 +10,7 @@ from loccat import (ConstructionError, PreconditionError, ReplacementChoice,
                     has_enough, load_functor, localise, prepare,
                     structure_choice_functor, validate_functor)
 from loccat.replacement import positions
-from loccat.rewrite import Inflation, denominators, words
+from loccat.rewrite import Inflation, words
 
 
 def rc_for(name):
@@ -20,7 +20,7 @@ def rc_for(name):
 
 def q_word(f, rep):
     """The word ``q: F x -> y`` of the replacement ``rep`` along ``f``."""
-    return f.target.cat.decode((f.object_map[rep.source], rep.target, rep.q))
+    return f.target.decode((f.object_map[rep.source], rep.target, rep.q))
 
 
 def settings(tmp_path, names):
@@ -32,7 +32,7 @@ def settings(tmp_path, names):
 class TestFindReplacements:
     def test_e2_replacements(self):
         s = corpus.setting("E2")
-        tgt = s.f.target.cat
+        tgt = s.f.target
         reps_a = find_s_replacements(s.f, s.rs_tgt, "a")
         reps_b = find_s_replacements(s.f, s.rs_tgt, "b")
         assert reps_a == (SReplacement("a", "•", tgt.encode(tgt.identity("a"))[2]),)
@@ -70,8 +70,8 @@ class TestEnough:
         # denominator: on every functor, and E6 has none
         for name, every in (("E2", True), ("E5", True), ("E7b", True), ("E6", False)):
             s, rc = rc_for(name)
-            closure = denominators(s.f.target, s.rs_tgt).closure
-            for x in s.f.source.cat.objects:
+            closure = s.rs_tgt.denominators.closure
+            for x in s.f.source.objects:
                 fx = s.f.object_map[x]
                 assert (rc.position(fx, x, "") is not None) == \
                     ((fx, fx, "") in closure) == every, (name, x)
@@ -81,20 +81,21 @@ class TestReplacementCategory:
     def test_e2_shape(self):
         _, rc = rc_for("E2")
         assert rc.obj_names == ("(a|•|1)", "(b|•|d)")
-        assert [g.name for g in rc.cwd.cat.generators] == ["d@0-1"]
-        assert rc.cwd.cat.relations == ()
+        assert [g.name for g in rc.rs.presentation.generators] == ["d@0-1"]
+        assert rc.rs.presentation.relations == ()
 
     def test_e7_shape(self):
         _, rc = rc_for("E7")
         assert rc.obj_names == ("(tl|x0|1)", "(tr|x1|1)", "(bl|x0|v_left)",
                                 "(br|x1|v_right)")
-        rels = [tuple(rc.cwd.cat.decode(w).letters for w in r) for r in rc.cwd.cat.relations]
+        p = rc.rs.presentation
+        rels = [tuple(p.decode(w).letters for w in r) for r in p.relations]
         assert rels == [(("h_top@0-1", "v_right@1-3"),
                          ("v_left@0-2", "h_bot@2-3"))]
 
     def test_e5_identity_lifts(self):
         _, rc = rc_for("E5")
-        names = [g.name for g in rc.cwd.cat.generators]
+        names = [g.name for g in rc.rs.presentation.generators]
         assert names == ["d@0-0", "d@0-1", "d@1-0", "d@1-1", "1@0-1", "1@1-0"]
 
     def test_e7b_parallel_triples_over_one_object(self):
@@ -109,10 +110,10 @@ class TestReplacementCategory:
         for i, (t, name) in enumerate(zip(rc.triples, rc.obj_names)):
             assert rc.position(t.target, t.source, t.q) == i
             assert rc.object_index(name) == i
-        for y in s.f.target.cat.objects:
+        for y in s.f.target.objects:
             assert rc.triples_over(y) == tuple(
                 i for i, t in enumerate(rc.triples) if t.target == y)
-        tgt = s.f.target.cat
+        tgt = s.f.target
         missing = SReplacement("bl", "x1", tgt.encode(tgt.identity("bl"))[2])
         assert rc.position(missing.target, missing.source, missing.q) is None
 
@@ -138,16 +139,16 @@ class TestReplacementCategory:
         # E7 has 4 triples; a target system bounded at 3 refuses them
         from loccat import LimitExceeded
         s = corpus.setting("E7")
-        rs_tgt = complete(s.f.target.cat, s.rs_tgt.limits._replace(max_homset=3))
+        rs_tgt = complete(s.f.target, s.rs_tgt.limits._replace(max_homset=3))
         with pytest.raises(LimitExceeded) as exc:
             build_replacement_category(s.f, rs_tgt, s.replacements)
         assert exc.value.bound == "max_homset"
 
     def test_lifted_denominators_are_explicit(self):
         _, rc = rc_for("E7")
-        assert not rc.cwd.denoms.include_identities
-        assert not rc.cwd.denoms.close_under_composition
-        assert len(rc.cwd.denoms.explicit) == 6
+        assert not rc.rs.presentation.denoms.include_identities
+        assert not rc.rs.presentation.denoms.close_under_composition
+        assert len(rc.rs.presentation.denoms.explicit) == 6
 
 
 class TestInflation:
@@ -160,10 +161,10 @@ class TestInflation:
         assert rc.rs.base is s.rs_tgt and rc.rs.limits == s.rs_tgt.limits
 
     def test_completion_lists_the_same_words(self, tmp_path):
-        # so rc.cwd presents the category rc.rs answers
+        # so rc.rs.presentation presents the category rc.rs answers
         for s in settings(tmp_path, ("E2", "E5", "E7", "E7b")):
             rc = s.rc
-            rs = complete(rc.cwd.cat, rc.rs.limits)
+            rs = complete(rc.rs.presentation, rc.rs.limits)
             assert rs.status == "complete"
             for a in rc.obj_names:
                 for b in rc.obj_names:
@@ -174,7 +175,7 @@ class TestInflation:
         # report prints them, so only the sizes are compared
         for s in settings(tmp_path, ("E2", "E5", "E7", "E7b")):
             rc = s.rc
-            lc = localise(rc.cwd, complete(rc.cwd.cat, rc.rs.limits))
+            lc = localise(complete(rc.rs.presentation, rc.rs.limits))
             lc_rc, _ = rc.localised(s.lc_tgt)
             assert lc.rs.status == lc_rc.rs.status == "complete"
             assert lc_rc.presentation == lc.presentation
@@ -213,14 +214,14 @@ class TestForgetful:
             u = rc.forgetful
             hit = set(u.object_map.values())
             enough, _ = has_enough(s.replacements)
-            assert (hit == set(s.f.target.cat.objects)) == enough, name
+            assert (hit == set(s.f.target.objects)) == enough, name
 
 
 class TestChoice:
     def test_auto_choice_is_first_triple(self):
         _, rc = rc_for("E7b")
         chosen = auto_choice(rc)
-        assert chosen == {y: rc.triples_over(y)[0] for y in rc.functor.target.cat.objects}
+        assert chosen == {y: rc.triples_over(y)[0] for y in rc.functor.target.objects}
         picked = {y: (rc.triples[i].source, q_word(rc.functor, rc.triples[i]).letters)
                   for y, i in chosen.items()}
         assert picked == {"tl": ("x0", ()), "tr": ("x1", ()),
@@ -242,7 +243,7 @@ class TestChoice:
 
     def test_validate_choice_rejects_foreign_triples(self):
         s, rc = rc_for("E2")
-        tgt = s.f.target.cat
+        tgt = s.f.target
         bogus = ReplacementChoice((
             ("a", SReplacement("a", "•", tgt.encode(tgt.identity("a"))[2])),
             ("b", SReplacement("b", "•", tgt.encode(tgt.identity("b"))[2]))))
@@ -257,7 +258,7 @@ class TestStructureChoiceFunctor:
             c_r, _ = structure_choice_functor(rc, auto_choice(rc))
             u = rc.forgetful
             round_trip = c_r.then(u)
-            tgt = rc.functor.target.cat
+            tgt = rc.functor.target
             assert round_trip.object_map == {y: y for y in tgt.objects}
             for g in tgt.generators:
                 assert tgt.decode(round_trip.images[g.name]).letters == (g.name,)

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 import corpus
 import reference_rewrite
 from loccat import (BOUNDED_INCOMPLETE, COMPLETE, CatPresentation,
-                    CatWithDenoms, DenomDecider, DenomSet, GenArrow,
+                    DenomDecider, DenomSet, GenArrow,
                     LimitExceeded, PathWord, DEFAULT_LIMITS,
                     ResourceLimits, RewriteSystem, ValidationError,
-                    check_multiplicative, complete, denominators, equal,
+                    check_multiplicative, complete, equal,
                     find_inverse, homset, load_cat, localise, normalize, prepare,
                     present)
 from loccat import gz, rewrite
@@ -32,7 +32,7 @@ TIGHT = ResourceLimits(max_word_len=4, max_rules=3, max_homset=4)
 def monoid(gens: str, relations) -> CatPresentation:
     """One object ``o``, one generator per character of ``gens``."""
     return load_cat("monoid", corpus.cat_data(
-        ["o"], [(g, "o", "o") for g in gens], relations)).cat
+        ["o"], [(g, "o", "o") for g in gens], relations))
 
 
 def dihedral(n: int) -> CatPresentation:
@@ -40,12 +40,12 @@ def dihedral(n: int) -> CatPresentation:
     return monoid("ab", [("a" * n, ""), ("bb", ""), ("bab", "a" * (n - 1))])
 
 
-def with_denominator_a(p: CatPresentation) -> CatWithDenoms:
+def with_denominator_a(p: CatPresentation) -> CatPresentation:
     """``p`` with the closure of its generator ``a`` as denominators."""
-    return CatWithDenoms(p, DenomSet((p.encode(PathWord("o", "o", ("a",))),), True, True))
+    return p._replace(denoms=DenomSet((p.encode(PathWord("o", "o", ("a",))),), True, True))
 
 
-def dihedral_denoms(n: int) -> CatWithDenoms:
+def dihedral_denoms(n: int) -> CatPresentation:
     """``D_n`` with ``a`` its denominator generator."""
     return with_denominator_a(dihedral(n))
 
@@ -60,13 +60,13 @@ def spelled(rs: RewriteSystem) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
 def localised_dihedral(n: int) -> CatPresentation:
     """``D_n`` with ``a`` inverted."""
     c = dihedral_denoms(n)
-    return localise(c, complete(c.cat)).presentation
+    return localise(complete(c)).presentation
 
 
 def localised_ladder(n: int) -> CatPresentation:
     """The grid of ``L_n`` with its verticals inverted."""
     c = ladder(n).target
-    return localise(c, complete(c.cat)).presentation
+    return localise(complete(c)).presentation
 
 
 def count_normal_forms(monkeypatch) -> list:
@@ -86,7 +86,7 @@ def count_normal_forms(monkeypatch) -> list:
 # not terminate, so every bound is hit; L4 has thirteen generators
 FAMILIES = {"D5": dihedral(5), "D12": dihedral(12), "D24": dihedral(24),
             "D33": dihedral(33), "D12 localised": localised_dihedral(12),
-            "L4": ladder(4).target.cat,
+            "L4": ladder(4).target,
             "braid": monoid("ab", [("aba", "bab")]),
             "partially-commutative": monoid("abc", [("ab", "ba"), ("bc", "cb")])}
 
@@ -115,7 +115,7 @@ class TestCompletion:
     def test_rules_oriented_by_shortlex(self):
         for name in corpus.CAT_NAMES:
             rs = corpus.rs(name)
-            c = corpus.cat(name).cat
+            c = corpus.cat(name)
             for lhs, rhs in rs.rules:
                 assert (len(rhs), rhs) < (len(lhs), lhs)
 
@@ -138,7 +138,7 @@ class TestCompletion:
 
     @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, *FAMILIES])
     def test_same_rules_as_reference(self, name):
-        p = FAMILIES[name] if name in FAMILIES else corpus.cat(name).cat
+        p = FAMILIES[name] if name in FAMILIES else corpus.cat(name)
         for word_len in (4, 8, 16):
             for max_rules in (1, 3, 8, 512):
                 limits = ResourceLimits(max_word_len=word_len, max_rules=max_rules)
@@ -239,7 +239,7 @@ class TestCompletion:
         for word_len in sorted(bounds):
             limits = ResourceLimits(max_word_len=word_len, max_rules=512)
             try:
-                lc = localise(c, complete(c.cat, limits))
+                lc = localise(complete(c, limits))
             except LimitExceeded:
                 continue
             want = complete(lc.presentation, limits)
@@ -253,16 +253,16 @@ class TestCompletion:
         # instead of 2,134 without the seed
         c = dihedral_denoms(16)
         limits = ResourceLimits(max_word_len=17)
-        rs = complete(c.cat, limits)
+        rs = complete(c, limits)
         calls = count_normal_forms(monkeypatch)
-        assert localise(c, rs).rs.status == COMPLETE
+        assert localise(rs).rs.status == COMPLETE
         assert len(calls) < 1500
 
     def test_localise_builds_one_system(self, monkeypatch):
         # the seeds go to completion beside the presentation, so the
         # system completion returns is the localisation's, not rebuilt
         c = dihedral_denoms(6)
-        rs = complete(c.cat)
+        rs = complete(c)
         built = []
         init = RewriteSystem.__init__
 
@@ -271,7 +271,7 @@ class TestCompletion:
             init(system, *args, **kwargs)
 
         monkeypatch.setattr(RewriteSystem, "__init__", counted)
-        lc = localise(c, rs)
+        lc = localise(rs)
         assert len(built) == 1 and built[0] is lc.rs
 
     @pytest.mark.parametrize("max_rules", [1, 3, 512])
@@ -279,8 +279,8 @@ class TestCompletion:
         # seeds are pushed after the presentation's relations, so a bound
         # truncates the run where it truncates one on both lists at once
         c = dihedral_denoms(6)
-        rs = complete(c.cat)
-        lc = gz.extension(c, rs)
+        rs = complete(c)
+        lc = gz.extension(rs)
         seeds = gz._base_inverses(rs, lc)
         assert seeds
         p, limits = lc.presentation, ResourceLimits(max_rules=max_rules)
@@ -293,7 +293,7 @@ class TestCompletion:
         # no morphism leads from a bottom object of a ladder back up, so
         # no vertical has an inverse to find and no hom-set is enumerated
         f = ladder(4)
-        rs = complete(f.target.cat)
+        rs = complete(f.target)
         starts = []
         reachable = RewriteSystem.normal_forms_out
 
@@ -302,7 +302,7 @@ class TestCompletion:
             return reachable(rs, x)
 
         monkeypatch.setattr(RewriteSystem, "normal_forms_out", recorded)
-        assert localise(f.target, rs).rs.status == COMPLETE
+        assert localise(rs).rs.status == COMPLETE
         assert starts == []
 
     @pytest.mark.parametrize("name", ["D6", *corpus.CAT_NAMES])
@@ -336,8 +336,8 @@ class TestPresent:
     does not close raises."""
 
     FINITE = {"D5": dihedral(5), "D6": dihedral(6), "D12": dihedral(12),
-              "D12 localised": localised_dihedral(12), "L4": ladder(4).target.cat,
-              **{name: corpus.cat(name).cat for name in corpus.CAT_NAMES},
+              "D12 localised": localised_dihedral(12), "L4": ladder(4).target,
+              **{name: corpus.cat(name) for name in corpus.CAT_NAMES},
               **{f"{name} localised": corpus.lc(name).presentation
                  for name in corpus.CAT_NAMES}}
 
@@ -382,7 +382,7 @@ class TestPresent:
     def test_gives_up_past_max_homset(self):
         # seven morphisms leave tl: two live classes cannot hold them,
         # but z has only its identity
-        p = corpus.cat("E7bD").cat
+        p = corpus.cat("E7bD")
         rs = present(p, ResourceLimits(max_rules=1, max_homset=2))
         assert type(rs) is rewrite.Enumerated
         for _ in range(2):
@@ -393,7 +393,7 @@ class TestPresent:
     def test_max_homset_bounds_morphisms_not_live_classes(self):
         # E5 has two endomorphisms, 1 and d: its enumeration needs more
         # short-lived classes than that before they merge
-        p = corpus.cat("E5").cat
+        p = corpus.cat("E5")
         d = p.codec[0]["d"]
         rs = present(p, ResourceLimits(max_rules=0, max_homset=2))
         assert rewrite.words(rs, "•", "•") == ("", d)
@@ -404,7 +404,7 @@ class TestPresent:
     def test_cyclic_group_fills_max_homset(self):
         # a·a·a = 1 on one object: exactly three morphisms
         p = load_cat("c3", corpus.cat_data(["o"], [("a", "o", "o")],
-                                           [(("a", "a", "a"), ())])).cat
+                                           [(("a", "a", "a"), ())]))
         rs = present(p, ResourceLimits(max_rules=0, max_homset=3))
         a = p.codec[0]["a"]
         assert rewrite.words(rs, "o", "o") == ("", a, a + a)
@@ -416,7 +416,7 @@ class TestPresent:
         # irreducible, and the truncated run listed 1 and g0
         p = load_cat("two", corpus.cat_data(
             ["o0", "o1"], [("g0", "o1", "o1"), ("g1", "o0", "o0")],
-            [(("g0",), ("g0", "g0")), (("g0", "g0"), ())])).cat
+            [(("g0",), ("g0", "g0")), (("g0", "g0"), ())]))
         limits = ResourceLimits(max_word_len=8, max_rules=max_rules, max_homset=128)
         rs = present(p, limits)
         assert rewrite.words(rs, "o1", "o1") == ("",)
@@ -434,8 +434,8 @@ class TestPresent:
         # the seeds w^-1 = v of a localisation follow from its relations,
         # so tracing them too leaves the enumerated category unchanged
         c = dihedral_denoms(6)
-        rs = complete(c.cat)
-        lc = gz.extension(c, rs)
+        rs = complete(c)
+        lc = gz.extension(rs)
         seeds = gz._base_inverses(rs, lc)
         assert seeds
         tight = DEFAULT_LIMITS._replace(max_rules=0)
@@ -460,7 +460,7 @@ class TestPresent:
 class TestNormalize:
     def test_idempotent_on_corpus_words(self):
         rs = corpus.rs("E7D")
-        c = corpus.cat("E7D").cat
+        c = corpus.cat("E7D")
         w = c.word(["v_left", "h_bot"])
         nf = normalize(rs, w)
         assert nf.letters == ("h_top", "v_right")
@@ -468,7 +468,7 @@ class TestNormalize:
 
     def test_preserves_endpoints(self):
         rs = corpus.rs("E5")
-        c = corpus.cat("E5").cat
+        c = corpus.cat("E5")
         w = c.word(["d", "d", "d"])
         nf = normalize(rs, w)
         assert (nf.src, nf.dst) == (w.src, w.dst)
@@ -477,7 +477,7 @@ class TestNormalize:
     def test_identity_normalizes_to_itself(self):
         # normal forms are memoised by letters; endpoints come from the word
         rs = corpus.rs("E1")
-        c = corpus.cat("E1").cat
+        c = corpus.cat("E1")
         for x in c.objects:
             assert normalize(rs, c.identity(x)) == c.identity(x)
 
@@ -684,17 +684,17 @@ class TestRuleIndex:
 class TestEqual:
     def test_equal_words(self):
         rs = corpus.rs("E7D")
-        c = corpus.cat("E7D").cat
+        c = corpus.cat("E7D")
         assert equal(rs, c.word(["h_top", "v_right"]), c.word(["v_left", "h_bot"]))
 
     def test_unequal_words_decided_when_complete(self):
         rs = corpus.rs("E3C")
-        c = corpus.cat("E3C").cat
+        c = corpus.cat("E3C")
         assert not equal(rs, c.word(["f1"]), c.word(["f2"]))
 
     def test_non_parallel_words_rejected(self):
         rs = corpus.rs("E1")
-        c = corpus.cat("E1").cat
+        c = corpus.cat("E1")
         with pytest.raises(Exception):
             equal(rs, c.word(["u"]), c.word(["v"]))
 
@@ -702,7 +702,7 @@ class TestEqual:
         # in E5, d·d = 1, so d·d·d = d: with no rule completed the two
         # normal forms of the truncated run differ, and the coset tables
         # that present builds instead decide the equation
-        c = corpus.cat("E5").cat
+        c = corpus.cat("E5")
         d, ddd = c.word(["d"]), c.word(["d", "d", "d"])
         rs = present(c, DEFAULT_LIMITS._replace(max_rules=0))
         assert normalize(rs.completion, ddd) != normalize(rs.completion, d)
@@ -737,7 +737,7 @@ class TestHomset:
         if name.endswith(" localised"):
             p = corpus.lc(name.split()[0]).presentation
         elif name in corpus.CAT_NAMES:
-            p = corpus.cat(name).cat
+            p = corpus.cat(name)
         else:
             p = dihedral(6) if name == "D6" else FAMILIES[name]
         for limits in HOMSET_BOUNDS:
@@ -751,7 +751,7 @@ class TestHomset:
     def test_matcher_stays_idle(self, monkeypatch, localised):
         # listing the irreducible words reads the left sides only: the
         # matcher rewrites nothing and counts nothing toward its regex
-        p = corpus.lc("E4").presentation if localised else corpus.cat("E4").cat
+        p = corpus.lc("E4").presentation if localised else corpus.cat("E4")
         rs = complete(p, ResourceLimits(max_rules=4))
         calls = count_normal_forms(monkeypatch)
         for x in p.objects:
@@ -763,7 +763,7 @@ class TestHomset:
     def test_frozen_counts(self):
         for name, table in BASE_HOM_COUNTS.items():
             rs = corpus.rs(name)
-            c = corpus.cat(name).cat
+            c = corpus.cat(name)
             for x in c.objects:
                 for y in c.objects:
                     got = len(homset(rs, x, y))
@@ -776,7 +776,7 @@ class TestHomset:
 
     def test_shortlex_sorted(self):
         rs = corpus.rs("E3C")
-        c = corpus.cat("E3C").cat
+        c = corpus.cat("E3C")
         words = homset(rs, "X0", "X1")
         keys = [rs.sort_key(c.encode(w)) for w in words]
         assert keys == sorted(keys)
@@ -788,7 +788,8 @@ class TestHomset:
 
     def test_infinite_homset_hits_cap(self):
         free_loop = CatPresentation(
-            objects=("x",), generators=(GenArrow("t", "x", "x"),), relations=())
+            objects=("x",), generators=(GenArrow("t", "x", "x"),), relations=(),
+            denoms=DenomSet())
         rs = complete(free_loop, TIGHT)
         with pytest.raises(LimitExceeded):
             homset(rs, "x", "x")
@@ -797,55 +798,55 @@ class TestHomset:
 class TestInverses:
     def test_involution_is_self_inverse(self):
         rs = corpus.rs("E5")
-        c = corpus.cat("E5").cat
+        c = corpus.cat("E5")
         d = c.word(["d"])
         assert find_inverse(rs, d) == d
         assert find_inverse(rs, d) is not None
 
     def test_non_isomorphism_has_no_inverse(self):
         rs = corpus.rs("E2")
-        c = corpus.cat("E2").cat
+        c = corpus.cat("E2")
         assert find_inverse(rs, c.word(["d"])) is None
 
     def test_identity_is_isomorphism(self):
         rs = corpus.rs("E1")
-        c = corpus.cat("E1").cat
+        c = corpus.cat("E1")
         assert find_inverse(rs, c.identity("a")) == c.identity("a")
 
 
 class TestDenomDecider:
     def test_explicit_membership(self):
         c = corpus.cat("E2")
-        dec = DenomDecider(c, corpus.rs("E2"))
-        assert dec.is_denominator(c.cat.word(["d"]))
-        assert dec.is_denominator(c.cat.identity("a"))
+        dec = DenomDecider(corpus.rs("E2"))
+        assert dec.is_denominator(c.word(["d"]))
+        assert dec.is_denominator(c.identity("a"))
 
     def test_non_denominator(self):
         c = corpus.cat("E3C")
-        dec = DenomDecider(c, corpus.rs("E3C"))
-        assert not dec.is_denominator(c.cat.word(["f1"]))
+        dec = DenomDecider(corpus.rs("E3C"))
+        assert not dec.is_denominator(c.word(["f1"]))
 
     def test_closure_adds_composites(self):
         c = corpus.cat("E7bD")
-        dec = DenomDecider(c, corpus.rs("E7bD"))
-        assert dec.is_denominator(c.cat.word(["v_left", "s"]))
-        assert dec.is_denominator(c.cat.word(["v_left2", "s"]))
+        dec = DenomDecider(corpus.rs("E7bD"))
+        assert dec.is_denominator(c.word(["v_left", "s"]))
+        assert dec.is_denominator(c.word(["v_left2", "s"]))
 
     def test_flags_off_means_explicit_only(self):
         c = corpus.cat("E6")
-        dec = DenomDecider(c, corpus.rs("E6"))
-        assert dec.is_denominator(c.cat.word(["d"]))
-        assert not dec.is_denominator(c.cat.identity("a"))
-        assert not dec.is_denominator(c.cat.word(["d", "e"]))
+        dec = DenomDecider(corpus.rs("E6"))
+        assert dec.is_denominator(c.word(["d"]))
+        assert not dec.is_denominator(c.identity("a"))
+        assert not dec.is_denominator(c.word(["d", "e"]))
 
     def test_membership_is_up_to_equality(self):
         c = corpus.cat("E5")
-        dec = DenomDecider(c, corpus.rs("E5"))
-        assert dec.is_denominator(c.cat.word(["d", "d", "d"]))
+        dec = DenomDecider(corpus.rs("E5"))
+        assert dec.is_denominator(c.word(["d", "d", "d"]))
 
     def test_materialized_sorted_and_deduped(self):
         c, rs = corpus.cat("E7bD"), corpus.rs("E7bD")
-        dec = DenomDecider(c, rs)
+        dec = DenomDecider(rs)
         mats = dec.materialized
         assert len(mats) == len(set(mats))
         codes = list(map(rs.encode, mats))
@@ -856,7 +857,7 @@ class TestDenomDecider:
     def test_denominators_between(self):
         c = corpus.cat("E7bD")
         rs = corpus.rs("E7bD")
-        dec = DenomDecider(c, rs)
+        dec = DenomDecider(rs)
         between = [rs.decode(("tl", "bl", s)) for s in dec.denominators_between("tl", "bl")]
         assert [w.letters for w in between] == [("v_left",), ("v_left2",)]
 
@@ -866,10 +867,10 @@ class TestDenomDecider:
         # witnesses of check multiplicative, validate and localise follow it
         c = {"L4": ladder(4).target, "D6": dihedral_denoms(6)}.get(name) \
             or corpus.cat(name)
-        rs = complete(c.cat)
-        lc = localise(c, rs)
-        for cwd, system in ((c, rs), (lc.cwd, lc.rs)):
-            closure = list(DenomDecider(cwd, system).closure)
+        rs = complete(c)
+        lc = localise(rs)
+        for system in (rs, lc.rs):
+            closure = list(DenomDecider(system).closure)
             assert closure == sorted(closure, key=system.sort_key)
 
     @pytest.mark.parametrize("name", [*corpus.CAT_NAMES, "L4", "D6", "D33",
@@ -886,18 +887,16 @@ class TestDenomDecider:
             c, limits = dihedral_denoms(n), ResourceLimits(max_word_len=n + 1)
         if name.endswith("truncated"):
             limits = ResourceLimits(max_rules=5)
-        rs = present(c.cat, limits)
-        systems = [(c, rs)]
+        rs = present(c, limits)
+        systems = [rs]
         if name != "D33":
-            lc = localise(c, rs)
-            systems.append((lc.cwd, lc.rs))
-        for cwd, system in systems:
-            assert set(DenomDecider(cwd, system).closure) == \
-                reference_rewrite.closure(cwd, system)
+            systems.append(localise(rs).rs)
+        for system in systems:
+            assert set(DenomDecider(system).closure) == reference_rewrite.closure(system)
         if name.endswith("truncated"):
             assert type(rs) is rewrite.Enumerated
             assert rs.completion.status == BOUNDED_INCOMPLETE
-            assert len(denominators(c, rs).closure) == 6
+            assert len(rs.denominators.closure) == 6
 
     def test_closure_grows_by_generating_words(self, monkeypatch):
         # each new denominator is multiplied by the generating words, not
@@ -905,7 +904,7 @@ class TestDenomDecider:
         # each denominator by them once: 67 and 33 compositions here
         # instead of 1,435 and 1,089
         c = dihedral_denoms(33)
-        rs = complete(c.cat, ResourceLimits(max_word_len=34))
+        rs = complete(c, ResourceLimits(max_word_len=34))
         assert rs.status == COMPLETE
         calls = []
         compose = RewriteSystem.compose
@@ -915,33 +914,33 @@ class TestDenomDecider:
             return compose(system, *words)
 
         monkeypatch.setattr(RewriteSystem, "compose", counted)
-        assert len(denominators(c, rs).closure) == 33
+        assert len(rs.denominators.closure) == 33
         assert len(calls) < 100
         calls.clear()
-        assert check_multiplicative(c, rs) == (True, None)
+        assert check_multiplicative(rs) == (True, None)
         assert len(calls) < 100
 
 
 class TestDeciderTable:
-    """Each system builds the decider of a denominator set once."""
+    """Each system builds the decider of its denominators once."""
 
     def test_same_decider_per_system(self):
         c = corpus.cat("E7bD")
-        rs = complete(c.cat, DEFAULT_LIMITS)
-        dec = denominators(c, rs)
-        assert denominators(c, rs) is dec
-        rs_tight = complete(c.cat, ResourceLimits(max_word_len=12))
-        tight = denominators(c, rs_tight)
+        rs = complete(c, DEFAULT_LIMITS)
+        dec = rs.denominators
+        assert rs.denominators is dec
+        rs_tight = complete(c, ResourceLimits(max_word_len=12))
+        tight = rs_tight.denominators
         assert tight is not dec
-        assert denominators(c, rs_tight) is tight
+        assert rs_tight.denominators is tight
         assert tight.materialized == dec.materialized
-        # a system of the same presentation keeps its own table
-        assert denominators(c, complete(c.cat, DEFAULT_LIMITS)) is not dec
+        # a system of the same presentation keeps its own decider
+        assert complete(c, DEFAULT_LIMITS).denominators is not dec
 
     def test_failed_closure_raises_again(self, monkeypatch):
         # a free monoid: the composites of a never end
         c = with_denominator_a(monoid("a", []))
-        rs = complete(c.cat, DEFAULT_LIMITS)
+        rs = complete(c, DEFAULT_LIMITS)
         builds = []
         init = DenomDecider.__init__
 
@@ -952,7 +951,7 @@ class TestDeciderTable:
         monkeypatch.setattr(DenomDecider, "__init__", counted)
         for _ in range(2):
             with pytest.raises(LimitExceeded, match="max_word_len"):
-                denominators(c, rs)
+                rs.denominators
         assert len(builds) == 2
 
 
@@ -963,7 +962,7 @@ class TestSystemTables:
         # a presentation no other test completes, so no equal system is
         # held anywhere else
         p = load_cat("parallel pair", corpus.cat_data(
-            ["p", "q"], [("s", "p", "q"), ("t", "p", "q")], [("s", "t")])).cat
+            ["p", "q"], [("s", "p", "q"), ("t", "p", "q")], [("s", "t")]))
         rs = complete(p, DEFAULT_LIMITS)
         assert len(homset(rs, "p", "q")) == 1
         ref = weakref.ref(rs)
@@ -985,7 +984,7 @@ class TestSystemTables:
         assert found == []
 
     def test_queries_under_the_system_limits(self):
-        p = corpus.cat("E7bD").cat
+        p = corpus.cat("E7bD")
         # seven morphisms leave tl, so a bound of two cannot enumerate them
         tight = complete(p, ResourceLimits(max_homset=2))
         for _ in range(2):
@@ -1014,8 +1013,8 @@ class TestDerivedLimits:
 
     def test_localisation_inherits(self):
         c = corpus.cat("E7bD")
-        rs = complete(c.cat, self.BOUND)
-        assert localise(c, rs).rs.limits == rs.limits == self.BOUND
+        rs = complete(c, self.BOUND)
+        assert localise(rs).rs.limits == rs.limits == self.BOUND
 
     def test_replacement_category_inherits(self):
         f = corpus.fun("E7")
@@ -1024,7 +1023,7 @@ class TestDerivedLimits:
 
     def test_inverse_search_under_the_system_limits(self):
         # hom(•, •) of E5 is {1, d}: a bound of one cannot enumerate it
-        p = corpus.cat("E5").cat
+        p = corpus.cat("E5")
         d = p.word(["d"])
         with pytest.raises(LimitExceeded, match="max_homset"):
             find_inverse(complete(p, ResourceLimits(max_homset=1)), d)
