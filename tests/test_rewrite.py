@@ -4,6 +4,7 @@ import ast
 import gc
 import heapq
 import re
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -329,6 +330,22 @@ class TestCompletion:
                                         max_homset=64))
         assert rs.status == BOUNDED_INCOMPLETE
 
+    def test_long_equations_that_join_leave_the_run_complete(self):
+        # the run sets aside equations longer than five letters, but each
+        # joins under a -> 1, b -> 1, c -> 1, so nothing is left to enumerate
+        p = monoid("abc", [("cacaa", "c"), ("cccc", ""), ("acc", "bccb"), ("ba", "bbac")])
+        limits = ResourceLimits(max_word_len=5)
+        rs = complete(p, limits)
+        assert rs.status == COMPLETE
+        assert spelled(rs) == [(("a",), ()), (("b",), ()), (("c",), ())]
+        assert type(present(p, limits)) is RewriteSystem
+
+    def test_long_equations_that_do_not_join_leave_the_run_incomplete(self):
+        # a^5 = 1 is set aside under a word bound of 4 and no rule is left
+        # to join it: the run may not claim the free monoid on a
+        rs = complete(monoid("a", [("aaaaa", "")]), ResourceLimits(max_word_len=4))
+        assert rs.rules == () and rs.status == BOUNDED_INCOMPLETE
+
 
 class TestPresent:
     """``present`` returns the completion, or coset tables where a bound
@@ -443,6 +460,21 @@ class TestPresent:
         want = complete(lc.presentation)
         assert enumerated.is_complete
         assert rewrite.words(enumerated, "o", "o") == rewrite.words(want, "o", "o")
+
+    def test_enumeration_that_gives_up_stays_small(self):
+        # the free monoid on a, b: 4,096 classes, each a row of four list
+        # slots and an int, before the enumeration gives up; a dict per
+        # class peaked at about 1 MB
+        p = load_cat("free", corpus.cat_data(["o"], [("a", "o", "o"), ("b", "o", "o")]))
+        rs = rewrite.Enumerated(complete(p))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceeded, match="coset enumeration"):
+                rewrite.words(rs, "o", "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 1024
 
     def test_every_system_comes_from_present(self):
         src = Path(__file__).resolve().parent.parent / "src" / "loccat"
