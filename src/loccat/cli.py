@@ -205,7 +205,6 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
     p = load_cat(args.path)
     rs = present(p, limits)
     lc = localise(rs)
-    completion = lc.rs.completion
     inverted = []
     for w in rs.denominators.closure:
         inv = inverse(lc.rs, w)
@@ -217,8 +216,8 @@ def cmd_localise(args: SimpleNamespace, limits: ResourceLimits) -> tuple[dict, i
         "inverse_generators": dict(sorted(lc.inv_of.items())),
         "fresh_generators": {name: list(rs.decode(w).letters)
                              for name, w in sorted(lc.fresh_defs.items())},
-        "rules": [_spelled(lc.presentation, lhs, rhs) for lhs, rhs in completion.rules],
-        "status": completion.status,
+        "rules": [_spelled(lc.presentation, lhs, rhs) for lhs, rhs in lc.rs.rules],
+        "status": lc.rs.status,
         "denominators": inverted,
     }
     return {"result": result}, EXIT_OK

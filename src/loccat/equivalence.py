@@ -70,8 +70,7 @@ class GzSetting:
     two positions among the triples of ``rc`` and a target code, to the
     unique encoded fill :meth:`value` found.  Only results are stored,
     so a query that raised raises again on every call.
-    None of them takes part in equality: two settings are equal when
-    their functors, systems and localisations are.  The target
+    Settings compare by identity, as their systems do.  The target
     decider is the one the target system keeps,
     ``rs_tgt.denominators``.  All four systems were
     built by :func:`~loccat.rewrite.present` under the limits given to
@@ -84,11 +83,6 @@ class GzSetting:
         self.lc_src, self.lc_tgt, self.gz_f = lc_src, lc_tgt, gz_f
         self._fills: dict = {}
         self._total_values: dict = {}
-
-    def __eq__(self, other):
-        return type(other) is type(self) and (
-            (self.f, self.rs_src, self.rs_tgt, self.lc_src, self.lc_tgt, self.gz_f)
-            == (other.f, other.rs_src, other.rs_tgt, other.lc_src, other.lc_tgt, other.gz_f))
 
     @cached_property
     def replacements(self) -> dict[str, tuple[SReplacement, ...]]:

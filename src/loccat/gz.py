@@ -16,8 +16,8 @@ element of a group does.  It follows from the others
 fixed order the reduced complete system is unique (Book and Otto,
 *String-Rewriting Systems*, 1993): a run that completes yields the same
 rules, without rediscovering ``v`` through critical pairs.  The seeds
-are for completion only; ``lc.presentation`` holds the unseeded
-presentation.
+go to the system alone, which traces them where it enumerates;
+``lc.presentation`` holds the unseeded presentation.
 
 Every morphism of the localised category is a zigzag: an alternating
 composite of forward base words and inverted denominators.

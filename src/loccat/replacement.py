@@ -44,7 +44,6 @@ from .rewrite import (
     Inflation,
     LimitExceeded,
     RewriteSystem,
-    words,
 )
 
 
@@ -154,14 +153,16 @@ class ReplacementCategory:
                                           self.lift_word(rhs[2], i, j)))
                     except ConstructionError:
                         continue
-        # lifted denominators: every word over a denominator; the hom-sets
-        # of an inflation are lifts of the base's, so the bare one lists them
-        closure = rs_tgt.denominators.closure
-        lifted = [(a, b, w) for a in names for b in names for w in words(rs, a, b)
-                  if (objects_under[a], objects_under[b], w.translate(down)) in closure]
-        self.rs = rs = Inflation(
-            bare._replace(relations=tuple(relations), denoms=DenomSet(tuple(lifted), False, False)),
-            rs_tgt, objects_under, down)
+        # lifted denominators: the lifts of the target's, in the shortlex
+        # order an inflation lists them in; no hom-set is listed
+        between = rs_tgt.denominators.denominators_between
+        lifted = [(a, b, w) for a in names for b in names for w in sorted(
+            (rs.lift(a, b, s) for s in between(objects_under[a], objects_under[b])),
+            key=lambda t: (len(t), t))]
+        # a lift reads only the arrows, which these leave, and rs has
+        # answered no query yet
+        rs.presentation = bare._replace(relations=tuple(relations),
+                                        denoms=DenomSet(tuple(lifted), False, False))
         self.forgetful = FunctorData(rs.presentation, functor.target, objects_under, under_of)
 
     def position(self, y: str, x: str, q: str) -> int | None:

@@ -76,13 +76,13 @@ maps a word down to the base, answers it there and lifts the answer
 back.  Every function above takes it as it takes a completed system.
 
 The package builds every system with :func:`present`.  It completes,
-and where a bound cut the completion short it enumerates the morphisms
-out of each object instead, on the first query that needs them
-(:class:`Enumerated`, coset tables with no rules); a query on an object
-whose enumeration does not close within the limits raises
-:class:`LimitExceeded`, so no query reads a truncated completion.
-:func:`complete` stays the Knuth-Bendix kernel alone, and the systems it
-returns are ``bounded-incomplete`` when a bound cut it short.
+and where a bound cut the completion short it discards that run and
+enumerates the morphisms out of each object, on the first query that
+needs them (:class:`Enumerated`, coset tables that read their own
+rules); a query on an object whose enumeration does not close within
+the limits raises :class:`LimitExceeded`.  :func:`complete` stays the
+Knuth-Bendix kernel alone, and the systems it returns are
+``bounded-incomplete`` when a bound cut it short.
 """
 
 from __future__ import annotations
@@ -266,15 +266,14 @@ class RewriteSystem:
     (``index[s]``), and what its queries build:
     the encoded hom-sets out of each object by target (the one hom-set
     table, see :func:`words`) and the decider of its presentation's
-    denominators (:attr:`denominators`).  Equality and hashing read
-    ``(presentation, rules, status, limits)`` alone.
+    denominators (:attr:`denominators`).  Systems compare by identity.
 
     Every query reads a system through five members, and an
     :class:`Inflation` or an :class:`Enumerated` provides the same:
     ``index``, a mapping from a code to its normal form; ``normal_forms_out(x)``,
     the hom-sets out of ``x``; ``status``, ``complete`` for every system
     :func:`present` builds; ``limits``; and ``rules``, which only
-    ``loccat localise`` reports, through ``completion``.
+    ``loccat localise`` reports.
     """
 
     def __init__(self, presentation: CatPresentation, rules: tuple[tuple[str, str], ...],
@@ -283,15 +282,6 @@ class RewriteSystem:
             presentation, rules, status, limits
         self.index = RuleIndex(rules)
         self._reachable: dict = {}
-
-    def _key(self) -> tuple:
-        return self.presentation, self.rules, self.status, self.limits
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def is_complete(self) -> bool:
@@ -351,12 +341,6 @@ class RewriteSystem:
             level = nxt
         return {y: tuple(by_dst.get(y, ())) for y in p.objects}
 
-    @property
-    def completion(self) -> RewriteSystem:
-        """The completion run whose rules and status describe this
-        system: itself, unless it is :class:`Enumerated`."""
-        return self
-
     @cached_property
     def denominators(self) -> DenomDecider:
         """The decider for the denominators of :attr:`presentation`, built
@@ -383,8 +367,7 @@ class Inflation(RewriteSystem):
     objects under them.  The normal form of a word is the lift
     (:meth:`lift`) of the base normal form of its image, and the
     hom-sets are the lifts of the base's.  There are no rules: the
-    status and limits are the base's.  ``base``, ``under`` and ``down``
-    take no part in equality or hashing.
+    status and limits are the base's.
     """
 
     def __init__(self, presentation: CatPresentation, base: RewriteSystem,
@@ -434,8 +417,9 @@ class Inflation(RewriteSystem):
 
 
 class Enumerated(RewriteSystem):
-    """A system answered by coset tables, for a ``completion`` that
-    :func:`complete` cut short.
+    """The system of ``presentation`` answered by coset tables, for
+    ``limits`` under which :func:`complete` is cut short; ``seeds`` are
+    traced beside the relations, as :func:`complete` takes them.
 
     Out of each object ``x`` the morphisms are enumerated as the classes
     of the right action of the free category on ``x`` (Todd and Coxeter,
@@ -483,15 +467,15 @@ class Enumerated(RewriteSystem):
     since a prefix of a least word is least in its own class: so the
     names are the normal forms of the complete shortlex system.
     ``index[s]`` traces ``s`` from its source's table, the hom-sets are
-    the names, and the status is ``complete``.  There are no rules;
-    ``completion`` is the truncated run, which ``loccat localise``
-    reports.
+    the names, the status is ``complete``, and the :attr:`rules` are
+    those of that complete system, read off the tables.
     """
 
-    def __init__(self, completion: RewriteSystem, seeds: tuple = ()):
-        p = completion.presentation
-        super().__init__(p, (), COMPLETE, completion.limits)
-        self._completion, self.index = completion, _Lifts(self.normal_form)
+    def __init__(self, presentation: CatPresentation, limits: ResourceLimits,
+                 seeds: tuple = ()):
+        p = self.presentation = presentation
+        self.status, self.limits, self.index = COMPLETE, limits, _Lifts(self.normal_form)
+        self._reachable: dict = {}
         obj = p.obj_index
         self._out = [p.out_arrows.get(x, ()) for x in p.objects]
         # a row is a parent, an object, then a slot for each generator out
@@ -505,9 +489,25 @@ class Enumerated(RewriteSystem):
             self._rels[obj[src]].append((tuple(map(slot, lhs)), tuple(map(slot, rhs))))
         self._tables: dict = {}
 
-    @property
-    def completion(self) -> RewriteSystem:
-        return self._completion
+    @cached_property
+    def rules(self) -> tuple[tuple[str, str], ...]:
+        """The rules of the reduced complete shortlex system, which is
+        unique for a fixed order (Métivier, *IPL* 16, 1983), sorted as
+        :func:`complete` sorts them.  Its left sides are the reducible
+        words whose proper subwords are irreducible: each is ``u·g``,
+        for a class named ``u`` and a generator ``g``, that is no class
+        name while ``(u·g)[1:]`` is its own normal form.  Read off the
+        closed table of every object; until all close, each read raises
+        :class:`LimitExceeded`."""
+        nf, out, found = self.index, self.presentation.out_arrows, []
+        for x in self.presentation.objects:
+            _, names, objects = self._table(x)
+            for u, y in zip(names, objects):
+                for _, _, g in out.get(y, ()):
+                    lhs = u + g
+                    if nf[lhs] != lhs and nf[lhs[1:]] == lhs[1:]:
+                        found.append((lhs, nf[lhs]))
+        return tuple(sorted(found, key=lambda r: (len(r[0]), r[0])))
 
     def _table(self, x: str) -> tuple[list[int], list[str], list[str]]:
         """The closed table out of ``x``, then the name and the object of
@@ -821,10 +821,10 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
 def present(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
             seeds: tuple = ()) -> RewriteSystem:
     """The system of ``p``: its completion (see :func:`complete`) or, if
-    the limits cut that short, its coset tables (:class:`Enumerated`).
-    Either is complete.  The package builds every system here."""
+    the limits cut that short, its coset tables (:class:`Enumerated`);
+    the cut-short run is discarded.  The package builds every system here."""
     rs = complete(p, limits, seeds)
-    return rs if rs.is_complete else Enumerated(rs, seeds)
+    return rs if rs.is_complete else Enumerated(p, limits, seeds)
 
 
 def words(rs: RewriteSystem, x: str, y: str) -> tuple[str, ...]:

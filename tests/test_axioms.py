@@ -5,7 +5,7 @@ import pytest
 import corpus
 from loccat import (DEFAULT_LIMITS, FunctorData, ValidationError,
                     check_isosaturated, check_multiplicative,
-                    check_reflects_denominators, present, squares,
+                    check_reflects_denominators, complete, present, squares,
                     validate_functor)
 
 
@@ -201,6 +201,6 @@ class TestTransformation:
             return w[0], w[1], w[2] * 3
 
         assert squares(corpus.rs("E5"), [d], cubed, identity) == (1, True)
-        tight = present(c, DEFAULT_LIMITS._replace(max_rules=0))
-        assert squares(tight.completion, [d], cubed, identity) == (1, False)
-        assert squares(tight, [d], cubed, identity) == (1, True)
+        tight = DEFAULT_LIMITS._replace(max_rules=0)
+        assert squares(complete(c, tight), [d], cubed, identity) == (1, False)
+        assert squares(present(c, tight), [d], cubed, identity) == (1, True)

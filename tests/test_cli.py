@@ -254,22 +254,35 @@ class TestTruncatedRuns:
         assert rep["result"]["decidability_status"] == "complete"
 
     def test_localise_reports_the_completion(self, capsys):
-        # E2's localisation needs more than one rule: the report keeps the
-        # truncated run's rules and status, and the enumeration finds the
+        # E2's localisation needs more than one rule: the truncated run
+        # is discarded, the report gives the rules the coset tables read
+        # off, those of the complete run, and the enumeration finds the
         # inverse of d
         code, rep = run_json(capsys, "localise", corpus.cat_path("E2"), "--limits-rules", "1")
         lc = gz.localise(rewrite.complete(corpus.cat("E2")))
-        truncated = rewrite.complete(lc.presentation, rewrite.ResourceLimits(max_rules=1))
+        one_rule = rewrite.ResourceLimits(max_rules=1)
+        assert not rewrite.complete(lc.presentation, one_rule).is_complete
         assert code == 0
-        assert rep["result"]["status"] == "bounded-incomplete"
+        assert rep["result"]["status"] == "complete"
         spell = lc.presentation.codec[1].__getitem__
         assert rep["result"]["rules"] == [
             {"lhs": list(map(spell, lhs)), "rhs": list(map(spell, rhs))}
-            for lhs, rhs in truncated.rules]
-        assert not truncated.is_complete
+            for lhs, rhs in lc.rs.rules]
         inverses = {d["denominator"]["letters"][0]: d["inverse"]["letters"]
                     for d in rep["result"]["denominators"] if d["denominator"]["letters"]}
         assert inverses == {"d": ["d^-1"]}
+
+    def test_localise_under_one_rule_reports_the_default_rules(self, capsys):
+        # one rule cuts E7bD's localisation short; the report is the
+        # default-limit one in all but its limits
+        code, tight = run_json(capsys, "localise", corpus.cat_path("E7bD"),
+                               "--limits-rules", "1")
+        assert code == 0
+        code, want = run_json(capsys, "localise", corpus.cat_path("E7bD"))
+        assert code == 0
+        assert tight["result"]["status"] == "complete"
+        assert tight["result"] == want["result"]
+        assert tight["limits"] != want["limits"]
 
 
 class TestCheck:
@@ -740,8 +753,8 @@ class TestDeterminism:
             "approximation.verify_approximation",
             "cli._emit", "cli.cmd_check", "cli.cmd_homset", "cli.cmd_localise",
             "cli.cmd_validate", "cli.cmd_verify_approximation",
-            "equivalence.prepare", "rewrite.__init__", "rewrite.complete",
-            "rewrite.present"]
+            "equivalence.prepare", "rewrite.__init__", "rewrite.__init__",
+            "rewrite.complete", "rewrite.present"]
 
 
 class TestReplacementRich:

@@ -4,12 +4,14 @@ Two engines decide a presented category: Knuth-Bendix completion
 (:func:`~loccat.rewrite.complete`) and coset enumeration
 (:class:`~loccat.rewrite.Enumerated`).  On each drawn presentation,
 whenever completion under :data:`LIMITS` ends ``complete``, each object
-out of which the enumeration of that run closes must list the same
-hom-sets, and random words of up to twelve letters out of those objects
-must have the same normal forms.  The enumeration must close where the
-relations have at most four letters a side and the completed system
-lists at most 16 morphisms out of the object: a merge that loses a
-clash still answers right where it closes, but needs far more classes.
+out of which the enumeration closes must list the same hom-sets, and
+random words of up to twelve letters out of those objects must have the
+same normal forms.  Where every object's enumeration closes, the rules
+read off the tables must be the completed ones.  The enumeration must
+close where the relations have at most four letters a side and the
+completed system lists at most 16 morphisms out of the object: a merge
+that loses a clash still answers right where it closes, but needs far
+more classes.
 The draws are the quotient draws of ``tests/test_quotient_draws.py``
 (either category of each), random monoids (one object, two to four
 generators, one to four relations with a left side of two to eight
@@ -88,7 +90,7 @@ def test_completion_and_enumeration_agree(cat_data, data):
     rs = complete(p, LIMITS)
     if not rs.is_complete:
         return
-    enumerated = Enumerated(rs)
+    enumerated = Enumerated(p, LIMITS)
     short = all(len(s) <= 4 for pair in p.relations for _, _, s in pair)
     closed = []
     for x in p.objects:
@@ -103,3 +105,5 @@ def test_completion_and_enumeration_agree(cat_data, data):
     for _ in range(8 if closed else 0):
         s = random_word(data, p, closed)
         assert enumerated.index[s] == rs.index[s], s
+    if len(closed) == len(p.objects):
+        assert enumerated.rules == rs.rules

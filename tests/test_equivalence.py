@@ -113,12 +113,13 @@ class TestSEquivalence:
         assert d["s_full"] is True and d["s_faithful"] is True
         assert d["characterisation_agrees"] is True
 
-    def test_survey_takes_no_part_in_equality(self):
-        # like the setting's other tables, the survey is a cache
+    def test_settings_compare_by_identity(self):
+        # like the setting's other tables, the survey is a cache: kept by
+        # its setting, and the same for a setting prepared again
         first, second = (prepare(load_functor(corpus.fun_path("E7"))) for _ in range(2))
-        assert first == second
+        assert first != second and first == first
         assert first.fill_survey is first.fill_survey
-        assert first == second
+        assert first.fill_survey == second.fill_survey
 
     def test_fill_survey_runs_once_per_setting(self, monkeypatch):
         runs = []

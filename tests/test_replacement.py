@@ -160,6 +160,25 @@ class TestInflation:
         assert isinstance(rc.rs, Inflation) and rc.rs.rules == ()
         assert rc.rs.base is s.rs_tgt and rc.rs.limits == s.rs_tgt.limits
 
+    def test_construction_lists_no_hom_set(self, monkeypatch, tmp_path):
+        # the lifted denominators are the lifts of the target's; they are
+        # the words over a denominator that the hom-sets, listed once
+        # each and only by the queries after, hold
+        calls = []
+        listing = Inflation.normal_forms_out
+        monkeypatch.setattr(Inflation, "normal_forms_out",
+                            lambda rs, x: calls.append(x) or listing(rs, x))
+        for s in settings(tmp_path, ("E2", "E5", "E7", "E7b")):
+            rc = build_replacement_category(s.f, s.rs_tgt, s.replacements)
+            assert calls == []
+            under, closure = rc.forgetful.object_map, s.rs_tgt.denominators.closure
+            assert rc.rs.presentation.denoms.explicit == tuple(
+                (a, b, w) for a in rc.obj_names for b in rc.obj_names
+                for w in words(rc.rs, a, b)
+                if (under[a], under[b], w.translate(rc.rs.down)) in closure)
+            assert calls == list(rc.obj_names)
+            calls.clear()
+
     def test_completion_lists_the_same_words(self, tmp_path):
         # so rc.rs.presentation presents the category rc.rs answers
         for s in settings(tmp_path, ("E2", "E5", "E7", "E7b")):

@@ -58,6 +58,12 @@ def spelled(rs: RewriteSystem) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
             for lhs, rhs in rs.rules]
 
 
+def summary(rs: RewriteSystem) -> tuple:
+    """What describes a system: its type, rules, status and limits;
+    systems themselves compare by identity."""
+    return type(rs), rs.rules, rs.status, rs.limits
+
+
 def localised_dihedral(n: int) -> CatPresentation:
     """``D_n`` with ``a`` inverted."""
     c = dihedral_denoms(n)
@@ -376,25 +382,32 @@ class TestPresent:
                                 assert rs.index[u + v] == want.index[u + v]
 
     def test_complete_runs_are_returned(self):
+        # the tables read off the rules of the complete run, and the run
+        # that two rules cut short is not kept
         p = dihedral(6)
+        want = complete(p)
         assert type(present(p)) is RewriteSystem
-        assert present(p) == complete(p)
-        rs = present(p, DEFAULT_LIMITS._replace(max_rules=2))
-        assert type(rs) is rewrite.Enumerated
-        assert rs.rules == () and rs.status == COMPLETE
-        assert rs.completion == complete(p, DEFAULT_LIMITS._replace(max_rules=2))
-        assert not rs.completion.is_complete
+        assert summary(present(p)) == summary(want)
+        tight = DEFAULT_LIMITS._replace(max_rules=2)
+        assert not complete(p, tight).is_complete
+        rs = present(p, tight)
+        assert summary(rs) == (rewrite.Enumerated, want.rules, COMPLETE, tight)
+        assert rs.rules is rs.rules
+        assert not hasattr(rs, "completion")
 
     @pytest.mark.parametrize("name", ["braid", "partially-commutative"])
-    def test_infinite_monoids_keep_the_truncated_completion(self, name):
-        # the truncated run is kept for loccat localise; no query reads it
+    def test_infinite_monoids_read_no_rules(self, name):
+        # the enumeration does not close, so neither the rules nor the
+        # hom-set are read, on any call; the truncated run is discarded
         p = FAMILIES[name]
+        assert complete(p).status == BOUNDED_INCOMPLETE
         rs = present(p)
         assert type(rs) is rewrite.Enumerated
-        assert rs.completion == complete(p)
-        assert rs.completion.status == BOUNDED_INCOMPLETE
-        with pytest.raises(LimitExceeded, match="max_homset.*coset enumeration"):
-            rewrite.words(rs, "o", "o")
+        for _ in range(2):
+            with pytest.raises(LimitExceeded, match="max_homset.*coset enumeration"):
+                rs.rules
+            with pytest.raises(LimitExceeded, match="max_homset.*coset enumeration"):
+                rewrite.words(rs, "o", "o")
 
     def test_gives_up_past_max_homset(self):
         # seven morphisms leave tl: two live classes cannot hold them,
@@ -466,7 +479,7 @@ class TestPresent:
         # slots and an int, before the enumeration gives up; a dict per
         # class peaked at about 1 MB
         p = load_cat("free", corpus.cat_data(["o"], [("a", "o", "o"), ("b", "o", "o")]))
-        rs = rewrite.Enumerated(complete(p))
+        rs = rewrite.Enumerated(p, DEFAULT_LIMITS)
         tracemalloc.start()
         try:
             with pytest.raises(LimitExceeded, match="coset enumeration"):
@@ -736,8 +749,10 @@ class TestEqual:
         # that present builds instead decide the equation
         c = corpus.cat("E5")
         d, ddd = c.word(["d"]), c.word(["d", "d", "d"])
-        rs = present(c, DEFAULT_LIMITS._replace(max_rules=0))
-        assert normalize(rs.completion, ddd) != normalize(rs.completion, d)
+        tight = DEFAULT_LIMITS._replace(max_rules=0)
+        truncated = complete(c, tight)
+        assert normalize(truncated, ddd) != normalize(truncated, d)
+        rs = present(c, tight)
         assert equal(rs, ddd, d)
         assert not equal(rs, d, c.identity("•"))
 
@@ -927,7 +942,7 @@ class TestDenomDecider:
             assert set(DenomDecider(system).closure) == reference_rewrite.closure(system)
         if name.endswith("truncated"):
             assert type(rs) is rewrite.Enumerated
-            assert rs.completion.status == BOUNDED_INCOMPLETE
+            assert complete(c, limits).status == BOUNDED_INCOMPLETE
             assert len(rs.denominators.closure) == 6
 
     def test_closure_grows_by_generating_words(self, monkeypatch):
@@ -1026,10 +1041,9 @@ class TestSystemTables:
         words = homset(rs, "tl", "bl")
         assert words == homset(complete(p, DEFAULT_LIMITS), "tl", "bl")
         assert rewrite.words(rs, "tl", "bl") is rewrite.words(rs, "tl", "bl")
-        # the same rules, but each system answers under its own limits;
-        # systems compare by value, so equality is not identity
-        assert tight.rules == rs.rules and tight != rs
-        assert complete(p, DEFAULT_LIMITS) == rs
+        # the same rules, but each system answers under its own limits
+        assert tight.rules == rs.rules and summary(tight) != summary(rs)
+        assert summary(complete(p, DEFAULT_LIMITS)) == summary(rs)
         with pytest.raises(LimitExceeded):
             homset(tight, "tl", "bl")
         with pytest.raises(ValidationError):
