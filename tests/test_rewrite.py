@@ -2,7 +2,9 @@
 
 import ast
 import gc
+import hashlib
 import heapq
+import random
 import re
 import tracemalloc
 import types
@@ -351,6 +353,40 @@ class TestCompletion:
         # to join it: the run may not claim the free monoid on a
         rs = complete(monoid("a", [("aaaaa", "")]), ResourceLimits(max_word_len=4))
         assert rs.rules == () and rs.status == BOUNDED_INCOMPLETE
+
+    def test_pending_pairs_stay_small(self):
+        # one flat tuple per pending pair: a peak of 535 KB here, where a
+        # nested sort key and a counter per pair peaked at 680 KB.  The
+        # pattern cache is emptied so the run compiles as a fresh one does
+        p = dihedral(33)
+        re.purge()
+        tracemalloc.start()
+        try:
+            rs = complete(p, ResourceLimits(max_word_len=34))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rs.status == COMPLETE
+        assert peak < 600 * 1024
+
+    def test_truncated_runs_pinned(self):
+        # truncated runs have no reference to agree with: the rules a
+        # bound leaves depend on the order pairs pop in, which
+        # reference_rewrite does not share.  200 monoids drawn as
+        # test_engines.random_monoid draws them, each completed under two
+        # bounds: 188 of the 400 runs end bounded-incomplete
+        rng = random.Random(2)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            letters = "abcd"[:rng.randint(2, 4)]
+            p = monoid(letters, [("".join(rng.choices(letters, k=rng.randint(2, 8))),
+                                  "".join(rng.choices(letters, k=rng.randint(0, 5))))
+                                 for _ in range(rng.randint(1, 4))])
+            for max_rules in (8, 40):
+                rs = complete(p, ResourceLimits(max_word_len=8, max_rules=max_rules))
+                digest.update(repr((rs.status, rs.rules)).encode())
+        assert digest.hexdigest() == (
+            "1bb7f5fb4721df60bf41e1a39f21098d19a5056e4c9c8596d7ee7fbbe163b84c")
 
 
 class TestPresent:
