@@ -30,19 +30,20 @@ is irreducible (Book and Otto, *String-Rewriting Systems*, 1993), so one
 search per source object lists its normal forms by length, each an
 extension ``w·g`` of a shorter one that no left side is a suffix of.
 
-Completion keeps a lazy pair queue: a critical pair is dropped before
-its sides are normalised once one of its two rules has left the system
-(interreduction sent the rule back to the queue as an equation).  Only
-the critical pairs of rules that stay are needed (Huet, *A complete
-proof of correctness of the Knuth-Bendix completion algorithm*, 1981),
-so a run that completes yields the same unique reduced system.  A live
-pair whose overlap word is reducible inside its first and last letters
-is composite and is skipped too (see :func:`complete`).  Each time the
-queue has doubled since it was last swept, the pairs of rules that have
-left are swept out of it.  That bounds the queue by twice its size
-after the last sweep, not by its live pairs: most of it can be dead at
-its peak (1,629 of 1,781 entries on the dihedral group of order 96 with
-a word bound of 49).
+Completion keeps a lazy pair queue of flat tuples, which carry no
+endpoints: a nonempty code fixes its own.  A critical pair is dropped
+before its sides are normalised once one of its two rules has left the
+system (interreduction sent the rule back to the queue as an equation).
+Only the critical pairs of rules that stay are needed (Huet, *A
+complete proof of correctness of the Knuth-Bendix completion
+algorithm*, 1981), so a run that completes yields the same unique
+reduced system.  A live pair whose overlap word is reducible inside its
+first and last letters is composite and is skipped too (see
+:func:`complete`).  Each time the queue has doubled since it was last
+swept, the pairs of rules that have left are swept out of it.  That
+bounds the queue by twice its size after the last sweep, not by its
+live pairs: most of it can be dead at its peak (1,629 of 1,781 entries
+on the dihedral group of order 96 with a word bound of 49).
 
 Completion and :class:`RewriteSystem` rewrite with one matcher,
 :class:`RuleIndex`.  Its strategy is fixed: the leftmost position and,
@@ -59,10 +60,10 @@ shortens the pattern and its compile, and each tail is built once.  A
 matcher starts with the first scan and switches to the second once the
 candidate left sides it has compared exceed their total length, so the
 compile is paid only after scanning has cost about as much.
-Completion keeps one matcher for the whole run and changes it in place
-as rules come, go and have their right sides reduced (Sims,
-*Computation with Finitely Presented Groups*, 1994); a change of the
-left sides drops the compiled pattern and starts the count again.
+Completion keeps its rules only in its matcher, one for the whole run,
+changed in place as rules come, go and have their right sides reduced
+(Sims, *Computation with Finitely Presented Groups*, 1994); a change of
+the left sides drops the compiled pattern and starts the count again.
 
 Each :class:`RewriteSystem` keeps the limits it was completed under,
 and every query on it reads them: a system answers under one set of
@@ -256,6 +257,11 @@ def _literal_pattern(word: str) -> str:
         letter = re.escape(letter)
         parts.append(f"{letter}{{{n}}}" if n >= 3 else letter * n)
     return "".join(parts)
+
+
+def _by_lhs(rule: tuple[str, str]) -> tuple[int, str]:
+    """How every system sorts its rules: shortlex on the left side alone."""
+    return len(rule[0]), rule[0]
 
 
 class RewriteSystem:
@@ -510,7 +516,7 @@ class Enumerated(RewriteSystem):
                     lhs = u + g
                     if nf[lhs] != lhs and nf[lhs[1:]] == lhs[1:]:
                         found.append((lhs, nf[lhs]))
-        return tuple(sorted(found, key=lambda r: (len(r[0]), r[0])))
+        return tuple(sorted(found, key=_by_lhs))
 
     def _table(self, x: str) -> tuple[list[int], list[str], list[str]]:
         """The closed table out of ``x``, then the name and the object of
@@ -646,29 +652,25 @@ def equal(rs: RewriteSystem, w1: PathWord, w2: PathWord) -> bool:
     return rs.compose(rs.encode(w1)) == rs.compose(rs.encode(w2))
 
 
-def _critical_pairs(r1: tuple, r2: tuple):
-    """Peaks where the left hand sides of ``r1`` and ``r2`` overlap.
-
-    Rules are encoded ``(lhs, rhs, src, dst, id)``.  Yields
-    ``(left, right, src, dst)``: the peak runs from ``src`` to ``dst``
-    and rewrites to ``left`` via ``r1`` and to ``right`` via ``r2``.
-    """
-    a, a_rhs, src, dst, _ = r1
-    b, b_rhs, _, b_dst, _ = r2
-    # nonempty proper suffix a[j:] of a equals prefix of b: the peak
-    # a + b[len(a) - j:] starts where a starts and ends where b ends.
-    # Each such suffix starts with b[0]; from the right, so the shortest
-    # overlap comes first.
+def _critical_pairs(r1: tuple[str, str], r2: tuple[str, str]):
+    """Peaks where the left sides of the encoded rules ``(lhs, rhs)``
+    ``r1`` and ``r2`` overlap, as ``(left, right)``: each peak rewrites
+    to ``left`` via ``r1`` and to ``right`` via ``r2``."""
+    a, a_rhs = r1
+    b, b_rhs = r2
+    # nonempty proper suffix a[j:] of a equals prefix of b: the peak is
+    # a + b[len(a) - j:].  Each such suffix starts with b[0]; from the
+    # right, so the shortest overlap comes first.
     lo = max(1, len(a) - len(b) + 1)
     j = a.rfind(b[0], lo)
     while j >= 0:
         if b.startswith(a[j:]):
-            yield a_rhs + b[len(a) - j:], a[:j] + b_rhs, src, b_dst
+            yield a_rhs + b[len(a) - j:], a[:j] + b_rhs
         j = a.rfind(b[0], lo, j)
     # b contained in a: the peak is a
     i = a.find(b)
     while i >= 0:
-        yield a_rhs, a[:i] + b_rhs + a[i + len(b):], src, dst
+        yield a_rhs, a[:i] + b_rhs + a[i + len(b):]
         i = a.find(b, i + 1)
 
 
@@ -679,10 +681,12 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
     them, so the result is the system of ``p`` and presents ``p``.
 
     Pending equations wait in a heap of flat tuples ``(len(u), u,
-    len(v), v, id1, id2, span, src, dst)``, larger side ``u`` first, so
-    they pop in shortlex order of the larger side, then the smaller; a
-    critical pair's rule ids and overlap length follow, and its
-    endpoints last.
+    len(v), v, id1, id2, span)``, larger side ``u`` first, so they pop
+    in shortlex order of the larger side, then the smaller; a critical
+    pair's rule ids and overlap length follow.  No entry carries
+    endpoints: a nonempty code fixes its own, and rewriting keeps them.
+    The rules are kept once, in the matcher, which maps each left side
+    to its right side; ``live`` maps each rule's id to its left side.
 
     Each rule gets an id when it is added.  A critical pair carries the
     ids of its two rules and is dropped, unnormalised, once either rule
@@ -724,34 +728,26 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
     heap: list = []
 
     # relations and requeued rules carry rule ids -1 and are never
-    # dropped; a critical pair carries its rules' ids and the length of
-    # the word they overlap in, not the word
-    def push(u: str, v: str, src: str, dst: str, id1: int = -1, id2: int = -1,
-             span: int = 0):
+    # dropped; a critical pair carries its rules' ids and overlap length
+    def push(u: str, v: str, id1: int = -1, id2: int = -1, span: int = 0):
         if (len(u), u) < (len(v), v):
             u, v = v, u
-        heapq.heappush(heap, (len(u), u, len(v), v, id1, id2, span, src, dst))
+        heapq.heappush(heap, (len(u), u, len(v), v, id1, id2, span))
 
-    for (src, dst, lhs), (_, _, rhs) in p.relations + seeds:
-        push(lhs, rhs, src, dst)
+    for (_, _, lhs), (_, _, rhs) in p.relations + seeds:
+        push(lhs, rhs)
 
-    # encoded (lhs, rhs, src, dst, id); endpoints carried explicitly since
-    # rewriting preserves them
-    rules: list[tuple] = []
-    rule_ids = itertools.count()
-    # the left side of each rule in the system, by id
-    live: dict[int, str] = {}
-    # ``rules`` as one matcher, kept current in place; no left side
-    # contains another, so at most one matches at a position and the
-    # order of the index need not follow ``rules``
     index = RuleIndex()
+    rhs_of = index._rhs
+    live: dict[int, str] = {}
+    rule_ids = itertools.count()
     swept = len(heap)
     status = COMPLETE
     # the equations set aside as longer than max_word_len, normalised
     too_long = []
 
     while heap:
-        _, u, _, v, id1, id2, span, src, dst = heapq.heappop(heap)
+        _, u, _, v, id1, id2, span = heapq.heappop(heap)
         if id1 >= 0:
             if id1 not in live or id2 not in live:
                 continue
@@ -769,57 +765,47 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
         if len(u) > limits.max_word_len:
             too_long.append((u, v))
             continue
-        if len(rules) >= limits.max_rules:
+        if len(live) >= limits.max_rules:
             status = BOUNDED_INCOMPLETE
             break
         new_id = next(rule_ids)
-        live[new_id] = u
-        new_rule = (u, v, src, dst, new_id)
 
         # interreduce: rules whose lhs contains u go back to the queue,
         # right hand sides are kept normal (a rule keeps its id, as its
         # lhs is unchanged).  Each one is normal for the rules before u
         # came, so only one that contains u can reduce.  All of them are
         # reduced before the index takes any new right side.
-        kept = [new_rule]
-        requeued = []
-        for old in rules:
-            (requeued if u in old[0] else kept).append(old)
-        for lhs, *_ in requeued:
+        for i in [i for i, lhs in live.items() if u in lhs]:
+            lhs = live.pop(i)
+            push(lhs, rhs_of[lhs])
             index.remove(lhs)
+        live[new_id] = u
         index.add(u, v)
-        reduced = {lhs: index.normal_form(rhs) for lhs, rhs, *_ in kept if u in rhs}
+        reduced = {lhs: index.normal_form(rhs) for lhs, rhs in rhs_of.items() if u in rhs}
         for lhs, rhs in reduced.items():
             index.set_rhs(lhs, rhs)
-        rules = [(lhs, reduced.get(lhs, rhs), s, d, i) for lhs, rhs, s, d, i in kept]
-        for lhs, rhs, s, d, i in requeued:
-            del live[i]
-            push(lhs, rhs, s, d)
 
         # every overlap of u with b, and b inside u, contains b's first
         # letter in u; the other way round, u's first letter in b.  A
         # pair's left side is a's right side followed by the letters of b
         # past the overlap, so it gives the overlap's length
-        for i, other in enumerate(rules):
-            peaks = [(new_rule, other)] if other[0][0] in u else []
-            if i and u[0] in other[0]:
-                peaks.append((other, new_rule))
-            for r1, r2 in peaks:
-                a, a_rhs = r1[0], r1[1]
-                for left, right, s, d in _critical_pairs(r1, r2):
+        for i, lhs in live.items():
+            peaks = [(new_id, u, i, lhs)] if lhs[0] in u else []
+            if i != new_id and u[0] in lhs:
+                peaks.append((i, lhs, new_id, u))
+            for id1, a, id2, b in peaks:
+                a_rhs = rhs_of[a]
+                for left, right in _critical_pairs((a, a_rhs), (b, rhs_of[b])):
                     if left != right:
-                        push(left, right, s, d, r1[4], r2[4], len(a) + len(left) - len(a_rhs))
+                        push(left, right, id1, id2, len(a) + len(left) - len(a_rhs))
 
-        # a pair whose rule has left stays dead, and the entries themselves
-        # order the heap totally, so dropping the dead ones each time the
-        # heap has doubled leaves every pop unchanged.  Past the sides the
-        # order is arbitrary, and no other order of entries with equal
-        # sides gives other rules: they pop one after another, and the
-        # first that is live and not composite decides, orienting the
-        # rule of its normal forms, setting them aside or joining; the
-        # rest then join, are dropped or set the same equation aside.
-        # Equal sides have equal endpoints, so every order orients the
-        # same rule
+        # a pair whose rule has left stays dead, and the entries order the
+        # heap totally, so dropping the dead ones each time the heap has
+        # doubled leaves every pop unchanged.  Past the sides the order is
+        # arbitrary, and entries with equal sides pop one after another:
+        # the first that is live and not composite orients the rule of its
+        # normal forms, sets them aside or joins, and the rest join, are
+        # dropped or set the same equation aside, in any order
         if len(heap) > 2 * swept:
             heap[:] = [e for e in heap if e[4] < 0 or (e[4] in live and e[5] in live)]
             heapq.heapify(heap)
@@ -828,9 +814,8 @@ def complete(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
     if status == COMPLETE and any(index.normal_form(u) != index.normal_form(v)
                                   for u, v in too_long):
         status = BOUNDED_INCOMPLETE
-    rules.sort(key=lambda r: ((len(r[0]), r[0]), (len(r[1]), r[1])))
     return RewriteSystem(presentation=p, status=status, limits=limits,
-                         rules=tuple((lhs, rhs) for lhs, rhs, *_ in rules))
+                         rules=tuple(sorted(rhs_of.items(), key=_by_lhs)))
 
 
 def present(p: CatPresentation, limits: ResourceLimits = DEFAULT_LIMITS,
